@@ -3,22 +3,31 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-json race docs traceguard fuzz-smoke cover
+.PHONY: check fmt vet build test bench bench-json race docs traceguard fuzz-smoke mapbench-smoke cover
 
 # check includes docs, whose recipe runs `go vet ./...` — listing vet
 # here too would vet the module twice per gate.
 check: fmt build test traceguard fuzz-smoke docs
 
-# Fuzz smoke: a few hundred executions of each binary-frame fuzz
-# target — enough for the seed corpus plus mutations to walk every
-# decoder, cheap enough for every `make check`. Go allows one -fuzz
-# pattern per invocation, hence the loop. Longer runs: raise
+# Fuzz smoke: a few hundred executions of each fuzz target — the
+# binary-frame decoders of internal/wirebin and the /v1 JSON codec of
+# internal/service — enough for the seed corpus plus mutations to walk
+# every decoder, cheap enough for every `make check`. Go allows one
+# -fuzz pattern per invocation, hence the loops. Longer runs: raise
 # -fuzztime (e.g. `go test ./internal/wirebin -fuzz=FuzzFrameDecoders
 # -fuzztime=60s`).
 fuzz-smoke:
 	@set -e; for f in FuzzFrameDecoders FuzzParseTasks FuzzDecodeTopology FuzzDecodeAllocation; do \
 		$(GO) test ./internal/wirebin -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
-	done; echo "fuzz-smoke: 4 targets clean"
+	done; for f in FuzzDecodeJSONMap FuzzDecodeJSONRemap FuzzDecodeJSONPortfolio; do \
+		$(GO) test ./internal/service -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
+	done; echo "fuzz-smoke: 7 targets clean"
+
+# mapbench smoke: cmd/mapbench is a module of its own, so the root
+# `go test ./...` never compiles it, yet it builds against the service
+# and client API. Vet it and run its tests.
+mapbench-smoke:
+	cd cmd/mapbench && $(GO) vet ./... && $(GO) test ./...
 
 # Tracing must stay off the hot leaves: internal/ds and internal/graph
 # are the inner-loop data structures, and an internal/trace import
@@ -63,9 +72,11 @@ bench:
 # tracked alongside ns/op — and record them as JSON diffable PR over
 # PR (BENCH_PR<n>.json). The large parallel-solve and refinement
 # instances run at a lower iteration count: one solve is ~10^8 ns.
-BENCH_OUT ?= BENCH_PR10.json
+# BENCH_OUT has no default, so a recording never overwrites an earlier
+# PR's point: `make bench-json BENCH_OUT=BENCH_PR<n>.json`.
 BENCH_NOTES ?=
 bench-json:
+	@if [ -z "$(BENCH_OUT)" ]; then echo "bench-json: set BENCH_OUT=BENCH_PR<n>.json"; exit 1; fi
 	@set -e; tmp=$$(mktemp); trap 'rm -f '$$tmp EXIT; \
 	$(GO) test -run='^$$' -bench='BenchmarkEngine(Reuse|ColdStart|CacheHit|RunBatch|Portfolio)|BenchmarkSolveTraced' -benchmem -benchtime=50x -count=1 . > $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkEngineParallelSolve|BenchmarkRefineMC|BenchmarkRemapVsCold|BenchmarkHeteroSolve|BenchmarkGeomSolve' -benchmem -benchtime=5x -count=1 . >> $$tmp; \

@@ -1,33 +1,37 @@
 package service
 
-// The binary protocol endpoints: POST /v2/map, /v2/map/batch and
-// /v2/remap speak length-prefixed wirebin frames instead of JSON.
-// Same engine cache, same worker-slot accounting, same solve pipeline
-// and same result fingerprints as the /v1 handlers — only the
-// envelope differs. The request path is allocation-lean by design:
-// the frame body lands in a pooled buffer, the CSR task graph is
-// staged through an arena, interned sections skip decode entirely,
-// and the response frame streams out of a pooled writer without an
-// intermediate response struct tree.
+// The binary protocol codec: POST /v2/map, /v2/map/batch and
+// /v2/remap speak length-prefixed wirebin frames instead of JSON and
+// run the same job handlers as /v1 — only the envelope differs. The
+// request path is allocation-lean by design: the frame body lands in
+// a pooled buffer, the CSR task graph is staged through an arena,
+// interned sections skip decode entirely, and the response frame
+// streams out of a pooled writer.
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	topomap "repro"
 	"repro/internal/wirebin"
 )
 
+// binaryCodec is the /v2 codec: wirebin frames in and out, the big
+// request sections resolved through the intern table.
+type binaryCodec struct{ s *Server }
+
+func (binaryCodec) prefix() string                       { return "/v2" }
+func (binaryCodec) protoCounter(st *stats) *atomic.Int64 { return &st.protoBinary }
+
 // frameBufPool recycles request-body buffers: one Get per binary
-// request, returned as soon as the handler is done with the decoded
-// views into it.
+// request, returned as soon as the decoder is done with the views
+// into it.
 var frameBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 64<<10)
 	return &b
@@ -36,8 +40,8 @@ var frameBufPool = sync.Pool{New: func() any {
 // readFrame reads the whole request body into a pooled buffer. The
 // returned release puts the buffer back; every slice decoded out of
 // the frame (section views, CSR views) dies with it.
-func (s *Server) readFrame(w http.ResponseWriter, r *http.Request) (frame []byte, release func(), err error) {
-	limit := s.cfg.MaxBodyBytes + wirebin.HeaderLen
+func (c binaryCodec) readFrame(w http.ResponseWriter, r *http.Request) (frame []byte, release func(), err error) {
+	limit := c.s.cfg.MaxBodyBytes + wirebin.HeaderLen
 	body := http.MaxBytesReader(w, r.Body, limit)
 	bp := frameBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -63,417 +67,154 @@ func (s *Server) readFrame(w http.ResponseWriter, r *http.Request) (frame []byte
 	return buf, func() { frameBufPool.Put(bp) }, nil
 }
 
-// writeFrame sends one encoded frame.
-func writeFrame(w http.ResponseWriter, code int, fw *wirebin.Writer) {
-	w.Header().Set("Content-Type", wirebin.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(fw.Len()))
-	w.WriteHeader(code)
-	w.Write(fw.Bytes())
-}
-
-// binError is the binary twin of requestLog.error: counts the error,
-// records the outcome, and sends an Error frame. missing carries the
-// intern-miss bitmask (zero otherwise).
-func (s *Server) binError(w http.ResponseWriter, lg *requestLog, code int, missing byte, err error) {
-	s.st.errors.Add(1)
-	lg.fail(code, err)
-	fw := wirebin.GetWriter()
-	defer wirebin.PutWriter(fw)
-	wirebin.EncodeError(fw, &wirebin.ErrorFrame{Status: uint16(code), Missing: missing, Message: err.Error()})
-	writeFrame(w, code, fw)
-}
-
 // decodeFrame reads and validates the frame envelope of one request,
-// checking the message type. On failure the error response has
-// already been written.
-func (s *Server) decodeFrame(w http.ResponseWriter, r *http.Request, lg *requestLog, wantType byte) (payload []byte, release func(), ok bool) {
-	if r.Method != http.MethodPost {
-		s.binError(w, lg, http.StatusMethodNotAllowed, 0, fmt.Errorf("use POST"))
-		return nil, nil, false
-	}
-	frame, release, err := s.readFrame(w, r)
+// checking the message type. The payload views the pooled frame
+// buffer until release.
+func (c binaryCodec) decodeFrame(w http.ResponseWriter, r *http.Request, wantType byte) (payload []byte, release func(), err error) {
+	frame, release, err := c.readFrame(w, r)
 	if err != nil {
-		s.binError(w, lg, http.StatusBadRequest, 0, err)
-		return nil, nil, false
+		return nil, nil, err
 	}
-	msgType, payload, err := wirebin.DecodeHeader(frame, int(s.cfg.MaxBodyBytes))
+	msgType, payload, err := wirebin.DecodeHeader(frame, int(c.s.cfg.MaxBodyBytes))
+	if err == nil && msgType != wantType {
+		err = fmt.Errorf("wirebin: message type %d on this endpoint, want %d", msgType, wantType)
+	}
 	if err != nil {
 		release()
-		s.binError(w, lg, http.StatusBadRequest, 0, err)
-		return nil, nil, false
+		return nil, nil, err
 	}
-	if msgType != wantType {
-		release()
-		s.binError(w, lg, http.StatusBadRequest, 0, fmt.Errorf("wirebin: message type %d on this endpoint, want %d", msgType, wantType))
-		return nil, nil, false
-	}
-	return payload, release, true
+	return payload, release, nil
 }
 
-// binSections is the resolved form of a binary request's three big
-// sections, carrying the canonical cache keys alongside so the engine
-// lookup never recomputes them.
-type binSections struct {
-	topo     TopologySpec
-	topoKey  string
-	alloc    AllocationSpec
-	allocKey string
-	tasks    *topomap.TaskGraph
-}
-
-// resolveSections turns the mode-tagged wire sections into specs and
-// a built task graph, consulting the intern table for references and
-// feeding it from full bodies. A non-zero missing bitmask means
-// unresolvable references: the caller sends a 404 Error frame and the
-// client resends those sections in full.
-func (s *Server) resolveSections(topoSec, allocSec, tasksSec wirebin.Section) (*binSections, byte, error) {
-	out := &binSections{}
+// resolveSections starts a /v2 job from the mode-tagged wire
+// sections: specs, canonical keys and the built task graph, consulting
+// the intern table for references and feeding it from full bodies.
+// Unresolvable references make a 404 jobError whose bitmask names the
+// sections the client must resend in full. Nothing in the job views
+// the frame, so the caller may release it once this returns.
+func (c binaryCodec) resolveSections(topoSec, allocSec, tasksSec wirebin.Section) (*job, error) {
+	j := &job{began: time.Now()}
 	var missing byte
-
-	if id, isRef := topoSec.IsRef(); isRef {
-		if v, hit := s.intern.get(id); hit && v.kind == wirebin.SecTopology {
-			out.topo, out.topoKey = v.topo, v.topoKey
-		} else {
-			missing |= wirebin.SecTopology
-		}
-	} else {
-		if topoSec.Mode == wirebin.SectionResend {
-			s.intern.resends.Add(1)
-		}
-		bt, err := wirebin.DecodeTopology(topoSec.Body)
+	topo, ok, err := c.s.intern.resolve(topoSec, wirebin.SecTopology, func(body []byte) (internVal, error) {
+		bt, err := wirebin.DecodeTopology(body)
 		if err != nil {
-			return nil, 0, err
+			return internVal{}, err
 		}
 		ts, err := topoSpecFromBinary(bt)
-		if err != nil {
-			return nil, 0, err
-		}
-		out.topo, out.topoKey = ts, ts.Key()
-		s.intern.put(wirebin.Fingerprint(topoSec.Body),
-			internVal{kind: wirebin.SecTopology, topo: ts, topoKey: out.topoKey})
+		return internVal{topo: ts, topoKey: ts.Key()}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	if id, isRef := allocSec.IsRef(); isRef {
-		if v, hit := s.intern.get(id); hit && v.kind == wirebin.SecAllocation {
-			out.alloc, out.allocKey = v.alloc, v.allocKey
-		} else {
-			missing |= wirebin.SecAllocation
-		}
-	} else {
-		if allocSec.Mode == wirebin.SectionResend {
-			s.intern.resends.Add(1)
-		}
-		ba, err := wirebin.DecodeAllocation(allocSec.Body)
+	if !ok {
+		missing |= wirebin.SecTopology
+	}
+	alloc, ok, err := c.s.intern.resolve(allocSec, wirebin.SecAllocation, func(body []byte) (internVal, error) {
+		ba, err := wirebin.DecodeAllocation(body)
 		if err != nil {
-			return nil, 0, err
+			return internVal{}, err
 		}
 		as, err := allocSpecFromBinary(ba)
 		if err != nil {
-			return nil, 0, err
+			return internVal{}, err
 		}
 		key, err := as.Key()
-		if err != nil {
-			return nil, 0, err
-		}
-		out.alloc, out.allocKey = as, key
-		s.intern.put(wirebin.Fingerprint(allocSec.Body),
-			internVal{kind: wirebin.SecAllocation, alloc: as, allocKey: key})
+		return internVal{alloc: as, allocKey: key}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	if id, isRef := tasksSec.IsRef(); isRef {
-		if v, hit := s.intern.get(id); hit && v.kind == wirebin.SecTasks {
-			out.tasks = v.tasks
-		} else {
-			missing |= wirebin.SecTasks
-		}
-	} else {
-		if tasksSec.Mode == wirebin.SectionResend {
-			s.intern.resends.Add(1)
-		}
-		view, err := wirebin.ParseTasks(tasksSec.Body)
+	if !ok {
+		missing |= wirebin.SecAllocation
+	}
+	tasks, ok, err := c.s.intern.resolve(tasksSec, wirebin.SecTasks, func(body []byte) (internVal, error) {
+		view, err := wirebin.ParseTasks(body)
 		if err != nil {
-			return nil, 0, err
+			return internVal{}, err
 		}
 		tg, err := taskGraphFromCSR(view)
-		if err != nil {
-			return nil, 0, err
-		}
-		out.tasks = tg
-		s.intern.put(wirebin.Fingerprint(tasksSec.Body),
-			internVal{kind: wirebin.SecTasks, tasks: tg})
-	}
-
-	if missing != 0 {
-		return nil, missing, fmt.Errorf("intern: unresolved section reference(s); resend the flagged sections in full")
-	}
-	return out, 0, nil
-}
-
-// engineForKeys is engineFor with the canonical keys already in hand
-// (the binary path computes or interns them during section
-// resolution, so re-deriving them per request would be pure waste).
-func (s *Server) engineForKeys(sec *binSections) (*topomap.Engine, bool, error) {
-	return s.cache.GetKeyed(sec.topoKey+"|"+sec.allocKey, func() (*topomap.Engine, error) {
-		net, err := sec.topo.Build()
-		if err != nil {
-			return nil, err
-		}
-		a, err := sec.alloc.Build(net)
-		if err != nil {
-			return nil, err
-		}
-		return topomap.NewEngine(net.Topo, a)
+		return internVal{tasks: tg}, err
 	})
-}
-
-// binMapResp fills a result frame's map-response body from the engine
-// result: the placement slices alias the result arrays (the frame
-// writer copies them straight into the output buffer), the rankfile
-// renders on demand, and the trace echo rides as a JSON blob when the
-// request opted in.
-func binMapResp(res *topomap.MapResult, eng *topomap.Engine, hit, wantRank, wantTrace bool, elapsed time.Duration, fp string) (wirebin.MapResp, error) {
-	met := res.Metrics
-	m := wirebin.MapResp{
-		Mapper:     string(res.Mapper),
-		GroupOf:    res.GroupOf,
-		NodeOf:     res.NodeOf,
-		AllocNodes: eng.Allocation().Nodes,
-		Metrics: wirebin.Metrics{
-			TH: met.TH, WH: met.WH, MMC: met.MMC, MC: met.MC, AMC: met.AMC, AC: met.AC,
-			ICV: met.ICV, ICM: met.ICM, MNRV: met.MNRV, MNRM: met.MNRM,
-			UsedLinks: uint32(met.UsedLinks),
-			Makespan:  met.Makespan, LoadImbalance: met.LoadImbalance,
-		},
-		FineWHGain:  res.FineWHGain,
-		FineVolGain: res.FineVolGain,
-		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
-		Fingerprint: fp,
+	if err != nil {
+		return nil, err
 	}
-	if hit {
-		m.Flags |= wirebin.RespCacheHit
-	}
-	if wantRank {
-		var buf bytes.Buffer
-		if err := topomap.WriteRankOrder(&buf, res.Placement(), eng.Allocation()); err != nil {
-			return m, err // already prefixed "rankfile:"
-		}
-		m.Rankfile = buf.Bytes()
-	}
-	if wantTrace && res.Trace != nil {
-		blob, err := json.Marshal(res.Trace.Stages())
-		if err != nil {
-			return m, err
-		}
-		m.TraceJSON = blob
-	}
-	return m, nil
-}
-
-// handleMapBin serves POST /v2/map: one mapping job over the binary
-// protocol — the frame twin of handleMap.
-func (s *Server) handleMapBin(w http.ResponseWriter, r *http.Request) {
-	s.st.requests.Add(1)
-	s.st.protoBinary.Add(1)
-	s.st.inflight.Add(1)
-	defer s.st.inflight.Add(-1)
-	lg := s.beginLog(endpointMap)
-	defer lg.emit()
-	payload, release, ok := s.decodeFrame(w, r, lg, wirebin.MsgMapRequest)
 	if !ok {
-		return
+		missing |= wirebin.SecTasks
+	}
+	if missing != 0 {
+		return nil, &jobError{status: http.StatusNotFound, missing: missing,
+			err: fmt.Errorf("intern: unresolved section reference(s); resend the flagged sections in full")}
+	}
+	j.topo, j.alloc, j.tasks = topo.topo, alloc.alloc, tasks.tasks
+	j.engineKey = topo.topoKey + "|" + alloc.allocKey
+	return j, nil
+}
+
+// flagSolve lowers a frame's mapper, seed and flag word (see
+// lowerSolve).
+func flagSolve(mapper string, seed int64, f uint16) topomap.Solve {
+	return lowerSolve(mapper, seed, f&wirebin.FlagRefine != 0, f&wirebin.FlagFineRefine != 0,
+		f&wirebin.FlagTrace != 0, f&wirebin.FlagBalance != 0)
+}
+
+func (c binaryCodec) decodeMap(w http.ResponseWriter, r *http.Request) (*job, error) {
+	payload, release, err := c.decodeFrame(w, r, wirebin.MsgMapRequest)
+	if err != nil {
+		return nil, err
 	}
 	defer release()
 	req, err := wirebin.DecodeMapReq(payload)
 	if err != nil {
-		s.binError(w, lg, http.StatusBadRequest, 0, err)
-		return
+		return nil, err
 	}
-	lg.mapper = req.Mapper
-	began := time.Now()
-	sec, missing, err := s.resolveSections(req.Topo, req.Alloc, req.Tasks)
+	j, err := c.resolveSections(req.Topo, req.Alloc, req.Tasks)
 	if err != nil {
-		code := http.StatusBadRequest
-		if missing != 0 {
-			code = http.StatusNotFound
-		}
-		s.binError(w, lg, code, missing, err)
-		return
+		return nil, err
 	}
-	// Solve memo, shared with /v1/map: the interned sections already
-	// carry canonical keys and the built graph, so a warm repeat is a
-	// hash and a cache read — no spec parse, no graph build, no solve.
-	memoKey := solveMemoKey(sec.topoKey+"|"+sec.allocKey, req.Mapper, req.Seed,
-		req.Flags&wirebin.FlagRefine != 0, req.Flags&wirebin.FlagFineRefine != 0,
-		req.Flags&wirebin.FlagBalance != 0, sec.tasks)
-	if ent, ok := s.results.getReq(memoKey); ok {
-		lg.cacheHit = true
-		m, err := binMapResp(ent.res, ent.eng, true,
-			req.Flags&wirebin.FlagRankfile != 0, req.Flags&wirebin.FlagTrace != 0,
-			time.Since(began), ent.fp)
-		if err != nil {
-			s.binError(w, lg, http.StatusBadRequest, 0, err)
-			return
-		}
-		s.st.observe(endpointMap, m.ElapsedMS)
-		fw := wirebin.GetWriter()
-		defer wirebin.PutWriter(fw)
-		wirebin.EncodeMapResp(fw, &m)
-		writeFrame(w, http.StatusOK, fw)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-	defer cancel()
-	workers := s.parallelism(int(req.Parallelism))
-	// Server-side tracing is always on (stage histograms); the flag
-	// only gates the wire echo — same contract as /v1/map.
-	sol := lowerSolve(req.Mapper, req.Seed,
-		req.Flags&wirebin.FlagRefine != 0, req.Flags&wirebin.FlagFineRefine != 0,
-		true, req.Flags&wirebin.FlagBalance != 0, workers)
-	var eng *topomap.Engine
-	var hit bool
-	var res *topomap.MapResult
-	err = s.solve(ctx, workers, func(ctx context.Context) error {
-		var err error
-		eng, hit, err = s.engineForKeys(sec)
-		if err != nil {
-			return err
-		}
-		res, err = eng.RunSolve(ctx, sec.tasks, sol)
-		return err
-	})
-	if err != nil {
-		s.binError(w, lg, s.errStatus(err), 0, err)
-		return
-	}
-	lg.cacheHit = hit
-	s.st.observeStages(res.Trace.Stages())
-	s.st.observeResult(res.Metrics.Makespan, res.Metrics.LoadImbalance)
-	fp := resultFingerprint(eng, sec.tasks, res)
-	s.results.putReq(memoKey, resultEntry{fp: fp, eng: eng, tasks: sec.tasks, res: res})
-	m, err := binMapResp(res, eng, hit,
-		req.Flags&wirebin.FlagRankfile != 0, req.Flags&wirebin.FlagTrace != 0,
-		time.Since(began), fp)
-	if err != nil {
-		s.binError(w, lg, http.StatusBadRequest, 0, err)
-		return
-	}
-	s.st.observe(endpointMap, m.ElapsedMS)
-	fw := wirebin.GetWriter()
-	defer wirebin.PutWriter(fw)
-	wirebin.EncodeMapResp(fw, &m)
-	writeFrame(w, http.StatusOK, fw)
+	j.solve = flagSolve(req.Mapper, req.Seed, req.Flags)
+	j.parallelism, j.timeoutMS = int(req.Parallelism), req.TimeoutMS
+	j.rankfile, j.trace = req.Flags&wirebin.FlagRankfile != 0, req.Flags&wirebin.FlagTrace != 0
+	return j, nil
 }
 
-// handleBatchBin serves POST /v2/map/batch: several mapper runs
-// against one shared engine — the frame twin of handleBatch.
-func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
-	s.st.batchRequests.Add(1)
-	s.st.protoBinary.Add(1)
-	s.st.inflight.Add(1)
-	defer s.st.inflight.Add(-1)
-	lg := s.beginLog(endpointBatch)
-	defer lg.emit()
-	payload, release, ok := s.decodeFrame(w, r, lg, wirebin.MsgBatchRequest)
-	if !ok {
-		return
+func (c binaryCodec) decodeBatch(w http.ResponseWriter, r *http.Request) (*job, error) {
+	payload, release, err := c.decodeFrame(w, r, wirebin.MsgBatchRequest)
+	if err != nil {
+		return nil, err
 	}
 	defer release()
 	req, err := wirebin.DecodeBatchReq(payload)
 	if err != nil {
-		s.binError(w, lg, http.StatusBadRequest, 0, err)
-		return
+		return nil, err
 	}
 	if len(req.Items) == 0 {
-		s.binError(w, lg, http.StatusBadRequest, 0, fmt.Errorf("batch: empty requests"))
-		return
+		return nil, errEmptyBatch
 	}
-	began := time.Now()
-	sec, missing, err := s.resolveSections(req.Topo, req.Alloc, req.Tasks)
+	j, err := c.resolveSections(req.Topo, req.Alloc, req.Tasks)
 	if err != nil {
-		code := http.StatusBadRequest
-		if missing != 0 {
-			code = http.StatusNotFound
-		}
-		s.binError(w, lg, code, missing, err)
-		return
+		return nil, err
 	}
-	workers := s.parallelism(int(req.Parallelism))
-	runs := make([]topomap.Request, len(req.Items))
+	j.items = make([]topomap.Solve, len(req.Items))
 	for i, it := range req.Items {
-		runs[i] = lowerSolve(it.Mapper, it.Seed,
-			it.Flags&wirebin.FlagRefine != 0, it.Flags&wirebin.FlagFineRefine != 0,
-			it.Flags&wirebin.FlagTrace != 0, it.Flags&wirebin.FlagBalance != 0, workers).Request(sec.tasks)
+		j.items[i] = flagSolve(it.Mapper, it.Seed, it.Flags)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-	defer cancel()
-	var eng *topomap.Engine
-	var hit bool
-	var results []*topomap.MapResult
-	err = s.solve(ctx, workers, func(ctx context.Context) error {
-		var err error
-		eng, hit, err = s.engineForKeys(sec)
-		if err != nil {
-			return err
-		}
-		results, err = eng.RunBatchContext(ctx, runs, 1)
-		return err
-	})
-	if err != nil {
-		s.binError(w, lg, s.errStatus(err), 0, err)
-		return
-	}
-	lg.cacheHit = hit
-	out := wirebin.BatchResp{
-		ElapsedMS: float64(time.Since(began)) / float64(time.Millisecond),
-		Results:   make([]wirebin.MapResp, len(results)),
-	}
-	if hit {
-		out.Flags |= wirebin.RespCacheHit
-	}
-	for i, res := range results {
-		traced := res.Trace != nil
-		if traced {
-			s.st.observeStages(res.Trace.Stages())
-		}
-		s.st.observeResult(res.Metrics.Makespan, res.Metrics.LoadImbalance)
-		// Like /v1: items share one engine run, per-item elapsed and
-		// fingerprints are omitted, and only opted-in items echo traces.
-		m, err := binMapResp(res, eng, hit, false, traced, 0, "")
-		if err != nil {
-			s.binError(w, lg, http.StatusBadRequest, 0, err)
-			return
-		}
-		out.Results[i] = m
-	}
-	s.st.observe(endpointBatch, out.ElapsedMS)
-	fw := wirebin.GetWriter()
-	defer wirebin.PutWriter(fw)
-	wirebin.EncodeBatchResp(fw, &out)
-	writeFrame(w, http.StatusOK, fw)
+	j.parallelism, j.timeoutMS = int(req.Parallelism), req.TimeoutMS
+	return j, nil
 }
 
-// handleRemapBin serves POST /v2/remap: an incremental remap over the
-// binary protocol — the frame twin of handleRemap. The request
-// converts onto the JSON wire's RemapRequest so validation and
-// lowering stay single-sourced.
-func (s *Server) handleRemapBin(w http.ResponseWriter, r *http.Request) {
-	s.st.remapRequests.Add(1)
-	s.st.protoBinary.Add(1)
-	s.st.inflight.Add(1)
-	defer s.st.inflight.Add(-1)
-	lg := s.beginLog(endpointRemap)
-	defer lg.emit()
-	payload, release, ok := s.decodeFrame(w, r, lg, wirebin.MsgRemapRequest)
-	if !ok {
-		return
+// decodeRemap converts the frame onto the JSON wire's RemapRequest, so
+// validation and lowering stay single-sourced.
+func (c binaryCodec) decodeRemap(w http.ResponseWriter, r *http.Request) (*job, error) {
+	payload, release, err := c.decodeFrame(w, r, wirebin.MsgRemapRequest)
+	if err != nil {
+		return nil, err
 	}
 	defer release()
 	breq, err := wirebin.DecodeRemapReq(payload)
 	if err != nil {
-		s.binError(w, lg, http.StatusBadRequest, 0, err)
-		return
+		return nil, err
 	}
-	req := RemapRequest{
+	req := &RemapRequest{
 		Fingerprint: breq.Fingerprint,
 		Solve: topomap.Solve{
 			Mapper:     topomap.Mapper(breq.Mapper),
@@ -489,86 +230,116 @@ func (s *Server) handleRemapBin(w http.ResponseWriter, r *http.Request) {
 		Parallelism:    int(breq.Parallelism),
 		Delta:          topomap.AllocationDelta{Remove: breq.Remove},
 	}
-	for _, c := range breq.Add {
-		req.Delta.Add = append(req.Delta.Add, topomap.NodeCapacity{Node: c.Node, Procs: int(c.Procs)})
+	for _, nc := range breq.Add {
+		req.Delta.Add = append(req.Delta.Add, topomap.NodeCapacity{Node: nc.Node, Procs: int(nc.Procs)})
 	}
-	for _, c := range breq.SetCapacity {
-		req.Delta.SetCapacity = append(req.Delta.SetCapacity, topomap.NodeCapacity{Node: c.Node, Procs: int(c.Procs)})
+	for _, nc := range breq.SetCapacity {
+		req.Delta.SetCapacity = append(req.Delta.SetCapacity, topomap.NodeCapacity{Node: nc.Node, Procs: int(nc.Procs)})
 	}
 	if len(breq.Objective) > 0 {
 		if err := json.Unmarshal(breq.Objective, &req.Objective); err != nil {
-			s.binError(w, lg, http.StatusBadRequest, 0, fmt.Errorf("remap: objective blob: %w", err))
-			return
+			return nil, fmt.Errorf("remap: objective blob: %w", err)
 		}
 	}
 	if len(breq.Sim) > 0 {
 		if err := json.Unmarshal(breq.Sim, &req.Solve.Sim); err != nil {
-			s.binError(w, lg, http.StatusBadRequest, 0, fmt.Errorf("remap: sim blob: %w", err))
-			return
+			return nil, fmt.Errorf("remap: sim blob: %w", err)
 		}
 	}
-	if err := req.Validate(); err != nil {
-		s.binError(w, lg, http.StatusBadRequest, 0, err)
-		return
+	return remapJob(req)
+}
+
+// mapFrame transcodes a response onto a result frame's map body.
+// The placement slices alias the engine's result arrays (the frame
+// writer copies them straight into the output buffer) and the trace
+// echo rides as a JSON blob.
+func mapFrame(out *MapResponse) wirebin.MapResp {
+	met := out.Metrics
+	m := wirebin.MapResp{
+		Mapper:     out.Mapper,
+		GroupOf:    out.GroupOf,
+		NodeOf:     out.NodeOf,
+		AllocNodes: out.AllocNodes,
+		Metrics: wirebin.Metrics{
+			TH: met.TH, WH: met.WH, MMC: met.MMC, MC: met.MC, AMC: met.AMC, AC: met.AC,
+			ICV: met.ICV, ICM: met.ICM, MNRV: met.MNRV, MNRM: met.MNRM,
+			UsedLinks: uint32(met.UsedLinks),
+			Makespan:  met.Makespan, LoadImbalance: met.LoadImbalance,
+		},
+		FineWHGain:  out.FineWHGain,
+		FineVolGain: out.FineVolGain,
+		ElapsedMS:   out.ElapsedMS,
+		Fingerprint: out.Fingerprint,
 	}
-	lg.mapper = string(req.Solve.Mapper)
-	entry, found := s.results.get(req.Fingerprint)
-	if !found {
-		s.binError(w, lg, http.StatusNotFound, 0, fmt.Errorf("remap: unknown fingerprint %q; the result may have been evicted — re-solve through /v2/map", req.Fingerprint))
-		return
+	if out.CacheHit {
+		m.Flags |= wirebin.RespCacheHit
 	}
-	lg.cacheHit = true
-	began := time.Now()
-	workers := s.parallelism(req.Parallelism)
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-	defer cancel()
-	spec := req.Spec(workers)
-	spec.Solve.Trace = true
-	var rres *topomap.RemapResult
-	err = s.solve(ctx, workers, func(ctx context.Context) error {
-		var err error
-		rres, err = entry.eng.RunRemap(ctx, entry.tasks, entry.res, req.Delta, spec)
-		return err
-	})
-	if err != nil {
-		s.binError(w, lg, s.errStatus(err), 0, err)
-		return
+	if out.Rankfile != "" {
+		m.Rankfile = []byte(out.Rankfile)
 	}
-	s.st.observeStages(rres.Result.Trace.Stages())
-	s.st.observeResult(rres.Result.Metrics.Makespan, rres.Result.Metrics.LoadImbalance)
-	fp := resultFingerprint(rres.Engine, entry.tasks, rres.Result)
-	s.results.put(resultEntry{fp: fp, eng: rres.Engine, tasks: entry.tasks, res: rres.Result})
-	s.st.remapPairsReused.Add(int64(rres.PairsReused))
-	s.st.remapPairsTotal.Add(int64(rres.PairsTotal))
-	if rres.Warm {
-		s.st.remapWarm.Add(1)
+	if out.Trace != nil {
+		// Stages hold names, finite durations and integer counters,
+		// which always marshal.
+		m.TraceJSON, _ = json.Marshal(out.Trace)
 	}
-	if rres.FenceTripped {
-		s.st.remapFallbacks.Add(1)
-	}
-	m, err := binMapResp(rres.Result, rres.Engine, true, req.Rankfile, req.Solve.Trace, time.Since(began), fp)
-	if err != nil {
-		s.binError(w, lg, http.StatusBadRequest, 0, err)
-		return
-	}
-	if rres.Warm {
-		m.Flags |= wirebin.RespWarm
-	}
-	if rres.FenceTripped {
-		m.Flags |= wirebin.RespFenceTripped
-	}
-	out := wirebin.RemapResp{
-		MapResp:       m,
-		PrevScore:     rres.PrevScore,
-		WarmScore:     rres.WarmScore,
-		ColdScore:     rres.ColdScore,
-		PairsReused:   uint32(rres.PairsReused),
-		PairsTotal:    uint32(rres.PairsTotal),
-		MigratedTasks: uint32(rres.MigratedTasks),
-	}
-	s.st.observe(endpointRemap, m.ElapsedMS)
+	return m
+}
+
+// writeFrame sends one encoded frame.
+func writeFrame(w http.ResponseWriter, code int, fw *wirebin.Writer) {
+	w.Header().Set("Content-Type", wirebin.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(fw.Len()))
+	w.WriteHeader(code)
+	w.Write(fw.Bytes())
+}
+
+func (binaryCodec) encodeMap(w http.ResponseWriter, out MapResponse) {
+	m := mapFrame(&out)
 	fw := wirebin.GetWriter()
 	defer wirebin.PutWriter(fw)
-	wirebin.EncodeRemapResp(fw, &out)
+	wirebin.EncodeMapResp(fw, &m)
 	writeFrame(w, http.StatusOK, fw)
+}
+
+func (binaryCodec) encodeBatch(w http.ResponseWriter, out BatchResponse) {
+	b := wirebin.BatchResp{ElapsedMS: out.ElapsedMS, Results: make([]wirebin.MapResp, len(out.Results))}
+	if out.CacheHit {
+		b.Flags |= wirebin.RespCacheHit
+	}
+	for i := range out.Results {
+		b.Results[i] = mapFrame(&out.Results[i])
+	}
+	fw := wirebin.GetWriter()
+	defer wirebin.PutWriter(fw)
+	wirebin.EncodeBatchResp(fw, &b)
+	writeFrame(w, http.StatusOK, fw)
+}
+
+func (binaryCodec) encodeRemap(w http.ResponseWriter, out RemapResponse) {
+	m := wirebin.RemapResp{
+		MapResp:       mapFrame(&out.MapResponse),
+		PrevScore:     out.PrevScore,
+		WarmScore:     out.WarmScore,
+		ColdScore:     out.ColdScore,
+		PairsReused:   uint32(out.PairsReused),
+		PairsTotal:    uint32(out.PairsTotal),
+		MigratedTasks: uint32(out.MigratedTasks),
+	}
+	if out.Warm {
+		m.Flags |= wirebin.RespWarm
+	}
+	if out.FenceTripped {
+		m.Flags |= wirebin.RespFenceTripped
+	}
+	fw := wirebin.GetWriter()
+	defer wirebin.PutWriter(fw)
+	wirebin.EncodeRemapResp(fw, &m)
+	writeFrame(w, http.StatusOK, fw)
+}
+
+func (binaryCodec) encodeError(w http.ResponseWriter, status int, missing byte, err error) {
+	fw := wirebin.GetWriter()
+	defer wirebin.PutWriter(fw)
+	wirebin.EncodeError(fw, &wirebin.ErrorFrame{Status: uint16(status), Missing: missing, Message: err.Error()})
+	writeFrame(w, status, fw)
 }

@@ -5,8 +5,8 @@ package service_test
 // same spec does — same placements, metrics, rankfiles and result
 // fingerprints, for every registered mapper — plus the intern-table
 // flow (full sections → 16-byte references → miss → 404 → resend
-// recovery), transparent client negotiation against JSON-only
-// servers, and the error surface for malformed frames. `make race`
+// recovery), the client's failure against JSON-only servers, and the
+// error surface for malformed frames. `make race`
 // runs this whole package under the race detector.
 
 import (
@@ -320,9 +320,9 @@ func TestBinaryInternFlow(t *testing.T) {
 	}
 }
 
-// TestBinaryNegotiation pins the client's transparent fallback: an
-// auto client against a JSON-only server (no /v2 routes) quietly pins
-// JSON; a forced-binary client fails loudly.
+// TestBinaryNegotiation pins the client against a server without the
+// binary protocol: a binary client (the default) fails loudly instead
+// of guessing.
 func TestBinaryNegotiation(t *testing.T) {
 	spec, _ := testTasks(64)
 	srv := service.New(service.Config{})
@@ -330,16 +330,6 @@ func TestBinaryNegotiation(t *testing.T) {
 	// plain-text 404.
 	legacy := http.NewServeMux()
 	legacy.Handle("/v1/", srv.Handler())
-
-	auto := client.InProcess(legacy)
-	for i := 0; i < 2; i++ {
-		if _, err := auto.Map(context.Background(), mapReq(spec, "UWH")); err != nil {
-			t.Fatalf("auto client, call %d: %v", i, err)
-		}
-	}
-	if st := srv.Status(); st.ProtocolRequests["json"] != 2 || st.ProtocolRequests["binary"] != 0 {
-		t.Fatalf("auto client against a JSON-only server recorded %v, want 2 json / 0 binary", st.ProtocolRequests)
-	}
 
 	forced := client.InProcess(legacy, client.WithProtocol(client.ProtoBinary))
 	if _, err := forced.Map(context.Background(), mapReq(spec, "UWH")); err == nil ||
@@ -540,5 +530,54 @@ func TestSolveMemo(t *testing.T) {
 	}
 	if st := srv.Status(); st.SolveMemoMisses != 2 {
 		t.Fatalf("changed seed should miss the memo: misses %d", st.SolveMemoMisses)
+	}
+}
+
+// TestSolveMemoEquivalentRequests pins the memo for distinct requests
+// that denote one placement: a different mapper spelling (the memo
+// keys the lowered, uppercased mapper) and a seed-independent mapper
+// at a new seed (the cached entry takes the second request key). In
+// both sequences the third request repeats the second and must be
+// answered from the memo, on either protocol.
+func TestSolveMemoEquivalentRequests(t *testing.T) {
+	spec, _ := testTasks(48)
+	for _, proto := range []struct {
+		name string
+		p    client.Protocol
+	}{{"json", client.ProtoJSON}, {"binary", client.ProtoBinary}} {
+		for _, tc := range []struct {
+			name       string
+			seq        [3]service.MapRequest
+			wantMisses int64
+		}{
+			{"mapper spelling", [3]service.MapRequest{mapReq(spec, "uwh"), mapReq(spec, "UWH"), mapReq(spec, "UWH")}, 1},
+			{"seed-independent mapper", func() (seq [3]service.MapRequest) {
+				for i, seed := range []int64{1, 2, 2} {
+					seq[i] = mapReq(spec, "DEF")
+					seq[i].Seed = seed
+				}
+				return seq
+			}(), 2},
+		} {
+			t.Run(proto.name+"/"+tc.name, func(t *testing.T) {
+				srv, c := protoClient(service.Config{}, proto.p)
+				var fps [3]string
+				for i, req := range tc.seq {
+					resp, err := c.Map(context.Background(), req)
+					if err != nil {
+						t.Fatalf("request %d: %v", i, err)
+					}
+					fps[i] = resp.Fingerprint
+				}
+				if fps[1] != fps[0] || fps[2] != fps[0] {
+					t.Fatalf("the requests denote one placement, got fingerprints %v", fps)
+				}
+				st := srv.Status()
+				if st.SolveMemoMisses != tc.wantMisses || st.SolveMemoHits != 3-tc.wantMisses {
+					t.Fatalf("memo counters: hits %d misses %d, want %d/%d",
+						st.SolveMemoHits, st.SolveMemoMisses, 3-tc.wantMisses, tc.wantMisses)
+				}
+			})
+		}
 	}
 }

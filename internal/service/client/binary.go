@@ -1,17 +1,16 @@
 package client
 
-// The binary protocol side of the client: transparent negotiation
-// (try /v2 frames, fall back to /v1 JSON against servers that don't
-// speak them), a client-side intern memo so warm requests send
-// 16-byte section references instead of full bodies, and the
-// miss-resend recovery loop — a server that lost an interned section
-// answers 404 with a bitmask, the client resends those sections in
-// full, once.
+// The binary protocol side of the client: a client-side intern memo so
+// warm requests send 16-byte section references instead of full
+// bodies, and the miss-resend recovery loop — a server that lost an
+// interned section answers 404 with a bitmask, the client resends
+// those sections in full, once.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -30,15 +29,11 @@ import (
 type Protocol int
 
 const (
-	// ProtoAuto (the default) tries the binary protocol and pins
-	// whichever the server speaks — one extra round-trip against an
-	// old server, zero against a current one.
-	ProtoAuto Protocol = iota
+	// ProtoBinary (the default) speaks /v2 frames; a server without
+	// them is an error.
+	ProtoBinary Protocol = iota
 	// ProtoJSON forces the /v1 JSON envelope.
 	ProtoJSON
-	// ProtoBinary forces /v2 frames; a server without them is an
-	// error.
-	ProtoBinary
 )
 
 // Option configures a Client.
@@ -47,25 +42,6 @@ type Option func(*Client)
 // WithProtocol pins the client's wire protocol.
 func WithProtocol(p Protocol) Option {
 	return func(c *Client) { c.proto = p }
-}
-
-// pinned states of the auto negotiation.
-const (
-	pinNone int32 = iota
-	pinJSON
-	pinBinary
-)
-
-// useBinary reports whether the next request should try the binary
-// protocol.
-func (c *Client) useBinary() bool {
-	switch c.proto {
-	case ProtoJSON:
-		return false
-	case ProtoBinary:
-		return true
-	}
-	return c.pinned.Load() != pinJSON
 }
 
 // memoEntry caches one encoded section: its intern fingerprint, the
@@ -143,32 +119,40 @@ func tasksMemoKey(ts service.TaskGraphSpec) string {
 // memo says the server has it, the full body otherwise. encode runs
 // only on first sight of a spec; resend forces the full body in
 // resend mode (after a reported miss).
-func (c *Client) section(key string, resend bool, encode func(*wirebin.Writer) error) (wirebin.Section, string, error) {
+func (c *Client) section(key string, resend bool, encode func(*wirebin.Writer) error) (wirebin.Section, error) {
 	if e, ok := c.memo.get(key); ok {
 		switch {
 		case resend:
-			return wirebin.ResendSection(e.body), key, nil
+			return wirebin.ResendSection(e.body), nil
 		case e.known.Load():
-			return wirebin.RefSection(e.id), key, nil
+			return wirebin.RefSection(e.id), nil
 		default:
-			return wirebin.FullSection(e.body), key, nil
+			return wirebin.FullSection(e.body), nil
 		}
 	}
 	w := wirebin.GetWriter()
 	defer wirebin.PutWriter(w)
 	if err := encode(w); err != nil {
-		return wirebin.Section{}, "", err
+		return wirebin.Section{}, err
 	}
 	body := append([]byte(nil), w.Bytes()...)
 	e := &memoEntry{id: wirebin.Fingerprint(body), body: body}
 	c.memo.put(key, e)
-	return wirebin.FullSection(body), key, nil
+	return wirebin.FullSection(body), nil
 }
 
-// confirm marks memo entries as server-known (after a non-miss
-// response) or unknown (the sections a miss frame flagged).
-func (c *Client) confirm(keys []string, known bool) {
-	for _, k := range keys {
+// sectionBits are the miss-bitmask bits of a request's three
+// sections, in sendSections' key order.
+var sectionBits = [3]byte{wirebin.SecTopology, wirebin.SecAllocation, wirebin.SecTasks}
+
+// mark flips the memo entries of the flagged sections to server-known
+// (after a reply that was not a miss) or unknown (the sections a miss
+// frame named).
+func (c *Client) mark(keys [3]string, sections byte, known bool) {
+	for i, k := range keys {
+		if sections&sectionBits[i] == 0 {
+			continue
+		}
 		if e, ok := c.memo.get(k); ok {
 			e.known.Store(known)
 		}
@@ -181,30 +165,31 @@ var respBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// errNotBinary marks a response that is not a wirebin frame — an old
-// server or a proxy. Auto-negotiating clients pin JSON and retry.
+// errNotBinary marks a response that is not a wirebin frame — a
+// server without /v2, or a proxy.
 var errNotBinary = fmt.Errorf("mapd: server does not speak the binary protocol")
 
-// doBinary posts one frame and returns the response frame's message
-// type and payload inside a pooled buffer (release it when done with
-// every decoded view). An Error frame with a miss bitmask comes back
-// as *missError so callers can resend.
-func (c *Client) doBinary(ctx context.Context, path string, fw *wirebin.Writer) (msgType byte, payload []byte, release func(), err error) {
+// doBinary posts one frame and decodes the reply, which must be of
+// type want, from a pooled buffer that is recycled once decode
+// returns (decode must copy what it keeps). An Error frame with a miss
+// bitmask comes back as *missError so callers can resend.
+func (c *Client) doBinary(ctx context.Context, path string, fw *wirebin.Writer, want byte, decode func(payload []byte) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(fw.Bytes()))
 	if err != nil {
-		return 0, nil, nil, err
+		return err
 	}
 	req.Header.Set("Content-Type", wirebin.ContentType)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, nil, nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.Header.Get("Content-Type") != wirebin.ContentType {
 		io.Copy(io.Discard, resp.Body)
-		return 0, nil, nil, errNotBinary
+		return errNotBinary
 	}
 	bp := respBufPool.Get().(*[]byte)
+	defer respBufPool.Put(bp)
 	buf := (*bp)[:0]
 	for {
 		if len(buf) == cap(buf) {
@@ -212,34 +197,77 @@ func (c *Client) doBinary(ctx context.Context, path string, fw *wirebin.Writer) 
 		}
 		n, rerr := resp.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		*bp = buf
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
-			*bp = buf
-			respBufPool.Put(bp)
-			return 0, nil, nil, rerr
+			return rerr
 		}
 	}
-	*bp = buf
-	release = func() { respBufPool.Put(bp) }
-	msgType, payload, err = wirebin.DecodeHeader(buf, 64<<20)
+	msgType, payload, err := wirebin.DecodeHeader(buf, 64<<20)
 	if err != nil {
-		release()
-		return 0, nil, nil, err
+		return err
 	}
-	if msgType == wirebin.MsgError {
-		ef, derr := wirebin.DecodeError(payload)
-		release()
-		if derr != nil {
-			return 0, nil, nil, derr
+	switch msgType {
+	case want:
+		return decode(payload)
+	case wirebin.MsgError:
+		ef, err := wirebin.DecodeError(payload)
+		if err != nil {
+			return err
 		}
 		if ef.Missing != 0 {
-			return 0, nil, nil, &missError{missing: ef.Missing, msg: ef.Message}
+			return &missError{missing: ef.Missing, msg: ef.Message}
 		}
-		return 0, nil, nil, fmt.Errorf("mapd: %s (HTTP %d)", ef.Message, ef.Status)
+		return fmt.Errorf("mapd: %s (HTTP %d)", ef.Message, ef.Status)
 	}
-	return msgType, payload, release, nil
+	return fmt.Errorf("mapd: unexpected frame type %d", msgType)
+}
+
+// sendSections runs one request whose topology, allocation and task
+// sections travel through the intern memo: a bare reference where the
+// memo says the server has the section, the full body otherwise.
+// encode writes the request frame around the prepared sections. On an
+// intern miss the flagged sections go again in full — once; a second
+// miss is final.
+func (c *Client) sendSections(ctx context.Context, path string, want byte,
+	ts service.TopologySpec, as service.AllocationSpec, tg service.TaskGraphSpec,
+	encode func(fw *wirebin.Writer, sec [3]wirebin.Section), decode func(payload []byte) error) error {
+	keys := [3]string{"t|" + mustTopoKey(ts), "a|" + mustAllocKey(as), tasksMemoKey(tg)}
+	bodies := [3]func(*wirebin.Writer) error{
+		func(w *wirebin.Writer) error { return service.AppendTopologySection(w, ts) },
+		func(w *wirebin.Writer) error { return service.AppendAllocationSection(w, as) },
+		func(w *wirebin.Writer) error { return service.AppendTasksSection(w, tg) },
+	}
+	var resend byte
+	for attempt := 0; ; attempt++ {
+		var sec [3]wirebin.Section
+		for i := range sec {
+			var err error
+			if sec[i], err = c.section(keys[i], resend&sectionBits[i] != 0, bodies[i]); err != nil {
+				return err
+			}
+		}
+		fw := wirebin.GetWriter()
+		encode(fw, sec)
+		err := c.doBinary(ctx, path, fw, want, decode)
+		wirebin.PutWriter(fw)
+		var me *missError
+		if !errors.As(err, &me) {
+			if err == nil {
+				c.mark(keys, wirebin.SecTopology|wirebin.SecAllocation|wirebin.SecTasks, true)
+			}
+			return err
+		}
+		if attempt > 0 {
+			return fmt.Errorf("mapd: intern miss persisted after resend: %s", me.msg)
+		}
+		// The server forgot them; stop sending references until the
+		// resend is confirmed.
+		resend = me.missing
+		c.mark(keys, resend, false)
+	}
 }
 
 // missError is a 404 intern-miss frame: the bitmask names the
@@ -305,161 +333,81 @@ func solveFlags(refine, fineRefine, traced, rankfile, balance bool) uint16 {
 	return f
 }
 
-// mapBinary runs one Map over the binary protocol, driving the
-// miss-resend recovery loop (at most one resend round).
+// mapBinary runs one Map over the binary protocol.
 func (c *Client) mapBinary(ctx context.Context, req service.MapRequest) (*service.MapResponse, error) {
-	var resend byte
-	for attempt := 0; ; attempt++ {
-		topoSec, topoKey, err := c.section("t|"+mustTopoKey(req.Topology), resend&wirebin.SecTopology != 0,
-			func(w *wirebin.Writer) error { return service.AppendTopologySection(w, req.Topology) })
-		if err != nil {
-			return nil, err
-		}
-		allocSec, allocKey, err := c.section("a|"+mustAllocKey(req.Allocation), resend&wirebin.SecAllocation != 0,
-			func(w *wirebin.Writer) error { return service.AppendAllocationSection(w, req.Allocation) })
-		if err != nil {
-			return nil, err
-		}
-		tasksSec, tasksKey, err := c.section(tasksMemoKey(req.Tasks), resend&wirebin.SecTasks != 0,
-			func(w *wirebin.Writer) error { return service.AppendTasksSection(w, req.Tasks) })
-		if err != nil {
-			return nil, err
-		}
-		keys := []string{topoKey, allocKey, tasksKey}
-
-		fw := wirebin.GetWriter()
-		wirebin.EncodeMapReq(fw, &wirebin.MapReq{
-			Mapper:      req.Mapper,
-			Seed:        req.Seed,
-			Flags:       solveFlags(req.Refine, req.FineRefine, req.Trace, req.Rankfile, req.Balance),
-			TimeoutMS:   req.TimeoutMS,
-			Parallelism: uint32(req.Parallelism),
-			Topo:        topoSec,
-			Alloc:       allocSec,
-			Tasks:       tasksSec,
+	var out *service.MapResponse
+	err := c.sendSections(ctx, "/v2/map", wirebin.MsgMapResponse, req.Topology, req.Allocation, req.Tasks,
+		func(fw *wirebin.Writer, sec [3]wirebin.Section) {
+			wirebin.EncodeMapReq(fw, &wirebin.MapReq{
+				Mapper:      req.Mapper,
+				Seed:        req.Seed,
+				Flags:       solveFlags(req.Refine, req.FineRefine, req.Trace, req.Rankfile, req.Balance),
+				TimeoutMS:   req.TimeoutMS,
+				Parallelism: uint32(req.Parallelism),
+				Topo:        sec[0],
+				Alloc:       sec[1],
+				Tasks:       sec[2],
+			})
+		},
+		func(payload []byte) error {
+			m, err := wirebin.DecodeMapResp(payload)
+			if err != nil {
+				return err
+			}
+			out, err = mapRespFromBin(m)
+			return err
 		})
-		msgType, payload, release, err := c.doBinary(ctx, "/v2/map", fw)
-		wirebin.PutWriter(fw)
-		if miss, retry := c.handleMiss(err, keys, &resend, attempt); retry {
-			continue
-		} else if miss != nil {
-			return nil, miss
-		}
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		if msgType != wirebin.MsgMapResponse {
-			return nil, fmt.Errorf("mapd: unexpected frame type %d", msgType)
-		}
-		m, err := wirebin.DecodeMapResp(payload)
-		if err != nil {
-			return nil, err
-		}
-		c.confirm(keys, true)
-		return mapRespFromBin(m)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// handleMiss interprets a doBinary error: on the first intern miss it
-// flags the sections for resend and asks the caller to retry; a
-// second miss (or any other error) is final.
-func (c *Client) handleMiss(err error, keys []string, resend *byte, attempt int) (final error, retry bool) {
-	me, ok := err.(*missError)
-	if !ok {
-		return nil, false
-	}
-	if attempt > 0 {
-		return fmt.Errorf("mapd: intern miss persisted after resend: %s", me.msg), false
-	}
-	*resend = me.missing
-	// The server forgot them; stop sending references until the
-	// resend is confirmed.
-	var lost []string
-	if me.missing&wirebin.SecTopology != 0 {
-		lost = append(lost, keys[0])
-	}
-	if me.missing&wirebin.SecAllocation != 0 {
-		lost = append(lost, keys[1])
-	}
-	if me.missing&wirebin.SecTasks != 0 {
-		lost = append(lost, keys[2])
-	}
-	c.confirm(lost, false)
-	return nil, true
+	return out, nil
 }
 
 // batchBinary runs one MapBatch over the binary protocol.
 func (c *Client) batchBinary(ctx context.Context, req service.BatchRequest) (*service.BatchResponse, error) {
-	var resend byte
-	for attempt := 0; ; attempt++ {
-		topoSec, topoKey, err := c.section("t|"+mustTopoKey(req.Topology), resend&wirebin.SecTopology != 0,
-			func(w *wirebin.Writer) error { return service.AppendTopologySection(w, req.Topology) })
-		if err != nil {
-			return nil, err
+	items := make([]wirebin.BatchItem, len(req.Requests))
+	for i, it := range req.Requests {
+		items[i] = wirebin.BatchItem{
+			Mapper: it.Mapper,
+			Seed:   it.Seed,
+			Flags:  solveFlags(it.Refine, it.FineRefine, it.Trace, false, it.Balance),
 		}
-		allocSec, allocKey, err := c.section("a|"+mustAllocKey(req.Allocation), resend&wirebin.SecAllocation != 0,
-			func(w *wirebin.Writer) error { return service.AppendAllocationSection(w, req.Allocation) })
-		if err != nil {
-			return nil, err
-		}
-		tasksSec, tasksKey, err := c.section(tasksMemoKey(req.Tasks), resend&wirebin.SecTasks != 0,
-			func(w *wirebin.Writer) error { return service.AppendTasksSection(w, req.Tasks) })
-		if err != nil {
-			return nil, err
-		}
-		keys := []string{topoKey, allocKey, tasksKey}
-
-		items := make([]wirebin.BatchItem, len(req.Requests))
-		for i, it := range req.Requests {
-			items[i] = wirebin.BatchItem{
-				Mapper: it.Mapper,
-				Seed:   it.Seed,
-				Flags:  solveFlags(it.Refine, it.FineRefine, it.Trace, false, it.Balance),
-			}
-		}
-		fw := wirebin.GetWriter()
-		wirebin.EncodeBatchReq(fw, &wirebin.BatchReq{
-			TimeoutMS:   req.TimeoutMS,
-			Parallelism: uint32(req.Parallelism),
-			Topo:        topoSec,
-			Alloc:       allocSec,
-			Tasks:       tasksSec,
-			Items:       items,
-		})
-		msgType, payload, release, err := c.doBinary(ctx, "/v2/map/batch", fw)
-		wirebin.PutWriter(fw)
-		if miss, retry := c.handleMiss(err, keys, &resend, attempt); retry {
-			continue
-		} else if miss != nil {
-			return nil, miss
-		}
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		if msgType != wirebin.MsgBatchResponse {
-			return nil, fmt.Errorf("mapd: unexpected frame type %d", msgType)
-		}
-		bin, err := wirebin.DecodeBatchResp(payload)
-		if err != nil {
-			return nil, err
-		}
-		c.confirm(keys, true)
-		out := &service.BatchResponse{
-			Results:   make([]service.MapResponse, len(bin.Results)),
-			CacheHit:  bin.Flags&wirebin.RespCacheHit != 0,
-			ElapsedMS: bin.ElapsedMS,
-		}
-		for i := range bin.Results {
-			r, err := mapRespFromBin(&bin.Results[i])
-			if err != nil {
-				return nil, err
-			}
-			out.Results[i] = *r
-		}
-		return out, nil
 	}
+	var out *service.BatchResponse
+	err := c.sendSections(ctx, "/v2/map/batch", wirebin.MsgBatchResponse, req.Topology, req.Allocation, req.Tasks,
+		func(fw *wirebin.Writer, sec [3]wirebin.Section) {
+			wirebin.EncodeBatchReq(fw, &wirebin.BatchReq{
+				TimeoutMS:   req.TimeoutMS,
+				Parallelism: uint32(req.Parallelism),
+				Topo:        sec[0],
+				Alloc:       sec[1],
+				Tasks:       sec[2],
+				Items:       items,
+			})
+		},
+		func(payload []byte) error {
+			bin, err := wirebin.DecodeBatchResp(payload)
+			if err != nil {
+				return err
+			}
+			out = &service.BatchResponse{
+				Results:   make([]service.MapResponse, len(bin.Results)),
+				CacheHit:  bin.Flags&wirebin.RespCacheHit != 0,
+				ElapsedMS: bin.ElapsedMS,
+			}
+			for i := range bin.Results {
+				r, err := mapRespFromBin(&bin.Results[i])
+				if err != nil {
+					return err
+				}
+				out.Results[i] = *r
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // remapBinary runs one Remap over the binary protocol. No sections
@@ -509,35 +457,35 @@ func (c *Client) remapBinary(ctx context.Context, req service.RemapRequest) (*se
 		breq.Sim = blob
 	}
 	fw := wirebin.GetWriter()
+	defer wirebin.PutWriter(fw)
 	wirebin.EncodeRemapReq(fw, &breq)
-	msgType, payload, release, err := c.doBinary(ctx, "/v2/remap", fw)
-	wirebin.PutWriter(fw)
+	var out *service.RemapResponse
+	err := c.doBinary(ctx, "/v2/remap", fw, wirebin.MsgRemapResponse, func(payload []byte) error {
+		bin, err := wirebin.DecodeRemapResp(payload)
+		if err != nil {
+			return err
+		}
+		m, err := mapRespFromBin(&bin.MapResp)
+		if err != nil {
+			return err
+		}
+		out = &service.RemapResponse{
+			MapResponse:   *m,
+			Warm:          bin.Flags&wirebin.RespWarm != 0,
+			FenceTripped:  bin.Flags&wirebin.RespFenceTripped != 0,
+			PrevScore:     bin.PrevScore,
+			WarmScore:     bin.WarmScore,
+			ColdScore:     bin.ColdScore,
+			PairsReused:   int(bin.PairsReused),
+			PairsTotal:    int(bin.PairsTotal),
+			MigratedTasks: int(bin.MigratedTasks),
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if msgType != wirebin.MsgRemapResponse {
-		return nil, fmt.Errorf("mapd: unexpected frame type %d", msgType)
-	}
-	bin, err := wirebin.DecodeRemapResp(payload)
-	if err != nil {
-		return nil, err
-	}
-	m, err := mapRespFromBin(&bin.MapResp)
-	if err != nil {
-		return nil, err
-	}
-	return &service.RemapResponse{
-		MapResponse:   *m,
-		Warm:          bin.Flags&wirebin.RespWarm != 0,
-		FenceTripped:  bin.Flags&wirebin.RespFenceTripped != 0,
-		PrevScore:     bin.PrevScore,
-		WarmScore:     bin.WarmScore,
-		ColdScore:     bin.ColdScore,
-		PairsReused:   int(bin.PairsReused),
-		PairsTotal:    int(bin.PairsTotal),
-		MigratedTasks: int(bin.MigratedTasks),
-	}, nil
+	return out, nil
 }
 
 // objectiveIsZero reports whether an objective is the zero value (in
@@ -592,17 +540,4 @@ func mustAllocKey(as service.AllocationSpec) string {
 	h = h.U64(uint64(as.SparseNodes))
 	h = h.U64(uint64(as.Seed))
 	return strconv.FormatUint(uint64(h), 16)
-}
-
-// binFallback decides what to do with a binary-path error under auto
-// negotiation: pin JSON and retry there when the server doesn't speak
-// frames, give up otherwise.
-func (c *Client) binFallback(err error) bool {
-	if err == errNotBinary {
-		if c.proto == ProtoAuto {
-			c.pinned.Store(pinJSON)
-			return true
-		}
-	}
-	return false
 }

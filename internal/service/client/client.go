@@ -12,24 +12,20 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 
 	"repro/internal/registry"
 	"repro/internal/service"
 )
 
-// Client calls a mapd server. By default it negotiates the wire
-// protocol transparently: the first solving call tries the binary
-// frame protocol (POST /v2/*) and pins whichever the server speaks,
-// falling back to the JSON envelope (/v1/*) against servers that
-// predate the frames. See WithProtocol to force either.
+// Client calls a mapd server. Solving calls speak the binary frame
+// protocol (POST /v2/*) by default; WithProtocol(ProtoJSON) forces the
+// JSON envelope (/v1/*).
 type Client struct {
 	base string
 	hc   *http.Client
 
-	proto  Protocol     // configured (ProtoAuto by default)
-	pinned atomic.Int32 // negotiated: pinNone / pinJSON / pinBinary
-	memo   sectionMemo  // client-side intern memo (binary protocol)
+	proto Protocol    // ProtoBinary by default
+	memo  sectionMemo // client-side intern memo (binary protocol)
 }
 
 // New returns a client for a server at baseURL (e.g.
@@ -128,18 +124,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Map runs one mapping job (POST /v2/map when the server speaks the
-// binary protocol, POST /v1/map otherwise).
+// Map runs one mapping job (POST /v2/map, or /v1/map under
+// ProtoJSON).
 func (c *Client) Map(ctx context.Context, req service.MapRequest) (*service.MapResponse, error) {
-	if c.useBinary() {
-		out, err := c.mapBinary(ctx, req)
-		if err == nil {
-			c.pinned.CompareAndSwap(pinNone, pinBinary)
-			return out, nil
-		}
-		if !c.binFallback(err) {
-			return nil, err
-		}
+	if c.proto == ProtoBinary {
+		return c.mapBinary(ctx, req)
 	}
 	var out service.MapResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/map", req, &out); err != nil {
@@ -149,17 +138,10 @@ func (c *Client) Map(ctx context.Context, req service.MapRequest) (*service.MapR
 }
 
 // MapBatch runs several mapper runs against one shared engine
-// (POST /v2/map/batch, falling back to /v1/map/batch).
+// (POST /v2/map/batch, or /v1/map/batch under ProtoJSON).
 func (c *Client) MapBatch(ctx context.Context, req service.BatchRequest) (*service.BatchResponse, error) {
-	if c.useBinary() {
-		out, err := c.batchBinary(ctx, req)
-		if err == nil {
-			c.pinned.CompareAndSwap(pinNone, pinBinary)
-			return out, nil
-		}
-		if !c.binFallback(err) {
-			return nil, err
-		}
+	if c.proto == ProtoBinary {
+		return c.batchBinary(ctx, req)
 	}
 	var out service.BatchResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/map/batch", req, &out); err != nil {
@@ -170,7 +152,7 @@ func (c *Client) MapBatch(ctx context.Context, req service.BatchRequest) (*servi
 
 // Portfolio races a candidate set against one shared engine toward a
 // declared objective and returns the winner plus the per-candidate
-// leaderboard (POST /v1/portfolio).
+// leaderboard (POST /v1/portfolio; the portfolio speaks JSON only).
 func (c *Client) Portfolio(ctx context.Context, req service.PortfolioRequest) (*service.PortfolioResponse, error) {
 	var out service.PortfolioResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/portfolio", req, &out); err != nil {
@@ -181,19 +163,12 @@ func (c *Client) Portfolio(ctx context.Context, req service.PortfolioRequest) (*
 
 // Remap incrementally remaps a cached result — referenced by the
 // fingerprint an earlier Map or Remap response returned — onto a
-// changed allocation (POST /v1/remap). The response carries a fresh
-// fingerprint, so allocation deltas chain without re-sending the task
-// graph.
+// changed allocation (POST /v2/remap, or /v1/remap under ProtoJSON).
+// The response carries a fresh fingerprint, so allocation deltas chain
+// without re-sending the task graph.
 func (c *Client) Remap(ctx context.Context, req service.RemapRequest) (*service.RemapResponse, error) {
-	if c.useBinary() {
-		out, err := c.remapBinary(ctx, req)
-		if err == nil {
-			c.pinned.CompareAndSwap(pinNone, pinBinary)
-			return out, nil
-		}
-		if !c.binFallback(err) {
-			return nil, err
-		}
+	if c.proto == ProtoBinary {
+		return c.remapBinary(ctx, req)
 	}
 	var out service.RemapResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/remap", req, &out); err != nil {

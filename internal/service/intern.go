@@ -93,6 +93,26 @@ func (t *internTable) put(id [wirebin.FingerprintLen]byte, v internVal) {
 	}
 }
 
+// resolve turns one mode-tagged request section into its interned
+// value: a reference through the table (ok is false on a miss, or when
+// the entry is a different kind of section), a full or resent body
+// through decode, interned under the body's fingerprint.
+func (t *internTable) resolve(sec wirebin.Section, kind byte, decode func(body []byte) (internVal, error)) (v internVal, ok bool, err error) {
+	if id, isRef := sec.IsRef(); isRef {
+		v, hit := t.get(id)
+		return v, hit && v.kind == kind, nil
+	}
+	if sec.Mode == wirebin.SectionResend {
+		t.resends.Add(1)
+	}
+	if v, err = decode(sec.Body); err != nil {
+		return v, false, err
+	}
+	v.kind = kind
+	t.put(wirebin.Fingerprint(sec.Body), v)
+	return v, true, nil
+}
+
 func (t *internTable) len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

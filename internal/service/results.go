@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -33,11 +34,13 @@ type resultNode struct {
 	entry   resultEntry
 	created time.Time
 	remaps  int64
-	// reqKey is the solve-memo index of the request that produced this
-	// entry ("" for entries fed by remap deltas): a repeat of the
-	// identical map request — solves are deterministic — is answered
-	// from here without touching a worker slot.
-	reqKey string
+	// reqKeys are the solve-memo indexes of the requests that produced
+	// this entry (none for entries fed by remap deltas): a repeat of
+	// any of them — solves are deterministic — is answered from here
+	// without touching a worker slot. Distinct requests can produce
+	// one placement (a seed-independent mapper at a new seed), so an
+	// entry collects their keys, at most maxReqKeys of them.
+	reqKeys []string
 }
 
 // resultEvictionWindow bounds the eviction scan: past capacity, the
@@ -47,6 +50,11 @@ type resultNode struct {
 // window keeps eviction O(1)-ish while letting remap-hot entries
 // survive recency churn.
 const resultEvictionWindow = 8
+
+// maxReqKeys bounds the request keys one entry carries: past it the
+// oldest key drops out of the memo, so a client sweeping the seeds of
+// a seed-independent mapper cannot grow the memo index without bound.
+const maxReqKeys = 8
 
 // Age buckets of the result-cache hit/eviction counters on /statusz:
 // an upper bound per bucket, the last unbounded. Evictions landing in
@@ -69,9 +77,9 @@ func resultAgeBucket(age time.Duration) int {
 	return len(resultAgeBounds)
 }
 
-// resultCache is the bounded cache of recent results /v1/map (and
-// /v1/remap itself — deltas chain) feeds and the remap endpoints
-// resolve fingerprints against. Retention is recency-ordered but
+// resultCache is the bounded cache of recent results the map and
+// remap handlers feed (deltas chain) and the remap handler resolves
+// fingerprints against. Retention is recency-ordered but
 // remap-frequency-weighted: see resultEvictionWindow.
 type resultCache struct {
 	mu  sync.Mutex
@@ -80,7 +88,7 @@ type resultCache struct {
 	idx map[string]*list.Element
 	// byReq is the solve-memo index: request key → the entry that
 	// request produced. Entries enter it via putReq (the map
-	// handlers); remap-fed entries are not memoized — their result
+	// handler); remap-fed entries are not memoized — their result
 	// depends on the chain of deltas, not on one request.
 	byReq map[string]*list.Element
 
@@ -108,21 +116,7 @@ func newResultCache(max int) *resultCache {
 
 // put inserts (or refreshes) an entry; past capacity it evicts the
 // least-remapped entry among the resultEvictionWindow coldest.
-func (c *resultCache) put(e resultEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.idx[e.fp]; ok {
-		// Same fingerprint means the same placement re-derived; the
-		// entry keeps its age and heat, only the payload refreshes.
-		c.ll.MoveToFront(el)
-		el.Value.(*resultNode).entry = e
-		return
-	}
-	c.idx[e.fp] = c.ll.PushFront(&resultNode{entry: e, created: time.Now()})
-	for c.ll.Len() > c.max {
-		c.evictOne()
-	}
-}
+func (c *resultCache) put(e resultEntry) { c.putReq("", e) }
 
 // evictOne removes the coldest low-heat entry: scan up to
 // resultEvictionWindow entries from the back, victim = fewest remap
@@ -148,8 +142,8 @@ func (c *resultCache) evictOne() {
 	}
 	n := victim.Value.(*resultNode)
 	delete(c.idx, n.entry.fp)
-	if n.reqKey != "" {
-		delete(c.byReq, n.reqKey)
+	for _, k := range n.reqKeys {
+		delete(c.byReq, k)
 	}
 	c.ll.Remove(victim)
 	c.evictions.Add(1)
@@ -157,30 +151,37 @@ func (c *resultCache) evictOne() {
 }
 
 // putReq is put plus solve-memo indexing: the entry is additionally
-// reachable by the request key that produced it, so an identical
-// repeat request skips the solve entirely.
+// reachable by the request key that produced it (none when reqKey is
+// empty), so an identical repeat request skips the solve entirely.
 func (c *resultCache) putReq(reqKey string, e resultEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.idx[e.fp]; ok {
+	el, ok := c.idx[e.fp]
+	if ok {
+		// Same fingerprint means the same placement re-derived; the
+		// entry keeps its age and heat, only the payload refreshes.
 		c.ll.MoveToFront(el)
-		n := el.Value.(*resultNode)
-		n.entry = e
-		if n.reqKey == "" {
-			n.reqKey = reqKey
-			c.byReq[reqKey] = el
+		el.Value.(*resultNode).entry = e
+	} else {
+		el = c.ll.PushFront(&resultNode{entry: e, created: time.Now()})
+		c.idx[e.fp] = el
+	}
+	if old, indexed := c.byReq[reqKey]; reqKey != "" && old != el {
+		if indexed {
+			// A new fingerprint under an old request key can only mean the
+			// solve stopped being deterministic — don't leave the stale
+			// index dangling, but keep the old entry remap-resolvable.
+			o := old.Value.(*resultNode)
+			o.reqKeys = slices.DeleteFunc(o.reqKeys, func(k string) bool { return k == reqKey })
 		}
-		return
+		n := el.Value.(*resultNode)
+		if len(n.reqKeys) == maxReqKeys {
+			delete(c.byReq, n.reqKeys[0])
+			n.reqKeys = append(n.reqKeys[:0], n.reqKeys[1:]...)
+		}
+		n.reqKeys = append(n.reqKeys, reqKey)
+		c.byReq[reqKey] = el
 	}
-	if old, ok := c.byReq[reqKey]; ok {
-		// A new fingerprint under an old request key can only mean the
-		// solve stopped being deterministic — don't leave the stale
-		// index dangling, but keep the old entry remap-resolvable.
-		old.Value.(*resultNode).reqKey = ""
-	}
-	el := c.ll.PushFront(&resultNode{entry: e, created: time.Now(), reqKey: reqKey})
-	c.idx[e.fp] = el
-	c.byReq[reqKey] = el
 	for c.ll.Len() > c.max {
 		c.evictOne()
 	}
@@ -303,25 +304,27 @@ func hashTaskGraph(h wirebin.Hash64, tg *topomap.TaskGraph) wirebin.Hash64 {
 }
 
 // solveMemoKey identifies a map job up to response framing: the
-// engine cache key (canonical topology + allocation), every solve
-// knob that can change the placement, and the task graph structure.
-// Both protocols derive it the same way, so a JSON solve warms the
-// memo for binary repeats and vice versa. Response-only options
-// (rankfile, trace echo) stay out — they re-render per response.
-func solveMemoKey(engineKey, mapper string, seed int64, refine, fineRefine, balance bool, tg *topomap.TaskGraph) string {
+// engine cache key (canonical topology + allocation), every knob of
+// the lowered solve that can change the placement — the mapper as
+// lowered, so spellings that run the same mapper share a key — and
+// the task graph structure. Both protocols derive it from the same
+// job, so a JSON solve warms the memo for binary repeats and vice
+// versa. Response-only options (rankfile, trace echo) stay out — they
+// re-render per response.
+func solveMemoKey(engineKey string, sol topomap.Solve, tg *topomap.TaskGraph) string {
 	h := wirebin.Hash64Init
 	h = h.Str(engineKey)
 	h = h.U64(0) // domain separator between the key and the knobs
-	h = h.Str(mapper)
-	h = h.U64(uint64(seed))
+	h = h.Str(string(sol.Mapper))
+	h = h.U64(uint64(sol.Seed))
 	var flags uint64
-	if refine {
+	if sol.Refine {
 		flags |= 1
 	}
-	if fineRefine {
+	if sol.FineRefine {
 		flags |= 2
 	}
-	if balance {
+	if sol.Balance {
 		flags |= 4
 	}
 	h = h.U64(flags)

@@ -167,3 +167,27 @@ func TestStatusExportsRetentionCounters(t *testing.T) {
 		t.Fatalf("protocol_requests = %v, want zeros on a fresh server", st.ProtocolRequests)
 	}
 }
+
+// TestResultCacheReqKeysBounded: distinct requests that produce one
+// placement all index its entry, but at most maxReqKeys of them — the
+// oldest key drops out of the memo — and evicting the entry unindexes
+// every key it carried.
+func TestResultCacheReqKeysBounded(t *testing.T) {
+	c := newResultCache(2)
+	for i := 0; i <= maxReqKeys; i++ {
+		c.putReq(fmt.Sprintf("req:%d", i), fpEntry(0))
+	}
+	if _, ok := c.getReq("req:0"); ok {
+		t.Fatal("the oldest request key outlived the per-entry bound")
+	}
+	for i := 1; i <= maxReqKeys; i++ {
+		if _, ok := c.getReq(fmt.Sprintf("req:%d", i)); !ok {
+			t.Fatalf("request key %d lost its entry", i)
+		}
+	}
+	c.put(fpEntry(1))
+	c.put(fpEntry(2)) // evicts map:0, the coldest
+	if _, ok := c.idx["map:0"]; ok || len(c.byReq) != 0 {
+		t.Fatalf("eviction left %d memo keys behind", len(c.byReq))
+	}
+}

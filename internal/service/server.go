@@ -2,13 +2,11 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -112,14 +110,14 @@ func New(cfg Config) *Server {
 		start:   time.Now(),
 		log:     cfg.Logger,
 	}
-	s.mux.HandleFunc("/v1/map", s.handleMap)
-	s.mux.HandleFunc("/v1/map/batch", s.handleBatch)
+	// One handler per job kind, bound to each protocol's codec.
+	for _, c := range []codec{jsonCodec{s}, binaryCodec{s}} {
+		s.mux.HandleFunc(c.prefix()+"/map", func(w http.ResponseWriter, r *http.Request) { s.handleMap(c, w, r) })
+		s.mux.HandleFunc(c.prefix()+"/map/batch", func(w http.ResponseWriter, r *http.Request) { s.handleBatch(c, w, r) })
+		s.mux.HandleFunc(c.prefix()+"/remap", func(w http.ResponseWriter, r *http.Request) { s.handleRemap(c, w, r) })
+	}
 	s.mux.HandleFunc("/v1/portfolio", s.handlePortfolio)
-	s.mux.HandleFunc("/v1/remap", s.handleRemap)
 	s.mux.HandleFunc("/v1/mappers", s.handleMappers)
-	s.mux.HandleFunc("/v2/map", s.handleMapBin)
-	s.mux.HandleFunc("/v2/map/batch", s.handleBatchBin)
-	s.mux.HandleFunc("/v2/remap", s.handleRemapBin)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/statusz", s.handleStatusz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -127,11 +125,13 @@ func New(cfg Config) *Server {
 }
 
 // requestLog accumulates the fields of one request's structured log
-// line; the handler fills them in as they become known and emit
-// writes the line once, from a defer. A nil server logger makes the
-// whole thing a cheap no-op.
+// line; the handler fills them in as they become known and end writes
+// the line once, from a defer. A nil server logger makes the whole
+// thing a cheap no-op. c is the request's codec, which error paths
+// encode through.
 type requestLog struct {
 	s        *Server
+	c        codec
 	id       uint64
 	endpoint string
 	mapper   string
@@ -141,29 +141,20 @@ type requestLog struct {
 	began    time.Time
 }
 
-// beginLog opens the log record of one request (status defaults to
-// 200 — error paths overwrite it through fail or error).
-func (s *Server) beginLog(endpoint string) *requestLog {
-	return &requestLog{
-		s: s, id: s.reqID.Add(1), endpoint: endpoint,
-		status: http.StatusOK, began: time.Now(),
-	}
-}
-
-// fail records an error outcome without writing the response.
-func (l *requestLog) fail(status int, err error) {
-	l.status = status
-	if err != nil {
-		l.errMsg = err.Error()
-	}
-}
-
-// error records the outcome, bumps the error counter and writes the
-// wire error — the one call every handler error path makes.
-func (l *requestLog) error(w http.ResponseWriter, status int, err error) {
+// error records the classified outcome, bumps the error counter and
+// writes the wire error — the one call every handler error path makes.
+func (l *requestLog) error(w http.ResponseWriter, err error) {
+	status, missing := l.s.classify(err)
 	l.s.st.errors.Add(1)
-	l.fail(status, err)
-	writeError(w, status, err)
+	l.status, l.errMsg = status, err.Error()
+	l.c.encodeError(w, status, missing, err)
+}
+
+// end closes a request admit opened: it leaves the in-flight gauge
+// and emits the log line.
+func (l *requestLog) end() {
+	l.s.st.inflight.Add(-1)
+	l.emit()
 }
 
 // emit writes the request's log line: Info for 2xx, Warn otherwise.
@@ -191,50 +182,6 @@ func (l *requestLog) emit() {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// engineFor resolves the request's (topology, allocation) pair
-// through the LRU cache: the canonical key is derived from the wire
-// specs alone, so a hit skips building the topology, the allocation
-// and — the expensive part — the engine's pairwise routing state.
-func (s *Server) engineFor(ts TopologySpec, as AllocationSpec) (*topomap.Engine, bool, error) {
-	ts, key, err := s.engineKey(ts, as)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.engineNormalized(key, ts, as)
-}
-
-// engineKey derives the engine cache key of a spec pair — the
-// normalized topology key joined with the allocation key — returning
-// the normalized topology so the caller can build from it.
-func (s *Server) engineKey(ts TopologySpec, as AllocationSpec) (TopologySpec, string, error) {
-	ts, err := ts.Normalize()
-	if err != nil {
-		return ts, "", err
-	}
-	allocKey, err := as.Key()
-	if err != nil {
-		return ts, "", err
-	}
-	return ts, ts.Key() + "|" + allocKey, nil
-}
-
-// engineNormalized is engineFor with the normalization and keying
-// already done — the map handler derives the key early for its
-// solve-memo lookup and must not pay for it twice.
-func (s *Server) engineNormalized(key string, ts TopologySpec, as AllocationSpec) (*topomap.Engine, bool, error) {
-	return s.cache.GetKeyed(key, func() (*topomap.Engine, error) {
-		net, err := ts.Build()
-		if err != nil {
-			return nil, err
-		}
-		a, err := as.Build(net)
-		if err != nil {
-			return nil, err
-		}
-		return topomap.NewEngine(net.Topo, a)
-	})
-}
 
 // timeout resolves the effective solve deadline of a request.
 func (s *Server) timeout(ms int64) time.Duration {
@@ -285,30 +232,6 @@ func (s *Server) acquire(ctx context.Context, n int) (release func(), err error)
 	}, nil
 }
 
-// respond converts an engine result to the wire form, rendering the
-// rankfile text when asked.
-func respond(res *topomap.MapResult, eng *topomap.Engine, hit bool, wantRankfile bool, elapsed time.Duration) (*MapResponse, error) {
-	out := &MapResponse{
-		Mapper:      string(res.Mapper),
-		GroupOf:     res.GroupOf,
-		NodeOf:      res.NodeOf,
-		AllocNodes:  eng.Allocation().Nodes,
-		Metrics:     metricsPayload(res.Metrics),
-		FineWHGain:  res.FineWHGain,
-		FineVolGain: res.FineVolGain,
-		CacheHit:    hit,
-		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
-	}
-	if wantRankfile {
-		var sb strings.Builder
-		if err := topomap.WriteRankOrder(&sb, res.Placement(), eng.Allocation()); err != nil {
-			return nil, err // already prefixed "rankfile:"
-		}
-		out.Rankfile = sb.String()
-	}
-	return out, nil
-}
-
 // solve runs fn on `slots` worker slots under deadline; fn captures
 // its own result. The handler returns as soon as the deadline expires
 // even if a solve stage is still winding down to its next
@@ -321,9 +244,9 @@ func (s *Server) solve(ctx context.Context, slots int, fn func(context.Context) 
 // solveUntil separates the two contexts a solve answers to: fn runs
 // under solveCtx (the per-request deadline — cancelling it is how the
 // deadline reaches the candidates), while the caller waits for fn or
-// for waitCtx, whichever ends first. /v1/map races both on the same
-// context (a dead deadline means the response has no value); the
-// portfolio handler passes the bare client context as waitCtx so an
+// for waitCtx, whichever ends first. The map handler races both on
+// the same context (a dead deadline means the response has no value);
+// the portfolio handler passes the bare client context as waitCtx so an
 // expired deadline cancels the race but the handler still collects
 // the best-so-far result RunPortfolio assembles after it — only a
 // client disconnect abandons the solve outright.
@@ -343,380 +266,6 @@ func (s *Server) solveUntil(waitCtx, solveCtx context.Context, slots int, fn fun
 	case <-waitCtx.Done():
 		return waitCtx.Err()
 	}
-}
-
-// errStatus maps a solve error to its HTTP status. Deadline expiry is
-// a server-side timeout; a canceled context means the client went
-// away (nobody reads the response) and must not inflate the timeout
-// counter operators tune deadlines from.
-func (s *Server) errStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.st.timeouts.Add(1)
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499 // client closed request (nginx convention)
-	}
-	return http.StatusBadRequest
-}
-
-// handleMap serves POST /v1/map: one mapping job.
-func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	s.st.requests.Add(1)
-	s.st.protoJSON.Add(1)
-	s.st.inflight.Add(1)
-	defer s.st.inflight.Add(-1)
-	lg := s.beginLog(endpointMap)
-	defer lg.emit()
-	var req MapRequest
-	if err := readJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	lg.mapper = req.Mapper
-	began := time.Now()
-	tg, err := req.Tasks.Build()
-	if err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	ts, engineKey, err := s.engineKey(req.Topology, req.Allocation)
-	if err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	// Solve memo: an identical repeat request — solves are
-	// deterministic — is answered from the result cache without
-	// touching a worker slot; only response framing (rankfile, trace
-	// echo) re-renders. Stage histograms count real solves only.
-	memoKey := solveMemoKey(engineKey, req.Mapper, req.Seed, req.Refine, req.FineRefine, req.Balance, tg)
-	if ent, ok := s.results.getReq(memoKey); ok {
-		lg.cacheHit = true
-		out, err := respond(ent.res, ent.eng, true, req.Rankfile, time.Since(began))
-		if err != nil {
-			lg.error(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Trace {
-			out.Trace = ent.res.Trace.Stages()
-		}
-		out.Fingerprint = ent.fp
-		s.st.observe(endpointMap, out.ElapsedMS)
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-	defer cancel()
-	workers := s.parallelism(req.Parallelism)
-	// The server traces every solve to feed its per-stage histograms
-	// (tracing is a handful of clock reads; the mapping is
-	// byte-identical either way); req.Trace only decides whether the
-	// breakdown travels back on the wire.
-	sol := req.Solve(workers)
-	sol.Trace = true
-	// The engine build — the expensive cold path — runs inside the
-	// worker slots and under the deadline, like the solve itself.
-	var eng *topomap.Engine
-	var hit bool
-	var res *topomap.MapResult
-	err = s.solve(ctx, workers, func(ctx context.Context) error {
-		var err error
-		eng, hit, err = s.engineNormalized(engineKey, ts, req.Allocation)
-		if err != nil {
-			return err
-		}
-		res, err = eng.RunSolve(ctx, tg, sol)
-		return err
-	})
-	if err != nil {
-		lg.error(w, s.errStatus(err), err)
-		return
-	}
-	lg.cacheHit = hit
-	out, err := respond(res, eng, hit, req.Rankfile, time.Since(began))
-	if err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	s.st.observeStages(res.Trace.Stages())
-	s.st.observeResult(res.Metrics.Makespan, res.Metrics.LoadImbalance)
-	if req.Trace {
-		out.Trace = res.Trace.Stages()
-	}
-	// Feed the result cache so /v1/remap can pick this mapping up by
-	// fingerprint when the allocation changes, and the solve memo so
-	// a repeat of this exact request skips the solve.
-	out.Fingerprint = resultFingerprint(eng, tg, res)
-	s.results.putReq(memoKey, resultEntry{fp: out.Fingerprint, eng: eng, tasks: tg, res: res})
-	s.st.observe(endpointMap, out.ElapsedMS)
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleRemap serves POST /v1/remap: an incremental remap of a cached
-// result onto a changed allocation. The previous mapping arrives as a
-// fingerprint (404 when unknown or evicted — the client re-solves via
-// /v1/map); only the allocation delta travels. The engine patches its
-// route cache, migrates stranded tasks, warm-starts refinement and
-// guards the shortcut with the quality fence; the response carries a
-// fresh fingerprint so follow-up deltas chain without re-solving.
-func (s *Server) handleRemap(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	s.st.remapRequests.Add(1)
-	s.st.protoJSON.Add(1)
-	s.st.inflight.Add(1)
-	defer s.st.inflight.Add(-1)
-	lg := s.beginLog(endpointRemap)
-	defer lg.emit()
-	var req RemapRequest
-	if err := readJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	lg.mapper = string(req.Solve.Mapper)
-	entry, ok := s.results.get(req.Fingerprint)
-	if !ok {
-		lg.error(w, http.StatusNotFound, fmt.Errorf("remap: unknown fingerprint %q; the result may have been evicted — re-solve through /v1/map", req.Fingerprint))
-		return
-	}
-	lg.cacheHit = true
-	began := time.Now()
-	workers := s.parallelism(req.Parallelism)
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-	defer cancel()
-	// Trace every remap server-side (see handleMap); the wire echoes
-	// the breakdown only when the request's solve asked.
-	spec := req.Spec(workers)
-	spec.Solve.Trace = true
-	var rres *topomap.RemapResult
-	err := s.solve(ctx, workers, func(ctx context.Context) error {
-		var err error
-		rres, err = entry.eng.RunRemap(ctx, entry.tasks, entry.res, req.Delta, spec)
-		return err
-	})
-	if err != nil {
-		lg.error(w, s.errStatus(err), err)
-		return
-	}
-	// The post-delta engine rides in the new result's cache entry, so
-	// chained deltas keep patching instead of rebuilding. CacheHit is
-	// true by construction: the route state came from a cached result.
-	out, err := respond(rres.Result, rres.Engine, true, req.Rankfile, time.Since(began))
-	if err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	s.st.observeStages(rres.Result.Trace.Stages())
-	s.st.observeResult(rres.Result.Metrics.Makespan, rres.Result.Metrics.LoadImbalance)
-	if req.Solve.Trace {
-		out.Trace = rres.Result.Trace.Stages()
-	}
-	out.Fingerprint = resultFingerprint(rres.Engine, entry.tasks, rres.Result)
-	s.results.put(resultEntry{fp: out.Fingerprint, eng: rres.Engine, tasks: entry.tasks, res: rres.Result})
-	s.st.remapPairsReused.Add(int64(rres.PairsReused))
-	s.st.remapPairsTotal.Add(int64(rres.PairsTotal))
-	if rres.Warm {
-		s.st.remapWarm.Add(1)
-	}
-	if rres.FenceTripped {
-		s.st.remapFallbacks.Add(1)
-	}
-	s.st.observe(endpointRemap, out.ElapsedMS)
-	writeJSON(w, http.StatusOK, RemapResponse{
-		MapResponse:   *out,
-		Warm:          rres.Warm,
-		FenceTripped:  rres.FenceTripped,
-		PrevScore:     rres.PrevScore,
-		WarmScore:     rres.WarmScore,
-		ColdScore:     rres.ColdScore,
-		PairsReused:   rres.PairsReused,
-		PairsTotal:    rres.PairsTotal,
-		MigratedTasks: rres.MigratedTasks,
-	})
-}
-
-// handleBatch serves POST /v1/map/batch: several mapper runs against
-// one shared engine, fanned out on the engine's deterministic worker
-// pool.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	s.st.batchRequests.Add(1)
-	s.st.protoJSON.Add(1)
-	s.st.inflight.Add(1)
-	defer s.st.inflight.Add(-1)
-	lg := s.beginLog(endpointBatch)
-	defer lg.emit()
-	var req BatchRequest
-	if err := readJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Requests) == 0 {
-		lg.error(w, http.StatusBadRequest, fmt.Errorf("batch: empty requests"))
-		return
-	}
-	began := time.Now()
-	tg, err := req.Tasks.Build()
-	if err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	workers := s.parallelism(req.Parallelism)
-	runs := make([]topomap.Request, len(req.Requests))
-	for i, item := range req.Requests {
-		runs[i] = item.Solve(workers).Request(tg)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-	defer cancel()
-	// A batch runs its items serially, each item solving with the
-	// batch's `parallelism` workers, and occupies that many slots for
-	// its whole duration — the pool's accounting stays exact, so a
-	// stream of parallel batches cannot oversubscribe the host.
-	// Clients that want cross-item parallelism issue parallel /v1/map
-	// requests, which share the cached engine anyway.
-	var eng *topomap.Engine
-	var hit bool
-	var results []*topomap.MapResult
-	err = s.solve(ctx, workers, func(ctx context.Context) error {
-		var err error
-		eng, hit, err = s.engineFor(req.Topology, req.Allocation)
-		if err != nil {
-			return err
-		}
-		results, err = eng.RunBatchContext(ctx, runs, 1)
-		return err
-	})
-	if err != nil {
-		lg.error(w, s.errStatus(err), err)
-		return
-	}
-	lg.cacheHit = hit
-	out := BatchResponse{
-		Results:   make([]MapResponse, len(results)),
-		CacheHit:  hit,
-		ElapsedMS: float64(time.Since(began)) / float64(time.Millisecond),
-	}
-	for i, res := range results {
-		// Items share one engine run; only the batch-level elapsed is
-		// meaningful, so per-item elapsed_ms is omitted.
-		item, err := respond(res, eng, hit, false, 0)
-		if err != nil {
-			lg.error(w, http.StatusBadRequest, err)
-			return
-		}
-		// Batch items trace only on request (a sweep's point is bulk
-		// throughput); traced items feed the stage histograms too.
-		if res.Trace != nil {
-			s.st.observeStages(res.Trace.Stages())
-			item.Trace = res.Trace.Stages()
-		}
-		s.st.observeResult(res.Metrics.Makespan, res.Metrics.LoadImbalance)
-		out.Results[i] = *item
-	}
-	s.st.observe(endpointBatch, out.ElapsedMS)
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handlePortfolio serves POST /v1/portfolio: a candidate set raced
-// against one shared engine toward a declared objective. The request
-// is validated fail-fast — duplicate candidates, unknown mapper or
-// objective names and the candidate cap all cost a 400 before any
-// slot is held — and then occupies `parallelism` worker slots for the
-// whole race, exactly like a batch.
-func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	s.st.portfolioRequests.Add(1)
-	s.st.protoJSON.Add(1)
-	s.st.inflight.Add(1)
-	defer s.st.inflight.Add(-1)
-	lg := s.beginLog(endpointPortfolio)
-	defer lg.emit()
-	var req PortfolioRequest
-	if err := readJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := req.Validate(s.cfg.MaxPortfolioCandidates); err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	began := time.Now()
-	tg, err := req.Tasks.Build()
-	if err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	workers := s.parallelism(req.Parallelism)
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-	defer cancel()
-	var eng *topomap.Engine
-	var hit bool
-	var pres *topomap.PortfolioResult
-	err = s.solveUntil(r.Context(), ctx, workers, func(ctx context.Context) error {
-		var err error
-		eng, hit, err = s.engineFor(req.Topology, req.Allocation)
-		if err != nil {
-			return err
-		}
-		pres, err = eng.RunPortfolio(ctx, req.engineRequest(tg, workers))
-		return err
-	})
-	if err != nil {
-		lg.error(w, s.errStatus(err), err)
-		return
-	}
-	lg.cacheHit = hit
-	lg.mapper = string(pres.Best.Mapper)
-	best, err := respond(pres.Best, eng, hit, req.Rankfile, 0)
-	if err != nil {
-		lg.error(w, http.StatusBadRequest, err)
-		return
-	}
-	// Candidates trace only when their Solve asks (they race — tracing
-	// all of them by default would be pure overhead); traced winners
-	// carry the breakdown out and feed the stage histograms.
-	if pres.Best.Trace != nil {
-		s.st.observeStages(pres.Best.Trace.Stages())
-		best.Trace = pres.Best.Trace.Stages()
-	}
-	s.st.observeResult(pres.Best.Metrics.Makespan, pres.Best.Metrics.LoadImbalance)
-	out := PortfolioResponse{
-		Winner:      pres.Winner,
-		Best:        *best,
-		Leaderboard: make([]LeaderboardEntry, len(pres.Leaderboard)),
-		Skipped:     pres.Skipped,
-		CacheHit:    hit,
-		ElapsedMS:   float64(time.Since(began)) / float64(time.Millisecond),
-	}
-	for i, entry := range pres.Leaderboard {
-		le := LeaderboardEntry{Index: entry.Index, Solve: entry.Solve, Score: entry.Score, Skipped: entry.Skipped}
-		if entry.Result != nil {
-			m := metricsPayload(entry.Result.Metrics)
-			le.Metrics = &m
-			le.SimSeconds = entry.Result.SimSeconds
-		}
-		out.Leaderboard[i] = le
-	}
-	s.st.portfolioCandidates.Add(int64(len(pres.Leaderboard)))
-	s.st.portfolioSkipped.Add(int64(pres.Skipped))
-	s.st.observe(endpointPortfolio, out.ElapsedMS)
-	writeJSON(w, http.StatusOK, out)
 }
 
 // handleMappers serves GET /v1/mappers: the registry's capability

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/trace"
+	topomap "repro"
 )
 
 // Endpoint labels of the solving endpoints — the keys of the
@@ -132,22 +132,18 @@ func (s *stats) observe(endpoint string, ms float64) {
 	s.reqHist.get(endpoint).observe(ms / 1e3)
 }
 
-// observeStages feeds a finished solve's stage timeline into the
-// per-stage histograms.
-func (s *stats) observeStages(stages []trace.Stage) {
-	for _, st := range stages {
+// observeSolve feeds one finished solve into the per-stage histograms
+// (when it was traced) and its load summary into the makespan
+// histogram and the latest-imbalance gauge. Solves that predate the
+// load metric (or failed to compute one) report a zero makespan and
+// skip the latter.
+func (s *stats) observeSolve(res *topomap.MapResult) {
+	for _, st := range res.Trace.Stages() {
 		s.stageHist.get(st.Name).observe(st.DurMS / 1e3)
 	}
-}
-
-// observeResult feeds one completed solve's load summary into the
-// makespan histogram and the latest-imbalance gauge. Solves that
-// predate the metric (or failed to compute one) report zero and are
-// skipped.
-func (s *stats) observeResult(makespan, imbalance float64) {
-	if makespan <= 0 {
+	if res.Metrics.Makespan <= 0 {
 		return
 	}
-	s.makespanHist.observe(makespan)
-	s.lastImbalance.Store(math.Float64bits(imbalance))
+	s.makespanHist.observe(res.Metrics.Makespan)
+	s.lastImbalance.Store(math.Float64bits(res.Metrics.LoadImbalance))
 }

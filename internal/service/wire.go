@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	topomap "repro"
 	"repro/internal/registry"
@@ -192,28 +194,6 @@ type MapResponse struct {
 	Trace []trace.Stage `json:"trace,omitempty"`
 }
 
-// lowerSolve is the one lowering every wire endpoint shares: mapper
-// names uppercased, workers set explicitly (server-clamped) so the
-// engine's host-wide default cannot bypass the service's slot
-// accounting.
-func lowerSolve(mapper string, seed int64, refine, fineRefine, traced, balance bool, workers int) topomap.Solve {
-	return topomap.Solve{
-		Mapper:     topomap.Mapper(strings.ToUpper(mapper)),
-		Seed:       seed,
-		Refine:     refine,
-		FineRefine: fineRefine,
-		Trace:      traced,
-		Balance:    balance,
-		Workers:    workers,
-	}
-}
-
-// Solve lowers the wire request onto the engine's declarative Solve
-// spec.
-func (r MapRequest) Solve(workers int) topomap.Solve {
-	return lowerSolve(r.Mapper, r.Seed, r.Refine, r.FineRefine, r.Trace, r.Balance, workers)
-}
-
 // BatchItem is one mapper run of a batch; the batch's topology,
 // allocation and task graph are shared. Trace asks for that item's
 // stage timeline in its result.
@@ -224,12 +204,6 @@ type BatchItem struct {
 	FineRefine bool   `json:"fine_refine,omitempty"`
 	Trace      bool   `json:"trace,omitempty"`
 	Balance    bool   `json:"balance,omitempty"`
-}
-
-// Solve lowers the batch item onto the engine's Solve spec (see
-// MapRequest.Solve).
-func (it BatchItem) Solve(workers int) topomap.Solve {
-	return lowerSolve(it.Mapper, it.Seed, it.Refine, it.FineRefine, it.Trace, it.Balance, workers)
 }
 
 // BatchRequest fans several mapper runs out against one shared
@@ -591,4 +565,97 @@ func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error 
 		return fmt.Errorf("decode request: %w", err)
 	}
 	return nil
+}
+
+// jsonCodec is the /v1 codec: JSON envelopes in and out. A request's
+// specs become a job through TaskGraphSpec.Build and engineKey.
+type jsonCodec struct{ s *Server }
+
+func (jsonCodec) prefix() string                       { return "/v1" }
+func (jsonCodec) protoCounter(st *stats) *atomic.Int64 { return &st.protoJSON }
+
+// jsonJob starts a /v1 job from its wire specs: the task graph built,
+// the engine key derived. The job's clock starts here, after the
+// envelope decoded.
+func jsonJob(ts TopologySpec, as AllocationSpec, tasks TaskGraphSpec) (*job, error) {
+	j := &job{alloc: as, began: time.Now()}
+	var err error
+	if j.tasks, err = tasks.Build(); err != nil {
+		return nil, err
+	}
+	if j.topo, j.engineKey, err = engineKey(ts, as); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+func (c jsonCodec) decodeMap(w http.ResponseWriter, r *http.Request) (*job, error) {
+	var req MapRequest
+	if err := readJSON(w, r, c.s.cfg.MaxBodyBytes, &req); err != nil {
+		return nil, err
+	}
+	j, err := jsonJob(req.Topology, req.Allocation, req.Tasks)
+	if err != nil {
+		return nil, err
+	}
+	j.solve = lowerSolve(req.Mapper, req.Seed, req.Refine, req.FineRefine, req.Trace, req.Balance)
+	j.parallelism, j.timeoutMS = req.Parallelism, req.TimeoutMS
+	j.rankfile, j.trace = req.Rankfile, req.Trace
+	return j, nil
+}
+
+func (c jsonCodec) decodeBatch(w http.ResponseWriter, r *http.Request) (*job, error) {
+	var req BatchRequest
+	if err := readJSON(w, r, c.s.cfg.MaxBodyBytes, &req); err != nil {
+		return nil, err
+	}
+	if len(req.Requests) == 0 {
+		return nil, errEmptyBatch
+	}
+	j, err := jsonJob(req.Topology, req.Allocation, req.Tasks)
+	if err != nil {
+		return nil, err
+	}
+	j.items = make([]topomap.Solve, len(req.Requests))
+	for i, it := range req.Requests {
+		j.items[i] = lowerSolve(it.Mapper, it.Seed, it.Refine, it.FineRefine, it.Trace, it.Balance)
+	}
+	j.parallelism, j.timeoutMS = req.Parallelism, req.TimeoutMS
+	return j, nil
+}
+
+func (c jsonCodec) decodeRemap(w http.ResponseWriter, r *http.Request) (*job, error) {
+	req := new(RemapRequest)
+	if err := readJSON(w, r, c.s.cfg.MaxBodyBytes, req); err != nil {
+		return nil, err
+	}
+	return remapJob(req)
+}
+
+func (c jsonCodec) decodePortfolio(w http.ResponseWriter, r *http.Request) (*job, error) {
+	req := new(PortfolioRequest)
+	if err := readJSON(w, r, c.s.cfg.MaxBodyBytes, req); err != nil {
+		return nil, err
+	}
+	if err := req.Validate(c.s.cfg.MaxPortfolioCandidates); err != nil {
+		return nil, err
+	}
+	j, err := jsonJob(req.Topology, req.Allocation, req.Tasks)
+	if err != nil {
+		return nil, err
+	}
+	j.portfolio = req
+	j.parallelism, j.timeoutMS, j.rankfile = req.Parallelism, req.TimeoutMS, req.Rankfile
+	return j, nil
+}
+
+func (jsonCodec) encodeMap(w http.ResponseWriter, out MapResponse) { writeJSON(w, http.StatusOK, out) }
+func (jsonCodec) encodeBatch(w http.ResponseWriter, out BatchResponse) {
+	writeJSON(w, http.StatusOK, out)
+}
+func (jsonCodec) encodeRemap(w http.ResponseWriter, out RemapResponse) {
+	writeJSON(w, http.StatusOK, out)
+}
+func (jsonCodec) encodeError(w http.ResponseWriter, status int, _ byte, err error) {
+	writeError(w, status, err)
 }

@@ -293,10 +293,14 @@ func BenchmarkAblationFineRefinement(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng, err := topomap.NewEngine(topo, a)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var whGain int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := topomap.RunMapping(topomap.UWH, tg, topo, a, 1)
+		res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.UWH, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -514,29 +518,25 @@ func BenchmarkEngineReuse(b *testing.B) {
 }
 
 // BenchmarkEngineColdStart is the baseline BenchmarkEngineReuse beats:
-// every request recomputes routes from scratch — the legacy RunMapping
-// path on the torus, a freshly built engine per request on the
-// dragonfly (which the legacy API could not serve at all).
+// every request builds a fresh engine, recomputing the routing state
+// from scratch before it solves.
 func BenchmarkEngineColdStart(b *testing.B) {
 	tg, topo, a, d, da := engineBenchFixture(b)
-	b.Run("torus", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := topomap.RunMapping(topomap.UMC, tg, topo, a, 1); err != nil {
-				b.Fatal(err)
+	run := func(name string, t topomap.Topology, al *alloc.Allocation) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				eng, err := topomap.NewEngine(t, al)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Run(topomap.Request{Mapper: topomap.UMC, Tasks: tg, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("dragonfly", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng, err := topomap.NewEngine(d, da)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.Run(topomap.Request{Mapper: topomap.UMC, Tasks: tg, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
+	run("torus", topo, a)
+	run("dragonfly", d, da)
 }
 
 // BenchmarkEngineCacheHit measures the mapd steady state: every
@@ -595,18 +595,23 @@ func BenchmarkEngineRunBatch(b *testing.B) {
 // BenchmarkEnginePortfolio measures the objective-driven racing path:
 // a six-candidate portfolio selecting by MC against the winning
 // mapper run alone — the price of discovering the winner at request
-// time instead of hard-coding it (on a multi-core host the portfolio
-// amortizes across the pool; single-CPU hosts pay roughly the sum of
-// the candidates).
+// time instead of hard-coding it. In portfolio6 the five partitioning
+// candidates share seed 1, so the race groups and coarsens once for
+// them; portfolio6-distinctSeeds gives every candidate its own seed,
+// so nothing is shared and each candidate partitions for itself. The
+// ratio of the two is the shared prefix's saving.
 func BenchmarkEnginePortfolio(b *testing.B) {
 	tg, topo, a, _, _ := engineBenchFixture(b)
 	eng, err := topomap.NewEngine(topo, a)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands := make([]topomap.Solve, 0, 6)
-	for _, mp := range []topomap.Mapper{topomap.DEF, topomap.TMAP, topomap.SMAP, topomap.UG, topomap.UWH, topomap.UMC} {
+	mappers := []topomap.Mapper{topomap.DEF, topomap.TMAP, topomap.SMAP, topomap.UG, topomap.UWH, topomap.UMC}
+	cands := make([]topomap.Solve, 0, len(mappers))
+	distinct := make([]topomap.Solve, 0, len(mappers))
+	for i, mp := range mappers {
 		cands = append(cands, topomap.Solve{Mapper: mp, Seed: 1})
+		distinct = append(distinct, topomap.Solve{Mapper: mp, Seed: int64(i + 1)})
 	}
 	req := topomap.PortfolioRequest{Tasks: tg, Candidates: cands,
 		Objective: topomap.MinimizeMetric("mc"), Workers: 8}
@@ -615,13 +620,19 @@ func BenchmarkEnginePortfolio(b *testing.B) {
 		b.Fatal(err)
 	}
 	winner := cands[warm.Winner]
-	b.Run("portfolio6", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunPortfolio(context.Background(), req); err != nil {
-				b.Fatal(err)
+	race := func(name string, req topomap.PortfolioRequest) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.RunPortfolio(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
+	race("portfolio6", req)
+	unshared := req
+	unshared.Candidates = distinct
+	race("portfolio6-distinctSeeds", unshared)
 	b.Run("bestSingle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.RunSolve(context.Background(), tg, winner); err != nil {

@@ -72,8 +72,9 @@ func NewEngine(topo Topology, a *Allocation) (*Engine, error) {
 }
 
 // newEngineView assembles an engine around an arbitrary topology view
-// (cached for NewEngine, the raw topology for the legacy RunMapping
-// shim). It performs no validation — the legacy path never did.
+// (cached for NewEngine; the raw topology gives the uncached engine the
+// golden-equivalence test compares against). It performs no
+// validation.
 func newEngineView(topo, view Topology, a *Allocation) *Engine {
 	e := &Engine{
 		topo:      topo,
@@ -169,42 +170,65 @@ func (e *Engine) RunSolve(ctx context.Context, tasks *TaskGraph, s Solve) (*MapR
 	return e.runSolve(ctx, tasks, s, 0)
 }
 
-// runSolve implements the solve pipeline. defaultWorkers is the
+// runSolve implements the solve pipeline: the prefix (grouping and
+// coarsening) followed by the rest. defaultWorkers is the
 // parallelism a Solve with Workers == 0 gets: 0 means
 // parallel.Workers() (direct Run/RunContext/RunSolve calls use the
 // whole host), while RunBatch and RunPortfolio pass 1 (their pools
 // already fan out across requests).
 func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWorkers int) (*MapResult, error) {
+	j, cancel, err := e.newJob(ctx, tg, s, defaultWorkers, time.Now())
+	if err != nil {
+		return nil, err
+	}
+	defer cancel()
+	p, err := e.runPrefix(j.ctx, tg, j.caps.BlockGrouping, s.Seed, j.ex, 0)
+	if err != nil {
+		return nil, err
+	}
+	return e.finishSolve(j, tg, p)
+}
+
+// solveJob is one validated Solve bound to its execution context: the
+// context carrying the solve's budget, the registry dispatch target,
+// and the worker pool, arena and trace its stages run on.
+type solveJob struct {
+	ctx  context.Context
+	s    Solve
+	spec registry.MapperSpec
+	caps registry.Caps
+	ex   *core.Exec
+}
+
+// newJob validates s against tg and the engine and binds it to an
+// execution context. The solve's TimeoutMS budget counts from start
+// and composes with the caller's ctx: whichever expires first cancels
+// the pipeline. Enforcing it here, at the single pipeline entry, makes
+// the budget uniform across RunSolve, RunBatch and portfolio
+// candidates. The returned cancel releases the budget's timer.
+func (e *Engine) newJob(ctx context.Context, tg *TaskGraph, s Solve, defaultWorkers int, start time.Time) (*solveJob, context.CancelFunc, error) {
 	if tg == nil {
-		return nil, fmt.Errorf("topomap: request carries no task graph")
+		return nil, nil, fmt.Errorf("topomap: request carries no task graph")
 	}
 	if s.TimeoutMS < 0 {
-		return nil, fmt.Errorf("topomap: negative timeout_ms %d", s.TimeoutMS)
-	}
-	if s.TimeoutMS > 0 {
-		// The per-solve budget composes with the caller's ctx:
-		// whichever expires first cancels the pipeline. Enforcing it
-		// here (the single pipeline entry) makes the budget uniform
-		// across RunSolve, RunBatch and portfolio candidates.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(s.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	if tg.K > e.alloc.TotalProcs() {
-		return nil, fmt.Errorf("topomap: %d tasks exceed %d allocated processors", tg.K, e.alloc.TotalProcs())
+		return nil, nil, fmt.Errorf("topomap: negative timeout_ms %d", s.TimeoutMS)
 	}
 	spec, ok := registry.Lookup(string(s.Mapper))
 	if !ok {
-		return nil, fmt.Errorf("topomap: unknown mapper %q", s.Mapper)
+		return nil, nil, fmt.Errorf("topomap: unknown mapper %q", s.Mapper)
 	}
 	caps := spec.Caps()
 	if caps.NeedsMultipath {
 		if _, ok := torus.MultipathOf(e.view); !ok {
-			return nil, fmt.Errorf("topomap: mapper %s needs a topology with minimal-route enumeration", s.Mapper)
+			return nil, nil, fmt.Errorf("topomap: mapper %s needs a topology with minimal-route enumeration", s.Mapper)
 		}
 	}
 	if caps.NeedsCoords && !tg.HasCoords() {
-		return nil, fmt.Errorf("topomap: mapper %s needs per-task coordinates on the task graph", s.Mapper)
+		return nil, nil, fmt.Errorf("topomap: mapper %s needs per-task coordinates on the task graph", s.Mapper)
+	}
+	cancel := context.CancelFunc(func() {})
+	if s.TimeoutMS > 0 {
+		ctx, cancel = context.WithDeadline(ctx, start.Add(time.Duration(s.TimeoutMS)*time.Millisecond))
 	}
 	workers := s.Workers
 	if workers == 0 {
@@ -215,30 +239,86 @@ func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWo
 		tr = trace.New()
 	}
 	ex := &core.Exec{Par: parallel.NewGroup(ctx, workers), Arena: e.arena, Trace: tr}
-	poolWorkers := ex.Par.NumWorkers()
+	return &solveJob{ctx: ctx, s: s, spec: spec, caps: caps, ex: ex}, cancel, nil
+}
 
+// prefix is the head of the pipeline every mapper shares (§III-A):
+// the task→group vector and the coarse supertask graph aggregated over
+// it. The rest of the pipeline mutates group in place (load repair,
+// fine-level refinement) and the balance stage writes coarse.VW, so a
+// prefix shared between solves is handed to each as a private copy of
+// group, plus a private coarse.VW when the solve balances.
+type prefix struct {
+	group  []int32
+	coarse *Graph
+}
+
+// runPrefix groups the tasks onto the allocated nodes — SMP-style
+// blocks for block-grouping mappers, graph partitioning with capacity
+// fix-up for the rest — and aggregates the coarse graph, under the
+// "group" and "coarsen" spans of ex's trace. sharedBy > 0 marks a
+// prefix computed once for that many portfolio candidates; both spans
+// then carry it as the shared_by counter.
+func (e *Engine) runPrefix(ctx context.Context, tg *TaskGraph, blockGrouping bool, seed int64, ex *core.Exec, sharedBy int) (prefix, error) {
+	if tg.K > e.alloc.TotalProcs() {
+		return prefix{}, fmt.Errorf("topomap: %d tasks exceed %d allocated processors", tg.K, e.alloc.TotalProcs())
+	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return prefix{}, err
 	}
 	sp := ex.StartSpan("group")
-	sp.SetWorkers(poolWorkers)
+	sp.SetWorkers(ex.Par.NumWorkers())
 	var group []int32
 	var err error
-	if caps.BlockGrouping {
+	if blockGrouping {
 		group, err = taskgraph.GroupBlocks(tg.K, e.caps)
 	} else {
-		group, err = taskgraph.GroupTasksExec(tg, e.caps, s.Seed, ex.Par, e.arena, tr)
+		group, err = taskgraph.GroupTasksExec(tg, e.caps, seed, ex.Par, e.arena, ex.Trace)
 	}
 	sp.Add("groups", int64(e.alloc.NumNodes()))
+	if sharedBy > 0 {
+		sp.Add("shared_by", int64(sharedBy))
+	}
 	sp.End()
 	if err != nil {
-		return nil, err
+		return prefix{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return prefix{}, err
 	}
 	sp = ex.StartSpan("coarsen")
 	coarse := taskgraph.CoarseGraphArena(e.arena, tg, group, e.alloc.NumNodes())
+	sp.Add("coarse_vertices", int64(coarse.N()))
+	sp.Add("coarse_edges", int64(coarse.M()))
+	if sharedBy > 0 {
+		sp.Add("shared_by", int64(sharedBy))
+	}
+	sp.End()
+	return prefix{group: group, coarse: coarse}, nil
+}
+
+// balances reports whether a solve of s runs the makespan-aware load
+// repair: whenever the allocation declares non-unit speeds, or on
+// request (Solve.Balance) for loads-only jobs; block-grouping mappers
+// pin tasks to rank blocks and are exempt, like capacity repair.
+func (e *Engine) balances(caps registry.Caps, s Solve) bool {
+	return !caps.BlockGrouping && (s.Balance || !e.unitSpeeds)
+}
+
+// finishSolve runs the rest of the pipeline on a prefix the job owns:
+// dispatch the mapper, the optional WH pass, capacity and load repair,
+// fine-level refinement, metrics and the optional simulation.
+func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, error) {
+	ctx, s, caps, ex := j.ctx, j.s, j.caps, j.ex
+	group, coarse := p.group, p.coarse
+	poolWorkers := ex.Par.NumWorkers()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// The mapper's derived inputs (message graph, centroids) are built
+	// per mapper inside the map span; they are not part of the prefix.
+	sp := ex.StartSpan("map")
+	sp.SetWorkers(poolWorkers)
 	in := registry.Input{Coarse: coarse, Topo: e.view, Alloc: e.alloc, Seed: s.Seed, Exec: ex}
 	if caps.NeedsMessageGraph {
 		in.Msg = taskgraph.CoarseMessageGraphArena(e.arena, tg, group, e.alloc.NumNodes())
@@ -246,12 +326,7 @@ func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWo
 	if caps.NeedsCoords {
 		in.Coords, in.Dim = groupCentroids(tg, group, e.alloc.NumNodes())
 	}
-	sp.Add("coarse_vertices", int64(coarse.N()))
-	sp.Add("coarse_edges", int64(coarse.M()))
-	sp.End()
-	sp = ex.StartSpan("map")
-	sp.SetWorkers(poolWorkers)
-	nodeOf, err := spec.Map(in)
+	nodeOf, err := j.spec.Map(in)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -286,11 +361,8 @@ func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWo
 	}
 	// Makespan-aware load repair (heterogeneous processors): migrate
 	// the costliest tasks off the bottleneck node — per-task loads over
-	// per-node speeds — onto the cheapest feasible node. Runs whenever
-	// the allocation declares non-unit speeds, or on request
-	// (Solve.Balance) for loads-only jobs; block-grouping mappers pin
-	// tasks to rank blocks and are exempt, like capacity repair.
-	if !caps.BlockGrouping && (s.Balance || !e.unitSpeeds) {
+	// per-node speeds — onto the cheapest feasible node.
+	if e.balances(caps, s) {
 		sp = ex.StartSpan("balance")
 		moves := hetero.RepairLoad(tg.G, coarse, group, nodeOf, e.speedOfNode, e.capOfNode)
 		sp.Add("balance_moves", int64(moves))
@@ -300,7 +372,7 @@ func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := &MapResult{Mapper: s.Mapper, GroupOf: group, NodeOf: nodeOf, Coarse: coarse, Trace: tr}
+	res := &MapResult{Mapper: s.Mapper, GroupOf: group, NodeOf: nodeOf, Coarse: coarse, Trace: ex.Trace}
 	if s.FineRefine {
 		sp = ex.StartSpan("refine_fine")
 		sp.SetWorkers(poolWorkers)
@@ -397,17 +469,6 @@ func (e *Engine) RunBatchContext(ctx context.Context, reqs []Request, workers in
 // EvaluateMetrics, faster on repeated calls).
 func (e *Engine) Evaluate(tg *TaskGraph, pl *Placement) MapMetrics {
 	return metrics.Compute(tg.G, e.view, pl)
-}
-
-// RunMapping executes the full mapping pipeline for one mapper on a
-// torus, without reusable cached state.
-//
-// Deprecated: build an Engine with NewEngine and call Run — it serves
-// any Topology (fat trees, dragonflies, custom networks), reuses the
-// precomputed routing state across requests, and batches. RunMapping
-// remains as a shim over the same registry-dispatched pipeline.
-func RunMapping(mapper Mapper, tg *TaskGraph, topo *Torus, a *Allocation, seed int64) (*MapResult, error) {
-	return newEngineView(topo, topo, a).Run(Request{Mapper: mapper, Tasks: tg, Seed: seed})
 }
 
 // uniformCaps reports whether every allocated node has the same

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// Engine/Request API tests: golden equivalence against the legacy
-// RunMapping pipeline, topology generality, batch determinism, and
-// the registry surface.
+// Engine/Request API tests: golden equivalence against the uncached
+// pipeline, topology generality, batch determinism, and the registry
+// surface.
 
 // engineFixture builds one task graph and a sparse torus allocation
 // shared by the engine tests.
@@ -39,8 +39,8 @@ func engineFixture(t *testing.T, procs int) (*TaskGraph, *Torus, *Allocation) {
 // TestEngineGoldenEquivalence is the API redesign's conservation law:
 // Engine.Run (registry dispatch + cached routing state) must produce
 // byte-identical GroupOf/NodeOf — and therefore identical metrics —
-// to the legacy RunMapping path for every registered mapper on a
-// torus.
+// to an engine reading routes straight off the raw torus, for every
+// registered mapper.
 func TestEngineGoldenEquivalence(t *testing.T) {
 	tg, topo, a := engineFixture(t, 128)
 	tgc := withTestCoords(t, tg)
@@ -48,6 +48,8 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The uncached engine reads routes straight off the torus.
+	uncached := newEngineView(topo, topo, a)
 	for _, mp := range RegisteredMappers() {
 		if strings.HasPrefix(string(mp), "TEST-") {
 			continue // registered by other tests in this binary
@@ -56,22 +58,22 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 		if MapperCapsOf(mp).NeedsCoords {
 			tasks = tgc
 		}
-		legacy, err := RunMapping(mp, tasks, topo, a, 1)
+		want, err := uncached.RunSolve(context.Background(), tasks, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
-			t.Fatalf("%s: legacy: %v", mp, err)
+			t.Fatalf("%s: uncached: %v", mp, err)
 		}
 		got, err := eng.Run(Request{Mapper: mp, Tasks: tasks, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: engine: %v", mp, err)
 		}
-		if !reflect.DeepEqual(got.GroupOf, legacy.GroupOf) {
-			t.Fatalf("%s: GroupOf diverged from legacy RunMapping", mp)
+		if !reflect.DeepEqual(got.GroupOf, want.GroupOf) {
+			t.Fatalf("%s: GroupOf diverged from the uncached engine", mp)
 		}
-		if !reflect.DeepEqual(got.NodeOf, legacy.NodeOf) {
-			t.Fatalf("%s: NodeOf diverged from legacy RunMapping", mp)
+		if !reflect.DeepEqual(got.NodeOf, want.NodeOf) {
+			t.Fatalf("%s: NodeOf diverged from the uncached engine", mp)
 		}
-		if got.Metrics != legacy.Metrics {
-			t.Fatalf("%s: metrics diverged:\n legacy %+v\n engine %+v", mp, legacy.Metrics, got.Metrics)
+		if got.Metrics != want.Metrics {
+			t.Fatalf("%s: metrics diverged:\n uncached %+v\n engine   %+v", mp, want.Metrics, got.Metrics)
 		}
 	}
 }
@@ -479,7 +481,9 @@ func TestEngineCapabilityGate(t *testing.T) {
 	}
 }
 
-// TestEngineErrors mirrors the legacy RunMapping error contract.
+// TestEngineErrors pins the request error contract: more tasks than
+// allocated processors, an unknown mapper, a missing task graph and a
+// malformed allocation all fail cleanly.
 func TestEngineErrors(t *testing.T) {
 	tg, topo, _ := engineFixture(t, 128)
 	small, err := SparseAllocation(topo, 2, 1) // 32 procs < 128 tasks

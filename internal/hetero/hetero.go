@@ -90,96 +90,112 @@ func Summary(g *graph.Graph, group, nodeOf []int32, speeds []float64) (makespan,
 // capacity is the dense per-node processor-count vector (unallocated
 // nodes hold 0). Returns the number of tasks migrated.
 func RepairLoad(g *graph.Graph, coarse *graph.Graph, group, nodeOf []int32, speeds []float64, capacity []int64) int {
-	nGroups := len(nodeOf)
-	load := make([]int64, nGroups)
-	count := make([]int64, nGroups)
-	for t := 0; t < g.N(); t++ {
-		load[group[t]] += g.VertexWeight(t)
-		count[group[t]]++
-	}
-	finish := func(gi int32) float64 {
-		return float64(load[gi]) / speedOf(speeds, nodeOf[gi])
-	}
-
-	// tasksByLoad(g) enumerates a group's tasks heaviest first (ties to
-	// the lower task id). Rebuilt per bottleneck visit — the bottleneck
-	// set shrinks monotonically, so this stays far off any hot path.
-	tasksByLoad := func(gi int32) []int32 {
-		var ts []int32
-		for t := 0; t < g.N(); t++ {
-			if group[t] == gi {
-				ts = append(ts, int32(t))
-			}
-		}
-		sort.Slice(ts, func(a, b int) bool {
-			wa, wb := g.VertexWeight(int(ts[a])), g.VertexWeight(int(ts[b]))
-			if wa != wb {
-				return wa > wb
-			}
-			return ts[a] < ts[b]
-		})
-		return ts
-	}
-
+	r := newLoadRepair(g, coarse, group, nodeOf, speeds, capacity)
 	moves := 0
-	for {
-		// Bottleneck: the latest-finishing group, ties to the lower
-		// index.
-		var worst int32
-		worstFinish := finish(0)
-		for gi := int32(1); gi < int32(nGroups); gi++ {
-			if f := finish(gi); f > worstFinish {
-				worst, worstFinish = gi, f
-			}
-		}
-		if worstFinish == 0 {
-			return moves // nothing computes anywhere
-		}
+	for r.move() {
+		moves++
+	}
+	return moves
+}
 
-		moved := false
-		for _, t := range tasksByLoad(worst) {
-			w := g.VertexWeight(int(t))
-			if w <= 0 {
-				break // zero-load tasks cannot lower any finish time
-			}
-			newSrc := float64(load[worst]-w) / speedOf(speeds, nodeOf[worst])
-			if newSrc >= worstFinish {
+// loadRepair is the state of one RepairLoad pass: the placement it
+// mutates plus the per-group summed loads and task counts it keeps in
+// step with every migration.
+type loadRepair struct {
+	g, coarse     *graph.Graph
+	group, nodeOf []int32
+	speeds        []float64
+	capacity      []int64
+	load, count   []int64
+}
+
+func newLoadRepair(g *graph.Graph, coarse *graph.Graph, group, nodeOf []int32, speeds []float64, capacity []int64) *loadRepair {
+	r := &loadRepair{g: g, coarse: coarse, group: group, nodeOf: nodeOf, speeds: speeds, capacity: capacity,
+		load: make([]int64, len(nodeOf)), count: make([]int64, len(nodeOf))}
+	for t := 0; t < g.N(); t++ {
+		r.load[group[t]] += g.VertexWeight(t)
+		r.count[group[t]]++
+	}
+	return r
+}
+
+func (r *loadRepair) finish(gi int32) float64 {
+	return float64(r.load[gi]) / speedOf(r.speeds, r.nodeOf[gi])
+}
+
+// tasksByLoad enumerates a group's tasks heaviest first (ties to the
+// lower task id). Rebuilt per bottleneck visit — the bottleneck set
+// shrinks monotonically, so this stays far off any hot path.
+func (r *loadRepair) tasksByLoad(gi int32) []int32 {
+	var ts []int32
+	for t := 0; t < r.g.N(); t++ {
+		if r.group[t] == gi {
+			ts = append(ts, int32(t))
+		}
+	}
+	sort.Slice(ts, func(a, b int) bool {
+		wa, wb := r.g.VertexWeight(int(ts[a])), r.g.VertexWeight(int(ts[b]))
+		if wa != wb {
+			return wa > wb
+		}
+		return ts[a] < ts[b]
+	})
+	return ts
+}
+
+// move makes the next accepted migration off the bottleneck group and
+// reports whether there was one; false means the pass is done.
+func (r *loadRepair) move() bool {
+	nGroups := int32(len(r.nodeOf))
+	// Bottleneck: the latest-finishing group, ties to the lower index.
+	var worst int32
+	worstFinish := r.finish(0)
+	for gi := int32(1); gi < nGroups; gi++ {
+		if f := r.finish(gi); f > worstFinish {
+			worst, worstFinish = gi, f
+		}
+	}
+	if worstFinish == 0 {
+		return false // nothing computes anywhere
+	}
+	for _, t := range r.tasksByLoad(worst) {
+		w := r.g.VertexWeight(int(t))
+		if w <= 0 {
+			break // zero-load tasks cannot lower any finish time
+		}
+		newSrc := float64(r.load[worst]-w) / speedOf(r.speeds, r.nodeOf[worst])
+		if newSrc >= worstFinish {
+			continue
+		}
+		// Cheapest feasible target: free slot, lowest resulting
+		// finish; ties to the faster node, then the lower index.
+		var best int32 = -1
+		var bestFinish, bestSpeed float64
+		for gi := int32(0); gi < nGroups; gi++ {
+			if gi == worst || r.count[gi] >= r.capacity[r.nodeOf[gi]] {
 				continue
 			}
-			// Cheapest feasible target: free slot, lowest resulting
-			// finish; ties to the faster node, then the lower index.
-			var best int32 = -1
-			var bestFinish, bestSpeed float64
-			for gi := int32(0); gi < int32(nGroups); gi++ {
-				if gi == worst || count[gi] >= capacity[nodeOf[gi]] {
-					continue
-				}
-				sp := speedOf(speeds, nodeOf[gi])
-				nf := float64(load[gi]+w) / sp
-				if best < 0 || nf < bestFinish || (nf == bestFinish && sp > bestSpeed) {
-					best, bestFinish, bestSpeed = gi, nf, sp
-				}
+			sp := speedOf(r.speeds, r.nodeOf[gi])
+			nf := float64(r.load[gi]+w) / sp
+			if best < 0 || nf < bestFinish || (nf == bestFinish && sp > bestSpeed) {
+				best, bestFinish, bestSpeed = gi, nf, sp
 			}
-			if best < 0 || bestFinish >= worstFinish {
-				continue // this task cannot come off without a new bottleneck
-			}
-			group[t] = best
-			load[worst] -= w
-			load[best] += w
-			count[worst]--
-			count[best]++
-			if coarse != nil && coarse.VW != nil {
-				coarse.VW[worst] -= w
-				coarse.VW[best] += w
-			}
-			moves++
-			moved = true
-			break
 		}
-		if !moved {
-			return moves
+		if best < 0 || bestFinish >= worstFinish {
+			continue // this task cannot come off without a new bottleneck
 		}
+		r.group[t] = best
+		r.load[worst] -= w
+		r.load[best] += w
+		r.count[worst]--
+		r.count[best]++
+		if r.coarse != nil && r.coarse.VW != nil {
+			r.coarse.VW[worst] -= w
+			r.coarse.VW[best] += w
+		}
+		return true
 	}
+	return false
 }
 
 // Map is the hetero-aware greedy construction mapper (HET): supertask

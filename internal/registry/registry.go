@@ -2,10 +2,9 @@
 // public Engine API: every mapping algorithm — the paper's seven
 // Figure-2 mappers, the four extension variants, and any mapper a
 // downstream user registers — is a MapperSpec dispatched by name.
-// The registry replaces the hard-coded switch the legacy RunMapping
-// facade used, so adding a mapper no longer touches the engine and
-// the CLI/flag surfaces derive their mapper lists instead of
-// duplicating them.
+// Adding a mapper therefore never touches the engine, and the
+// CLI/flag surfaces derive their mapper lists instead of duplicating
+// them.
 package registry
 
 import (

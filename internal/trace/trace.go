@@ -23,6 +23,7 @@ package trace
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -66,6 +67,30 @@ func (t *Trace) Start(name string) *Span {
 	t.spans = append(t.spans, s)
 	t.cur = s
 	return s
+}
+
+// Clone returns an independent copy of t — the same clock start, every
+// span with its duration, workers and counters — that records further
+// spans on its own. A portfolio hands one shared prefix's timeline to
+// each traced candidate that reused it this way. Nil-safe: a nil trace
+// clones to nil.
+func (t *Trace) Clone() *Trace {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := &Trace{start: t.start, spans: make([]*Span, len(t.spans))}
+	for i, s := range t.spans {
+		cp := *s
+		cp.tr = c
+		cp.counters = maps.Clone(s.counters)
+		c.spans[i] = &cp
+		if t.cur == s {
+			c.cur = &cp
+		}
+	}
+	return c
 }
 
 // End closes the span, fixing its duration. Nil-safe and idempotent.

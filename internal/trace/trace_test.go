@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,35 @@ func TestNilSafety(t *testing.T) {
 	}
 	if got := tr.TotalMS(); got != 0 {
 		t.Fatalf("nil trace TotalMS = %v", got)
+	}
+	if got := tr.Clone(); got != nil {
+		t.Fatalf("nil trace cloned to %v", got)
+	}
+}
+
+// TestClone: a clone starts with the original's spans, durations,
+// workers and counters on the same clock, and from then on the two
+// record independently.
+func TestClone(t *testing.T) {
+	tr := New()
+	sp := tr.Start("group")
+	sp.SetWorkers(2)
+	sp.Add("bisections", 7)
+	sp.End()
+	c := tr.Clone()
+	if got, want := c.Stages(), tr.Stages(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("clone stages %+v, want %+v", got, want)
+	}
+	c.Start("map").End()
+	tr.Start("map").Add("swaps", 1)
+	if got := c.Stages(); len(got) != 2 || got[1].Counters != nil || got[0].Counters["bisections"] != 7 {
+		t.Fatalf("clone picked up the original's later writes: %+v", got)
+	}
+	if got := tr.Stages(); len(got) != 2 || got[1].Counters["swaps"] != 1 {
+		t.Fatalf("original picked up the clone's writes: %+v", got)
+	}
+	if c.Stages()[0].StartMS != tr.Stages()[0].StartMS {
+		t.Fatal("clone does not share the original's clock start")
 	}
 }
 

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/registry"
 	"repro/internal/torus"
+	"repro/internal/trace"
 )
 
 // PortfolioRequest races a set of candidate Solves against one task
@@ -174,6 +178,15 @@ func (e *Engine) portfolioCandidates(req PortfolioRequest) ([]Solve, error) {
 // marked Skipped) instead of failing; only a deadline that beats
 // every candidate surfaces ctx.Err. Any non-cancellation solve
 // failure fails the whole portfolio, lowest candidate index first.
+//
+// The race partitions once per shared seed: when two or more
+// candidates that partition (every mapper but the block-grouping ones
+// such as DEF) run at one seed, their grouping and coarsening are
+// computed once on the whole pool before the fan-out, and each of them
+// finishes on that prefix. Every result is byte-identical to a
+// standalone RunSolve of its candidate. A sharing candidate's
+// TimeoutMS counts from the start of the shared prefix, which itself
+// runs under ctx only.
 func (e *Engine) RunPortfolio(ctx context.Context, req PortfolioRequest) (*PortfolioResult, error) {
 	if req.Tasks == nil {
 		return nil, fmt.Errorf("topomap: portfolio carries no task graph")
@@ -189,10 +202,15 @@ func (e *Engine) RunPortfolio(ctx context.Context, req PortfolioRequest) (*Portf
 	results := make([]*MapResult, len(cands))
 	errs := make([]error, len(cands))
 	grp := parallel.NewGroup(ctx, req.Workers)
+	shared := e.sharePrefixes(ctx, grp, req.Tasks, cands)
 	grp.ForEachIdx(len(cands), func(i int) {
 		// One worker per candidate by default: the portfolio pool is
 		// the fan-out. Solve.Workers oversubscribes deliberately.
-		results[i], errs[i] = e.runSolve(ctx, req.Tasks, cands[i], 1)
+		if sh := shared[i]; sh != nil {
+			results[i], errs[i] = e.solveShared(ctx, req.Tasks, cands[i], sh)
+		} else {
+			results[i], errs[i] = e.runSolve(ctx, req.Tasks, cands[i], 1)
+		}
 	})
 
 	var entries, skipped []PortfolioEntry
@@ -229,4 +247,89 @@ func (e *Engine) RunPortfolio(ctx context.Context, req PortfolioRequest) (*Portf
 		Leaderboard: append(entries, skipped...),
 		Skipped:     len(skipped),
 	}, nil
+}
+
+// sharedPrefix is one grouping+coarsening computed for every
+// partitioning candidate at one seed.
+type sharedPrefix struct {
+	prefix
+	seed   int64
+	users  int          // candidates finishing on this prefix
+	traced bool         // some user traces; the prefix then records spans
+	start  time.Time    // the users' TimeoutMS budgets count from here
+	tr     *trace.Trace // the group and coarsen spans, when traced
+	err    error
+}
+
+// sharePrefixes computes, before the fan-out, one prefix for each seed
+// used by two or more candidates whose mapper partitions the task
+// graph, and returns each candidate's shared prefix (nil: the
+// candidate groups on its own, as a standalone solve would). The
+// prefixes run on the race's pool, so their bisections fork across
+// every worker; the partition is the same at any worker count.
+func (e *Engine) sharePrefixes(ctx context.Context, grp *parallel.Group, tg *TaskGraph, cands []Solve) []*sharedPrefix {
+	of := make([]*sharedPrefix, len(cands))
+	bySeed := map[int64]*sharedPrefix{}
+	var order []*sharedPrefix
+	for i, c := range cands {
+		// Candidates were validated by portfolioCandidates.
+		if spec, _ := registry.Lookup(string(c.Mapper)); spec.Caps().BlockGrouping {
+			continue
+		}
+		sh := bySeed[c.Seed]
+		if sh == nil {
+			sh = &sharedPrefix{seed: c.Seed}
+			bySeed[c.Seed] = sh
+			order = append(order, sh)
+		}
+		sh.users++
+		sh.traced = sh.traced || c.Trace
+		of[i] = sh
+	}
+	for i, sh := range of {
+		if sh != nil && sh.users < 2 {
+			of[i] = nil
+		}
+	}
+	var run []*sharedPrefix
+	for _, sh := range order {
+		if sh.users >= 2 {
+			run = append(run, sh)
+		}
+	}
+	grp.ForEachIdx(len(run), func(k int) {
+		sh := run[k]
+		sh.start = time.Now()
+		if sh.traced {
+			sh.tr = trace.New()
+		}
+		ex := &core.Exec{Par: grp, Arena: e.arena, Trace: sh.tr}
+		sh.prefix, sh.err = e.runPrefix(ctx, tg, false, sh.seed, ex, sh.users)
+	})
+	return of
+}
+
+// solveShared finishes candidate s on its shared prefix. The candidate
+// owns a private copy of the group vector, and of coarse.VW when it
+// balances; the rest of the coarse graph is shared read-only. Its
+// trace, when asked for, starts with the prefix's spans.
+func (e *Engine) solveShared(ctx context.Context, tg *TaskGraph, s Solve, sh *sharedPrefix) (*MapResult, error) {
+	if sh.err != nil {
+		return nil, sh.err
+	}
+	j, cancel, err := e.newJob(ctx, tg, s, 1, sh.start)
+	if err != nil {
+		return nil, err
+	}
+	defer cancel()
+	if j.ex.Trace != nil {
+		j.ex.Trace = sh.tr.Clone()
+	}
+	p := prefix{group: slices.Clone(sh.group), coarse: sh.coarse}
+	if e.balances(j.caps, s) {
+		c := *p.coarse
+		c.VW = slices.Clone(c.VW)
+		p.coarse = &c
+	}
+	return e.finishSolve(j, tg, p)
 }

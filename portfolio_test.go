@@ -2,6 +2,7 @@ package topomap
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -301,5 +302,194 @@ func TestEnginePortfolioDeadlineBestSoFar(t *testing.T) {
 		Candidates: []Solve{{Mapper: UWH, Seed: 1}},
 	}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestEnginePortfolioSharedPrefix: a race that groups and coarsens once
+// per shared seed returns, for every candidate, exactly what a
+// standalone RunSolve of that candidate returns — placement, metrics,
+// coarse graph and rankfile — at workers 1, 2 and 8, on a unit-speed
+// engine (only the Balance candidate balances) and on a speeds engine
+// (every partitioning candidate balances). The candidate set mixes two
+// shared seeds, a single-use seed, DEF (block grouping, never shared),
+// UMMC (message graph), GEOM/SFCM (centroids), Refine, FineRefine and
+// Balance candidates. No two results may alias one group vector, and a
+// traced race carries group/coarsen spans marked shared_by while
+// placing byte-identically to the untraced one.
+func TestEnginePortfolioSharedPrefix(t *testing.T) {
+	tg, topo, _ := engineFixture(t, 128)
+	// 12 nodes of 16 processors leave the balance stage free slots to
+	// migrate the skewed loads into.
+	a, err := SparseAllocation(topo, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := make([]int64, tg.K)
+	for i := range loads {
+		loads[i] = 1 + int64(i*7%5)
+	}
+	tasks := withTestCoords(t, withLoads(tg, loads))
+	fast := *a
+	fast.Speeds = make([]float64, len(a.Nodes))
+	for i := range fast.Speeds {
+		fast.Speeds[i] = 1
+		if i%3 == 0 {
+			fast.Speeds[i] = 4
+		}
+	}
+	cands := []Solve{
+		{Mapper: UWH, Seed: 1, Refine: true},
+		{Mapper: UMC, Seed: 1},
+		{Mapper: DEF, Seed: 1},
+		{Mapper: UMMC, Seed: 1},
+		{Mapper: GEOM, Seed: 1},
+		{Mapper: TMAP, Seed: 1},
+		{Mapper: UG, Seed: 2, FineRefine: true},
+		{Mapper: SFCM, Seed: 2},
+		{Mapper: SMAP, Seed: 2, Balance: true},
+		{Mapper: UWH, Seed: 2},
+		{Mapper: UTH, Seed: 3},
+	}
+	// sharedBy is the shared_by count each candidate's prefix spans
+	// must carry; 0 means the candidate grouped on its own.
+	sharedBy := []int64{5, 5, 0, 5, 5, 5, 4, 4, 4, 4, 0}
+
+	for _, al := range []*Allocation{a, &fast} {
+		eng, err := NewEngine(topo, al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := "unit-speeds"
+		if !al.UnitSpeeds() {
+			name = "speeds"
+		}
+		want := make([]*MapResult, len(cands))
+		for i, c := range cands {
+			if want[i], err = eng.RunSolve(context.Background(), tasks, c); err != nil {
+				t.Fatalf("%s: standalone %d (%s): %v", name, i, c.Mapper, err)
+			}
+		}
+		req := PortfolioRequest{Tasks: tasks, Candidates: cands, Objective: MinimizeMetric("wh")}
+		for _, workers := range []int{1, 2, 8} {
+			req.Workers = workers
+			res, err := eng.RunPortfolio(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if res.Skipped != 0 || len(res.Leaderboard) != len(cands) {
+				t.Fatalf("%s workers=%d: %d entries, %d skipped", name, workers, len(res.Leaderboard), res.Skipped)
+			}
+			groupArrays := map[*int32]int{}
+			for _, entry := range res.Leaderboard {
+				got, w := entry.Result, want[entry.Index]
+				tag := fmt.Sprintf("%s workers=%d candidate %d (%s)", name, workers, entry.Index, entry.Solve.Mapper)
+				if !reflect.DeepEqual(got.GroupOf, w.GroupOf) || !reflect.DeepEqual(got.NodeOf, w.NodeOf) {
+					t.Fatalf("%s: placement diverged from a standalone RunSolve", tag)
+				}
+				if got.Metrics != w.Metrics {
+					t.Fatalf("%s: metrics diverged:\n standalone %+v\n portfolio  %+v", tag, w.Metrics, got.Metrics)
+				}
+				if !reflect.DeepEqual(got.Coarse, w.Coarse) {
+					t.Fatalf("%s: coarse graph diverged from a standalone RunSolve", tag)
+				}
+				if rankOrderOf(got, al) != rankOrderOf(w, al) {
+					t.Fatalf("%s: rankfile bytes diverged", tag)
+				}
+				if prev, dup := groupArrays[&got.GroupOf[0]]; dup {
+					t.Fatalf("%s: GroupOf aliases candidate %d's", tag, prev)
+				}
+				groupArrays[&got.GroupOf[0]] = entry.Index
+			}
+		}
+	}
+
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := eng.RunPortfolio(context.Background(), PortfolioRequest{Tasks: tasks, Candidates: cands, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := make([]Solve, len(cands))
+	for i, c := range cands {
+		c.Trace = true
+		traced[i] = c
+	}
+	res, err := eng.RunPortfolio(context.Background(), PortfolioRequest{Tasks: tasks, Candidates: traced, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, entry := range res.Leaderboard {
+		tag := fmt.Sprintf("traced candidate %d (%s)", entry.Index, entry.Solve.Mapper)
+		if p := plain.Leaderboard[i]; p.Index != entry.Index ||
+			rankOrderOf(p.Result, a) != rankOrderOf(entry.Result, a) {
+			t.Fatalf("%s: traced race placed differently from the untraced one", tag)
+		}
+		stages := entry.Result.Trace.Stages()
+		if len(stages) < 3 || stages[0].Name != "group" || stages[1].Name != "coarsen" {
+			t.Fatalf("%s: trace does not begin with group, coarsen: %v", tag, stageNames(t, entry.Result))
+		}
+		for _, st := range stages[:2] {
+			if got := st.Counters["shared_by"]; got != sharedBy[entry.Index] {
+				t.Fatalf("%s: %s span shared_by = %d, want %d", tag, st.Name, got, sharedBy[entry.Index])
+			}
+		}
+		if sharedBy[entry.Index] == 0 {
+			continue
+		}
+		alone, err := eng.RunSolve(context.Background(), tasks, traced[entry.Index])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stages[0].Counters["bisections"], alone.Trace.Stages()[0].Counters["bisections"]; got != want {
+			t.Fatalf("%s: shared group span counted %d bisections, a standalone solve %d", tag, got, want)
+		}
+	}
+}
+
+// rankOrderOf renders a result's rankfile, or the reason block filling
+// cannot realize it: the balance stage may leave a partially filled
+// node between full ones, and two such placements must still agree.
+func rankOrderOf(res *MapResult, a *Allocation) string {
+	var sb strings.Builder
+	if err := WriteRankOrder(&sb, res.Placement(), a); err != nil {
+		return "unrealizable: " + err.Error()
+	}
+	return sb.String()
+}
+
+// TestEnginePortfolioSharedPrefixErrors: a shared prefix cut off by the
+// context marks its candidates Skipped (and, with nothing left,
+// surfaces the context error), while a failing shared prefix fails the
+// portfolio under the lowest candidate index that uses it.
+func TestEnginePortfolioSharedPrefixErrors(t *testing.T) {
+	tg, topo, a := engineFixture(t, 128)
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	shared := []Solve{{Mapper: DEF, Seed: 1}, {Mapper: UWH, Seed: 1}, {Mapper: UMC, Seed: 1}}
+	if _, err := eng.RunPortfolio(dead, PortfolioRequest{Tasks: tg, Candidates: shared[1:]}); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+
+	small, err := SparseAllocation(topo, 2, 1) // 32 procs < 128 tasks
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err = NewEngine(topo, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = eng.RunPortfolio(context.Background(), PortfolioRequest{Tasks: tg, Candidates: shared})
+	if err == nil || !strings.Contains(err.Error(), "candidate 0 (DEF)") {
+		t.Fatalf("err = %v, want the lowest failing candidate 0 (DEF)", err)
+	}
+	_, err = eng.RunPortfolio(context.Background(), PortfolioRequest{Tasks: tg, Candidates: shared[1:]})
+	if err == nil || !strings.Contains(err.Error(), "candidate 0 (UWH)") || !strings.Contains(err.Error(), "exceed") {
+		t.Fatalf("err = %v, want the shared prefix's error under candidate 0 (UWH)", err)
 	}
 }

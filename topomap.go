@@ -60,7 +60,6 @@
 package topomap
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/alloc"
@@ -218,7 +217,7 @@ func DatasetNames() []string { return gen.Names() }
 
 // FromEdges builds a graph from a directed weighted edge list
 // (parallel edges merged, self loops dropped); use it to hand-author
-// task graphs for GreedyMap / RunMapping.
+// task graphs for an Engine or GreedyMap.
 func FromEdges(n int, us, vs []int32, ws []int64) *Graph {
 	return graph.FromEdges(n, us, vs, ws, nil)
 }
@@ -455,29 +454,6 @@ func RefineFineLevel(tg *TaskGraph, topo Topology, res *MapResult) (whGain, volG
 // torus, ECMP fat tree). It returns the number of swaps applied.
 func RefineMCAdaptive(coarse *Graph, topo MultipathTopology, allocNodes, nodeOf []int32) int {
 	return core.RefineCongestionAdaptive(coarse, topo, allocNodes, nodeOf, core.VolumeCongestion, core.RefineOptions{})
-}
-
-// GroupOntoAllocation groups the fine tasks of tg onto the allocated
-// nodes (graph partitioning with the capacity fix-up of §III-A) and
-// returns the group vector together with the aggregated symmetric
-// coarse graph the mapping algorithms consume.
-//
-// Deprecated: Engine.Run performs grouping, mapping and metric
-// evaluation on any Topology in one call; this remains for code that
-// drives GreedyMap / RefineWH / RefineMC by hand.
-func GroupOntoAllocation(tg *TaskGraph, a *Allocation, seed int64) (group []int32, coarse *Graph, err error) {
-	if tg.K > a.TotalProcs() {
-		return nil, nil, fmt.Errorf("topomap: %d tasks exceed %d allocated processors", tg.K, a.TotalProcs())
-	}
-	caps := make([]int64, a.NumNodes())
-	for i, p := range a.ProcsPerNode {
-		caps[i] = int64(p)
-	}
-	group, err = taskgraph.GroupTasks(tg, caps, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return group, taskgraph.CoarseGraph(tg, group, a.NumNodes()), nil
 }
 
 // WriteRankOrder emits a Cray-style MPICH_RANK_ORDER file realizing

@@ -2,11 +2,27 @@ package topomap
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
 // Public-API tests: the full pipeline through the facade, exactly as
 // a downstream user would drive it.
+
+// solveOn maps tg with one mapper at seed 1 through a fresh engine —
+// the one-shot path of a user mapping a single job.
+func solveOn(t *testing.T, mp Mapper, tg *TaskGraph, topo Topology, a *Allocation) *MapResult {
+	t.Helper()
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1})
+	if err != nil {
+		t.Fatalf("%s: %v", mp, err)
+	}
+	return res
+}
 
 func TestFullPipeline(t *testing.T) {
 	m, err := GenerateMatrix("cagelike", Tiny)
@@ -29,10 +45,7 @@ func TestFullPipeline(t *testing.T) {
 	}
 	results := map[Mapper]*MapResult{}
 	for _, mp := range Mappers() {
-		res, err := RunMapping(mp, tg, topo, a, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", mp, err)
-		}
+		res := solveOn(t, mp, tg, topo, a)
 		if len(res.GroupOf) != procs || len(res.NodeOf) != a.NumNodes() {
 			t.Fatalf("%s: result shapes wrong", mp)
 		}
@@ -51,36 +64,6 @@ func TestFullPipeline(t *testing.T) {
 		if c <= 0 {
 			t.Fatalf("%s: simulated comm time %g", mp, c)
 		}
-	}
-}
-
-func TestRunMappingErrors(t *testing.T) {
-	m, err := GenerateMatrix("mesh2d-a", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := PartitionMatrix(METIS, m, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := NewHopperTorus(4, 4, 4)
-	a, err := SparseAllocation(topo, 2, 1) // 32 procs < 64 tasks
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunMapping(UG, tg, topo, a, 1); err == nil {
-		t.Fatal("want error when tasks exceed allocated processors")
-	}
-	a4, err := SparseAllocation(topo, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunMapping(Mapper("NOPE"), tg, topo, a4, 1); err == nil {
-		t.Fatal("want error for unknown mapper")
 	}
 }
 
@@ -147,14 +130,8 @@ func TestUWHImprovesOverDEFOnScatteredAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := RunMapping(DEF, tg, topo, a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uwh, err := RunMapping(UWH, tg, topo, a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := solveOn(t, DEF, tg, topo, a)
+	uwh := solveOn(t, UWH, tg, topo, a)
 	if uwh.Metrics.WH >= def.Metrics.WH {
 		t.Fatalf("UWH WH %d not better than DEF %d", uwh.Metrics.WH, def.Metrics.WH)
 	}
@@ -180,10 +157,7 @@ func TestExtraMappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mp := range []Mapper{UTH, TMAPG, UML, UMCA} {
-		res, err := RunMapping(mp, tg, topo, a, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", mp, err)
-		}
+		res := solveOn(t, mp, tg, topo, a)
 		if res.Metrics.WH <= 0 {
 			t.Fatalf("%s: degenerate WH", mp)
 		}
@@ -214,10 +188,7 @@ func TestHeterogeneousCapacities(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mp := range []Mapper{DEF, UG, UWH, UMC} {
-		res, err := RunMapping(mp, tg, topo, a, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", mp, err)
-		}
+		res := solveOn(t, mp, tg, topo, a)
 		// Count tasks per node and check capacities.
 		capOf := map[int32]int{}
 		for i, n := range a.Nodes {
@@ -261,10 +232,7 @@ func TestRankOrderThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMapping(UWH, tg, topo, a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOn(t, UWH, tg, topo, a)
 	var buf bytes.Buffer
 	if err := WriteRankOrder(&buf, res.Placement(), a); err != nil {
 		t.Fatal(err)
@@ -302,14 +270,8 @@ func TestMeshTopologyPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := RunMapping(DEF, tg, topo, a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uwh, err := RunMapping(UWH, tg, topo, a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := solveOn(t, DEF, tg, topo, a)
+	uwh := solveOn(t, UWH, tg, topo, a)
 	if uwh.Metrics.WH > def.Metrics.WH {
 		t.Fatalf("mesh: UWH WH %d worse than DEF %d", uwh.Metrics.WH, def.Metrics.WH)
 	}

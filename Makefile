@@ -53,12 +53,18 @@ build:
 test:
 	$(GO) test ./...
 
-# Docs gate: every example must build, vet must be clean, and every
-# intra-repo markdown link in the entry-point docs must resolve
-# (cmd/docscheck). Part of `make check`, so CI fails on a dead link or
-# a bit-rotted example before a reader does.
+# Docs gate: every example must build and run to completion (each
+# self-checks its invariants and exits non-zero on a regression; all
+# nine run in a few seconds), vet must be clean, and every intra-repo
+# markdown link in the entry-point docs must resolve (cmd/docscheck).
+# Part of `make check`, so CI fails on a dead link or a bit-rotted
+# example before a reader does.
 docs:
-	$(GO) build ./examples/...
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf '$$bin EXIT; \
+	$(GO) build -o $$bin/ ./examples/...; \
+	for ex in $$bin/*; do \
+		$$ex >/dev/null || { echo "docs: examples/$$(basename $$ex) failed"; exit 1; }; \
+	done; echo "docs: $$(ls $$bin | wc -l) examples ran clean"
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck README.md ROADMAP.md docs/ARCHITECTURE.md
 
@@ -86,10 +92,11 @@ bench-json:
 
 # Race gate: the engine's concurrent paths (batch pool, intra-request
 # parallelism, portfolio racing, incremental remapping, the parallel
-# congestion refinement and the Solve shim equivalence), the parallel/
-# metrics/partition/arena/core/remap plumbing those are built on, plus
-# the whole mapd service package (concurrent clients, portfolio and
-# remap endpoints, cache churn, cancellation, multi-slot accounting).
+# congestion refinement and the wire-vs-in-memory Solve equivalence),
+# the parallel/metrics/partition/arena/core/remap plumbing those are
+# built on, plus the whole mapd service package (concurrent clients,
+# portfolio and remap endpoints, cache churn, cancellation, multi-slot
+# accounting).
 race:
 	$(GO) test -race -run='Engine|Batch|Portfolio|Solve|RefineMC|Remap|Geom' .
 	$(GO) test -race ./internal/parallel/... ./internal/arena/... ./internal/partition/... ./internal/metrics/... ./internal/core/... ./internal/remap/... ./internal/trace/... ./internal/geom/... ./internal/sfc/...

@@ -507,7 +507,7 @@ func BenchmarkEngineReuse(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(topomap.Request{Mapper: topomap.UMC, Tasks: tg, Seed: 1}); err != nil {
+				if _, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.UMC, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -529,7 +529,7 @@ func BenchmarkEngineColdStart(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Run(topomap.Request{Mapper: topomap.UMC, Tasks: tg, Seed: 1}); err != nil {
+				if _, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.UMC, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -562,7 +562,7 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 				if !hit {
 					b.Fatal("warm key missed the cache")
 				}
-				if _, err := eng.Run(topomap.Request{Mapper: topomap.UMC, Tasks: tg, Seed: 1}); err != nil {
+				if _, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.UMC, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -580,13 +580,13 @@ func BenchmarkEngineRunBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var reqs []topomap.Request
+	var solves []topomap.Solve
 	for _, mp := range topomap.Mappers() {
-		reqs = append(reqs, topomap.Request{Mapper: mp, Tasks: tg, Seed: 1})
+		solves = append(solves, topomap.Solve{Mapper: mp, Seed: 1})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.RunBatch(reqs); err != nil {
+		if _, err := eng.RunBatch(context.Background(), tg, solves, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -831,8 +831,7 @@ func BenchmarkHeteroSolve(b *testing.B) {
 		var makespan float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Run(topomap.Request{Mapper: topomap.HET, Tasks: tg, Seed: 1,
-				Options: []topomap.RequestOption{topomap.WithBalance()}})
+			res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.HET, Seed: 1, Balance: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -853,7 +852,7 @@ func BenchmarkHeteroSolve(b *testing.B) {
 		var makespan float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Run(topomap.Request{Mapper: topomap.UWH, Tasks: blindTG, Seed: 1})
+			res, err := eng.RunSolve(context.Background(), blindTG, topomap.Solve{Mapper: topomap.UWH, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -890,7 +889,7 @@ func BenchmarkGeomSolve(b *testing.B) {
 			var wh int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Run(topomap.Request{Mapper: mp, Tasks: tg, Seed: 1})
+				res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: mp, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -908,7 +907,7 @@ func BenchmarkGeomSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm, err := eng.Run(topomap.Request{Mapper: topomap.GEOM, Tasks: tg, Seed: 1})
+	warm, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.GEOM, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1014,11 +1013,10 @@ func BenchmarkEngineParallelSolve(b *testing.B) {
 		}
 		for _, workers := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/w%d", inst.name, workers), func(b *testing.B) {
-				req := topomap.Request{Mapper: topomap.UWH, Tasks: tg, Seed: 1,
-					Options: []topomap.RequestOption{topomap.WithParallelism(workers)}}
+				s := topomap.Solve{Mapper: topomap.UWH, Seed: 1, Workers: workers}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.Run(req); err != nil {
+					if _, err := eng.RunSolve(context.Background(), tg, s); err != nil {
 						b.Fatal(err)
 					}
 				}

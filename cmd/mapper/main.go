@@ -310,14 +310,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "winner: %s\n", res.Mapper)
 		mapper = res.Mapper
 	} else {
-		opts := []topomap.RequestOption{topomap.WithParallelism(*workers)}
-		if *traced {
-			opts = append(opts, topomap.WithTrace())
-		}
-		if *balance {
-			opts = append(opts, topomap.WithBalance())
-		}
-		res, err = eng.Run(topomap.Request{Mapper: mapper, Tasks: tg, Seed: *seed, Options: opts})
+		res, err = eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: mapper, Seed: *seed,
+			Workers: *workers, Trace: *traced, Balance: *balance})
 		if err != nil {
 			return fail(err)
 		}

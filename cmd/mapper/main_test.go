@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -67,7 +68,7 @@ func TestBuildTopologyFamilies(t *testing.T) {
 
 // TestEndToEndPerTopology drives the full mapper pipeline on every
 // topology family the CLI exposes — the -topology satellite's
-// acceptance: one Request path, three networks.
+// acceptance: one Solve path, three networks.
 func TestEndToEndPerTopology(t *testing.T) {
 	m, err := topomap.GenerateMatrix("cagelike", topomap.Tiny)
 	if err != nil {
@@ -95,7 +96,7 @@ func TestEndToEndPerTopology(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		res, err := eng.Run(topomap.Request{Mapper: topomap.UWH, Tasks: tg, Seed: 1})
+		res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.UWH, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

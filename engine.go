@@ -25,11 +25,13 @@ import (
 // hierarchical minimal routes — whatever the topology's static
 // routing produces) and serves any number of mapping requests against
 // that cached state. An Engine is immutable after construction and
-// safe for concurrent use; Run may be called from many goroutines,
-// RunBatch fans a request slice out over a worker pool, and
+// safe for concurrent use. Every job is a Solve spec, served by four
+// entry points: RunSolve runs one (and may be called from many
+// goroutines), RunBatch fans a Solve slice out over a worker pool,
+// RunRemap moves a finished result onto a changed allocation, and
 // RunPortfolio races a candidate set toward a declared Objective.
 //
-// Mappers are dispatched through the pluggable registry: the eleven
+// Mappers are dispatched through the pluggable registry: the fourteen
 // built-ins plus anything added with RegisterMapper.
 type Engine struct {
 	topo      Topology
@@ -138,34 +140,22 @@ func (r *MapResult) Placement() *Placement {
 	return &metrics.Placement{GroupOf: r.GroupOf, NodeOf: r.NodeOf}
 }
 
-// Run executes the paper's full mapping pipeline (§III-A) for one
-// request: group the tasks onto the allocated nodes (SMP-style blocks
+// RunSolve executes the paper's full mapping pipeline (§III-A) for
+// one job: group the tasks onto the allocated nodes (SMP-style blocks
 // for block-grouping mappers, graph partitioning with capacity fix-up
 // for the rest), aggregate to the coarse supertask graph, dispatch
-// the mapper through the registry, repair heterogeneous capacity
-// violations, and evaluate the metrics on the fine task graph —
-// all against the engine's cached routing state.
-func (e *Engine) Run(req Request) (*MapResult, error) {
-	return e.RunContext(context.Background(), req)
-}
-
-// RunContext is Run with cancellation, both between and inside the
-// pipeline stages: the pipeline checks ctx at stage boundaries
-// (grouping, mapper dispatch, refinement, metric evaluation), and the
-// stages themselves — the bisection recursion, the greedy placement
-// loop, every refinement pass — poll the context cooperatively and
-// bail early, so cancellation latency is bounded by one refinement
-// swap or bisection level, not a whole stage. It returns ctx.Err() as
-// soon as the deadline expires or the caller cancels.
-func (e *Engine) RunContext(ctx context.Context, req Request) (*MapResult, error) {
-	return e.runSolve(ctx, req.Tasks, req.Solve(), 0)
-}
-
-// RunSolve executes one declarative Solve spec against the task
-// graph — the same pipeline as RunContext, which is a thin shim
-// lowering Request+RequestOption onto a Solve. An unmarshalled wire
-// Solve and a hand-built Request describing the same job produce
-// byte-identical results.
+// s.Mapper through the registry, repair heterogeneous capacity
+// violations, and evaluate the metrics on the fine task graph — all
+// against the engine's cached routing state.
+//
+// Cancellation reaches both between and inside the pipeline stages:
+// the pipeline checks ctx at stage boundaries (grouping, mapper
+// dispatch, refinement, metric evaluation), and the stages themselves
+// — the bisection recursion, the greedy placement loop, every
+// refinement pass — poll the context cooperatively and bail early, so
+// cancellation latency is bounded by one refinement swap or bisection
+// level, not a whole stage. It returns ctx.Err() as soon as the
+// deadline expires or the caller cancels.
 func (e *Engine) RunSolve(ctx context.Context, tasks *TaskGraph, s Solve) (*MapResult, error) {
 	return e.runSolve(ctx, tasks, s, 0)
 }
@@ -173,9 +163,9 @@ func (e *Engine) RunSolve(ctx context.Context, tasks *TaskGraph, s Solve) (*MapR
 // runSolve implements the solve pipeline: the prefix (grouping and
 // coarsening) followed by the rest. defaultWorkers is the
 // parallelism a Solve with Workers == 0 gets: 0 means
-// parallel.Workers() (direct Run/RunContext/RunSolve calls use the
-// whole host), while RunBatch and RunPortfolio pass 1 (their pools
-// already fan out across requests).
+// parallel.Workers() (a direct RunSolve uses the whole host), while
+// RunBatch and RunPortfolio pass 1 (their pools already fan out
+// across solves).
 func (e *Engine) runSolve(ctx context.Context, tg *TaskGraph, s Solve, defaultWorkers int) (*MapResult, error) {
 	j, cancel, err := e.newJob(ctx, tg, s, defaultWorkers, time.Now())
 	if err != nil {
@@ -213,18 +203,9 @@ func (e *Engine) newJob(ctx context.Context, tg *TaskGraph, s Solve, defaultWork
 	if s.TimeoutMS < 0 {
 		return nil, nil, fmt.Errorf("topomap: negative timeout_ms %d", s.TimeoutMS)
 	}
-	spec, ok := registry.Lookup(string(s.Mapper))
-	if !ok {
-		return nil, nil, fmt.Errorf("topomap: unknown mapper %q", s.Mapper)
-	}
-	caps := spec.Caps()
-	if caps.NeedsMultipath {
-		if _, ok := torus.MultipathOf(e.view); !ok {
-			return nil, nil, fmt.Errorf("topomap: mapper %s needs a topology with minimal-route enumeration", s.Mapper)
-		}
-	}
-	if caps.NeedsCoords && !tg.HasCoords() {
-		return nil, nil, fmt.Errorf("topomap: mapper %s needs per-task coordinates on the task graph", s.Mapper)
+	spec, err := e.mapperFor(tg, s.Mapper)
+	if err != nil {
+		return nil, nil, fmt.Errorf("topomap: %w", err)
 	}
 	cancel := context.CancelFunc(func() {})
 	if s.TimeoutMS > 0 {
@@ -239,7 +220,30 @@ func (e *Engine) newJob(ctx context.Context, tg *TaskGraph, s Solve, defaultWork
 		tr = trace.New()
 	}
 	ex := &core.Exec{Par: parallel.NewGroup(ctx, workers), Arena: e.arena, Trace: tr}
-	return &solveJob{ctx: ctx, s: s, spec: spec, caps: caps, ex: ex}, cancel, nil
+	return &solveJob{ctx: ctx, s: s, spec: spec, caps: spec.Caps(), ex: ex}, cancel, nil
+}
+
+// mapperFor resolves mapper m through the registry and checks that
+// the engine's topology and the task graph tg supply what it needs:
+// minimal-route enumeration for NeedsMultipath, per-task coordinates
+// for NeedsCoords. Every entry point that names a mapper applies it
+// before any work starts; the errors carry no package prefix, so each
+// caller says which mapper of its job failed.
+func (e *Engine) mapperFor(tg *TaskGraph, m Mapper) (registry.MapperSpec, error) {
+	spec, ok := registry.Lookup(string(m))
+	if !ok {
+		return nil, fmt.Errorf("unknown mapper %q", m)
+	}
+	caps := spec.Caps()
+	if caps.NeedsMultipath {
+		if _, ok := torus.MultipathOf(e.view); !ok {
+			return nil, fmt.Errorf("mapper %s needs a topology with minimal-route enumeration", m)
+		}
+	}
+	if caps.NeedsCoords && !tg.HasCoords() {
+		return nil, fmt.Errorf("mapper %s needs per-task coordinates on the task graph", m)
+	}
+	return spec, nil
 }
 
 // prefix is the head of the pipeline every mapper shares (§III-A):
@@ -306,8 +310,7 @@ func (e *Engine) balances(caps registry.Caps, s Solve) bool {
 }
 
 // finishSolve runs the rest of the pipeline on a prefix the job owns:
-// dispatch the mapper, the optional WH pass, capacity and load repair,
-// fine-level refinement, metrics and the optional simulation.
+// dispatch the mapper and the optional WH pass, then finishPlacement.
 func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, error) {
 	ctx, s, caps, ex := j.ctx, j.s, j.caps, j.ex
 	group, coarse := p.group, p.coarse
@@ -344,12 +347,24 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 		core.RefineWH(coarse, e.view, e.alloc.Nodes, nodeOf, core.RefineOptions{Exec: ex})
 		sp.End()
 	}
+	return e.finishPlacement(j, tg, nil, p, nodeOf)
+}
+
+// finishPlacement is the tail every placement ends on, a cold solve's
+// and a warm remap's alike: capacity and load repair, fine-level
+// refinement, metrics and the optional simulation. The result names
+// j.s.Mapper. sym is tg's symmetrized graph when the caller already
+// built it (nil: built here, and only for the fine-level refinement).
+func (e *Engine) finishPlacement(j *solveJob, tg *TaskGraph, sym *Graph, p prefix, nodeOf []int32) (*MapResult, error) {
+	ctx, s, caps, ex := j.ctx, j.s, j.caps, j.ex
+	group, coarse := p.group, p.coarse
+	poolWorkers := ex.Par.NumWorkers()
 	// Heterogeneous capacities (§III-A): the mappers optimize locality
 	// one-to-one; when node capacities are non-uniform a heavy group
 	// can land on a small node, so repair any violations with
 	// weight-aware swaps (a no-op on uniform allocations).
 	if !caps.BlockGrouping && !e.uniform {
-		sp = ex.StartSpan("repair")
+		sp := ex.StartSpan("repair")
 		weight := e.arena.Int64s(coarse.N())
 		for _, g := range group {
 			weight[g]++
@@ -363,7 +378,7 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 	// the costliest tasks off the bottleneck node — per-task loads over
 	// per-node speeds — onto the cheapest feasible node.
 	if e.balances(caps, s) {
-		sp = ex.StartSpan("balance")
+		sp := ex.StartSpan("balance")
 		moves := hetero.RepairLoad(tg.G, coarse, group, nodeOf, e.speedOfNode, e.capOfNode)
 		sp.Add("balance_moves", int64(moves))
 		sp.End()
@@ -374,13 +389,16 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 	}
 	res := &MapResult{Mapper: s.Mapper, GroupOf: group, NodeOf: nodeOf, Coarse: coarse, Trace: ex.Trace}
 	if s.FineRefine {
-		sp = ex.StartSpan("refine_fine")
+		sp := ex.StartSpan("refine_fine")
 		sp.SetWorkers(poolWorkers)
-		res.FineWHGain, res.FineVolGain = core.RefineWHFine(tg.SymmetricArena(e.arena), e.view, group, nodeOf, core.RefineOptions{Exec: ex})
+		if sym == nil {
+			sym = tg.SymmetricArena(e.arena)
+		}
+		res.FineWHGain, res.FineVolGain = core.RefineWHFine(sym, e.view, group, nodeOf, core.RefineOptions{Exec: ex})
 		sp.End()
 	}
 	pl := &metrics.Placement{GroupOf: group, NodeOf: nodeOf}
-	sp = ex.StartSpan("metrics")
+	sp := ex.StartSpan("metrics")
 	sp.SetWorkers(poolWorkers)
 	res.Metrics = metrics.ComputePar(tg.G, e.view, pl, ex.Par)
 	// ComputePar fills the unit-speed makespan; a heterogeneous
@@ -429,34 +447,22 @@ func groupCentroids(tg *TaskGraph, group []int32, numGroups int) ([]float64, int
 	return cent, dim
 }
 
-// RunBatch runs every request on a worker pool sized to the host
-// (GOMAXPROCS) and returns the results by request index. Results are
-// deterministic: the same requests produce the same placements
-// regardless of worker count or scheduling. On error the first
-// failure (lowest request index, as a serial loop would hit it) is
-// returned; entries for requests that completed are still filled.
-func (e *Engine) RunBatch(reqs []Request) ([]*MapResult, error) {
-	return e.RunBatchWorkers(reqs, 0)
-}
-
-// RunBatchWorkers is RunBatch with an explicit worker count
-// (workers <= 0 means GOMAXPROCS).
-func (e *Engine) RunBatchWorkers(reqs []Request, workers int) ([]*MapResult, error) {
-	return e.RunBatchContext(context.Background(), reqs, workers)
-}
-
-// RunBatchContext is RunBatchWorkers with cancellation: every request
-// runs under ctx (see RunContext), so one deadline bounds the whole
-// batch.
-func (e *Engine) RunBatchContext(ctx context.Context, reqs []Request, workers int) ([]*MapResult, error) {
-	results := make([]*MapResult, len(reqs))
-	err := parallel.ForEach(len(reqs), workers, func(i int) error {
-		// Each request defaults to one worker: the batch pool already
-		// fans out across requests, so per-request parallelism on top
-		// would oversubscribe the host. Solve.Workers overrides.
-		res, err := e.runSolve(ctx, reqs[i].Tasks, reqs[i].Solve(), 1)
+// RunBatch runs every solve against tasks on a pool of workers
+// (workers <= 0 means GOMAXPROCS), under ctx (see RunSolve), and
+// returns the results by solve index. Each solve defaults to one
+// worker: the pool already fans out across solves, so per-solve
+// parallelism on top would oversubscribe the host; Solve.Workers
+// overrides. Results are deterministic: the same solves produce the
+// same placements regardless of worker count or scheduling. On error
+// the first failure (lowest solve index, as a serial loop would hit
+// it) is returned; entries for solves that completed are still
+// filled.
+func (e *Engine) RunBatch(ctx context.Context, tasks *TaskGraph, solves []Solve, workers int) ([]*MapResult, error) {
+	results := make([]*MapResult, len(solves))
+	err := parallel.ForEach(len(solves), workers, func(i int) error {
+		res, err := e.runSolve(ctx, tasks, solves[i], 1)
 		if err != nil {
-			return fmt.Errorf("topomap: request %d (%s): %w", i, reqs[i].Mapper, err)
+			return fmt.Errorf("topomap: request %d (%s): %w", i, solves[i].Mapper, err)
 		}
 		results[i] = res
 		return nil

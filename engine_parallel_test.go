@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Parallel-pipeline tests: WithParallelism must change wall-clock
+// Parallel-pipeline tests: Solve.Workers must change wall-clock
 // only, never bytes. These run under `make race` (the -run pattern
 // matches Engine), which makes them the proof that the solve's
 // forked subtasks touch disjoint state.
@@ -45,15 +45,13 @@ func TestEngineParallelDeterminism(t *testing.T) {
 		if MapperCapsOf(mp).NeedsCoords {
 			tasks = tgc
 		}
-		base, err := eng.Run(Request{Mapper: mp, Tasks: tasks, Seed: 3,
-			Options: []RequestOption{WithParallelism(1)}})
+		base, err := eng.RunSolve(context.Background(), tasks, Solve{Mapper: mp, Seed: 3, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: serial: %v", mp, err)
 		}
 		baseRF := rankfileBytes(t, base, a)
 		for _, workers := range []int{2, 8} {
-			got, err := eng.Run(Request{Mapper: mp, Tasks: tasks, Seed: 3,
-				Options: []RequestOption{WithParallelism(workers)}})
+			got, err := eng.RunSolve(context.Background(), tasks, Solve{Mapper: mp, Seed: 3, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", mp, workers, err)
 			}
@@ -110,15 +108,13 @@ func TestRefineMCParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mp := range []Mapper{UMC, UMMC} {
-			base, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 7,
-				Options: []RequestOption{WithParallelism(1)}})
+			base, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 7, Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", tc.name, mp, err)
 			}
 			baseRF := rankfileBytes(t, base, tc.a)
 			for _, workers := range []int{2, 8} {
-				got, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 7,
-					Options: []RequestOption{WithParallelism(workers)}})
+				got, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 7, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", tc.name, mp, workers, err)
 				}
@@ -175,14 +171,13 @@ func TestRefineMCCancellationMidRefinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm run to measure the instance (and warm the arena).
-	if _, err := eng.Run(Request{Mapper: UMC, Tasks: tg, Seed: 7}); err != nil {
+	if _, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UMC, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
 	began := time.Now()
-	_, err = eng.RunContext(ctx, Request{Mapper: UMC, Tasks: tg, Seed: 7,
-		Options: []RequestOption{WithParallelism(2)}})
+	_, err = eng.RunSolve(ctx, tg, Solve{Mapper: UMC, Seed: 7, Workers: 2})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -200,12 +195,11 @@ func TestEngineParallelDefaultMatchesExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := eng.Run(Request{Mapper: UWH, Tasks: tg, Seed: 5,
-		Options: []RequestOption{WithParallelism(1)}})
+	serial, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UWH, Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := eng.Run(Request{Mapper: UWH, Tasks: tg, Seed: 5})
+	def, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UWH, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +239,11 @@ func TestEngineParallelHeterogeneous(t *testing.T) {
 		capOf[n] = a.ProcsPerNode[i]
 	}
 	for _, mp := range []Mapper{UG, UWH, UMC, UML} {
-		base, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 1,
-			Options: []RequestOption{WithParallelism(1)}})
+		base, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", mp, err)
 		}
-		got, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 1,
-			Options: []RequestOption{WithParallelism(8)}})
+		got, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1, Workers: 8})
 		if err != nil {
 			t.Fatalf("%s: %v", mp, err)
 		}
@@ -282,8 +274,7 @@ func TestEngineInSolveCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel()
 	began := time.Now()
-	_, err = eng.RunContext(ctx, Request{Mapper: UMC, Tasks: tg, Seed: 1,
-		Options: []RequestOption{WithParallelism(2)}})
+	_, err = eng.RunSolve(ctx, tg, Solve{Mapper: UMC, Seed: 1, Workers: 2})
 	if err == nil {
 		t.Fatal("microsecond deadline produced a result")
 	}

@@ -2,13 +2,14 @@ package topomap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// Engine/Request API tests: golden equivalence against the uncached
+// Engine API tests: golden equivalence against the uncached
 // pipeline, topology generality, batch determinism, and the registry
 // surface.
 
@@ -37,10 +38,10 @@ func engineFixture(t *testing.T, procs int) (*TaskGraph, *Torus, *Allocation) {
 }
 
 // TestEngineGoldenEquivalence is the API redesign's conservation law:
-// Engine.Run (registry dispatch + cached routing state) must produce
-// byte-identical GroupOf/NodeOf — and therefore identical metrics —
-// to an engine reading routes straight off the raw torus, for every
-// registered mapper.
+// Engine.RunSolve (registry dispatch + cached routing state) must
+// produce byte-identical GroupOf/NodeOf — and therefore identical
+// metrics — to an engine reading routes straight off the raw torus,
+// for every registered mapper.
 func TestEngineGoldenEquivalence(t *testing.T) {
 	tg, topo, a := engineFixture(t, 128)
 	tgc := withTestCoords(t, tg)
@@ -62,7 +63,7 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", mp, err)
 		}
-		got, err := eng.Run(Request{Mapper: mp, Tasks: tasks, Seed: 1})
+		got, err := eng.RunSolve(context.Background(), tasks, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: engine: %v", mp, err)
 		}
@@ -78,7 +79,7 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineTopologyGeneric runs the same Request on a fat tree and a
+// TestEngineTopologyGeneric runs the same Solve on a fat tree and a
 // dragonfly — the §III "various topologies" claim as an API property.
 func TestEngineTopologyGeneric(t *testing.T) {
 	tg, _, _ := engineFixture(t, 64)
@@ -119,7 +120,7 @@ func TestEngineTopologyGeneric(t *testing.T) {
 			if MapperCapsOf(mp).NeedsCoords {
 				tasks = tgc
 			}
-			res, err := eng.Run(Request{Mapper: mp, Tasks: tasks, Seed: 1})
+			res, err := eng.RunSolve(context.Background(), tasks, Solve{Mapper: mp, Seed: 1})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, mp, err)
 			}
@@ -144,7 +145,7 @@ func TestEngineTopologyGeneric(t *testing.T) {
 }
 
 // TestEngineRunBatchDeterministic checks the batch path: the same
-// requests must yield identical placements across repeated runs and
+// solves must yield identical placements across repeated runs and
 // across worker counts, while sharing one engine (the -race run makes
 // this the concurrency acceptance test too).
 func TestEngineRunBatchDeterministic(t *testing.T) {
@@ -153,26 +154,27 @@ func TestEngineRunBatchDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs []Request
+	var solves []Solve
 	for _, mp := range Mappers() {
 		for seed := int64(1); seed <= 3; seed++ {
-			reqs = append(reqs, Request{Mapper: mp, Tasks: tg, Seed: seed})
+			solves = append(solves, Solve{Mapper: mp, Seed: seed})
 		}
 	}
-	base, err := eng.RunBatchWorkers(reqs, 1)
+	ctx := context.Background()
+	base, err := eng.RunBatch(ctx, tg, solves, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 8} {
-		got, err := eng.RunBatchWorkers(reqs, workers)
+		got, err := eng.RunBatch(ctx, tg, solves, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i := range reqs {
+		for i := range solves {
 			if !reflect.DeepEqual(got[i].NodeOf, base[i].NodeOf) ||
 				!reflect.DeepEqual(got[i].GroupOf, base[i].GroupOf) {
-				t.Fatalf("workers=%d: request %d (%s seed %d) diverged from serial run",
-					workers, i, reqs[i].Mapper, reqs[i].Seed)
+				t.Fatalf("workers=%d: solve %d (%s seed %d) diverged from serial run",
+					workers, i, solves[i].Mapper, solves[i].Seed)
 			}
 		}
 	}
@@ -225,7 +227,7 @@ func TestEngineDragonflyMultipathGolden(t *testing.T) {
 	wantNodeOf := []int32{226, 225, 224, 223, 230, 234, 233, 231}
 	var results []*MapResult
 	for _, mp := range []Mapper{UMCA, UMC} {
-		res, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 1})
+		res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", mp, err)
 		}
@@ -258,7 +260,7 @@ func TestEngineDragonflyDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := base.Run(Request{Mapper: UMCA, Tasks: tg, Seed: 1})
+	want, err := base.RunSolve(context.Background(), tg, Solve{Mapper: UMCA, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,63 +269,77 @@ func TestEngineDragonflyDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := fresh.Run(Request{Mapper: UMCA, Tasks: tg, Seed: 1})
+	again, err := fresh.RunSolve(context.Background(), tg, Solve{Mapper: UMCA, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again.NodeOf, want.NodeOf) || !reflect.DeepEqual(again.GroupOf, want.GroupOf) {
 		t.Fatal("fresh engine diverged on dragonfly/UMCA")
 	}
-	// Batch pool, repeated request, same answer regardless of workers.
-	reqs := make([]Request, 6)
-	for i := range reqs {
-		reqs[i] = Request{Mapper: UMCA, Tasks: tg, Seed: 1}
+	// Batch pool, repeated solve, same answer regardless of workers.
+	solves := make([]Solve, 6)
+	for i := range solves {
+		solves[i] = Solve{Mapper: UMCA, Seed: 1}
 	}
 	for _, workers := range []int{1, 4} {
-		results, err := base.RunBatchWorkers(reqs, workers)
+		results, err := base.RunBatch(context.Background(), tg, solves, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, res := range results {
 			if !reflect.DeepEqual(res.NodeOf, want.NodeOf) {
-				t.Fatalf("workers=%d: batch request %d diverged", workers, i)
+				t.Fatalf("workers=%d: batch solve %d diverged", workers, i)
 			}
 		}
 	}
 }
 
-// TestEngineRunContext pins the cancellation contract: a live context
-// changes nothing, a dead one stops the pipeline between stages.
+// TestEngineRunContext pins the cancellation contract of RunSolve and
+// RunBatch: a live context changes nothing, a dead one stops the
+// pipeline between stages — and the batch still wraps the error so
+// errors.Is sees through it.
 func TestEngineRunContext(t *testing.T) {
 	tg, topo, a := engineFixture(t, 128)
 	eng, err := NewEngine(topo, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Run(Request{Mapper: UWH, Tasks: tg, Seed: 1})
+	s := Solve{Mapper: UWH, Seed: 1}
+	want, err := eng.RunSolve(context.Background(), tg, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.RunContext(context.Background(), Request{Mapper: UWH, Tasks: tg, Seed: 1})
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := eng.RunSolve(live, tg, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.NodeOf, want.NodeOf) {
-		t.Fatal("RunContext with a live context diverged from Run")
+	if !reflect.DeepEqual(got.NodeOf, want.NodeOf) || !reflect.DeepEqual(got.GroupOf, want.GroupOf) {
+		t.Fatal("RunSolve with a live cancellable context diverged")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := eng.RunContext(ctx, Request{Mapper: UWH, Tasks: tg, Seed: 1}); err != context.Canceled {
-		t.Fatalf("cancelled RunContext returned %v, want context.Canceled", err)
+	batch, err := eng.RunBatch(live, tg, []Solve{s, s}, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := eng.RunBatchContext(ctx, []Request{{Mapper: UWH, Tasks: tg, Seed: 1}}, 1); err == nil {
-		t.Fatal("cancelled RunBatchContext must fail")
+	for i, res := range batch {
+		if !reflect.DeepEqual(res.NodeOf, want.NodeOf) || !reflect.DeepEqual(res.GroupOf, want.GroupOf) {
+			t.Fatalf("RunBatch with a live context: solve %d diverged from RunSolve", i)
+		}
+	}
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	if _, err := eng.RunSolve(dead, tg, s); err != context.Canceled {
+		t.Fatalf("cancelled RunSolve returned %v, want context.Canceled", err)
+	}
+	if _, err := eng.RunBatch(dead, tg, []Solve{s}, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunBatch returned %v, want a wrapped context.Canceled", err)
 	}
 }
 
-// TestEngineRequestOptions exercises the functional options: the
-// extra refinement pass must never regress WH, the fine-level
-// refinement must report non-negative gains, and WithSimParams must
+// TestEngineRequestOptions exercises the Solve knobs: the extra
+// refinement pass (Refine) must never regress WH, the fine-level
+// refinement (FineRefine) must report non-negative gains, and Sim must
 // produce a positive simulated time.
 func TestEngineRequestOptions(t *testing.T) {
 	tg, topo, a := engineFixture(t, 128)
@@ -331,20 +347,20 @@ func TestEngineRequestOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := eng.Run(Request{Mapper: DEF, Tasks: tg, Seed: 1})
+	ctx := context.Background()
+	plain, err := eng.RunSolve(ctx, tg, Solve{Mapper: DEF, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := eng.Run(Request{Mapper: DEF, Tasks: tg, Seed: 1,
-		Options: []RequestOption{WithRefinement()}})
+	refined, err := eng.RunSolve(ctx, tg, Solve{Mapper: DEF, Seed: 1, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if refined.Metrics.WH > plain.Metrics.WH {
-		t.Fatalf("WithRefinement regressed WH: %d -> %d", plain.Metrics.WH, refined.Metrics.WH)
+		t.Fatalf("Refine regressed WH: %d -> %d", plain.Metrics.WH, refined.Metrics.WH)
 	}
-	full, err := eng.Run(Request{Mapper: UWH, Tasks: tg, Seed: 1,
-		Options: []RequestOption{WithFineRefine(), WithSimParams(4096, SimParams{Seed: 1})}})
+	full, err := eng.RunSolve(ctx, tg, Solve{Mapper: UWH, Seed: 1, FineRefine: true,
+		Sim: &SimSpec{BytesPerUnit: 4096, Params: SimParams{Seed: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,13 +368,13 @@ func TestEngineRequestOptions(t *testing.T) {
 		t.Fatalf("fine refinement reported negative gains: WH %d vol %d", full.FineWHGain, full.FineVolGain)
 	}
 	if full.SimSeconds <= 0 {
-		t.Fatalf("WithSimParams produced non-positive time %g", full.SimSeconds)
+		t.Fatalf("Sim produced non-positive time %g", full.SimSeconds)
 	}
 }
 
-// TestEngineRefinementRespectsCapacities pins the option ordering:
+// TestEngineRefinementRespectsCapacities pins the stage ordering:
 // the extra WH pass runs before the capacity repair, so even with
-// WithRefinement a heterogeneous allocation can never end up
+// Solve.Refine a heterogeneous allocation can never end up
 // oversubscribed.
 func TestEngineRefinementRespectsCapacities(t *testing.T) {
 	m, err := GenerateMatrix("cagelike", Tiny)
@@ -388,8 +404,7 @@ func TestEngineRefinementRespectsCapacities(t *testing.T) {
 		capOf[n] = a.ProcsPerNode[i]
 	}
 	for _, mp := range []Mapper{UG, UWH, UMC} {
-		res, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 1,
-			Options: []RequestOption{WithRefinement()}})
+		res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1, Refine: true})
 		if err != nil {
 			t.Fatalf("%s: %v", mp, err)
 		}
@@ -437,7 +452,7 @@ func TestRegisterMapperPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(Request{Mapper: Mapper(name), Tasks: tg, Seed: 1})
+	res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: Mapper(name), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,11 +487,11 @@ func TestEngineCapabilityGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(Request{Mapper: UMCA, Tasks: tg, Seed: 1}); err == nil {
+	if _, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UMCA, Seed: 1}); err == nil {
 		t.Fatal("UMCA on a non-multipath topology must fail")
 	}
 	// The WH family runs fine on the bare interface.
-	if _, err := eng.Run(Request{Mapper: UWH, Tasks: tg, Seed: 1}); err != nil {
+	if _, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UWH, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -494,7 +509,7 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(Request{Mapper: UG, Tasks: tg, Seed: 1}); err == nil {
+	if _, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UG, Seed: 1}); err == nil {
 		t.Fatal("want error when tasks exceed allocated processors")
 	}
 	ok, err := SparseAllocation(topo, 8, 1)
@@ -505,10 +520,10 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(Request{Mapper: Mapper("NOPE"), Tasks: tg, Seed: 1}); err == nil {
+	if _, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: Mapper("NOPE"), Seed: 1}); err == nil {
 		t.Fatal("want error for unknown mapper")
 	}
-	if _, err := eng.Run(Request{Mapper: UG}); err == nil {
+	if _, err := eng.RunSolve(context.Background(), nil, Solve{Mapper: UG}); err == nil {
 		t.Fatal("want error for missing task graph")
 	}
 	if _, err := NewEngine(topo, &Allocation{Nodes: []int32{1, 1}, ProcsPerNode: []int{16, 16}}); err == nil {
@@ -543,7 +558,7 @@ func TestEngineEvaluateMatchesEvaluateMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(Request{Mapper: UMC, Tasks: tg, Seed: 1})
+	res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UMC, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,10 +578,10 @@ func ExampleEngine_RunBatch() {
 		[]int64{10, 10, 10, 10})
 	tg := &TaskGraph{G: coarse, K: 4}
 	eng, _ := NewEngine(topo, a)
-	results, _ := eng.RunBatch([]Request{
-		{Mapper: DEF, Tasks: tg, Seed: 1},
-		{Mapper: UWH, Tasks: tg, Seed: 1},
-	})
+	results, _ := eng.RunBatch(context.Background(), tg, []Solve{
+		{Mapper: DEF, Seed: 1},
+		{Mapper: UWH, Seed: 1},
+	}, 0)
 	fmt.Println("UWH no worse than DEF:", results[1].Metrics.WH <= results[0].Metrics.WH)
 	// Output:
 	// UWH no worse than DEF: true

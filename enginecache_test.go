@@ -1,6 +1,7 @@
 package topomap
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -318,11 +319,11 @@ func TestNewCachedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Run(Request{Mapper: UWH, Tasks: tg, Seed: 1})
+	want, err := fresh.RunSolve(context.Background(), tg, Solve{Mapper: UWH, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e1.Run(Request{Mapper: UWH, Tasks: tg, Seed: 1})
+	got, err := e1.RunSolve(context.Background(), tg, Solve{Mapper: UWH, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

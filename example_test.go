@@ -13,13 +13,13 @@ import (
 	topomap "repro"
 )
 
-// ExampleEngine_Run runs the paper's full pipeline through the
+// ExampleEngine_RunSolve runs the paper's full pipeline through the
 // service API: generate a workload matrix, partition it into MPI
 // ranks, build the task graph, construct an Engine for the (torus,
 // allocation) pair — its routing state is precomputed once — and
-// serve two mapping requests against it: the SMP-style default
-// placement and UWH (greedy construction + WH refinement).
-func ExampleEngine_Run() {
+// serve two Solve specs against it: the SMP-style default placement
+// and UWH (greedy construction + WH refinement).
+func ExampleEngine_RunSolve() {
 	m, err := topomap.GenerateMatrix("mesh2d-a", topomap.Tiny)
 	if err != nil {
 		log.Fatal(err)
@@ -42,11 +42,11 @@ func ExampleEngine_Run() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	def, err := eng.Run(topomap.Request{Mapper: topomap.DEF, Tasks: tg, Seed: 1})
+	def, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.DEF, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	uwh, err := eng.Run(topomap.Request{Mapper: topomap.UWH, Tasks: tg, Seed: 1})
+	uwh, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.UWH, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

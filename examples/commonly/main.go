@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,7 +52,7 @@ func main() {
 			if mapper == topomap.SMAP {
 				continue // excluded from Figure 4 in the paper too
 			}
-			res, err := eng.Run(topomap.Request{Mapper: mapper, Tasks: tg, Seed: 1})
+			res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: mapper, Seed: 1})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -2,13 +2,14 @@
 // graph, three networks — a Hopper-like torus, a k-ary fat tree and a
 // canonical dragonfly — each served by an Engine that precomputes the
 // routing state of its allocation once and then answers mapping
-// Requests against it. The exact same Request runs on all three
+// jobs against it. The exact same Solve specs run on all three
 // (§III: the WH algorithms "can be applied to various topologies"),
 // and RunBatch fans the whole Figure-2 mapper sweep out over a worker
 // pool with deterministic results.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,11 +67,11 @@ func main() {
 		{"dragonfly h=3", df, dfAlloc},
 	}
 
-	// The identical batch of requests for every network: the seven
+	// The identical batch of solves for every network: the seven
 	// Figure-2 mappers.
-	var reqs []topomap.Request
+	var solves []topomap.Solve
 	for _, mp := range topomap.Mappers() {
-		reqs = append(reqs, topomap.Request{Mapper: mp, Tasks: tg, Seed: 1})
+		solves = append(solves, topomap.Solve{Mapper: mp, Seed: 1})
 	}
 
 	for _, net := range networks {
@@ -78,7 +79,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		results, err := eng.RunBatch(reqs)
+		results, err := eng.RunBatch(context.Background(), tg, solves, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,5 +102,5 @@ func main() {
 			100*(1-float64(bestWH)/float64(defWH)))
 	}
 
-	fmt.Println("\nsame Request, three topologies — the engine is the only thing that changed")
+	fmt.Println("\nsame Solve, three topologies — the engine is the only thing that changed")
 }

@@ -2,13 +2,14 @@
 // common non-torus interconnect. The paper presents its WH-minimizing
 // algorithms as topology-agnostic (§III); this example serves a k=8
 // fat tree (128 hosts, 2:1 bandwidth taper) through the Engine API —
-// the same Requests that run on a torus — then layers the manual
+// the same Solve specs that run on a torus — then layers the manual
 // ECMP-aware congestion refinement on top of the best WH mapping and
 // evaluates both the static (D-mod-k) and adaptive (ECMP-spread)
 // congestion of every mapping.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,15 +56,14 @@ func main() {
 	// Three mappings through one engine. On a fat tree the block
 	// placement (DEF) is already a strong baseline — allocation order
 	// follows pod locality — so the interesting comparisons are
-	// refinements of it: DEF polished by Algorithm 2
-	// (WithRefinement), the full UG+UWH construction, and below, the
-	// ECMP-aware congestion refinement on the best WH mapping.
-	results, err := eng.RunBatch([]topomap.Request{
-		{Mapper: topomap.DEF, Tasks: tg, Seed: 1},
-		{Mapper: topomap.DEF, Tasks: tg, Seed: 1,
-			Options: []topomap.RequestOption{topomap.WithRefinement()}},
-		{Mapper: topomap.UWH, Tasks: tg, Seed: 1},
-	})
+	// refinements of it: DEF polished by Algorithm 2 (Solve.Refine),
+	// the full UG+UWH construction, and below, the ECMP-aware
+	// congestion refinement on the best WH mapping.
+	results, err := eng.RunBatch(context.Background(), tg, []topomap.Solve{
+		{Mapper: topomap.DEF, Seed: 1},
+		{Mapper: topomap.DEF, Seed: 1, Refine: true},
+		{Mapper: topomap.UWH, Seed: 1},
+	}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

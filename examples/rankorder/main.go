@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -50,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.Run(topomap.Request{Mapper: topomap.UWH, Tasks: tg, Seed: 1})
+	res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.UWH, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func main() {
 	fmt.Printf("%-6s %10s %10s %12s %14s\n", "mapper", "TH", "MMC", "MC", "SpMV time (s)")
 	var defTime float64
 	for _, mapper := range topomap.Mappers() {
-		res, err := eng.Run(topomap.Request{Mapper: mapper, Tasks: tg, Seed: 1})
+		res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: mapper, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

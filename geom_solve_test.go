@@ -68,11 +68,11 @@ func TestSolveCoordinateDegeneracy(t *testing.T) {
 		if MapperCapsOf(mp).NeedsCoords {
 			continue // cannot run without coordinates by construction
 		}
-		want, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 1})
+		want, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: coordinate-free: %v", mp, err)
 		}
-		got, err := eng.Run(Request{Mapper: mp, Tasks: stripped, Seed: 1})
+		got, err := eng.RunSolve(context.Background(), stripped, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: stripped: %v", mp, err)
 		}
@@ -87,7 +87,7 @@ func TestSolveCoordinateDegeneracy(t *testing.T) {
 		}
 		// Coordinates present must also be invisible to coordinate-free
 		// mappers: they ignore geometry entirely.
-		withC, err := eng.Run(Request{Mapper: mp, Tasks: attached, Seed: 1})
+		withC, err := eng.RunSolve(context.Background(), attached, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: with coords: %v", mp, err)
 		}
@@ -140,12 +140,12 @@ func TestGeomBeatsOrderOnStencil(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := eng.Run(Request{Mapper: DEF, Tasks: tg, Seed: 1})
+		base, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: DEF, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s/DEF: %v", mode, err)
 		}
 		for _, mp := range []Mapper{GEOM, SFCM} {
-			res, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 1})
+			res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", mode, mp, err)
 			}
@@ -171,8 +171,7 @@ func TestGeomWorkerDeterminism(t *testing.T) {
 		var want *MapResult
 		var wantRF string
 		for _, workers := range []int{1, 2, 8} {
-			res, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 7,
-				Options: []RequestOption{WithParallelism(workers)}})
+			res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 7, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", mp, workers, err)
 			}
@@ -204,14 +203,13 @@ func TestGeomCancellationMidSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm run to measure the instance (and warm the arena).
-	if _, err := eng.Run(Request{Mapper: GEOM, Tasks: tg, Seed: 7}); err != nil {
+	if _, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: GEOM, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
 	began := time.Now()
-	_, err = eng.RunContext(ctx, Request{Mapper: GEOM, Tasks: tg, Seed: 7,
-		Options: []RequestOption{WithParallelism(2)}})
+	_, err = eng.RunSolve(ctx, tg, Solve{Mapper: GEOM, Seed: 7, Workers: 2})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -234,7 +232,7 @@ func TestGeomNeedsCoordsGates(t *testing.T) {
 		if !MapperCapsOf(mp).NeedsCoords {
 			t.Fatalf("%s does not declare NeedsCoords", mp)
 		}
-		if _, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 1}); err == nil {
+		if _, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1}); err == nil {
 			t.Fatalf("%s ran on a coordinate-free task graph", mp)
 		} else if !strings.Contains(err.Error(), "coordinates") {
 			t.Fatalf("%s: error %q does not mention coordinates", mp, err)

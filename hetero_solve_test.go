@@ -1,6 +1,7 @@
 package topomap
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,11 +56,11 @@ func TestSolveHomogeneousDegeneracy(t *testing.T) {
 		if MapperCapsOf(mp).NeedsCoords {
 			continue // coordinate-free fixture; see TestSolveCoordinateDegeneracy
 		}
-		want, err := engBase.Run(Request{Mapper: mp, Tasks: base, Seed: 1})
+		want, err := engBase.RunSolve(context.Background(), base, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", mp, err)
 		}
-		got, err := engUnit.Run(Request{Mapper: mp, Tasks: spelled, Seed: 1})
+		got, err := engUnit.RunSolve(context.Background(), spelled, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: unit-spelled: %v", mp, err)
 		}
@@ -119,8 +120,7 @@ func TestSolveHeteroWorkerDeterminism(t *testing.T) {
 	for _, mp := range []Mapper{HET, UWH} {
 		var want *MapResult
 		for _, workers := range []int{1, 2, 8} {
-			res, err := eng.Run(Request{Mapper: mp, Tasks: tg, Seed: 1,
-				Options: []RequestOption{WithParallelism(workers), WithBalance()}})
+			res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: mp, Seed: 1, Workers: workers, Balance: true})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", mp, workers, err)
 			}
@@ -170,7 +170,7 @@ func TestSolveHeteroBeatsBlindMakespan(t *testing.T) {
 		if MapperCapsOf(mp).NeedsCoords {
 			continue // the mlpipe workload carries no coordinates
 		}
-		res, err := engBlind.Run(Request{Mapper: mp, Tasks: withLoads(tg, nil), Seed: 1})
+		res, err := engBlind.RunSolve(context.Background(), withLoads(tg, nil), Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: blind: %v", mp, err)
 		}
@@ -184,8 +184,7 @@ func TestSolveHeteroBeatsBlindMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(Request{Mapper: HET, Tasks: tg, Seed: 1,
-		Options: []RequestOption{WithBalance()}})
+	res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: HET, Seed: 1, Balance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

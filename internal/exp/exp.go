@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -296,7 +297,7 @@ func (c *cache) mapCase(mapper topomap.Mapper, tg *topomap.TaskGraph, topo *toru
 		return nil, 0, err
 	}
 	start := time.Now()
-	res, err := eng.Run(topomap.Request{Mapper: mapper, Tasks: tg, Seed: seed})
+	res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: mapper, Seed: seed})
 	return res, time.Since(start), err
 }
 

@@ -283,10 +283,10 @@ func (s *Server) handleBatch(c codec, w http.ResponseWriter, r *http.Request) {
 	}
 	defer lg.end()
 	workers := s.parallelism(j.parallelism)
-	runs := make([]topomap.Request, len(j.items))
+	solves := make([]topomap.Solve, len(j.items))
 	for i, sol := range j.items {
 		sol.Workers = workers
-		runs[i] = sol.Request(j.tasks)
+		solves[i] = sol
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(j.timeoutMS))
 	defer cancel()
@@ -305,7 +305,7 @@ func (s *Server) handleBatch(c codec, w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		results, err = eng.RunBatchContext(ctx, runs, 1)
+		results, err = eng.RunBatch(ctx, j.tasks, solves, 1)
 		return err
 	})
 	if err != nil {

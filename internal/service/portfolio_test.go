@@ -296,10 +296,9 @@ func TestPortfolioStatusCounters(t *testing.T) {
 }
 
 // TestSolveWireMatchesClosurePath is the service side of the Solve
-// round trip: a wire request with every option set must match a
-// direct engine Run built from the closure options, byte for byte —
-// proving the wire's Solve lowering and the legacy option path are
-// the same pipeline.
+// round trip: a wire request with every knob set must match a direct
+// engine RunSolve of the same Solve, byte for byte — proving the
+// wire's Solve lowering and the library call are the same pipeline.
 func TestSolveWireMatchesClosurePath(t *testing.T) {
 	spec, tg := testTasks(64)
 	c := newClient(t, service.Config{})
@@ -312,8 +311,7 @@ func TestSolveWireMatchesClosurePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := eng.Run(topomap.Request{Mapper: topomap.UWH, Tasks: tg, Seed: 11,
-		Options: []topomap.RequestOption{topomap.WithRefinement(), topomap.WithFineRefine()}})
+	direct, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: topomap.UWH, Seed: 11, Refine: true, FineRefine: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestMapEquivalence(t *testing.T) {
 		if topomap.MapperCapsOf(mp).NeedsCoords {
 			taskSpec, tasks = specC, tgC
 		}
-		direct, err := eng.Run(topomap.Request{Mapper: mp, Tasks: tasks, Seed: 7})
+		direct, err := eng.RunSolve(context.Background(), tasks, topomap.Solve{Mapper: mp, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: direct: %v", mp, err)
 		}

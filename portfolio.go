@@ -121,7 +121,6 @@ func (e *Engine) compatibleMappers(hasCoords bool) []Mapper {
 // without their own; a sim-scoring objective required to have one
 // everywhere.
 func (e *Engine) portfolioCandidates(req PortfolioRequest) ([]Solve, error) {
-	hasCoords := req.Tasks != nil && req.Tasks.HasCoords()
 	cands := append([]Solve(nil), req.Candidates...)
 	if len(cands) == 0 {
 		for _, mp := range e.CompatibleMappersFor(req.Tasks) {
@@ -131,7 +130,6 @@ func (e *Engine) portfolioCandidates(req PortfolioRequest) ([]Solve, error) {
 			return nil, fmt.Errorf("topomap: portfolio found no registered mapper compatible with the topology")
 		}
 	}
-	_, multipath := torus.MultipathOf(e.view)
 	type identity struct {
 		mapper Mapper
 		seed   int64
@@ -139,15 +137,8 @@ func (e *Engine) portfolioCandidates(req PortfolioRequest) ([]Solve, error) {
 	seen := map[identity]int{}
 	for i := range cands {
 		c := &cands[i]
-		spec, ok := registry.Lookup(string(c.Mapper))
-		if !ok {
-			return nil, fmt.Errorf("topomap: portfolio candidate %d: unknown mapper %q", i, c.Mapper)
-		}
-		if spec.Caps().NeedsMultipath && !multipath {
-			return nil, fmt.Errorf("topomap: portfolio candidate %d: mapper %s needs a topology with minimal-route enumeration", i, c.Mapper)
-		}
-		if spec.Caps().NeedsCoords && !hasCoords {
-			return nil, fmt.Errorf("topomap: portfolio candidate %d: mapper %s needs per-task coordinates on the task graph", i, c.Mapper)
+		if _, err := e.mapperFor(req.Tasks, c.Mapper); err != nil {
+			return nil, fmt.Errorf("topomap: portfolio candidate %d: %w", i, err)
 		}
 		if c.TimeoutMS < 0 {
 			return nil, fmt.Errorf("topomap: portfolio candidate %d (%s): negative timeout_ms %d", i, c.Mapper, c.TimeoutMS)

@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hetero"
-	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/parallel"
 	"repro/internal/remap"
 	"repro/internal/routecache"
@@ -154,27 +151,6 @@ type RemapSpec struct {
 	FenceThreshold float64 `json:"fence_threshold,omitempty"`
 }
 
-// RemapOption tunes one Remap call by mutating the RemapSpec it
-// lowers onto.
-type RemapOption func(*RemapSpec)
-
-// WithRemapSolve sets the solve knobs of the remap (see
-// RemapSpec.Solve).
-func WithRemapSolve(s Solve) RemapOption {
-	return func(r *RemapSpec) { r.Solve = s }
-}
-
-// WithRemapObjective sets the objective the quality fence scores.
-func WithRemapObjective(o Objective) RemapOption {
-	return func(r *RemapSpec) { r.Objective = o }
-}
-
-// WithFenceThreshold sets the allowed relative warm-path regression
-// (see RemapSpec.FenceThreshold).
-func WithFenceThreshold(t float64) RemapOption {
-	return func(r *RemapSpec) { r.FenceThreshold = t }
-}
-
 // RemapResult is the outcome of an incremental remap: the winning
 // mapping on the post-delta allocation, the engine serving that
 // allocation (route state patched, not rebuilt — reuse it for
@@ -206,7 +182,7 @@ type RemapResult struct {
 	MigratedTasks int
 }
 
-// Remap incrementally remaps a finished result onto a changed
+// RunRemap incrementally remaps a finished result onto a changed
 // allocation: the per-pair route cache is patched in place (only
 // pairs touching changed nodes recompute), tasks stranded on removed
 // or shrunk nodes migrate via cheapest-feasible-node greedy
@@ -214,19 +190,9 @@ type RemapResult struct {
 // asks for a congestion metric — warm-starts from the patched
 // placement instead of reconstructing from scratch. A quality fence
 // guards the shortcut: when the warm result's objective regresses
-// more than the configured threshold over prev's score, a cold
-// RunSolve runs and the better result wins. Like every engine
+// more than the spec's threshold over prev's score, a cold solve of
+// spec.Solve runs and the better result wins. Like every engine
 // entry point, the output is byte-identical at any worker count.
-func (e *Engine) Remap(ctx context.Context, tasks *TaskGraph, prev *MapResult, delta AllocationDelta, opts ...RemapOption) (*RemapResult, error) {
-	var spec RemapSpec
-	for _, opt := range opts {
-		opt(&spec)
-	}
-	return e.RunRemap(ctx, tasks, prev, delta, spec)
-}
-
-// RunRemap is Remap with an explicit declarative spec — the form the
-// wire protocol carries. See Remap.
 func (e *Engine) RunRemap(ctx context.Context, tasks *TaskGraph, prev *MapResult, delta AllocationDelta, spec RemapSpec) (*RemapResult, error) {
 	if tasks == nil {
 		return nil, fmt.Errorf("topomap: remap carries no task graph")
@@ -245,6 +211,13 @@ func (e *Engine) RunRemap(ctx context.Context, tasks *TaskGraph, prev *MapResult
 	}
 	if spec.Solve.TimeoutMS < 0 {
 		return nil, fmt.Errorf("topomap: negative timeout_ms %d", spec.Solve.TimeoutMS)
+	}
+	// The cold fallback's mapper is checked now, not when the fence
+	// trips: a bad spec fails the same way whatever the warm path scores.
+	if spec.Solve.Mapper != "" {
+		if _, err := e.mapperFor(tasks, spec.Solve.Mapper); err != nil {
+			return nil, fmt.Errorf("topomap: remap cold fallback: %w", err)
+		}
 	}
 	if spec.Solve.TimeoutMS > 0 {
 		// One budget covers the whole remap — warm path plus any cold
@@ -341,16 +314,14 @@ type warmResult struct {
 
 // warmRemap runs the warm pipeline on the post-delta engine: patch
 // the placement (migrating only stranded tasks), rebuild the coarse
-// graph over the patched grouping, then refine — WH always, plus the
+// graph over the patched grouping, refine — WH always, plus the
 // congestion pass the objective's first congestion metric selects —
-// and evaluate. The pipeline mirrors runSolve's stage order
-// (placement-mutating steps before capacity repair on heterogeneous
-// allocations) so its determinism contract carries over. tr (nil
-// untraced) continues the stage timeline RunRemap opened with the
-// route-cache patch.
+// and finish on the cold solve's tail (finishPlacement), so repair,
+// balance, fine refinement, metrics and simulation run exactly as in
+// RunSolve. tr (nil untraced) continues the stage timeline RunRemap
+// opened with the route-cache patch.
 func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, spec RemapSpec, tr *trace.Trace) (*warmResult, error) {
-	workers := spec.Solve.Workers
-	ex := &core.Exec{Par: parallel.NewGroup(ctx, workers), Arena: e.arena, Trace: tr}
+	ex := &core.Exec{Par: parallel.NewGroup(ctx, spec.Solve.Workers), Arena: e.arena, Trace: tr}
 	poolWorkers := ex.Par.NumWorkers()
 
 	if err := ctx.Err(); err != nil {
@@ -358,17 +329,13 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 	}
 	sp := ex.StartSpan("patch_placement")
 	sym := tg.SymmetricArena(e.arena)
-	caps := make([]int64, e.alloc.NumNodes())
-	for i, p := range e.alloc.ProcsPerNode {
-		caps[i] = int64(p)
-	}
 	plan, err := remap.PatchPlacement(remap.Instance{
 		Sym:        sym,
 		Topo:       e.view,
 		OldGroupOf: prev.GroupOf,
 		OldNodeOf:  prev.NodeOf,
 		NewNodes:   e.alloc.Nodes,
-		NewCaps:    caps,
+		NewCaps:    e.caps,
 	})
 	if err != nil {
 		sp.End()
@@ -402,52 +369,16 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 		core.RefineCongestion(g, e.view, e.alloc.Nodes, nodeOf, kind, core.RefineOptions{Exec: ex})
 		sp.End()
 	}
-	if !e.uniform {
-		sp = ex.StartSpan("repair")
-		weight := e.arena.Int64s(coarse.N())
-		for _, g := range plan.GroupOf {
-			weight[g]++
-		}
-		moves := core.RepairCapacities(coarse, e.view, nodeOf, weight, e.capOfNode)
-		e.arena.PutInt64s(weight)
-		sp.Add("repair_moves", int64(moves))
-		sp.End()
-	}
-	// Mirror runSolve: after the delta the load distribution can be
-	// badly skewed (a fast node removed, its tasks migrated wholesale),
-	// so the warm path re-balances toward the makespan before the fence
-	// scores it.
-	if spec.Solve.Balance || !e.unitSpeeds {
-		sp = ex.StartSpan("balance")
-		moves := hetero.RepairLoad(tg.G, coarse, plan.GroupOf, nodeOf, e.speedOfNode, e.capOfNode)
-		sp.Add("balance_moves", int64(moves))
-		sp.End()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res := &MapResult{Mapper: prev.Mapper, GroupOf: plan.GroupOf, NodeOf: nodeOf, Coarse: coarse, Trace: tr}
-	if spec.Solve.FineRefine {
-		sp = ex.StartSpan("refine_fine")
-		sp.SetWorkers(poolWorkers)
-		res.FineWHGain, res.FineVolGain = core.RefineWHFine(sym, e.view, plan.GroupOf, nodeOf, core.RefineOptions{Exec: ex})
-		sp.End()
-	}
-	pl := &metrics.Placement{GroupOf: plan.GroupOf, NodeOf: nodeOf}
-	sp = ex.StartSpan("metrics")
-	sp.SetWorkers(poolWorkers)
-	res.Metrics = metrics.ComputePar(tg.G, e.view, pl, ex.Par)
-	if !e.unitSpeeds {
-		res.Metrics.Makespan, res.Metrics.LoadImbalance = hetero.Summary(tg.G, plan.GroupOf, nodeOf, e.speedOfNode)
-	}
-	sp.End()
-	if spec.Solve.Sim != nil {
-		sp = ex.StartSpan("sim")
-		res.SimSeconds = netsim.CommOnly(tg.G, e.view, pl, spec.Solve.Sim.BytesPerUnit, spec.Solve.Sim.Params).Seconds
-		res.SimRan = true
-		sp.End()
-	}
-	if err := ctx.Err(); err != nil {
+	// The patched grouping is not block-grouped, so the tail repairs
+	// capacities on any non-uniform allocation and re-balances toward
+	// the makespan whenever a cold partitioning solve would: after the
+	// delta the load can be badly skewed (a fast node removed, its
+	// tasks migrated wholesale). The result keeps prev's mapper name.
+	s := spec.Solve
+	s.Mapper = prev.Mapper
+	j := &solveJob{ctx: ctx, s: s, ex: ex}
+	res, err := e.finishPlacement(j, tg, sym, prefix{group: plan.GroupOf, coarse: coarse}, nodeOf)
+	if err != nil {
 		return nil, err
 	}
 	return &warmResult{res: res, migrated: len(plan.Stranded)}, nil

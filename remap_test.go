@@ -156,7 +156,7 @@ func TestRemapSingleNodeDeath(t *testing.T) {
 			deadTasks++
 		}
 	}
-	res, err := eng.Remap(context.Background(), tg, prev, AllocationDelta{Remove: []int32{dead}})
+	res, err := eng.RunRemap(context.Background(), tg, prev, AllocationDelta{Remove: []int32{dead}}, RemapSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRemapRackGrowth(t *testing.T) {
 			grow = append(grow, NodeCapacity{Node: m, Procs: 16})
 		}
 	}
-	res, err := eng.Remap(context.Background(), tg, prev, AllocationDelta{Add: grow})
+	res, err := eng.RunRemap(context.Background(), tg, prev, AllocationDelta{Add: grow}, RemapSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +228,9 @@ func TestRemapCapacityShrink(t *testing.T) {
 		t.Fatalf("fixture: node %d holds %d tasks, need >= 3", shrunk, onNode)
 	}
 	keep := onNode - 2 // force exactly 2 evictions
-	res, err := eng.Remap(context.Background(), tg, prev, AllocationDelta{
+	res, err := eng.RunRemap(context.Background(), tg, prev, AllocationDelta{
 		SetCapacity: []NodeCapacity{{shrunk, keep}},
-	})
+	}, RemapSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +248,9 @@ func TestRemapCapacityShrink(t *testing.T) {
 	}
 
 	// Shrink to zero behaves exactly like removal.
-	res0, err := eng.Remap(context.Background(), tg, prev, AllocationDelta{
+	res0, err := eng.RunRemap(context.Background(), tg, prev, AllocationDelta{
 		SetCapacity: []NodeCapacity{{shrunk, 0}},
-	})
+	}, RemapSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,17 +265,17 @@ func TestRemapCapacityShrink(t *testing.T) {
 
 func TestRemapEmptyingDeltaRejected(t *testing.T) {
 	eng, tg, prev := remapFixture(t)
-	_, err := eng.Remap(context.Background(), tg, prev, AllocationDelta{
+	_, err := eng.RunRemap(context.Background(), tg, prev, AllocationDelta{
 		Remove: append([]int32(nil), eng.Allocation().Nodes...),
-	})
+	}, RemapSpec{})
 	if err == nil || !strings.Contains(err.Error(), "empties the allocation") {
 		t.Fatalf("err = %v, want empties-the-allocation rejection", err)
 	}
 	// Infeasible (but non-empty) deltas are rejected before any work.
 	nodes := eng.Allocation().Nodes
-	_, err = eng.Remap(context.Background(), tg, prev, AllocationDelta{
+	_, err = eng.RunRemap(context.Background(), tg, prev, AllocationDelta{
 		Remove: append([]int32(nil), nodes[:len(nodes)-1]...),
-	})
+	}, RemapSpec{})
 	if err == nil || !strings.Contains(err.Error(), "exceed") {
 		t.Fatalf("err = %v, want capacity-exceeded rejection", err)
 	}
@@ -290,7 +290,7 @@ func TestRemapFenceThreshold(t *testing.T) {
 	delta := AllocationDelta{Remove: []int32{eng.Allocation().Nodes[2]}}
 
 	// Measure the warm path with the fence disabled.
-	free, err := eng.Remap(context.Background(), tg, prev, delta, WithFenceThreshold(-1))
+	free, err := eng.RunRemap(context.Background(), tg, prev, delta, RemapSpec{FenceThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestRemapFenceThreshold(t *testing.T) {
 	}
 
 	// Threshold just above the regression: warm result accepted as is.
-	above, err := eng.Remap(context.Background(), tg, prev, delta, WithFenceThreshold(regression*1.01))
+	above, err := eng.RunRemap(context.Background(), tg, prev, delta, RemapSpec{FenceThreshold: regression * 1.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestRemapFenceThreshold(t *testing.T) {
 
 	// Threshold just below: the cold fallback must run, and the
 	// winner is the lower score.
-	below, err := eng.Remap(context.Background(), tg, prev, delta, WithFenceThreshold(regression*0.99))
+	below, err := eng.RunRemap(context.Background(), tg, prev, delta, RemapSpec{FenceThreshold: regression * 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,9 +349,8 @@ func TestRemapDeterministicWorkers(t *testing.T) {
 	eng, tg, prev := remapFixture(t)
 	delta := AllocationDelta{Remove: []int32{eng.Allocation().Nodes[2]}}
 	run := func(workers int) *RemapResult {
-		res, err := eng.Remap(context.Background(), tg, prev, delta,
-			WithRemapSolve(Solve{Workers: workers}),
-			WithRemapObjective(MinimizeMetric("mc")))
+		res, err := eng.RunRemap(context.Background(), tg, prev, delta,
+			RemapSpec{Solve: Solve{Workers: workers}, Objective: MinimizeMetric("mc")})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -378,22 +377,30 @@ func TestRemapDeterministicWorkers(t *testing.T) {
 func TestRemapValidation(t *testing.T) {
 	eng, tg, prev := remapFixture(t)
 	delta := AllocationDelta{Remove: []int32{eng.Allocation().Nodes[0]}}
-	if _, err := eng.Remap(context.Background(), nil, prev, delta); err == nil {
+	ctx := context.Background()
+	if _, err := eng.RunRemap(ctx, nil, prev, delta, RemapSpec{}); err == nil {
 		t.Fatal("nil task graph accepted")
 	}
-	if _, err := eng.Remap(context.Background(), tg, nil, delta); err == nil {
+	if _, err := eng.RunRemap(ctx, tg, nil, delta, RemapSpec{}); err == nil {
 		t.Fatal("nil previous result accepted")
 	}
 	bad := &MapResult{Mapper: UWH, GroupOf: prev.GroupOf[:10], NodeOf: prev.NodeOf}
-	if _, err := eng.Remap(context.Background(), tg, bad, delta); err == nil {
+	if _, err := eng.RunRemap(ctx, tg, bad, delta, RemapSpec{}); err == nil {
 		t.Fatal("mismatched GroupOf length accepted")
 	}
-	if _, err := eng.Remap(context.Background(), tg, prev, delta,
-		WithRemapSolve(Solve{TimeoutMS: -1})); err == nil {
+	if _, err := eng.RunRemap(ctx, tg, prev, delta, RemapSpec{Solve: Solve{TimeoutMS: -1}}); err == nil {
 		t.Fatal("negative timeout accepted")
 	}
-	if _, err := eng.Remap(context.Background(), tg, prev, delta,
-		WithRemapObjective(Objective{Minimize: "nope"})); err == nil {
+	if _, err := eng.RunRemap(ctx, tg, prev, delta, RemapSpec{Objective: Objective{Minimize: "nope"}}); err == nil {
 		t.Fatal("unknown objective metric accepted")
+	}
+	// The cold fallback's mapper is validated up front, even with the
+	// fence off, when the fallback can never run: an unknown name, and
+	// a geometric mapper on a task graph without coordinates.
+	for _, mp := range []Mapper{"NOPE", GEOM} {
+		_, err := eng.RunRemap(ctx, tg, prev, delta, RemapSpec{Solve: Solve{Mapper: mp}, FenceThreshold: -1})
+		if err == nil || !strings.Contains(err.Error(), "remap cold fallback") {
+			t.Fatalf("fallback mapper %s with the fence off: err = %v, want a cold-fallback rejection", mp, err)
+		}
 	}
 }

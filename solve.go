@@ -1,22 +1,13 @@
 package topomap
 
-import (
-	"time"
-
-	"repro/internal/parallel"
-)
-
 // Solve is the declarative, serializable core of one mapping job: the
 // mapper to dispatch, the seed driving its randomized choices, and
 // every per-request behaviour knob as a plain JSON-tagged field. A
 // Solve fully determines the engine's behaviour for a task graph —
 // two equal Solve values produce byte-identical results — which makes
 // it the unit the mapd wire protocol, portfolio candidate lists and
-// persisted job specs all share instead of mirroring the closure
-// options field by field.
-//
-// The legacy Request/RequestOption surface lowers onto a Solve (see
-// Request.Solve); both paths run the identical pipeline.
+// persisted job specs all share, and the one request shape every
+// Engine entry point consumes.
 type Solve struct {
 	// Mapper names the algorithm, dispatched through the registry.
 	Mapper Mapper `json:"mapper"`
@@ -29,18 +20,22 @@ type Solve struct {
 	// mapping; gains land in MapResult.FineWHGain / FineVolGain.
 	FineRefine bool `json:"fine_refine,omitempty"`
 	// TimeoutMS bounds this solve's wall-clock in milliseconds; the
-	// pipeline bails cooperatively (see RunContext) once the budget
+	// pipeline bails cooperatively (see RunSolve) once the budget
 	// expires and surfaces context.DeadlineExceeded. 0 means no
 	// per-solve budget (the caller's ctx still governs); negative is
 	// rejected. Inside RunPortfolio an over-budget candidate is marked
 	// Skipped instead of failing the portfolio — the per-candidate
 	// budget the wire protocol exposes.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Workers bounds the worker goroutines of this solve. 0 means the
-	// caller-dependent default: all CPUs for Run/RunContext/RunSolve,
-	// one worker per request inside RunBatch and per candidate inside
-	// RunPortfolio (their pools already fan out). The result is
-	// byte-identical at any value; only the wall-clock changes.
+	// Workers bounds the worker goroutines of this solve: the grouping
+	// partitioner forks its bisection subtrees, the greedy mapper runs
+	// its seeded attempts concurrently, and the refinement stages fan
+	// candidate scoring out, all on one bounded pool. 0 means the
+	// caller-dependent default: all CPUs for RunSolve and RunRemap, one
+	// worker per solve inside RunBatch and per candidate inside
+	// RunPortfolio (their pools already fan out); negative means all
+	// CPUs everywhere. The result is byte-identical at any value; only
+	// the wall-clock changes.
 	Workers int `json:"workers,omitempty"`
 	// Sim, when set, additionally runs the communication-only
 	// simulator (§IV-C) on the finished mapping and stores the result
@@ -67,114 +62,4 @@ type Solve struct {
 type SimSpec struct {
 	BytesPerUnit float64   `json:"bytes_per_unit"`
 	Params       SimParams `json:"params"`
-}
-
-// Request is one mapping job for an Engine in the legacy imperative
-// form: which mapper to run, the task graph to place, the seed, and
-// functional options. It lowers onto the declarative Solve (see
-// Request.Solve); keep using it freely — it is a thin shim, not a
-// deprecated path — or hand the engine a Solve directly via RunSolve.
-type Request struct {
-	Mapper  Mapper
-	Tasks   *TaskGraph
-	Seed    int64
-	Options []RequestOption
-}
-
-// RequestOption tunes one Request by mutating the Solve it lowers
-// onto.
-type RequestOption func(*Solve)
-
-// Solve lowers the request onto its declarative form: the Mapper and
-// Seed fields copied over, then every option applied in order. The
-// engine runs the returned Solve, so Request and an equal hand-built
-// Solve are byte-identical by construction.
-func (r Request) Solve() Solve {
-	s := Solve{Mapper: r.Mapper, Seed: r.Seed}
-	for _, opt := range r.Options {
-		opt(&s)
-	}
-	return s
-}
-
-// Request wraps the Solve back into the imperative Request form — the
-// bridge for APIs that consume Request slices (RunBatch). The
-// returned request lowers back onto exactly this Solve.
-func (s Solve) Request(tasks *TaskGraph) Request {
-	return Request{Mapper: s.Mapper, Tasks: tasks, Seed: s.Seed,
-		Options: []RequestOption{func(dst *Solve) { *dst = s }}}
-}
-
-// WithRefinement applies an extra WH swap-refinement pass
-// (Algorithm 2) to the mapper's output — useful to polish baselines
-// such as DEF or a custom registered mapper; the UWH family already
-// ends with it.
-func WithRefinement() RequestOption {
-	return func(s *Solve) { s.Refine = true }
-}
-
-// WithFineRefine applies the §III-B fine-level refinement after
-// mapping: individual tasks swap groups when that lowers WH without
-// raising the inter-node volume. The gains are reported in
-// MapResult.FineWHGain / FineVolGain. The paper leaves this off by
-// default.
-func WithFineRefine() RequestOption {
-	return func(s *Solve) { s.FineRefine = true }
-}
-
-// WithParallelism bounds the worker goroutines of this request's
-// solve: the grouping partitioner forks its bisection subtrees, the
-// greedy mapper runs its two seeded attempts concurrently, and the
-// refinement stages fan candidate scoring out — all on one bounded
-// pool of n workers. The result is byte-identical for every n; only
-// the wall-clock changes. n <= 0 (and the default for Run/RunContext
-// when the option is absent) means parallel.Workers(), i.e. one
-// worker per available CPU. Requests inside RunBatch default to 1
-// worker instead, because the batch pool already fans out across
-// requests; pass WithParallelism explicitly to oversubscribe
-// deliberately.
-func WithParallelism(n int) RequestOption {
-	return func(s *Solve) {
-		if n <= 0 {
-			n = parallel.Workers()
-		}
-		s.Workers = n
-	}
-}
-
-// WithTrace records the solve's stage timeline in MapResult.Trace
-// (see Solve.Trace). The mapping itself is byte-identical traced or
-// not.
-func WithTrace() RequestOption {
-	return func(s *Solve) { s.Trace = true }
-}
-
-// WithBalance runs the makespan-aware load-repair stage after mapping
-// (see Solve.Balance) — the opt-in for loads-only jobs; allocations
-// with non-unit speeds get the stage automatically.
-func WithBalance() RequestOption {
-	return func(s *Solve) { s.Balance = true }
-}
-
-// WithTimeout bounds the solve's wall-clock; sub-millisecond values
-// round up to 1ms so a tiny but positive budget never lowers to "no
-// budget". See Solve.TimeoutMS.
-func WithTimeout(d time.Duration) RequestOption {
-	return func(s *Solve) {
-		ms := d.Milliseconds()
-		if ms == 0 && d > 0 {
-			ms = 1
-		}
-		s.TimeoutMS = ms
-	}
-}
-
-// WithSimParams additionally runs the communication-only simulator
-// (§IV-C) on the finished mapping and stores the simulated seconds in
-// MapResult.SimSeconds. bytesPerUnit scales task-graph volume units
-// to bytes.
-func WithSimParams(bytesPerUnit float64, p SimParams) RequestOption {
-	return func(s *Solve) {
-		s.Sim = &SimSpec{BytesPerUnit: bytesPerUnit, Params: p}
-	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // Solve-spec tests: the declarative Solve must serialize losslessly,
-// and the legacy Request+RequestOption shim must lower onto it with
-// byte-identical engine behaviour — the API redesign's conservation
-// law.
+// and a Solve that crossed the JSON codec — the wire path — must run
+// byte-identically to the same Solve held in memory: the conservation
+// law of having one request shape.
 
 // TestSolveJSONRoundTrip: a fully populated Solve survives the JSON
 // codec field for field, and a minimal one marshals minimally.
@@ -47,48 +47,29 @@ func TestSolveJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestLowersToSolve pins the lowering: every option mutates
-// exactly the Solve field it documents.
-func TestRequestLowersToSolve(t *testing.T) {
-	req := Request{Mapper: UWH, Seed: 9, Options: []RequestOption{
-		WithRefinement(),
-		WithFineRefine(),
-		WithParallelism(3),
-		WithSimParams(2048, SimParams{Seed: 5}),
-	}}
-	got := req.Solve()
-	want := Solve{Mapper: UWH, Seed: 9, Refine: true, FineRefine: true, Workers: 3,
-		Sim: &SimSpec{BytesPerUnit: 2048, Params: SimParams{Seed: 5}}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("lowering diverged:\n want %+v\n got  %+v", want, got)
-	}
-	// Solve.Request round-trips back onto the same Solve.
-	if rt := got.Request(nil).Solve(); !reflect.DeepEqual(rt, got) {
-		t.Fatalf("Solve -> Request -> Solve diverged: %+v", rt)
-	}
-}
-
-// TestRunSolveMatchesRequestPath is the compatibility-shim acceptance
-// gate: for every registered mapper and every option combination, a
-// JSON-round-tripped Solve through RunSolve produces byte-identical
-// results to the closure-option Request path.
+// TestRunSolveMatchesRequestPath is the wire-equivalence gate: for
+// every registered mapper and every knob combination, a Solve that
+// took a trip through the JSON codec — as a mapd request carries it —
+// produces byte-identical results to the same Solve passed in memory.
 func TestRunSolveMatchesRequestPath(t *testing.T) {
 	tg, topo, a := engineFixture(t, 128)
 	eng, err := NewEngine(topo, a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim := &SimSpec{BytesPerUnit: 4096, Params: SimParams{Seed: 1}}
 	variants := []struct {
 		name string
-		opts []RequestOption
+		s    Solve
 	}{
-		{"plain", nil},
-		{"refine", []RequestOption{WithRefinement()}},
-		{"fine", []RequestOption{WithFineRefine()}},
-		{"sim", []RequestOption{WithSimParams(4096, SimParams{Seed: 1})}},
-		{"all", []RequestOption{WithRefinement(), WithFineRefine(), WithParallelism(2), WithSimParams(4096, SimParams{Seed: 1})}},
+		{"plain", Solve{}},
+		{"refine", Solve{Refine: true}},
+		{"fine", Solve{FineRefine: true}},
+		{"sim", Solve{Sim: sim}},
+		{"all", Solve{Refine: true, FineRefine: true, Workers: 2, Sim: sim}},
 	}
 	tgc := withTestCoords(t, tg)
+	ctx := context.Background()
 	for _, mp := range RegisteredMappers() {
 		if strings.HasPrefix(string(mp), "TEST-") {
 			continue // registered by other tests in this binary
@@ -98,37 +79,36 @@ func TestRunSolveMatchesRequestPath(t *testing.T) {
 			tasks = tgc
 		}
 		for _, v := range variants {
-			req := Request{Mapper: mp, Tasks: tasks, Seed: 3, Options: v.opts}
-			legacy, err := eng.Run(req)
+			s := v.s
+			s.Mapper, s.Seed = mp, 3
+			want, err := eng.RunSolve(ctx, tasks, s)
 			if err != nil {
-				t.Fatalf("%s/%s: request path: %v", mp, v.name, err)
+				t.Fatalf("%s/%s: in-memory solve: %v", mp, v.name, err)
 			}
-			// The Solve takes a trip through the JSON codec — the wire
-			// path — before solving.
-			buf, err := json.Marshal(req.Solve())
+			buf, err := json.Marshal(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var s Solve
-			if err := json.Unmarshal(buf, &s); err != nil {
+			var wire Solve
+			if err := json.Unmarshal(buf, &wire); err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.RunSolve(context.Background(), tasks, s)
+			got, err := eng.RunSolve(ctx, tasks, wire)
 			if err != nil {
-				t.Fatalf("%s/%s: solve path: %v", mp, v.name, err)
+				t.Fatalf("%s/%s: wire solve: %v", mp, v.name, err)
 			}
-			if !reflect.DeepEqual(got.GroupOf, legacy.GroupOf) ||
-				!reflect.DeepEqual(got.NodeOf, legacy.NodeOf) {
-				t.Fatalf("%s/%s: placement diverged between Solve and Request paths", mp, v.name)
+			if !reflect.DeepEqual(got.GroupOf, want.GroupOf) ||
+				!reflect.DeepEqual(got.NodeOf, want.NodeOf) {
+				t.Fatalf("%s/%s: placement diverged between wire and in-memory Solve", mp, v.name)
 			}
-			if got.Metrics != legacy.Metrics {
-				t.Fatalf("%s/%s: metrics diverged:\n request %+v\n solve   %+v", mp, v.name, legacy.Metrics, got.Metrics)
+			if got.Metrics != want.Metrics {
+				t.Fatalf("%s/%s: metrics diverged:\n in-memory %+v\n wire      %+v", mp, v.name, want.Metrics, got.Metrics)
 			}
-			if got.FineWHGain != legacy.FineWHGain || got.FineVolGain != legacy.FineVolGain {
+			if got.FineWHGain != want.FineWHGain || got.FineVolGain != want.FineVolGain {
 				t.Fatalf("%s/%s: fine-refine gains diverged", mp, v.name)
 			}
-			if got.SimSeconds != legacy.SimSeconds {
-				t.Fatalf("%s/%s: sim seconds diverged: %g vs %g", mp, v.name, got.SimSeconds, legacy.SimSeconds)
+			if got.SimSeconds != want.SimSeconds {
+				t.Fatalf("%s/%s: sim seconds diverged: %g vs %g", mp, v.name, got.SimSeconds, want.SimSeconds)
 			}
 		}
 	}

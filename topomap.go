@@ -14,7 +14,8 @@
 // The service-shaped core is the Engine: build it once per
 // (Topology, Allocation) pair — it precomputes and caches the
 // pairwise routing state of the allocated nodes — then serve mapping
-// Requests against it, serially, concurrently, or in batches:
+// jobs against it, serially, concurrently, or in batches. Every job
+// is one declarative, serializable Solve spec:
 //
 //	m, _ := topomap.GenerateMatrix("cagelike", topomap.Tiny)
 //	topo := topomap.NewHopperTorus(8, 8, 8)
@@ -22,39 +23,39 @@
 //	part, _ := topomap.PartitionMatrix(topomap.PATOH, m, alloc.TotalProcs(), 1)
 //	tg, _ := topomap.BuildTaskGraph(m, part, alloc.TotalProcs())
 //	eng, _ := topomap.NewEngine(topo, alloc)
-//	res, _ := eng.Run(topomap.Request{Mapper: topomap.UWH, Tasks: tg, Seed: 1})
+//	res, _ := eng.RunSolve(ctx, tg, topomap.Solve{Mapper: topomap.UWH, Seed: 1})
 //	fmt.Println(res.Metrics.WH, res.Metrics.MC)
 //
-// The same Request runs unchanged on a fat tree or a dragonfly —
-// swap the two topology lines:
+// The same Solve runs unchanged on a fat tree or a dragonfly — swap
+// the two topology lines:
 //
 //	ft, _ := topomap.NewFatTree(8, 10e9, 2)
 //	alloc, _ := topomap.FatTreeSparseHosts(ft, 16, 1)
 //	eng, _ := topomap.NewEngine(ft, alloc)
 //
 // Mapping algorithms are dispatched through a registry; RegisterMapper
-// plugs in custom mappers next to the eleven built-ins, and
-// Engine.RunBatch fans many requests out over a worker pool with
-// deterministic results. NewCachedEngine serves engines from a
-// process-wide LRU keyed by the canonical (topology, allocation)
-// fingerprint; cmd/mapd exposes the same machinery as a resident
-// HTTP service for job-launch-time mapping.
+// plugs in custom mappers next to the fourteen built-ins, and
+// Engine.RunBatch fans many solves of one task graph out over a
+// worker pool with deterministic results. Engine.RunRemap moves a
+// finished result onto a changed allocation. NewCachedEngine serves
+// engines from a process-wide LRU keyed by the canonical (topology,
+// allocation) fingerprint; cmd/mapd exposes the same machinery as a
+// resident HTTP service for job-launch-time mapping.
 //
-// Every request lowers onto a declarative, serializable Solve spec
-// (Engine.RunSolve consumes one directly), and callers that want an
-// outcome instead of an algorithm declare an Objective — minimize
-// WH, MC, MMC, simulated seconds, or a weighted combination — and
-// race a candidate portfolio with Engine.RunPortfolio: the engine
-// fans the candidates over a bounded pool, scores every finished
-// result, and returns a deterministic winner plus the per-candidate
-// leaderboard. The winning mapper genuinely varies by topology and
-// graph shape (see examples/portfolio), which is the point.
+// Callers that want an outcome instead of an algorithm declare an
+// Objective — minimize WH, MC, MMC, simulated seconds, or a weighted
+// combination — and race a candidate portfolio of Solve specs with
+// Engine.RunPortfolio: the engine fans the candidates over a bounded
+// pool, scores every finished result, and returns a deterministic
+// winner plus the per-candidate leaderboard. The winning mapper
+// genuinely varies by topology and graph shape (see
+// examples/portfolio), which is the point.
 //
 // Inside one request, the whole solve pipeline — grouping bisection,
 // greedy construction, WH and congestion refinement, metric
-// evaluation — runs on a single bounded worker pool
-// (WithParallelism / Solve.Workers) with a hard determinism
-// contract: worker count changes wall-clock only, never bytes.
+// evaluation — runs on a single bounded worker pool (Solve.Workers)
+// with a hard determinism contract: worker count changes wall-clock
+// only, never bytes.
 // docs/ARCHITECTURE.md maps the paper's algorithms onto the packages
 // and diagrams the pipeline and the service layers on top.
 package topomap

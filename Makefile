@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-json race docs traceguard fuzz-smoke mapbench-smoke cover
+.PHONY: check fmt vet build test bench bench-json race docs traceguard harnessguard fuzz-smoke mapbench-smoke cover
 
 # check includes docs, whose recipe runs `go vet ./...` — listing vet
 # here too would vet the module twice per gate.
-check: fmt build test traceguard fuzz-smoke docs
+check: fmt build test traceguard harnessguard fuzz-smoke docs
 
 # Fuzz smoke: a few hundred executions of each fuzz target — the
 # binary-frame decoders of internal/wirebin and the /v1 JSON codec of
@@ -36,6 +36,17 @@ mapbench-smoke:
 traceguard:
 	@if grep -rn '"repro/internal/trace"' internal/ds internal/graph 2>/dev/null; then \
 		echo "internal/trace must not be imported from internal/ds or internal/graph"; exit 1; \
+	fi
+
+# The daemon serves the mapping pipeline, not the paper's evaluation
+# harness: the dataset generator, the partitioner personalities and
+# their hypergraph stack, the renderers and the experiment driver stay
+# out of cmd/mapd's link closure. A root re-export of any of them would
+# pull it back in, so this fails the moment one reappears.
+harnessguard:
+	@bad="$$($(GO) list -deps ./cmd/mapd | grep -E '^repro/internal/(gen|partitioners|hpart|hypergraph|viz|exp)$$')"; \
+	if [ -n "$$bad" ]; then \
+		echo "cmd/mapd must not link the evaluation harness:"; echo "$$bad"; exit 1; \
 	fi
 
 fmt:

@@ -98,7 +98,7 @@ func BenchmarkMapperUG(b *testing.B) {
 	g, topo, a := benchFixture(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MapUG(g, topo, a.Nodes)
+		core.MapUG(g, topo, a.Nodes, nil)
 	}
 }
 
@@ -107,7 +107,7 @@ func BenchmarkMapperUWH(b *testing.B) {
 	g, topo, a := benchFixture(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MapUWH(g, topo, a.Nodes)
+		core.MapUWH(g, topo, a.Nodes, nil)
 	}
 }
 
@@ -116,7 +116,7 @@ func BenchmarkMapperUMC(b *testing.B) {
 	g, topo, a := benchFixture(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MapUMC(g, topo, a.Nodes)
+		core.MapUMC(g, topo, a.Nodes, nil)
 	}
 }
 
@@ -132,7 +132,7 @@ func BenchmarkMapperUMMC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MapUMMC(g, msgG, topo, a.Nodes)
+		core.MapUMMC(g, msgG, topo, a.Nodes, nil)
 	}
 }
 
@@ -191,7 +191,7 @@ func BenchmarkTaskGraphBuild(b *testing.B) {
 // with static-route enumeration.
 func BenchmarkMetricsCompute(b *testing.B) {
 	g, topo, a := benchFixture(b, 256)
-	nodeOf := core.MapUG(g, topo, a.Nodes)
+	nodeOf := core.MapUG(g, topo, a.Nodes, nil)
 	pl := &metrics.Placement{NodeOf: nodeOf}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -203,7 +203,7 @@ func BenchmarkMetricsCompute(b *testing.B) {
 // communication simulator.
 func BenchmarkSimulatorCommOnly(b *testing.B) {
 	g, topo, a := benchFixture(b, 256)
-	nodeOf := core.MapUG(g, topo, a.Nodes)
+	nodeOf := core.MapUG(g, topo, a.Nodes, nil)
 	pl := &metrics.Placement{NodeOf: nodeOf}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -220,7 +220,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 	for _, delta := range []int{2, 8, 32} {
 		b.Run(map[int]string{2: "delta2", 8: "delta8", 32: "delta32"}[delta], func(b *testing.B) {
 			g, topo, a := benchFixture(b, 256)
-			base := core.MapUG(g, topo, a.Nodes)
+			base := core.MapUG(g, topo, a.Nodes, nil)
 			var lastWH int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -304,7 +304,7 @@ func BenchmarkAblationFineRefinement(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		whGain, _ = topomap.RefineFineLevel(tg, topo, res)
+		whGain, _ = core.RefineWHFine(tg.Symmetric(), topo, res.GroupOf, res.NodeOf, core.RefineOptions{})
 	}
 	b.ReportMetric(float64(whGain), "extraWH")
 }
@@ -313,13 +313,13 @@ func BenchmarkAblationFineRefinement(b *testing.B) {
 // greedy + Algorithm 2 (UWH), and the §III-B multilevel scheme (UML)
 // on the same instance, reporting the final WH each achieves.
 func BenchmarkAblationMultilevel(b *testing.B) {
-	run := func(name string, mapFn func(*graph.Graph, torus.Topology, []int32) []int32) {
+	run := func(name string, mapFn func(*graph.Graph, torus.Topology, []int32, *core.Exec) []int32) {
 		b.Run(name, func(b *testing.B) {
 			g, topo, a := benchFixture(b, 256)
 			var lastWH int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nodeOf := mapFn(g, topo, a.Nodes)
+				nodeOf := mapFn(g, topo, a.Nodes, nil)
 				lastWH = metrics.WeightedHops(g, topo, nodeOf)
 			}
 			b.ReportMetric(float64(lastWH), "WH")
@@ -327,7 +327,7 @@ func BenchmarkAblationMultilevel(b *testing.B) {
 	}
 	run("UG", core.MapUG)
 	run("UWH", core.MapUWH)
-	run("UML", func(g *graph.Graph, topo torus.Topology, nodes []int32) []int32 {
+	run("UML", func(g *graph.Graph, topo torus.Topology, nodes []int32, _ *core.Exec) []int32 {
 		return core.MapUML(g, topo, nodes, core.MultilevelOptions{})
 	})
 }
@@ -348,7 +348,7 @@ func BenchmarkFatTreeMapping(b *testing.B) {
 	var lastWH int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodeOf := core.MapUWH(g, ft, a.Nodes)
+		nodeOf := core.MapUWH(g, ft, a.Nodes, nil)
 		lastWH = metrics.WeightedHops(g, ft, nodeOf)
 	}
 	b.ReportMetric(float64(lastWH), "WH")
@@ -370,7 +370,7 @@ func BenchmarkDragonflyMapping(b *testing.B) {
 	var lastWH int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodeOf := core.MapUWH(g, d, a.Nodes)
+		nodeOf := core.MapUWH(g, d, a.Nodes, nil)
 		lastWH = metrics.WeightedHops(g, d, nodeOf)
 	}
 	b.ReportMetric(float64(lastWH), "WH")
@@ -395,10 +395,10 @@ func BenchmarkAblationAdaptiveRouting(b *testing.B) {
 		})
 	}
 	run("UMC_static", func(g *graph.Graph, topo *torus.Torus, nodes []int32) []int32 {
-		return core.MapUMC(g, topo, nodes)
+		return core.MapUMC(g, topo, nodes, nil)
 	})
 	run("UMCA_adaptive", func(g *graph.Graph, topo *torus.Torus, nodes []int32) []int32 {
-		return core.MapUMCA(g, topo, nodes)
+		return core.MapUMCA(g, topo, nodes, nil)
 	})
 }
 
@@ -423,10 +423,10 @@ func BenchmarkAblationAdaptiveSim(b *testing.B) {
 		})
 	}
 	run("UMC_static_model", func(g *graph.Graph, topo *torus.Torus, nodes []int32) []int32 {
-		return core.MapUMC(g, topo, nodes)
+		return core.MapUMC(g, topo, nodes, nil)
 	})
 	run("UMCA_adaptive_model", func(g *graph.Graph, topo *torus.Torus, nodes []int32) []int32 {
-		return core.MapUMCA(g, topo, nodes)
+		return core.MapUMCA(g, topo, nodes, nil)
 	})
 }
 
@@ -655,7 +655,7 @@ func BenchmarkRefineMC(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := graph.RandomConnected(512, 2048, 100, 17)
-	base := core.MapUG(g, topo, a.Nodes)
+	base := core.MapUG(g, topo, a.Nodes, nil)
 	ar := arena.New()
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("torus/w%d", workers), func(b *testing.B) {

@@ -45,16 +45,9 @@ func main() {
 		return
 	}
 
-	var t gen.Tier
-	switch strings.ToLower(*tier) {
-	case "tiny":
-		t = gen.Tiny
-	case "small":
-		t = gen.Small
-	case "large":
-		t = gen.Large
-	default:
-		fail(fmt.Errorf("unknown tier %q", *tier))
+	t, err := gen.ParseTier(*tier)
+	if err != nil {
+		fail(err)
 	}
 	want := map[string]bool{}
 	if *only != "" {

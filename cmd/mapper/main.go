@@ -28,13 +28,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	topomap "repro"
+	"repro/internal/gen"
+	"repro/internal/partitioners"
 	"repro/internal/service"
 	"repro/internal/service/client"
+	"repro/internal/taskgraph"
 	"repro/internal/trace"
+	"repro/internal/viz"
 )
 
 func main() {
@@ -68,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	allocFile := fs.String("allocfile", "", "read the allocation from a node-list file (node [procs] lines) instead of generating one")
 	rankFile := fs.String("rankfile", "", "write a Cray-style MPICH_RANK_ORDER file realizing the mapping")
 	traced := fs.Bool("trace", false, "print the solve's stage timeline: wall time, share, workers and per-stage counters (the mapping is identical with or without)")
-	viz := fs.Bool("viz", false, "render the congestion histogram, hottest links and torus slice maps")
+	showViz := fs.Bool("viz", false, "render the congestion histogram, hottest links and torus slice maps")
 	binaryWire := fs.Bool("binary", false, "solve through an in-process mapd over the /v2 binary frame protocol instead of driving the engine directly — same mapping, same output (incompatible with -portfolio and -viz)")
 	loadsSpec := fs.String("loads", "", "per-task compute loads as comma-separated value[xCount] terms, e.g. 8x16,1x48 (total = task count); overrides loads carried by -graph or -matrix")
 	coordsFile := fs.String("coords", "", "per-task coordinate file (task x y [z] lines, one per task) attaching 2D/3D geometry to the graph; overrides coordinates carried by -graph; the geometric mappers (GEOM, SFCM) require coordinates")
@@ -82,11 +87,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Validate mapper and objective names before any expensive work,
-	// so a typo fails in microseconds, not after a partitioner run.
+	// Validate mapper, dataset and objective names before any
+	// expensive work, so a typo fails in microseconds, not after a
+	// matrix generation or a partitioner run.
 	mapper := topomap.Mapper(strings.ToUpper(*algo))
 	if *portfolio == "" && !knownMapper(mapper) {
 		return fail(fmt.Errorf("unknown mapper %q (want one of: %s)", *algo, mapperList()))
+	}
+	dataTier, err := gen.ParseTier(*tier)
+	if err != nil {
+		return fail(err)
+	}
+	partitioner := partitioners.Name(*partName)
+	if !slices.Contains(partitioners.All(), partitioner) {
+		return fail(fmt.Errorf("unknown partitioner %q (want one of: %v)", *partName, partitioners.All()))
 	}
 	obj, err := topomap.ParseObjective(*objective)
 	if err != nil {
@@ -112,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *binaryWire && *portfolio != "" {
 		return fail(fmt.Errorf("-binary drives one /v2 map frame; portfolio racing has no frame endpoint — drop -binary or -portfolio"))
 	}
-	if *binaryWire && *viz {
+	if *binaryWire && *showViz {
 		return fail(fmt.Errorf("-viz renders from in-process coarsening state, which does not travel over the wire; drop -binary or -viz"))
 	}
 	var candidates []topomap.Mapper
@@ -141,22 +155,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tg *topomap.TaskGraph
 	switch {
 	case *matName != "":
-		t := topomap.Small
-		switch strings.ToLower(*tier) {
-		case "tiny":
-			t = topomap.Tiny
-		case "large":
-			t = topomap.Large
-		}
-		m, err := topomap.GenerateMatrix(*matName, t)
+		spec, err := gen.ByName(*matName)
 		if err != nil {
 			return fail(err)
 		}
-		part, err := topomap.PartitionMatrix(topomap.Partitioner(*partName), m, *procs, *seed)
+		m := spec.Generate(dataTier)
+		part, err := partitioners.Run(partitioner, m, *procs, *seed)
 		if err != nil {
 			return fail(err)
 		}
-		tg, err = topomap.BuildTaskGraph(m, part, *procs)
+		tg, err = taskgraph.Build(m, part, *procs)
 		if err != nil {
 			return fail(err)
 		}
@@ -380,19 +388,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			break
 		}
 	}
-	if *viz {
+	if *showViz {
 		fmt.Fprintln(stdout)
-		if err := topomap.RenderCongestionHistogram(stdout, tg, net.Topo, res.Placement(), 10); err != nil {
+		if err := viz.CongestionHistogram(stdout, tg.G, net.Topo, res.Placement(), 10); err != nil {
 			return fail(err)
 		}
 		if t, ok := net.Topo.(*topomap.Torus); ok {
 			fmt.Fprintln(stdout)
-			if err := topomap.RenderTopLinks(stdout, tg, t, res.Placement(), 10); err != nil {
+			if err := viz.FprintTopLinks(stdout, tg.G, t, res.Placement(), 10); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintln(stdout)
 			for z := 0; z < t.Dims()[2]; z++ {
-				if err := topomap.RenderSliceMap(stdout, t, a, res.Coarse, res.NodeOf, z); err != nil {
+				if err := viz.SliceMap(stdout, t, a, res.Coarse, res.NodeOf, z); err != nil {
 					return fail(err)
 				}
 			}

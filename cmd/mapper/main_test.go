@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	topomap "repro"
+	"repro/internal/gen"
+	"repro/internal/partitioners"
+	"repro/internal/taskgraph"
 )
 
 func TestParseDims(t *testing.T) {
@@ -70,16 +73,17 @@ func TestBuildTopologyFamilies(t *testing.T) {
 // topology family the CLI exposes — the -topology satellite's
 // acceptance: one Solve path, three networks.
 func TestEndToEndPerTopology(t *testing.T) {
-	m, err := topomap.GenerateMatrix("cagelike", topomap.Tiny)
+	spec, err := gen.ByName(gen.Cagelike)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := spec.Generate(gen.Tiny)
 	const procs = 64
-	part, err := topomap.PartitionMatrix(topomap.PATOH, m, procs, 1)
+	part, err := partitioners.Run(partitioners.PATOHP, m, procs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, err := topomap.BuildTaskGraph(m, part, procs)
+	tg, err := taskgraph.Build(m, part, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +111,10 @@ func TestEndToEndPerTopology(t *testing.T) {
 }
 
 // TestRunExitCodes pins the CLI contract: bad inputs — unknown
-// mapper or topology names above all — exit non-zero with a
-// diagnostic on stderr, and a good run exits 0. The unknown-mapper
-// case must fail fast, before the matrix/partitioner pipeline runs.
+// mapper, topology, tier or partitioner names above all — exit
+// non-zero with a diagnostic on stderr, and a good run exits 0. The
+// unknown-name cases must fail fast, before the matrix/partitioner
+// pipeline runs.
 func TestRunExitCodes(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -128,6 +133,18 @@ func TestRunExitCodes(t *testing.T) {
 			args:     []string{"-matrix", "cagelike", "-tier", "tiny", "-procs", "64", "-topology", "hypercube"},
 			wantCode: 1,
 			wantErr:  "unknown kind",
+		},
+		{
+			name:     "unknown tier",
+			args:     []string{"-matrix", "cagelike", "-tier", "tinny", "-procs", "64"},
+			wantCode: 1,
+			wantErr:  "unknown tier",
+		},
+		{
+			name:     "unknown partitioner",
+			args:     []string{"-matrix", "cagelike", "-tier", "tiny", "-procs", "64", "-partitioner", "ZOLTAN"},
+			wantCode: 1,
+			wantErr:  "unknown partitioner",
 		},
 		{
 			name:     "missing input",

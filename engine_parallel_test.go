@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/partitioners"
 )
 
 // Parallel-pipeline tests: Solve.Workers must change wall-clock
@@ -212,24 +214,13 @@ func TestEngineParallelDefaultMatchesExplicit(t *testing.T) {
 // non-uniform processor counts with parallel workers must reproduce
 // the serial placement and still respect every node capacity.
 func TestEngineParallelHeterogeneous(t *testing.T) {
-	m, err := GenerateMatrix("cagelike", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	topo := NewHopperTorus(6, 6, 6)
 	a := &Allocation{
 		Nodes:        []int32{3, 40, 77, 101, 130, 171},
 		ProcsPerNode: []int{24, 8, 16, 24, 8, 16}, // 96 procs
 	}
 	procs := a.TotalProcs()
-	part, err := PartitionMatrix(PATOH, m, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "cagelike", partitioners.PATOHP, procs, 1)
 	eng, err := NewEngine(topo, a)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/alloc"
+	"repro/internal/partitioners"
 )
 
 // Engine API tests: golden equivalence against the uncached
@@ -17,18 +20,7 @@ import (
 // shared by the engine tests.
 func engineFixture(t *testing.T, procs int) (*TaskGraph, *Torus, *Allocation) {
 	t.Helper()
-	m, err := GenerateMatrix("cagelike", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := PartitionMatrix(PATOH, m, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "cagelike", partitioners.PATOHP, procs, 1)
 	topo := NewHopperTorus(6, 6, 6)
 	a, err := SparseAllocation(topo, procs/16, 1)
 	if err != nil {
@@ -185,18 +177,7 @@ func TestEngineRunBatchDeterministic(t *testing.T) {
 // dragonfly.
 func dragonflyFixture(t *testing.T) (*TaskGraph, *Dragonfly, *Allocation) {
 	t.Helper()
-	m, err := GenerateMatrix("cagelike", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := PartitionMatrix(PATOH, m, 128, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "cagelike", partitioners.PATOHP, 128, 1)
 	df, err := NewDragonfly(3, 10e9, 5e9, 4e9)
 	if err != nil {
 		t.Fatal(err)
@@ -377,24 +358,13 @@ func TestEngineRequestOptions(t *testing.T) {
 // Solve.Refine a heterogeneous allocation can never end up
 // oversubscribed.
 func TestEngineRefinementRespectsCapacities(t *testing.T) {
-	m, err := GenerateMatrix("cagelike", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	topo := NewHopperTorus(6, 6, 6)
 	a := &Allocation{
 		Nodes:        []int32{3, 40, 77, 101, 130, 171},
 		ProcsPerNode: []int{24, 8, 16, 24, 8, 16}, // 96 procs
 	}
 	procs := a.TotalProcs()
-	part, err := PartitionMatrix(PATOH, m, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "cagelike", partitioners.PATOHP, procs, 1)
 	eng, err := NewEngine(topo, a)
 	if err != nil {
 		t.Fatal(err)
@@ -571,7 +541,7 @@ func TestEngineEvaluateMatchesEvaluateMetrics(t *testing.T) {
 // batch path; it doubles as the smallest possible engine quickstart.
 func ExampleEngine_RunBatch() {
 	topo := NewHopperTorus(4, 4, 4)
-	a, _ := ContiguousAllocation(topo, 4, 3)
+	a, _ := alloc.Generate(topo, 4, alloc.Config{Mode: alloc.Contiguous, Seed: 3})
 	coarse := FromEdges(4,
 		[]int32{0, 1, 2, 3},
 		[]int32{1, 2, 3, 0},

@@ -1,9 +1,10 @@
 package topomap_test
 
-// Godoc examples: compile-checked documentation of the three ways to
-// drive the library — the full paper pipeline through the Engine
-// service API, an objective-driven portfolio race, and the algorithms
-// directly on a hand-built coarse task graph.
+// Godoc examples: compile-checked documentation of the two ways to
+// drive the Engine — the full paper pipeline through the service API,
+// and an objective-driven portfolio race. Their SpMV workload comes
+// from the reproduction harness (internal/gen, internal/partitioners,
+// internal/taskgraph), which the root API does not export.
 
 import (
 	"context"
@@ -11,6 +12,9 @@ import (
 	"log"
 
 	topomap "repro"
+	"repro/internal/gen"
+	"repro/internal/partitioners"
+	"repro/internal/taskgraph"
 )
 
 // ExampleEngine_RunSolve runs the paper's full pipeline through the
@@ -20,21 +24,22 @@ import (
 // serve two Solve specs against it: the SMP-style default placement
 // and UWH (greedy construction + WH refinement).
 func ExampleEngine_RunSolve() {
-	m, err := topomap.GenerateMatrix("mesh2d-a", topomap.Tiny)
+	spec, err := gen.ByName("mesh2d-a")
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := spec.Generate(gen.Tiny)
 	topo := topomap.NewHopperTorus(6, 6, 6)
 	a, err := topomap.SparseAllocation(topo, 4, 1) // 4 nodes x 16 procs
 	if err != nil {
 		log.Fatal(err)
 	}
 	procs := a.TotalProcs()
-	part, err := topomap.PartitionMatrix(topomap.PATOH, m, procs, 1)
+	part, err := partitioners.Run(partitioners.PATOHP, m, procs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tg, err := topomap.BuildTaskGraph(m, part, procs)
+	tg, err := taskgraph.Build(m, part, procs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,21 +67,22 @@ func ExampleEngine_RunSolve() {
 // deterministic at any worker count, and the leaderboard reports
 // every candidate's score.
 func ExampleEngine_RunPortfolio() {
-	m, err := topomap.GenerateMatrix("mesh2d-a", topomap.Tiny)
+	spec, err := gen.ByName("mesh2d-a")
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := spec.Generate(gen.Tiny)
 	topo := topomap.NewHopperTorus(6, 6, 6)
 	a, err := topomap.SparseAllocation(topo, 4, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	procs := a.TotalProcs()
-	part, err := topomap.PartitionMatrix(topomap.PATOH, m, procs, 1)
+	part, err := partitioners.Run(partitioners.PATOHP, m, procs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tg, err := topomap.BuildTaskGraph(m, part, procs)
+	tg, err := taskgraph.Build(m, part, procs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,27 +111,4 @@ func ExampleEngine_RunPortfolio() {
 	// candidates raced: 3
 	// winner heads the leaderboard: true
 	// winner has the lowest congestion score: true
-}
-
-// ExampleGreedyMap drives the algorithms directly: a hand-built
-// coarse task graph (a ring with two heavy pairs), mapped one-to-one
-// onto four allocated nodes by Algorithm 1 and improved in place by
-// Algorithm 2, which only ever accepts WH-lowering swaps.
-func ExampleGreedyMap() {
-	topo := topomap.NewHopperTorus(4, 4, 4)
-	// Ring 0-1-2-3-0: edges 0-1 and 2-3 are heavy.
-	coarse := topomap.FromEdges(4,
-		[]int32{0, 1, 1, 2, 2, 3, 3, 0},
-		[]int32{1, 0, 2, 1, 3, 2, 0, 3},
-		[]int64{90, 90, 5, 5, 90, 90, 5, 5})
-	nodes := []int32{0, 1, 21, 42} // a scattered allocation
-	nodeOf := topomap.GreedyMap(coarse, topo, nodes)
-	before := topomap.EvaluateMetrics(&topomap.TaskGraph{G: coarse, K: 4}, topo,
-		&topomap.Placement{NodeOf: nodeOf}).WH
-	topomap.RefineWH(coarse, topo, nodes, nodeOf)
-	after := topomap.EvaluateMetrics(&topomap.TaskGraph{G: coarse, K: 4}, topo,
-		&topomap.Placement{NodeOf: nodeOf}).WH
-	fmt.Println("refinement never regresses:", after <= before)
-	// Output:
-	// refinement never regresses: true
 }

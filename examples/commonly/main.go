@@ -9,6 +9,9 @@ import (
 	"log"
 
 	topomap "repro"
+	"repro/internal/gen"
+	"repro/internal/partitioners"
+	"repro/internal/taskgraph"
 )
 
 func main() {
@@ -16,10 +19,11 @@ func main() {
 		procs        = 256
 		bytesPerUnit = 262144 // the paper's 256K scale factor for rgg
 	)
-	m, err := topomap.GenerateMatrix("rgg", topomap.Tiny)
+	spec, err := gen.ByName(gen.RGGName)
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := spec.Generate(gen.Tiny)
 	fmt.Printf("matrix: rgg (%d rows, %d nnz), %d processes, scale 256K\n\n",
 		m.Rows, m.NNZ(), procs)
 
@@ -35,13 +39,17 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Every solve also runs the communication-only simulator on its
+	// finished mapping.
+	sim := &topomap.SimSpec{BytesPerUnit: bytesPerUnit, Params: topomap.SimParams{Seed: 42}}
+
 	// Compare two partitioners × all mappers, as Figure 4b does.
-	for _, p := range []topomap.Partitioner{topomap.PATOH, topomap.UMPAMM} {
-		part, err := topomap.PartitionMatrix(p, m, procs, 1)
+	for _, p := range []partitioners.Name{partitioners.PATOHP, partitioners.UMPAMM} {
+		part, err := partitioners.Run(p, m, procs, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tg, err := topomap.BuildTaskGraph(m, part, procs)
+		tg, err := taskgraph.Build(m, part, procs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,12 +60,11 @@ func main() {
 			if mapper == topomap.SMAP {
 				continue // excluded from Figure 4 in the paper too
 			}
-			res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: mapper, Seed: 1})
+			res, err := eng.RunSolve(context.Background(), tg, topomap.Solve{Mapper: mapper, Seed: 1, Sim: sim})
 			if err != nil {
 				log.Fatal(err)
 			}
-			secs := topomap.SimulateCommOnly(tg, topo, res.Placement(), bytesPerUnit,
-				topomap.SimParams{Seed: 42})
+			secs := res.SimSeconds
 			if mapper == topomap.DEF {
 				defTime = secs
 			}

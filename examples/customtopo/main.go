@@ -8,6 +8,7 @@ import (
 	"log"
 
 	topomap "repro"
+	"repro/internal/core"
 )
 
 func main() {
@@ -55,8 +56,7 @@ func main() {
 	}
 
 	naive := append([]int32(nil), allocNodes...)
-	mapped := topomap.GreedyMap(coarse, topo, allocNodes)
-	topomap.RefineWH(coarse, topo, allocNodes, mapped)
+	mapped := core.MapUWH(coarse, topo, allocNodes, nil)
 
 	tg := &topomap.TaskGraph{G: coarse, K: groups * size}
 	mN := topomap.EvaluateMetrics(tg, topo, &topomap.Placement{NodeOf: naive})
@@ -84,8 +84,7 @@ func main() {
 		log.Fatal(err)
 	}
 	dNaive := append([]int32(nil), dAlloc.Nodes...)
-	dMapped := topomap.GreedyMap(coarse, df, dAlloc.Nodes)
-	topomap.RefineWH(coarse, df, dAlloc.Nodes, dMapped)
+	dMapped := core.MapUWH(coarse, df, dAlloc.Nodes, nil)
 	dN := topomap.EvaluateMetrics(tg, df, &topomap.Placement{NodeOf: dNaive})
 	dU := topomap.EvaluateMetrics(tg, df, &topomap.Placement{NodeOf: dMapped})
 	if dU.WH > dN.WH {

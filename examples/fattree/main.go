@@ -14,6 +14,11 @@ import (
 	"log"
 
 	topomap "repro"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/metrics"
+	"repro/internal/partitioners"
+	"repro/internal/taskgraph"
 )
 
 func main() {
@@ -40,15 +45,16 @@ func main() {
 
 	// Task graph: a 1D row-wise SpMV communication graph of the
 	// cagelike matrix, partitioned to one task per processor.
-	m, err := topomap.GenerateMatrix("cagelike", topomap.Tiny)
+	spec, err := gen.ByName(gen.Cagelike)
 	if err != nil {
 		log.Fatal(err)
 	}
-	part, err := topomap.PartitionMatrix(topomap.PATOH, m, a.TotalProcs(), 1)
+	m := spec.Generate(gen.Tiny)
+	part, err := partitioners.Run(partitioners.PATOHP, m, a.TotalProcs(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tg, err := topomap.BuildTaskGraph(m, part, a.TotalProcs())
+	tg, err := taskgraph.Build(m, part, a.TotalProcs())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,13 +83,13 @@ func main() {
 		best = uwh
 	}
 	ecmpNodeOf := append([]int32(nil), best.NodeOf...)
-	topomap.RefineMCAdaptive(best.Coarse, ft, a.Nodes, ecmpNodeOf)
+	core.RefineCongestionAdaptive(best.Coarse, ft, a.Nodes, ecmpNodeOf, core.VolumeCongestion, core.RefineOptions{})
 
 	fmt.Printf("\n%-14s %12s %12s %14s %14s\n", "mapping", "WH", "TH", "MC (static)", "EMC (ECMP)")
 	show := func(name string, group, nodeOf []int32) topomap.MapMetrics {
 		pl := &topomap.Placement{GroupOf: group, NodeOf: nodeOf}
 		mm := eng.Evaluate(tg, pl)
-		am := topomap.EvaluateAdaptiveMetrics(tg, ft, pl)
+		am := metrics.ComputeAdaptive(tg.G, ft, pl)
 		fmt.Printf("%-14s %12d %12d %14.4g %14.4g\n", name, mm.WH, mm.TH, mm.MC*1e6, am.EMC*1e6)
 		return mm
 	}
@@ -101,7 +107,7 @@ func main() {
 	}
 	emcOf := func(group, nodeOf []int32) float64 {
 		pl := &topomap.Placement{GroupOf: group, NodeOf: nodeOf}
-		return topomap.EvaluateAdaptiveMetrics(tg, ft, pl).EMC
+		return metrics.ComputeAdaptive(tg.G, ft, pl).EMC
 	}
 	emcBest := emcOf(best.GroupOf, best.NodeOf)
 	emcECMP := emcOf(best.GroupOf, ecmpNodeOf)

@@ -14,21 +14,25 @@ import (
 	"log"
 
 	topomap "repro"
+	"repro/internal/gen"
+	"repro/internal/partitioners"
+	"repro/internal/taskgraph"
 )
 
 func main() {
 	// Workload: a 1D row-wise SpMV task graph of the cagelike matrix,
 	// 128 MPI processes on 8 busy-machine hosts × 16 processors.
-	m, err := topomap.GenerateMatrix("cagelike", topomap.Tiny)
+	spec, err := gen.ByName(gen.Cagelike)
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := spec.Generate(gen.Tiny)
 	const procs = 128
-	part, err := topomap.PartitionMatrix(topomap.PATOH, m, procs, 1)
+	part, err := partitioners.Run(partitioners.PATOHP, m, procs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tg, err := topomap.BuildTaskGraph(m, part, procs)
+	tg, err := taskgraph.Build(m, part, procs)
 	if err != nil {
 		log.Fatal(err)
 	}

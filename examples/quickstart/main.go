@@ -9,6 +9,7 @@ import (
 	"log"
 
 	topomap "repro"
+	"repro/internal/core"
 )
 
 func main() {
@@ -56,18 +57,18 @@ func main() {
 	show("DEF", def)
 
 	// Stage 1: greedy construction (UG).
-	ug := topomap.GreedyMap(coarse, topo, alloc.Nodes)
+	ug := core.MapUG(coarse, topo, alloc.Nodes, nil)
 	show("UG", ug)
 
 	// Stage 2: WH refinement on top (UWH).
 	uwh := append([]int32(nil), ug...)
-	gain := topomap.RefineWH(coarse, topo, alloc.Nodes, uwh)
+	gain := core.RefineWH(coarse, topo, alloc.Nodes, uwh, core.RefineOptions{})
 	show("UWH", uwh)
 
 	// Stage 3 (alternative): congestion refinement on top of UG (UMC)
 	// — trades a little WH for the best max congestion.
 	umc := append([]int32(nil), ug...)
-	swaps := topomap.RefineMC(coarse, topo, alloc.Nodes, umc)
+	swaps := core.RefineCongestion(coarse, topo, alloc.Nodes, umc, core.VolumeCongestion, core.RefineOptions{})
 	show("UMC", umc)
 
 	fmt.Printf("\nWH refinement gained %d weighted hops; MC refinement made %d swaps\n",

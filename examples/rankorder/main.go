@@ -14,6 +14,9 @@ import (
 	"strings"
 
 	topomap "repro"
+	"repro/internal/gen"
+	"repro/internal/partitioners"
+	"repro/internal/taskgraph"
 )
 
 func main() {
@@ -33,15 +36,16 @@ func main() {
 	fmt.Printf("allocation: %d nodes, %d processors\n", a.NumNodes(), a.TotalProcs())
 
 	// The application: a 256-process SpMV on the cagelike matrix.
-	m, err := topomap.GenerateMatrix("cagelike", topomap.Tiny)
+	spec, err := gen.ByName(gen.Cagelike)
 	if err != nil {
 		log.Fatal(err)
 	}
-	part, err := topomap.PartitionMatrix(topomap.METIS, m, a.TotalProcs(), 1)
+	m := spec.Generate(gen.Tiny)
+	part, err := partitioners.Run(partitioners.METISP, m, a.TotalProcs(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tg, err := topomap.BuildTaskGraph(m, part, a.TotalProcs())
+	tg, err := taskgraph.Build(m, part, a.TotalProcs())
 	if err != nil {
 		log.Fatal(err)
 	}

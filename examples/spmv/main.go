@@ -10,22 +10,27 @@ import (
 	"log"
 
 	topomap "repro"
+	"repro/internal/gen"
+	"repro/internal/netsim"
+	"repro/internal/partitioners"
+	"repro/internal/taskgraph"
 )
 
 func main() {
 	const procs = 256
-	m, err := topomap.GenerateMatrix("cagelike", topomap.Tiny)
+	spec, err := gen.ByName(gen.Cagelike)
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := spec.Generate(gen.Tiny)
 	fmt.Printf("matrix: cagelike (%d rows, %d nnz), %d MPI processes\n",
 		m.Rows, m.NNZ(), procs)
 
-	part, err := topomap.PartitionMatrix(topomap.PATOH, m, procs, 1)
+	part, err := partitioners.Run(partitioners.PATOHP, m, procs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tg, err := topomap.BuildTaskGraph(m, part, procs)
+	tg, err := taskgraph.Build(m, part, procs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +56,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		secs := topomap.SimulateSpMV(tg, topo, res.Placement(), 500, topomap.SimParams{Seed: 42})
+		secs := netsim.SpMV(tg.G, topo, res.Placement(), 500, netsim.Params{Seed: 42}).Seconds
 		if mapper == topomap.DEF {
 			defTime = secs
 		}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/alloc"
 )
 
 // Geometric-mapper tests: the coordinate degeneracy (attaching and
@@ -131,7 +133,7 @@ func TestGeomBeatsOrderOnStencil(t *testing.T) {
 		if mode == "sparse" {
 			a, err = SparseAllocation(topo, 256, 1)
 		} else {
-			a, err = ContiguousAllocation(topo, 256, 1)
+			a, err = alloc.Generate(topo, 256, alloc.Config{Mode: alloc.Contiguous, Seed: 1})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hetero"
+	"repro/internal/taskgraph"
 )
 
 // Heterogeneous-processor subsystem tests: the homogeneous degeneracy
@@ -90,7 +91,7 @@ func TestSolveHomogeneousDegeneracy(t *testing.T) {
 // nodes are 4x accelerators.
 func heteroFixture(t *testing.T, stages, width int) (*TaskGraph, *Torus, *Allocation) {
 	t.Helper()
-	tg, err := MLPipe(stages, width, 3)
+	tg, err := taskgraph.MLPipe(stages, width, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func emc(g *graph.Graph, topo torus.MultipathTopology, nodeOf []int32) float64 {
 func TestRefineCongestionAdaptiveValidMapping(t *testing.T) {
 	topo, a := fixture(t, 32, 19)
 	g := graph.RandomConnected(32, 96, 80, 7)
-	nodeOf := MapUG(g, topo, a.Nodes)
+	nodeOf := MapUG(g, topo, a.Nodes, nil)
 	RefineCongestionAdaptive(g, topo, a.Nodes, nodeOf, VolumeCongestion, RefineOptions{})
 	checkValidMapping(t, g, a, nodeOf)
 }
@@ -87,7 +87,7 @@ func TestAdaptiveEqualsStaticOnRing(t *testing.T) {
 		nodes[i] = int32(i)
 	}
 	g := graph.RandomConnected(16, 40, 30, 11)
-	a := MapUG(g, topo, nodes)
+	a := MapUG(g, topo, nodes, nil)
 	b := append([]int32(nil), a...)
 	RefineCongestion(g, topo, nodes, a, VolumeCongestion, RefineOptions{})
 	RefineCongestionAdaptive(g, topo, nodes, b, VolumeCongestion, RefineOptions{})
@@ -101,10 +101,10 @@ func TestAdaptiveEqualsStaticOnRing(t *testing.T) {
 func TestMapUMCAPipeline(t *testing.T) {
 	topo, a := fixture(t, 24, 29)
 	g := graph.RandomConnected(24, 72, 90, 17)
-	nodeOf := MapUMCA(g, topo, a.Nodes)
+	nodeOf := MapUMCA(g, topo, a.Nodes, nil)
 	checkValidMapping(t, g, a, nodeOf)
 	// UMCA must not have higher expected congestion than plain UG.
-	ug := MapUG(g, topo, a.Nodes)
+	ug := MapUG(g, topo, a.Nodes, nil)
 	if emc(g, topo, nodeOf) > emc(g, topo, ug)*(1+1e-9) {
 		t.Fatalf("UMCA EMC %g above UG EMC %g", emc(g, topo, nodeOf), emc(g, topo, ug))
 	}
@@ -113,7 +113,7 @@ func TestMapUMCAPipeline(t *testing.T) {
 func TestRefineCongestionAdaptiveMessageKind(t *testing.T) {
 	topo, a := fixture(t, 24, 31)
 	g := graph.RandomConnected(24, 60, 1, 23) // unit weights: one message per edge
-	nodeOf := MapUG(g, topo, a.Nodes)
+	nodeOf := MapUG(g, topo, a.Nodes, nil)
 	pl := &metrics.Placement{NodeOf: append([]int32(nil), nodeOf...)}
 	before := metrics.ComputeAdaptive(g, topo, pl).EMMC
 	RefineCongestionAdaptive(g, topo, a.Nodes, nodeOf, MessageCongestion, RefineOptions{})

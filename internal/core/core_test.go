@@ -58,7 +58,7 @@ func TestGreedyProducesValidMapping(t *testing.T) {
 func TestGreedyBeatsRandomPlacement(t *testing.T) {
 	topo, a := fixture(t, 48, 3)
 	g := graph.RandomConnected(48, 120, 30, 4)
-	greedy := GreedyBest(g, topo, a.Nodes, WeightedHops)
+	greedy := GreedyBest(g, topo, a.Nodes, WeightedHops, nil)
 	checkValidMapping(t, g, a, greedy)
 	// Random (identity-order) placement baseline.
 	random := make([]int32, g.N())
@@ -91,7 +91,7 @@ func TestGreedyPlacesCliquesTogether(t *testing.T) {
 	g := graph.FromEdges(8, us, vs, ws, nil)
 
 	topo, a := fixture(t, 8, 5)
-	nodeOf := GreedyBest(g, topo, a.Nodes, WeightedHops)
+	nodeOf := GreedyBest(g, topo, a.Nodes, WeightedHops, nil)
 	checkValidMapping(t, g, a, nodeOf)
 	// Average intra-clique hop distance must not exceed the overall
 	// average pair distance of the allocation.
@@ -357,11 +357,11 @@ func TestCongStateApplyRevert(t *testing.T) {
 func TestVariantPipelines(t *testing.T) {
 	topo, a := fixture(t, 36, 29)
 	g := graph.RandomConnected(36, 100, 30, 30)
-	ug := MapUG(g, topo, a.Nodes)
-	uwh := MapUWH(g, topo, a.Nodes)
-	umc := MapUMC(g, topo, a.Nodes)
-	ummc := MapUMMC(g, unitView(g), topo, a.Nodes)
-	uth := MapUTH(g, topo, a.Nodes)
+	ug := MapUG(g, topo, a.Nodes, nil)
+	uwh := MapUWH(g, topo, a.Nodes, nil)
+	umc := MapUMC(g, topo, a.Nodes, nil)
+	ummc := MapUMMC(g, unitView(g), topo, a.Nodes, nil)
+	uth := MapUTH(g, topo, a.Nodes, nil)
 	for name, m := range map[string][]int32{"UG": ug, "UWH": uwh, "UMC": umc, "UMMC": ummc, "UTH": uth} {
 		checkValidMapping(t, g, a, m)
 		_ = name

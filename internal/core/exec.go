@@ -11,9 +11,9 @@ import (
 // cancellation, and the scratch arena the solve borrows its
 // node-sized buffers from. The Engine owns the arena and builds one
 // Exec per request; the mapping algorithms thread it through their
-// option structs. A nil *Exec (the legacy serial facades) means
-// "serial, fresh allocations, never cancelled" — every algorithm
-// produces byte-identical results either way.
+// option structs. A nil *Exec (what tests and standalone callers
+// pass) means "serial, fresh allocations, never cancelled" — every
+// algorithm produces byte-identical results either way.
 type Exec struct {
 	// Par bounds the solve's worker goroutines and carries the
 	// request context. Nil runs serial.

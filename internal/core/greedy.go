@@ -212,17 +212,13 @@ func fillRemaining(st *mapState, mapped []bool) {
 
 // GreedyBest runs Algorithm 1 with NBFS=0 and NBFS=1 and returns the
 // mapping with the lower objective value, as the paper's
-// implementation does (§III-A).
-func GreedyBest(g *graph.Graph, topo torus.Topology, allocNodes []int32, objective Objective) []int32 {
-	return GreedyBestEx(g, topo, allocNodes, objective, nil)
-}
-
-// GreedyBestEx is GreedyBest under an execution context: the two
+// implementation does (§III-A). Under an execution context the two
 // independent greedy runs fork onto the solve's worker pool (they
 // share nothing but read-only inputs and the concurrency-safe arena),
 // and the winner is chosen afterwards exactly as the serial code
-// does — so the result is identical at every worker count.
-func GreedyBestEx(g *graph.Graph, topo torus.Topology, allocNodes []int32, objective Objective, ex *Exec) []int32 {
+// does — so the result is identical at every worker count; a nil ex
+// runs both serially.
+func GreedyBest(g *graph.Graph, topo torus.Topology, allocNodes []int32, objective Objective, ex *Exec) []int32 {
 	var m0, m1 []int32
 	ex.par().Fork(
 		func() { m0 = Greedy(g, topo, allocNodes, GreedyOptions{NBFS: 0, Objective: objective, Exec: ex}) },

@@ -38,7 +38,7 @@ func TestMappingInvariantsProperty(t *testing.T) {
 			return false
 		}
 		g := graph.RandomConnected(n, 3*n, 20, seed+1)
-		ug := MapUG(g, topo, a.Nodes)
+		ug := MapUG(g, topo, a.Nodes, nil)
 		if !isPermutationOnto(ug, a) {
 			return false
 		}
@@ -115,8 +115,8 @@ func TestUTHOptimizesTotalHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.RandomConnected(24, 80, 50, 8)
-	uth := MapUTH(g, topo, a.Nodes)
-	ugTH := objectiveValue(g, topo, GreedyBest(g, topo, a.Nodes, TotalHops), TotalHops)
+	uth := MapUTH(g, topo, a.Nodes, nil)
+	ugTH := objectiveValue(g, topo, GreedyBest(g, topo, a.Nodes, TotalHops, nil), TotalHops)
 	uthTH := objectiveValue(g, topo, uth, TotalHops)
 	if uthTH > ugTH {
 		t.Fatalf("UTH TH %d worse than its own greedy %d", uthTH, ugTH)

@@ -663,7 +663,7 @@ func MapUML(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt Multile
 	nodeOf := make([]int32, n)
 	if L == 0 {
 		// Graph already at/below the coarsest size: plain UG + WH.
-		copy(nodeOf, GreedyBestEx(g, topo, allocNodes, opt.Refine.Objective, ex))
+		copy(nodeOf, GreedyBest(g, topo, allocNodes, opt.Refine.Objective, ex))
 		RefineWH(g, topo, allocNodes, nodeOf, opt.Refine)
 		return nodeOf
 	}

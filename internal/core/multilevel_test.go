@@ -288,7 +288,7 @@ func TestMapUMLCompetitiveWithUG(t *testing.T) {
 	topo, a := fixture(t, 48, 5)
 	g := graph.RandomConnected(48, 120, 50, 33)
 	uml := wh(g, topo, MapUML(g, topo, a.Nodes, MultilevelOptions{}))
-	ug := wh(g, topo, MapUG(g, topo, a.Nodes))
+	ug := wh(g, topo, MapUG(g, topo, a.Nodes, nil))
 	if uml > 2*ug {
 		t.Fatalf("UML WH %d more than 2x UG WH %d", uml, ug)
 	}
@@ -298,7 +298,7 @@ func TestMapUMLSmallGraphFallsBack(t *testing.T) {
 	topo, a := fixture(t, 12, 8)
 	g := graph.RandomConnected(10, 15, 10, 4)
 	nodeOf := MapUML(g, topo, a.Nodes, MultilevelOptions{CoarsenTo: 16})
-	want := GreedyBest(g, topo, a.Nodes, WeightedHops)
+	want := GreedyBest(g, topo, a.Nodes, WeightedHops, nil)
 	RefineWH(g, topo, a.Nodes, want, RefineOptions{})
 	for i := range nodeOf {
 		if nodeOf[i] != want[i] {

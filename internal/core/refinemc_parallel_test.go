@@ -45,7 +45,7 @@ func execWithWorkers(ctx context.Context, w int) *Exec {
 // byte-identical at workers = 1, 2 and 8.
 func TestRefineCongestionWorkerDeterminism(t *testing.T) {
 	g, topo, nodes := refineMCFixture(t)
-	base := MapUG(g, topo, nodes)
+	base := MapUG(g, topo, nodes, nil)
 
 	run := func(kind CongestionKind, adaptive bool, w int) ([]int32, int) {
 		nodeOf := append([]int32(nil), base...)
@@ -98,7 +98,7 @@ func TestRefineCongestionGateKeepsBytes(t *testing.T) {
 	if congScoreWork(g, topo) >= congScoreParMinWork {
 		t.Fatalf("small fixture unexpectedly passes the work gate")
 	}
-	base := MapUG(g, topo, a)
+	base := MapUG(g, topo, a, nil)
 	serial := append([]int32(nil), base...)
 	RefineCongestion(g, topo, a, serial, VolumeCongestion, RefineOptions{})
 	pooled := append([]int32(nil), base...)
@@ -115,7 +115,7 @@ func TestRefineCongestionGateKeepsBytes(t *testing.T) {
 // mapping — not run to convergence, not corrupt state.
 func TestRefineCongestionCancelMidRefinement(t *testing.T) {
 	g, topo, nodes := refineMCFixture(t)
-	base := MapUG(g, topo, nodes)
+	base := MapUG(g, topo, nodes, nil)
 
 	// Baseline: how many swaps an uncancelled run commits.
 	full := append([]int32(nil), base...)

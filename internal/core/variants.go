@@ -9,42 +9,26 @@ import (
 // greedy mapping alone, UWH adds WH refinement, UMC and UMMC add
 // congestion refinement on top of the greedy mapping.
 //
-// Each variant has an Ex form taking the solve's execution context
-// (worker pool + scratch arena + cancellation); the plain forms are
-// the serial facades the examples and tests use. Results are
-// byte-identical between the two and across worker counts.
+// Every variant takes the solve's execution context (worker pool +
+// scratch arena + cancellation) last; a nil ex runs it serially.
+// Results are byte-identical across worker counts.
 
 // MapUG produces the UG mapping: greedy with the better of NBFS∈{0,1}.
-func MapUG(g *graph.Graph, topo torus.Topology, allocNodes []int32) []int32 {
-	return MapUGEx(g, topo, allocNodes, nil)
-}
-
-// MapUGEx is MapUG under an execution context.
-func MapUGEx(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
-	return GreedyBestEx(g, topo, allocNodes, WeightedHops, ex)
+func MapUG(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
+	return GreedyBest(g, topo, allocNodes, WeightedHops, ex)
 }
 
 // MapUWH produces the UWH mapping: UG followed by Algorithm 2.
-func MapUWH(g *graph.Graph, topo torus.Topology, allocNodes []int32) []int32 {
-	return MapUWHEx(g, topo, allocNodes, nil)
-}
-
-// MapUWHEx is MapUWH under an execution context.
-func MapUWHEx(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
-	nodeOf := MapUGEx(g, topo, allocNodes, ex)
+func MapUWH(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
+	nodeOf := MapUG(g, topo, allocNodes, ex)
 	RefineWH(g, topo, allocNodes, nodeOf, RefineOptions{Exec: ex})
 	return nodeOf
 }
 
 // MapUMC produces the UMC mapping: UG followed by volume-congestion
 // refinement (Algorithm 3).
-func MapUMC(g *graph.Graph, topo torus.Topology, allocNodes []int32) []int32 {
-	return MapUMCEx(g, topo, allocNodes, nil)
-}
-
-// MapUMCEx is MapUMC under an execution context.
-func MapUMCEx(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
-	nodeOf := MapUGEx(g, topo, allocNodes, ex)
+func MapUMC(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
+	nodeOf := MapUG(g, topo, allocNodes, ex)
 	RefineCongestion(g, topo, allocNodes, nodeOf, VolumeCongestion, RefineOptions{Exec: ex})
 	return nodeOf
 }
@@ -53,13 +37,8 @@ func MapUMCEx(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec)
 // followed by message-congestion refinement on msgG, a message-count-
 // weighted view of the same supertasks (taskgraph.CoarseMessageGraph).
 // Pass g itself as msgG when every edge represents a single message.
-func MapUMMC(g, msgG *graph.Graph, topo torus.Topology, allocNodes []int32) []int32 {
-	return MapUMMCEx(g, msgG, topo, allocNodes, nil)
-}
-
-// MapUMMCEx is MapUMMC under an execution context.
-func MapUMMCEx(g, msgG *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
-	nodeOf := MapUGEx(g, topo, allocNodes, ex)
+func MapUMMC(g, msgG *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
+	nodeOf := MapUG(g, topo, allocNodes, ex)
 	RefineCongestion(msgG, topo, allocNodes, nodeOf, MessageCongestion, RefineOptions{Exec: ex})
 	return nodeOf
 }
@@ -69,13 +48,8 @@ func MapUMMCEx(g, msgG *graph.Graph, topo torus.Topology, allocNodes []int32, ex
 // refinement in which per-link loads are expectations over all
 // minimal dimension-ordered routes (Blue Gene style adaptive
 // routing).
-func MapUMCA(g *graph.Graph, topo torus.MultipathTopology, allocNodes []int32) []int32 {
-	return MapUMCAEx(g, topo, allocNodes, nil)
-}
-
-// MapUMCAEx is MapUMCA under an execution context.
-func MapUMCAEx(g *graph.Graph, topo torus.MultipathTopology, allocNodes []int32, ex *Exec) []int32 {
-	nodeOf := MapUGEx(g, topo, allocNodes, ex)
+func MapUMCA(g *graph.Graph, topo torus.MultipathTopology, allocNodes []int32, ex *Exec) []int32 {
+	nodeOf := MapUG(g, topo, allocNodes, ex)
 	RefineCongestionAdaptive(g, topo, allocNodes, nodeOf, VolumeCongestion, RefineOptions{Exec: ex})
 	return nodeOf
 }
@@ -84,13 +58,8 @@ func MapUMCAEx(g *graph.Graph, topo torus.MultipathTopology, allocNodes []int32,
 // does not plot ("we do not give the results for TH variant as they
 // are very close to those of UG and UWH", §IV): greedy plus WH
 // refinement, both under the TotalHops objective.
-func MapUTH(g *graph.Graph, topo torus.Topology, allocNodes []int32) []int32 {
-	return MapUTHEx(g, topo, allocNodes, nil)
-}
-
-// MapUTHEx is MapUTH under an execution context.
-func MapUTHEx(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
-	nodeOf := GreedyBestEx(g, topo, allocNodes, TotalHops, ex)
+func MapUTH(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
+	nodeOf := GreedyBest(g, topo, allocNodes, TotalHops, ex)
 	RefineWH(g, topo, allocNodes, nodeOf, RefineOptions{Objective: TotalHops, Exec: ex})
 	return nodeOf
 }

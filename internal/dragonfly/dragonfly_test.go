@@ -268,7 +268,7 @@ func TestMappingPipelineOnDragonfly(t *testing.T) {
 	if whRefined > whBlock {
 		t.Fatalf("Algorithm 2 regressed WH on dragonfly: %d -> %d", whBlock, whRefined)
 	}
-	uwh := core.MapUWH(g, d, a.Nodes)
+	uwh := core.MapUWH(g, d, a.Nodes, nil)
 	pl := &metrics.Placement{NodeOf: uwh}
 	m := metrics.Compute(g, d, pl)
 	if m.WH <= 0 || m.MC <= 0 || m.UsedLinks == 0 {

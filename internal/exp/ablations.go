@@ -58,14 +58,14 @@ func Ablations(cfg Config) (string, error) {
 			fmt.Sprintf("%.2f", sim*1e6),
 			fmt.Sprintf("%.1f", dt.Seconds()*1e3))
 	}
-	row("UG (Alg 1)", func() []int32 { return core.MapUG(g, topo, a.Nodes) })
-	row("UWH (Alg 1+2)", func() []int32 { return core.MapUWH(g, topo, a.Nodes) })
+	row("UG (Alg 1)", func() []int32 { return core.MapUG(g, topo, a.Nodes, nil) })
+	row("UWH (Alg 1+2)", func() []int32 { return core.MapUWH(g, topo, a.Nodes, nil) })
 	row("UML (multilevel, §III-B)", func() []int32 {
 		return core.MapUML(g, topo, a.Nodes, core.MultilevelOptions{})
 	})
-	row("UMC (Alg 3, static model)", func() []int32 { return core.MapUMC(g, topo, a.Nodes) })
+	row("UMC (Alg 3, static model)", func() []int32 { return core.MapUMC(g, topo, a.Nodes, nil) })
 	row("UMCA (Alg 3, adaptive model, §III-C)", func() []int32 {
-		return core.MapUMCA(g, topo, a.Nodes)
+		return core.MapUMCA(g, topo, a.Nodes, nil)
 	})
 	return render(out), nil
 }

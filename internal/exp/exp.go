@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/gen"
+	"repro/internal/matrix"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/parallel"
@@ -131,7 +132,7 @@ func NewSuite(cfg Config) *Suite {
 type cache struct {
 	cfg      Config
 	mu       sync.Mutex
-	matrices map[string]*topomap.Matrix
+	matrices map[string]*matrix.CSR
 	tgs      map[string]*topomap.TaskGraph      // matrix|partitioner|k
 	allocs   map[string]*alloc.Allocation       // nodes|seed
 	engines  map[*alloc.Allocation]*engineEntry // per cached allocation
@@ -150,7 +151,7 @@ type engineEntry struct {
 func newCache(cfg Config) *cache {
 	return &cache{
 		cfg:      cfg,
-		matrices: map[string]*topomap.Matrix{},
+		matrices: map[string]*matrix.CSR{},
 		tgs:      map[string]*topomap.TaskGraph{},
 		allocs:   map[string]*alloc.Allocation{},
 		engines:  map[*alloc.Allocation]*engineEntry{},
@@ -166,17 +167,18 @@ func (c *cache) progressf(format string, args ...interface{}) {
 	fmt.Fprintf(c.cfg.Progress, format, args...)
 }
 
-func (c *cache) matrixOf(name string) (*topomap.Matrix, error) {
+func (c *cache) matrixOf(name string) (*matrix.CSR, error) {
 	c.mu.Lock()
 	m, ok := c.matrices[name]
 	c.mu.Unlock()
 	if ok {
 		return m, nil
 	}
-	m, err := topomap.GenerateMatrix(name, c.cfg.Tier)
+	spec, err := gen.ByName(name)
 	if err != nil {
 		return nil, err
 	}
+	m = spec.Generate(c.cfg.Tier)
 	c.mu.Lock()
 	c.matrices[name] = m
 	c.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/partitioners"
 
 	topomap "repro"
 )
@@ -19,7 +20,7 @@ func TestFigure1Tiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range topomap.Partitioners() {
+	for _, p := range partitioners.All() {
 		if !strings.Contains(out, string(p)) {
 			t.Fatalf("figure 1 missing partitioner %s:\n%s", p, out)
 		}

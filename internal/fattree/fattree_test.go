@@ -358,7 +358,7 @@ func TestMappingPipelineOnFatTree(t *testing.T) {
 	g := graph.RandomConnected(32, 96, 50, 11)
 	block := make([]int32, 32)
 	copy(block, a.Nodes[:32])
-	nodeOf := core.MapUWH(g, ft, a.Nodes)
+	nodeOf := core.MapUWH(g, ft, a.Nodes, nil)
 	whBlock := metrics.WeightedHops(g, ft, block)
 	whUWH := metrics.WeightedHops(g, ft, nodeOf)
 	if whUWH > whBlock {

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/matrix"
 )
@@ -46,6 +47,20 @@ const (
 	// rows) and is selected by the -paper flag of the cmds.
 	Large
 )
+
+// ParseTier resolves a tier by name: tiny, small or large, in any
+// case. Any other name is an error, never a silent default.
+func ParseTier(name string) (Tier, error) {
+	switch strings.ToLower(name) {
+	case "tiny":
+		return Tiny, nil
+	case "small":
+		return Small, nil
+	case "large":
+		return Large, nil
+	}
+	return 0, fmt.Errorf("unknown tier %q (want tiny, small or large)", name)
+}
 
 func pick[T any](t Tier, tiny, small, large T) T {
 	switch t {

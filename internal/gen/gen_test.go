@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/matrix"
@@ -264,5 +265,19 @@ func TestByNameUnknown(t *testing.T) {
 	}
 	if len(Names()) != 25 {
 		t.Fatalf("Names() = %d entries", len(Names()))
+	}
+}
+
+func TestParseTier(t *testing.T) {
+	for name, want := range map[string]Tier{"tiny": Tiny, "Small": Small, "LARGE": Large} {
+		got, err := ParseTier(name)
+		if err != nil || got != want {
+			t.Fatalf("ParseTier(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"tinny", "", "medium"} {
+		if _, err := ParseTier(bad); err == nil || !strings.Contains(err.Error(), "unknown tier") {
+			t.Fatalf("ParseTier(%q): err = %v, want unknown tier", bad, err)
+		}
 	}
 }

@@ -37,13 +37,13 @@ func init() {
 	MustRegister(NewFunc("SMAP", Caps{}, func(in Input) ([]int32, error) {
 		return baseline.SMAP(in.Coarse, in.Topo, in.Alloc, in.Seed), nil
 	}))
-	MustRegister(simple("UG", core.MapUGEx))
-	MustRegister(simple("UWH", core.MapUWHEx))
-	MustRegister(simple("UMC", core.MapUMCEx))
+	MustRegister(simple("UG", core.MapUG))
+	MustRegister(simple("UWH", core.MapUWH))
+	MustRegister(simple("UMC", core.MapUMC))
 	MustRegister(NewFunc("UMMC", Caps{NeedsMessageGraph: true}, func(in Input) ([]int32, error) {
-		return core.MapUMMCEx(in.Coarse, in.Msg, in.Topo, in.Alloc.Nodes, in.Exec), nil
+		return core.MapUMMC(in.Coarse, in.Msg, in.Topo, in.Alloc.Nodes, in.Exec), nil
 	}))
-	MustRegister(simple("UTH", core.MapUTHEx))
+	MustRegister(simple("UTH", core.MapUTH))
 	MustRegister(NewFunc("TMAPG", Caps{}, func(in Input) ([]int32, error) {
 		return baseline.TMAPGreedy(in.Coarse, in.Topo, in.Alloc, in.Seed), nil
 	}))
@@ -55,7 +55,7 @@ func init() {
 		if !ok {
 			return nil, fmt.Errorf("registry: mapper UMCA needs a multipath topology")
 		}
-		return core.MapUMCAEx(in.Coarse, withMultipath{in.Topo, mp}, in.Alloc.Nodes, in.Exec), nil
+		return core.MapUMCA(in.Coarse, withMultipath{in.Topo, mp}, in.Alloc.Nodes, in.Exec), nil
 	}))
 	MustRegister(NewFunc("HET", Caps{}, func(in Input) ([]int32, error) {
 		return hetero.Map(in.Coarse, in.Topo, in.Alloc), nil

@@ -1,7 +1,8 @@
 // Package registry is the pluggable mapper registry behind the
 // public Engine API: every mapping algorithm — the paper's seven
-// Figure-2 mappers, the four extension variants, and any mapper a
-// downstream user registers — is a MapperSpec dispatched by name.
+// Figure-2 mappers, the seven extension variants (UTH, TMAPG, UML,
+// UMCA, HET, GEOM, SFCM), and any mapper a downstream user
+// registers — is a MapperSpec dispatched by name.
 // Adding a mapper therefore never touches the engine, and the
 // CLI/flag surfaces derive their mapper lists instead of duplicating
 // them.

@@ -1,7 +1,7 @@
 package service_test
 
 // Load-shaped tests of the mapd service: wire equivalence to direct
-// Engine.Run for every registered mapper, concurrent clients against
+// Engine.RunSolve for every registered mapper, concurrent clients against
 // one server, engine-cache churn, cancellation mid-solve, and the
 // capability/status/error surfaces. `make race` runs this whole
 // package under the race detector.
@@ -97,7 +97,7 @@ func TestTopologySpecKeyMatchesFingerprint(t *testing.T) {
 }
 
 // TestMapEquivalence is the acceptance gate: the wire response must
-// be byte-identical to a direct Engine.Run for every registered
+// be byte-identical to a direct Engine.RunSolve for every registered
 // mapper — same GroupOf, NodeOf and metrics.
 func TestMapEquivalence(t *testing.T) {
 	spec, tg := testTasks(64)
@@ -136,10 +136,10 @@ func TestMapEquivalence(t *testing.T) {
 			t.Fatalf("%s: wire: %v", mp, err)
 		}
 		if !reflect.DeepEqual(resp.GroupOf, direct.GroupOf) {
-			t.Fatalf("%s: GroupOf diverged from direct Engine.Run", mp)
+			t.Fatalf("%s: GroupOf diverged from direct Engine.RunSolve", mp)
 		}
 		if !reflect.DeepEqual(resp.NodeOf, direct.NodeOf) {
-			t.Fatalf("%s: NodeOf diverged from direct Engine.Run", mp)
+			t.Fatalf("%s: NodeOf diverged from direct Engine.RunSolve", mp)
 		}
 		m, dm := resp.Metrics, direct.Metrics
 		if m.TH != dm.TH || m.WH != dm.WH || m.MMC != dm.MMC || m.MC != dm.MC ||

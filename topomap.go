@@ -7,9 +7,16 @@
 // link congestion (MC) metrics with the paper's greedy construction
 // and refinement algorithms.
 //
-// The package exposes the full evaluation pipeline:
+// The package serves the paper's mapping pipeline (§III):
 //
-//	matrix → partitioner → task graph → grouping → mapping → metrics → simulation
+//	task graph → grouping → mapping → refinement → metrics
+//
+// The evaluation apparatus of §IV — the synthetic matrix dataset, the
+// partitioner personalities that turn it into task graphs, and the
+// raw stage and simulator entry points the figures sweep — is not
+// part of this API: internal/exp and cmd/experiments regenerate every
+// figure from it. A served solve still scores its mapping with the
+// §IV-C simulator on request (Solve.Sim).
 //
 // The service-shaped core is the Engine: build it once per
 // (Topology, Allocation) pair — it precomputes and caches the
@@ -17,11 +24,9 @@
 // jobs against it, serially, concurrently, or in batches. Every job
 // is one declarative, serializable Solve spec:
 //
-//	m, _ := topomap.GenerateMatrix("cagelike", topomap.Tiny)
+//	tg, _ := topomap.StencilTaskGraph(16, 16, 1, 100)
 //	topo := topomap.NewHopperTorus(8, 8, 8)
 //	alloc, _ := topomap.SparseAllocation(topo, 16, 1)
-//	part, _ := topomap.PartitionMatrix(topomap.PATOH, m, alloc.TotalProcs(), 1)
-//	tg, _ := topomap.BuildTaskGraph(m, part, alloc.TotalProcs())
 //	eng, _ := topomap.NewEngine(topo, alloc)
 //	res, _ := eng.RunSolve(ctx, tg, topomap.Solve{Mapper: topomap.UWH, Seed: 1})
 //	fmt.Println(res.Metrics.WH, res.Metrics.MC)
@@ -64,98 +69,45 @@ import (
 	"io"
 
 	"repro/internal/alloc"
-	"repro/internal/core"
 	"repro/internal/dragonfly"
 	"repro/internal/fattree"
-	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/matrix"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/partitioners"
 	"repro/internal/rankfile"
 	"repro/internal/registry"
 	"repro/internal/taskgraph"
 	"repro/internal/torus"
-	"repro/internal/viz"
 )
 
 // Re-exported pipeline types. These are aliases of the implementing
 // packages so the whole library is usable through this single import.
 type (
-	// Matrix is a structural sparse matrix in CSR form.
-	Matrix = matrix.CSR
 	// Graph is a CSR graph (task graphs, coarse graphs).
 	Graph = graph.Graph
 	// Torus is an N-dimensional torus network with static routing.
 	Torus = torus.Torus
 	// Topology is the abstract network interface.
 	Topology = torus.Topology
-	// MultipathTopology is a Topology that enumerates the minimal
-	// routes of a dynamically routed network (tori implement it).
-	MultipathTopology = torus.MultipathTopology
-	// AdaptiveMetrics are the expected-congestion metrics under
-	// dynamic routing (EMC/EMMC/EAC/EAMC).
-	AdaptiveMetrics = metrics.AdaptiveMetrics
 	// Allocation is a reserved node set with per-node capacities.
 	Allocation = alloc.Allocation
 	// TaskGraph is a directed MPI task communication graph.
 	TaskGraph = taskgraph.TaskGraph
-	// PartitionMetrics are the partition metrics TV/TM/MSV/MSM.
-	PartitionMetrics = taskgraph.Metrics
 	// MapMetrics are the mapping metrics TH/WH/MMC/MC/AMC/AC and the
 	// regression covariates.
 	MapMetrics = metrics.MapMetrics
 	// Placement composes task→group→node.
 	Placement = metrics.Placement
-	// Partitioner names one of the seven partitioner personalities.
-	Partitioner = partitioners.Name
 	// SimParams tunes the execution-time simulator.
 	SimParams = netsim.Params
-	// Tier selects dataset scale.
-	Tier = gen.Tier
 	// FatTree is a k-ary fat-tree network with static D-mod-k
-	// routing; it implements Topology and MultipathTopology.
+	// routing; it implements Topology.
 	FatTree = fattree.FatTree
 	// Dragonfly is a canonical dragonfly network (Cray Aries class)
 	// with unique hierarchical minimal routing; it implements
-	// Topology and MultipathTopology.
+	// Topology.
 	Dragonfly = dragonfly.Dragonfly
 )
-
-// Dataset tiers.
-const (
-	// Tiny is the CI-sized tier: seconds-scale figure regeneration.
-	Tiny = gen.Tiny
-	// Small is the intermediate tier for local experimentation.
-	Small = gen.Small
-	// Large approaches the paper's original matrix scales.
-	Large = gen.Large
-)
-
-// Partitioner personalities (§IV-A): the five external tools of the
-// evaluation emulated over the repo's two multilevel partitioners,
-// plus the three UMPA objectives.
-const (
-	// SCOTCH emulates the Scotch graph partitioner personality.
-	SCOTCH = partitioners.SCOTCHP
-	// KAFFPA emulates the KaFFPa graph partitioner personality.
-	KAFFPA = partitioners.KAFFPAP
-	// METIS emulates the METIS graph partitioner personality.
-	METIS = partitioners.METISP
-	// PATOH emulates the PaToH hypergraph partitioner personality
-	// (the default of the paper's pipeline).
-	PATOH = partitioners.PATOHP
-	// UMPAMV is UMPA minimizing the maximum send volume.
-	UMPAMV = partitioners.UMPAMV
-	// UMPAMM is UMPA minimizing the maximum send message count.
-	UMPAMM = partitioners.UMPAMM
-	// UMPATM is UMPA minimizing the total message count.
-	UMPATM = partitioners.UMPATM
-)
-
-// Partitioners returns all seven personalities in figure order.
-func Partitioners() []Partitioner { return partitioners.All() }
 
 // NewHopperTorus returns a 3D torus with Hopper's heterogeneous
 // Gemini link bandwidths.
@@ -208,17 +160,9 @@ func SparseAllocation(t *Torus, n int, seed int64) (*Allocation, error) {
 	return alloc.Generate(t, n, alloc.Config{Mode: alloc.Sparse, Seed: seed})
 }
 
-// ContiguousAllocation reserves n consecutive nodes in machine order.
-func ContiguousAllocation(t *Torus, n int, seed int64) (*Allocation, error) {
-	return alloc.Generate(t, n, alloc.Config{Mode: alloc.Contiguous, Seed: seed})
-}
-
-// DatasetNames lists the 25 synthetic workload matrices.
-func DatasetNames() []string { return gen.Names() }
-
 // FromEdges builds a graph from a directed weighted edge list
 // (parallel edges merged, self loops dropped); use it to hand-author
-// task graphs for an Engine or GreedyMap.
+// task graphs for an Engine.
 func FromEdges(n int, us, vs []int32, ws []int64) *Graph {
 	return graph.FromEdges(n, us, vs, ws, nil)
 }
@@ -235,34 +179,6 @@ func StencilTaskGraph(nx, ny, nz int, vol int64) (*TaskGraph, error) {
 // ReadTaskGraph parses a task graph from the text edge-list format
 // ("src dst volume" lines; see TaskGraph.Encode).
 func ReadTaskGraph(r io.Reader) (*TaskGraph, error) { return taskgraph.Read(r) }
-
-// GenerateMatrix builds a dataset matrix by name at the given tier.
-func GenerateMatrix(name string, tier Tier) (*Matrix, error) {
-	spec, err := gen.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Generate(tier), nil
-}
-
-// PartitionMatrix partitions the rows of m into k parts with the
-// given personality.
-func PartitionMatrix(p Partitioner, m *Matrix, k int, seed int64) ([]int32, error) {
-	return partitioners.Run(p, m, k, seed)
-}
-
-// BuildTaskGraph constructs the directed MPI task graph of a k-part
-// 1D row-wise SpMV on m.
-func BuildTaskGraph(m *Matrix, part []int32, k int) (*TaskGraph, error) {
-	return taskgraph.Build(m, part, k)
-}
-
-// MLPipe generates a stage-parallel inference-pipeline task graph
-// with skewed per-task compute loads — the heterogeneous-processor
-// benchmark workload (see taskgraph.MLPipe).
-func MLPipe(stages, width int, seed int64) (*TaskGraph, error) {
-	return taskgraph.MLPipe(stages, width, seed)
-}
 
 // Mapper names a mapping algorithm of the evaluation (§IV-B).
 type Mapper string
@@ -381,7 +297,7 @@ func NewMapper(name string, caps MapperCaps, fn func(MapperInput) ([]int32, erro
 }
 
 // RegisterMapper plugs a custom mapping algorithm into the registry,
-// making it dispatchable by name through Engine.Run next to the
+// making it dispatchable by name through Engine.RunSolve next to the
 // built-ins. Duplicate names are rejected — a registered mapper can
 // never be silently replaced.
 func RegisterMapper(s MapperSpec) error { return registry.Register(s) }
@@ -390,71 +306,6 @@ func RegisterMapper(s MapperSpec) error { return registry.Register(s) }
 // placement of the fine task graph.
 func EvaluateMetrics(tg *TaskGraph, topo Topology, pl *Placement) MapMetrics {
 	return metrics.Compute(tg.G, topo, pl)
-}
-
-// EvaluateAdaptiveMetrics computes the expected-congestion metrics of
-// a placement under the dynamic-routing model (§III-C): every message
-// is spread uniformly over its minimal dimension-ordered routes.
-func EvaluateAdaptiveMetrics(tg *TaskGraph, topo MultipathTopology, pl *Placement) AdaptiveMetrics {
-	return metrics.ComputeAdaptive(tg.G, topo, pl)
-}
-
-// SimulateCommOnly runs the communication-only application simulator
-// (§IV-C) and returns seconds.
-func SimulateCommOnly(tg *TaskGraph, topo Topology, pl *Placement, bytesPerUnit float64, p SimParams) float64 {
-	return netsim.CommOnly(tg.G, topo, pl, bytesPerUnit, p).Seconds
-}
-
-// SimulateSpMV runs the SpMV kernel simulator (§IV-D) for the given
-// iteration count and returns seconds.
-func SimulateSpMV(tg *TaskGraph, topo Topology, pl *Placement, iters int, p SimParams) float64 {
-	return netsim.SpMV(tg.G, topo, pl, iters, p).Seconds
-}
-
-// SimulateCommOnlyAdaptive runs the communication-only simulator on
-// an adaptively routed network (§III-C): every message is sprayed
-// evenly over its minimal routes. Use it to evaluate mappings for
-// Blue Gene style tori or ECMP fat trees in execution time, not just
-// in the EMC metric.
-func SimulateCommOnlyAdaptive(tg *TaskGraph, topo MultipathTopology, pl *Placement, bytesPerUnit float64, p SimParams) float64 {
-	return netsim.CommOnlyAdaptive(tg.G, topo, pl, bytesPerUnit, p).Seconds
-}
-
-// GreedyMap exposes Algorithm 1 directly on a symmetric coarse graph:
-// it maps the graph's vertices one-to-one onto allocated nodes
-// minimizing WH, trying NBFS ∈ {0,1} and keeping the better mapping.
-func GreedyMap(coarse *Graph, topo Topology, allocNodes []int32) []int32 {
-	return core.GreedyBest(coarse, topo, allocNodes, core.WeightedHops)
-}
-
-// RefineWH exposes Algorithm 2: in-place WH swap refinement.
-// It returns the WH improvement.
-func RefineWH(coarse *Graph, topo Topology, allocNodes, nodeOf []int32) int64 {
-	return core.RefineWH(coarse, topo, allocNodes, nodeOf, core.RefineOptions{})
-}
-
-// RefineMC exposes Algorithm 3 (volume congestion): in-place MC
-// refinement. It returns the number of swaps applied.
-func RefineMC(coarse *Graph, topo Topology, allocNodes, nodeOf []int32) int {
-	return core.RefineCongestion(coarse, topo, allocNodes, nodeOf, core.VolumeCongestion, core.RefineOptions{})
-}
-
-// RefineFineLevel applies WH refinement on the finer-level task
-// vertices (§III-B): individual tasks swap groups when that lowers WH
-// without raising the inter-node communication volume. It mutates
-// res.GroupOf and returns the WH and volume improvements. The paper
-// leaves this variant off by default; it is exposed for
-// experimentation and the ablation benchmarks.
-func RefineFineLevel(tg *TaskGraph, topo Topology, res *MapResult) (whGain, volGain int64) {
-	return core.RefineWHFine(tg.Symmetric(), topo, res.GroupOf, res.NodeOf, core.RefineOptions{})
-}
-
-// RefineMCAdaptive exposes the dynamic-routing adaptation of
-// Algorithm 3 (§III-C's closing remark): congestion refinement over
-// the expected link loads of a multipath network (adaptively routed
-// torus, ECMP fat tree). It returns the number of swaps applied.
-func RefineMCAdaptive(coarse *Graph, topo MultipathTopology, allocNodes, nodeOf []int32) int {
-	return core.RefineCongestionAdaptive(coarse, topo, allocNodes, nodeOf, core.VolumeCongestion, core.RefineOptions{})
 }
 
 // WriteRankOrder emits a Cray-style MPICH_RANK_ORDER file realizing
@@ -478,38 +329,7 @@ func PlacementFromRankOrder(order []int32, a *Allocation) (*Placement, error) {
 	return rankfile.PlacementFromRankOrder(order, a)
 }
 
-// WriteNodeList emits an allocation as "node procs" lines.
-func WriteNodeList(w io.Writer, a *Allocation) error { return rankfile.WriteNodeList(w, a) }
-
 // ReadNodeList parses an allocation from "node [procs]" lines, the
 // form a launcher wrapper captures from the scheduler (§II-B). Node
 // order is preserved as the scheduler's allocation order.
 func ReadNodeList(r io.Reader) (*Allocation, error) { return rankfile.ReadNodeList(r) }
-
-// RenderCongestionHistogram writes an ASCII histogram of the per-link
-// volume congestion under the placement — the spread behind the MC
-// and AC aggregates.
-func RenderCongestionHistogram(w io.Writer, tg *TaskGraph, topo Topology, pl *Placement, buckets int) error {
-	return viz.CongestionHistogram(w, tg.G, topo, pl, buckets)
-}
-
-// RenderTopLinks writes a table of the n most congested links with
-// their torus coordinates, routed volume and message counts.
-func RenderTopLinks(w io.Writer, tg *TaskGraph, topo *Torus, pl *Placement, n int) error {
-	return viz.FprintTopLinks(w, tg.G, topo, pl, n)
-}
-
-// RenderSliceMap draws one z-slice of a 3D torus as a character grid
-// showing free, allocated and task-hosting nodes (letters scale with
-// hosted communication volume).
-func RenderSliceMap(w io.Writer, topo *Torus, a *Allocation, coarse *Graph, nodeOf []int32, z int) error {
-	return viz.SliceMap(w, topo, a, coarse, nodeOf, z)
-}
-
-// RefineMMC exposes the message-congestion adaptation of Algorithm 3.
-// The graph's edge weights are read as message multiplicities: pass a
-// unit-weight graph when every edge is one message, or a
-// message-count-weighted coarse graph for grouped tasks.
-func RefineMMC(msgGraph *Graph, topo Topology, allocNodes, nodeOf []int32) int {
-	return core.RefineCongestion(msgGraph, topo, allocNodes, nodeOf, core.MessageCongestion, core.RefineOptions{})
-}

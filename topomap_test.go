@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/netsim"
+	"repro/internal/partitioners"
+	"repro/internal/taskgraph"
 )
 
-// Public-API tests: the full pipeline through the facade, exactly as
-// a downstream user would drive it.
+// Public-API tests: the full pipeline through the root API, exactly
+// as a downstream user would drive it, on SpMV workloads built by the
+// reproduction harness (spmvTaskGraph).
 
 // solveOn maps tg with one mapper at seed 1 through a fresh engine —
 // the one-shot path of a user mapping a single job.
@@ -24,24 +30,38 @@ func solveOn(t *testing.T, mp Mapper, tg *TaskGraph, topo Topology, a *Allocatio
 	return res
 }
 
+// spmvTaskGraph builds the task graph of a procs-way 1D row-wise SpMV
+// on the named Tiny dataset matrix, partitioned by personality p —
+// the workload fixture of the pipeline tests, built straight from the
+// harness packages the root API does not export.
+func spmvTaskGraph(t *testing.T, matrix string, p partitioners.Name, procs int, seed int64) *TaskGraph {
+	t.Helper()
+	spec, err := gen.ByName(matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := spec.Generate(gen.Tiny)
+	part, err := partitioners.Run(p, m, procs, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := taskgraph.Build(m, part, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tg
+}
+
 func TestFullPipeline(t *testing.T) {
-	m, err := GenerateMatrix("cagelike", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const procs = 128
-	part, err := PartitionMatrix(PATOH, m, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "cagelike", partitioners.PATOHP, procs, 1)
 	topo := NewHopperTorus(6, 6, 6)
 	a, err := SparseAllocation(topo, procs/16, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(Mappers()) != 7 {
+		t.Fatalf("Figure 2 lists %d mappers, want 7", len(Mappers()))
 	}
 	results := map[Mapper]*MapResult{}
 	for _, mp := range Mappers() {
@@ -56,75 +76,22 @@ func TestFullPipeline(t *testing.T) {
 	}
 	// Simulation must run for every mapping.
 	for mp, res := range results {
-		secs := SimulateSpMV(tg, topo, res.Placement(), 10, SimParams{Seed: 1})
+		secs := netsim.SpMV(tg.G, topo, res.Placement(), 10, SimParams{Seed: 1}).Seconds
 		if secs <= 0 {
 			t.Fatalf("%s: simulated time %g", mp, secs)
 		}
-		c := SimulateCommOnly(tg, topo, res.Placement(), 4096, SimParams{Seed: 1})
+		c := netsim.CommOnly(tg.G, topo, res.Placement(), 4096, SimParams{Seed: 1}).Seconds
 		if c <= 0 {
 			t.Fatalf("%s: simulated comm time %g", mp, c)
 		}
 	}
 }
 
-func TestDirectAlgorithmAPI(t *testing.T) {
-	coarse := FromEdges(8,
-		[]int32{0, 1, 2, 3, 4, 5, 6, 7},
-		[]int32{1, 2, 3, 4, 5, 6, 7, 0},
-		[]int64{5, 5, 5, 5, 5, 5, 5, 5})
-	topo := NewHopperTorus(4, 4, 4)
-	a, err := ContiguousAllocation(topo, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeOf := GreedyMap(coarse, topo, a.Nodes)
-	if len(nodeOf) != 8 {
-		t.Fatal("GreedyMap shape wrong")
-	}
-	gain := RefineWH(coarse, topo, a.Nodes, nodeOf)
-	if gain < 0 {
-		t.Fatalf("negative WH gain %d", gain)
-	}
-	if swaps := RefineMC(coarse, topo, a.Nodes, nodeOf); swaps < 0 {
-		t.Fatal("negative swap count")
-	}
-	if swaps := RefineMMC(coarse, topo, a.Nodes, nodeOf); swaps < 0 {
-		t.Fatal("negative swap count")
-	}
-}
-
-func TestDatasetAccessors(t *testing.T) {
-	names := DatasetNames()
-	if len(names) != 25 {
-		t.Fatalf("dataset has %d names", len(names))
-	}
-	if _, err := GenerateMatrix("does-not-exist", Tiny); err == nil {
-		t.Fatal("want error for unknown matrix")
-	}
-	if len(Partitioners()) != 7 {
-		t.Fatal("expected 7 partitioner personalities")
-	}
-	if len(Mappers()) != 7 {
-		t.Fatal("expected 7 mappers")
-	}
-}
-
 func TestUWHImprovesOverDEFOnScatteredAlloc(t *testing.T) {
 	// The headline claim at test scale: on a poor (scattered-ish)
 	// sparse allocation, UWH beats DEF on WH.
-	m, err := GenerateMatrix("mesh3d-a", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const procs = 256
-	part, err := PartitionMatrix(PATOH, m, procs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "mesh3d-a", partitioners.PATOHP, procs, 2)
 	topo := NewHopperTorus(8, 8, 8)
 	a, err := SparseAllocation(topo, procs/16, 5)
 	if err != nil {
@@ -138,19 +105,8 @@ func TestUWHImprovesOverDEFOnScatteredAlloc(t *testing.T) {
 }
 
 func TestExtraMappers(t *testing.T) {
-	m, err := GenerateMatrix("social-b", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const procs = 64
-	part, err := PartitionMatrix(PATOH, m, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "social-b", partitioners.PATOHP, procs, 1)
 	topo := NewHopperTorus(6, 6, 6)
 	a, err := SparseAllocation(topo, procs/16, 1)
 	if err != nil {
@@ -169,24 +125,13 @@ func TestHeterogeneousCapacities(t *testing.T) {
 	// node do not divide power-of-two process counts, so real
 	// allocations are non-uniform). The pipeline must respect every
 	// node's capacity.
-	m, err := GenerateMatrix("cagelike", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	topo := NewHopperTorus(6, 6, 6)
 	a := &Allocation{
 		Nodes:        []int32{3, 40, 77, 101, 130, 171},
 		ProcsPerNode: []int{24, 8, 16, 24, 8, 16}, // 96 procs
 	}
 	procs := a.TotalProcs()
-	part, err := PartitionMatrix(PATOH, m, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "cagelike", partitioners.PATOHP, procs, 1)
 	for _, mp := range []Mapper{DEF, UG, UWH, UMC} {
 		res := solveOn(t, mp, tg, topo, a)
 		// Count tasks per node and check capacities.
@@ -214,24 +159,13 @@ func TestHeterogeneousCapacities(t *testing.T) {
 }
 
 func TestRankOrderThroughPublicAPI(t *testing.T) {
-	m, err := GenerateMatrix("mesh2d-a", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	topo := NewHopperTorus(6, 6, 6)
 	a, err := SparseAllocation(topo, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	procs := a.TotalProcs()
-	part, err := PartitionMatrix(METIS, m, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "mesh2d-a", partitioners.METISP, procs, 1)
 	res := solveOn(t, UWH, tg, topo, a)
 	var buf bytes.Buffer
 	if err := WriteRankOrder(&buf, res.Placement(), a); err != nil {
@@ -252,19 +186,8 @@ func TestRankOrderThroughPublicAPI(t *testing.T) {
 
 func TestMeshTopologyPipeline(t *testing.T) {
 	// The whole pipeline must work on a mesh network too.
-	m, err := GenerateMatrix("mesh2d-a", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const procs = 64
-	part, err := PartitionMatrix(METIS, m, procs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := BuildTaskGraph(m, part, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tg := spmvTaskGraph(t, "mesh2d-a", partitioners.METISP, procs, 1)
 	topo := NewTorusMesh([]int{6, 6, 6}, []float64{9e9, 4.5e9, 9e9})
 	a, err := SparseAllocation(topo, procs/16, 2)
 	if err != nil {

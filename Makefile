@@ -10,10 +10,11 @@ GO ?= go
 check: fmt build test traceguard harnessguard fuzz-smoke docs
 
 # Fuzz smoke: a few hundred executions of each fuzz target — the
-# binary-frame decoders of internal/wirebin and the /v1 JSON codec of
-# internal/service — enough for the seed corpus plus mutations to walk
-# every decoder, cheap enough for every `make check`. Go allows one
-# -fuzz pattern per invocation, hence the loops. Longer runs: raise
+# binary-frame decoders of internal/wirebin, the /v1 JSON codec of
+# internal/service, and the CSR builder of internal/graph against its
+# sort-and-merge oracle — enough for the seed corpus plus mutations to
+# walk every decoder, cheap enough for every `make check`. Go allows
+# one -fuzz pattern per invocation, hence the loops. Longer runs: raise
 # -fuzztime (e.g. `go test ./internal/wirebin -fuzz=FuzzFrameDecoders
 # -fuzztime=60s`).
 fuzz-smoke:
@@ -21,7 +22,8 @@ fuzz-smoke:
 		$(GO) test ./internal/wirebin -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
 	done; for f in FuzzDecodeJSONMap FuzzDecodeJSONRemap FuzzDecodeJSONPortfolio; do \
 		$(GO) test ./internal/service -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
-	done; echo "fuzz-smoke: 7 targets clean"
+	done; $(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzFromTriples$$' -fuzztime=300x >/dev/null || exit 1; \
+	echo "fuzz-smoke: 8 targets clean"
 
 # mapbench smoke: cmd/mapbench is a module of its own, so the root
 # `go test ./...` never compiles it, yet it builds against the service
@@ -88,7 +90,9 @@ bench:
 # count — with allocation stats, so the scratch-arena trajectory is
 # tracked alongside ns/op — and record them as JSON diffable PR over
 # PR (BENCH_PR<n>.json). The large parallel-solve and refinement
-# instances run at a lower iteration count: one solve is ~10^8 ns.
+# instances run at a lower iteration count: one solve is ~10^8 ns. The
+# grouping and CSR-builder micro-benchmarks isolate the launch path's
+# dominant stage and the graph construction inside it.
 # BENCH_OUT has no default, so a recording never overwrites an earlier
 # PR's point: `make bench-json BENCH_OUT=BENCH_PR<n>.json`.
 BENCH_NOTES ?=
@@ -98,6 +102,8 @@ bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine(Reuse|ColdStart|CacheHit|RunBatch|Portfolio)|BenchmarkSolveTraced' -benchmem -benchtime=50x -count=1 . > $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkEngineParallelSolve|BenchmarkRefineMC|BenchmarkRemapVsCold|BenchmarkHeteroSolve|BenchmarkGeomSolve' -benchmem -benchtime=5x -count=1 . >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel' -benchmem -benchtime=200x -count=1 ./internal/service >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchmem -benchtime=20x -count=1 ./internal/taskgraph >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkFromTriples' -benchmem -benchtime=200x -count=1 ./internal/graph >> $$tmp; \
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) $(BENCH_NOTES) < $$tmp
 	@echo "wrote $(BENCH_OUT)"
 
@@ -105,12 +111,13 @@ bench-json:
 # parallelism, portfolio racing, incremental remapping, the parallel
 # congestion refinement and the wire-vs-in-memory Solve equivalence),
 # the parallel/metrics/partition/arena/core/remap plumbing those are
-# built on, plus the whole mapd service package (concurrent clients,
-# portfolio and remap endpoints, cache churn, cancellation, multi-slot
-# accounting).
+# built on — including the graph builders and grouping, whose forked
+# bisections build subgraphs concurrently from one arena — plus the
+# whole mapd service package (concurrent clients, portfolio and remap
+# endpoints, cache churn, cancellation, multi-slot accounting).
 race:
 	$(GO) test -race -run='Engine|Batch|Portfolio|Solve|RefineMC|Remap|Geom' .
-	$(GO) test -race ./internal/parallel/... ./internal/arena/... ./internal/partition/... ./internal/metrics/... ./internal/core/... ./internal/remap/... ./internal/trace/... ./internal/geom/... ./internal/sfc/...
+	$(GO) test -race ./internal/parallel/... ./internal/arena/... ./internal/graph/... ./internal/partition/... ./internal/taskgraph/... ./internal/metrics/... ./internal/core/... ./internal/remap/... ./internal/trace/... ./internal/geom/... ./internal/sfc/...
 	$(GO) test -race ./internal/service/...
 
 # Coverage report: per-package statement coverage across the module

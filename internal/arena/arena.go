@@ -161,8 +161,9 @@ func (a *Arena) PutBools(s []bool) {
 }
 
 // Edges borrows a zeroed []ds.EdgeTriple of length n — the staging
-// buffer the CSR graph builders sort and merge before laying out the
-// final arrays (which escape and therefore stay freshly allocated).
+// buffer the CSR graph builders bucket by source and merge in place
+// before laying out the final arrays (which escape and therefore stay
+// freshly allocated).
 func (a *Arena) Edges(n int) []ds.EdgeTriple {
 	if a != nil {
 		if s, ok := a.edges.take(n); ok {

@@ -4,8 +4,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/ds"
@@ -140,9 +141,10 @@ func FromEdges(n int, us, vs []int32, ws []int64, vw []int64) *Graph {
 
 // FromEdgesArena is FromEdges with the edge-staging buffer borrowed
 // from an arena — the final CSR arrays escape into the result and
-// remain freshly allocated, but the sort-and-merge scratch (the
-// dominant transient of graph construction) is recycled. A nil arena
-// allocates fresh, so the two paths build identical graphs.
+// remain freshly allocated, but the triple buffer FromTriples buckets
+// and merges in place (the dominant transient of graph construction)
+// is recycled. A nil arena allocates fresh, so the two paths build
+// identical graphs.
 func FromEdgesArena(a *arena.Arena, n int, us, vs []int32, ws []int64, vw []int64) *Graph {
 	if len(us) != len(vs) || (ws != nil && len(ws) != len(us)) {
 		panic("graph: FromEdges length mismatch")
@@ -165,43 +167,94 @@ func FromEdgesArena(a *arena.Arena, n int, us, vs []int32, ws []int64, vw []int6
 	return g
 }
 
+// insertionSortMax is the longest row FromTriples orders by insertion
+// sort; longer rows (the hubs of coarse graphs) go to slices.SortFunc.
+const insertionSortMax = 32
+
 // FromTriples builds a CSR graph with n vertices from staged edge
-// triples, merging parallel edges by summing weights. Self loops must
-// already be filtered out. triples is scratch: it is reordered in
-// place and never retained, so callers may pool it. vw is retained.
+// triples: rows ascending by neighbour, parallel edges merged by
+// summing weights. Every U must lie in [0,n) and self loops must
+// already be filtered out. triples is scratch: it is reordered and
+// overwritten in place and never retained, so callers may pool it. vw
+// is retained.
+//
+// The build is linear but for the per-row ordering. A counting pass
+// sizes the rows in Xadj; the triples are then bucketed by U in place
+// by cycle permutation, with no second staging buffer; each row is
+// ordered by V and merged, and Adj and EW are allocated at the merged
+// length.
 func FromTriples(n int, triples []ds.EdgeTriple, vw []int64) *Graph {
-	sort.Slice(triples, func(i, j int) bool {
-		if triples[i].U != triples[j].U {
-			return triples[i].U < triples[j].U
-		}
-		return triples[i].V < triples[j].V
-	})
-	// Merge duplicates.
-	out := triples[:0]
+	xadj := make([]int32, n+1)
 	for _, t := range triples {
-		if len(out) > 0 && out[len(out)-1].U == t.U && out[len(out)-1].V == t.V {
-			out[len(out)-1].W += t.W
-			continue
-		}
-		out = append(out, t)
-	}
-	g := &Graph{
-		Xadj: make([]int32, n+1),
-		Adj:  make([]int32, len(out)),
-		EW:   make([]int64, len(out)),
-		VW:   vw,
-	}
-	for _, t := range out {
-		g.Xadj[t.U+1]++
+		xadj[t.U+1]++
 	}
 	for v := 0; v < n; v++ {
-		g.Xadj[v+1] += g.Xadj[v]
+		xadj[v+1] += xadj[v]
 	}
-	for i, t := range out {
+	// Bucket by U. xadj[u] is row u's fill cursor: the row's slots below
+	// it hold their final triples, and those from it on do not. A placed
+	// triple is marked by complementing its U, so the scan skips it, and
+	// each turn of the inner loop sends the triple at i to its row's
+	// cursor and takes back the unplaced triple found there. Every turn
+	// places one triple; when the cursor is i itself the cycle closes.
+	for i := range triples {
+		for triples[i].U >= 0 {
+			t := triples[i]
+			p := xadj[t.U]
+			xadj[t.U]++
+			triples[i] = triples[p]
+			t.U = ^t.U
+			triples[p] = t
+		}
+	}
+	// Each cursor now sits at its row's end. Order and merge the rows,
+	// compacting them to the front and rewriting xadj to the merged
+	// offsets as the scan passes them.
+	w, lo := int32(0), int32(0)
+	for u := 0; u < n; u++ {
+		hi := xadj[u]
+		xadj[u] = w
+		row := triples[lo:hi]
+		sortByV(row)
+		for _, t := range row {
+			if w > xadj[u] && triples[w-1].V == t.V {
+				triples[w-1].W += t.W
+				continue
+			}
+			triples[w] = t
+			w++
+		}
+		lo = hi
+	}
+	xadj[n] = w
+	g := &Graph{
+		Xadj: xadj,
+		Adj:  make([]int32, w),
+		EW:   make([]int64, w),
+		VW:   vw,
+	}
+	for i, t := range triples[:w] {
 		g.Adj[i] = t.V
 		g.EW[i] = t.W
 	}
 	return g
+}
+
+// sortByV orders one row of triples by neighbour. Equal neighbours are
+// merged afterwards, so their relative order never matters.
+func sortByV(row []ds.EdgeTriple) {
+	if len(row) > insertionSortMax {
+		slices.SortFunc(row, func(a, b ds.EdgeTriple) int { return cmp.Compare(a.V, b.V) })
+		return
+	}
+	for i := 1; i < len(row); i++ {
+		t := row[i]
+		j := i
+		for ; j > 0 && row[j-1].V > t.V; j-- {
+			row[j] = row[j-1]
+		}
+		row[j] = t
+	}
 }
 
 // Symmetrize returns the undirected version of g: for every directed

@@ -141,17 +141,6 @@ func PlacementFromRankOrder(order []int32, a *alloc.Allocation) (*metrics.Placem
 	return &metrics.Placement{GroupOf: groupOf, NodeOf: append([]int32(nil), a.Nodes...)}, nil
 }
 
-// WriteNodeList emits an allocation as "node procs" lines, the form a
-// launcher wrapper captures from the scheduler.
-func WriteNodeList(w io.Writer, a *alloc.Allocation) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# allocation: %d nodes, %d processors\n", len(a.Nodes), a.TotalProcs())
-	for i, m := range a.Nodes {
-		fmt.Fprintf(bw, "%d %d\n", m, a.ProcsPerNode[i])
-	}
-	return bw.Flush()
-}
-
 // ReadNodeList parses an allocation file: one node per line, either
 // "node" (capacity defaults to 16 processors, the paper's setting) or
 // "node procs". '#' starts a comment. Node order is preserved — it is

@@ -2,6 +2,7 @@ package rankfile
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,9 +152,12 @@ func TestPlacementFromRankOrderCapacity(t *testing.T) {
 
 func TestNodeListRoundTrip(t *testing.T) {
 	a := &alloc.Allocation{Nodes: []int32{9, 1, 30}, ProcsPerNode: []int{16, 8, 16}}
+	// Write the allocation the way a launcher wrapper captures it from
+	// the scheduler: a comment header, then "node procs" lines.
 	var buf bytes.Buffer
-	if err := WriteNodeList(&buf, a); err != nil {
-		t.Fatal(err)
+	fmt.Fprintf(&buf, "# allocation: %d nodes, %d processors\n", len(a.Nodes), a.TotalProcs())
+	for i, m := range a.Nodes {
+		fmt.Fprintf(&buf, "%d %d\n", m, a.ProcsPerNode[i])
 	}
 	back, err := ReadNodeList(&buf)
 	if err != nil {

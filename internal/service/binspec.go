@@ -173,8 +173,9 @@ func AppendTasksSection(w *wirebin.Writer, ts TaskGraphSpec) error {
 	return nil
 }
 
-// binArena pools the edge-triple staging buffers of binary task-graph
-// decodes, shared across requests (the arena is concurrency-safe).
+// binArena pools the edge-triple staging buffers of task-graph builds
+// on both protocols, shared across requests (the arena is
+// concurrency-safe).
 var binArena = arena.New()
 
 // taskGraphFromCSR builds the engine's task graph straight from a

@@ -20,6 +20,8 @@ import (
 	"time"
 
 	topomap "repro"
+	"repro/internal/ds"
+	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/trace"
 )
@@ -51,9 +53,12 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 	if t.N > maxTasks {
 		return nil, fmt.Errorf("tasks: n=%d exceeds the %d-task service limit", t.N, maxTasks)
 	}
-	us := make([]int32, 0, len(t.Edges))
-	vs := make([]int32, 0, len(t.Edges))
-	ws := make([]int64, 0, len(t.Edges))
+	// Every /v1 request builds its graph, memo hits included (the memo
+	// key hashes it), so the edges stage straight into pooled triples,
+	// as taskGraphFromCSR does for /v2 frames.
+	tri := binArena.Edges(len(t.Edges))
+	defer binArena.PutEdges(tri)
+	cnt := 0
 	for i, e := range t.Edges {
 		src, dst, vol := e[0], e[1], e[2]
 		if src < 0 || src >= int64(t.N) || dst < 0 || dst >= int64(t.N) {
@@ -62,11 +67,13 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 		if vol <= 0 {
 			return nil, fmt.Errorf("tasks: edge %d has volume %d", i, vol)
 		}
-		us = append(us, int32(src))
-		vs = append(vs, int32(dst))
-		ws = append(ws, vol)
+		if src == dst {
+			continue // self loop
+		}
+		tri[cnt] = ds.EdgeTriple{U: int32(src), V: int32(dst), W: vol}
+		cnt++
 	}
-	g := topomap.FromEdges(t.N, us, vs, ws)
+	g := graph.FromTriples(t.N, tri[:cnt], nil)
 	if t.Loads != nil {
 		if len(t.Loads) != t.N {
 			return nil, fmt.Errorf("tasks: %d loads for %d tasks", len(t.Loads), t.N)

@@ -12,7 +12,8 @@ check: fmt build test traceguard harnessguard fuzz-smoke docs
 # Fuzz smoke: a few hundred executions of each fuzz target — the
 # binary-frame decoders of internal/wirebin, the /v1 JSON codec of
 # internal/service, and the CSR builder of internal/graph against its
-# sort-and-merge oracle — enough for the seed corpus plus mutations to
+# sort-and-merge oracle, plus the /v1 edge-list decoder against
+# encoding/json — enough for the seed corpus plus mutations to
 # walk every decoder, cheap enough for every `make check`. Go allows
 # one -fuzz pattern per invocation, hence the loops. Longer runs: raise
 # -fuzztime (e.g. `go test ./internal/wirebin -fuzz=FuzzFrameDecoders
@@ -20,10 +21,10 @@ check: fmt build test traceguard harnessguard fuzz-smoke docs
 fuzz-smoke:
 	@set -e; for f in FuzzFrameDecoders FuzzParseTasks FuzzDecodeTopology FuzzDecodeAllocation; do \
 		$(GO) test ./internal/wirebin -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
-	done; for f in FuzzDecodeJSONMap FuzzDecodeJSONRemap FuzzDecodeJSONPortfolio; do \
+	done; for f in FuzzDecodeJSONMap FuzzDecodeJSONRemap FuzzDecodeJSONPortfolio FuzzEdgeList; do \
 		$(GO) test ./internal/service -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
 	done; $(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzFromTriples$$' -fuzztime=300x >/dev/null || exit 1; \
-	echo "fuzz-smoke: 8 targets clean"
+	echo "fuzz-smoke: 9 targets clean"
 
 # mapbench smoke: cmd/mapbench is a module of its own, so the root
 # `go test ./...` never compiles it, yet it builds against the service

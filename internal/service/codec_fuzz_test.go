@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	topomap "repro"
@@ -25,6 +26,27 @@ func fuzzTasks(n int) TaskGraphSpec {
 		spec.Edges = append(spec.Edges, [3]int64{int64(i), int64((i + 1) % n), 10}, [3]int64{int64(i), int64((i + n/2) % n), 3})
 	}
 	return spec
+}
+
+// addEnvelopeSeeds seeds f with req spelled two more ways: indented,
+// and with a longer "edges" key ahead of its own, so the second decode
+// lands in an already-decoded slice. Both walk EdgeList's scan through
+// the real envelope.
+func addEnvelopeSeeds(f *testing.F, req any) {
+	indented, err := json.MarshalIndent(req, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	longer, err := json.Marshal(fuzzTasks(128).Edges)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(indented)
+	f.Add(bytes.Replace(raw, []byte(`"edges":`), slices.Concat([]byte(`"edges":`), longer, []byte(`,"edges":`)), 1))
 }
 
 // fuzzDecode seeds f with the marshalled requests and checks the
@@ -56,12 +78,14 @@ func FuzzDecodeJSONMap(f *testing.F) {
 		coords.Coords = append(coords.Coords, []float64{float64(i % 4), float64(i / 4)})
 		coords.Loads = append(coords.Loads, int64(1+i%3))
 	}
+	req := MapRequest{
+		Topology:   TopologySpec{Kind: "torus", Dims: []int{6, 6, 6}},
+		Allocation: AllocationSpec{SparseNodes: 8, Seed: 1},
+		Tasks:      tasks, Mapper: "UWH", Seed: 7, Trace: true, Rankfile: true,
+	}
+	addEnvelopeSeeds(f, req)
 	fuzzDecode(f, func(c jsonCodec) func(http.ResponseWriter, *http.Request) (*job, error) { return c.decodeMap },
-		MapRequest{
-			Topology:   TopologySpec{Kind: "torus", Dims: []int{6, 6, 6}},
-			Allocation: AllocationSpec{SparseNodes: 8, Seed: 1},
-			Tasks:      tasks, Mapper: "UWH", Seed: 7, Trace: true, Rankfile: true,
-		},
+		req,
 		MapRequest{
 			Topology:   TopologySpec{Kind: "fattree", K: 8},
 			Allocation: AllocationSpec{Nodes: []int32{3, 17, 41, 90}, ProcsPerNode: []int{4}, Speeds: []float64{1, 2, 1, 2}},
@@ -91,14 +115,16 @@ func FuzzDecodeJSONRemap(f *testing.F) {
 }
 
 func FuzzDecodeJSONPortfolio(f *testing.F) {
+	req := PortfolioRequest{
+		Topology:   TopologySpec{Kind: "torus", Dims: []int{6, 6, 6}},
+		Allocation: AllocationSpec{SparseNodes: 8, Seed: 1},
+		Tasks:      fuzzTasks(64),
+		Candidates: []topomap.Solve{{Mapper: "UWH", Seed: 1}, {Mapper: "UMC", Seed: 1, Refine: true}, {Mapper: "DEF"}},
+		Objective:  topomap.MinimizeMetric("mc"),
+	}
+	addEnvelopeSeeds(f, req)
 	fuzzDecode(f, func(c jsonCodec) func(http.ResponseWriter, *http.Request) (*job, error) { return c.decodePortfolio },
-		PortfolioRequest{
-			Topology:   TopologySpec{Kind: "torus", Dims: []int{6, 6, 6}},
-			Allocation: AllocationSpec{SparseNodes: 8, Seed: 1},
-			Tasks:      fuzzTasks(64),
-			Candidates: []topomap.Solve{{Mapper: "UWH", Seed: 1}, {Mapper: "UMC", Seed: 1, Refine: true}, {Mapper: "DEF"}},
-			Objective:  topomap.MinimizeMetric("mc"),
-		},
+		req,
 		PortfolioRequest{
 			Topology:   TopologySpec{Kind: "fattree", K: 4},
 			Allocation: AllocationSpec{SparseNodes: 4, Seed: 3},

@@ -12,8 +12,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -33,11 +37,178 @@ import (
 // row per task for the geometric mappers. An absent Loads field — or
 // an all-ones one, which canonicalizes to absent — means unit loads;
 // an absent Coords field means a coordinate-free graph.
+//
+// Edges is the bulk of a /v1 body, so it is an EdgeList: its canonical
+// shape decodes without reflection, everything else through
+// encoding/json exactly as a [][3]int64 field would. The other fields
+// decode through encoding/json, and encoding is encoding/json's
+// throughout.
 type TaskGraphSpec struct {
 	N      int         `json:"n"`
-	Edges  [][3]int64  `json:"edges"`
+	Edges  EdgeList    `json:"edges"`
 	Loads  []int64     `json:"loads,omitempty"`
 	Coords [][]float64 `json:"coords,omitempty"`
+}
+
+// EdgeList is the wire form of a task graph's edges: one
+// [src, dst, volume] triple per directed edge. It decodes exactly as
+// its underlying [][3]int64 does under encoding/json — the same
+// accepted inputs, values and error text — but faster on the shape
+// every client sends.
+//
+// The canonical shape, an array of three-integer arrays with any JSON
+// whitespace between tokens, is scanned straight into one slice sized
+// once from the bytes. Every other shape — null, a short or long
+// triple, a fraction, an exponent, an integer outside int64, a string
+// — goes to json.Unmarshal on the same bytes into the underlying type,
+// so encoding/json stays the only definition of what an edge list is
+// (FuzzEdgeList holds the two paths equal). The target is written only
+// once the scan succeeds, and then into its own array when that has
+// room, as encoding/json does, so the fallback sees it as
+// encoding/json would have, repeated keys and reused slices included.
+// One difference is encoding/json's own: it stops a decode at an
+// Unmarshaler's error but decodes on past a plain field's type error,
+// so in a body with several bad fields the error it reports can be
+// another one.
+//
+// The slice is sized from the count of '[' bytes, capped at
+// len(b)/8+1 edges, the most a canonical array of that length holds
+// ("[0,1,1]," is 8 bytes); without the cap, '[' runs inside a string
+// could reserve many times the body's size before the scan fails.
+//
+// EdgeList has no MarshalJSON on purpose: encoding/json re-scans a
+// Marshaler's output to compact it, which measured slower than its
+// reflective encoder of the same slice.
+type EdgeList [][3]int64
+
+// UnmarshalJSON implements json.Unmarshaler; see EdgeList.
+func (e *EdgeList) UnmarshalJSON(b []byte) error {
+	edges, ok := scanEdges(b)
+	switch {
+	case !ok:
+		return json.Unmarshal(b, (*[][3]int64)(e))
+	case len(edges) > 0 && len(edges) <= cap(*e):
+		// encoding/json decodes a non-empty array into the target's
+		// own array when it has room and keeps what lies past the new
+		// length, which a later repeated key can expose again.
+		*e = append((*e)[:0], edges...)
+	default:
+		*e = edges
+	}
+	return nil
+}
+
+// edgeCapacity is the number of edges scanEdges reserves for b: one
+// per '[' after the outer one, never more than a canonical array of
+// len(b) bytes can hold.
+func edgeCapacity(b []byte) int {
+	return max(0, min(bytes.Count(b, []byte{'['})-1, len(b)/8+1))
+}
+
+// scanEdges parses b if it is a canonical edge list, reporting false
+// on anything else.
+func scanEdges(b []byte) (EdgeList, bool) {
+	s := edgeScanner{b: b}
+	if !s.next('[') {
+		return nil, false
+	}
+	out := make(EdgeList, 0, edgeCapacity(b))
+	if s.next(']') {
+		return out, s.end()
+	}
+	for {
+		var t [3]int64
+		if !s.next('[') {
+			return nil, false
+		}
+		for k := range t {
+			if k > 0 && !s.next(',') {
+				return nil, false
+			}
+			v, ok := s.int()
+			if !ok {
+				return nil, false
+			}
+			t[k] = v
+		}
+		if !s.next(']') {
+			return nil, false
+		}
+		out = append(out, t)
+		if s.next(']') {
+			return out, s.end()
+		}
+		if !s.next(',') {
+			return nil, false
+		}
+	}
+}
+
+// edgeScanner walks the canonical edge-list grammar over b.
+type edgeScanner struct {
+	b []byte
+	i int
+}
+
+func (s *edgeScanner) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// next consumes c after optional whitespace, reporting whether it was
+// there.
+func (s *edgeScanner) next(c byte) bool {
+	s.space()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace remains.
+func (s *edgeScanner) end() bool {
+	s.space()
+	return s.i == len(s.b)
+}
+
+// int consumes a JSON integer that fits int64, after optional
+// whitespace; overflow reports false. A fraction or an exponent stops
+// the digits at a byte the grammar rejects next. A leading zero cannot
+// reach a decoder that encoding/json calls, but a direct call gets
+// encoding/json's syntax error for it.
+func (s *edgeScanner) int() (int64, bool) {
+	s.space()
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if i-start == 19 {
+			return 0, false // 20 digits without a leading zero exceed int64
+		}
+		u = u*10 + uint64(b[i]-'0')
+	}
+	switch {
+	case i == start, b[start] == '0' && i-start > 1:
+		return 0, false
+	case u > math.MaxInt64 && !(neg && u == math.MaxInt64+1):
+		return 0, false
+	}
+	s.i = i
+	if neg {
+		return -int64(u), true // u == 1<<63 wraps to math.MinInt64
+	}
+	return int64(u), true
 }
 
 // maxTasks bounds wire task graphs: n is a bare integer whose cost
@@ -562,14 +733,19 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // readJSON decodes a request body into v, rejecting unknown fields
-// (typos in a wire payload must fail loudly, not map with defaults)
-// and bodies over limit bytes.
+// (typos in a wire payload must fail loudly, not map with defaults),
+// anything but whitespace after the request object (a second object
+// would otherwise be dropped silently) and bodies over limit bytes.
 func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode request: %w", err)
+	}
+	off := dec.InputOffset()
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("decode request: trailing data after the request object at offset %d", off)
 	}
 	return nil
 }

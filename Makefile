@@ -11,10 +11,11 @@ check: fmt build test traceguard harnessguard fuzz-smoke docs
 
 # Fuzz smoke: a few hundred executions of each fuzz target — the
 # binary-frame decoders of internal/wirebin, the /v1 JSON codec of
-# internal/service, and the CSR builder of internal/graph against its
-# sort-and-merge oracle, plus the /v1 edge-list decoder against
-# encoding/json — enough for the seed corpus plus mutations to
-# walk every decoder, cheap enough for every `make check`. Go allows
+# internal/service, the CSR builder of internal/graph against its
+# sort-and-merge oracle, the /v1 edge-list decoder against
+# encoding/json, and the coarse supertask graphs of internal/taskgraph
+# against their triple-staging oracle — enough for the seed corpus plus
+# mutations to walk every decoder, cheap enough for every `make check`. Go allows
 # one -fuzz pattern per invocation, hence the loops. Longer runs: raise
 # -fuzztime (e.g. `go test ./internal/wirebin -fuzz=FuzzFrameDecoders
 # -fuzztime=60s`).
@@ -24,7 +25,8 @@ fuzz-smoke:
 	done; for f in FuzzDecodeJSONMap FuzzDecodeJSONRemap FuzzDecodeJSONPortfolio FuzzEdgeList; do \
 		$(GO) test ./internal/service -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
 	done; $(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzFromTriples$$' -fuzztime=300x >/dev/null || exit 1; \
-	echo "fuzz-smoke: 9 targets clean"
+	$(GO) test ./internal/taskgraph -run='^$$' -fuzz='^FuzzCoarseGraph$$' -fuzztime=300x >/dev/null || exit 1; \
+	echo "fuzz-smoke: 10 targets clean"
 
 # mapbench smoke: cmd/mapbench is a module of its own, so the root
 # `go test ./...` never compiles it, yet it builds against the service
@@ -93,7 +95,9 @@ bench:
 # PR (BENCH_PR<n>.json). The large parallel-solve and refinement
 # instances run at a lower iteration count: one solve is ~10^8 ns. The
 # grouping and CSR-builder micro-benchmarks isolate the launch path's
-# dominant stage and the graph construction inside it.
+# dominant stage and the graph construction inside it; the coarse-graph
+# and metrics micro-benchmarks isolate the coarsen and metrics stages at
+# the launch and remap shapes.
 # BENCH_OUT has no default, so a recording never overwrites an earlier
 # PR's point: `make bench-json BENCH_OUT=BENCH_PR<n>.json`.
 BENCH_NOTES ?=
@@ -104,6 +108,8 @@ bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkEngineParallelSolve|BenchmarkRefineMC|BenchmarkRemapVsCold|BenchmarkHeteroSolve|BenchmarkGeomSolve' -benchmem -benchtime=5x -count=1 . >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel' -benchmem -benchtime=200x -count=1 ./internal/service >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchmem -benchtime=20x -count=1 ./internal/taskgraph >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkCoarseGraph' -benchmem -benchtime=200x -count=1 ./internal/taskgraph >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkComputeMetrics' -benchmem -benchtime=200x -count=1 ./internal/metrics >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkFromTriples' -benchmem -benchtime=200x -count=1 ./internal/graph >> $$tmp; \
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) $(BENCH_NOTES) < $$tmp
 	@echo "wrote $(BENCH_OUT)"

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/hetero"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -197,8 +198,8 @@ type solveJob struct {
 // the budget uniform across RunSolve, RunBatch and portfolio
 // candidates. The returned cancel releases the budget's timer.
 func (e *Engine) newJob(ctx context.Context, tg *TaskGraph, s Solve, defaultWorkers int, start time.Time) (*solveJob, context.CancelFunc, error) {
-	if tg == nil {
-		return nil, nil, fmt.Errorf("topomap: request carries no task graph")
+	if err := checkTasks("request", tg); err != nil {
+		return nil, nil, err
 	}
 	if s.TimeoutMS < 0 {
 		return nil, nil, fmt.Errorf("topomap: negative timeout_ms %d", s.TimeoutMS)
@@ -221,6 +222,20 @@ func (e *Engine) newJob(ctx context.Context, tg *TaskGraph, s Solve, defaultWork
 	}
 	ex := &core.Exec{Par: parallel.NewGroup(ctx, workers), Arena: e.arena, Trace: tr}
 	return &solveJob{ctx: ctx, s: s, spec: spec, caps: spec.Caps(), ex: ex}, cancel, nil
+}
+
+// checkTasks rejects a job of the given kind whose task graph is
+// missing or whose task count K disagrees with its graph's vertex
+// count: the pipeline sizes per-task vectors by one and indexes them by
+// the other.
+func checkTasks(job string, tg *TaskGraph) error {
+	if tg == nil || tg.G == nil {
+		return fmt.Errorf("topomap: %s carries no task graph", job)
+	}
+	if tg.K != tg.G.N() {
+		return fmt.Errorf("topomap: task graph declares %d tasks but has %d vertices", tg.K, tg.G.N())
+	}
+	return nil
 }
 
 // mapperFor resolves mapper m through the registry and checks that
@@ -247,19 +262,22 @@ func (e *Engine) mapperFor(tg *TaskGraph, m Mapper) (registry.MapperSpec, error)
 }
 
 // prefix is the head of the pipeline every mapper shares (§III-A):
-// the task→group vector and the coarse supertask graph aggregated over
-// it. The rest of the pipeline mutates group in place (load repair,
-// fine-level refinement) and the balance stage writes coarse.VW, so a
-// prefix shared between solves is handed to each as a private copy of
-// group, plus a private coarse.VW when the solve balances.
+// the task graph's symmetrized view, the task→group vector and the
+// coarse supertask graph aggregated over it. The rest of the pipeline
+// mutates group in place (load repair, fine-level refinement) and the
+// balance stage writes coarse.VW, so a prefix shared between solves is
+// handed to each as a private copy of group, plus a private coarse.VW
+// when the solve balances; sym is only ever read.
 type prefix struct {
+	sym    *Graph
 	group  []int32
 	coarse *Graph
 }
 
-// runPrefix groups the tasks onto the allocated nodes — SMP-style
-// blocks for block-grouping mappers, graph partitioning with capacity
-// fix-up for the rest — and aggregates the coarse graph, under the
+// runPrefix symmetrizes the task graph, groups the tasks onto the
+// allocated nodes — SMP-style blocks for block-grouping mappers, graph
+// partitioning with capacity fix-up for the rest — and contracts the
+// symmetrized graph over the grouping into the coarse graph, under the
 // "group" and "coarsen" spans of ex's trace. sharedBy > 0 marks a
 // prefix computed once for that many portfolio candidates; both spans
 // then carry it as the shared_by counter.
@@ -272,12 +290,13 @@ func (e *Engine) runPrefix(ctx context.Context, tg *TaskGraph, blockGrouping boo
 	}
 	sp := ex.StartSpan("group")
 	sp.SetWorkers(ex.Par.NumWorkers())
+	sym := tg.SymmetricArena(e.arena)
 	var group []int32
 	var err error
 	if blockGrouping {
 		group, err = taskgraph.GroupBlocks(tg.K, e.caps)
 	} else {
-		group, err = taskgraph.GroupTasksExec(tg, e.caps, seed, ex.Par, e.arena, ex.Trace)
+		group, err = taskgraph.GroupTasksExec(sym, e.caps, seed, ex.Par, e.arena, ex.Trace)
 	}
 	sp.Add("groups", int64(e.alloc.NumNodes()))
 	if sharedBy > 0 {
@@ -291,14 +310,14 @@ func (e *Engine) runPrefix(ctx context.Context, tg *TaskGraph, blockGrouping boo
 		return prefix{}, err
 	}
 	sp = ex.StartSpan("coarsen")
-	coarse := taskgraph.CoarseGraphArena(e.arena, tg, group, e.alloc.NumNodes())
+	coarse := graph.Contract(sym, group, e.alloc.NumNodes(), e.arena)
 	sp.Add("coarse_vertices", int64(coarse.N()))
 	sp.Add("coarse_edges", int64(coarse.M()))
 	if sharedBy > 0 {
 		sp.Add("shared_by", int64(sharedBy))
 	}
 	sp.End()
-	return prefix{group: group, coarse: coarse}, nil
+	return prefix{sym: sym, group: group, coarse: coarse}, nil
 }
 
 // balances reports whether a solve of s runs the makespan-aware load
@@ -347,15 +366,14 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 		core.RefineWH(coarse, e.view, e.alloc.Nodes, nodeOf, core.RefineOptions{Exec: ex})
 		sp.End()
 	}
-	return e.finishPlacement(j, tg, nil, p, nodeOf)
+	return e.finishPlacement(j, tg, p, nodeOf)
 }
 
 // finishPlacement is the tail every placement ends on, a cold solve's
 // and a warm remap's alike: capacity and load repair, fine-level
-// refinement, metrics and the optional simulation. The result names
-// j.s.Mapper. sym is tg's symmetrized graph when the caller already
-// built it (nil: built here, and only for the fine-level refinement).
-func (e *Engine) finishPlacement(j *solveJob, tg *TaskGraph, sym *Graph, p prefix, nodeOf []int32) (*MapResult, error) {
+// refinement (on p.sym), metrics and the optional simulation. The
+// result names j.s.Mapper.
+func (e *Engine) finishPlacement(j *solveJob, tg *TaskGraph, p prefix, nodeOf []int32) (*MapResult, error) {
 	ctx, s, caps, ex := j.ctx, j.s, j.caps, j.ex
 	group, coarse := p.group, p.coarse
 	poolWorkers := ex.Par.NumWorkers()
@@ -391,10 +409,7 @@ func (e *Engine) finishPlacement(j *solveJob, tg *TaskGraph, sym *Graph, p prefi
 	if s.FineRefine {
 		sp := ex.StartSpan("refine_fine")
 		sp.SetWorkers(poolWorkers)
-		if sym == nil {
-			sym = tg.SymmetricArena(e.arena)
-		}
-		res.FineWHGain, res.FineVolGain = core.RefineWHFine(sym, e.view, group, nodeOf, core.RefineOptions{Exec: ex})
+		res.FineWHGain, res.FineVolGain = core.RefineWHFine(p.sym, e.view, group, nodeOf, core.RefineOptions{Exec: ex})
 		sp.End()
 	}
 	pl := &metrics.Placement{GroupOf: group, NodeOf: nodeOf}

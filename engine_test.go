@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/graph"
 	"repro/internal/partitioners"
 )
 
@@ -498,6 +499,52 @@ func TestEngineErrors(t *testing.T) {
 	}
 	if _, err := NewEngine(topo, &Allocation{Nodes: []int32{1, 1}, ProcsPerNode: []int{16, 16}}); err == nil {
 		t.Fatal("want error for duplicate allocation nodes")
+	}
+}
+
+// TestEngineRejectsTaskCountMismatch: a task graph whose K disagrees
+// with its graph's vertex count fails every entry point with an error,
+// instead of panicking (a block-grouping mapper indexing past K) or
+// placing a different number of tasks than K (a partitioning mapper
+// grouping every vertex).
+func TestEngineRejectsTaskCountMismatch(t *testing.T) {
+	ctx := context.Background()
+	topo := NewHopperTorus(4, 4, 4)
+	a, err := SparseAllocation(topo, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.RandomConnected(16, 32, 9, 1)
+	prev, err := eng.RunSolve(ctx, &TaskGraph{G: g, K: 16}, Solve{Mapper: UWH, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := AllocationDelta{Remove: []int32{a.Nodes[0]}}
+	for _, k := range []int{12, 20} {
+		bad := &TaskGraph{G: g, K: k}
+		for _, m := range []Mapper{DEF, UWH} {
+			if res, err := eng.RunSolve(ctx, bad, Solve{Mapper: m, Seed: 1}); err == nil {
+				t.Fatalf("K=%d, %s: RunSolve returned %d groups and no error", k, m, len(res.GroupOf))
+			}
+			if _, err := eng.RunBatch(ctx, bad, []Solve{{Mapper: m, Seed: 1}}, 1); err == nil {
+				t.Fatalf("K=%d, %s: RunBatch returned no error", k, m)
+			}
+		}
+		req := PortfolioRequest{Tasks: bad, Candidates: []Solve{{Mapper: DEF}, {Mapper: UWH}, {Mapper: UG}}}
+		if _, err := eng.RunPortfolio(ctx, req); err == nil {
+			t.Fatalf("K=%d: RunPortfolio returned no error", k)
+		}
+		// The previous result places K tasks, so only the task graph
+		// itself is inconsistent.
+		prevK := *prev
+		prevK.GroupOf = make([]int32, k)
+		if _, err := eng.RunRemap(ctx, bad, &prevK, delta, RemapSpec{}); err == nil {
+			t.Fatalf("K=%d: RunRemap returned no error", k)
+		}
 	}
 }
 

@@ -168,7 +168,7 @@ func FromEdgesArena(a *arena.Arena, n int, us, vs []int32, ws []int64, vw []int6
 }
 
 // insertionSortMax is the longest row FromTriples orders by insertion
-// sort; longer rows (the hubs of coarse graphs) go to slices.SortFunc.
+// sort; longer rows (hub vertices) go to slices.SortFunc.
 const insertionSortMax = 32
 
 // FromTriples builds a CSR graph with n vertices from staged edge

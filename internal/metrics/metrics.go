@@ -53,60 +53,149 @@ func (p *Placement) Node(t int32) int32 {
 	return p.NodeOf[p.GroupOf[t]]
 }
 
-// computeState accumulates the per-vertex partial sums of one vertex
-// range. Every field is an integer count, so merging states is exact
-// and order-independent — the property the parallel evaluation's
+// groupIndex lists each group's member tasks once, by counting sort:
+// group g's tasks are members[start[g]:start[g+1]], ascending, and of
+// maps every task to its group. An identity placement (nil GroupOf) is
+// one task per group.
+type groupIndex struct {
+	of, start, members []int32
+}
+
+func newGroupIndex(tg *graph.Graph, pl *Placement) groupIndex {
+	n := tg.N()
+	of, ng := pl.GroupOf, len(pl.NodeOf)
+	if of == nil {
+		of, ng = make([]int32, n), n
+		for t := range of {
+			of[t] = int32(t)
+		}
+	}
+	gi := groupIndex{of: of[:n], start: make([]int32, ng+1), members: make([]int32, n)}
+	for _, g := range gi.of {
+		gi.start[g+1]++
+	}
+	for g := 0; g < ng; g++ {
+		gi.start[g+1] += gi.start[g]
+	}
+	// start[g] is group g's fill cursor until the shift below restores
+	// it from start[g-1]'s final value.
+	for t, g := range gi.of {
+		gi.members[gi.start[g]] = int32(t)
+		gi.start[g]++
+	}
+	copy(gi.start[1:], gi.start[:ng])
+	gi.start[0] = 0
+	return gi
+}
+
+// groups returns the number of groups.
+func (gi *groupIndex) groups() int { return len(gi.start) - 1 }
+
+// computeState accumulates the partial sums of one group range. Every
+// field is an integer count, so merging states is exact and
+// order-independent — the property the parallel evaluation's
 // any-worker-count determinism rests on.
 type computeState struct {
 	th, wh, icv, icm int64
-	msgCong, volCong []int64
-	recvVol, recvMsg map[int32]int64
+	links            []traffic // per link
+	recv             []traffic // per receiving group
 }
 
-// accumulate walks the out-edges of tasks [lo,hi) under the placement
-// and adds their traffic to st.
-func (st *computeState) accumulate(tg *graph.Graph, topo torus.Topology, pl *Placement, lo, hi int) {
-	var route []int32
-	for t := lo; t < hi; t++ {
-		a := pl.Node(int32(t))
-		for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
-			u := tg.Adj[i]
-			b := pl.Node(u)
+// traffic counts the messages and volume crossing one link or
+// received by one group. The two counts sit side by side so that adding
+// a route's traffic touches one cache line per link.
+type traffic struct {
+	count, vol int64
+}
+
+func (t *traffic) add(u traffic) {
+	t.count += u.count
+	t.vol += u.vol
+}
+
+// pairSum is the traffic of one group's tasks to one other group.
+type pairSum struct {
+	traffic
+	seen int32 // source group + 1 that last reset the sum
+}
+
+// accumulate adds the traffic of groups [lo,hi) to st. Each group's
+// out-edges are summed per destination group through a dense marker,
+// so every ordered group pair on distinct nodes is routed once and
+// its messages and volume are added along the route in one step:
+// hops·count to TH, hops·volume to WH, count and volume to every link
+// of the route and to the receiving group.
+func (st *computeState) accumulate(tg *graph.Graph, topo torus.Topology, nodeOf []int32, gi *groupIndex, lo, hi int) {
+	sums := make([]pairSum, gi.groups())
+	var dests, route []int32
+	for ga := lo; ga < hi; ga++ {
+		stamp := int32(ga) + 1
+		dests = dests[:0]
+		for _, t := range gi.members[gi.start[ga]:gi.start[ga+1]] {
+			for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
+				gb := gi.of[tg.Adj[i]]
+				if int(gb) == ga {
+					continue // intra-group: no network traffic
+				}
+				ps := &sums[gb]
+				if ps.seen != stamp {
+					*ps = pairSum{seen: stamp}
+					dests = append(dests, gb)
+				}
+				ps.add(traffic{count: 1, vol: tg.EdgeWeight(int(i))})
+			}
+		}
+		a := int(nodeOf[ga])
+		for _, gb := range dests {
+			b := int(nodeOf[gb])
 			if a == b {
 				continue // intra-node: no network traffic
 			}
-			w := tg.EdgeWeight(int(i))
-			hops := int64(topo.HopDist(int(a), int(b)))
-			st.th += hops
-			st.wh += hops * w
-			st.icv += w
-			st.icm++
-			st.recvVol[b] += w
-			st.recvMsg[b]++
-			route = topo.Route(int(a), int(b), route[:0])
+			ps := sums[gb]
+			hops := int64(topo.HopDist(a, b))
+			st.th += hops * ps.count
+			st.wh += hops * ps.vol
+			st.icv += ps.vol
+			st.icm += ps.count
+			st.recv[gb].add(ps.traffic)
+			route = topo.Route(a, b, route[:0])
 			for _, l := range route {
-				st.msgCong[l]++
-				st.volCong[l] += w
+				st.links[l].add(ps.traffic)
 			}
 		}
 	}
 }
 
-// finalize derives the aggregate metrics from a fully merged state.
-func (st *computeState) finalize(topo torus.Topology) MapMetrics {
+// merge adds p's partial sums into st.
+func (st *computeState) merge(p *computeState) {
+	st.th += p.th
+	st.wh += p.wh
+	st.icv += p.icv
+	st.icm += p.icm
+	for l, t := range p.links {
+		st.links[l].add(t)
+	}
+	for g, t := range p.recv {
+		st.recv[g].add(t)
+	}
+}
+
+// finalize derives the aggregate metrics from a fully merged state;
+// nodeOf places the groups, whose receive totals add up per node.
+func (st *computeState) finalize(topo torus.Topology, nodeOf []int32) MapMetrics {
 	m := MapMetrics{TH: st.th, WH: st.wh, ICV: st.icv, ICM: st.icm}
 	var sumMsg int64
 	var sumVC float64
-	for l := range st.msgCong {
-		if st.msgCong[l] == 0 {
+	for l, t := range st.links {
+		if t.count == 0 {
 			continue
 		}
 		m.UsedLinks++
-		sumMsg += st.msgCong[l]
-		if st.msgCong[l] > m.MMC {
-			m.MMC = st.msgCong[l]
+		sumMsg += t.count
+		if t.count > m.MMC {
+			m.MMC = t.count
 		}
-		vc := float64(st.volCong[l]) / topo.LinkBW(l)
+		vc := float64(t.vol) / topo.LinkBW(l)
 		sumVC += vc
 		if vc > m.MC {
 			m.MC = vc
@@ -116,25 +205,25 @@ func (st *computeState) finalize(topo torus.Topology) MapMetrics {
 		m.AMC = float64(sumMsg) / float64(m.UsedLinks)
 		m.AC = sumVC / float64(m.UsedLinks)
 	}
-	for _, v := range st.recvVol {
-		if v > m.MNRV {
-			m.MNRV = v
+	byNode := make(map[int32]traffic, len(st.recv))
+	for g, t := range st.recv {
+		if t.count > 0 {
+			r := byNode[nodeOf[g]]
+			r.add(t)
+			byNode[nodeOf[g]] = r
 		}
 	}
-	for _, c := range st.recvMsg {
-		if c > m.MNRM {
-			m.MNRM = c
-		}
+	for _, t := range byNode {
+		m.MNRV = max(m.MNRV, t.vol)
+		m.MNRM = max(m.MNRM, t.count)
 	}
 	return m
 }
 
-func newComputeState(links int) computeState {
+func newComputeState(topo torus.Topology, groups int) computeState {
 	return computeState{
-		msgCong: make([]int64, links),
-		volCong: make([]int64, links),
-		recvVol: make(map[int32]int64),
-		recvMsg: make(map[int32]int64),
+		links: make([]traffic, topo.Links()),
+		recv:  make([]traffic, groups),
 	}
 }
 
@@ -173,69 +262,41 @@ func loadSummary(tg *graph.Graph, pl *Placement) (makespan, imbalance float64) {
 // Compute evaluates all metrics for the directed task graph tg under
 // the placement on topo, serially.
 func Compute(tg *graph.Graph, topo torus.Topology, pl *Placement) MapMetrics {
-	st := newComputeState(topo.Links())
-	st.accumulate(tg, topo, pl, 0, tg.N())
-	m := st.finalize(topo)
-	m.Makespan, m.LoadImbalance = loadSummary(tg, pl)
-	return m
+	return ComputePar(tg, topo, pl, nil)
 }
 
 // parallelComputeMinTasks gates the parallel evaluation: below this
 // many tasks the per-shard link arrays cost more than the edge walk.
 const parallelComputeMinTasks = 512
 
-// ComputePar is Compute with the per-vertex partial sums fanned out
-// over the solve's bounded worker pool and reduced in shard order.
-// Every accumulated quantity is an integer count, so the merged state
-// — and therefore every metric, including the float aggregates
+// ComputePar is Compute with the groups sharded by range over the
+// solve's bounded worker pool and the partial sums reduced in shard
+// order. Every accumulated quantity is an integer count, so the merged
+// state — and therefore every metric, including the float aggregates
 // derived from it — is identical at any worker count, including the
 // serial path a nil or single-worker group takes.
 func ComputePar(tg *graph.Graph, topo torus.Topology, pl *Placement, par *parallel.Group) MapMetrics {
-	n := tg.N()
-	workers := par.NumWorkers()
+	gi := newGroupIndex(tg, pl)
+	ng := gi.groups()
 	// Stay serial when the fan-out cannot pay for itself: each shard
-	// allocates and later merges two link-length arrays, so a sparse
+	// allocates and later merges a link-length array, so a sparse
 	// graph on a huge topology (edges under one link-array's worth of
 	// work) would spend more on shard state than on the edge walk.
-	if workers <= 1 || n < parallelComputeMinTasks || tg.M() < topo.Links() {
-		return Compute(tg, topo, pl)
-	}
-	shards := workers
-	if shards > n {
-		shards = n
+	shards := 1
+	if workers := par.NumWorkers(); workers > 1 && tg.N() >= parallelComputeMinTasks && tg.M() >= topo.Links() {
+		shards = min(workers, ng)
 	}
 	parts := make([]computeState, shards)
-	chunk := (n + shards - 1) / shards
+	chunk := (ng + shards - 1) / shards
 	par.ForEachIdx(shards, func(s int) {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		parts[s] = newComputeState(topo.Links())
-		parts[s].accumulate(tg, topo, pl, lo, hi)
+		parts[s] = newComputeState(topo, ng)
+		parts[s].accumulate(tg, topo, pl.NodeOf, &gi, min(s*chunk, ng), min((s+1)*chunk, ng))
 	})
-	st := parts[0]
+	st := &parts[0]
 	for s := 1; s < shards; s++ {
-		p := &parts[s]
-		st.th += p.th
-		st.wh += p.wh
-		st.icv += p.icv
-		st.icm += p.icm
-		for l, c := range p.msgCong {
-			st.msgCong[l] += c
-		}
-		for l, v := range p.volCong {
-			st.volCong[l] += v
-		}
-		for node, v := range p.recvVol {
-			st.recvVol[node] += v
-		}
-		for node, c := range p.recvMsg {
-			st.recvMsg[node] += c
-		}
+		st.merge(&parts[s])
 	}
-	m := st.finalize(topo)
+	m := st.finalize(topo, pl.NodeOf)
 	m.Makespan, m.LoadImbalance = loadSummary(tg, pl)
 	return m
 }

@@ -53,13 +53,28 @@ func (t *TaskGraph) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxTaskID is the largest task id Read accepts: the task count, one
+// past the largest id, must itself fit the graph's int32 vertex ids.
+const maxTaskID = math.MaxInt32 - 1
+
+// checkTaskID rejects a task id outside [0, maxTaskID], naming the
+// line it sits on.
+func checkTaskID(lineNo, id int) error {
+	if id < 0 || id > maxTaskID {
+		return fmt.Errorf("taskgraph: line %d: task id %d outside [0,%d]", lineNo, id, maxTaskID)
+	}
+	return nil
+}
+
 // Read parses the text edge-list format of Encode: whitespace-
 // separated "src dst [volume]" lines (volume defaults to 1), with
 // "#"-prefixed comments; "# load <task> <nnz>" comments restore
 // compute loads and "# coord <task> <x> <y> [z]" comments restore
 // task coordinates (the first coord line fixes the dimensionality;
-// tasks without one sit at the origin). The number of tasks is one
-// plus the largest id seen.
+// tasks without one sit at the origin). Other comments, and load or
+// coord comments that do not parse, are ignored, but a task id outside
+// [0, math.MaxInt32-1] on an edge, load or coord line is an error. The
+// number of tasks is one plus the largest id seen.
 func Read(r io.Reader) (*TaskGraph, error) {
 	var us, vs []int32
 	var ws []int64
@@ -82,6 +97,9 @@ func Read(r io.Reader) (*TaskGraph, error) {
 				id, err1 := strconv.Atoi(fields[2])
 				load, err2 := strconv.ParseInt(fields[3], 10, 64)
 				if err1 == nil && err2 == nil {
+					if err := checkTaskID(lineNo, id); err != nil {
+						return nil, err
+					}
 					loads[id] = load
 					if id > maxID {
 						maxID = id
@@ -100,11 +118,16 @@ func Read(r io.Reader) (*TaskGraph, error) {
 					}
 					vec = append(vec, c)
 				}
-				if err == nil && id >= 0 && (coordDim == 0 || coordDim == dim) {
-					coordDim = dim
-					coords[id] = vec
-					if id > maxID {
-						maxID = id
+				if err == nil {
+					if err := checkTaskID(lineNo, id); err != nil {
+						return nil, err
+					}
+					if coordDim == 0 || coordDim == dim {
+						coordDim = dim
+						coords[id] = vec
+						if id > maxID {
+							maxID = id
+						}
 					}
 				}
 			}
@@ -122,8 +145,11 @@ func Read(r io.Reader) (*TaskGraph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("taskgraph: line %d: bad dst %q", lineNo, fields[1])
 		}
-		if s < 0 || d < 0 {
-			return nil, fmt.Errorf("taskgraph: line %d: negative task id", lineNo)
+		if err := checkTaskID(lineNo, s); err != nil {
+			return nil, err
+		}
+		if err := checkTaskID(lineNo, d); err != nil {
+			return nil, err
 		}
 		w := int64(1)
 		if len(fields) > 2 {

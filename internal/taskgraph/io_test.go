@@ -90,3 +90,28 @@ func TestReadErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestReadRejectsOutOfRangeIDs: a negative task id, or one whose task
+// count would not fit an int32 vertex id, is a line-numbered error on
+// an edge, load or coord line, before anything is sized from it.
+func TestReadRejectsOutOfRangeIDs(t *testing.T) {
+	cases := []struct {
+		in   string
+		line string
+	}{
+		{"0 1 5\n# load -1 3\n", "line 2"},
+		{"0 1 5\n# coord -1 0.5 1\n", "line 2"},
+		{"# load 2147483647 3\n0 1 5\n", "line 1"},
+		{"0 1\n# coord 2147483648 1 2 3\n", "line 2"},
+		{"0 1\n1 2147483647\n", "line 2"},
+		{"2147483648 0 1\n", "line 1"},
+		{"4294967296 0 1\n", "line 1"},
+		{"0 -4294967295 1\n", "line 1"},
+	}
+	for _, c := range cases {
+		_, err := Read(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.line+":") {
+			t.Fatalf("Read(%q) = %v, want an error on %s", c.in, err, c.line)
+		}
+	}
+}

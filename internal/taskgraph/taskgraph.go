@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"repro/internal/arena"
-	"repro/internal/ds"
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
@@ -183,25 +182,27 @@ func GroupBlocks(nTasks int, capacities []int64) ([]int32, error) {
 // §IV-B, so blocks are a strong start) — and the one with the lower
 // inter-group volume wins.
 func GroupTasks(t *TaskGraph, capacities []int64, seed int64) ([]int32, error) {
-	return GroupTasksExec(t, capacities, seed, nil, nil, nil)
+	return GroupTasksExec(t.Symmetric(), capacities, seed, nil, nil, nil)
 }
 
-// GroupTasksExec is GroupTasks under an execution context: the two
+// GroupTasksExec is GroupTasks on sym, the task graph's symmetrized
+// view (TaskGraph.Symmetric), under an execution context: the two
 // grouping candidates run as forked subtasks on the solve's worker
 // pool (the multilevel partition additionally parallelizes its own
 // bisection subtrees on the same pool), the partitioner borrows its
 // scratch from ar, and tr — when tracing — receives the stage's
 // counters (bisections, recursion depth, which candidate won). A nil
 // group/arena/trace runs serial with fresh allocations, untraced; the
-// winner — and therefore the grouping — is identical either way.
-func GroupTasksExec(t *TaskGraph, capacities []int64, seed int64, par *parallel.Group, ar *arena.Arena, tr *trace.Trace) ([]int32, error) {
-	sym := t.SymmetricArena(ar)
-	// Unit vertex weights: a task occupies one processor.
+// winner — and therefore the grouping — is identical either way. sym
+// is only read, so the caller can go on to coarsen over it.
+func GroupTasksExec(sym *graph.Graph, capacities []int64, seed int64, par *parallel.Group, ar *arena.Arena, tr *trace.Trace) ([]int32, error) {
+	// Unit vertex weights: a task occupies one processor. The
+	// partitioner sees them through a shallow copy of sym.
 	unit := make([]int64, sym.N())
 	for i := range unit {
 		unit[i] = 1
 	}
-	sym.VW = unit
+	sym = &graph.Graph{Xadj: sym.Xadj, Adj: sym.Adj, EW: sym.EW, VW: unit}
 	interVolume := func(group []int32) int64 {
 		var vol int64
 		for u := 0; u < sym.N(); u++ {
@@ -270,37 +271,11 @@ func GroupTasksExec(t *TaskGraph, capacities []int64, seed int64, par *parallel.
 // weights are summed task volumes (symmetrized), vertex weights are
 // summed compute loads. Mapping algorithms run on this graph, one
 // supertask per allocated node (§III-A, §III-B "we choose to perform
-// only on the coarser task graphs").
+// only on the coarser task graphs"). It is graph.Contract over the
+// symmetrized task graph, which is how the engine builds it from the
+// symmetrization it already holds.
 func CoarseGraph(t *TaskGraph, group []int32, nGroups int) *graph.Graph {
-	return CoarseGraphArena(nil, t, group, nGroups)
-}
-
-// CoarseGraphArena is CoarseGraph with the edge-staging scratch
-// borrowed from an arena: triples are built directly (no intermediate
-// us/vs/ws slices) and pooled after the CSR layout copies them out.
-func CoarseGraphArena(ar *arena.Arena, t *TaskGraph, group []int32, nGroups int) *graph.Graph {
-	triples := ar.Edges(2 * t.G.M())
-	cnt := 0
-	for u := 0; u < t.G.N(); u++ {
-		gu := group[u]
-		for i := t.G.Xadj[u]; i < t.G.Xadj[u+1]; i++ {
-			gv := group[t.G.Adj[i]]
-			if gu == gv {
-				continue
-			}
-			w := t.G.EdgeWeight(int(i))
-			triples[cnt] = ds.EdgeTriple{U: gu, V: gv, W: w}
-			triples[cnt+1] = ds.EdgeTriple{U: gv, V: gu, W: w}
-			cnt += 2
-		}
-	}
-	vw := make([]int64, nGroups)
-	for u := 0; u < t.G.N(); u++ {
-		vw[group[u]] += t.G.VertexWeight(u)
-	}
-	g := graph.FromTriples(nGroups, triples[:cnt], vw)
-	ar.PutEdges(triples)
-	return g
+	return graph.Contract(t.Symmetric(), group, nGroups, nil)
 }
 
 // CoarseMessageGraph aggregates like CoarseGraph but weights each
@@ -313,29 +288,11 @@ func CoarseMessageGraph(t *TaskGraph, group []int32, nGroups int) *graph.Graph {
 }
 
 // CoarseMessageGraphArena is CoarseMessageGraph with pooled staging
-// scratch (see CoarseGraphArena).
+// scratch: graph.Contract over the symmetrization of the task graph's
+// unit-weight view, in which every stored directed edge counts one.
 func CoarseMessageGraphArena(ar *arena.Arena, t *TaskGraph, group []int32, nGroups int) *graph.Graph {
-	triples := ar.Edges(2 * t.G.M())
-	cnt := 0
-	for u := 0; u < t.G.N(); u++ {
-		gu := group[u]
-		for i := t.G.Xadj[u]; i < t.G.Xadj[u+1]; i++ {
-			gv := group[t.G.Adj[i]]
-			if gu == gv {
-				continue
-			}
-			triples[cnt] = ds.EdgeTriple{U: gu, V: gv, W: 1}
-			triples[cnt+1] = ds.EdgeTriple{U: gv, V: gu, W: 1}
-			cnt += 2
-		}
-	}
-	vw := make([]int64, nGroups)
-	for u := 0; u < t.G.N(); u++ {
-		vw[group[u]] += t.G.VertexWeight(u)
-	}
-	g := graph.FromTriples(nGroups, triples[:cnt], vw)
-	ar.PutEdges(triples)
-	return g
+	unit := &graph.Graph{Xadj: t.G.Xadj, Adj: t.G.Adj, VW: t.G.VW}
+	return graph.Contract(unit.SymmetrizeArena(ar), group, nGroups, ar)
 }
 
 // MaxSendReceiveVertex returns the task with the maximum total

@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -144,6 +145,21 @@ func TestGroupTasksRespectsCapacities(t *testing.T) {
 	group, err := GroupTasks(tg, caps, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// GroupTasksExec only reads the symmetrized graph it is handed —
+	// the engine contracts the same graph afterwards — and groups
+	// exactly as the facade does.
+	sym := tg.Symmetric()
+	before := sym.Clone()
+	again, err := GroupTasksExec(sym, caps, 5, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sym, before) {
+		t.Fatal("GroupTasksExec wrote the graph it was handed")
+	}
+	if !reflect.DeepEqual(again, group) {
+		t.Fatal("GroupTasksExec grouped differently from GroupTasks")
 	}
 	counts := make([]int64, 16)
 	for _, g := range group {

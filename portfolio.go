@@ -179,8 +179,8 @@ func (e *Engine) portfolioCandidates(req PortfolioRequest) ([]Solve, error) {
 // TimeoutMS counts from the start of the shared prefix, which itself
 // runs under ctx only.
 func (e *Engine) RunPortfolio(ctx context.Context, req PortfolioRequest) (*PortfolioResult, error) {
-	if req.Tasks == nil {
-		return nil, fmt.Errorf("topomap: portfolio carries no task graph")
+	if err := checkTasks("portfolio", req.Tasks); err != nil {
+		return nil, err
 	}
 	if err := req.Objective.Validate(); err != nil {
 		return nil, err
@@ -302,7 +302,7 @@ func (e *Engine) sharePrefixes(ctx context.Context, grp *parallel.Group, tg *Tas
 
 // solveShared finishes candidate s on its shared prefix. The candidate
 // owns a private copy of the group vector, and of coarse.VW when it
-// balances; the rest of the coarse graph is shared read-only. Its
+// balances; the rest of the prefix is shared read-only. Its
 // trace, when asked for, starts with the prefix's spans.
 func (e *Engine) solveShared(ctx context.Context, tg *TaskGraph, s Solve, sh *sharedPrefix) (*MapResult, error) {
 	if sh.err != nil {
@@ -316,7 +316,7 @@ func (e *Engine) solveShared(ctx context.Context, tg *TaskGraph, s Solve, sh *sh
 	if j.ex.Trace != nil {
 		j.ex.Trace = sh.tr.Clone()
 	}
-	p := prefix{group: slices.Clone(sh.group), coarse: sh.coarse}
+	p := prefix{sym: sh.sym, group: slices.Clone(sh.group), coarse: sh.coarse}
 	if e.balances(j.caps, s) {
 		c := *p.coarse
 		c.VW = slices.Clone(c.VW)

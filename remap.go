@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/remap"
 	"repro/internal/routecache"
@@ -194,8 +195,8 @@ type RemapResult struct {
 // spec.Solve runs and the better result wins. Like every engine
 // entry point, the output is byte-identical at any worker count.
 func (e *Engine) RunRemap(ctx context.Context, tasks *TaskGraph, prev *MapResult, delta AllocationDelta, spec RemapSpec) (*RemapResult, error) {
-	if tasks == nil {
-		return nil, fmt.Errorf("topomap: remap carries no task graph")
+	if err := checkTasks("remap", tasks); err != nil {
+		return nil, err
 	}
 	if prev == nil {
 		return nil, fmt.Errorf("topomap: remap carries no previous result")
@@ -347,7 +348,7 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 		return nil, err
 	}
 	sp = ex.StartSpan("coarsen")
-	coarse := taskgraph.CoarseGraphArena(e.arena, tg, plan.GroupOf, e.alloc.NumNodes())
+	coarse := graph.Contract(sym, plan.GroupOf, e.alloc.NumNodes(), e.arena)
 	sp.Add("coarse_vertices", int64(coarse.N()))
 	sp.Add("coarse_edges", int64(coarse.M()))
 	sp.End()
@@ -377,7 +378,7 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 	s := spec.Solve
 	s.Mapper = prev.Mapper
 	j := &solveJob{ctx: ctx, s: s, ex: ex}
-	res, err := e.finishPlacement(j, tg, sym, prefix{group: plan.GroupOf, coarse: coarse}, nodeOf)
+	res, err := e.finishPlacement(j, tg, prefix{sym: sym, group: plan.GroupOf, coarse: coarse}, nodeOf)
 	if err != nil {
 		return nil, err
 	}

@@ -36,12 +36,12 @@ import (
 
 // --- one bench per figure/table -------------------------------------
 
-func benchFigure(b *testing.B, run func(exp.Config) (string, error)) {
+func benchFigure(b *testing.B, run func(*exp.Suite) (string, error)) {
 	b.Helper()
 	cfg := exp.TinyConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(cfg); err != nil {
+		if _, err := run(exp.NewSuite(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,33 +49,33 @@ func benchFigure(b *testing.B, run func(exp.Config) (string, error)) {
 
 // BenchmarkFigure1 regenerates Figure 1 (partition metrics TV/TM/MSV/
 // MSM across the seven partitioners).
-func BenchmarkFigure1(b *testing.B) { benchFigure(b, exp.Figure1) }
+func BenchmarkFigure1(b *testing.B) { benchFigure(b, (*exp.Suite).Figure1) }
 
 // BenchmarkFigure2 regenerates Figure 2 (mapping metrics normalized
 // to DEF).
-func BenchmarkFigure2(b *testing.B) { benchFigure(b, exp.Figure2) }
+func BenchmarkFigure2(b *testing.B) { benchFigure(b, (*exp.Suite).Figure2) }
 
 // BenchmarkFigure3 regenerates Figure 3 (mapping algorithm times).
-func BenchmarkFigure3(b *testing.B) { benchFigure(b, exp.Figure3) }
+func BenchmarkFigure3(b *testing.B) { benchFigure(b, (*exp.Suite).Figure3) }
 
 // BenchmarkFigure4a regenerates Figure 4a (comm-only, cagelike).
 func BenchmarkFigure4a(b *testing.B) {
-	benchFigure(b, func(c exp.Config) (string, error) { return exp.Figure4(c, "a") })
+	benchFigure(b, func(s *exp.Suite) (string, error) { return s.Figure4("a") })
 }
 
 // BenchmarkFigure4b regenerates Figure 4b (comm-only, rgg).
 func BenchmarkFigure4b(b *testing.B) {
-	benchFigure(b, func(c exp.Config) (string, error) { return exp.Figure4(c, "b") })
+	benchFigure(b, func(s *exp.Suite) (string, error) { return s.Figure4("b") })
 }
 
 // BenchmarkFigure5 regenerates Figure 5 (SpMV, cagelike).
-func BenchmarkFigure5(b *testing.B) { benchFigure(b, exp.Figure5) }
+func BenchmarkFigure5(b *testing.B) { benchFigure(b, (*exp.Suite).Figure5) }
 
 // BenchmarkTable1 regenerates Table I (summary improvements).
-func BenchmarkTable1(b *testing.B) { benchFigure(b, exp.Table1) }
+func BenchmarkTable1(b *testing.B) { benchFigure(b, (*exp.Suite).Table1) }
 
 // BenchmarkRegression regenerates the §IV-E NNLS regression analysis.
-func BenchmarkRegression(b *testing.B) { benchFigure(b, exp.Regression) }
+func BenchmarkRegression(b *testing.B) { benchFigure(b, (*exp.Suite).Regression) }
 
 // --- per-algorithm microbenchmarks ----------------------------------
 
@@ -304,7 +304,7 @@ func BenchmarkAblationFineRefinement(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		whGain, _ = core.RefineWHFine(tg.Symmetric(), topo, res.GroupOf, res.NodeOf, core.RefineOptions{})
+		whGain, _ = core.RefineWHFine(tg.G.Symmetrize(nil), topo, res.GroupOf, res.NodeOf, core.RefineOptions{})
 	}
 	b.ReportMetric(float64(whGain), "extraWH")
 }
@@ -328,7 +328,7 @@ func BenchmarkAblationMultilevel(b *testing.B) {
 	run("UG", core.MapUG)
 	run("UWH", core.MapUWH)
 	run("UML", func(g *graph.Graph, topo torus.Topology, nodes []int32, _ *core.Exec) []int32 {
-		return core.MapUML(g, topo, nodes, core.MultilevelOptions{})
+		return core.MapUML(g, topo, nodes, nil)
 	})
 }
 
@@ -698,18 +698,19 @@ func BenchmarkAblationGrouping(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			vol = taskgraph.CoarseGraph(tg, group, 16).TotalEdgeWeight() / 2
+			vol = graph.Contract(tg.G.Symmetrize(nil), group, 16, nil).TotalEdgeWeight() / 2
 		}
 		b.ReportMetric(float64(vol), "interVol")
 	})
 	b.Run("partitioned", func(b *testing.B) {
 		var vol int64
 		for i := 0; i < b.N; i++ {
-			group, err := taskgraph.GroupTasks(tg, caps, 1)
+			sym := tg.G.Symmetrize(nil)
+			group, err := taskgraph.GroupTasks(sym, caps, 1, nil, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			vol = taskgraph.CoarseGraph(tg, group, 16).TotalEdgeWeight() / 2
+			vol = graph.Contract(sym, group, 16, nil).TotalEdgeWeight() / 2
 		}
 		b.ReportMetric(float64(vol), "interVol")
 	})
@@ -944,7 +945,7 @@ func BenchmarkGeomSolve(b *testing.B) {
 	})
 	b.Run("construct/UML", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.MapUML(coarse, topo, a.Nodes, core.MultilevelOptions{})
+			core.MapUML(coarse, topo, a.Nodes, nil)
 		}
 	})
 }

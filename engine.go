@@ -290,13 +290,13 @@ func (e *Engine) runPrefix(ctx context.Context, tg *TaskGraph, blockGrouping boo
 	}
 	sp := ex.StartSpan("group")
 	sp.SetWorkers(ex.Par.NumWorkers())
-	sym := tg.SymmetricArena(e.arena)
+	sym := tg.G.Symmetrize(e.arena)
 	var group []int32
 	var err error
 	if blockGrouping {
 		group, err = taskgraph.GroupBlocks(tg.K, e.caps)
 	} else {
-		group, err = taskgraph.GroupTasksExec(sym, e.caps, seed, ex.Par, e.arena, ex.Trace)
+		group, err = taskgraph.GroupTasks(sym, e.caps, seed, ex.Par, e.arena, ex.Trace)
 	}
 	sp.Add("groups", int64(e.alloc.NumNodes()))
 	if sharedBy > 0 {
@@ -343,7 +343,7 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 	sp.SetWorkers(poolWorkers)
 	in := registry.Input{Coarse: coarse, Topo: e.view, Alloc: e.alloc, Seed: s.Seed, Exec: ex}
 	if caps.NeedsMessageGraph {
-		in.Msg = taskgraph.CoarseMessageGraphArena(e.arena, tg, group, e.alloc.NumNodes())
+		in.Msg = taskgraph.CoarseMessageGraph(e.arena, tg, group, e.alloc.NumNodes())
 	}
 	if caps.NeedsCoords {
 		in.Coords, in.Dim = groupCentroids(tg, group, e.alloc.NumNodes())

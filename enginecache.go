@@ -20,8 +20,9 @@ import (
 // so concurrent lookups of different allocations — the portfolio
 // daemon's steady state — no longer serialize behind one lock.
 // Counters are kept per shard and summed on read, so Stats stays
-// exact. Small caches (under four entries per would-be shard)
-// collapse to a single shard, preserving exact global LRU order.
+// exact. A shard holds at least engineCacheMinPerShard (16) entries,
+// so every cache under 32 entries keeps a single shard, preserving
+// exact global LRU order.
 type EngineCache struct {
 	max    int
 	shards []engineCacheShard

@@ -97,7 +97,7 @@ func rbMap(g *graph.Graph, tasks, nodes []int32, topo torus.Topology, seed int64
 	}
 	// Bisect the task subgraph with target sizes |nodesL| and |nodesR|
 	// (unit task weights: one task per node).
-	sub, _ := g.InducedSubgraph(tasks)
+	sub, _ := g.InducedSubgraph(nil, tasks)
 	unit := make([]int64, sub.N())
 	for i := range unit {
 		unit[i] = 1

@@ -56,7 +56,7 @@ func TestRefineCongestionAdaptiveImprovesCrowdedLine(t *testing.T) {
 		vs = append(vs, int32(i))
 		ws = append(ws, 100)
 	}
-	g := graph.FromEdges(n, us, vs, ws, nil).Symmetrize()
+	g := graph.FromEdges(n, us, vs, ws, nil).Symmetrize(nil)
 	// Allocation: two parallel lines of 6 nodes each.
 	var nodes []int32
 	for x := 0; x < 6; x++ {

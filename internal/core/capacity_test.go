@@ -89,7 +89,7 @@ func TestRepairCapacitiesMinimizesWHDamage(t *testing.T) {
 	// repair is one swap; WH afterwards must equal the feasible
 	// assignment's WH.
 	topo := torus.NewHopper3D(4, 4, 4)
-	g := graph.FromEdges(2, []int32{0}, []int32{1}, []int64{10}, nil).Symmetrize()
+	g := graph.FromEdges(2, []int32{0}, []int32{1}, []int64{10}, nil).Symmetrize(nil)
 	nodeOf := []int32{0, 5}
 	w := []int64{16, 8}
 	caps := make([]int64, topo.Nodes())
@@ -107,7 +107,7 @@ func TestRepairCapacitiesGivesUpOnInfeasible(t *testing.T) {
 	// Total capacity cannot host the weights: the pass must terminate
 	// without looping.
 	topo := torus.NewHopper3D(4, 4, 4)
-	g := graph.FromEdges(2, []int32{0}, []int32{1}, []int64{5}, nil).Symmetrize()
+	g := graph.FromEdges(2, []int32{0}, []int32{1}, []int64{5}, nil).Symmetrize(nil)
 	nodeOf := []int32{0, 5}
 	w := []int64{16, 16}
 	caps := make([]int64, topo.Nodes())

@@ -54,7 +54,7 @@ func (e *Exec) cancelled() bool {
 // StartSpan opens a named stage span on the solve's trace, nil-safe
 // both ways (nil Exec, nil Trace). The engine wraps its pipeline
 // stages with it; core algorithms report counters into whichever span
-// is open via Count/CountMax.
+// is open via Count.
 func (e *Exec) StartSpan(name string) *trace.Span {
 	if e == nil {
 		return nil
@@ -70,13 +70,4 @@ func (e *Exec) Count(name string, delta int64) {
 		return
 	}
 	e.Trace.Add(name, delta)
-}
-
-// CountMax raises a named counter of the open stage span to v (no-op
-// untraced) — the merge for depth-style counters.
-func (e *Exec) CountMax(name string, v int64) {
-	if e == nil {
-		return
-	}
-	e.Trace.Max(name, v)
 }

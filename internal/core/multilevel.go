@@ -19,25 +19,9 @@ import (
 // two equal-cardinality clusters when that lowers WH, and the finest
 // level runs Algorithm 2 verbatim.
 
-// MultilevelOptions configures MapUML.
-type MultilevelOptions struct {
-	// CoarsenTo stops coarsening once the cluster graph has at most
-	// this many vertices (default 16).
-	CoarsenTo int
-	// Refine configures the per-level swap refinement and the final
-	// Algorithm 2 run.
-	Refine RefineOptions
-	// Exec supplies the solve's scratch arena, worker pool and
-	// cancellation; nil runs serial with fresh allocations.
-	Exec *Exec
-}
-
-func (o MultilevelOptions) withDefaults() MultilevelOptions {
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 16
-	}
-	return o
-}
+// umlCoarsenTo is the cluster count at which MapUML's hierarchy stops
+// coarsening.
+const umlCoarsenTo = 16
 
 // mlLevel is one rung of the multilevel hierarchy. cmap maps this
 // level's vertices to the clusters of the next (coarser) level and is
@@ -108,29 +92,6 @@ func heavyEdgeMatch(g *graph.Graph) ([]int32, int) {
 	return cmap, int(nc)
 }
 
-// contractClusters builds the coarse cluster graph: parallel edges are
-// merged by graph.FromEdges, intra-cluster edges dropped, vertex
-// weights summed.
-func contractClusters(g *graph.Graph, cmap []int32, nc int) *graph.Graph {
-	vw := make([]int64, nc)
-	for v := 0; v < g.N(); v++ {
-		vw[cmap[v]] += g.VertexWeight(v)
-	}
-	var us, vs []int32
-	var ws []int64
-	for u := 0; u < g.N(); u++ {
-		cu := cmap[u]
-		for i := g.Xadj[u]; i < g.Xadj[u+1]; i++ {
-			if cv := cmap[g.Adj[i]]; cu != cv {
-				us = append(us, cu)
-				vs = append(vs, cv)
-				ws = append(ws, g.EdgeWeight(int(i)))
-			}
-		}
-	}
-	return graph.FromEdges(nc, us, vs, ws, vw)
-}
-
 // mlHierarchy builds the matching hierarchy from the fine graph down
 // to at most coarsenTo clusters, stopping early when matching stalls.
 func mlHierarchy(g *graph.Graph, coarsenTo int) []mlLevel {
@@ -141,7 +102,7 @@ func mlHierarchy(g *graph.Graph, coarsenTo int) []mlLevel {
 		if float64(nc) > 0.95*float64(cur.N()) {
 			break // star-like graph: matching no longer shrinks it
 		}
-		next := contractClusters(cur, cmap, nc)
+		next := graph.Contract(cur, cmap, nc, nil)
 		levels[len(levels)-1].cmap = cmap
 		levels = append(levels, mlLevel{g: next})
 		cur = next
@@ -648,23 +609,23 @@ func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, top
 // with the multilevel scheme: heavy-edge-matching hierarchy, BFS
 // region placement of the coarsest clusters, cluster-swap WH
 // refinement from the coarsest level to the finest, and Algorithm 2
-// on the finest level. It returns the task→node mapping.
-func MapUML(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt MultilevelOptions) []int32 {
-	opt = opt.withDefaults()
-	ex := opt.Exec
-	opt.Refine.Exec = ex
+// on the finest level. It returns the task→node mapping. ex supplies
+// the solve's scratch arena, worker pool and cancellation; nil runs
+// serial with fresh allocations.
+func MapUML(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
+	opt := RefineOptions{Exec: ex}
 	n := g.N()
 	if len(allocNodes) < n {
 		panic("core: fewer allocated nodes than tasks")
 	}
-	levels := mlHierarchy(g, opt.CoarsenTo)
+	levels := mlHierarchy(g, umlCoarsenTo)
 	L := len(levels) - 1
 	ex.Count("coarse_levels", int64(L))
 	nodeOf := make([]int32, n)
 	if L == 0 {
 		// Graph already at/below the coarsest size: plain UG + WH.
-		copy(nodeOf, GreedyBest(g, topo, allocNodes, opt.Refine.Objective, ex))
-		RefineWH(g, topo, allocNodes, nodeOf, opt.Refine)
+		copy(nodeOf, GreedyBest(g, topo, allocNodes, WeightedHops, ex))
+		RefineWH(g, topo, allocNodes, nodeOf, opt)
 		return nodeOf
 	}
 	cl0, members := clusterSets(levels, L)
@@ -674,8 +635,8 @@ func MapUML(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt Multile
 			break
 		}
 		cl0, members = clusterSets(levels, l)
-		refineClusterLevel(g, levels[l].g, cl0, members, topo, allocNodes, nodeOf, opt.Refine)
+		refineClusterLevel(g, levels[l].g, cl0, members, topo, allocNodes, nodeOf, opt)
 	}
-	RefineWH(g, topo, allocNodes, nodeOf, opt.Refine)
+	RefineWH(g, topo, allocNodes, nodeOf, opt)
 	return nodeOf
 }

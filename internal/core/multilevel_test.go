@@ -47,7 +47,7 @@ func TestHeavyEdgeMatchValid(t *testing.T) {
 func TestHeavyEdgeMatchPrefersHeavyEdges(t *testing.T) {
 	// Path 0-1-2-3 with a heavy middle edge: 1 must match 2.
 	g := graph.FromEdges(4,
-		[]int32{0, 1, 2}, []int32{1, 2, 3}, []int64{1, 100, 1}, nil).Symmetrize()
+		[]int32{0, 1, 2}, []int32{1, 2, 3}, []int64{1, 100, 1}, nil).Symmetrize(nil)
 	cmap, _ := heavyEdgeMatch(g)
 	if cmap[1] != cmap[2] {
 		t.Fatalf("heavy edge 1-2 not contracted: cmap=%v", cmap)
@@ -143,7 +143,7 @@ func TestPlaceCoarsestRegionsContiguousOnRing(t *testing.T) {
 	us = append(us, 0)
 	vs = append(vs, 4)
 	ws = append(ws, 1)
-	g := graph.FromEdges(8, us, vs, ws, nil).Symmetrize()
+	g := graph.FromEdges(8, us, vs, ws, nil).Symmetrize(nil)
 
 	topo := torus.New([]int{16}, []float64{torus.HopperBWHigh})
 	nodes := make([]int32, 16)
@@ -262,14 +262,14 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 func TestMapUMLValidMapping(t *testing.T) {
 	topo, a := fixture(t, 64, 17)
 	g := graph.RandomConnected(64, 128, 60, 8)
-	nodeOf := MapUML(g, topo, a.Nodes, MultilevelOptions{})
+	nodeOf := MapUML(g, topo, a.Nodes, nil)
 	checkValidMapping(t, g, a, nodeOf)
 }
 
 func TestMapUMLBeatsRandomPlacement(t *testing.T) {
 	topo, a := fixture(t, 64, 12)
 	g := graph.RandomConnected(64, 160, 80, 21)
-	uml := MapUML(g, topo, a.Nodes, MultilevelOptions{})
+	uml := MapUML(g, topo, a.Nodes, nil)
 	rng := rand.New(rand.NewSource(99))
 	perm := rng.Perm(len(a.Nodes))
 	random := make([]int32, g.N())
@@ -287,7 +287,7 @@ func TestMapUMLCompetitiveWithUG(t *testing.T) {
 	// or better after the final Algorithm 2 pass).
 	topo, a := fixture(t, 48, 5)
 	g := graph.RandomConnected(48, 120, 50, 33)
-	uml := wh(g, topo, MapUML(g, topo, a.Nodes, MultilevelOptions{}))
+	uml := wh(g, topo, MapUML(g, topo, a.Nodes, nil))
 	ug := wh(g, topo, MapUG(g, topo, a.Nodes, nil))
 	if uml > 2*ug {
 		t.Fatalf("UML WH %d more than 2x UG WH %d", uml, ug)
@@ -297,7 +297,7 @@ func TestMapUMLCompetitiveWithUG(t *testing.T) {
 func TestMapUMLSmallGraphFallsBack(t *testing.T) {
 	topo, a := fixture(t, 12, 8)
 	g := graph.RandomConnected(10, 15, 10, 4)
-	nodeOf := MapUML(g, topo, a.Nodes, MultilevelOptions{CoarsenTo: 16})
+	nodeOf := MapUML(g, topo, a.Nodes, nil)
 	want := GreedyBest(g, topo, a.Nodes, WeightedHops, nil)
 	RefineWH(g, topo, a.Nodes, want, RefineOptions{})
 	for i := range nodeOf {
@@ -310,8 +310,8 @@ func TestMapUMLSmallGraphFallsBack(t *testing.T) {
 func TestMapUMLDeterministic(t *testing.T) {
 	topo, a := fixture(t, 40, 23)
 	g := graph.RandomConnected(40, 90, 35, 13)
-	m1 := MapUML(g, topo, a.Nodes, MultilevelOptions{})
-	m2 := MapUML(g, topo, a.Nodes, MultilevelOptions{})
+	m1 := MapUML(g, topo, a.Nodes, nil)
+	m2 := MapUML(g, topo, a.Nodes, nil)
 	for i := range m1 {
 		if m1[i] != m2[i] {
 			t.Fatalf("non-deterministic at %d: %d != %d", i, m1[i], m2[i])
@@ -327,14 +327,14 @@ func TestMapUMLPanicsOnTooFewNodes(t *testing.T) {
 			t.Fatal("no panic with fewer nodes than tasks")
 		}
 	}()
-	MapUML(g, topo, a.Nodes, MultilevelOptions{})
+	MapUML(g, topo, a.Nodes, nil)
 }
 
 func TestMapUMLPropertyValid(t *testing.T) {
 	topo, a := fixture(t, 36, 31)
 	f := func(seed int64, extra uint8) bool {
 		g := graph.RandomConnected(36, 36+int(extra%64), 30, seed)
-		nodeOf := MapUML(g, topo, a.Nodes, MultilevelOptions{})
+		nodeOf := MapUML(g, topo, a.Nodes, nil)
 		if len(nodeOf) != g.N() {
 			return false
 		}

@@ -1,8 +1,8 @@
 // Package ds provides the low-level data structures shared by the
-// partitioning and mapping algorithms: indexed binary heaps with
-// update-key, FM gain buckets, disjoint sets, compact integer sets and
-// queues. All structures are deterministic and allocation-conscious;
-// none of them is safe for concurrent mutation.
+// partitioning and mapping algorithms: an indexed binary max-heap with
+// update-key, compact integer sets and queues. All structures are
+// deterministic and allocation-conscious; none of them is safe for
+// concurrent mutation.
 package ds
 
 import "math"
@@ -36,9 +36,6 @@ func NewIndexedMaxHeap(n int) *IndexedMaxHeap {
 
 // Len reports the number of items currently in the heap.
 func (h *IndexedMaxHeap) Len() int { return len(h.heap) }
-
-// Cap reports the number of item ids the heap can address.
-func (h *IndexedMaxHeap) Cap() int { return len(h.pos) }
 
 // Contains reports whether item is currently in the heap.
 func (h *IndexedMaxHeap) Contains(item int) bool { return h.pos[item] >= 0 }
@@ -221,47 +218,3 @@ func (h *IndexedMaxHeap) down(i int) {
 		i = best
 	}
 }
-
-// IndexedMinHeap is the min-keyed counterpart of IndexedMaxHeap,
-// implemented by negating keys.
-type IndexedMinHeap struct {
-	h IndexedMaxHeap
-}
-
-// NewIndexedMinHeap returns an empty min-heap for items 0..n-1.
-func NewIndexedMinHeap(n int) *IndexedMinHeap {
-	return &IndexedMinHeap{h: *NewIndexedMaxHeap(n)}
-}
-
-// Len reports the number of items currently in the heap.
-func (h *IndexedMinHeap) Len() int { return h.h.Len() }
-
-// Contains reports whether item is currently in the heap.
-func (h *IndexedMinHeap) Contains(item int) bool { return h.h.Contains(item) }
-
-// Key returns the key of item; valid only if Contains(item).
-func (h *IndexedMinHeap) Key(item int) int64 { return -h.h.Key(item) }
-
-// Push inserts item with the given key.
-func (h *IndexedMinHeap) Push(item int, key int64) { h.h.Push(item, -key) }
-
-// Pop removes and returns the item with the minimum key.
-func (h *IndexedMinHeap) Pop() (item int, key int64) {
-	item, k := h.h.Pop()
-	return item, -k
-}
-
-// Peek returns the minimum item without removing it.
-func (h *IndexedMinHeap) Peek() (item int, key int64) {
-	item, k := h.h.Peek()
-	return item, -k
-}
-
-// Update sets the key of an item already in the heap.
-func (h *IndexedMinHeap) Update(item int, key int64) { h.h.Update(item, -key) }
-
-// Remove deletes item from the heap if present.
-func (h *IndexedMinHeap) Remove(item int) { h.h.Remove(item) }
-
-// Clear empties the heap without releasing storage.
-func (h *IndexedMinHeap) Clear() { h.h.Clear() }

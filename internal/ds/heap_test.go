@@ -194,32 +194,6 @@ func TestIndexedMaxHeapRandomOps(t *testing.T) {
 	}
 }
 
-func TestIndexedMinHeap(t *testing.T) {
-	h := NewIndexedMinHeap(4)
-	h.Push(0, 30)
-	h.Push(1, 10)
-	h.Push(2, 20)
-	if item, key := h.Peek(); item != 1 || key != 10 {
-		t.Fatalf("Peek = (%d,%d), want (1,10)", item, key)
-	}
-	h.Update(2, -5)
-	item, key := h.Pop()
-	if item != 2 || key != -5 {
-		t.Fatalf("Pop = (%d,%d), want (2,-5)", item, key)
-	}
-	if h.Key(0) != 30 {
-		t.Fatalf("Key(0) = %d, want 30", h.Key(0))
-	}
-	h.Remove(0)
-	if h.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", h.Len())
-	}
-	h.Clear()
-	if h.Len() != 0 || h.Contains(1) {
-		t.Fatal("Clear left items behind")
-	}
-}
-
 func TestIndexedMaxHeapClear(t *testing.T) {
 	h := NewIndexedMaxHeap(10)
 	for i := 0; i < 10; i++ {

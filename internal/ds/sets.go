@@ -2,54 +2,6 @@ package ds
 
 import "sort"
 
-// DisjointSet is a union-find structure with path compression and
-// union by rank, used by the matching/coarsening phases.
-type DisjointSet struct {
-	parent []int32
-	rank   []int8
-}
-
-// NewDisjointSet returns n singleton sets {0}..{n-1}.
-func NewDisjointSet(n int) *DisjointSet {
-	d := &DisjointSet{parent: make([]int32, n), rank: make([]int8, n)}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-	}
-	return d
-}
-
-// Find returns the canonical representative of x's set.
-func (d *DisjointSet) Find(x int) int {
-	root := x
-	for int(d.parent[root]) != root {
-		root = int(d.parent[root])
-	}
-	for int(d.parent[x]) != root {
-		d.parent[x], x = int32(root), int(d.parent[x])
-	}
-	return root
-}
-
-// Union merges the sets containing x and y and reports whether they
-// were previously distinct.
-func (d *DisjointSet) Union(x, y int) bool {
-	rx, ry := d.Find(x), d.Find(y)
-	if rx == ry {
-		return false
-	}
-	if d.rank[rx] < d.rank[ry] {
-		rx, ry = ry, rx
-	}
-	d.parent[ry] = int32(rx)
-	if d.rank[rx] == d.rank[ry] {
-		d.rank[rx]++
-	}
-	return true
-}
-
-// Same reports whether x and y are in the same set.
-func (d *DisjointSet) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
-
 // IntSet is a sorted set of ints stored as a slice. It backs the
 // commTasks[e] sets of Algorithm 3 (the paper used std::set); a sorted
 // slice gives the same O(log n) membership with far better locality at

@@ -7,81 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestDisjointSetBasic(t *testing.T) {
-	d := NewDisjointSet(6)
-	if d.Same(0, 1) {
-		t.Fatal("fresh sets should be disjoint")
-	}
-	if !d.Union(0, 1) {
-		t.Fatal("Union(0,1) should merge")
-	}
-	if d.Union(1, 0) {
-		t.Fatal("repeated Union should report false")
-	}
-	d.Union(2, 3)
-	d.Union(0, 3)
-	if !d.Same(1, 2) {
-		t.Fatal("1 and 2 should be connected via unions")
-	}
-	if d.Same(4, 5) {
-		t.Fatal("4 and 5 were never merged")
-	}
-}
-
-func TestDisjointSetTransitivityProperty(t *testing.T) {
-	prop := func(pairs [][2]uint8) bool {
-		const n = 64
-		d := NewDisjointSet(n)
-		type edge struct{ a, b int }
-		var edges []edge
-		for _, p := range pairs {
-			a, b := int(p[0])%n, int(p[1])%n
-			d.Union(a, b)
-			edges = append(edges, edge{a, b})
-		}
-		// Reference connectivity via BFS over the union edges.
-		adj := make([][]int, n)
-		for _, e := range edges {
-			adj[e.a] = append(adj[e.a], e.b)
-			adj[e.b] = append(adj[e.b], e.a)
-		}
-		comp := make([]int, n)
-		for i := range comp {
-			comp[i] = -1
-		}
-		c := 0
-		for s := 0; s < n; s++ {
-			if comp[s] >= 0 {
-				continue
-			}
-			stack := []int{s}
-			comp[s] = c
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, w := range adj[v] {
-					if comp[w] < 0 {
-						comp[w] = c
-						stack = append(stack, w)
-					}
-				}
-			}
-			c++
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if d.Same(i, j) != (comp[i] == comp[j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIntSetBasic(t *testing.T) {
 	var s IntSet
 	if s.Len() != 0 || s.Contains(3) {
@@ -199,92 +124,5 @@ func TestQueueClear(t *testing.T) {
 	q.Push(9)
 	if q.Pop() != 9 {
 		t.Fatal("queue unusable after Clear")
-	}
-}
-
-func TestGainBucketBasic(t *testing.T) {
-	b := NewGainBucket(8, 10)
-	b.Insert(0, 3)
-	b.Insert(1, -2)
-	b.Insert(2, 7)
-	item, gain, ok := b.MaxItem()
-	if !ok || item != 2 || gain != 7 {
-		t.Fatalf("MaxItem = (%d,%d,%v), want (2,7,true)", item, gain, ok)
-	}
-	b.Remove(2)
-	item, gain, _ = b.MaxItem()
-	if item != 0 || gain != 3 {
-		t.Fatalf("MaxItem after remove = (%d,%d), want (0,3)", item, gain)
-	}
-	b.UpdateGain(1, 9)
-	item, gain, _ = b.MaxItem()
-	if item != 1 || gain != 9 {
-		t.Fatalf("MaxItem after update = (%d,%d), want (1,9)", item, gain)
-	}
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", b.Len())
-	}
-}
-
-func TestGainBucketClamping(t *testing.T) {
-	b := NewGainBucket(4, 5)
-	b.Insert(0, 100)
-	b.Insert(1, -100)
-	if b.Gain(0) != 5 || b.Gain(1) != -5 {
-		t.Fatalf("clamped gains = (%d,%d), want (5,-5)", b.Gain(0), b.Gain(1))
-	}
-}
-
-func TestGainBucketEmpty(t *testing.T) {
-	b := NewGainBucket(4, 5)
-	if _, _, ok := b.MaxItem(); ok {
-		t.Fatal("MaxItem on empty bucket should report !ok")
-	}
-	b.Insert(2, 1)
-	b.Remove(2)
-	if _, _, ok := b.MaxItem(); ok {
-		t.Fatal("MaxItem after removing the only item should report !ok")
-	}
-}
-
-func TestGainBucketAgainstHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n, maxG = 40, 30
-	b := NewGainBucket(n, maxG)
-	ref := map[int]int{}
-	for step := 0; step < 4000; step++ {
-		item := rng.Intn(n)
-		switch rng.Intn(3) {
-		case 0:
-			if _, ok := ref[item]; !ok {
-				g := rng.Intn(2*maxG+1) - maxG
-				b.Insert(item, g)
-				ref[item] = g
-			}
-		case 1:
-			if _, ok := ref[item]; ok {
-				g := rng.Intn(2*maxG+1) - maxG
-				b.UpdateGain(item, g)
-				ref[item] = g
-			}
-		case 2:
-			b.Remove(item)
-			delete(ref, item)
-		}
-		_, gain, ok := b.MaxItem()
-		if ok != (len(ref) > 0) {
-			t.Fatalf("step %d: ok=%v ref len=%d", step, ok, len(ref))
-		}
-		if ok {
-			best := -maxG - 1
-			for _, g := range ref {
-				if g > best {
-					best = g
-				}
-			}
-			if gain != best {
-				t.Fatalf("step %d: MaxItem gain = %d, want %d", step, gain, best)
-			}
-		}
 	}
 }

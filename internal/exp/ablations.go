@@ -61,7 +61,7 @@ func Ablations(cfg Config) (string, error) {
 	row("UG (Alg 1)", func() []int32 { return core.MapUG(g, topo, a.Nodes, nil) })
 	row("UWH (Alg 1+2)", func() []int32 { return core.MapUWH(g, topo, a.Nodes, nil) })
 	row("UML (multilevel, §III-B)", func() []int32 {
-		return core.MapUML(g, topo, a.Nodes, core.MultilevelOptions{})
+		return core.MapUML(g, topo, a.Nodes, nil)
 	})
 	row("UMC (Alg 3, static model)", func() []int32 { return core.MapUMC(g, topo, a.Nodes, nil) })
 	row("UMCA (Alg 3, adaptive model, §III-C)", func() []int32 {

@@ -8,11 +8,11 @@ import "testing"
 
 func TestFigure2Deterministic(t *testing.T) {
 	cfg := TinyConfig()
-	a, err := Figure2(cfg)
+	a, err := NewSuite(cfg).Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure2(cfg)
+	b, err := NewSuite(cfg).Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSuiteSharedCacheMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Figure2(cfg)
+	fresh, err := NewSuite(cfg).Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestSuiteSharedCacheMatchesFresh(t *testing.T) {
 
 func TestTable1Deterministic(t *testing.T) {
 	cfg := TinyConfig()
-	a, err := Table1(cfg)
+	a, err := NewSuite(cfg).Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Table1(cfg)
+	b, err := NewSuite(cfg).Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func stripLastColumn(s string) string {
 
 func TestRegressionDeterministic(t *testing.T) {
 	cfg := TinyConfig()
-	a, err := Regression(cfg)
+	a, err := NewSuite(cfg).Regression()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Regression(cfg)
+	b, err := NewSuite(cfg).Regression()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 
 func TestFigure1Tiny(t *testing.T) {
 	cfg := TinyConfig()
-	out, err := Figure1(cfg)
+	out, err := NewSuite(cfg).Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func selfNormalizedRow(out, label string, n int) bool {
 
 func TestFigure2Tiny(t *testing.T) {
 	cfg := TinyConfig()
-	out, err := Figure2(cfg)
+	out, err := NewSuite(cfg).Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFigure2Tiny(t *testing.T) {
 
 func TestFigure3Tiny(t *testing.T) {
 	cfg := TinyConfig()
-	out, err := Figure3(cfg)
+	out, err := NewSuite(cfg).Figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,21 +74,21 @@ func TestFigure3Tiny(t *testing.T) {
 
 func TestFigure4Tiny(t *testing.T) {
 	cfg := TinyConfig()
-	out, err := Figure4(cfg, "a")
+	out, err := NewSuite(cfg).Figure4("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "CommTime") {
 		t.Fatalf("figure 4 missing time column:\n%s", out)
 	}
-	if _, err := Figure4(cfg, "c"); err == nil {
+	if _, err := NewSuite(cfg).Figure4("c"); err == nil {
 		t.Fatal("want error for unknown variant")
 	}
 }
 
 func TestFigure5Tiny(t *testing.T) {
 	cfg := TinyConfig()
-	out, err := Figure5(cfg)
+	out, err := NewSuite(cfg).Figure5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFigure5Tiny(t *testing.T) {
 
 func TestTable1Tiny(t *testing.T) {
 	cfg := TinyConfig()
-	out, err := Table1(cfg)
+	out, err := NewSuite(cfg).Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTable1Tiny(t *testing.T) {
 
 func TestRegressionTiny(t *testing.T) {
 	cfg := TinyConfig()
-	out, err := Regression(cfg)
+	out, err := NewSuite(cfg).Regression()
 	if err != nil {
 		t.Fatal(err)
 	}

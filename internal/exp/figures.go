@@ -15,9 +15,6 @@ import (
 // Figure1 regenerates Figure 1: geometric means of the partition
 // metrics TV, TM, MSV, MSM per partitioner and part count, normalized
 // to PATOH's value on the same matrix and part count.
-// Figure1 with a fresh cache; see Suite for shared-cache runs.
-func Figure1(cfg Config) (string, error) { return NewSuite(cfg).Figure1() }
-
 func (s *Suite) Figure1() (string, error) {
 	c := s.c
 	cfg := s.cfg
@@ -90,9 +87,6 @@ func (s *Suite) Figure1() (string, error) {
 // Figure2 regenerates Figure 2: mean mapping metric values (TH, WH,
 // MMC, MC) of the seven mappers on the PATOH task graphs, normalized
 // to DEF, per processor count.
-// Figure2 with a fresh cache; see Suite for shared-cache runs.
-func Figure2(cfg Config) (string, error) { return NewSuite(cfg).Figure2() }
-
 func (s *Suite) Figure2() (string, error) {
 	c := s.c
 	cfg := s.cfg
@@ -189,9 +183,6 @@ func (s *Suite) Figure2() (string, error) {
 // seconds) of the mapping algorithms on PATOH task graphs. As in the
 // paper, the times of UWH, UMC and UMMC include the UG construction
 // they refine.
-// Figure3 with a fresh cache; see Suite for shared-cache runs.
-func Figure3(cfg Config) (string, error) { return NewSuite(cfg).Figure3() }
-
 func (s *Suite) Figure3() (string, error) {
 	c := s.c
 	cfg := s.cfg
@@ -253,11 +244,6 @@ func (s *Suite) Figure3() (string, error) {
 // (rgg): communication-only execution times and the WH/MMC/MC metrics
 // for every partitioner × mapper, normalized to DEF on the PATOH
 // graph.
-func Figure4(cfg Config, variant string) (string, error) {
-	return NewSuite(cfg).Figure4(variant)
-}
-
-// Figure4 is the shared-cache variant.
 func (s *Suite) Figure4(variant string) (string, error) {
 	switch variant {
 	case "a":
@@ -338,9 +324,6 @@ func (s *Suite) commFigure(matName string, bytesPerUnit float64) (string, error)
 // Figure5 regenerates Figure 5: SpMV (Tpetra-like) execution for the
 // cagelike matrix: TH, MMC, MC and time per partitioner × mapper,
 // normalized to DEF on the PATOH graph.
-// Figure5 with a fresh cache; see Suite for shared-cache runs.
-func Figure5(cfg Config) (string, error) { return NewSuite(cfg).Figure5() }
-
 func (s *Suite) Figure5() (string, error) {
 	c := s.c
 	cfg := s.cfg

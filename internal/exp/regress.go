@@ -26,9 +26,6 @@ var regressionColumns = []string{
 // metric columns, solves the nonnegative least squares problem for
 // the execution time, and reports the nonzero coefficients plus the
 // Pearson correlations with the dominant metric.
-func Regression(cfg Config) (string, error) { return NewSuite(cfg).Regression() }
-
-// Regression is the shared-cache variant.
 func (s *Suite) Regression() (string, error) {
 	out := ""
 	for _, kind := range []string{"comm", "spmv"} {

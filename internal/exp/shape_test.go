@@ -23,7 +23,7 @@ func TestShapeMedium(t *testing.T) {
 		Reps:         3,
 		Seed:         1,
 	}
-	out, err := Figure2(cfg)
+	out, err := NewSuite(cfg).Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}

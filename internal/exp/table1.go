@@ -16,9 +16,6 @@ import (
 // processor counts and two allocations each, the geometric mean of
 // execution times across all seven partitioner graphs — DEF in
 // seconds, the other mappers normalized to DEF.
-// Table1 with a fresh cache; see Suite for shared-cache runs.
-func Table1(cfg Config) (string, error) { return NewSuite(cfg).Table1() }
-
 func (s *Suite) Table1() (string, error) {
 	c := s.c
 	cfg := s.cfg

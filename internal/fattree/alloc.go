@@ -12,25 +12,15 @@ import (
 // physical racks.
 
 // SparseHosts reserves want hosts on a busy machine: a seeded random
-// busyFraction of the hosts is occupied and the first want free hosts
-// after a random offset (in id order) are taken — non-contiguous but
-// locality-biased, like the paper's Hopper allocations. Each host
-// gets procsPerHost processors.
+// half of the hosts is occupied and the first want free hosts after a
+// random offset (in id order) are taken — non-contiguous but
+// locality-biased, like the paper's Hopper allocations. Each host gets
+// procsPerHost processors.
 func SparseHosts(ft *FatTree, want, procsPerHost int, seed int64) (*alloc.Allocation, error) {
-	return hosts(ft, want, procsPerHost, seed, 0.5)
-}
-
-// ContiguousHosts reserves want consecutive hosts in id order from a
-// seeded offset.
-func ContiguousHosts(ft *FatTree, want, procsPerHost int, seed int64) (*alloc.Allocation, error) {
-	return hosts(ft, want, procsPerHost, seed, 0)
-}
-
-func hosts(ft *FatTree, want, procsPerHost int, seed int64, busyFraction float64) (*alloc.Allocation, error) {
 	if procsPerHost <= 0 {
 		procsPerHost = alloc.DefaultProcsPerNode
 	}
-	nodes, err := alloc.SparseIDs(ft.Hosts(), want, seed, busyFraction)
+	nodes, err := alloc.SparseIDs(ft.Hosts(), want, seed, 0.5)
 	if err != nil {
 		return nil, fmt.Errorf("fattree: %w", err)
 	}

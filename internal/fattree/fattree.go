@@ -73,9 +73,6 @@ func New(k int, bwHost, taper float64) (*FatTree, error) {
 	return ft, nil
 }
 
-// Arity returns k.
-func (ft *FatTree) Arity() int { return ft.k }
-
 // TopologyFingerprint canonically describes the fat tree: arity,
 // host-link bandwidth and per-level taper (torus.Fingerprinter).
 func (ft *FatTree) TopologyFingerprint() string {

@@ -342,9 +342,6 @@ func TestSparseHostsErrors(t *testing.T) {
 	if _, err := SparseHosts(ft, ft.Hosts()+1, 16, 1); err == nil {
 		t.Error("oversubscription accepted")
 	}
-	if _, err := ContiguousHosts(ft, ft.Hosts(), 16, 1); err != nil {
-		t.Errorf("full-machine contiguous allocation rejected: %v", err)
-	}
 }
 
 func TestMappingPipelineOnFatTree(t *testing.T) {

@@ -57,7 +57,7 @@ func randomSymmetric(rng *rand.Rand, n, m int) *Graph {
 	for i := range vw {
 		vw[i] = 1 + rng.Int63n(4)
 	}
-	return FromEdges(n, us, vs, ws, vw).Symmetrize()
+	return FromEdges(n, us, vs, ws, vw).Symmetrize(nil)
 }
 
 // randomMatching pairs each vertex, in random order, with a random

@@ -171,7 +171,7 @@ func FuzzFromTriples(f *testing.F) {
 }
 
 // BenchmarkFromTriples builds a launch-shape task graph (1024 vertices,
-// ~14k stored edges) from the staging SymmetrizeArena hands it: both
+// ~14k stored edges) from the staging Symmetrize hands it: both
 // directions of every stored edge, interleaved, ~28k triples with every
 // key staged twice.
 func BenchmarkFromTriples(b *testing.B) {

@@ -136,21 +136,10 @@ func (g *Graph) HasEdge(u, v int) bool {
 // list. Parallel edges are merged by summing weights; self loops are
 // dropped. vw may be nil for unit vertex weights.
 func FromEdges(n int, us, vs []int32, ws []int64, vw []int64) *Graph {
-	return FromEdgesArena(nil, n, us, vs, ws, vw)
-}
-
-// FromEdgesArena is FromEdges with the edge-staging buffer borrowed
-// from an arena — the final CSR arrays escape into the result and
-// remain freshly allocated, but the triple buffer FromTriples buckets
-// and merges in place (the dominant transient of graph construction)
-// is recycled. A nil arena allocates fresh, so the two paths build
-// identical graphs.
-func FromEdgesArena(a *arena.Arena, n int, us, vs []int32, ws []int64, vw []int64) *Graph {
 	if len(us) != len(vs) || (ws != nil && len(ws) != len(us)) {
 		panic("graph: FromEdges length mismatch")
 	}
-	triples := a.Edges(len(us))
-	cnt := 0
+	triples := make([]ds.EdgeTriple, 0, len(us))
 	for i := range us {
 		if us[i] == vs[i] {
 			continue
@@ -159,12 +148,9 @@ func FromEdgesArena(a *arena.Arena, n int, us, vs []int32, ws []int64, vw []int6
 		if ws != nil {
 			w = ws[i]
 		}
-		triples[cnt] = ds.EdgeTriple{U: us[i], V: vs[i], W: w}
-		cnt++
+		triples = append(triples, ds.EdgeTriple{U: us[i], V: vs[i], W: w})
 	}
-	g := FromTriples(n, triples[:cnt], vw)
-	a.PutEdges(triples)
-	return g
+	return FromTriples(n, triples, vw)
 }
 
 // insertionSortMax is the longest row FromTriples orders by insertion
@@ -262,11 +248,12 @@ func sortByV(row []ds.EdgeTriple) {
 // w(u,v)+w(v,u). Vertex weights are preserved. Self loops are dropped.
 // This implements the symmetric-cost view c(t1,t2) the paper's mapping
 // algorithms assume (WH is an undirected metric).
-func (g *Graph) Symmetrize() *Graph { return g.SymmetrizeArena(nil) }
-
-// SymmetrizeArena is Symmetrize with pooled staging scratch (see
-// FromEdgesArena).
-func (g *Graph) SymmetrizeArena(a *arena.Arena) *Graph {
+//
+// The edge-staging triples FromTriples buckets and merges in place, the
+// dominant transient of graph construction, come from the arena and
+// return to it; the CSR arrays escape into the result and stay fresh.
+// A nil arena allocates fresh, and both build identical graphs.
+func (g *Graph) Symmetrize(a *arena.Arena) *Graph {
 	triples := a.Edges(2 * g.M())
 	cnt := 0
 	for u := 0; u < g.N(); u++ {
@@ -292,14 +279,10 @@ func (g *Graph) SymmetrizeArena(a *arena.Arena) *Graph {
 
 // InducedSubgraph returns the subgraph on the given vertices (in the
 // given order) plus the mapping from old ids to new ids (-1 when
-// excluded). Edges with an excluded endpoint are dropped.
-func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32) {
-	return g.InducedSubgraphArena(nil, vertices)
-}
-
-// InducedSubgraphArena is InducedSubgraph with pooled staging scratch
-// (see FromEdgesArena). The returned remap escapes and stays fresh.
-func (g *Graph) InducedSubgraphArena(a *arena.Arena, vertices []int32) (*Graph, []int32) {
+// excluded). Edges with an excluded endpoint are dropped. The staging
+// triples come from the arena as in Symmetrize; the returned graph and
+// remap stay fresh.
+func (g *Graph) InducedSubgraph(a *arena.Arena, vertices []int32) (*Graph, []int32) {
 	remap := make([]int32, g.N())
 	for i := range remap {
 		remap[i] = -1

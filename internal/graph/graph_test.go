@@ -47,7 +47,7 @@ func TestSymmetrize(t *testing.T) {
 	vs := []int32{1, 0, 0}
 	ws := []int64{3, 4, 5}
 	g := FromEdges(3, us, vs, ws, nil)
-	s := g.Symmetrize()
+	s := g.Symmetrize(nil)
 	if !s.IsSymmetric() {
 		t.Fatal("Symmetrize output not symmetric")
 	}
@@ -74,7 +74,7 @@ func TestSymmetrize(t *testing.T) {
 func TestSymmetrizeProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		g := RandomConnected(30, 60, 9, seed)
-		s := g.Symmetrize()
+		s := g.Symmetrize(nil)
 		return s.Validate() == nil && s.IsSymmetric() &&
 			s.TotalEdgeWeight() == 2*g.TotalEdgeWeight()
 	}
@@ -102,9 +102,23 @@ func TestGrid2D(t *testing.T) {
 	}
 }
 
+// bfsLevels collects the level BFS reports for every vertex, -1 when
+// unreached.
+func bfsLevels(g *Graph, seeds []int32) []int32 {
+	lv := make([]int32, g.N())
+	for i := range lv {
+		lv[i] = -1
+	}
+	BFS(g, seeds, func(v int32, level int) bool {
+		lv[v] = int32(level)
+		return true
+	})
+	return lv
+}
+
 func TestBFSLevelsOnRing(t *testing.T) {
 	g := Ring(8)
-	lv := BFSLevels(g, []int32{0})
+	lv := bfsLevels(g, []int32{0})
 	want := []int32{0, 1, 2, 3, 4, 3, 2, 1}
 	for i := range want {
 		if lv[i] != want[i] {
@@ -115,7 +129,7 @@ func TestBFSLevelsOnRing(t *testing.T) {
 
 func TestBFSMultiSeed(t *testing.T) {
 	g := Ring(8)
-	lv := BFSLevels(g, []int32{0, 4})
+	lv := bfsLevels(g, []int32{0, 4})
 	want := []int32{0, 1, 2, 1, 0, 1, 2, 1}
 	for i := range want {
 		if lv[i] != want[i] {
@@ -163,38 +177,10 @@ func TestFarthestVertexNoEligible(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	// Two disjoint triangles.
-	us := []int32{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3}
-	vs := []int32{1, 0, 2, 1, 0, 2, 4, 3, 5, 4, 3, 5}
-	g := FromEdges(6, us, vs, nil, nil)
-	comp, nc := Components(g)
-	if nc != 2 {
-		t.Fatalf("components = %d, want 2", nc)
-	}
-	if comp[0] != comp[1] || comp[0] != comp[2] {
-		t.Fatal("first triangle split across components")
-	}
-	if comp[3] != comp[4] || comp[3] != comp[5] {
-		t.Fatal("second triangle split across components")
-	}
-	if comp[0] == comp[3] {
-		t.Fatal("triangles merged")
-	}
-}
-
-func TestComponentsSingletons(t *testing.T) {
-	g := FromEdges(5, nil, nil, nil, nil)
-	_, nc := Components(g)
-	if nc != 5 {
-		t.Fatalf("components = %d, want 5", nc)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := Grid2D(3, 3)
 	// Take the first row: vertices 0,1,2 form a path.
-	sub, remap := g.InducedSubgraph([]int32{0, 1, 2})
+	sub, remap := g.InducedSubgraph(nil, []int32{0, 1, 2})
 	if sub.N() != 3 || sub.M() != 4 {
 		t.Fatalf("sub N=%d M=%d, want 3,4", sub.N(), sub.M())
 	}
@@ -218,22 +204,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestPseudoPeripheralVertex(t *testing.T) {
-	// On a path graph the pseudo-peripheral vertex from the middle is
-	// an endpoint.
-	var us, vs []int32
-	n := 9
-	for i := 0; i < n-1; i++ {
-		us = append(us, int32(i), int32(i+1))
-		vs = append(vs, int32(i+1), int32(i))
-	}
-	g := FromEdges(n, us, vs, nil, nil)
-	p := PseudoPeripheralVertex(g, 4)
-	if p != 0 && p != int32(n-1) {
-		t.Fatalf("pseudo-peripheral = %d, want an endpoint", p)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := Grid2D(2, 2)
 	bad := g.Clone()
@@ -251,8 +221,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestRandomConnectedIsConnected(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := RandomConnected(50, 20, 3, seed)
-		if _, nc := Components(g); nc != 1 {
-			t.Fatalf("seed %d: graph not connected (%d comps)", seed, nc)
+		for v, lv := range bfsLevels(g, []int32{0}) {
+			if lv < 0 {
+				t.Fatalf("seed %d: vertex %d unreachable from 0", seed, v)
+			}
 		}
 		if !g.IsSymmetric() {
 			t.Fatalf("seed %d: not symmetric", seed)
@@ -327,17 +299,10 @@ func TestIsSymmetricDetectsAsymmetry(t *testing.T) {
 
 func TestSymmetrizePreservesVertexWeights(t *testing.T) {
 	g := FromEdges(3, []int32{0}, []int32{1}, []int64{5}, []int64{10, 20, 30})
-	s := g.Symmetrize()
+	s := g.Symmetrize(nil)
 	for i, want := range []int64{10, 20, 30} {
 		if s.VertexWeight(i) != want {
 			t.Fatalf("VW[%d] = %d, want %d", i, s.VertexWeight(i), want)
 		}
-	}
-}
-
-func TestPseudoPeripheralOnSingleton(t *testing.T) {
-	g := FromEdges(1, nil, nil, nil, nil)
-	if p := PseudoPeripheralVertex(g, 0); p != 0 {
-		t.Fatalf("singleton pseudo-peripheral = %d", p)
 	}
 }

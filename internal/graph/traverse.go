@@ -34,33 +34,6 @@ func BFS(g *Graph, seeds []int32, visit func(v int32, level int) bool) {
 	}
 }
 
-// BFSLevels returns the BFS level of every vertex from the seed set,
-// with -1 for unreachable vertices.
-func BFSLevels(g *Graph, seeds []int32) []int32 {
-	levels := make([]int32, g.N())
-	for i := range levels {
-		levels[i] = -1
-	}
-	q := ds.NewQueue(len(seeds) + 16)
-	for _, s := range seeds {
-		if levels[s] >= 0 {
-			continue
-		}
-		levels[s] = 0
-		q.Push(int(s))
-	}
-	for q.Len() > 0 {
-		v := q.Pop()
-		for _, u := range g.Neighbors(v) {
-			if levels[u] < 0 {
-				levels[u] = levels[v] + 1
-				q.Push(int(u))
-			}
-		}
-	}
-	return levels
-}
-
 // FarthestVertex returns a vertex at the maximum BFS distance from the
 // seed set, restricted to vertices where eligible returns true (pass
 // nil for no restriction). Ties are broken in favour of the vertex
@@ -89,49 +62,4 @@ func FarthestVertex(g *Graph, seeds []int32, eligible func(v int32) bool, tieWei
 		return -1, -1, false
 	}
 	return best, bestLevel, true
-}
-
-// Components labels the connected components of g (treating edges as
-// undirected only if g is symmetric; directed graphs get weakly-
-// reachable components only along stored edges). It returns the
-// component id per vertex and the number of components.
-func Components(g *Graph) ([]int32, int) {
-	comp := make([]int32, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	q := ds.NewQueue(64)
-	c := int32(0)
-	for s := 0; s < g.N(); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = c
-		q.Push(s)
-		for q.Len() > 0 {
-			v := q.Pop()
-			for _, u := range g.Neighbors(v) {
-				if comp[u] < 0 {
-					comp[u] = c
-					q.Push(int(u))
-				}
-			}
-		}
-		c++
-	}
-	return comp, int(c)
-}
-
-// PseudoPeripheralVertex returns a vertex approximately maximizing
-// eccentricity inside the component of start, via two BFS sweeps.
-func PseudoPeripheralVertex(g *Graph, start int32) int32 {
-	far, _, ok := FarthestVertex(g, []int32{start}, nil, nil)
-	if !ok {
-		return start
-	}
-	far2, _, ok := FarthestVertex(g, []int32{far}, nil, nil)
-	if !ok {
-		return far
-	}
-	return far2
 }

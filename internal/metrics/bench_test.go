@@ -30,7 +30,7 @@ func BenchmarkComputeMetrics(b *testing.B) {
 		for i := range caps {
 			caps[i] = 16
 		}
-		group, err := taskgraph.GroupTasks(tg, caps, 1)
+		group, err := taskgraph.GroupTasks(tg.G.Symmetrize(nil), caps, 1, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

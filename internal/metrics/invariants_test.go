@@ -57,7 +57,7 @@ func TestMetricsInvariantsProperty(t *testing.T) {
 // every metric unchanged.
 func TestMetricsPermutationInvariance(t *testing.T) {
 	topo := torus.NewHopper3D(4, 4, 4)
-	g := graph.RandomConnected(12, 30, 40, 9).Symmetrize()
+	g := graph.RandomConnected(12, 30, 40, 9).Symmetrize(nil)
 	rng := rand.New(rand.NewSource(4))
 	nodeOf := make([]int32, 12)
 	for i := range nodeOf {

@@ -317,15 +317,3 @@ func WeightedHops(g *graph.Graph, topo torus.Topology, nodeOf []int32) int64 {
 	}
 	return wh
 }
-
-// TotalHops computes only TH (unit costs) for a coarse graph mapping.
-func TotalHops(g *graph.Graph, topo torus.Topology, nodeOf []int32) int64 {
-	var th int64
-	for v := 0; v < g.N(); v++ {
-		a := int(nodeOf[v])
-		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			th += int64(topo.HopDist(a, int(nodeOf[g.Adj[i]])))
-		}
-	}
-	return th
-}

@@ -113,9 +113,6 @@ func TestWeightedHopsAgreesWithCompute(t *testing.T) {
 	if wh := WeightedHops(g, topo, nodeOf); wh != m.WH {
 		t.Fatalf("WeightedHops %d != Compute.WH %d", wh, m.WH)
 	}
-	if th := TotalHops(g, topo, nodeOf); th != m.TH {
-		t.Fatalf("TotalHops %d != Compute.TH %d", th, m.TH)
-	}
 }
 
 func TestHeterogeneousBandwidthAffectsMC(t *testing.T) {

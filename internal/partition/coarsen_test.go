@@ -23,7 +23,7 @@ func randomSymmetric(rng *rand.Rand, n, m int) *graph.Graph {
 	for i := range vw {
 		vw[i] = 1 + rng.Int63n(4)
 	}
-	return graph.FromEdges(n, us, vs, ws, vw).Symmetrize()
+	return graph.FromEdges(n, us, vs, ws, vw).Symmetrize(nil)
 }
 
 // TestCoarsenLevelsStaySymmetric checks the precondition

@@ -242,8 +242,8 @@ func recursiveBisect(g *graph.Graph, vertices []int32, targets []int64, offset i
 	ar.PutInt32s(buf)
 	ar.PutInt8s(side)
 	leftIDs, rightIDs := vertices[:nl], vertices[nl:]
-	gl, _ := g.InducedSubgraphArena(ar, leftLocal)
-	gr, _ := g.InducedSubgraphArena(ar, rightLocal)
+	gl, _ := g.InducedSubgraph(ar, leftLocal)
+	gr, _ := g.InducedSubgraph(ar, rightLocal)
 	ar.PutInt32s(leftLocal)
 	ar.PutInt32s(rightLocal)
 	opt.Par.Fork(

@@ -98,7 +98,7 @@ func ReadRankOrder(r io.Reader) ([]int32, error) {
 			line = line[:i]
 		}
 		for _, f := range strings.FieldsFunc(line, func(c rune) bool { return c == ',' || c == ' ' || c == '\t' }) {
-			v, err := strconv.Atoi(f)
+			v, err := strconv.ParseInt(f, 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("rankfile: bad rank %q", f)
 			}
@@ -160,7 +160,7 @@ func ReadNodeList(r io.Reader) (*alloc.Allocation, error) {
 		if len(fields) > 2 {
 			return nil, fmt.Errorf("rankfile: bad node line %q", line)
 		}
-		node, err := strconv.Atoi(fields[0])
+		node, err := strconv.ParseInt(fields[0], 10, 32)
 		if err != nil || node < 0 {
 			return nil, fmt.Errorf("rankfile: bad node id %q", fields[0])
 		}

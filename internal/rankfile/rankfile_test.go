@@ -136,7 +136,8 @@ func TestReadRankOrderFormats(t *testing.T) {
 }
 
 func TestReadRankOrderRejectsNonPermutation(t *testing.T) {
-	for _, in := range []string{"", "0,1,1", "0,2", "-1,0", "a,b"} {
+	// Ranks past int32 must not wrap into range: 4294967297 is 1 mod 2^32.
+	for _, in := range []string{"", "0,1,1", "0,2", "-1,0", "a,b", "0,4294967297", "4294967296,1"} {
 		if _, err := ReadRankOrder(strings.NewReader(in)); err == nil {
 			t.Fatalf("%q accepted", in)
 		}
@@ -182,7 +183,9 @@ func TestReadNodeListDefaultsAndErrors(t *testing.T) {
 	if a.ProcsPerNode[0] != alloc.DefaultProcsPerNode || a.ProcsPerNode[1] != 24 {
 		t.Fatalf("capacities %v", a.ProcsPerNode)
 	}
-	for _, in := range []string{"", "x", "1 2 3", "3\n3\n", "-4", "5 0"} {
+	// Node ids past int32 must not wrap: 4294967297 is 1 mod 2^32, and
+	// 2147483648 would turn negative.
+	for _, in := range []string{"", "x", "1 2 3", "3\n3\n", "-4", "5 0", "4294967297 16", "2147483648"} {
 		if _, err := ReadNodeList(strings.NewReader(in)); err == nil {
 			t.Fatalf("%q accepted", in)
 		}

@@ -47,15 +47,13 @@ func init() {
 	MustRegister(NewFunc("TMAPG", Caps{}, func(in Input) ([]int32, error) {
 		return baseline.TMAPGreedy(in.Coarse, in.Topo, in.Alloc, in.Seed), nil
 	}))
-	MustRegister(NewFunc("UML", Caps{}, func(in Input) ([]int32, error) {
-		return core.MapUML(in.Coarse, in.Topo, in.Alloc.Nodes, core.MultilevelOptions{Exec: in.Exec}), nil
-	}))
+	MustRegister(simple("UML", core.MapUML))
 	MustRegister(NewFunc("UMCA", Caps{NeedsMultipath: true}, func(in Input) ([]int32, error) {
 		mp, ok := torus.MultipathOf(in.Topo)
 		if !ok {
 			return nil, fmt.Errorf("registry: mapper UMCA needs a multipath topology")
 		}
-		return core.MapUMCA(in.Coarse, withMultipath{in.Topo, mp}, in.Alloc.Nodes, in.Exec), nil
+		return core.MapUMCA(in.Coarse, mp, in.Alloc.Nodes, in.Exec), nil
 	}))
 	MustRegister(NewFunc("HET", Caps{}, func(in Input) ([]int32, error) {
 		return hetero.Map(in.Coarse, in.Topo, in.Alloc), nil
@@ -71,18 +69,3 @@ func init() {
 		return geom.MapSFCM(in.Coords, in.Dim, in.Topo, in.Alloc.Nodes)
 	}))
 }
-
-// withMultipath runs the adaptive refinement on the engine's cached
-// view for the Topology methods while borrowing the base topology's
-// minimal-route enumeration (views delegate those anyway; this also
-// covers a view that hides them behind Unwrap).
-type withMultipath struct {
-	torus.Topology
-	mp torus.MultipathTopology
-}
-
-func (w withMultipath) ForEachMinimalRoute(a, b int, fn func(route []int32)) int {
-	return w.mp.ForEachMinimalRoute(a, b, fn)
-}
-func (w withMultipath) NumMinimalRoutes(a, b int) int { return w.mp.NumMinimalRoutes(a, b) }
-func (w withMultipath) RouteScale() int64             { return w.mp.RouteScale() }

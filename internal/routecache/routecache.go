@@ -40,7 +40,16 @@ type cached struct {
 // delegated), and torus.CoordsOf/MultipathOf see through it via
 // Unwrap. allocNodes must be valid node ids of base.
 func New(base torus.Topology, allocNodes []int32) (torus.Topology, error) {
+	view, _, err := build(base, nil, allocNodes)
+	return view, err
+}
+
+// build tabulates every ordered pair of allocNodes over base. A pair
+// whose two endpoints old also tabulates is copied from old's tables
+// verbatim; every other pair asks base. A nil old copies nothing.
+func build(base torus.Topology, old *cached, allocNodes []int32) (torus.Topology, PatchStats, error) {
 	n := len(allocNodes)
+	stats := PatchStats{Total: n*n - n}
 	c := &cached{
 		base: base,
 		idx:  make([]int32, base.Nodes()),
@@ -53,21 +62,36 @@ func New(base torus.Topology, allocNodes []int32) (torus.Topology, error) {
 	}
 	for i, m := range allocNodes {
 		if m < 0 || int(m) >= base.Nodes() {
-			return nil, fmt.Errorf("routecache: node %d outside topology", m)
+			return nil, stats, fmt.Errorf("routecache: node %d outside topology", m)
 		}
 		if c.idx[m] >= 0 {
-			return nil, fmt.Errorf("routecache: duplicate node %d", m)
+			return nil, stats, fmt.Errorf("routecache: duplicate node %d", m)
 		}
 		c.idx[m] = int32(i)
 	}
 	var route []int32
 	for i, a := range allocNodes {
+		oa := int32(-1)
+		if old != nil {
+			oa = old.idx[a]
+		}
 		for j, b := range allocNodes {
 			p := i*n + j
 			if a == b {
 				c.dist[p] = 0
 				c.off[p+1] = c.off[p]
 				continue
+			}
+			if oa >= 0 {
+				if ob := old.idx[b]; ob >= 0 {
+					// Both endpoints survive: copy the tabulated pair.
+					op := int(oa)*old.n + int(ob)
+					c.dist[p] = old.dist[op]
+					c.links = append(c.links, old.links[old.off[op]:old.off[op+1]]...)
+					c.off[p+1] = c.off[p] + (old.off[op+1] - old.off[op])
+					stats.Reused++
+					continue
+				}
 			}
 			c.dist[p] = int32(base.HopDist(int(a), int(b)))
 			route = base.Route(int(a), int(b), route[:0])
@@ -76,13 +100,12 @@ func New(base torus.Topology, allocNodes []int32) (torus.Topology, error) {
 		}
 	}
 	if mp, ok := base.(torus.MultipathTopology); ok {
-		return &cachedMultipath{cached: c, mp: mp}, nil
+		return &cachedMultipath{cached: c, mp: mp}, stats, nil
 	}
-	return c, nil
+	return c, stats, nil
 }
 
-// Unwrap exposes the underlying topology to torus.Underlying and the
-// capability helpers.
+// Unwrap exposes the underlying topology to the capability helpers.
 func (c *cached) Unwrap() torus.Topology { return c.base }
 
 // Nodes delegates to the base topology.

@@ -36,8 +36,8 @@ func checkView(t *testing.T, base torus.Topology, nodes []int32) {
 		}
 	}
 	// Unwrap must reach the base topology.
-	if torus.Underlying(view) != base {
-		t.Fatal("Underlying did not reach the base topology")
+	if u, ok := view.(torus.Unwrapper); !ok || u.Unwrap() != base {
+		t.Fatal("Unwrap did not reach the base topology")
 	}
 	// Multipath capability must be preserved exactly.
 	_, baseMP := base.(torus.MultipathTopology)

@@ -94,21 +94,6 @@ func axesToTranspose(x *[3]uint32, b int) {
 	}
 }
 
-// Morton3D interleaves the low 10 bits of x, y, z into a Morton
-// (Z-order) code.
-func Morton3D(x, y, z uint32) uint64 {
-	return spread(x) | spread(y)<<1 | spread(z)<<2
-}
-
-func spread(v uint32) uint64 {
-	x := uint64(v) & 0x3ff
-	x = (x | x<<16) & 0x30000ff
-	x = (x | x<<8) & 0x300f00f
-	x = (x | x<<4) & 0x30c30c3
-	x = (x | x<<2) & 0x9249249
-	return x
-}
-
 // Order is a linear ordering of the points of an X×Y×Z box.
 type Order int
 

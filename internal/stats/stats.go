@@ -1,7 +1,7 @@
 // Package stats provides the aggregation and reporting helpers the
 // experiment harness uses: geometric means (the paper reports
-// geometric means throughout §IV), normalization, and fixed-width
-// ASCII tables shaped like the paper's figures.
+// geometric means throughout §IV) and fixed-width ASCII tables shaped
+// like the paper's figures.
 package stats
 
 import (
@@ -29,42 +29,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// Mean returns the arithmetic mean (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var v float64
-	for _, x := range xs {
-		v += (x - m) * (x - m)
-	}
-	return math.Sqrt(v / float64(len(xs)))
-}
-
-// Normalize divides each entry by base, guarding zero bases.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if base != 0 {
-			out[i] = x / base
-		}
-	}
-	return out
-}
-
 // Table renders aligned fixed-width text tables.
 type Table struct {
 	Title   string
@@ -74,16 +38,6 @@ type Table struct {
 
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row where every value is formatted with the
-// corresponding verb ("%s", "%.3f", ...).
-func (t *Table) AddRowf(format []string, values ...interface{}) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		cells[i] = fmt.Sprintf(format[i], v)
-	}
-	t.rows = append(t.rows, cells)
-}
 
 // Fprint writes the table.
 func (t *Table) Fprint(w io.Writer) {

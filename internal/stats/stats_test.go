@@ -18,27 +18,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMeanStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Fatalf("Mean = %g", m)
-	}
-	if s := Std(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("Std = %g, want 2", s)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4}, 2)
-	if out[0] != 1 || out[1] != 2 {
-		t.Fatalf("Normalize = %v", out)
-	}
-	zero := Normalize([]float64{3}, 0)
-	if zero[0] != 0 {
-		t.Fatal("zero base should produce zeros")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "demo", Headers: []string{"name", "value"}}
 	tab.AddRow("alpha", "1.00")
@@ -57,16 +36,6 @@ func TestTableRendering(t *testing.T) {
 	idx := strings.Index(lines[1], "value")
 	if !strings.HasPrefix(lines[3][idx:], "1.00") {
 		t.Fatalf("misaligned table:\n%s", out)
-	}
-}
-
-func TestAddRowf(t *testing.T) {
-	tab := &Table{Headers: []string{"a", "b"}}
-	tab.AddRowf([]string{"%s", "%.2f"}, "x", 3.14159)
-	var sb strings.Builder
-	tab.Fprint(&sb)
-	if !strings.Contains(sb.String(), "3.14") {
-		t.Fatal("AddRowf formatting lost")
 	}
 }
 

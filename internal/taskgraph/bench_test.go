@@ -35,7 +35,7 @@ func BenchmarkGroupTasks(b *testing.B) {
 			par := parallel.NewGroup(context.Background(), workers)
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := GroupTasksExec(tg.SymmetricArena(ar), caps, 1, par, ar, nil); err != nil {
+				if _, err := GroupTasks(tg.G.Symmetrize(ar), caps, 1, par, ar, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,11 +54,11 @@ func BenchmarkCoarseGraph(b *testing.B) {
 		tasks, groups int
 	}{{"launch", 1024, 64}, {"remap", 2048, 128}} {
 		tg := &TaskGraph{G: graph.RandomConnected(shape.tasks, 6*shape.tasks, 100, 1), K: shape.tasks}
-		group, err := GroupTasks(tg, uniformCaps(shape.groups, 16), 1)
+		sym := tg.G.Symmetrize(nil)
+		group, err := GroupTasks(sym, uniformCaps(shape.groups, 16), 1, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sym := tg.Symmetric()
 		b.Run(shape.name, func(b *testing.B) {
 			ar := arena.New()
 			b.ReportAllocs()

@@ -10,7 +10,7 @@ import (
 	"repro/internal/graph"
 )
 
-// coarseOracle is the triple-staging builder CoarseGraph and
+// coarseOracle is the triple-staging builder graph.Contract and
 // CoarseMessageGraph replaced, kept as the reference: every
 // inter-group fine edge is staged in both directions — with its volume,
 // or with weight one when messages is set — and graph.FromTriples
@@ -39,9 +39,10 @@ func coarseOracle(t *TaskGraph, group []int32, nGroups int, messages bool) *grap
 }
 
 // checkCoarse builds both coarse variants of t over group every way the
-// pipeline does — the facades, the arena message graph, and
-// graph.Contract over a pooled symmetrization as the engine builds the
-// volume graph — and fails on any difference from the oracle.
+// pipeline does — graph.Contract over a fresh and over a pooled
+// symmetrization for the volume graph, CoarseMessageGraph with and
+// without the arena for the message graph — and fails on any
+// difference from the oracle.
 func checkCoarse(t *testing.T, name string, tg *TaskGraph, group []int32, nGroups int, ar *arena.Arena) {
 	t.Helper()
 	want := coarseOracle(tg, group, nGroups, false)
@@ -50,10 +51,10 @@ func checkCoarse(t *testing.T, name string, tg *TaskGraph, group []int32, nGroup
 		what      string
 		got, want *graph.Graph
 	}{
-		{"CoarseGraph", CoarseGraph(tg, group, nGroups), want},
-		{"Contract over SymmetricArena", graph.Contract(tg.SymmetricArena(ar), group, nGroups, ar), want},
-		{"CoarseMessageGraph", CoarseMessageGraph(tg, group, nGroups), wantMsg},
-		{"CoarseMessageGraphArena", CoarseMessageGraphArena(ar, tg, group, nGroups), wantMsg},
+		{"Contract over Symmetrize", graph.Contract(tg.G.Symmetrize(nil), group, nGroups, nil), want},
+		{"Contract over the arena", graph.Contract(tg.G.Symmetrize(ar), group, nGroups, ar), want},
+		{"CoarseMessageGraph", CoarseMessageGraph(nil, tg, group, nGroups), wantMsg},
+		{"CoarseMessageGraph on the arena", CoarseMessageGraph(ar, tg, group, nGroups), wantMsg},
 	} {
 		if !reflect.DeepEqual(v.got, v.want) {
 			t.Fatalf("%s: %s diverged from the triple-staging oracle\ngot  %+v\nwant %+v", name, v.what, v.got, v.want)
@@ -77,7 +78,8 @@ func randomTaskGraph(rng *rand.Rand, n, m int) *TaskGraph {
 	return &TaskGraph{G: graph.FromEdges(n, us, vs, ws, vw), K: n}
 }
 
-// TestCoarseGraphMatchesOracle checks CoarseGraph and CoarseMessageGraph
+// TestCoarseGraphMatchesOracle checks the coarse volume graph
+// (graph.Contract over the symmetrization) and CoarseMessageGraph
 // against the triple-staging builder: random directed and symmetric
 // task graphs, nil EW/VW, groupings with empty groups, identity
 // groupings, and everything in one group, on a cold and a warm arena.

@@ -73,8 +73,10 @@ func checkTaskID(lineNo, id int) error {
 // task coordinates (the first coord line fixes the dimensionality;
 // tasks without one sit at the origin). Other comments, and load or
 // coord comments that do not parse, are ignored, but a task id outside
-// [0, math.MaxInt32-1] on an edge, load or coord line is an error. The
-// number of tasks is one plus the largest id seen.
+// [0, math.MaxInt32-1] on an edge, load or coord line is an error, as
+// is a negative load. Tasks without a load line carry load 1, and
+// loads that are all 1 read as absent (nil G.VW), the one spelling of
+// unit loads. The number of tasks is one plus the largest id seen.
 func Read(r io.Reader) (*TaskGraph, error) {
 	var us, vs []int32
 	var ws []int64
@@ -99,6 +101,9 @@ func Read(r io.Reader) (*TaskGraph, error) {
 				if err1 == nil && err2 == nil {
 					if err := checkTaskID(lineNo, id); err != nil {
 						return nil, err
+					}
+					if load < 0 {
+						return nil, fmt.Errorf("taskgraph: line %d: task %d has negative load %d", lineNo, id, load)
 					}
 					loads[id] = load
 					if id > maxID {
@@ -178,8 +183,12 @@ func Read(r io.Reader) (*TaskGraph, error) {
 		return nil, fmt.Errorf("taskgraph: empty input")
 	}
 	n := maxID + 1
+	unit := true
+	for _, load := range loads {
+		unit = unit && load == 1
+	}
 	var vw []int64
-	if len(loads) > 0 {
+	if !unit {
 		vw = make([]int64, n)
 		for i := range vw {
 			vw[i] = 1

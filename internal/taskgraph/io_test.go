@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -113,5 +114,27 @@ func TestReadRejectsOutOfRangeIDs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.line+":") {
 			t.Fatalf("Read(%q) = %v, want an error on %s", c.in, err, c.line)
 		}
+	}
+}
+
+// TestReadLoads: a negative load is a line-numbered error, loads that
+// are all 1 read as absent, and any other load keeps the whole vector.
+func TestReadLoads(t *testing.T) {
+	if _, err := Read(strings.NewReader("0 1 5\n# load 0 -3\n")); err == nil || !strings.Contains(err.Error(), "line 2:") {
+		t.Fatalf("negative load: err = %v, want an error on line 2", err)
+	}
+	unit, err := Read(strings.NewReader("# load 0 1\n# load 1 1\n# load 2 1\n0 1 5\n1 2 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unit.G.VW != nil {
+		t.Fatalf("unit loads read as VW=%v, want nil", unit.G.VW)
+	}
+	mixed, err := Read(strings.NewReader("# load 1 3\n0 1 5\n1 2 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{1, 3, 1}; !reflect.DeepEqual(mixed.G.VW, want) {
+		t.Fatalf("loads read as VW=%v, want %v", mixed.G.VW, want)
 	}
 }

@@ -10,7 +10,6 @@ package taskgraph
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/arena"
 	"repro/internal/graph"
@@ -142,16 +141,6 @@ func (t *TaskGraph) PartitionMetrics() Metrics {
 	return m
 }
 
-// Symmetric returns the undirected view of the task graph with
-// c(t,u) = w(t→u) + w(u→t), which the mapping algorithms assume
-// (WH is an undirected metric, §III-A).
-func (t *TaskGraph) Symmetric() *graph.Graph { return t.G.Symmetrize() }
-
-// SymmetricArena is Symmetric with pooled staging scratch.
-func (t *TaskGraph) SymmetricArena(ar *arena.Arena) *graph.Graph {
-	return t.G.SymmetrizeArena(ar)
-}
-
 // GroupBlocks groups tasks into consecutive-rank blocks matching the
 // node capacities, exactly how an SMP-style default mapping fills
 // nodes: group g takes capacities[g] consecutive task ids.
@@ -170,32 +159,27 @@ func GroupBlocks(nTasks int, capacities []int64) ([]int32, error) {
 	return group, nil
 }
 
-// GroupTasks partitions the task graph into len(capacities) groups so
-// that group g holds at most capacities[g] tasks (each task counts
-// one processor slot), minimizing inter-group communication: the
-// paper's "use METIS to partition Gt into |Va| nodes" plus the
-// single FM balance fix (§III-A).
+// GroupTasks partitions sym, the task graph's symmetrized view, into
+// len(capacities) groups so that group g holds at most capacities[g]
+// tasks (each task counts one processor slot), minimizing inter-group
+// communication: the paper's "use METIS to partition Gt into |Va|
+// nodes" plus the single FM balance fix (§III-A).
 //
 // Two candidates are produced — a multilevel partition of the task
 // graph, and the consecutive-rank block grouping refined with k-way
 // passes (recursive-bisection part ids are already locality-ordered,
 // §IV-B, so blocks are a strong start) — and the one with the lower
 // inter-group volume wins.
-func GroupTasks(t *TaskGraph, capacities []int64, seed int64) ([]int32, error) {
-	return GroupTasksExec(t.Symmetric(), capacities, seed, nil, nil, nil)
-}
-
-// GroupTasksExec is GroupTasks on sym, the task graph's symmetrized
-// view (TaskGraph.Symmetric), under an execution context: the two
-// grouping candidates run as forked subtasks on the solve's worker
-// pool (the multilevel partition additionally parallelizes its own
-// bisection subtrees on the same pool), the partitioner borrows its
-// scratch from ar, and tr — when tracing — receives the stage's
-// counters (bisections, recursion depth, which candidate won). A nil
-// group/arena/trace runs serial with fresh allocations, untraced; the
-// winner — and therefore the grouping — is identical either way. sym
-// is only read, so the caller can go on to coarsen over it.
-func GroupTasksExec(sym *graph.Graph, capacities []int64, seed int64, par *parallel.Group, ar *arena.Arena, tr *trace.Trace) ([]int32, error) {
+//
+// The candidates run as forked subtasks on par (the multilevel
+// partition additionally parallelizes its own bisection subtrees on
+// the same pool), the partitioner borrows its scratch from ar, and tr
+// — when tracing — receives the stage's counters (bisections,
+// recursion depth, which candidate won). A nil group/arena/trace runs
+// serial with fresh allocations, untraced; the winner — and therefore
+// the grouping — is identical either way. sym is only read, so the
+// caller can go on to coarsen over it.
+func GroupTasks(sym *graph.Graph, capacities []int64, seed int64, par *parallel.Group, ar *arena.Arena, tr *trace.Trace) ([]int32, error) {
 	// Unit vertex weights: a task occupies one processor. The
 	// partitioner sees them through a shallow copy of sym.
 	unit := make([]int64, sym.N())
@@ -266,57 +250,15 @@ func GroupTasksExec(sym *graph.Graph, capacities []int64, seed int64, par *paral
 	return partitioned, nil
 }
 
-// CoarseGraph aggregates the task graph over a grouping: vertex g of
-// the result is a supertask holding the tasks with group[t]==g; edge
-// weights are summed task volumes (symmetrized), vertex weights are
-// summed compute loads. Mapping algorithms run on this graph, one
-// supertask per allocated node (§III-A, §III-B "we choose to perform
-// only on the coarser task graphs"). It is graph.Contract over the
-// symmetrized task graph, which is how the engine builds it from the
-// symmetrization it already holds.
-func CoarseGraph(t *TaskGraph, group []int32, nGroups int) *graph.Graph {
-	return graph.Contract(t.Symmetric(), group, nGroups, nil)
-}
-
-// CoarseMessageGraph aggregates like CoarseGraph but weights each
-// coarse edge by the number of fine directed messages between the two
-// groups (both directions summed), which is the load the
-// message-congestion (MMC) refinement must see: all fine messages
-// between a group pair follow the same static route.
-func CoarseMessageGraph(t *TaskGraph, group []int32, nGroups int) *graph.Graph {
-	return CoarseMessageGraphArena(nil, t, group, nGroups)
-}
-
-// CoarseMessageGraphArena is CoarseMessageGraph with pooled staging
-// scratch: graph.Contract over the symmetrization of the task graph's
-// unit-weight view, in which every stored directed edge counts one.
-func CoarseMessageGraphArena(ar *arena.Arena, t *TaskGraph, group []int32, nGroups int) *graph.Graph {
+// CoarseMessageGraph aggregates the task graph over a grouping like
+// graph.Contract over its symmetrization, but weights each coarse edge
+// by the number of fine directed messages between the two groups (both
+// directions summed), which is the load the message-congestion (MMC)
+// refinement must see: all fine messages between a group pair follow
+// the same static route. It contracts the symmetrization of the task
+// graph's unit-weight view, in which every stored directed edge counts
+// one, with staging scratch from ar (nil allocates fresh).
+func CoarseMessageGraph(ar *arena.Arena, t *TaskGraph, group []int32, nGroups int) *graph.Graph {
 	unit := &graph.Graph{Xadj: t.G.Xadj, Adj: t.G.Adj, VW: t.G.VW}
-	return graph.Contract(unit.SymmetrizeArena(ar), group, nGroups, ar)
-}
-
-// MaxSendReceiveVertex returns the task with the maximum total
-// send+receive volume (the t_MSRV starting vertex of Algorithm 1)
-// of a symmetric graph.
-func MaxSendReceiveVertex(g *graph.Graph) int32 {
-	var best int32
-	var bestVol int64 = -1
-	for v := 0; v < g.N(); v++ {
-		var vol int64
-		for _, w := range g.Weights(v) {
-			vol += w
-		}
-		if vol > bestVol {
-			bestVol, best = vol, int32(v)
-		}
-	}
-	return best
-}
-
-// SortedEdgeVolumes returns all directed edge volumes sorted
-// descending (diagnostics and tests).
-func SortedEdgeVolumes(t *TaskGraph) []int64 {
-	out := append([]int64(nil), t.G.EW...)
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
-	return out
+	return graph.Contract(unit.Symmetrize(ar), group, nGroups, ar)
 }

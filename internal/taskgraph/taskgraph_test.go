@@ -1,12 +1,16 @@
 package taskgraph
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/matrix"
+	"repro/internal/parallel"
 )
 
 func tridiag(n int) *matrix.CSR {
@@ -101,7 +105,7 @@ func TestSymmetricCombinesDirections(t *testing.T) {
 	m := tridiag(8)
 	part := []int32{0, 0, 0, 0, 1, 1, 1, 1}
 	tg, _ := Build(m, part, 2)
-	sym := tg.Symmetric()
+	sym := tg.G.Symmetrize(nil)
 	// c(0,1) = vol(0->1) + vol(1->0) = 2.
 	if sym.M() != 2 {
 		t.Fatalf("sym M = %d, want 2", sym.M())
@@ -142,24 +146,24 @@ func TestGroupTasksRespectsCapacities(t *testing.T) {
 	for i := range caps {
 		caps[i] = 4 // 16 nodes x 4 procs = 64 tasks
 	}
-	group, err := GroupTasks(tg, caps, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GroupTasksExec only reads the symmetrized graph it is handed —
-	// the engine contracts the same graph afterwards — and groups
-	// exactly as the facade does.
-	sym := tg.Symmetric()
+	// GroupTasks only reads the symmetrized graph it is handed — the
+	// engine contracts the same graph afterwards — and groups the same
+	// on a worker pool and an arena as serially with fresh buffers.
+	sym := tg.G.Symmetrize(nil)
 	before := sym.Clone()
-	again, err := GroupTasksExec(sym, caps, 5, nil, nil, nil)
+	group, err := GroupTasks(sym, caps, 5, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sym, before) {
-		t.Fatal("GroupTasksExec wrote the graph it was handed")
+		t.Fatal("GroupTasks wrote the graph it was handed")
+	}
+	again, err := GroupTasks(sym, caps, 5, parallel.NewGroup(context.Background(), 2), arena.New(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, group) {
-		t.Fatal("GroupTasksExec grouped differently from GroupTasks")
+		t.Fatal("GroupTasks grouped differently on a worker pool and an arena")
 	}
 	counts := make([]int64, 16)
 	for _, g := range group {
@@ -189,11 +193,12 @@ func TestGroupTasksKeepsCommunicatorsTogether(t *testing.T) {
 	for i := range caps {
 		caps[i] = 8
 	}
-	group, err := GroupTasks(tg, caps, 3)
+	sym := tg.G.Symmetrize(nil)
+	group, err := GroupTasks(sym, caps, 3, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse := CoarseGraph(tg, group, 8)
+	coarse := graph.Contract(sym, group, 8, nil)
 	interVol := coarse.TotalEdgeWeight() / 2
 	totalVol := tg.PartitionMetrics().TV
 	if interVol*3 > totalVol {
@@ -209,7 +214,7 @@ func TestCoarseGraphAggregates(t *testing.T) {
 	}
 	tg, _ := Build(m, part, 8)
 	group := []int32{0, 0, 0, 0, 1, 1, 1, 1}
-	coarse := CoarseGraph(tg, group, 2)
+	coarse := graph.Contract(tg.G.Symmetrize(nil), group, 2, nil)
 	if coarse.N() != 2 {
 		t.Fatalf("coarse N = %d", coarse.N())
 	}
@@ -224,34 +229,6 @@ func TestCoarseGraphAggregates(t *testing.T) {
 	}
 }
 
-func TestMaxSendReceiveVertex(t *testing.T) {
-	// Star task graph: hub 0 has the max total volume.
-	m := matrix.FromCOO(5, 5,
-		[]int32{1, 2, 3, 4, 0, 0, 0, 0, 0, 1, 2, 3, 4},
-		[]int32{0, 0, 0, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4})
-	part := []int32{0, 1, 2, 3, 4}
-	tg, err := Build(m, part, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sym := tg.Symmetric()
-	if v := MaxSendReceiveVertex(sym); v != 0 {
-		t.Fatalf("MSRV = %d, want 0 (hub)", v)
-	}
-}
-
-func TestSortedEdgeVolumes(t *testing.T) {
-	m := tridiag(8)
-	part := []int32{0, 0, 1, 1, 2, 2, 3, 3}
-	tg, _ := Build(m, part, 4)
-	vols := SortedEdgeVolumes(tg)
-	for i := 1; i < len(vols); i++ {
-		if vols[i] > vols[i-1] {
-			t.Fatal("volumes not sorted descending")
-		}
-	}
-}
-
 func TestCoarseMessageGraph(t *testing.T) {
 	m := tridiag(8)
 	part := make([]int32, 8)
@@ -260,7 +237,7 @@ func TestCoarseMessageGraph(t *testing.T) {
 	}
 	tg, _ := Build(m, part, 8)
 	group := []int32{0, 0, 0, 0, 1, 1, 1, 1}
-	msg := CoarseMessageGraph(tg, group, 2)
+	msg := CoarseMessageGraph(nil, tg, group, 2)
 	// Fine messages crossing groups: 3->4 and 4->3, i.e. 2 directed
 	// messages; symmetrized count = 2 on each stored direction.
 	if msg.N() != 2 || msg.M() != 2 {
@@ -271,7 +248,7 @@ func TestCoarseMessageGraph(t *testing.T) {
 	}
 	// Volume graph weight may differ from message count when volumes
 	// exceed one unit; here both are 2 (1 unit each way).
-	vol := CoarseGraph(tg, group, 2)
+	vol := graph.Contract(tg.G.Symmetrize(nil), group, 2, nil)
 	if vol.EW[0] != 2 {
 		t.Fatalf("volume = %d, want 2", vol.EW[0])
 	}
@@ -289,7 +266,7 @@ func TestCoarseMessageGraphCountsMultiplicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	group := []int32{0, 0, 1, 1}
-	msg := CoarseMessageGraph(tg, group, 2)
+	msg := CoarseMessageGraph(nil, tg, group, 2)
 	if msg.M() != 2 || msg.EW[0] != 4 {
 		t.Fatalf("message graph M=%d w=%v, want weight 4", msg.M(), msg.EW)
 	}

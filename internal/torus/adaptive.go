@@ -37,11 +37,6 @@ type MultipathTopology interface {
 	RouteScale() int64
 }
 
-// RouteScale is the fixed-point denominator for integer expected-load
-// accounting on a torus: RouteScale/P is integral for every possible
-// route count P = d! with d <= 6 dimensions (720 = 6!).
-const RouteScale = 720
-
 // RouteScale returns ndims! — every route count d! with d <= ndims
 // divides it.
 func (t *Torus) RouteScale() int64 {

@@ -177,9 +177,19 @@ func TestMinimalRoutesProperty5D(t *testing.T) {
 }
 
 func TestRouteScaleDividesAllCounts(t *testing.T) {
-	for d := 0; d <= 6; d++ {
-		if p := factorial(d); p > 0 && RouteScale%p != 0 {
-			t.Fatalf("RouteScale %d not divisible by %d! = %d", RouteScale, d, p)
+	for nd := 1; nd <= 4; nd++ {
+		dims, bw := make([]int, nd), make([]float64, nd)
+		for i := range dims {
+			dims[i], bw[i] = 3, 1
+		}
+		tor := New(dims, bw)
+		scale := tor.RouteScale()
+		for a := 0; a < tor.Nodes(); a++ {
+			for b := 0; b < tor.Nodes(); b++ {
+				if p := tor.NumMinimalRoutes(a, b); p > 0 && scale%int64(p) != 0 {
+					t.Fatalf("%d dims: RouteScale %d not divisible by %d routes from %d to %d", nd, scale, p, a, b)
+				}
+			}
 		}
 	}
 }

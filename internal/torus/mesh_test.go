@@ -15,9 +15,6 @@ func TestMeshHopDist(t *testing.T) {
 	if m.Diameter() != 7 || tor.Diameter() != 4 {
 		t.Fatalf("diameters: mesh %d torus %d", m.Diameter(), tor.Diameter())
 	}
-	if m.Wraparound() || !tor.Wraparound() {
-		t.Fatal("Wraparound flags wrong")
-	}
 }
 
 func TestMeshRouteMatchesHopDist(t *testing.T) {

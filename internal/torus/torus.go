@@ -92,9 +92,6 @@ func build(dims []int, bw []float64, wrap bool) *Torus {
 	return t
 }
 
-// Wraparound reports whether the network is a torus (true) or a mesh.
-func (t *Torus) Wraparound() bool { return t.wrap }
-
 // NewHopper3D returns a 3D torus with Hopper-like heterogeneous
 // bandwidths (X and Z fast, Y slow).
 func NewHopper3D(x, y, z int) *Torus {

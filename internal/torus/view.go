@@ -24,18 +24,6 @@ type Unwrapper interface {
 	Unwrap() Topology
 }
 
-// Underlying peels every view layer off t and returns the base
-// topology.
-func Underlying(t Topology) Topology {
-	for {
-		u, ok := t.(Unwrapper)
-		if !ok {
-			return t
-		}
-		t = u.Unwrap()
-	}
-}
-
 // CoordsOf returns the coordinate-grid view of t, looking through
 // view layers; ok is false when the topology has no grid geometry
 // (fat trees, dragonflies, custom topologies).

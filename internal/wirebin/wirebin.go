@@ -178,14 +178,6 @@ func (w *Writer) I32s(s []int32) {
 	}
 }
 
-// I64s appends a []int64 verbatim (little-endian), length-prefixed.
-func (w *Writer) I64s(s []int64) {
-	w.U32(uint32(len(s)))
-	for _, v := range s {
-		w.U64(uint64(v))
-	}
-}
-
 // F64s appends a []float64 verbatim (little-endian IEEE-754),
 // length-prefixed.
 func (w *Writer) F64s(s []float64) {
@@ -224,18 +216,6 @@ func (w *Writer) BeginFrame(msgType byte) {
 // BeginFrame.
 func (w *Writer) EndFrame() {
 	binary.LittleEndian.PutUint32(w.b[8:12], uint32(len(w.b)-HeaderLen))
-}
-
-// BeginBlob reserves a u32 length slot and returns its offset;
-// EndBlob patches the slot with the bytes written since.
-func (w *Writer) BeginBlob() int {
-	w.U32(0)
-	return len(w.b)
-}
-
-// EndBlob patches the length slot reserved at off by BeginBlob.
-func (w *Writer) EndBlob(off int) {
-	binary.LittleEndian.PutUint32(w.b[off-4:off], uint32(len(w.b)-off))
 }
 
 // Reader consumes protocol primitives from a frame payload with
@@ -347,23 +327,6 @@ func (r *Reader) I32s(what string) []int32 {
 	return out
 }
 
-// I64s reads a length-prefixed []int64 into a fresh slice.
-func (r *Reader) I64s(what string) []int64 {
-	n := r.Count(8, what)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := r.take(8 * n)
-	if v == nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(v[8*i:]))
-	}
-	return out
-}
-
 // F64s reads a length-prefixed []float64 into a fresh slice.
 func (r *Reader) F64s(what string) []float64 {
 	n := r.Count(8, what)
@@ -463,10 +426,4 @@ func (r *Reader) readSection(what string) Section {
 func (w *Writer) writeSection(mode byte, body []byte) {
 	w.U8(mode)
 	w.Blob(body)
-}
-
-// writeRef emits a fingerprint-reference section.
-func (w *Writer) writeRef(id [FingerprintLen]byte) {
-	w.U8(SectionRef)
-	w.b = append(w.b, id[:]...)
 }

@@ -329,7 +329,7 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 		return nil, err
 	}
 	sp := ex.StartSpan("patch_placement")
-	sym := tg.SymmetricArena(e.arena)
+	sym := tg.G.Symmetrize(e.arena)
 	plan, err := remap.PatchPlacement(remap.Instance{
 		Sym:        sym,
 		Topo:       e.view,
@@ -365,7 +365,7 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 		sp.SetWorkers(poolWorkers)
 		g := coarse
 		if kind == core.MessageCongestion {
-			g = taskgraph.CoarseMessageGraphArena(e.arena, tg, plan.GroupOf, e.alloc.NumNodes())
+			g = taskgraph.CoarseMessageGraph(e.arena, tg, plan.GroupOf, e.alloc.NumNodes())
 		}
 		core.RefineCongestion(g, e.view, e.alloc.Nodes, nodeOf, kind, core.RefineOptions{Exec: ex})
 		sp.End()

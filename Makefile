@@ -13,9 +13,11 @@ check: fmt build test traceguard harnessguard fuzz-smoke docs
 # binary-frame decoders of internal/wirebin, the /v1 JSON codec of
 # internal/service, the CSR builder of internal/graph against its
 # sort-and-merge oracle, the /v1 edge-list decoder against
-# encoding/json, and the coarse supertask graphs of internal/taskgraph
-# against their triple-staging oracle — enough for the seed corpus plus
-# mutations to walk every decoder, cheap enough for every `make check`. Go allows
+# encoding/json, the coarse supertask graphs of internal/taskgraph
+# against their triple-staging oracle, and the root package's
+# allocation deltas applied to torus, fat-tree and dragonfly engines —
+# enough for the seed corpus plus mutations to walk every decoder,
+# cheap enough for every `make check`. Go allows
 # one -fuzz pattern per invocation, hence the loops. Longer runs: raise
 # -fuzztime (e.g. `go test ./internal/wirebin -fuzz=FuzzFrameDecoders
 # -fuzztime=60s`).
@@ -26,7 +28,8 @@ fuzz-smoke:
 		$(GO) test ./internal/service -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
 	done; $(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzFromTriples$$' -fuzztime=300x >/dev/null || exit 1; \
 	$(GO) test ./internal/taskgraph -run='^$$' -fuzz='^FuzzCoarseGraph$$' -fuzztime=300x >/dev/null || exit 1; \
-	echo "fuzz-smoke: 10 targets clean"
+	$(GO) test . -run='^$$' -fuzz='^FuzzAllocationDelta$$' -fuzztime=300x >/dev/null || exit 1; \
+	echo "fuzz-smoke: 11 targets clean"
 
 # mapbench smoke: cmd/mapbench is a module of its own, so the root
 # `go test ./...` never compiles it, yet it builds against the service

@@ -36,7 +36,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/partitioners"
 	"repro/internal/service"
-	"repro/internal/service/client"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
 	"repro/internal/viz"
@@ -74,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rankFile := fs.String("rankfile", "", "write a Cray-style MPICH_RANK_ORDER file realizing the mapping")
 	traced := fs.Bool("trace", false, "print the solve's stage timeline: wall time, share, workers and per-stage counters (the mapping is identical with or without)")
 	showViz := fs.Bool("viz", false, "render the congestion histogram, hottest links and torus slice maps")
-	binaryWire := fs.Bool("binary", false, "solve through an in-process mapd over the /v2 binary frame protocol instead of driving the engine directly — same mapping, same output (incompatible with -portfolio and -viz)")
 	loadsSpec := fs.String("loads", "", "per-task compute loads as comma-separated value[xCount] terms, e.g. 8x16,1x48 (total = task count); overrides loads carried by -graph or -matrix")
 	coordsFile := fs.String("coords", "", "per-task coordinate file (task x y [z] lines, one per task) attaching 2D/3D geometry to the graph; overrides coordinates carried by -graph; the geometric mappers (GEOM, SFCM) require coordinates")
 	speedsSpec := fs.String("speeds", "", "per-node speed factors as comma-separated value[xCount] terms, e.g. 4x4,1x12 (a single value broadcasts; total = allocation nodes)")
@@ -122,12 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if obj.NeedsSim() {
 		return fail(fmt.Errorf("objective %s needs a simulation spec, which the CLI does not provide; use the library or mapd portfolio API", topomap.SimSecondsMetric))
-	}
-	if *binaryWire && *portfolio != "" {
-		return fail(fmt.Errorf("-binary drives one /v2 map frame; portfolio racing has no frame endpoint — drop -binary or -portfolio"))
-	}
-	if *binaryWire && *showViz {
-		return fail(fmt.Errorf("-viz renders from in-process coarsening state, which does not travel over the wire; drop -binary or -viz"))
 	}
 	var candidates []topomap.Mapper
 	if *portfolio != "" && !strings.EqualFold(*portfolio, "all") {
@@ -260,26 +252,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		a.CanonicalizeSpeeds()
 	}
 
-	if *binaryWire {
-		tspec, err := topoSpec(*topoKind, *torusSpec, *mesh, *ftK, *ftTaper, *dfH)
-		if err != nil {
-			return fail(err)
-		}
-		job := binaryJob{
-			net: net, topo: tspec, tg: tg, alloc: a,
-			mapper: mapper, seed: *seed, workers: *workers,
-			traced: *traced, rankFile: *rankFile, obj: obj, fence: *fence,
-			balance: *balance,
-		}
-		if *remapDelta != "" {
-			job.delta = &delta
-		}
-		if err := runBinary(stdout, job); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	eng, err := topomap.NewEngine(net.Topo, a)
 	if err != nil {
 		return fail(err)
@@ -409,15 +381,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// topoSpec translates the CLI flags into the service's wire-level
-// topology spec; the server (or buildTopology here) normalizes it.
-func topoSpec(kind, torusSpec string, mesh bool, ftK int, ftTaper float64, dfH int) (service.TopologySpec, error) {
+// buildTopology builds the network from the CLI flags — one
+// construction path shared with cmd/mapd.
+func buildTopology(kind, torusSpec string, mesh bool, ftK int, ftTaper float64, dfH int) (*service.Network, error) {
 	spec := service.TopologySpec{Kind: strings.ToLower(kind)}
 	switch spec.Kind {
 	case "torus":
 		dims, err := parseDims(torusSpec)
 		if err != nil {
-			return service.TopologySpec{}, err
+			return nil, err
 		}
 		spec.Dims = dims[:]
 		if mesh {
@@ -429,163 +401,11 @@ func topoSpec(kind, torusSpec string, mesh bool, ftK int, ftTaper float64, dfH i
 	case "dragonfly":
 		spec.H = dfH
 	}
-	return spec, nil
-}
-
-// buildTopology builds the network from the CLI flags — one
-// construction path shared with cmd/mapd.
-func buildTopology(kind, torusSpec string, mesh bool, ftK int, ftTaper float64, dfH int) (*service.Network, error) {
-	spec, err := topoSpec(kind, torusSpec, mesh, ftK, ftTaper, dfH)
-	if err != nil {
-		return nil, err
-	}
-	spec, err = spec.Normalize()
+	spec, err := spec.Normalize()
 	if err != nil {
 		return nil, err
 	}
 	return spec.Build()
-}
-
-// binaryJob is what the -binary path needs from the flag pipeline:
-// the already-built network and inputs (shared with the direct path,
-// so both modes solve the identical instance) plus the solve knobs.
-type binaryJob struct {
-	net      *service.Network
-	topo     service.TopologySpec
-	tg       *topomap.TaskGraph
-	alloc    *topomap.Allocation
-	mapper   topomap.Mapper
-	seed     int64
-	workers  int
-	traced   bool
-	rankFile string
-	delta    *topomap.AllocationDelta // nil = no -remap
-	obj      topomap.Objective
-	fence    float64
-	balance  bool
-}
-
-// taskSpec re-encodes the in-memory task graph as the wire edge list.
-// The CSR is directed (mappers symmetrize downstream), so every
-// stored arc is emitted verbatim; the server's FromEdges then
-// rebuilds the identical CSR — parallel arcs were already merged and
-// self loops dropped when this graph was constructed.
-func taskSpec(tg *topomap.TaskGraph) service.TaskGraphSpec {
-	spec := service.TaskGraphSpec{N: tg.G.N()}
-	for v := 0; v < tg.G.N(); v++ {
-		adj, w := tg.G.Neighbors(v), tg.G.Weights(v)
-		for i, u := range adj {
-			spec.Edges = append(spec.Edges, [3]int64{int64(v), int64(u), w[i]})
-		}
-	}
-	if tg.G.VW != nil {
-		spec.Loads = append([]int64(nil), tg.G.VW...)
-	}
-	if tg.HasCoords() {
-		spec.Coords = make([][]float64, tg.G.N())
-		for v := 0; v < tg.G.N(); v++ {
-			spec.Coords[v] = append([]float64(nil), tg.Coord(v)...)
-		}
-	}
-	return spec
-}
-
-// runBinary is the -binary pipeline tail: spin an in-process mapd,
-// route the solve (and the optional remap) through /v2 binary frames,
-// and print the same report the direct path prints. The rankfile is
-// rendered server-side and written here; the trace is the stage
-// timeline echoed over the wire.
-func runBinary(stdout io.Writer, job binaryJob) error {
-	// The wire task graph addresses tasks by graph vertex, so a graph
-	// whose coarsening factor diverged from its vertex count cannot
-	// travel; both CLI construction paths produce K == N graphs.
-	if job.tg.K != job.tg.G.N() {
-		return fmt.Errorf("-binary: the wire protocol cannot express a pre-coarsened task graph (K=%d over %d vertices); drop -binary to drive the engine directly", job.tg.K, job.tg.G.N())
-	}
-	srv := service.New(service.Config{})
-	cl := client.InProcess(srv.Handler(), client.WithProtocol(client.ProtoBinary))
-	ctx := context.Background()
-	resp, err := cl.Map(ctx, service.MapRequest{
-		Topology:    job.topo,
-		Allocation:  service.AllocationSpec{Nodes: job.alloc.Nodes, ProcsPerNode: job.alloc.ProcsPerNode, Speeds: job.alloc.Speeds},
-		Tasks:       taskSpec(job.tg),
-		Mapper:      string(job.mapper),
-		Seed:        job.seed,
-		Rankfile:    job.rankFile != "" && job.delta == nil,
-		Parallelism: job.workers,
-		Trace:       job.traced,
-		Balance:     job.balance,
-	})
-	if err != nil {
-		return err
-	}
-	allocNodes := resp.AllocNodes
-	if job.delta != nil {
-		rres, err := cl.Remap(ctx, service.RemapRequest{
-			Fingerprint:    resp.Fingerprint,
-			Delta:          *job.delta,
-			Solve:          topomap.Solve{Seed: job.seed, Trace: job.traced, Balance: job.balance},
-			Objective:      job.obj,
-			FenceThreshold: job.fence,
-			Rankfile:       job.rankFile != "",
-			Parallelism:    job.workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "remap: migrated %d tasks, reused %d/%d route pairs\n",
-			rres.MigratedTasks, rres.PairsReused, rres.PairsTotal)
-		switch {
-		case rres.FenceTripped && !rres.Warm:
-			fmt.Fprintf(stdout, "remap: fence tripped (prev %.6g, warm %.6g); cold fallback won at %.6g\n",
-				rres.PrevScore, rres.WarmScore, rres.ColdScore)
-		case rres.FenceTripped:
-			fmt.Fprintf(stdout, "remap: fence tripped (prev %.6g, warm %.6g); warm still beat the cold fallback (%.6g)\n",
-				rres.PrevScore, rres.WarmScore, rres.ColdScore)
-		default:
-			fmt.Fprintf(stdout, "remap: warm result kept (prev %.6g, warm %.6g)\n", rres.PrevScore, rres.WarmScore)
-		}
-		resp = &rres.MapResponse
-		allocNodes = rres.AllocNodes
-	}
-	if job.rankFile != "" {
-		if err := os.WriteFile(job.rankFile, []byte(resp.Rankfile), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote rank order to %s\n", job.rankFile)
-	}
-	m := resp.Metrics
-	fmt.Fprintf(stdout, "tasks: %d   nodes: %d   network: %s\n", job.tg.K, len(allocNodes), job.net.Label)
-	fmt.Fprintf(stdout, "mapper: %s\n", job.mapper)
-	fmt.Fprintf(stdout, "TH  = %d\n", m.TH)
-	fmt.Fprintf(stdout, "WH  = %d\n", m.WH)
-	fmt.Fprintf(stdout, "MMC = %d\n", m.MMC)
-	fmt.Fprintf(stdout, "MC  = %.6g\n", m.MC)
-	fmt.Fprintf(stdout, "AMC = %.4f\n", m.AMC)
-	fmt.Fprintf(stdout, "AC  = %.6g\n", m.AC)
-	fmt.Fprintf(stdout, "used links = %d\n", m.UsedLinks)
-	if job.tg.G.VW != nil || !job.alloc.UnitSpeeds() || job.balance {
-		fmt.Fprintf(stdout, "makespan = %.6g\n", m.Makespan)
-		fmt.Fprintf(stdout, "load imbalance = %.4f\n", m.LoadImbalance)
-	}
-	if job.traced && len(resp.Trace) > 0 {
-		total := 0.0
-		for _, st := range resp.Trace {
-			if end := st.StartMS + st.DurMS; end > total {
-				total = end
-			}
-		}
-		fmt.Fprintf(stdout, "stages (%.3fms total):\n", total)
-		fmt.Fprint(stdout, trace.Format(resp.Trace, total))
-	}
-	for g, n := range resp.NodeOf {
-		fmt.Fprintf(stdout, "group %d -> node %d\n", g, n)
-		if g > 20 {
-			fmt.Fprintf(stdout, "... (%d more)\n", len(resp.NodeOf)-g-1)
-			break
-		}
-	}
-	return nil
 }
 
 // knownMapper reports whether the registry dispatches name.

@@ -197,13 +197,18 @@ func TestMapperListDerivedFromRegistry(t *testing.T) {
 // TestRunRemapFlag drives the -remap surface: a node-swap delta
 // (kill one allocated node, hand over a fresh one) remaps the solved
 // mapping incrementally, printing the migration and route-pair-reuse
-// accounting before the post-delta metrics; malformed and empty
-// deltas fail fast.
+// accounting before the post-delta metrics, and -rankfile writes the
+// post-delta rank order; malformed and empty deltas fail fast.
 func TestRunRemapFlag(t *testing.T) {
 	base := []string{"-matrix", "cagelike", "-tier", "tiny", "-procs", "64", "-algo", "uwh", "-torus", "6x6x6"}
 	var stdout, stderr strings.Builder
 	if code := run(base, &stdout, &stderr); code != 0 {
 		t.Fatalf("base run exit %d (stderr: %s)", code, stderr.String())
+	}
+	// A -matrix graph carries the partition's non-unit loads, so the
+	// report includes the makespan lines.
+	if !strings.Contains(stdout.String(), "makespan = ") {
+		t.Fatalf("-matrix run (non-unit loads) did not report makespan:\n%s", stdout.String())
 	}
 	// Recover the allocated node set from the mapping lines, pick one
 	// to kill and one free node to hand over in its place.
@@ -231,17 +236,30 @@ func TestRunRemapFlag(t *testing.T) {
 
 	stdout.Reset()
 	stderr.Reset()
-	if code := run(append([]string{"-remap", delta, "-objective", "wh"}, base...), &stdout, &stderr); code != 0 {
+	rf := filepath.Join(t.TempDir(), "rank")
+	if code := run(append([]string{"-remap", delta, "-objective", "wh", "-rankfile", rf}, base...), &stdout, &stderr); code != 0 {
 		t.Fatalf("remap run exit %d (stderr: %s)", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"remap: migrated", "route pairs", "WH  ="} {
+	for _, want := range []string{"remap: migrated", "route pairs", "wrote rank order to " + rf, "WH  ="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("remap output missing %q:\n%s", want, out)
 		}
 	}
 	if !strings.Contains(out, fmt.Sprintf("node %d", fresh)) {
 		t.Fatalf("post-delta mapping never uses the added node %d:\n%s", fresh, out)
+	}
+	f, err := os.Open(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := topomap.ReadRankOrder(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("post-remap rankfile: %v", err)
+	}
+	if len(order) != 64 {
+		t.Fatalf("post-remap rankfile orders %d ranks, want 64", len(order))
 	}
 
 	// Fail-fast validation.
@@ -276,133 +294,6 @@ func TestRunRemapFlag(t *testing.T) {
 	}
 	if outputs[0] != outputs[1] {
 		t.Fatalf("remap output diverged between -workers settings:\n%s\nvs\n%s", outputs[0], outputs[1])
-	}
-}
-
-// TestRunBinaryFlag pins the -binary contract: routing the solve (and
-// remap) through an in-process mapd over /v2 binary frames prints
-// byte-identical output to driving the engine directly — mapping,
-// metrics, remap accounting and the rankfile all survive the wire —
-// while the combinations the wire cannot express fail fast.
-func TestRunBinaryFlag(t *testing.T) {
-	dir := t.TempDir()
-	gpath := filepath.Join(dir, "ring.tgraph")
-	var gb strings.Builder
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(&gb, "%d %d %d\n", i, (i+1)%64, (i%7)+2)
-	}
-	gb.WriteString("0 32 9\n")
-	if err := os.WriteFile(gpath, []byte(gb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base := []string{"-graph", gpath, "-algo", "uwh", "-torus", "6x6x6"}
-
-	runArgs := func(args ...string) (int, string, string) {
-		var stdout, stderr strings.Builder
-		code := run(append(args, base...), &stdout, &stderr)
-		return code, stdout.String(), stderr.String()
-	}
-
-	code, direct, errOut := runArgs()
-	if code != 0 {
-		t.Fatalf("direct run exit %d (stderr: %s)", code, errOut)
-	}
-	code, wired, errOut := runArgs("-binary")
-	if code != 0 {
-		t.Fatalf("-binary run exit %d (stderr: %s)", code, errOut)
-	}
-	if wired != direct {
-		t.Fatalf("-binary output diverged from the direct path:\n%s\nvs\n%s", direct, wired)
-	}
-
-	// Remap + rankfile round trip: recover an allocated node from the
-	// mapping lines, swap it for a free one, and compare both the
-	// printed report (rankfile paths normalized) and the rankfile text.
-	allocated := map[int]bool{}
-	for _, line := range strings.Split(direct, "\n") {
-		var g, n int
-		if _, err := fmt.Sscanf(line, "group %d -> node %d", &g, &n); err == nil {
-			allocated[n] = true
-		}
-	}
-	if len(allocated) == 0 {
-		t.Fatalf("no mapping lines in direct output:\n%s", direct)
-	}
-	dead := -1
-	for n := range allocated {
-		if dead < 0 || n < dead {
-			dead = n
-		}
-	}
-	fresh := 0
-	for allocated[fresh] {
-		fresh++
-	}
-	delta := fmt.Sprintf(`{"remove":[%d],"add":[{"node":%d,"procs":16}]}`, dead, fresh)
-	outputs := make([]string, 0, 2)
-	ranks := make([]string, 0, 2)
-	for _, mode := range [][]string{nil, {"-binary"}} {
-		rf := filepath.Join(dir, fmt.Sprintf("rank%d", len(outputs)))
-		args := append([]string{"-remap", delta, "-objective", "wh", "-rankfile", rf}, mode...)
-		code, out, errOut := runArgs(args...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d (stderr: %s)", args, code, errOut)
-		}
-		outputs = append(outputs, strings.ReplaceAll(out, rf, "RANKFILE"))
-		rank, err := os.ReadFile(rf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ranks = append(ranks, string(rank))
-	}
-	if outputs[0] != outputs[1] {
-		t.Fatalf("-binary remap output diverged:\n%s\nvs\n%s", outputs[0], outputs[1])
-	}
-	if ranks[0] != ranks[1] {
-		t.Fatalf("-binary rankfile diverged:\n%s\nvs\n%s", ranks[0], ranks[1])
-	}
-
-	// The trace travels back over the wire as the same stage timeline.
-	if code, out, errOut := runArgs("-binary", "-trace"); code != 0 || !strings.Contains(out, "stages (") {
-		t.Fatalf("-binary -trace: exit %d, output:\n%s\nstderr: %s", code, out, errOut)
-	}
-
-	// Per-task loads travel over the wire now: a -matrix graph (non-unit
-	// loads from the partition) prints byte-identical output through
-	// -binary, makespan lines included.
-	matArgs := []string{"-matrix", "cagelike", "-tier", "tiny", "-procs", "64", "-algo", "uwh", "-torus", "6x6x6"}
-	matOutputs := make([]string, 0, 2)
-	for _, mode := range [][]string{nil, {"-binary"}} {
-		var stdout, stderr strings.Builder
-		args := append(append([]string(nil), mode...), matArgs...)
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("%v: exit %d (stderr: %s)", args, code, stderr.String())
-		}
-		matOutputs = append(matOutputs, stdout.String())
-	}
-	if matOutputs[0] != matOutputs[1] {
-		t.Fatalf("-binary -matrix output diverged from the direct path:\n%s\nvs\n%s", matOutputs[0], matOutputs[1])
-	}
-	if !strings.Contains(matOutputs[0], "makespan = ") {
-		t.Fatalf("-matrix run (non-unit loads) did not report makespan:\n%s", matOutputs[0])
-	}
-
-	// Fail fast on what the wire cannot express: portfolio racing and
-	// the viz renderings.
-	for _, tc := range []struct {
-		args    []string
-		wantErr string
-	}{
-		{[]string{"-binary", "-portfolio", "all"}, "drop -binary or -portfolio"},
-		{[]string{"-binary", "-viz"}, "drop -binary or -viz"},
-	} {
-		code, _, errOut := runArgs(tc.args...)
-		if code != 1 {
-			t.Fatalf("%v: exit %d, want 1", tc.args, code)
-		}
-		if !strings.Contains(errOut, tc.wantErr) {
-			t.Fatalf("%v: stderr %q does not mention %q", tc.args, errOut, tc.wantErr)
-		}
 	}
 }
 

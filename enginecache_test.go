@@ -192,31 +192,11 @@ func TestEngineCacheDoesNotCacheFailures(t *testing.T) {
 	}
 }
 
-// TestEngineCacheShardSizing pins the sharding policy: small caches
-// stay single-sharded (exact global LRU, which the tests above rely
-// on), large ones split with per-shard capacities summing exactly to
-// the cap.
-func TestEngineCacheShardSizing(t *testing.T) {
-	for _, tc := range []struct {
-		max, shards int
-	}{
-		{1, 1}, {2, 1}, {15, 1}, {16, 1}, {31, 1}, {32, 2}, {64, 4}, {100, 6}, {200, 8},
-	} {
-		c := NewEngineCache(tc.max)
-		if c.Shards() != tc.shards {
-			t.Fatalf("max=%d: %d shards, want %d", tc.max, c.Shards(), tc.shards)
-		}
-		if c.Cap() != tc.max {
-			t.Fatalf("max=%d: cap %d", tc.max, c.Cap())
-		}
-	}
-}
-
-// TestEngineCacheShardedStats churns many keys through a multi-shard
-// cache: counters must stay exact (hits+misses = lookups, evictions =
-// misses - residents), capacity must hold globally, and resident keys
-// must keep hitting whichever shard they live on.
-func TestEngineCacheShardedStats(t *testing.T) {
+// TestEngineCacheStats churns many keys through a cache of mapd's
+// default size: counters must stay exact (hits+misses = lookups,
+// evictions = misses - residents), capacity must hold, and resident
+// keys must keep hitting.
+func TestEngineCacheStats(t *testing.T) {
 	topo := NewHopperTorus(4, 4, 4)
 	a, err := SparseAllocation(topo, 2, 1)
 	if err != nil {
@@ -224,9 +204,6 @@ func TestEngineCacheShardedStats(t *testing.T) {
 	}
 	build := func() (*Engine, error) { return NewEngine(topo, a) }
 	c := NewEngineCache(32)
-	if c.Shards() < 2 {
-		t.Fatalf("want a multi-shard cache, got %d shards", c.Shards())
-	}
 	const keys = 100
 	for i := 0; i < keys; i++ {
 		if _, hit, err := c.GetKeyed(fmt.Sprintf("key-%d", i), build); err != nil || hit {
@@ -243,11 +220,10 @@ func TestEngineCacheShardedStats(t *testing.T) {
 	if evictions != int64(keys-c.Len()) {
 		t.Fatalf("evictions = %d, want misses - residents = %d", evictions, keys-c.Len())
 	}
-	// Each shard's residents are its most recently inserted keys, so a
+	// The residents are the most recently inserted keys, so a
 	// reverse-order pass visits every resident before re-inserting any
-	// evicted key of its shard: it must hit exactly Len() times (a
-	// same-order pass would be the classic LRU sequential-scan worst
-	// case and hit zero).
+	// evicted key: it must hit exactly Len() times (a same-order pass
+	// would be the classic LRU sequential-scan worst case and hit zero).
 	lenBefore := c.Len()
 	resident := 0
 	for i := keys - 1; i >= 0; i-- {
@@ -268,8 +244,8 @@ func TestEngineCacheShardedStats(t *testing.T) {
 		t.Fatalf("misses = %d, want %d", misses, int64(2*keys)-hits)
 	}
 
-	// Concurrent mixed traffic across shards stays consistent: every
-	// lookup lands as exactly one hit or miss.
+	// Concurrent mixed traffic stays consistent: every lookup lands as
+	// exactly one hit or miss.
 	var wg sync.WaitGroup
 	const goroutines, perG = 8, 50
 	for g := 0; g < goroutines; g++ {

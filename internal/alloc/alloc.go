@@ -72,15 +72,22 @@ func (a *Allocation) TotalProcs() int {
 	return total
 }
 
-// Validate checks the allocation against a topology.
+// Validate checks the allocation against a topology. Only hosts may
+// be allocated: on a topology with switch vertices (one with a
+// Hosts() method, like the fat tree and the dragonfly, whose hosts
+// are ids 0..Hosts()-1) a switch id is out of range.
 func (a *Allocation) Validate(topo torus.Topology) error {
 	if len(a.Nodes) != len(a.ProcsPerNode) {
 		return fmt.Errorf("alloc: %d nodes but %d capacities", len(a.Nodes), len(a.ProcsPerNode))
 	}
+	hosts := topo.Nodes()
+	if h, ok := topo.(interface{ Hosts() int }); ok {
+		hosts = h.Hosts()
+	}
 	seen := make(map[int32]bool, len(a.Nodes))
 	for i, m := range a.Nodes {
-		if m < 0 || int(m) >= topo.Nodes() {
-			return fmt.Errorf("alloc: node %d out of range", m)
+		if m < 0 || int(m) >= hosts {
+			return fmt.Errorf("alloc: node %d out of range (%d hosts)", m, hosts)
 		}
 		if seen[m] {
 			return fmt.Errorf("alloc: duplicate node %d", m)

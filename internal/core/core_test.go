@@ -394,6 +394,18 @@ func TestObjectiveValueTH(t *testing.T) {
 	}
 }
 
+func TestNoEarlyExitValidMapping(t *testing.T) {
+	topo, a := fixture(t, 20, 45)
+	g := graph.RandomConnected(20, 50, 12, 46)
+	nodeOf := Greedy(g, topo, a.Nodes, GreedyOptions{NoEarlyExit: true})
+	checkValidMapping(t, g, a, nodeOf)
+	// Exhaustive search considers a superset of the early-exit
+	// candidates at each step, and both must produce valid mappings;
+	// quality may differ either way, but not validity.
+	nodeOf2 := Greedy(g, topo, a.Nodes, GreedyOptions{})
+	checkValidMapping(t, g, a, nodeOf2)
+}
+
 func TestGreedyPanicsOnTooFewNodes(t *testing.T) {
 	topo, a := fixture(t, 4, 33)
 	g := graph.Ring(8)

@@ -16,8 +16,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/ds"
 	"repro/internal/graph"
 	"repro/internal/torus"
@@ -46,13 +44,6 @@ type GreedyOptions struct {
 	NBFS int
 	// Objective selects WH (default) or TH.
 	Objective Objective
-	// HeterogeneousFirst maps tasks whose vertex weight is unique in
-	// the graph before all others, in decreasing weight order — the
-	// paper's rule for non-uniform processor counts per node ("we map
-	// the groups of tasks with different weights at the beginning of
-	// the greedy mapping since their nodes are almost decided due
-	// their uniqueness", §III-A).
-	HeterogeneousFirst bool
 	// NoEarlyExit disables GETBESTNODE's early-exit mechanism and
 	// evaluates every empty allocated node instead of only the first
 	// BFS level containing one. The paper credits the early exit for
@@ -121,22 +112,6 @@ func Greedy(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt GreedyO
 	}
 	mapTask(t0, allocNodes[0])
 
-	// Heterogeneous capacities: queue the unique-weight tasks to be
-	// mapped first, heaviest first.
-	var hetero []int32
-	if opt.HeterogeneousFirst {
-		freq := map[int64]int{}
-		for v := 0; v < n; v++ {
-			freq[g.VertexWeight(v)]++
-		}
-		for v := 0; v < n; v++ {
-			if !mapped[v] && freq[g.VertexWeight(v)] == 1 {
-				hetero = append(hetero, int32(v))
-			}
-		}
-		sortByWeightDesc(g, hetero)
-	}
-
 	mappedSeeds := make([]int32, 0, n)
 	for nMapped < n {
 		if ex.cancelled() {
@@ -148,13 +123,7 @@ func Greedy(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt GreedyO
 			break
 		}
 		var tbest int32 = -1
-		if len(hetero) > 0 {
-			tbest = hetero[0]
-			hetero = hetero[1:]
-			if mapped[tbest] {
-				continue
-			}
-		} else if bfsSeeded < opt.NBFS {
+		if bfsSeeded < opt.NBFS {
 			// Farthest unmapped task from the mapped set, ties in
 			// favour of higher communication volume.
 			mappedSeeds = mappedSeeds[:0]
@@ -229,14 +198,6 @@ func GreedyBest(g *graph.Graph, topo torus.Topology, allocNodes []int32, objecti
 		return m1
 	}
 	return m0
-}
-
-// sortByWeightDesc orders tasks by decreasing vertex weight (stable
-// by id for determinism).
-func sortByWeightDesc(g *graph.Graph, tasks []int32) {
-	sort.SliceStable(tasks, func(i, j int) bool {
-		return g.VertexWeight(int(tasks[i])) > g.VertexWeight(int(tasks[j]))
-	})
 }
 
 func maxVolumeUnmapped(mapped []bool, volume []int64) int32 {

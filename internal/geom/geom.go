@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"repro/internal/arena"
@@ -102,35 +101,6 @@ func MultiJagged(coords []float64, dim int, w []int64, k int, opt Options) ([]in
 	return part, nil
 }
 
-// subtreeSeed derives the RNG seed of one bisection subtree from the
-// caller seed and the subtree's position in the cut tree (root 1,
-// children 2p and 2p+1), finalized splitmix64-style — the same
-// discipline partition.recursiveBisect uses, so the cut tree does not
-// depend on the order — or the goroutine — its siblings run on.
-func subtreeSeed(seed int64, path uint64) int64 {
-	return int64(mix64(uint64(seed)*0x9E3779B97F4A7C15 + path))
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// splitmix is a tiny rand.Source64; the bisection only draws a
-// cut-dimension tie-break per subtree.
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
-
-func (s *splitmix) Uint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	return mix64(s.state)
-}
-
-func (s *splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }
-
 func pointWeight(w []int64, id int32) int64 {
 	if w == nil {
 		return 1
@@ -198,7 +168,7 @@ func mjBisect(coords []float64, dim int, w []int64, ids []int32, targets []int64
 		}
 	}
 	if nTies > 1 {
-		rng := rand.New(&splitmix{state: uint64(subtreeSeed(opt.Seed, path))})
+		rng := parallel.SubtreeRNG(opt.Seed, path)
 		cutDim = ties[rng.Intn(nTies)]
 	}
 

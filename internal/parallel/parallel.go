@@ -4,29 +4,24 @@
 // byte-identical output to a serial one.
 package parallel
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // Workers returns the default worker count (GOMAXPROCS).
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // ForEach invokes fn(i) for every i in [0,n) on up to workers
-// goroutines (workers <= 0 means Workers()). It waits for all
-// invocations to finish and returns the error with the lowest index,
-// if any — so the reported error is the same one a serial loop would
-// have hit first. fn must be safe for concurrent invocation.
+// goroutines (workers <= 0 means Workers()), through a fresh Group's
+// ForEachIdx. It waits for all invocations to finish and returns the
+// error with the lowest index, if any — so the reported error is the
+// same one a serial loop would have hit first. With one worker it is
+// that serial loop and stops at the first error. fn must be safe for
+// concurrent invocation.
 func ForEach(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	if workers <= 0 {
 		workers = Workers()
-	}
-	if workers > n {
-		workers = n
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
@@ -36,34 +31,14 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = n
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if i < errIdx {
-						firstErr, errIdx = err, i
-					}
-					mu.Unlock()
-				}
-			}
-		}()
+	errs := make([]error, n)
+	NewGroup(nil, workers).ForEachIdx(n, func(i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // Map applies fn to every index in [0,n) in parallel and returns the

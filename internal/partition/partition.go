@@ -10,7 +10,6 @@ package partition
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/arena"
 	"repro/internal/graph"
@@ -134,45 +133,6 @@ func PartitionTargets(g *graph.Graph, targets []int64, opt Options) ([]int32, er
 	return part, nil
 }
 
-// subtreeSeed derives the RNG seed of one bisection subtree from the
-// partitioner seed and the subtree's position in the split tree
-// (root 1, children 2p and 2p+1), finalized splitmix64-style. Each
-// subtree owns an independent deterministic stream, so the split tree
-// does not depend on the order — or the goroutine — its siblings run
-// on.
-func subtreeSeed(seed int64, path uint64) int64 {
-	return int64(mix64(uint64(seed)*0x9E3779B97F4A7C15 + path))
-}
-
-// mix64 is the splitmix64 finalizer shared by subtreeSeed and the
-// splitmix source — one copy, so the two can never drift apart and
-// silently change the split tree.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// splitmix is a tiny rand.Source64. The stock math/rand source carries
-// a 607-word feedback array — ~5 KB seeded per bisection subtree —
-// while the partitioner only needs cheap, well-mixed draws for seed
-// picks and matching orders.
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
-
-func (s *splitmix) Uint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	return mix64(s.state)
-}
-
-func (s *splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// subtreeRNG builds the RNG of one bisection subtree.
-func subtreeRNG(seed int64, path uint64) *rand.Rand {
-	return rand.New(&splitmix{state: uint64(subtreeSeed(seed, path))})
-}
-
 // recursiveBisect assigns part ids [offset, offset+len(targets)) to
 // the given vertices of g (a subgraph of the original, with original
 // ids tracked by the caller through vertices). The two halves recurse
@@ -206,7 +166,7 @@ func recursiveBisect(g *graph.Graph, vertices []int32, targets []int64, offset i
 		levels++
 	}
 	bisOpt.Imbalance = opt.Imbalance / float64(levels)
-	rng := subtreeRNG(opt.Seed, path)
+	rng := parallel.SubtreeRNG(opt.Seed, path)
 	side := bisect(g, [2]int64{twL, twR}, bisOpt, rng)
 	// path doubles per level, so its bit length is the subtree's depth
 	// in the split tree (root 1 = depth 0).

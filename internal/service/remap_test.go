@@ -8,11 +8,13 @@ package service_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	topomap "repro"
 	"repro/internal/service"
+	"repro/internal/service/client"
 )
 
 // TestRemapWire walks the full fingerprint flow: a /v1/map solve
@@ -237,5 +239,59 @@ func TestRemapValidation(t *testing.T) {
 	// The good request still works after the error storm.
 	if _, err := c.Remap(context.Background(), good); err != nil {
 		t.Fatalf("server unserviceable after validation errors: %v", err)
+	}
+}
+
+// TestRemapRejectsSwitchNode: a delta adding a fat-tree switch or a
+// dragonfly router is a client error on both protocols — a 400 from
+// allocation validation, not a route built to a non-host that panics
+// the solve goroutine and with it the daemon.
+func TestRemapRejectsSwitchNode(t *testing.T) {
+	spec, _ := testTasks(64)
+	for _, fam := range []struct {
+		name string
+		topo service.TopologySpec
+		sw   int32
+	}{
+		{"fattree", service.TopologySpec{Kind: "fattree", K: 4}, 17},
+		{"dragonfly", service.TopologySpec{Kind: "dragonfly", H: 1}, 7},
+	} {
+		for _, proto := range []struct {
+			name string
+			p    client.Protocol
+		}{{"json", client.ProtoJSON}, {"binary", client.ProtoBinary}} {
+			t.Run(fam.name+"/"+proto.name, func(t *testing.T) {
+				_, c := protoClient(service.Config{}, proto.p)
+				mapped, err := c.Map(context.Background(), service.MapRequest{
+					Topology:   fam.topo,
+					Allocation: service.AllocationSpec{SparseNodes: 4, Seed: 1},
+					Tasks:      spec,
+					Mapper:     "UWH",
+					Seed:       7,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = c.Remap(context.Background(), service.RemapRequest{
+					Fingerprint: mapped.Fingerprint,
+					Delta:       topomap.AllocationDelta{Add: []topomap.NodeCapacity{{Node: fam.sw, Procs: 16}}},
+				})
+				if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "out of range") {
+					t.Fatalf("remap adding switch node %d: err = %v, want a 400 naming the node out of range", fam.sw, err)
+				}
+				// The daemon still serves the same fingerprint, and a free
+				// host is a valid addition.
+				free := int32(0)
+				for slices.Contains(mapped.AllocNodes, free) {
+					free++
+				}
+				if _, err := c.Remap(context.Background(), service.RemapRequest{
+					Fingerprint: mapped.Fingerprint,
+					Delta:       topomap.AllocationDelta{Add: []topomap.NodeCapacity{{Node: free, Procs: 16}}},
+				}); err != nil {
+					t.Fatalf("remap adding host %d after the rejected delta: %v", free, err)
+				}
+			})
+		}
 	}
 }

@@ -9,6 +9,7 @@ package service_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -92,6 +93,36 @@ func TestTopologySpecKeyMatchesFingerprint(t *testing.T) {
 		}
 		if got, want := ns.Key(), topomap.TopologyFingerprint(net.Topo); got != want {
 			t.Fatalf("spec key %q != topology fingerprint %q", got, want)
+		}
+	}
+}
+
+// TestTopologySpecSizeLimit pins the node limit at its edges without
+// building anything: the largest legal fat tree (k=256, 4,194,304
+// hosts) and dragonfly (h=31) pass, the next sizes (k=258, h=32) fail,
+// and so do arities whose host count wraps int arithmetic around to a
+// small or negative number (k=2097152 cubes to 2⁶³; h=38968 wraps the
+// dragonfly product), which Build would otherwise try to allocate.
+func TestTopologySpecSizeLimit(t *testing.T) {
+	for _, tc := range []struct {
+		spec service.TopologySpec
+		ok   bool
+	}{
+		{service.TopologySpec{Kind: "fattree", K: 256}, true},
+		{service.TopologySpec{Kind: "fattree", K: 258}, false},
+		{service.TopologySpec{Kind: "fattree", K: 2097152}, false},
+		{service.TopologySpec{Kind: "fattree", K: math.MaxInt32 - 1}, false},
+		{service.TopologySpec{Kind: "dragonfly", H: 31}, true},
+		{service.TopologySpec{Kind: "dragonfly", H: 32}, false},
+		{service.TopologySpec{Kind: "dragonfly", H: 38968}, false},
+		{service.TopologySpec{Kind: "dragonfly", H: math.MaxInt32}, false},
+	} {
+		_, err := tc.spec.Normalize()
+		if tc.ok && err != nil {
+			t.Errorf("%s k=%d h=%d: %v", tc.spec.Kind, tc.spec.K, tc.spec.H, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "service limit")) {
+			t.Errorf("%s k=%d h=%d: err = %v, want the service limit", tc.spec.Kind, tc.spec.K, tc.spec.H, err)
 		}
 	}
 }

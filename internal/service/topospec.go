@@ -90,7 +90,9 @@ func (s TopologySpec) Normalize() (TopologySpec, error) {
 		if s.K < 2 || s.K%2 != 0 {
 			return s, fmt.Errorf("topology: fat-tree arity k must be even and >= 2, got %d", s.K)
 		}
-		if s.K*s.K*s.K/4 > maxTopologyNodes {
+		// hosts = (k²/4)·k, k even. Bounding k first keeps k² in range;
+		// the division keeps the product from wrapping.
+		if k := s.K; k > maxTopologyNodes || k*k/4 > maxTopologyNodes/k {
 			return s, fmt.Errorf("topology: fat-tree k=%d exceeds the %d-node service limit", s.K, maxTopologyNodes)
 		}
 		if s.BWHost == 0 {
@@ -109,8 +111,9 @@ func (s TopologySpec) Normalize() (TopologySpec, error) {
 		if s.H < 1 {
 			return s, fmt.Errorf("topology: dragonfly needs h >= 1, got %d", s.H)
 		}
-		// hosts = (2h²+1) · 2h · h
-		if h := s.H; (2*h*h+1)*2*h*h > maxTopologyNodes {
+		// hosts = (2h²+1) · 2h · h. Bounding h first keeps 2h² in range;
+		// the division keeps the product from wrapping.
+		if h := s.H; h > maxTopologyNodes || 2*h*h+1 > maxTopologyNodes/(2*h*h) {
 			return s, fmt.Errorf("topology: dragonfly h=%d exceeds the %d-node service limit", s.H, maxTopologyNodes)
 		}
 		if s.BWHost == 0 {

@@ -44,10 +44,10 @@ func (d AllocationDelta) Empty() bool {
 // order (with updated capacities), added nodes append in Add order.
 // It validates the delta against the previous allocation — removals
 // and capacity changes must name allocated nodes, additions must name
-// valid topology nodes not already allocated, no node may appear
+// hosts of the topology not already allocated, no node may appear
 // twice — and rejects deltas that change nothing or empty the
 // allocation, so a remap request always has real work and a feasible
-// target.
+// target. The allocation it returns passes Validate.
 func (d AllocationDelta) Apply(topo Topology, prev *Allocation) (*Allocation, error) {
 	if d.Empty() {
 		return nil, fmt.Errorf("topomap: empty allocation delta; a remap needs a change")
@@ -125,6 +125,12 @@ func (d AllocationDelta) Apply(topo Topology, prev *Allocation) (*Allocation, er
 	// unit speed. A fully homogeneous result canonicalizes back to the
 	// nil vector so fingerprints and wire bytes stay in the legacy form.
 	next.CanonicalizeSpeeds()
+	// The result must be an allocation NewEngine accepts: an added
+	// switch vertex of a fat tree or dragonfly is rejected here, before
+	// any route is built to it.
+	if err := next.Validate(topo); err != nil {
+		return nil, err
+	}
 	return next, nil
 }
 

@@ -2,6 +2,7 @@ package topomap
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -403,4 +404,110 @@ func TestRemapValidation(t *testing.T) {
 			t.Fatalf("fallback mapper %s with the fence off: err = %v, want a cold-fallback rejection", mp, err)
 		}
 	}
+}
+
+// TestSwitchNodesRejected: on a fat tree or a dragonfly only ids below
+// Hosts() are placement-eligible; the ids above are switches and
+// routers. NewEngine must reject an allocation naming one, and a
+// remap delta adding one must fail with an error before any route is
+// built to it (a route to a switch panics in the topology).
+func TestSwitchNodesRejected(t *testing.T) {
+	ft, err := NewFatTree(4, 10e9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	df, err := NewDragonfly(1, 10e9, 5e9, 4e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := ringTaskGraph(32, 4)
+	for _, tc := range []struct {
+		name  string
+		topo  Topology
+		hosts int
+		sw    int32
+	}{
+		{"fattree k=4", ft, 16, 17},
+		{"dragonfly h=1", df, 6, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.topo.Nodes() <= tc.hosts {
+				t.Fatalf("%d nodes, want switches above the %d hosts", tc.topo.Nodes(), tc.hosts)
+			}
+			for _, bad := range []int32{int32(tc.hosts), tc.sw, int32(tc.topo.Nodes() - 1)} {
+				a := &Allocation{Nodes: []int32{0, bad}, ProcsPerNode: []int{16, 16}}
+				if _, err := NewEngine(tc.topo, a); err == nil || !strings.Contains(err.Error(), "out of range") {
+					t.Fatalf("NewEngine on node %d: err = %v, want out of range", bad, err)
+				}
+			}
+			a := &Allocation{Nodes: []int32{0, 1, 2}, ProcsPerNode: []int{16, 16, 16}}
+			eng, err := NewEngine(tc.topo, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UWH, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta := AllocationDelta{Add: []NodeCapacity{{tc.sw, 16}}}
+			if _, err := delta.Apply(tc.topo, a); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("Apply adding node %d: err = %v, want out of range", tc.sw, err)
+			}
+			if _, err := eng.RunRemap(context.Background(), tg, prev, delta, RemapSpec{}); err == nil {
+				t.Fatalf("RunRemap adding switch node %d succeeded", tc.sw)
+			}
+			// The last host is still a valid addition.
+			last := AllocationDelta{Add: []NodeCapacity{{int32(tc.hosts - 1), 16}}}
+			if _, err := eng.RunRemap(context.Background(), tg, prev, last, RemapSpec{}); err != nil {
+				t.Fatalf("RunRemap adding host %d: %v", tc.hosts-1, err)
+			}
+		})
+	}
+}
+
+// FuzzAllocationDelta decodes its input as a JSON AllocationDelta and
+// applies it to small torus, fat-tree and dragonfly allocations. Apply
+// must either fail or return an allocation NewEngine accepts, and
+// neither may panic — a delta is untrusted input on /v1/remap and
+// /v2/remap. The first two seeds add a fat-tree switch (17) and a
+// dragonfly router (7), which Apply must reject: a route table built
+// to a non-host panics in the topology.
+func FuzzAllocationDelta(f *testing.F) {
+	for _, seed := range []string{
+		`{"add":[{"node":17,"procs":16}]}`,
+		`{"add":[{"node":7,"procs":16}]}`,
+		`{"remove":[0],"add":[{"node":5,"procs":8}]}`,
+		`{"set_capacity":[{"node":1,"procs":0},{"node":2,"procs":4}]}`,
+		`{"add":[{"node":-1,"procs":16}]}`,
+		`{"remove":[2],"set_capacity":[{"node":2,"procs":4}]}`,
+		`{"remove":[0,1,2]}`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	ft, err := NewFatTree(4, 10e9, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	df, err := NewDragonfly(1, 10e9, 5e9, 4e9)
+	if err != nil {
+		f.Fatal(err)
+	}
+	topos := []Topology{NewHopperTorus(4, 4, 4), ft, df}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d AllocationDelta
+		if json.Unmarshal(data, &d) != nil {
+			return
+		}
+		for _, topo := range topos {
+			prev := &Allocation{Nodes: []int32{0, 1, 2}, ProcsPerNode: []int{16, 16, 16}, Speeds: []float64{1, 2, 1}}
+			next, err := d.Apply(topo, prev)
+			if err != nil {
+				continue
+			}
+			if _, err := NewEngine(topo, next); err != nil {
+				t.Fatalf("%s: Apply(%s) returned %+v, which NewEngine rejects: %v", TopologyFingerprint(topo), data, next, err)
+			}
+		}
+	})
 }

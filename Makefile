@@ -96,7 +96,8 @@ bench:
 # count — with allocation stats, so the scratch-arena trajectory is
 # tracked alongside ns/op — and record them as JSON diffable PR over
 # PR (BENCH_PR<n>.json). The large parallel-solve and refinement
-# instances run at a lower iteration count: one solve is ~10^8 ns. The
+# instances run at a lower iteration count: one solve is ~10^8 ns, and
+# the machine-size sweep holds one job fixed on growing fat trees. The
 # grouping and CSR-builder micro-benchmarks isolate the launch path's
 # dominant stage and the graph construction inside it; the coarse-graph
 # and metrics micro-benchmarks isolate the coarsen and metrics stages at
@@ -108,7 +109,7 @@ bench-json:
 	@if [ -z "$(BENCH_OUT)" ]; then echo "bench-json: set BENCH_OUT=BENCH_PR<n>.json"; exit 1; fi
 	@set -e; tmp=$$(mktemp); trap 'rm -f '$$tmp EXIT; \
 	$(GO) test -run='^$$' -bench='BenchmarkEngine(Reuse|ColdStart|CacheHit|RunBatch|Portfolio)|BenchmarkSolveTraced' -benchmem -benchtime=50x -count=1 . > $$tmp; \
-	$(GO) test -run='^$$' -bench='BenchmarkEngineParallelSolve|BenchmarkRefineMC|BenchmarkRemapVsCold|BenchmarkHeteroSolve|BenchmarkGeomSolve' -benchmem -benchtime=5x -count=1 . >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkEngineParallelSolve|BenchmarkRefineMC|BenchmarkRemapVsCold|BenchmarkHeteroSolve|BenchmarkGeomSolve|BenchmarkSolveMachineSize' -benchmem -benchtime=5x -count=1 . >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel' -benchmem -benchtime=200x -count=1 ./internal/service >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchmem -benchtime=20x -count=1 ./internal/taskgraph >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkCoarseGraph' -benchmem -benchtime=200x -count=1 ./internal/taskgraph >> $$tmp; \

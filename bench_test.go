@@ -28,6 +28,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/parallel"
 	"repro/internal/partitioners"
+	"repro/internal/routecache"
 	"repro/internal/taskgraph"
 	"repro/internal/torus"
 
@@ -79,9 +80,10 @@ func BenchmarkRegression(b *testing.B) { benchFigure(b, (*exp.Suite).Regression)
 
 // --- per-algorithm microbenchmarks ----------------------------------
 
-// benchFixture builds a coarse task graph (n supertasks) and an
-// allocation of n nodes on a Hopper-like torus.
-func benchFixture(b *testing.B, n int) (*graph.Graph, *torus.Torus, *alloc.Allocation) {
+// benchFixture builds a coarse task graph (n supertasks), a
+// Hopper-like torus and the route table of a sparse allocation of n
+// of its nodes, which the mapping stages read.
+func benchFixture(b *testing.B, n int) (*graph.Graph, *torus.Torus, *routecache.Table) {
 	b.Helper()
 	topo := torus.NewHopper3D(16, 12, 16)
 	a, err := alloc.Generate(topo, n, alloc.Config{Mode: alloc.Sparse, Seed: 1})
@@ -89,34 +91,44 @@ func benchFixture(b *testing.B, n int) (*graph.Graph, *torus.Torus, *alloc.Alloc
 		b.Fatal(err)
 	}
 	g := graph.RandomConnected(n, 4*n, 100, 2)
-	return g, topo, a
+	return g, topo, benchTable(b, topo, a.Nodes)
+}
+
+// benchTable builds the route table of nodes over topo.
+func benchTable(b *testing.B, topo torus.Topology, nodes []int32) *routecache.Table {
+	b.Helper()
+	tab, err := routecache.New(topo, nodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tab
 }
 
 // BenchmarkMapperUG measures Algorithm 1 (both NBFS settings) on a
 // 256-supertask graph.
 func BenchmarkMapperUG(b *testing.B) {
-	g, topo, a := benchFixture(b, 256)
+	g, _, tab := benchFixture(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MapUG(g, topo, a.Nodes, nil)
+		core.MapUG(g, tab, nil)
 	}
 }
 
 // BenchmarkMapperUWH measures greedy + Algorithm 2.
 func BenchmarkMapperUWH(b *testing.B) {
-	g, topo, a := benchFixture(b, 256)
+	g, _, tab := benchFixture(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MapUWH(g, topo, a.Nodes, nil)
+		core.MapUWH(g, tab, nil)
 	}
 }
 
 // BenchmarkMapperUMC measures greedy + Algorithm 3 (volume).
 func BenchmarkMapperUMC(b *testing.B) {
-	g, topo, a := benchFixture(b, 256)
+	g, _, tab := benchFixture(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MapUMC(g, topo, a.Nodes, nil)
+		core.MapUMC(g, tab, nil)
 	}
 }
 
@@ -124,7 +136,7 @@ func BenchmarkMapperUMC(b *testing.B) {
 // benchmark graph's edges are single messages, so the graph doubles
 // as its own message view.
 func BenchmarkMapperUMMC(b *testing.B) {
-	g, topo, a := benchFixture(b, 256)
+	g, _, tab := benchFixture(b, 256)
 	msgG := g.Clone()
 	msgG.EW = make([]int64, g.M())
 	for i := range msgG.EW {
@@ -132,7 +144,7 @@ func BenchmarkMapperUMMC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MapUMMC(g, msgG, topo, a.Nodes, nil)
+		core.MapUMMC(g, msgG, tab, nil)
 	}
 }
 
@@ -190,8 +202,8 @@ func BenchmarkTaskGraphBuild(b *testing.B) {
 // BenchmarkMetricsCompute measures the full mapping-metric evaluation
 // with static-route enumeration.
 func BenchmarkMetricsCompute(b *testing.B) {
-	g, topo, a := benchFixture(b, 256)
-	nodeOf := core.MapUG(g, topo, a.Nodes, nil)
+	g, topo, tab := benchFixture(b, 256)
+	nodeOf := core.MapUG(g, tab, nil)
 	pl := &metrics.Placement{NodeOf: nodeOf}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -202,8 +214,8 @@ func BenchmarkMetricsCompute(b *testing.B) {
 // BenchmarkSimulatorCommOnly measures the contention-aware
 // communication simulator.
 func BenchmarkSimulatorCommOnly(b *testing.B) {
-	g, topo, a := benchFixture(b, 256)
-	nodeOf := core.MapUG(g, topo, a.Nodes, nil)
+	g, topo, tab := benchFixture(b, 256)
+	nodeOf := core.MapUG(g, tab, nil)
 	pl := &metrics.Placement{NodeOf: nodeOf}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -219,13 +231,13 @@ func BenchmarkSimulatorCommOnly(b *testing.B) {
 func BenchmarkAblationDelta(b *testing.B) {
 	for _, delta := range []int{2, 8, 32} {
 		b.Run(map[int]string{2: "delta2", 8: "delta8", 32: "delta32"}[delta], func(b *testing.B) {
-			g, topo, a := benchFixture(b, 256)
-			base := core.MapUG(g, topo, a.Nodes, nil)
+			g, topo, tab := benchFixture(b, 256)
+			base := core.MapUG(g, tab, nil)
 			var lastWH int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				nodeOf := append([]int32(nil), base...)
-				core.RefineWH(g, topo, a.Nodes, nodeOf, core.RefineOptions{Delta: delta})
+				core.RefineWH(g, tab, nodeOf, core.RefineOptions{Delta: delta})
 				lastWH = metrics.WeightedHops(g, topo, nodeOf)
 			}
 			b.ReportMetric(float64(lastWH), "WH")
@@ -239,11 +251,11 @@ func BenchmarkAblationNBFS(b *testing.B) {
 	for _, nbfs := range []int{0, 1} {
 		name := map[int]string{0: "nbfs0", 1: "nbfs1"}[nbfs]
 		b.Run(name, func(b *testing.B) {
-			g, topo, a := benchFixture(b, 256)
+			g, topo, tab := benchFixture(b, 256)
 			var lastWH int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nodeOf := core.Greedy(g, topo, a.Nodes, core.GreedyOptions{NBFS: nbfs})
+				nodeOf := core.Greedy(g, tab, core.GreedyOptions{NBFS: nbfs})
 				lastWH = metrics.WeightedHops(g, topo, nodeOf)
 			}
 			b.ReportMetric(float64(lastWH), "WH")
@@ -257,11 +269,11 @@ func BenchmarkAblationNBFS(b *testing.B) {
 func BenchmarkAblationEarlyExit(b *testing.B) {
 	for _, mode := range []string{"earlyExit", "exhaustive"} {
 		b.Run(mode, func(b *testing.B) {
-			g, topo, a := benchFixture(b, 256)
+			g, topo, tab := benchFixture(b, 256)
 			var lastWH int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nodeOf := core.Greedy(g, topo, a.Nodes, core.GreedyOptions{
+				nodeOf := core.Greedy(g, tab, core.GreedyOptions{
 					NoEarlyExit: mode == "exhaustive",
 				})
 				lastWH = metrics.WeightedHops(g, topo, nodeOf)
@@ -297,6 +309,7 @@ func BenchmarkAblationFineRefinement(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tab := benchTable(b, topo, a.Nodes)
 	var whGain int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -304,7 +317,7 @@ func BenchmarkAblationFineRefinement(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		whGain, _ = core.RefineWHFine(tg.G.Symmetrize(nil), topo, res.GroupOf, res.NodeOf, core.RefineOptions{})
+		whGain, _ = core.RefineWHFine(tg.G.Symmetrize(nil), tab, res.GroupOf, res.NodeOf, core.RefineOptions{})
 	}
 	b.ReportMetric(float64(whGain), "extraWH")
 }
@@ -313,13 +326,13 @@ func BenchmarkAblationFineRefinement(b *testing.B) {
 // greedy + Algorithm 2 (UWH), and the §III-B multilevel scheme (UML)
 // on the same instance, reporting the final WH each achieves.
 func BenchmarkAblationMultilevel(b *testing.B) {
-	run := func(name string, mapFn func(*graph.Graph, torus.Topology, []int32, *core.Exec) []int32) {
+	run := func(name string, mapFn func(*graph.Graph, *routecache.Table, *core.Exec) []int32) {
 		b.Run(name, func(b *testing.B) {
-			g, topo, a := benchFixture(b, 256)
+			g, topo, tab := benchFixture(b, 256)
 			var lastWH int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nodeOf := mapFn(g, topo, a.Nodes, nil)
+				nodeOf := mapFn(g, tab, nil)
 				lastWH = metrics.WeightedHops(g, topo, nodeOf)
 			}
 			b.ReportMetric(float64(lastWH), "WH")
@@ -327,9 +340,7 @@ func BenchmarkAblationMultilevel(b *testing.B) {
 	}
 	run("UG", core.MapUG)
 	run("UWH", core.MapUWH)
-	run("UML", func(g *graph.Graph, topo torus.Topology, nodes []int32, _ *core.Exec) []int32 {
-		return core.MapUML(g, topo, nodes, nil)
-	})
+	run("UML", core.MapUML)
 }
 
 // BenchmarkFatTreeMapping measures the WH pipeline on a k=16 fat
@@ -345,13 +356,55 @@ func BenchmarkFatTreeMapping(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := graph.RandomConnected(512, 2048, 100, 2)
+	tab := benchTable(b, ft, a.Nodes)
 	var lastWH int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodeOf := core.MapUWH(g, ft, a.Nodes, nil)
+		nodeOf := core.MapUWH(g, tab, nil)
 		lastWH = metrics.WeightedHops(g, ft, nodeOf)
 	}
 	b.ReportMetric(float64(lastWH), "WH")
+}
+
+// BenchmarkSolveMachineSize holds the job fixed and grows the
+// machine: one 512-task 8³ stencil on 32 sparse hosts of fat trees with
+// k = 16, 32 and 64 (1,024 to 65,536 hosts), solved by UWH and UMC on
+// a warm engine with one worker. Time or bytes per solve that grow
+// with k are cost sized by the machine rather than the job.
+func BenchmarkSolveMachineSize(b *testing.B) {
+	tg, err := taskgraph.Stencil(8, 8, 8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{16, 32, 64} {
+		ft, err := fattree.New(k, 10e9, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := fattree.SparseHosts(ft, 32, 16, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := topomap.NewEngine(ft, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mp := range []topomap.Mapper{topomap.UWH, topomap.UMC} {
+			b.Run(fmt.Sprintf("k%d/%s", k, mp), func(b *testing.B) {
+				s := topomap.Solve{Mapper: mp, Seed: 1, Workers: 1}
+				if _, err := eng.RunSolve(context.Background(), tg, s); err != nil {
+					b.Fatal(err) // warm-up: the engine's arena fills here
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.RunSolve(context.Background(), tg, s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkDragonflyMapping measures the WH pipeline on a canonical
@@ -367,10 +420,11 @@ func BenchmarkDragonflyMapping(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := graph.RandomConnected(128, 512, 100, 2)
+	tab := benchTable(b, d, a.Nodes)
 	var lastWH int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodeOf := core.MapUWH(g, d, a.Nodes, nil)
+		nodeOf := core.MapUWH(g, tab, nil)
 		lastWH = metrics.WeightedHops(g, d, nodeOf)
 	}
 	b.ReportMetric(float64(lastWH), "WH")
@@ -381,24 +435,24 @@ func BenchmarkDragonflyMapping(b *testing.B) {
 // adaptively routed torus (UMCA, §III-C's dynamic-routing remark),
 // scoring both under the adaptive metric EMC ×1e6.
 func BenchmarkAblationAdaptiveRouting(b *testing.B) {
-	run := func(name string, mapFn func(*graph.Graph, *torus.Torus, []int32) []int32) {
+	run := func(name string, mapFn func(*graph.Graph, *routecache.Table) []int32) {
 		b.Run(name, func(b *testing.B) {
-			g, topo, a := benchFixture(b, 256)
+			g, topo, tab := benchFixture(b, 256)
 			var lastEMC float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nodeOf := mapFn(g, topo, a.Nodes)
+				nodeOf := mapFn(g, tab)
 				pl := &metrics.Placement{NodeOf: nodeOf}
 				lastEMC = metrics.ComputeAdaptive(g, topo, pl).EMC
 			}
 			b.ReportMetric(lastEMC*1e6, "EMC_us")
 		})
 	}
-	run("UMC_static", func(g *graph.Graph, topo *torus.Torus, nodes []int32) []int32 {
-		return core.MapUMC(g, topo, nodes, nil)
+	run("UMC_static", func(g *graph.Graph, tab *routecache.Table) []int32 {
+		return core.MapUMC(g, tab, nil)
 	})
-	run("UMCA_adaptive", func(g *graph.Graph, topo *torus.Torus, nodes []int32) []int32 {
-		return core.MapUMCA(g, topo, nodes, nil)
+	run("UMCA_adaptive", func(g *graph.Graph, tab *routecache.Table) []int32 {
+		return core.MapUMCA(g, tab, nil)
 	})
 }
 
@@ -408,13 +462,13 @@ func BenchmarkAblationAdaptiveRouting(b *testing.B) {
 // expected congestion (UMCA); both are scored by the multipath
 // communication-only simulator (microseconds reported).
 func BenchmarkAblationAdaptiveSim(b *testing.B) {
-	run := func(name string, mapFn func(*graph.Graph, *torus.Torus, []int32) []int32) {
+	run := func(name string, mapFn func(*graph.Graph, *routecache.Table) []int32) {
 		b.Run(name, func(b *testing.B) {
-			g, topo, a := benchFixture(b, 256)
+			g, topo, tab := benchFixture(b, 256)
 			var lastT float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nodeOf := mapFn(g, topo, a.Nodes)
+				nodeOf := mapFn(g, tab)
 				pl := &metrics.Placement{NodeOf: nodeOf}
 				lastT = netsim.CommOnlyAdaptive(g, topo, pl, 4096,
 					netsim.Params{Seed: 1, NoiseSigma: 1e-9}).Seconds
@@ -422,11 +476,11 @@ func BenchmarkAblationAdaptiveSim(b *testing.B) {
 			b.ReportMetric(lastT*1e6, "simTime_us")
 		})
 	}
-	run("UMC_static_model", func(g *graph.Graph, topo *torus.Torus, nodes []int32) []int32 {
-		return core.MapUMC(g, topo, nodes, nil)
+	run("UMC_static_model", func(g *graph.Graph, tab *routecache.Table) []int32 {
+		return core.MapUMC(g, tab, nil)
 	})
-	run("UMCA_adaptive_model", func(g *graph.Graph, topo *torus.Torus, nodes []int32) []int32 {
-		return core.MapUMCA(g, topo, nodes, nil)
+	run("UMCA_adaptive_model", func(g *graph.Graph, tab *routecache.Table) []int32 {
+		return core.MapUMCA(g, tab, nil)
 	})
 }
 
@@ -655,7 +709,8 @@ func BenchmarkRefineMC(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := graph.RandomConnected(512, 2048, 100, 17)
-	base := core.MapUG(g, topo, a.Nodes, nil)
+	tab := benchTable(b, topo, a.Nodes)
+	base := core.MapUG(g, tab, nil)
 	ar := arena.New()
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("torus/w%d", workers), func(b *testing.B) {
@@ -664,7 +719,7 @@ func BenchmarkRefineMC(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(nodeOf, base)
-				core.RefineCongestion(g, topo, a.Nodes, nodeOf, core.VolumeCongestion,
+				core.RefineCongestion(g, tab, nodeOf, core.VolumeCongestion,
 					core.RefineOptions{Exec: &core.Exec{Par: grp, Arena: ar}})
 			}
 		})
@@ -944,8 +999,10 @@ func BenchmarkGeomSolve(b *testing.B) {
 		}
 	})
 	b.Run("construct/UML", func(b *testing.B) {
+		tab := benchTable(b, topo, a.Nodes)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			core.MapUML(coarse, topo, a.Nodes, nil)
+			core.MapUML(coarse, tab, nil)
 		}
 	})
 }

@@ -36,7 +36,7 @@ import (
 // built-ins plus anything added with RegisterMapper.
 type Engine struct {
 	topo      Topology
-	view      Topology // route-cached view of topo (identical answers)
+	view      *routecache.Table // route table of topo over alloc (identical answers)
 	alloc     *Allocation
 	caps      []int64 // per-allocated-node capacities, allocation order
 	capOfNode []int64 // node id -> capacity (repair accounting)
@@ -74,11 +74,10 @@ func NewEngine(topo Topology, a *Allocation) (*Engine, error) {
 	return newEngineView(topo, view, a), nil
 }
 
-// newEngineView assembles an engine around an arbitrary topology view
-// (cached for NewEngine; the raw topology gives the uncached engine the
-// golden-equivalence test compares against). It performs no
-// validation.
-func newEngineView(topo, view Topology, a *Allocation) *Engine {
+// newEngineView assembles an engine around the route table view of
+// topo over a (built by NewEngine, patched by RunRemap). It performs
+// no validation.
+func newEngineView(topo Topology, view *routecache.Table, a *Allocation) *Engine {
 	e := &Engine{
 		topo:      topo,
 		view:      view,
@@ -353,6 +352,9 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 	if err != nil {
 		return nil, err
 	}
+	if err := e.checkPlacement(nodeOf, coarse.N()); err != nil {
+		return nil, fmt.Errorf("topomap: mapper %s: %w", s.Mapper, err)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -363,10 +365,25 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 	if s.Refine {
 		sp = ex.StartSpan("refine_wh")
 		sp.SetWorkers(poolWorkers)
-		core.RefineWH(coarse, e.view, e.alloc.Nodes, nodeOf, core.RefineOptions{Exec: ex})
+		core.RefineWH(coarse, e.view, nodeOf, core.RefineOptions{Exec: ex})
 		sp.End()
 	}
 	return e.finishPlacement(j, tg, p, nodeOf)
+}
+
+// checkPlacement rejects a mapper's placement the later stages cannot
+// hold: they keep a placement as allocation indices, so every one of
+// the groups needs an allocated node.
+func (e *Engine) checkPlacement(nodeOf []int32, groups int) error {
+	if len(nodeOf) != groups {
+		return fmt.Errorf("placed %d groups, want %d", len(nodeOf), groups)
+	}
+	for g, m := range nodeOf {
+		if e.view.Local(m) < 0 {
+			return fmt.Errorf("placed group %d on node %d, which is not allocated", g, m)
+		}
+	}
+	return nil
 }
 
 // finishPlacement is the tail every placement ends on, a cold solve's

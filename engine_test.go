@@ -7,14 +7,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/graph"
 	"repro/internal/partitioners"
+	"repro/internal/registry"
 )
 
-// Engine API tests: golden equivalence against the uncached
-// pipeline, topology generality, batch determinism, and the registry
+// Engine API tests: golden equivalence against metrics on the raw
+// topology, topology generality, batch determinism, and the registry
 // surface.
 
 // engineFixture builds one task graph and a sparse torus allocation
@@ -31,10 +33,12 @@ func engineFixture(t *testing.T, procs int) (*TaskGraph, *Torus, *Allocation) {
 }
 
 // TestEngineGoldenEquivalence is the API redesign's conservation law:
-// Engine.RunSolve (registry dispatch + cached routing state) must
-// produce byte-identical GroupOf/NodeOf — and therefore identical
-// metrics — to an engine reading routes straight off the raw torus,
-// for every registered mapper.
+// the metrics Engine.RunSolve reports through its route table must
+// equal what EvaluateMetrics computes for the same placement on the
+// raw torus, routing every pair through the base topology, for every
+// registered mapper. TestSolveDigests pins the placements themselves,
+// and routecache's tests pin the table's answers to the base's on
+// every allocated pair.
 func TestEngineGoldenEquivalence(t *testing.T) {
 	tg, topo, a := engineFixture(t, 128)
 	tgc := withTestCoords(t, tg)
@@ -42,8 +46,6 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The uncached engine reads routes straight off the torus.
-	uncached := newEngineView(topo, topo, a)
 	for _, mp := range RegisteredMappers() {
 		if strings.HasPrefix(string(mp), "TEST-") {
 			continue // registered by other tests in this binary
@@ -52,22 +54,12 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 		if MapperCapsOf(mp).NeedsCoords {
 			tasks = tgc
 		}
-		want, err := uncached.RunSolve(context.Background(), tasks, Solve{Mapper: mp, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: uncached: %v", mp, err)
-		}
 		got, err := eng.RunSolve(context.Background(), tasks, Solve{Mapper: mp, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: engine: %v", mp, err)
 		}
-		if !reflect.DeepEqual(got.GroupOf, want.GroupOf) {
-			t.Fatalf("%s: GroupOf diverged from the uncached engine", mp)
-		}
-		if !reflect.DeepEqual(got.NodeOf, want.NodeOf) {
-			t.Fatalf("%s: NodeOf diverged from the uncached engine", mp)
-		}
-		if got.Metrics != want.Metrics {
-			t.Fatalf("%s: metrics diverged:\n uncached %+v\n engine   %+v", mp, want.Metrics, got.Metrics)
+		if want := EvaluateMetrics(tasks, topo, got.Placement()); got.Metrics != want {
+			t.Fatalf("%s: metrics diverged:\n raw torus %+v\n engine    %+v", mp, want, got.Metrics)
 		}
 	}
 }
@@ -434,6 +426,49 @@ func TestRegisterMapperPublicAPI(t *testing.T) {
 	}
 	if res.Metrics.WH <= 0 {
 		t.Fatal("degenerate WH for custom mapper")
+	}
+}
+
+// TestEngineRejectsPlacementOutsideAllocation: a mapper whose
+// placement misses a group or names a node outside the allocation
+// fails its own solve with an error; the stages after it, which index
+// placements by allocation, never see it. The broken mappers are
+// dispatched through the solve pipeline without being registered, so
+// the registry-sweeping tests never meet them.
+func TestEngineRejectsPlacementOutsideAllocation(t *testing.T) {
+	tg, topo, a := engineFixture(t, 128)
+	allocated := map[int32]bool{}
+	for _, m := range a.Nodes {
+		allocated[m] = true
+	}
+	free := int32(0)
+	for allocated[free] {
+		free++
+	}
+	broken := map[string]func(nodeOf []int32) []int32{
+		"short":       func(nodeOf []int32) []int32 { return nodeOf[1:] },
+		"unallocated": func(nodeOf []int32) []int32 { nodeOf[0] = free; return nodeOf },
+	}
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, breakIt := range broken {
+		j, cancel, err := eng.newJob(context.Background(), tg, Solve{Mapper: UWH, Seed: 1, Refine: true}, 1, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.spec = registry.NewFunc(name, registry.Caps{}, func(in registry.Input) ([]int32, error) {
+			return breakIt(append([]int32(nil), in.Alloc.Nodes[:in.Coarse.N()]...)), nil
+		})
+		p, err := eng.runPrefix(j.ctx, tg, false, 1, j.ex, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.finishSolve(j, tg, p); err == nil {
+			t.Fatalf("%s placement accepted", name)
+		}
+		cancel()
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	topomap "repro"
 	"repro/internal/core"
+	"repro/internal/routecache"
 )
 
 func main() {
@@ -56,7 +57,13 @@ func main() {
 	}
 
 	naive := append([]int32(nil), allocNodes...)
-	mapped := core.MapUWH(coarse, topo, allocNodes, nil)
+	// The core stages read distances and routes from the allocation's
+	// route table, the one an Engine builds in NewEngine.
+	tab, err := routecache.New(topo, allocNodes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mapped := core.MapUWH(coarse, tab, nil)
 
 	tg := &topomap.TaskGraph{G: coarse, K: groups * size}
 	mN := topomap.EvaluateMetrics(tg, topo, &topomap.Placement{NodeOf: naive})
@@ -84,7 +91,11 @@ func main() {
 		log.Fatal(err)
 	}
 	dNaive := append([]int32(nil), dAlloc.Nodes...)
-	dMapped := core.MapUWH(coarse, df, dAlloc.Nodes, nil)
+	dTab, err := routecache.New(df, dAlloc.Nodes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dMapped := core.MapUWH(coarse, dTab, nil)
 	dN := topomap.EvaluateMetrics(tg, df, &topomap.Placement{NodeOf: dNaive})
 	dU := topomap.EvaluateMetrics(tg, df, &topomap.Placement{NodeOf: dMapped})
 	if dU.WH > dN.WH {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/partitioners"
+	"repro/internal/routecache"
 	"repro/internal/taskgraph"
 )
 
@@ -83,7 +84,11 @@ func main() {
 		best = uwh
 	}
 	ecmpNodeOf := append([]int32(nil), best.NodeOf...)
-	core.RefineCongestionAdaptive(best.Coarse, ft, a.Nodes, ecmpNodeOf, core.VolumeCongestion, core.RefineOptions{})
+	tab, err := routecache.New(ft, a.Nodes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	core.RefineCongestionAdaptive(best.Coarse, tab, ecmpNodeOf, core.VolumeCongestion, core.RefineOptions{})
 
 	fmt.Printf("\n%-14s %12s %12s %14s %14s\n", "mapping", "WH", "TH", "MC (static)", "EMC (ECMP)")
 	show := func(name string, group, nodeOf []int32) topomap.MapMetrics {

@@ -10,6 +10,7 @@ import (
 
 	topomap "repro"
 	"repro/internal/core"
+	"repro/internal/routecache"
 )
 
 func main() {
@@ -56,19 +57,26 @@ func main() {
 	copy(def, alloc.Nodes)
 	show("DEF", def)
 
+	// The stages read hop distances and routes from the allocation's
+	// route table, built once (an Engine builds the same in NewEngine).
+	tab, err := routecache.New(topo, alloc.Nodes)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Stage 1: greedy construction (UG).
-	ug := core.MapUG(coarse, topo, alloc.Nodes, nil)
+	ug := core.MapUG(coarse, tab, nil)
 	show("UG", ug)
 
 	// Stage 2: WH refinement on top (UWH).
 	uwh := append([]int32(nil), ug...)
-	gain := core.RefineWH(coarse, topo, alloc.Nodes, uwh, core.RefineOptions{})
+	gain := core.RefineWH(coarse, tab, uwh, core.RefineOptions{})
 	show("UWH", uwh)
 
 	// Stage 3 (alternative): congestion refinement on top of UG (UMC)
 	// — trades a little WH for the best max congestion.
 	umc := append([]int32(nil), ug...)
-	swaps := core.RefineCongestion(coarse, topo, alloc.Nodes, umc, core.VolumeCongestion, core.RefineOptions{})
+	swaps := core.RefineCongestion(coarse, tab, umc, core.VolumeCongestion, core.RefineOptions{})
 	show("UMC", umc)
 
 	fmt.Printf("\nWH refinement gained %d weighted hops; MC refinement made %d swaps\n",

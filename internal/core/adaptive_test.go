@@ -18,15 +18,17 @@ func emc(g *graph.Graph, topo torus.MultipathTopology, nodeOf []int32) float64 {
 
 func TestRefineCongestionAdaptiveValidMapping(t *testing.T) {
 	topo, a := fixture(t, 32, 19)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(32, 96, 80, 7)
-	nodeOf := MapUG(g, topo, a.Nodes, nil)
-	RefineCongestionAdaptive(g, topo, a.Nodes, nodeOf, VolumeCongestion, RefineOptions{})
+	nodeOf := MapUG(g, tab, nil)
+	RefineCongestionAdaptive(g, tab, nodeOf, VolumeCongestion, RefineOptions{})
 	checkValidMapping(t, g, a, nodeOf)
 }
 
 func TestRefineCongestionAdaptiveNeverWorsensEMC(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		topo, a := fixture(t, 32, seed)
+		tab := table(t, topo, a.Nodes)
 		g := graph.RandomConnected(32, 96, 60, seed*13)
 		rng := rand.New(rand.NewSource(seed))
 		perm := rng.Perm(len(a.Nodes))
@@ -35,7 +37,7 @@ func TestRefineCongestionAdaptiveNeverWorsensEMC(t *testing.T) {
 			nodeOf[i] = a.Nodes[perm[i]]
 		}
 		before := emc(g, topo, nodeOf)
-		RefineCongestionAdaptive(g, topo, a.Nodes, nodeOf, VolumeCongestion, RefineOptions{})
+		RefineCongestionAdaptive(g, tab, nodeOf, VolumeCongestion, RefineOptions{})
 		after := emc(g, topo, nodeOf)
 		if after > before*(1+1e-9) {
 			t.Fatalf("seed %d: EMC worsened %g -> %g", seed, before, after)
@@ -67,7 +69,7 @@ func TestRefineCongestionAdaptiveImprovesCrowdedLine(t *testing.T) {
 	nodeOf := make([]int32, n)
 	copy(nodeOf, nodes[:n])
 	before := emc(g, topo, nodeOf)
-	swaps := RefineCongestionAdaptive(g, topo, nodes, nodeOf, VolumeCongestion, RefineOptions{})
+	swaps := RefineCongestionAdaptive(g, table(t, topo, nodes), nodeOf, VolumeCongestion, RefineOptions{})
 	after := emc(g, topo, nodeOf)
 	if swaps == 0 {
 		t.Skip("refinement found no improving swap on this instance")
@@ -87,10 +89,11 @@ func TestAdaptiveEqualsStaticOnRing(t *testing.T) {
 		nodes[i] = int32(i)
 	}
 	g := graph.RandomConnected(16, 40, 30, 11)
-	a := MapUG(g, topo, nodes, nil)
+	tab := table(t, topo, nodes)
+	a := MapUG(g, tab, nil)
 	b := append([]int32(nil), a...)
-	RefineCongestion(g, topo, nodes, a, VolumeCongestion, RefineOptions{})
-	RefineCongestionAdaptive(g, topo, nodes, b, VolumeCongestion, RefineOptions{})
+	RefineCongestion(g, tab, a, VolumeCongestion, RefineOptions{})
+	RefineCongestionAdaptive(g, tab, b, VolumeCongestion, RefineOptions{})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("static and adaptive diverge on single-route network at task %d: %d != %d", i, a[i], b[i])
@@ -100,11 +103,12 @@ func TestAdaptiveEqualsStaticOnRing(t *testing.T) {
 
 func TestMapUMCAPipeline(t *testing.T) {
 	topo, a := fixture(t, 24, 29)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(24, 72, 90, 17)
-	nodeOf := MapUMCA(g, topo, a.Nodes, nil)
+	nodeOf := MapUMCA(g, tab, nil)
 	checkValidMapping(t, g, a, nodeOf)
 	// UMCA must not have higher expected congestion than plain UG.
-	ug := MapUG(g, topo, a.Nodes, nil)
+	ug := MapUG(g, tab, nil)
 	if emc(g, topo, nodeOf) > emc(g, topo, ug)*(1+1e-9) {
 		t.Fatalf("UMCA EMC %g above UG EMC %g", emc(g, topo, nodeOf), emc(g, topo, ug))
 	}
@@ -112,11 +116,12 @@ func TestMapUMCAPipeline(t *testing.T) {
 
 func TestRefineCongestionAdaptiveMessageKind(t *testing.T) {
 	topo, a := fixture(t, 24, 31)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(24, 60, 1, 23) // unit weights: one message per edge
-	nodeOf := MapUG(g, topo, a.Nodes, nil)
+	nodeOf := MapUG(g, tab, nil)
 	pl := &metrics.Placement{NodeOf: append([]int32(nil), nodeOf...)}
 	before := metrics.ComputeAdaptive(g, topo, pl).EMMC
-	RefineCongestionAdaptive(g, topo, a.Nodes, nodeOf, MessageCongestion, RefineOptions{})
+	RefineCongestionAdaptive(g, tab, nodeOf, MessageCongestion, RefineOptions{})
 	checkValidMapping(t, g, a, nodeOf)
 	after := metrics.ComputeAdaptive(g, topo, &metrics.Placement{NodeOf: nodeOf}).EMMC
 	if after > before*(1+1e-9) {

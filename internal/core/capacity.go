@@ -2,7 +2,7 @@ package core
 
 import (
 	"repro/internal/graph"
-	"repro/internal/torus"
+	"repro/internal/routecache"
 )
 
 // RepairCapacities makes a one-to-one group→node mapping
@@ -13,22 +13,21 @@ import (
 // violations afterwards with weight-aware swaps chosen to damage WH
 // the least.
 //
-// weight[v] is the task count of group v and capacity[m] the
-// processor count of node m (indexed by node id; unallocated nodes
-// hold 0). When the multiset of group weights is dominated by the
-// multiset of capacities — which the grouping step guarantees — a
-// feasible assignment exists and the pass always terminates: each
+// nodeOf maps each group to an allocated node of tab. weight[v] is
+// the task count of group v and capacity[m] the processor count of
+// node m (indexed by node id; unallocated nodes hold 0). When the
+// multiset of group weights is dominated by the multiset of
+// capacities — which the grouping step guarantees — a feasible
+// assignment exists and the pass always terminates: each
 // swap moves the most-oversubscribed group onto a node that fits it
 // and strictly decreases the total oversubscription. Returns the
 // number of swaps performed.
-func RepairCapacities(g *graph.Graph, topo torus.Topology, nodeOf []int32, weight []int64, capacity []int64) int {
+func RepairCapacities(g *graph.Graph, tab *routecache.Table, nodeOf []int32, weight []int64, capacity []int64) int {
 	n := g.N()
-	taskAt := make([]int32, topo.Nodes())
-	for i := range taskAt {
-		taskAt[i] = -1
-	}
+	// loc mirrors nodeOf in allocation indices, for the distance rows.
+	loc := make([]int32, n)
 	for v := 0; v < n; v++ {
-		taskAt[nodeOf[v]] = int32(v)
+		loc[v] = tab.Local(nodeOf[v])
 	}
 	excess := func(v int32) int64 {
 		return weight[v] - capacity[nodeOf[v]]
@@ -36,21 +35,20 @@ func RepairCapacities(g *graph.Graph, topo torus.Topology, nodeOf []int32, weigh
 	// deltaWH of swapping groups a and b (doubled-edge accounting of
 	// the symmetric graph; only relative order matters here).
 	deltaWH := func(a, b int32) int64 {
-		ma, mb := nodeOf[a], nodeOf[b]
 		var d int64
-		scan := func(t int32, from, to int32) {
+		scan := func(t int32, from, to []int32) {
 			for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
 				u := g.Adj[i]
 				if u == a || u == b {
 					continue // pair-internal: unchanged under swap
 				}
-				mu := int(nodeOf[u])
-				d += g.EdgeWeight(int(i)) *
-					int64(topo.HopDist(int(to), mu)-topo.HopDist(int(from), mu))
+				mu := loc[u]
+				d += g.EdgeWeight(int(i)) * int64(to[mu]-from[mu])
 			}
 		}
-		scan(a, ma, mb)
-		scan(b, mb, ma)
+		rowA, rowB := tab.DistRow(loc[a]), tab.DistRow(loc[b])
+		scan(a, rowA, rowB)
+		scan(b, rowB, rowA)
 		return d
 	}
 
@@ -90,9 +88,8 @@ func RepairCapacities(g *graph.Graph, topo torus.Topology, nodeOf []int32, weigh
 			// as is rather than loop forever.
 			return swaps
 		}
-		ma, mb := nodeOf[worst], nodeOf[best]
-		nodeOf[worst], nodeOf[best] = mb, ma
-		taskAt[ma], taskAt[mb] = best, worst
+		nodeOf[worst], nodeOf[best] = nodeOf[best], nodeOf[worst]
+		loc[worst], loc[best] = loc[best], loc[worst]
 		swaps++
 	}
 }

@@ -54,8 +54,8 @@ func totalExcess(nodeOf []int32, weights, capOfNode []int64) int64 {
 func TestRepairCapacitiesFixesAllViolations(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		weights := []int64{24, 24, 16, 16, 16, 8, 8, 8, 8, 4}
-		g, topo, _, nodeOf, w, caps := capacityFixture(t, weights, seed)
-		RepairCapacities(g, topo, nodeOf, w, caps)
+		g, topo, nodes, nodeOf, w, caps := capacityFixture(t, weights, seed)
+		RepairCapacities(g, table(t, topo, nodes), nodeOf, w, caps)
 		if e := totalExcess(nodeOf, w, caps); e != 0 {
 			t.Fatalf("seed %d: %d oversubscription remains", seed, e)
 		}
@@ -72,9 +72,9 @@ func TestRepairCapacitiesFixesAllViolations(t *testing.T) {
 
 func TestRepairCapacitiesNoopWhenFeasible(t *testing.T) {
 	weights := []int64{16, 16, 16, 16}
-	g, topo, _, nodeOf, w, caps := capacityFixture(t, weights, 3)
+	g, topo, nodes, nodeOf, w, caps := capacityFixture(t, weights, 3)
 	before := append([]int32(nil), nodeOf...)
-	if swaps := RepairCapacities(g, topo, nodeOf, w, caps); swaps != 0 {
+	if swaps := RepairCapacities(g, table(t, topo, nodes), nodeOf, w, caps); swaps != 0 {
 		t.Fatalf("uniform case performed %d swaps", swaps)
 	}
 	for i := range nodeOf {
@@ -95,7 +95,7 @@ func TestRepairCapacitiesMinimizesWHDamage(t *testing.T) {
 	caps := make([]int64, topo.Nodes())
 	caps[0] = 8
 	caps[5] = 16
-	if swaps := RepairCapacities(g, topo, nodeOf, w, caps); swaps != 1 {
+	if swaps := RepairCapacities(g, table(t, topo, []int32{0, 5}), nodeOf, w, caps); swaps != 1 {
 		t.Fatalf("%d swaps, want 1", swaps)
 	}
 	if nodeOf[0] != 5 || nodeOf[1] != 0 {
@@ -113,7 +113,7 @@ func TestRepairCapacitiesGivesUpOnInfeasible(t *testing.T) {
 	caps := make([]int64, topo.Nodes())
 	caps[0] = 8
 	caps[5] = 8
-	RepairCapacities(g, topo, nodeOf, w, caps) // must return
+	RepairCapacities(g, table(t, topo, []int32{0, 5}), nodeOf, w, caps) // must return
 	if nodeOf[0] == nodeOf[1] {
 		t.Fatal("repair corrupted the bijection")
 	}

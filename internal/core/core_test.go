@@ -6,6 +6,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/routecache"
 	"repro/internal/torus"
 )
 
@@ -42,29 +43,41 @@ func checkValidMapping(t *testing.T, g *graph.Graph, a *alloc.Allocation, nodeOf
 	}
 }
 
-func wh(g *graph.Graph, topo torus.Topology, nodeOf []int32) int64 {
-	return objectiveValue(g, topo, nodeOf, WeightedHops)
+// table builds the route table of nodes over topo.
+func table(t testing.TB, topo torus.Topology, nodes []int32) *routecache.Table {
+	t.Helper()
+	tab, err := routecache.New(topo, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+func wh(g *graph.Graph, tab *routecache.Table, nodeOf []int32) int64 {
+	return objectiveValue(g, tab, nodeOf, WeightedHops)
 }
 
 func TestGreedyProducesValidMapping(t *testing.T) {
 	topo, a := fixture(t, 32, 1)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(32, 64, 50, 2)
 	for _, nbfs := range []int{0, 1, 2} {
-		nodeOf := Greedy(g, topo, a.Nodes, GreedyOptions{NBFS: nbfs})
+		nodeOf := Greedy(g, tab, GreedyOptions{NBFS: nbfs})
 		checkValidMapping(t, g, a, nodeOf)
 	}
 }
 
 func TestGreedyBeatsRandomPlacement(t *testing.T) {
 	topo, a := fixture(t, 48, 3)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(48, 120, 30, 4)
-	greedy := GreedyBest(g, topo, a.Nodes, WeightedHops, nil)
+	greedy := GreedyBest(g, tab, WeightedHops, nil)
 	checkValidMapping(t, g, a, greedy)
 	// Random (identity-order) placement baseline.
 	random := make([]int32, g.N())
 	copy(random, a.Nodes[:g.N()])
-	if wh(g, topo, greedy) >= wh(g, topo, random) {
-		t.Fatalf("greedy WH %d not better than naive %d", wh(g, topo, greedy), wh(g, topo, random))
+	if wh(g, tab, greedy) >= wh(g, tab, random) {
+		t.Fatalf("greedy WH %d not better than naive %d", wh(g, tab, greedy), wh(g, tab, random))
 	}
 }
 
@@ -91,7 +104,8 @@ func TestGreedyPlacesCliquesTogether(t *testing.T) {
 	g := graph.FromEdges(8, us, vs, ws, nil)
 
 	topo, a := fixture(t, 8, 5)
-	nodeOf := GreedyBest(g, topo, a.Nodes, WeightedHops, nil)
+	tab := table(t, topo, a.Nodes)
+	nodeOf := GreedyBest(g, tab, WeightedHops, nil)
 	checkValidMapping(t, g, a, nodeOf)
 	// Average intra-clique hop distance must not exceed the overall
 	// average pair distance of the allocation.
@@ -117,9 +131,10 @@ func TestGreedyPlacesCliquesTogether(t *testing.T) {
 
 func TestGreedyDeterministic(t *testing.T) {
 	topo, a := fixture(t, 24, 7)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(24, 48, 9, 8)
-	m1 := Greedy(g, topo, a.Nodes, GreedyOptions{})
-	m2 := Greedy(g, topo, a.Nodes, GreedyOptions{})
+	m1 := Greedy(g, tab, GreedyOptions{})
+	m2 := Greedy(g, tab, GreedyOptions{})
 	for i := range m1 {
 		if m1[i] != m2[i] {
 			t.Fatal("greedy not deterministic")
@@ -141,26 +156,29 @@ func TestGreedyDisconnectedComponents(t *testing.T) {
 	}
 	g := graph.FromEdges(16, us, vs, ws, nil)
 	topo, a := fixture(t, 16, 9)
+	tab := table(t, topo, a.Nodes)
 	for _, nbfs := range []int{0, 1} {
-		nodeOf := Greedy(g, topo, a.Nodes, GreedyOptions{NBFS: nbfs})
+		nodeOf := Greedy(g, tab, GreedyOptions{NBFS: nbfs})
 		checkValidMapping(t, g, a, nodeOf)
 	}
 }
 
 func TestGreedyMoreAllocThanTasks(t *testing.T) {
 	topo, a := fixture(t, 30, 11)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(12, 24, 5, 12)
-	nodeOf := Greedy(g, topo, a.Nodes, GreedyOptions{})
+	nodeOf := Greedy(g, tab, GreedyOptions{})
 	checkValidMapping(t, g, a, nodeOf)
 }
 
 func TestRefineWHNeverWorsens(t *testing.T) {
 	topo, a := fixture(t, 40, 13)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(40, 100, 20, 14)
 	nodeOf := DEFLike(a, g.N())
-	before := wh(g, topo, nodeOf)
-	gain := RefineWH(g, topo, a.Nodes, nodeOf, RefineOptions{})
-	after := wh(g, topo, nodeOf)
+	before := wh(g, tab, nodeOf)
+	gain := RefineWH(g, tab, nodeOf, RefineOptions{})
+	after := wh(g, tab, nodeOf)
 	checkValidMapping(t, g, a, nodeOf)
 	if after > before {
 		t.Fatalf("refinement worsened WH: %d -> %d", before, after)
@@ -181,6 +199,7 @@ func TestRefineWHImprovesBadMapping(t *testing.T) {
 	// Adversarial start: reverse the allocation order for a path task
 	// graph, then check a real improvement happens.
 	topo, a := fixture(t, 32, 15)
+	tab := table(t, topo, a.Nodes)
 	var us, vs []int32
 	var ws []int64
 	for i := 0; i < 31; i++ {
@@ -193,9 +212,9 @@ func TestRefineWHImprovesBadMapping(t *testing.T) {
 	for i := range nodeOf {
 		nodeOf[i] = a.Nodes[(i*17)%32] // scrambled placement
 	}
-	before := wh(g, topo, nodeOf)
-	RefineWH(g, topo, a.Nodes, nodeOf, RefineOptions{})
-	after := wh(g, topo, nodeOf)
+	before := wh(g, tab, nodeOf)
+	RefineWH(g, tab, nodeOf, RefineOptions{})
+	after := wh(g, tab, nodeOf)
 	if after >= before {
 		t.Fatalf("no improvement on scrambled path: %d -> %d", before, after)
 	}
@@ -204,19 +223,20 @@ func TestRefineWHImprovesBadMapping(t *testing.T) {
 func TestRefineWHDeltaExact(t *testing.T) {
 	// The incremental swap delta must equal the recomputed difference.
 	topo, a := fixture(t, 16, 17)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(16, 40, 7, 18)
 	nodeOf := DEFLike(a, 16)
-	before := wh(g, topo, nodeOf)
+	before := wh(g, tab, nodeOf)
 	// Swap two tasks manually and compare to objectiveValue.
 	nodeOf[3], nodeOf[11] = nodeOf[11], nodeOf[3]
-	after := wh(g, topo, nodeOf)
+	after := wh(g, tab, nodeOf)
 	if before == after {
 		t.Skip("degenerate swap, pick other fixture")
 	}
 	// The refinement must find this reverse swap if it improves.
 	if after > before {
-		RefineWH(g, topo, a.Nodes, nodeOf, RefineOptions{Delta: 16})
-		final := wh(g, topo, nodeOf)
+		RefineWH(g, tab, nodeOf, RefineOptions{Delta: 16})
+		final := wh(g, tab, nodeOf)
 		if final > after {
 			t.Fatalf("refinement worsened: %d -> %d", after, final)
 		}
@@ -225,11 +245,12 @@ func TestRefineWHDeltaExact(t *testing.T) {
 
 func TestRefineCongestionLowersMC(t *testing.T) {
 	topo, a := fixture(t, 40, 19)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(40, 120, 40, 20)
 	nodeOf := DEFLike(a, 40)
 	pl := func(m []int32) *metrics.Placement { return &metrics.Placement{NodeOf: m} }
 	before := metrics.Compute(g, topo, pl(nodeOf))
-	swaps := RefineCongestion(g, topo, a.Nodes, nodeOf, VolumeCongestion, RefineOptions{})
+	swaps := RefineCongestion(g, tab, nodeOf, VolumeCongestion, RefineOptions{})
 	after := metrics.Compute(g, topo, pl(nodeOf))
 	checkValidMapping(t, g, a, nodeOf)
 	if after.MC > before.MC*1.0000001 {
@@ -257,10 +278,11 @@ func unitView(g *graph.Graph) *graph.Graph {
 
 func TestRefineCongestionMMCVariant(t *testing.T) {
 	topo, a := fixture(t, 32, 21)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(32, 90, 25, 22)
 	nodeOf := DEFLike(a, 32)
 	before := metrics.Compute(g, topo, &metrics.Placement{NodeOf: nodeOf})
-	RefineCongestion(unitView(g), topo, a.Nodes, nodeOf, MessageCongestion, RefineOptions{})
+	RefineCongestion(unitView(g), tab, nodeOf, MessageCongestion, RefineOptions{})
 	after := metrics.Compute(g, topo, &metrics.Placement{NodeOf: nodeOf})
 	checkValidMapping(t, g, a, nodeOf)
 	if after.MMC > before.MMC {
@@ -274,11 +296,10 @@ func TestCongStateLoadsMatchMetrics(t *testing.T) {
 	topo, a := fixture(t, 24, 23)
 	g := graph.RandomConnected(24, 60, 15, 24)
 	nodeOf := DEFLike(a, 24)
-	st := newMapState(g, topo, a.Nodes, nil)
-	for i, m := range nodeOf {
-		st.place(int32(i), m)
-	}
-	cs := newCongState(g, topo, st, VolumeCongestion, nil)
+	tab := table(t, topo, a.Nodes)
+	st := newMapState(g, tab, nil)
+	st.placeNodes(nodeOf)
+	cs := newCongState(g, tab, st, VolumeCongestion, nil)
 	m := metrics.Compute(g, topo, &metrics.Placement{NodeOf: nodeOf})
 	// Find the max-congestion link from the raw loads.
 	var maxVC float64
@@ -302,22 +323,21 @@ func TestCongStateDeltasExact(t *testing.T) {
 	topo, a := fixture(t, 20, 25)
 	g := graph.RandomConnected(20, 50, 12, 26)
 	nodeOf := DEFLike(a, 20)
-	st := newMapState(g, topo, a.Nodes, nil)
-	for i, m := range nodeOf {
-		st.place(int32(i), m)
-	}
-	cs := newCongState(g, topo, st, VolumeCongestion, nil)
+	tab := table(t, topo, a.Nodes)
+	st := newMapState(g, tab, nil)
+	st.placeNodes(nodeOf)
+	cs := newCongState(g, tab, st, VolumeCongestion, nil)
 	aT, bT := int32(2), int32(9)
 	cs.collectSwapDeltas(aT, bT)
 	cs.applyDeltas(1)
 	cs.commitSwap(aT, bT)
 
 	// Fresh state from the new mapping.
-	st2 := newMapState(g, topo, a.Nodes, nil)
+	st2 := newMapState(g, tab, nil)
 	for i := 0; i < g.N(); i++ {
 		st2.place(int32(i), cs.st.nodeOf[i])
 	}
-	cs2 := newCongState(g, topo, st2, VolumeCongestion, nil)
+	cs2 := newCongState(g, tab, st2, VolumeCongestion, nil)
 	for l := 0; l < topo.Links(); l++ {
 		if cs.load[l] != cs2.load[l] {
 			t.Fatalf("link %d load %d != fresh %d", l, cs.load[l], cs2.load[l])
@@ -334,11 +354,10 @@ func TestCongStateDeltasExact(t *testing.T) {
 func TestCongStateApplyRevert(t *testing.T) {
 	topo, a := fixture(t, 20, 27)
 	g := graph.RandomConnected(20, 50, 12, 28)
-	st := newMapState(g, topo, a.Nodes, nil)
-	for i := 0; i < g.N(); i++ {
-		st.place(int32(i), a.Nodes[i])
-	}
-	cs := newCongState(g, topo, st, VolumeCongestion, nil)
+	tab := table(t, topo, a.Nodes)
+	st := newMapState(g, tab, nil)
+	st.placeNodes(a.Nodes[:g.N()])
+	cs := newCongState(g, tab, st, VolumeCongestion, nil)
 	loads := append([]int64(nil), cs.load...)
 	sum, used := cs.sumKeys, cs.usedLinks
 	cs.collectSwapDeltas(1, 14)
@@ -356,19 +375,20 @@ func TestCongStateApplyRevert(t *testing.T) {
 
 func TestVariantPipelines(t *testing.T) {
 	topo, a := fixture(t, 36, 29)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(36, 100, 30, 30)
-	ug := MapUG(g, topo, a.Nodes, nil)
-	uwh := MapUWH(g, topo, a.Nodes, nil)
-	umc := MapUMC(g, topo, a.Nodes, nil)
-	ummc := MapUMMC(g, unitView(g), topo, a.Nodes, nil)
-	uth := MapUTH(g, topo, a.Nodes, nil)
+	ug := MapUG(g, tab, nil)
+	uwh := MapUWH(g, tab, nil)
+	umc := MapUMC(g, tab, nil)
+	ummc := MapUMMC(g, unitView(g), tab, nil)
+	uth := MapUTH(g, tab, nil)
 	for name, m := range map[string][]int32{"UG": ug, "UWH": uwh, "UMC": umc, "UMMC": ummc, "UTH": uth} {
 		checkValidMapping(t, g, a, m)
 		_ = name
 	}
 	// UWH must not be worse than UG on WH.
-	if wh(g, topo, uwh) > wh(g, topo, ug) {
-		t.Fatalf("UWH WH %d worse than UG %d", wh(g, topo, uwh), wh(g, topo, ug))
+	if wh(g, tab, uwh) > wh(g, tab, ug) {
+		t.Fatalf("UWH WH %d worse than UG %d", wh(g, tab, uwh), wh(g, tab, ug))
 	}
 	// UMC must not be worse than UG on MC.
 	mUG := metrics.Compute(g, topo, &metrics.Placement{NodeOf: ug})
@@ -384,10 +404,11 @@ func TestVariantPipelines(t *testing.T) {
 
 func TestObjectiveValueTH(t *testing.T) {
 	topo, a := fixture(t, 8, 31)
+	tab := table(t, topo, a.Nodes)
 	g := graph.Ring(8)
 	nodeOf := DEFLike(a, 8)
-	th := objectiveValue(g, topo, nodeOf, TotalHops)
-	whv := objectiveValue(g, topo, nodeOf, WeightedHops)
+	th := objectiveValue(g, tab, nodeOf, TotalHops)
+	whv := objectiveValue(g, tab, nodeOf, WeightedHops)
 	// Unit weights: TH == WH.
 	if th != whv {
 		t.Fatalf("unit-weight TH %d != WH %d", th, whv)
@@ -396,23 +417,25 @@ func TestObjectiveValueTH(t *testing.T) {
 
 func TestNoEarlyExitValidMapping(t *testing.T) {
 	topo, a := fixture(t, 20, 45)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(20, 50, 12, 46)
-	nodeOf := Greedy(g, topo, a.Nodes, GreedyOptions{NoEarlyExit: true})
+	nodeOf := Greedy(g, tab, GreedyOptions{NoEarlyExit: true})
 	checkValidMapping(t, g, a, nodeOf)
 	// Exhaustive search considers a superset of the early-exit
 	// candidates at each step, and both must produce valid mappings;
 	// quality may differ either way, but not validity.
-	nodeOf2 := Greedy(g, topo, a.Nodes, GreedyOptions{})
+	nodeOf2 := Greedy(g, tab, GreedyOptions{})
 	checkValidMapping(t, g, a, nodeOf2)
 }
 
 func TestGreedyPanicsOnTooFewNodes(t *testing.T) {
 	topo, a := fixture(t, 4, 33)
+	tab := table(t, topo, a.Nodes)
 	g := graph.Ring(8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic with fewer nodes than tasks")
 		}
 	}()
-	Greedy(g, topo, a.Nodes, GreedyOptions{})
+	Greedy(g, tab, GreedyOptions{})
 }

@@ -12,13 +12,16 @@
 //
 // All three operate on a symmetric coarse task graph whose vertices
 // are supertasks (one per allocated node, produced by the grouping
-// step in package taskgraph) and on a torus.Topology.
+// step in package taskgraph) and on the allocation's route table
+// (routecache.Table). Their interfaces take and return node ids;
+// inside, a task's node is held as its allocation index, so every
+// distance is a read from one of the table's distance rows.
 package core
 
 import (
 	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/torus"
+	"repro/internal/routecache"
 )
 
 // Objective selects the hop metric the greedy mapper and the WH
@@ -57,16 +60,16 @@ type GreedyOptions struct {
 }
 
 // Greedy runs Algorithm 1: it maps each vertex of the symmetric task
-// graph g onto a distinct node of allocNodes and returns the
-// task→node mapping. len(allocNodes) must be >= g.N().
-func Greedy(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt GreedyOptions) []int32 {
+// graph g onto a distinct allocated node of tab and returns the
+// task→node mapping. tab must hold at least g.N() nodes.
+func Greedy(g *graph.Graph, tab *routecache.Table, opt GreedyOptions) []int32 {
 	n := g.N()
-	if len(allocNodes) < n {
+	if tab.Len() < n {
 		panic("core: fewer allocated nodes than tasks")
 	}
 	ex := opt.Exec
 	ar := ex.arenaOf()
-	st := newMapState(g, topo, allocNodes, ex)
+	st := newMapState(g, tab, ex)
 	defer st.release()
 
 	conn := ar.MaxHeap(n)
@@ -88,8 +91,8 @@ func Greedy(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt GreedyO
 		}
 	}
 
-	mapTask := func(t int32, node int32) {
-		st.place(t, node)
+	mapTask := func(t int32, loc int32) {
+		st.place(t, loc)
 		mapped[t] = true
 		nMapped++
 		conn.Remove(int(t))
@@ -110,7 +113,7 @@ func Greedy(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt GreedyO
 			best, t0 = volume[v], int32(v)
 		}
 	}
-	mapTask(t0, allocNodes[0])
+	mapTask(t0, 0)
 
 	mappedSeeds := make([]int32, 0, n)
 	for nMapped < n {
@@ -147,31 +150,31 @@ func Greedy(g *graph.Graph, topo torus.Topology, allocNodes []int32, opt GreedyO
 			// Disconnected component: take its max-volume task.
 			tbest = maxVolumeUnmapped(mapped, volume)
 		}
-		var node int32
+		var loc int32
 		if opt.NoEarlyExit {
-			node = st.bestNodeExhaustive(tbest, opt.Objective)
+			loc = st.bestNodeExhaustive(tbest, opt.Objective)
 		} else {
-			node = st.bestNode(tbest, opt.Objective)
+			loc = st.bestNode(tbest, opt.Objective)
 		}
-		mapTask(tbest, node)
+		mapTask(tbest, loc)
 	}
 	out := make([]int32, n)
-	copy(out, st.nodeOf)
+	st.nodesInto(out)
 	return out
 }
 
 // fillRemaining assigns every unmapped task a free allocated node in
-// increasing task/node order — the cheap deterministic completion of
-// a cancelled greedy run.
+// increasing task/allocation order — the cheap deterministic
+// completion of a cancelled greedy run.
 func fillRemaining(st *mapState, mapped []bool) {
 	next := 0
 	for t := range mapped {
 		if mapped[t] {
 			continue
 		}
-		for ; next < len(st.allocNodes); next++ {
-			if m := st.allocNodes[next]; st.taskAt[m] < 0 {
-				st.place(int32(t), m)
+		for ; next < len(st.taskAt); next++ {
+			if st.taskAt[next] < 0 {
+				st.place(int32(t), int32(next))
 				mapped[t] = true
 				break
 			}
@@ -187,14 +190,14 @@ func fillRemaining(st *mapState, mapped []bool) {
 // and the winner is chosen afterwards exactly as the serial code
 // does — so the result is identical at every worker count; a nil ex
 // runs both serially.
-func GreedyBest(g *graph.Graph, topo torus.Topology, allocNodes []int32, objective Objective, ex *Exec) []int32 {
+func GreedyBest(g *graph.Graph, tab *routecache.Table, objective Objective, ex *Exec) []int32 {
 	var m0, m1 []int32
 	ex.par().Fork(
-		func() { m0 = Greedy(g, topo, allocNodes, GreedyOptions{NBFS: 0, Objective: objective, Exec: ex}) },
-		func() { m1 = Greedy(g, topo, allocNodes, GreedyOptions{NBFS: 1, Objective: objective, Exec: ex}) },
+		func() { m0 = Greedy(g, tab, GreedyOptions{NBFS: 0, Objective: objective, Exec: ex}) },
+		func() { m1 = Greedy(g, tab, GreedyOptions{NBFS: 1, Objective: objective, Exec: ex}) },
 	)
 	ex.Count("greedy_attempts", 2)
-	if objectiveValue(g, topo, m1, objective) < objectiveValue(g, topo, m0, objective) {
+	if objectiveValue(g, tab, m1, objective) < objectiveValue(g, tab, m0, objective) {
 		return m1
 	}
 	return m0
@@ -211,15 +214,19 @@ func maxVolumeUnmapped(mapped []bool, volume []int64) int32 {
 	return t
 }
 
-// objectiveValue evaluates WH or TH of a complete mapping over the
-// symmetric coarse graph (each undirected edge counted twice,
-// consistently for comparisons).
-func objectiveValue(g *graph.Graph, topo torus.Topology, nodeOf []int32, obj Objective) int64 {
+// objectiveValue evaluates WH or TH of a complete task→node mapping
+// onto tab's allocated nodes over the symmetric coarse graph (each
+// undirected edge counted twice, consistently for comparisons).
+func objectiveValue(g *graph.Graph, tab *routecache.Table, nodeOf []int32, obj Objective) int64 {
+	loc := make([]int32, len(nodeOf))
+	for v, m := range nodeOf {
+		loc[v] = tab.Local(m)
+	}
 	var total int64
 	for v := 0; v < g.N(); v++ {
-		a := int(nodeOf[v])
+		row := tab.DistRow(loc[v])
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			h := int64(topo.HopDist(a, int(nodeOf[g.Adj[i]])))
+			h := int64(row[loc[g.Adj[i]]])
 			if obj == WeightedHops {
 				total += h * g.EdgeWeight(int(i))
 			} else {
@@ -232,21 +239,20 @@ func objectiveValue(g *graph.Graph, topo torus.Topology, nodeOf []int32, obj Obj
 
 // mapState holds the placement bookkeeping shared by Algorithm 1's
 // GETBESTNODE and the refinement algorithms' BFS candidate searches.
-// Its node-sized buffers dominate a solve's allocations, so they are
-// borrowed from the solve's arena when one is supplied; release
-// returns them. A mapState is single-goroutine state — parallel
-// subtasks each borrow their own.
+// Placements are allocation indices of tab; the BFS walks the
+// topology graph in node ids and maps each visited node through
+// tab.Local. Its buffers are borrowed from the solve's arena when one
+// is supplied; release returns them. A mapState is single-goroutine
+// state — parallel subtasks each borrow their own.
 type mapState struct {
-	g          *graph.Graph
-	topo       torus.Topology
-	allocNodes []int32
-	ex         *Exec
-	nodeOf     []int32 // task -> node (-1 while unmapped)
-	taskAt     []int32 // node -> task (-1 when empty), len topo.Nodes()
-	allocated  []bool  // node -> allocated?
+	g      *graph.Graph
+	tab    *routecache.Table
+	ex     *Exec
+	nodeOf []int32 // task -> allocation index (-1 while unmapped)
+	taskAt []int32 // allocation index -> task (-1 when empty)
 
-	// BFS scratch with generation stamps so repeated traversals do
-	// not pay O(nodes) resets.
+	// BFS scratch over the topology's node ids, with generation
+	// stamps so repeated traversals do not pay O(nodes) resets.
 	visitGen  int32
 	visitMark []int32
 	level     []int32
@@ -254,28 +260,23 @@ type mapState struct {
 	nbBuf     []int32
 }
 
-func newMapState(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) *mapState {
+func newMapState(g *graph.Graph, tab *routecache.Table, ex *Exec) *mapState {
 	ar := ex.arenaOf()
 	st := &mapState{
-		g:          g,
-		topo:       topo,
-		allocNodes: allocNodes,
-		ex:         ex,
-		nodeOf:     ar.Int32s(g.N()),
-		taskAt:     ar.Int32s(topo.Nodes()),
-		allocated:  ar.Bools(topo.Nodes()),
-		visitMark:  ar.Int32s(topo.Nodes()),
-		level:      ar.Int32s(topo.Nodes()),
-		queue:      ar.Queue(),
+		g:         g,
+		tab:       tab,
+		ex:        ex,
+		nodeOf:    ar.Int32s(g.N()),
+		taskAt:    ar.Int32s(tab.Len()),
+		visitMark: ar.Int32s(tab.Nodes()),
+		level:     ar.Int32s(tab.Nodes()),
+		queue:     ar.Queue(),
 	}
 	for i := range st.nodeOf {
 		st.nodeOf[i] = -1
 	}
 	for i := range st.taskAt {
 		st.taskAt[i] = -1
-	}
-	for _, m := range allocNodes {
-		st.allocated[m] = true
 	}
 	return st
 }
@@ -286,66 +287,96 @@ func (st *mapState) release() {
 	ar := st.ex.arenaOf()
 	ar.PutInt32s(st.nodeOf)
 	ar.PutInt32s(st.taskAt)
-	ar.PutBools(st.allocated)
 	ar.PutInt32s(st.visitMark)
 	ar.PutInt32s(st.level)
 	ar.PutQueue(st.queue)
-	st.nodeOf, st.taskAt, st.allocated, st.visitMark, st.level, st.queue = nil, nil, nil, nil, nil, nil
+	st.nodeOf, st.taskAt, st.visitMark, st.level, st.queue = nil, nil, nil, nil, nil
 }
 
-func (st *mapState) place(t, node int32) {
-	st.nodeOf[t] = node
-	st.taskAt[node] = t
+// place puts task t on allocation index loc.
+func (st *mapState) place(t, loc int32) {
+	st.nodeOf[t] = loc
+	st.taskAt[loc] = t
+}
+
+// placeNodes places every task t on node nodeOf[t], which must be
+// allocated.
+func (st *mapState) placeNodes(nodeOf []int32) {
+	for t, m := range nodeOf {
+		st.place(int32(t), st.tab.Local(m))
+	}
+}
+
+// nodesInto writes every task's node id into nodeOf.
+func (st *mapState) nodesInto(nodeOf []int32) {
+	for t, l := range st.nodeOf {
+		nodeOf[t] = st.tab.Node(l)
+	}
+}
+
+// placedCost is one mapped neighbour of a task being placed: its
+// allocation index and the weight its hop distance costs.
+type placedCost struct {
+	loc  int32
+	cost int64
+}
+
+// placedNeighbours lists t's mapped neighbours with their costs under
+// obj.
+func (st *mapState) placedNeighbours(t int32, obj Objective) []placedCost {
+	var out []placedCost
+	wt := st.g.Weights(int(t))
+	for i, u := range st.g.Neighbors(int(t)) {
+		if l := st.nodeOf[u]; l >= 0 {
+			c := wt[i]
+			if obj == TotalHops {
+				c = 1
+			}
+			out = append(out, placedCost{l, c})
+		}
+	}
+	return out
+}
+
+// costAt is the WH (or TH) placing a task at allocation index loc
+// adds toward its placed neighbours nb: one distance row read.
+func (st *mapState) costAt(loc int32, nb []placedCost) int64 {
+	row := st.tab.DistRow(loc)
+	var c int64
+	for _, s := range nb {
+		c += s.cost * int64(row[s.loc])
+	}
+	return c
 }
 
 // bestNode implements GETBESTNODE (§III-A): a BFS over the topology
 // graph from the nodes hosting t's mapped neighbours, stopping at the
 // first level that contains empty allocated nodes and returning the
-// one that adds the least WH (or TH). Tasks with no mapped neighbour
-// get one of the farthest allocated empty nodes from the non-empty
-// nodes instead.
+// one that adds the least WH (or TH), ties to the lowest node id.
+// Tasks with no mapped neighbour get one of the farthest allocated
+// empty nodes from the non-empty nodes instead. It returns an
+// allocation index.
 func (st *mapState) bestNode(t int32, obj Objective) int32 {
-	type seedNB struct {
-		node int32
-		cost int64
-	}
-	var seeds []int32
-	var nbPlaced []seedNB
-	nb := st.g.Neighbors(int(t))
-	wt := st.g.Weights(int(t))
-	for i, u := range nb {
-		if m := st.nodeOf[u]; m >= 0 {
-			c := wt[i]
-			if obj == TotalHops {
-				c = 1
-			}
-			nbPlaced = append(nbPlaced, seedNB{m, c})
-			seeds = append(seeds, m)
-		}
-	}
-	if len(seeds) == 0 {
+	nbPlaced := st.placedNeighbours(t, obj)
+	if len(nbPlaced) == 0 {
 		return st.farthestEmptyNode()
 	}
-	// Cost of placing t at m.
-	costAt := func(m int32) int64 {
-		var c int64
-		for _, s := range nbPlaced {
-			c += s.cost * int64(st.topo.HopDist(int(m), int(s.node)))
-		}
-		return c
+	seeds := make([]int32, len(nbPlaced))
+	for i, s := range nbPlaced {
+		seeds[i] = st.tab.Node(s.loc)
 	}
-	var best int32 = -1
+	var best, bestLoc int32 = -1, -1
 	var bestCost int64
 	stopLevel := int32(-1)
 	st.bfs(seeds, func(node, lv int32) bool {
 		if stopLevel >= 0 && lv > stopLevel {
 			return false // early exit: a deeper level started
 		}
-		if st.allocated[node] && st.taskAt[node] < 0 {
+		if l := st.tab.Local(node); l >= 0 && st.taskAt[l] < 0 {
 			stopLevel = lv
-			c := costAt(node)
+			c := st.costAt(l, nbPlaced)
 			if best < 0 || c < bestCost || (c == bestCost && node < best) {
-				best, bestCost = node, c
+				best, bestLoc, bestCost = node, l, c
 			}
 		}
 		return true
@@ -353,91 +384,75 @@ func (st *mapState) bestNode(t int32, obj Objective) int32 {
 	if best < 0 {
 		// Every allocated node reachable is full (should not happen
 		// with |alloc| >= |tasks|), fall back to any empty one.
-		for _, m := range st.allocNodes {
-			if st.taskAt[m] < 0 {
-				return m
-			}
-		}
-		panic("core: no empty allocated node")
+		return st.firstEmpty()
 	}
-	return best
+	return bestLoc
 }
 
 // bestNodeExhaustive is the no-early-exit variant of bestNode: it
 // scores every empty allocated node (ablation baseline).
 func (st *mapState) bestNodeExhaustive(t int32, obj Objective) int32 {
-	nb := st.g.Neighbors(int(t))
-	wt := st.g.Weights(int(t))
-	type seedNB struct {
-		node int32
-		cost int64
-	}
-	var nbPlaced []seedNB
-	for i, u := range nb {
-		if m := st.nodeOf[u]; m >= 0 {
-			c := wt[i]
-			if obj == TotalHops {
-				c = 1
-			}
-			nbPlaced = append(nbPlaced, seedNB{m, c})
-		}
-	}
+	nbPlaced := st.placedNeighbours(t, obj)
 	if len(nbPlaced) == 0 {
 		return st.farthestEmptyNode()
 	}
-	var best int32 = -1
+	var best, bestLoc int32 = -1, -1
 	var bestCost int64
-	for _, m := range st.allocNodes {
-		if st.taskAt[m] >= 0 {
+	for l, task := range st.taskAt {
+		if task >= 0 {
 			continue
 		}
-		var c int64
-		for _, s := range nbPlaced {
-			c += s.cost * int64(st.topo.HopDist(int(m), int(s.node)))
-		}
+		m := st.tab.Node(int32(l))
+		c := st.costAt(int32(l), nbPlaced)
 		if best < 0 || c < bestCost || (c == bestCost && m < best) {
-			best, bestCost = m, c
+			best, bestLoc, bestCost = m, int32(l), c
 		}
 	}
 	if best < 0 {
 		panic("core: no empty allocated node")
 	}
-	return best
+	return bestLoc
 }
 
 // farthestEmptyNode returns an empty allocated node at maximum BFS
-// distance from the set of non-empty nodes (used for tasks with no
-// mapped neighbours, e.g. new components or BFS seeds).
+// distance from the set of non-empty nodes, ties to the lowest node
+// id (used for tasks with no mapped neighbours, e.g. new components or
+// BFS seeds). It returns an allocation index.
 func (st *mapState) farthestEmptyNode() int32 {
 	var seeds []int32
-	for _, m := range st.allocNodes {
-		if st.taskAt[m] >= 0 {
-			seeds = append(seeds, m)
+	for l, task := range st.taskAt {
+		if task >= 0 {
+			seeds = append(seeds, st.tab.Node(int32(l)))
 		}
 	}
 	if len(seeds) == 0 {
-		return st.allocNodes[0]
+		return 0
 	}
-	var best int32 = -1
+	var best, bestLoc int32 = -1, -1
 	bestLevel := int32(-1)
 	st.bfs(seeds, func(node, lv int32) bool {
-		if st.allocated[node] && st.taskAt[node] < 0 && lv >= bestLevel {
+		if l := st.tab.Local(node); l >= 0 && st.taskAt[l] < 0 && lv >= bestLevel {
 			if lv > bestLevel || node < best {
-				best = node
+				best, bestLoc = node, l
 			}
 			bestLevel = lv
 		}
 		return true
 	})
 	if best < 0 {
-		for _, m := range st.allocNodes {
-			if st.taskAt[m] < 0 {
-				return m
-			}
-		}
-		panic("core: no empty allocated node")
+		return st.firstEmpty()
 	}
-	return best
+	return bestLoc
+}
+
+// firstEmpty returns the lowest empty allocation index.
+func (st *mapState) firstEmpty() int32 {
+	for l, task := range st.taskAt {
+		if task < 0 {
+			return int32(l)
+		}
+	}
+	panic("core: no empty allocated node")
 }
 
 // bfs runs a breadth-first traversal of the topology graph from the
@@ -460,7 +475,7 @@ func (st *mapState) bfs(seeds []int32, visit func(node, level int32) bool) {
 		if !visit(v, st.level[v]) {
 			return
 		}
-		st.nbBuf = st.topo.NeighborNodes(int(v), st.nbBuf[:0])
+		st.nbBuf = st.tab.NeighborNodes(int(v), st.nbBuf[:0])
 		for _, u := range st.nbBuf {
 			if st.visitMark[u] != gen {
 				st.visitMark[u] = gen

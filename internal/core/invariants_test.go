@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/graph"
+	"repro/internal/routecache"
 	"repro/internal/torus"
 )
 
@@ -37,22 +38,26 @@ func TestMappingInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		tab, err := routecache.New(topo, a.Nodes)
+		if err != nil {
+			return false
+		}
 		g := graph.RandomConnected(n, 3*n, 20, seed+1)
-		ug := MapUG(g, topo, a.Nodes, nil)
+		ug := MapUG(g, tab, nil)
 		if !isPermutationOnto(ug, a) {
 			return false
 		}
-		whUG := objectiveValue(g, topo, ug, WeightedHops)
+		whUG := objectiveValue(g, tab, ug, WeightedHops)
 		uwh := append([]int32(nil), ug...)
-		RefineWH(g, topo, a.Nodes, uwh, RefineOptions{})
+		RefineWH(g, tab, uwh, RefineOptions{})
 		if !isPermutationOnto(uwh, a) {
 			return false
 		}
-		if objectiveValue(g, topo, uwh, WeightedHops) > whUG {
+		if objectiveValue(g, tab, uwh, WeightedHops) > whUG {
 			return false
 		}
 		umc := append([]int32(nil), ug...)
-		RefineCongestion(g, topo, a.Nodes, umc, VolumeCongestion, RefineOptions{})
+		RefineCongestion(g, tab, umc, VolumeCongestion, RefineOptions{})
 		return isPermutationOnto(umc, a)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 12}); err != nil {
@@ -69,17 +74,18 @@ func TestGreedyAllocationOrderOnlyAffectsSeedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(20, 60, 10, 4)
-	base := Greedy(g, topo, a.Nodes, GreedyOptions{})
+	base := Greedy(g, tab, GreedyOptions{})
 	// Reverse all but the first allocated node: t0 lands on the same
 	// node, and the BFS-driven construction sees the same node *set*.
 	rev := append([]int32(nil), a.Nodes...)
 	for i, j := 1, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	alt := Greedy(g, topo, rev, GreedyOptions{})
-	whBase := objectiveValue(g, topo, base, WeightedHops)
-	whAlt := objectiveValue(g, topo, alt, WeightedHops)
+	alt := Greedy(g, table(t, topo, rev), GreedyOptions{})
+	whBase := objectiveValue(g, tab, base, WeightedHops)
+	whAlt := objectiveValue(g, tab, alt, WeightedHops)
 	if whBase != whAlt {
 		t.Fatalf("allocation order changed greedy quality: %d vs %d", whBase, whAlt)
 	}
@@ -94,14 +100,15 @@ func TestRefineWHPassThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(24, 70, 12, 6)
 	one := make([]int32, 24)
 	copy(one, a.Nodes[:24])
 	multi := append([]int32(nil), one...)
-	RefineWH(g, topo, a.Nodes, one, RefineOptions{MaxPasses: 1})
-	RefineWH(g, topo, a.Nodes, multi, RefineOptions{MinPassGain: 1.0})
-	whOne := objectiveValue(g, topo, one, WeightedHops)
-	whMulti := objectiveValue(g, topo, multi, WeightedHops)
+	RefineWH(g, tab, one, RefineOptions{MaxPasses: 1})
+	RefineWH(g, tab, multi, RefineOptions{MinPassGain: 1.0})
+	whOne := objectiveValue(g, tab, one, WeightedHops)
+	whMulti := objectiveValue(g, tab, multi, WeightedHops)
 	if whOne != whMulti {
 		t.Fatalf("MinPassGain=1.0 should behave like a single pass: %d vs %d", whOne, whMulti)
 	}
@@ -114,10 +121,11 @@ func TestUTHOptimizesTotalHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(24, 80, 50, 8)
-	uth := MapUTH(g, topo, a.Nodes, nil)
-	ugTH := objectiveValue(g, topo, GreedyBest(g, topo, a.Nodes, TotalHops, nil), TotalHops)
-	uthTH := objectiveValue(g, topo, uth, TotalHops)
+	uth := MapUTH(g, tab, nil)
+	ugTH := objectiveValue(g, tab, GreedyBest(g, tab, TotalHops, nil), TotalHops)
+	uthTH := objectiveValue(g, tab, uth, TotalHops)
 	if uthTH > ugTH {
 		t.Fatalf("UTH TH %d worse than its own greedy %d", uthTH, ugTH)
 	}

@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/torus"
+	"repro/internal/routecache"
 )
 
 // This file implements the multilevel variant of the paper's WH
@@ -136,15 +136,15 @@ func clusterSets(levels []mlLevel, l int) (cl0 []int32, members [][]int32) {
 // placeCoarsest assigns every coarsest-level cluster a region of
 // |members| empty allocated nodes grown by BFS over the topology, in
 // the greedy order of Algorithm 1 (max-volume cluster first, then by
-// connectivity to the already placed clusters). It fills nodeOf for
-// all fine vertices.
-func placeCoarsest(gl *graph.Graph, members [][]int32, topo torus.Topology, allocNodes []int32, nodeOf []int32, ex *Exec) {
+// connectivity to the already placed clusters). It fills loc with the
+// allocation index of every fine vertex.
+func placeCoarsest(gl *graph.Graph, members [][]int32, tab *routecache.Table, loc []int32, ex *Exec) {
 	nc := gl.N()
-	st := newMapState(gl, topo, allocNodes, ex) // reused for its BFS scratch and allocated[]
+	st := newMapState(gl, tab, ex) // reused for its BFS scratch
 	defer st.release()
 	ar := ex.arenaOf()
-	occupied := ar.Bools(topo.Nodes())
-	rep := ar.Int32s(nc) // first node of each placed cluster's region
+	occupied := ar.Bools(tab.Len()) // by allocation index
+	rep := ar.Int32s(nc)            // first allocation index of each placed cluster's region
 	volume := ar.Int64s(nc)
 	conn := ar.MaxHeap(nc)
 	placed := ar.Bools(nc)
@@ -165,80 +165,74 @@ func placeCoarsest(gl *graph.Graph, members [][]int32, topo torus.Topology, allo
 	}
 	nPlaced := 0
 
-	// anyEmpty reports whether an allocated node is still free.
+	// anyEmpty returns the first allocation index still free.
 	anyEmpty := func() int32 {
-		for _, m := range allocNodes {
-			if !occupied[m] {
-				return m
+		for l, occ := range occupied {
+			if !occ {
+				return int32(l)
 			}
 		}
 		panic("core: multilevel placement ran out of allocated nodes")
 	}
 
-	// growRegion collects want empty allocated nodes nearest to seed
-	// (BFS order, seed first) and assigns the cluster's members to
-	// them in that order.
+	// growRegion collects want empty allocated nodes nearest to the
+	// seed's node (BFS order, seed first) and assigns the cluster's
+	// members to them in that order.
 	growRegion := func(c int32, seed int32) {
 		want := len(members[c])
 		got := 0
-		st.bfs([]int32{seed}, func(node, lv int32) bool {
-			if st.allocated[node] && !occupied[node] {
-				occupied[node] = true
-				nodeOf[members[c][got]] = node
-				if got == 0 {
-					rep[c] = node
-				}
-				got++
+		take := func(l int32) {
+			occupied[l] = true
+			loc[members[c][got]] = l
+			if got == 0 {
+				rep[c] = l
+			}
+			got++
+		}
+		st.bfs([]int32{tab.Node(seed)}, func(node, lv int32) bool {
+			if l := tab.Local(node); l >= 0 && !occupied[l] {
+				take(l)
 			}
 			return got < want
 		})
 		for got < want {
 			// Disconnected allocation remnants: take any free node.
-			m := anyEmpty()
-			occupied[m] = true
-			nodeOf[members[c][got]] = m
-			if got == 0 {
-				rep[c] = m
-			}
-			got++
+			take(anyEmpty())
 		}
 	}
 
 	// bestSeed finds the empty allocated node minimizing the weighted
 	// hop cost to the representatives of c's placed neighbours, with
-	// the early-exit BFS of GETBESTNODE.
+	// the early-exit BFS of GETBESTNODE, ties to the lowest node id. It
+	// returns an allocation index.
 	bestSeed := func(c int32) int32 {
-		type nbRep struct {
-			node int32
-			cost int64
-		}
 		var seeds []int32
-		var nbs []nbRep
+		var nbs []placedCost
 		nb := gl.Neighbors(int(c))
 		wt := gl.Weights(int(c))
 		for i, u := range nb {
 			if placed[u] {
-				nbs = append(nbs, nbRep{rep[u], wt[i]})
-				seeds = append(seeds, rep[u])
+				nbs = append(nbs, placedCost{rep[u], wt[i]})
+				seeds = append(seeds, tab.Node(rep[u]))
 			}
 		}
+		var best, bestLoc int32 = -1, -1
 		if len(seeds) == 0 {
 			// Farthest empty allocated node from the occupied ones.
 			var occ []int32
-			for _, m := range allocNodes {
-				if occupied[m] {
-					occ = append(occ, m)
+			for l, o := range occupied {
+				if o {
+					occ = append(occ, tab.Node(int32(l)))
 				}
 			}
 			if len(occ) == 0 {
-				return allocNodes[0]
+				return 0
 			}
-			var best int32 = -1
 			bestLv := int32(-1)
 			st.bfs(occ, func(node, lv int32) bool {
-				if st.allocated[node] && !occupied[node] && lv >= bestLv {
+				if l := tab.Local(node); l >= 0 && !occupied[l] && lv >= bestLv {
 					if lv > bestLv || node < best {
-						best = node
+						best, bestLoc = node, l
 					}
 					bestLv = lv
 				}
@@ -247,23 +241,19 @@ func placeCoarsest(gl *graph.Graph, members [][]int32, topo torus.Topology, allo
 			if best < 0 {
 				return anyEmpty()
 			}
-			return best
+			return bestLoc
 		}
-		var best int32 = -1
 		var bestCost int64
 		stopLevel := int32(-1)
 		st.bfs(seeds, func(node, lv int32) bool {
 			if stopLevel >= 0 && lv > stopLevel {
 				return false
 			}
-			if st.allocated[node] && !occupied[node] {
+			if l := tab.Local(node); l >= 0 && !occupied[l] {
 				stopLevel = lv
-				var cost int64
-				for _, r := range nbs {
-					cost += r.cost * int64(topo.HopDist(int(node), int(r.node)))
-				}
+				cost := st.costAt(l, nbs)
 				if best < 0 || cost < bestCost || (cost == bestCost && node < best) {
-					best, bestCost = node, cost
+					best, bestLoc, bestCost = node, l, cost
 				}
 			}
 			return true
@@ -271,7 +261,7 @@ func placeCoarsest(gl *graph.Graph, members [][]int32, topo torus.Topology, allo
 		if best < 0 {
 			return anyEmpty()
 		}
-		return best
+		return bestLoc
 	}
 
 	place := func(c int32, seed int32) {
@@ -296,7 +286,7 @@ func placeCoarsest(gl *graph.Graph, members [][]int32, topo torus.Topology, allo
 			bestVol, c0 = volume[c], int32(c)
 		}
 	}
-	place(c0, allocNodes[0])
+	place(c0, 0)
 	for nPlaced < nc {
 		var c int32
 		if conn.Len() > 0 {
@@ -319,9 +309,9 @@ func placeCoarsest(gl *graph.Graph, members [][]int32, topo torus.Topology, allo
 // clusterRefineState carries the per-level swap refinement context.
 type clusterRefineState struct {
 	g0      *graph.Graph // fine (level-0) graph
-	topo    torus.Topology
-	nodeOf  []int32   // fine vertex -> node (mutated)
-	taskAt  []int32   // node -> fine vertex
+	tab     *routecache.Table
+	nodeOf  []int32   // fine vertex -> allocation index (mutated)
+	taskAt  []int32   // allocation index -> fine vertex
 	cl0     []int32   // fine vertex -> cluster at the current level
 	members [][]int32 // cluster -> fine vertices (sorted by id)
 
@@ -345,13 +335,13 @@ func (cr *clusterRefineState) clusterWH(c int32, obj Objective) int64 {
 	var wh int64
 	g := cr.g0
 	for _, t := range cr.members[c] {
-		a := int(cr.nodeOf[t])
+		row := cr.tab.DistRow(cr.nodeOf[t])
 		for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
 			w := int64(1)
 			if obj == WeightedHops {
 				w = g.EdgeWeight(int(i))
 			}
-			wh += w * int64(cr.topo.HopDist(a, int(cr.nodeOf[g.Adj[i]])))
+			wh += w * int64(row[cr.nodeOf[g.Adj[i]]])
 		}
 	}
 	return wh
@@ -390,7 +380,7 @@ func (cr *clusterRefineState) swapDelta(ps *pairScratch, a, b int32, obj Objecti
 	var d int64
 	scan := func(mem []int32) {
 		for _, t := range mem {
-			nt, ot := int(newNode(t)), int(cr.nodeOf[t])
+			nt, ot := cr.tab.DistRow(newNode(t)), cr.tab.DistRow(cr.nodeOf[t])
 			for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
 				u := g.Adj[i]
 				w := int64(1)
@@ -399,10 +389,10 @@ func (cr *clusterRefineState) swapDelta(ps *pairScratch, a, b int32, obj Objecti
 				}
 				if ps.inPair[u] == gen {
 					// Internal edge: the loop visits both directions.
-					d += w * int64(cr.topo.HopDist(nt, int(newNode(u)))-cr.topo.HopDist(ot, int(cr.nodeOf[u])))
+					d += w * int64(nt[newNode(u)]-ot[cr.nodeOf[u]])
 				} else {
 					// External edge: reverse direction changes equally.
-					d += 2 * w * int64(cr.topo.HopDist(nt, int(cr.nodeOf[u]))-cr.topo.HopDist(ot, int(cr.nodeOf[u])))
+					d += 2 * w * int64(nt[cr.nodeOf[u]]-ot[cr.nodeOf[u]])
 				}
 			}
 		}
@@ -427,21 +417,22 @@ func (cr *clusterRefineState) applySwap(a, b int32) {
 // swaps of equal-cardinality level-l clusters, candidate clusters
 // discovered by BFS over the topology from the nodes of the popped
 // cluster's neighbours (the level-l analogue of Algorithm 2). It
-// mutates nodeOf and returns the total WH gain achieved (positive =
-// improvement, doubled-edge accounting).
-func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, topo torus.Topology, allocNodes []int32, nodeOf []int32, opt RefineOptions) int64 {
+// mutates loc, each fine vertex's allocation index, and returns the
+// total WH gain achieved (positive = improvement, doubled-edge
+// accounting).
+func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, tab *routecache.Table, loc []int32, opt RefineOptions) int64 {
 	opt = opt.withDefaults()
 	ex := opt.Exec
 	ar := ex.arenaOf()
 	par := ex.par()
 	nc := gl.N()
-	st := newMapState(gl, topo, allocNodes, ex) // BFS scratch + allocated[]
+	st := newMapState(gl, tab, ex) // BFS scratch
 	defer st.release()
 	cr := &clusterRefineState{
 		g0:        g0,
-		topo:      topo,
-		nodeOf:    nodeOf,
-		taskAt:    ar.Int32s(topo.Nodes()),
+		tab:       tab,
+		nodeOf:    loc,
+		taskAt:    ar.Int32s(tab.Len()),
 		cl0:       cl0,
 		members:   members,
 		triedMark: ar.Int32s(nc),
@@ -454,7 +445,7 @@ func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, top
 		cr.taskAt[i] = -1
 	}
 	for t := 0; t < g0.N(); t++ {
-		cr.taskAt[nodeOf[t]] = int32(t)
+		cr.taskAt[loc[t]] = int32(t)
 	}
 
 	// Per-cluster WH values: clusterWH reads only the shared placement,
@@ -525,7 +516,7 @@ func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, top
 			seeds = seeds[:0]
 			for _, u := range gl.Neighbors(int(cwh)) {
 				for _, t := range members[u] {
-					seeds = append(seeds, nodeOf[t])
+					seeds = append(seeds, tab.Node(loc[t]))
 				}
 			}
 			if len(seeds) == 0 {
@@ -538,10 +529,11 @@ func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, top
 			cands = cands[:0]
 			cr.triedGen++
 			st.bfs(seeds, func(node, lv int32) bool {
-				t := cr.taskAt[node]
-				if t < 0 {
+				l := tab.Local(node)
+				if l < 0 || cr.taskAt[l] < 0 {
 					return true
 				}
+				t := cr.taskAt[l]
 				b := cl0[t]
 				if b == cwh || cr.triedMark[b] == cr.triedGen {
 					return true
@@ -605,38 +597,48 @@ func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, top
 	return totalGain
 }
 
-// MapUML maps the symmetric task graph g one-to-one onto allocNodes
-// with the multilevel scheme: heavy-edge-matching hierarchy, BFS
-// region placement of the coarsest clusters, cluster-swap WH
-// refinement from the coarsest level to the finest, and Algorithm 2
-// on the finest level. It returns the task→node mapping. ex supplies
-// the solve's scratch arena, worker pool and cancellation; nil runs
-// serial with fresh allocations.
-func MapUML(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *Exec) []int32 {
+// MapUML maps the symmetric task graph g one-to-one onto tab's
+// allocated nodes with the multilevel scheme: heavy-edge-matching
+// hierarchy, BFS region placement of the coarsest clusters,
+// cluster-swap WH refinement from the coarsest level to the finest,
+// and Algorithm 2 on the finest level. It returns the task→node
+// mapping. ex supplies the solve's scratch arena, worker pool and
+// cancellation; nil runs serial with fresh allocations.
+func MapUML(g *graph.Graph, tab *routecache.Table, ex *Exec) []int32 {
 	opt := RefineOptions{Exec: ex}
 	n := g.N()
-	if len(allocNodes) < n {
+	if tab.Len() < n {
 		panic("core: fewer allocated nodes than tasks")
 	}
 	levels := mlHierarchy(g, umlCoarsenTo)
 	L := len(levels) - 1
 	ex.Count("coarse_levels", int64(L))
-	nodeOf := make([]int32, n)
 	if L == 0 {
 		// Graph already at/below the coarsest size: plain UG + WH.
-		copy(nodeOf, GreedyBest(g, topo, allocNodes, WeightedHops, ex))
-		RefineWH(g, topo, allocNodes, nodeOf, opt)
+		nodeOf := GreedyBest(g, tab, WeightedHops, ex)
+		RefineWH(g, tab, nodeOf, opt)
 		return nodeOf
 	}
+	loc := make([]int32, n)
 	cl0, members := clusterSets(levels, L)
-	placeCoarsest(levels[L].g, members, topo, allocNodes, nodeOf, ex)
+	placeCoarsest(levels[L].g, members, tab, loc, ex)
 	for l := L; l >= 1; l-- {
 		if ex.cancelled() {
 			break
 		}
 		cl0, members = clusterSets(levels, l)
-		refineClusterLevel(g, levels[l].g, cl0, members, topo, allocNodes, nodeOf, opt)
+		refineClusterLevel(g, levels[l].g, cl0, members, tab, loc, opt)
 	}
-	RefineWH(g, topo, allocNodes, nodeOf, opt)
+	nodeOf := toNodes(tab, loc)
+	RefineWH(g, tab, nodeOf, opt)
+	return nodeOf
+}
+
+// toNodes returns the node ids of the allocation indices loc.
+func toNodes(tab *routecache.Table, loc []int32) []int32 {
+	nodeOf := make([]int32, len(loc))
+	for i, l := range loc {
+		nodeOf[i] = tab.Node(l)
+	}
 	return nodeOf
 }

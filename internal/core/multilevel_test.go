@@ -116,12 +116,13 @@ func TestPlaceCoarsestValidAssignment(t *testing.T) {
 	levels := mlHierarchy(g, 8)
 	L := len(levels) - 1
 	_, members := clusterSets(levels, L)
-	nodeOf := make([]int32, g.N())
-	for i := range nodeOf {
-		nodeOf[i] = -1
+	tab := table(t, topo, a.Nodes)
+	loc := make([]int32, g.N())
+	for i := range loc {
+		loc[i] = -1
 	}
-	placeCoarsest(levels[L].g, members, topo, a.Nodes, nodeOf, nil)
-	checkValidMapping(t, g, a, nodeOf)
+	placeCoarsest(levels[L].g, members, tab, loc, nil)
+	checkValidMapping(t, g, a, toNodes(tab, loc))
 }
 
 func TestPlaceCoarsestRegionsContiguousOnRing(t *testing.T) {
@@ -153,8 +154,10 @@ func TestPlaceCoarsestRegionsContiguousOnRing(t *testing.T) {
 	levels := mlHierarchy(g, 2)
 	L := len(levels) - 1
 	_, members := clusterSets(levels, L)
-	nodeOf := make([]int32, 8)
-	placeCoarsest(levels[L].g, members, topo, nodes, nodeOf, nil)
+	tab := table(t, topo, nodes)
+	loc := make([]int32, 8)
+	placeCoarsest(levels[L].g, members, tab, loc, nil)
+	nodeOf := toNodes(tab, loc)
 	// Every vertex placed on a distinct ring node.
 	used := map[int32]bool{}
 	for _, m := range nodeOf {
@@ -189,18 +192,23 @@ func TestRefineClusterLevelExactGain(t *testing.T) {
 	for i := range nodeOf {
 		nodeOf[i] = a.Nodes[perm[i]]
 	}
+	tab := table(t, topo, a.Nodes)
+	loc := make([]int32, len(nodeOf))
+	for i, m := range nodeOf {
+		loc[i] = tab.Local(m)
+	}
 	for l := len(levels) - 1; l >= 1; l-- {
 		cl0, members := clusterSets(levels, l)
-		before := wh(g, topo, nodeOf)
-		gain := refineClusterLevel(g, levels[l].g, cl0, members, topo, a.Nodes, nodeOf, RefineOptions{})
-		after := wh(g, topo, nodeOf)
+		before := wh(g, tab, toNodes(tab, loc))
+		gain := refineClusterLevel(g, levels[l].g, cl0, members, tab, loc, RefineOptions{})
+		after := wh(g, tab, toNodes(tab, loc))
 		if gain < 0 {
 			t.Fatalf("level %d: negative gain %d", l, gain)
 		}
 		if before-after != gain {
 			t.Fatalf("level %d: reported gain %d, measured %d", l, gain, before-after)
 		}
-		checkValidMapping(t, g, a, nodeOf)
+		checkValidMapping(t, g, a, toNodes(tab, loc))
 	}
 }
 
@@ -213,13 +221,14 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 	}
 	l := 1
 	cl0, members := clusterSets(levels, l)
-	nodeOf := make([]int32, g.N())
-	for i := range nodeOf {
-		nodeOf[i] = a.Nodes[i]
+	tab := table(t, topo, a.Nodes)
+	loc := make([]int32, g.N()) // task i on a.Nodes[i]
+	for i := range loc {
+		loc[i] = int32(i)
 	}
 	cr := &clusterRefineState{
-		g0: g, topo: topo, nodeOf: nodeOf,
-		taskAt:  make([]int32, topo.Nodes()),
+		g0: g, tab: tab, nodeOf: loc,
+		taskAt:  make([]int32, tab.Len()),
 		cl0:     cl0,
 		members: members,
 	}
@@ -230,8 +239,8 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 	for i := range cr.taskAt {
 		cr.taskAt[i] = -1
 	}
-	for v, m := range nodeOf {
-		cr.taskAt[m] = int32(v)
+	for v, l := range loc {
+		cr.taskAt[l] = int32(v)
 	}
 	nc := levels[l].g.N()
 	checked := 0
@@ -240,15 +249,15 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 			if len(members[x]) != len(members[y]) {
 				continue
 			}
-			before := wh(g, topo, nodeOf)
+			before := wh(g, tab, toNodes(tab, loc))
 			d := cr.swapDelta(ps, int32(x), int32(y), WeightedHops)
 			cr.applySwap(int32(x), int32(y))
-			after := wh(g, topo, nodeOf)
+			after := wh(g, tab, toNodes(tab, loc))
 			if after-before != d {
 				t.Fatalf("swap (%d,%d): delta %d, recompute %d", x, y, d, after-before)
 			}
 			cr.applySwap(int32(x), int32(y)) // revert
-			if got := wh(g, topo, nodeOf); got != before {
+			if got := wh(g, tab, toNodes(tab, loc)); got != before {
 				t.Fatalf("swap (%d,%d) revert mismatch: %d != %d", x, y, got, before)
 			}
 			checked++
@@ -261,23 +270,25 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 
 func TestMapUMLValidMapping(t *testing.T) {
 	topo, a := fixture(t, 64, 17)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(64, 128, 60, 8)
-	nodeOf := MapUML(g, topo, a.Nodes, nil)
+	nodeOf := MapUML(g, tab, nil)
 	checkValidMapping(t, g, a, nodeOf)
 }
 
 func TestMapUMLBeatsRandomPlacement(t *testing.T) {
 	topo, a := fixture(t, 64, 12)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(64, 160, 80, 21)
-	uml := MapUML(g, topo, a.Nodes, nil)
+	uml := MapUML(g, tab, nil)
 	rng := rand.New(rand.NewSource(99))
 	perm := rng.Perm(len(a.Nodes))
 	random := make([]int32, g.N())
 	for i := range random {
 		random[i] = a.Nodes[perm[i]]
 	}
-	if wh(g, topo, uml) >= wh(g, topo, random) {
-		t.Fatalf("UML WH %d not below random %d", wh(g, topo, uml), wh(g, topo, random))
+	if wh(g, tab, uml) >= wh(g, tab, random) {
+		t.Fatalf("UML WH %d not below random %d", wh(g, tab, uml), wh(g, tab, random))
 	}
 }
 
@@ -286,9 +297,10 @@ func TestMapUMLCompetitiveWithUG(t *testing.T) {
 	// the greedy construction (within 2x on WH — typically it is equal
 	// or better after the final Algorithm 2 pass).
 	topo, a := fixture(t, 48, 5)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(48, 120, 50, 33)
-	uml := wh(g, topo, MapUML(g, topo, a.Nodes, nil))
-	ug := wh(g, topo, MapUG(g, topo, a.Nodes, nil))
+	uml := wh(g, tab, MapUML(g, tab, nil))
+	ug := wh(g, tab, MapUG(g, tab, nil))
 	if uml > 2*ug {
 		t.Fatalf("UML WH %d more than 2x UG WH %d", uml, ug)
 	}
@@ -296,10 +308,11 @@ func TestMapUMLCompetitiveWithUG(t *testing.T) {
 
 func TestMapUMLSmallGraphFallsBack(t *testing.T) {
 	topo, a := fixture(t, 12, 8)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(10, 15, 10, 4)
-	nodeOf := MapUML(g, topo, a.Nodes, nil)
-	want := GreedyBest(g, topo, a.Nodes, WeightedHops, nil)
-	RefineWH(g, topo, a.Nodes, want, RefineOptions{})
+	nodeOf := MapUML(g, tab, nil)
+	want := GreedyBest(g, tab, WeightedHops, nil)
+	RefineWH(g, tab, want, RefineOptions{})
 	for i := range nodeOf {
 		if nodeOf[i] != want[i] {
 			t.Fatalf("fallback differs from UG+RefineWH at %d: %d != %d", i, nodeOf[i], want[i])
@@ -309,9 +322,10 @@ func TestMapUMLSmallGraphFallsBack(t *testing.T) {
 
 func TestMapUMLDeterministic(t *testing.T) {
 	topo, a := fixture(t, 40, 23)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(40, 90, 35, 13)
-	m1 := MapUML(g, topo, a.Nodes, nil)
-	m2 := MapUML(g, topo, a.Nodes, nil)
+	m1 := MapUML(g, tab, nil)
+	m2 := MapUML(g, tab, nil)
 	for i := range m1 {
 		if m1[i] != m2[i] {
 			t.Fatalf("non-deterministic at %d: %d != %d", i, m1[i], m2[i])
@@ -321,20 +335,22 @@ func TestMapUMLDeterministic(t *testing.T) {
 
 func TestMapUMLPanicsOnTooFewNodes(t *testing.T) {
 	topo, a := fixture(t, 4, 2)
+	tab := table(t, topo, a.Nodes)
 	g := graph.RandomConnected(8, 12, 5, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic with fewer nodes than tasks")
 		}
 	}()
-	MapUML(g, topo, a.Nodes, nil)
+	MapUML(g, tab, nil)
 }
 
 func TestMapUMLPropertyValid(t *testing.T) {
 	topo, a := fixture(t, 36, 31)
+	tab := table(t, topo, a.Nodes)
 	f := func(seed int64, extra uint8) bool {
 		g := graph.RandomConnected(36, 36+int(extra%64), 30, seed)
-		nodeOf := MapUML(g, topo, a.Nodes, nil)
+		nodeOf := MapUML(g, tab, nil)
 		if len(nodeOf) != g.N() {
 			return false
 		}

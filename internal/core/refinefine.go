@@ -3,7 +3,7 @@ package core
 import (
 	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/torus"
+	"repro/internal/routecache"
 )
 
 // RefineWHFine performs Algorithm 2 on the *finer level* task
@@ -18,21 +18,27 @@ import (
 // the inter-node communication volume.
 //
 // fine is the symmetric fine task graph; group maps each task to a
-// group (mutated in place); nodeOf maps groups to nodes (not
-// mutated). Swapping two tasks exchanges their groups, so per-group
-// occupancies (processor counts) are preserved. It returns the WH
+// group (mutated in place); nodeOf maps groups to distinct allocated
+// nodes of tab (not mutated). Swapping two tasks exchanges their
+// groups, so per-group occupancies (processor counts) are preserved.
+// It returns the WH
 // gain and the inter-node volume gain achieved (both nonnegative,
 // doubled-edge accounting).
-func RefineWHFine(fine *graph.Graph, topo torus.Topology, group []int32, nodeOf []int32, opt RefineOptions) (whGain, volGain int64) {
+func RefineWHFine(fine *graph.Graph, tab *routecache.Table, group []int32, nodeOf []int32, opt RefineOptions) (whGain, volGain int64) {
 	opt = opt.withDefaults()
 	n := fine.N()
-	nodeOfTask := func(t int32) int32 { return nodeOf[group[t]] }
+	// A task's node is held as its group's allocation index.
+	locOf := make([]int32, len(nodeOf))
+	for g, m := range nodeOf {
+		locOf[g] = tab.Local(m)
+	}
+	nodeOfTask := func(t int32) int32 { return locOf[group[t]] }
 
 	taskWH := func(t int32) int64 {
 		var wh int64
-		a := int(nodeOfTask(t))
+		row := tab.DistRow(nodeOfTask(t))
 		for i := fine.Xadj[t]; i < fine.Xadj[t+1]; i++ {
-			wh += fine.EdgeWeight(int(i)) * int64(topo.HopDist(a, int(nodeOfTask(fine.Adj[i]))))
+			wh += fine.EdgeWeight(int(i)) * int64(row[nodeOfTask(fine.Adj[i])])
 		}
 		return wh
 	}
@@ -44,6 +50,7 @@ func RefineWHFine(fine *graph.Graph, topo torus.Topology, group []int32, nodeOf 
 			return 0, 0
 		}
 		acc := func(t int32, from, to int32, skip int32) {
+			rowFrom, rowTo := tab.DistRow(from), tab.DistRow(to)
 			for i := fine.Xadj[t]; i < fine.Xadj[t+1]; i++ {
 				u := fine.Adj[i]
 				if u == skip {
@@ -58,7 +65,7 @@ func RefineWHFine(fine *graph.Graph, topo torus.Topology, group []int32, nodeOf 
 					nu = na
 				}
 				c := fine.EdgeWeight(int(i))
-				dWH += c * int64(topo.HopDist(int(to), int(nu))-topo.HopDist(int(from), int(nu)))
+				dWH += c * int64(rowTo[nu]-rowFrom[nu])
 				wasCross := from != nu
 				nowCross := to != nu
 				switch {
@@ -76,8 +83,9 @@ func RefineWHFine(fine *graph.Graph, topo torus.Topology, group []int32, nodeOf 
 
 	// BFS over the topology from the nodes of a task's neighbours,
 	// mirroring Algorithm 2's candidate search; candidate tasks come
-	// from the groups mapped to visited nodes.
-	tasksOnNode := map[int32][]int32{}
+	// from the groups mapped to visited nodes, indexed by allocation
+	// index.
+	tasksOnNode := make([][]int32, tab.Len())
 	for t := 0; t < n; t++ {
 		nd := nodeOfTask(int32(t))
 		tasksOnNode[nd] = append(tasksOnNode[nd], int32(t))
@@ -94,7 +102,7 @@ func RefineWHFine(fine *graph.Graph, topo torus.Topology, group []int32, nodeOf 
 		tasksOnNode[to] = append(tasksOnNode[to], t)
 	}
 
-	st := newMapState(fine, topo, nodeOf, opt.Exec) // only for its BFS scratch
+	st := newMapState(fine, tab, opt.Exec) // only for its BFS scratch
 	defer st.release()
 	var totalWH int64
 	for t := 0; t < n; t++ {
@@ -115,18 +123,19 @@ func RefineWHFine(fine *graph.Graph, topo torus.Topology, group []int32, nodeOf 
 			twh := int32(tw)
 			seeds = seeds[:0]
 			for _, u := range fine.Neighbors(int(twh)) {
-				seeds = append(seeds, nodeOfTask(u))
+				seeds = append(seeds, tab.Node(nodeOfTask(u)))
 			}
 			if len(seeds) == 0 {
 				continue
 			}
-			myNode := nodeOfTask(twh)
+			myLoc := nodeOfTask(twh)
 			tried := 0
 			st.bfs(seeds, func(node, lv int32) bool {
-				if node == myNode {
+				l := tab.Local(node)
+				if l < 0 || l == myLoc {
 					return true
 				}
-				cands := tasksOnNode[node]
+				cands := tasksOnNode[l]
 				if len(cands) == 0 {
 					return true
 				}
@@ -144,8 +153,8 @@ func RefineWHFine(fine *graph.Graph, topo torus.Topology, group []int32, nodeOf 
 					opt.Exec.Count("fine_swaps", 1)
 					ga, gb := group[twh], group[best]
 					group[twh], group[best] = gb, ga
-					moveTask(twh, myNode, node)
-					moveTask(best, node, myNode)
+					moveTask(twh, myLoc, l)
+					moveTask(best, l, myLoc)
 					totalWH += bestWH
 					whGain -= bestWH
 					volGain -= bestVol

@@ -38,7 +38,7 @@ func TestRefineWHFineImprovesWH(t *testing.T) {
 	tp, _ := fixture(t, 8, 51)
 	pl := &metrics.Placement{GroupOf: group, NodeOf: nodeOf}
 	before := metrics.Compute(g, tp, pl)
-	whGain, volGain := RefineWHFine(g, tp, group, nodeOf, RefineOptions{})
+	whGain, volGain := RefineWHFine(g, table(t, tp, nodeOf), group, nodeOf, RefineOptions{})
 	after := metrics.Compute(g, tp, pl)
 	if after.WH > before.WH {
 		t.Fatalf("fine refinement worsened WH: %d -> %d", before.WH, after.WH)
@@ -61,7 +61,7 @@ func TestRefineWHFinePreservesGroupSizes(t *testing.T) {
 	for _, gr := range group {
 		sizeBefore[gr]++
 	}
-	RefineWHFine(g, tp, group, nodeOf, RefineOptions{})
+	RefineWHFine(g, table(t, tp, nodeOf), group, nodeOf, RefineOptions{})
 	sizeAfter := make([]int, 8)
 	for _, gr := range group {
 		sizeAfter[gr]++
@@ -78,7 +78,7 @@ func TestRefineWHFineGainAccounting(t *testing.T) {
 	tp, _ := fixture(t, 8, 51)
 	pl := &metrics.Placement{GroupOf: group, NodeOf: nodeOf}
 	before := metrics.Compute(g, tp, pl)
-	whGain, volGain := RefineWHFine(g, tp, group, nodeOf, RefineOptions{})
+	whGain, volGain := RefineWHFine(g, table(t, tp, nodeOf), group, nodeOf, RefineOptions{})
 	after := metrics.Compute(g, tp, pl)
 	// The doubled-edge accounting of the refinement equals the
 	// directed-graph metric exactly (symmetric graph stores both

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/ds"
 	"repro/internal/graph"
+	"repro/internal/routecache"
 	"repro/internal/torus"
 )
 
@@ -27,10 +28,11 @@ const (
 // congState carries the link-load bookkeeping of Algorithm 3: exact
 // per-link loads under static routing, a max-heap of scaled
 // congestion keys, and the commTasks structure mapping each link to
-// the directed task-graph edges routed through it.
+// the directed task-graph edges routed through it. Placements are the
+// allocation indices of st; static routes are read from tab.
 type congState struct {
 	g    *graph.Graph
-	topo torus.Topology
+	tab  *routecache.Table
 	st   *mapState
 	kind CongestionKind
 
@@ -48,7 +50,6 @@ type congState struct {
 	sumKeys   int64       // sum of keys over used links
 	usedLinks int
 
-	routeBuf []int32
 	deltaL   []int64 // scratch: per-link load delta
 	touched  []int32 // links touched by the current delta collection
 	linkSeen []int32 // per-link generation stamp (dedupes touched)
@@ -69,21 +70,22 @@ type congState struct {
 	curEdge int
 }
 
-func newCongState(g *graph.Graph, topo torus.Topology, st *mapState, kind CongestionKind, multipath torus.MultipathTopology) *congState {
+func newCongState(g *graph.Graph, tab *routecache.Table, st *mapState, kind CongestionKind, multipath torus.MultipathTopology) *congState {
 	ar := st.ex.arenaOf()
+	links := tab.Links()
 	cs := &congState{
 		g:         g,
-		topo:      topo,
+		tab:       tab,
 		st:        st,
 		kind:      kind,
 		multipath: multipath,
-		scale:     ar.Int64s(topo.Links()),
-		load:      ar.Int64s(topo.Links()),
-		congHeap:  ar.MaxHeap(topo.Links()),
-		linkEdges: make([]ds.IntSet, topo.Links()),
+		scale:     ar.Int64s(links),
+		load:      ar.Int64s(links),
+		congHeap:  ar.MaxHeap(links),
+		linkEdges: make([]ds.IntSet, links),
 		edgeOwner: ar.Int32s(g.M()),
-		deltaL:    ar.Int64s(topo.Links()),
-		linkSeen:  ar.Int32s(topo.Links()),
+		deltaL:    ar.Int64s(links),
+		linkSeen:  ar.Int32s(links),
 		edgeSeen:  ar.Int32s(g.M()),
 		revEdge:   ar.Int32s(g.M()),
 	}
@@ -94,16 +96,16 @@ func newCongState(g *graph.Graph, topo torus.Topology, st *mapState, kind Conges
 	// so the fastest link gets 1024. Message congestion ignores
 	// bandwidth (unit links).
 	maxBW := 0.0
-	for l := 0; l < topo.Links(); l++ {
-		if bw := topo.LinkBW(l); bw > maxBW {
+	for l := 0; l < links; l++ {
+		if bw := tab.LinkBW(l); bw > maxBW {
 			maxBW = bw
 		}
 	}
-	for l := 0; l < topo.Links(); l++ {
+	for l := 0; l < links; l++ {
 		if kind == MessageCongestion {
 			cs.scale[l] = 1
 		} else {
-			cs.scale[l] = int64(1024 * maxBW / topo.LinkBW(l))
+			cs.scale[l] = int64(1024 * maxBW / tab.LinkBW(l))
 		}
 	}
 	for v := 0; v < g.N(); v++ {
@@ -134,9 +136,9 @@ func newCongState(g *graph.Graph, topo torus.Topology, st *mapState, kind Conges
 	}
 	// Route every directed edge and accumulate loads.
 	for v := 0; v < g.N(); v++ {
-		a := int(st.nodeOf[v])
+		a := st.nodeOf[v]
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			b := int(st.nodeOf[g.Adj[i]])
+			b := st.nodeOf[g.Adj[i]]
 			if a == b {
 				continue
 			}
@@ -147,7 +149,7 @@ func newCongState(g *graph.Graph, topo torus.Topology, st *mapState, kind Conges
 			})
 		}
 	}
-	for l := 0; l < topo.Links(); l++ {
+	for l := 0; l < links; l++ {
 		key := cs.load[l] * cs.scale[l]
 		cs.congHeap.Push(l, key)
 		if cs.load[l] > 0 {
@@ -189,42 +191,40 @@ func (cs *congState) edgeLoad(i int) int64 {
 }
 
 // forEachRouteLink invokes fn(link, mult) for every (route, link)
-// pair of a message a→b. Static routing yields the single static
-// route with mult 1; the dynamic-routing approximation yields every
-// minimal dimension-ordered route with mult RouteScale/P, so a link's
-// accumulated load is RouteScale times its expected load. The two
-// modes differ by a constant factor per mode, which comparisons never
-// see. a != b must hold.
-func (cs *congState) forEachRouteLink(a, b int, fn func(l int32, mult int64)) {
-	cs.routeBuf = routeLinks(cs.topo, cs.multipath, a, b, cs.routeBuf, fn)
+// pair of a message between allocation indices a→b.
+func (cs *congState) forEachRouteLink(a, b int32, fn func(l int32, mult int64)) {
+	routeLinks(cs.tab, cs.multipath, a, b, fn)
 }
 
-// routeLinks is the buffer-explicit core of forEachRouteLink, shared
-// between the congState (commit path) and the concurrent swap scorers:
-// each caller passes its own route buffer, so parallel scoring never
-// shares mutable scratch. It returns the (possibly grown) buffer.
-// Topology Route/ForEachMinimalRoute implementations use call-local
-// state only, so concurrent read-only callers are safe.
-func routeLinks(topo torus.Topology, multipath torus.MultipathTopology, a, b int, buf []int32, fn func(l int32, mult int64)) []int32 {
+// routeLinks invokes fn(link, mult) for every (route, link) pair of a
+// message between allocation indices a→b. Static routing yields the
+// table's static route with mult 1; the dynamic-routing approximation
+// yields every minimal dimension-ordered route with mult
+// RouteScale/P, so a link's accumulated load is RouteScale times its
+// expected load. The two modes differ by a constant factor per mode,
+// which comparisons never see. a != b must hold. The commit path and
+// the concurrent swap scorers share it: the table is read-only and
+// ForEachMinimalRoute implementations use call-local state only, so
+// concurrent callers are safe.
+func routeLinks(tab *routecache.Table, multipath torus.MultipathTopology, a, b int32, fn func(l int32, mult int64)) {
 	if multipath == nil {
-		buf = topo.Route(a, b, buf[:0])
-		for _, l := range buf {
+		for _, l := range tab.RouteLinks(a, b) {
 			fn(l, 1)
 		}
-		return buf
+		return
 	}
-	p := int64(multipath.NumMinimalRoutes(a, b))
+	na, nb := int(tab.Node(a)), int(tab.Node(b))
+	p := int64(multipath.NumMinimalRoutes(na, nb))
 	scale := multipath.RouteScale()
 	if p <= 0 || scale%p != 0 {
 		panic("core: topology RouteScale not divisible by its route count")
 	}
 	mult := scale / p
-	multipath.ForEachMinimalRoute(a, b, func(route []int32) {
+	multipath.ForEachMinimalRoute(na, nb, func(route []int32) {
 		for _, l := range route {
 			fn(l, mult)
 		}
 	})
-	return buf
 }
 
 // acNum and acDen expose AC = sumKeys/usedLinks as an exact fraction.
@@ -289,11 +289,11 @@ func (cs *congState) collectSwapDeltas(a, b int32) {
 		w := cs.edgeLoad(int(i))
 		if oldA != oldB {
 			cs.curW = -w
-			cs.forEachRouteLink(int(oldA), int(oldB), cs.deltaFn)
+			cs.forEachRouteLink(oldA, oldB, cs.deltaFn)
 		}
 		if newA != newB {
 			cs.curW = w
-			cs.forEachRouteLink(int(newA), int(newB), cs.deltaFn)
+			cs.forEachRouteLink(newA, newB, cs.deltaFn)
 		}
 	})
 }
@@ -341,10 +341,10 @@ func (cs *congState) updateEdgeSets(a, b int32) {
 	cs.forEachSwapEdge(a, b, cs.edgeSeen, cs.edgeGen, func(i, oldA, oldB, newA, newB int32) {
 		cs.curEdge = int(i)
 		if oldA != oldB {
-			cs.forEachRouteLink(int(oldA), int(oldB), cs.delFn)
+			cs.forEachRouteLink(oldA, oldB, cs.delFn)
 		}
 		if newA != newB {
-			cs.forEachRouteLink(int(newA), int(newB), cs.addFn)
+			cs.forEachRouteLink(newA, newB, cs.addFn)
 		}
 	})
 }
@@ -390,7 +390,6 @@ type congScorer struct {
 	linkGen  int32
 	edgeSeen []int32 // per-edge generation stamp
 	edgeGen  int32
-	routeBuf []int32
 
 	// Pre-bound visitor and skip predicate (see congState.deltaFn):
 	// built once per scorer so the per-edge inner loops and the heap
@@ -404,8 +403,8 @@ func newCongScorer(cs *congState) *congScorer {
 	ar := cs.st.ex.arenaOf()
 	sc := &congScorer{
 		cs:       cs,
-		deltaL:   ar.Int64s(cs.topo.Links()),
-		linkSeen: ar.Int32s(cs.topo.Links()),
+		deltaL:   ar.Int64s(cs.tab.Links()),
+		linkSeen: ar.Int32s(cs.tab.Links()),
 		edgeSeen: ar.Int32s(cs.g.M()),
 	}
 	sc.deltaFn = func(l int32, mult int64) { sc.addDelta(l, sc.curW*mult) }
@@ -444,17 +443,17 @@ func (sc *congScorer) score(a, b int32) congScore {
 	sc.edgeGen++
 	// The traversal is the shared forEachSwapEdge — identical to what
 	// a commit of this swap would walk — with the scorer's own
-	// edgeSeen marks and route buffer, so concurrent scorers only
-	// read the shared state.
+	// edgeSeen marks, so concurrent scorers only read the shared
+	// state.
 	cs.forEachSwapEdge(a, b, sc.edgeSeen, sc.edgeGen, func(i, oldA, oldB, newA, newB int32) {
 		w := cs.edgeLoad(int(i))
 		if oldA != oldB {
 			sc.curW = -w
-			sc.routeBuf = routeLinks(cs.topo, cs.multipath, int(oldA), int(oldB), sc.routeBuf, sc.deltaFn)
+			routeLinks(cs.tab, cs.multipath, oldA, oldB, sc.deltaFn)
 		}
 		if newA != newB {
 			sc.curW = w
-			sc.routeBuf = routeLinks(cs.topo, cs.multipath, int(newA), int(newB), sc.routeBuf, sc.deltaFn)
+			routeLinks(cs.tab, cs.multipath, newA, newB, sc.deltaFn)
 		}
 	})
 	// Post-swap aggregates: untouched links keep their heap keys —
@@ -507,11 +506,11 @@ const congScoreParMinWork = 256
 // evaluation: the two swapped tasks re-route every incident directed
 // edge twice (old and new placement) over routes bounded by half the
 // topology diameter — 2 × average degree × diameter.
-func congScoreWork(g *graph.Graph, topo torus.Topology) int {
+func congScoreWork(g *graph.Graph, tab *routecache.Table) int {
 	if g.N() == 0 {
 		return 0
 	}
-	return 2 * (g.M() / g.N()) * topo.Diameter()
+	return 2 * (g.M() / g.N()) * tab.Diameter()
 }
 
 // RefineCongestion runs Algorithm 3 on a complete mapping, mutating
@@ -522,9 +521,10 @@ func congScoreWork(g *graph.Graph, topo torus.Topology) int {
 // past the work gate — and commits the best-scoring improving one,
 // ties broken by candidate index. It stops when the most congested
 // link cannot be improved. The mapping is byte-identical at every
-// worker count. Returns the number of swaps applied.
-func RefineCongestion(g *graph.Graph, topo torus.Topology, allocNodes []int32, nodeOf []int32, kind CongestionKind, opt RefineOptions) int {
-	return refineCongestion(g, topo, nil, allocNodes, nodeOf, kind, opt)
+// worker count. nodeOf maps every task to an allocated node of tab.
+// Returns the number of swaps applied.
+func RefineCongestion(g *graph.Graph, tab *routecache.Table, nodeOf []int32, kind CongestionKind, opt RefineOptions) int {
+	return refineCongestion(g, tab, nil, nodeOf, kind, opt)
 }
 
 // RefineCongestionAdaptive runs the §III-C dynamic-routing adaptation
@@ -532,22 +532,25 @@ func RefineCongestion(g *graph.Graph, topo torus.Topology, allocNodes []int32, n
 // dimension-ordered route of each message (the Blue Gene style
 // approximate refinement the paper sketches for networks without
 // static routing). The acceptance rule and search structure are those
-// of Algorithm 3, applied to the expected congestion. Returns the
+// of Algorithm 3, applied to the expected congestion. tab's topology
+// must enumerate minimal routes (torus.MultipathOf). Returns the
 // number of swaps applied.
-func RefineCongestionAdaptive(g *graph.Graph, topo torus.MultipathTopology, allocNodes []int32, nodeOf []int32, kind CongestionKind, opt RefineOptions) int {
-	return refineCongestion(g, topo, topo, allocNodes, nodeOf, kind, opt)
+func RefineCongestionAdaptive(g *graph.Graph, tab *routecache.Table, nodeOf []int32, kind CongestionKind, opt RefineOptions) int {
+	mp, ok := torus.MultipathOf(tab)
+	if !ok {
+		panic("core: adaptive congestion refinement needs minimal-route enumeration")
+	}
+	return refineCongestion(g, tab, mp, nodeOf, kind, opt)
 }
 
-func refineCongestion(g *graph.Graph, topo torus.Topology, multipath torus.MultipathTopology, allocNodes []int32, nodeOf []int32, kind CongestionKind, opt RefineOptions) int {
+func refineCongestion(g *graph.Graph, tab *routecache.Table, multipath torus.MultipathTopology, nodeOf []int32, kind CongestionKind, opt RefineOptions) int {
 	opt = opt.withDefaults()
 	ex := opt.Exec
-	st := newMapState(g, topo, allocNodes, ex)
+	st := newMapState(g, tab, ex)
 	defer st.release()
-	for t := 0; t < g.N(); t++ {
-		st.place(int32(t), nodeOf[t])
-	}
-	defer copy(nodeOf, st.nodeOf)
-	cs := newCongState(g, topo, st, kind, multipath)
+	st.placeNodes(nodeOf)
+	defer st.nodesInto(nodeOf)
+	cs := newCongState(g, tab, st, kind, multipath)
 	defer cs.release()
 
 	// Candidate scoring is read-only between commits, so it fans out
@@ -561,7 +564,7 @@ func refineCongestion(g *graph.Graph, topo torus.Topology, multipath torus.Multi
 	serialScorer := newCongScorer(cs)
 	defer serialScorer.release()
 	var scorers []*congScorer
-	if ex.par().NumWorkers() > 1 && congScoreWork(g, topo) >= congScoreParMinWork {
+	if ex.par().NumWorkers() > 1 && congScoreWork(g, tab) >= congScoreParMinWork {
 		scorers = make([]*congScorer, opt.Delta)
 		for i := range scorers {
 			scorers[i] = newCongScorer(cs)
@@ -577,7 +580,7 @@ func refineCongestion(g *graph.Graph, topo torus.Topology, multipath torus.Multi
 
 	swaps := 0
 	rounds, scored := int64(0), int64(0)
-	maxIters := 4 * topo.Links()
+	maxIters := 4 * tab.Links()
 	seeds := make([]int32, 0, 16)
 	var tasksBuf []int32
 	for iter := 0; iter < maxIters; iter++ {
@@ -603,7 +606,7 @@ func refineCongestion(g *graph.Graph, topo torus.Topology, multipath torus.Multi
 		for _, tmc := range tasksBuf {
 			seeds = seeds[:0]
 			for _, u := range cs.g.Neighbors(int(tmc)) {
-				seeds = append(seeds, cs.st.nodeOf[u])
+				seeds = append(seeds, tab.Node(cs.st.nodeOf[u]))
 			}
 			if len(seeds) == 0 {
 				continue
@@ -612,10 +615,11 @@ func refineCongestion(g *graph.Graph, topo torus.Topology, multipath torus.Multi
 			// exact prefix the serial chain of Algorithm 3 examines.
 			cands = cands[:0]
 			cs.st.bfs(seeds, func(node, lv int32) bool {
-				if !cs.st.allocated[node] || node == cs.st.nodeOf[tmc] {
+				l := tab.Local(node)
+				if l < 0 || l == cs.st.nodeOf[tmc] {
 					return true
 				}
-				t := cs.st.taskAt[node]
+				t := cs.st.taskAt[l]
 				if t < 0 || t == tmc {
 					return true
 				}

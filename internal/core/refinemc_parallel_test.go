@@ -10,6 +10,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/routecache"
 	"repro/internal/torus"
 )
 
@@ -20,19 +21,20 @@ import (
 
 // refineMCFixture builds an instance dense enough to pass the scoring
 // work gate, so the worker sweep genuinely exercises the fan-out.
-func refineMCFixture(t testing.TB) (*graph.Graph, *torus.Torus, []int32) {
+func refineMCFixture(t testing.TB) (*graph.Graph, *routecache.Table, []int32) {
 	t.Helper()
 	topo := torus.NewHopper3D(16, 12, 16)
 	a, err := allocFixture(topo, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := table(t, topo, a)
 	g := graph.RandomConnected(256, 1024, 100, 31)
-	if congScoreWork(g, topo) < congScoreParMinWork {
+	if congScoreWork(g, tab) < congScoreParMinWork {
 		t.Fatalf("fixture below the parallel work gate: %d < %d",
-			congScoreWork(g, topo), congScoreParMinWork)
+			congScoreWork(g, tab), congScoreParMinWork)
 	}
-	return g, topo, a
+	return g, tab, a
 }
 
 // execWithWorkers builds an Exec running w workers under ctx.
@@ -44,17 +46,17 @@ func execWithWorkers(ctx context.Context, w int) *Exec {
 // the adaptive variant, the refined mapping and the swap count must be
 // byte-identical at workers = 1, 2 and 8.
 func TestRefineCongestionWorkerDeterminism(t *testing.T) {
-	g, topo, nodes := refineMCFixture(t)
-	base := MapUG(g, topo, nodes, nil)
+	g, tab, _ := refineMCFixture(t)
+	base := MapUG(g, tab, nil)
 
 	run := func(kind CongestionKind, adaptive bool, w int) ([]int32, int) {
 		nodeOf := append([]int32(nil), base...)
 		opt := RefineOptions{Exec: execWithWorkers(context.Background(), w)}
 		var swaps int
 		if adaptive {
-			swaps = RefineCongestionAdaptive(g, topo, nodes, nodeOf, kind, opt)
+			swaps = RefineCongestionAdaptive(g, tab, nodeOf, kind, opt)
 		} else {
-			swaps = RefineCongestion(g, topo, nodes, nodeOf, kind, opt)
+			swaps = RefineCongestion(g, tab, nodeOf, kind, opt)
 		}
 		return nodeOf, swaps
 	}
@@ -94,15 +96,16 @@ func TestRefineCongestionGateKeepsBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := table(t, topo, a)
 	g := graph.RandomConnected(24, 60, 40, 9)
-	if congScoreWork(g, topo) >= congScoreParMinWork {
+	if congScoreWork(g, tab) >= congScoreParMinWork {
 		t.Fatalf("small fixture unexpectedly passes the work gate")
 	}
-	base := MapUG(g, topo, a, nil)
+	base := MapUG(g, tab, nil)
 	serial := append([]int32(nil), base...)
-	RefineCongestion(g, topo, a, serial, VolumeCongestion, RefineOptions{})
+	RefineCongestion(g, tab, serial, VolumeCongestion, RefineOptions{})
 	pooled := append([]int32(nil), base...)
-	RefineCongestion(g, topo, a, pooled, VolumeCongestion,
+	RefineCongestion(g, tab, pooled, VolumeCongestion,
 		RefineOptions{Exec: execWithWorkers(context.Background(), 8)})
 	if !reflect.DeepEqual(serial, pooled) {
 		t.Fatal("gated instance diverged between nil Exec and an 8-worker pool")
@@ -114,12 +117,12 @@ func TestRefineCongestionGateKeepsBytes(t *testing.T) {
 // commit-round poll with a structurally valid (injective, allocated)
 // mapping — not run to convergence, not corrupt state.
 func TestRefineCongestionCancelMidRefinement(t *testing.T) {
-	g, topo, nodes := refineMCFixture(t)
-	base := MapUG(g, topo, nodes, nil)
+	g, tab, nodes := refineMCFixture(t)
+	base := MapUG(g, tab, nil)
 
 	// Baseline: how many swaps an uncancelled run commits.
 	full := append([]int32(nil), base...)
-	fullSwaps := RefineCongestion(g, topo, nodes, full, VolumeCongestion,
+	fullSwaps := RefineCongestion(g, tab, full, VolumeCongestion,
 		RefineOptions{Exec: execWithWorkers(context.Background(), 2)})
 	if fullSwaps < 2 {
 		t.Skipf("fixture converges in %d swaps; nothing to cancel mid-flight", fullSwaps)
@@ -128,7 +131,7 @@ func TestRefineCongestionCancelMidRefinement(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already-dead context: the first poll must stop the run
 	cancelled := append([]int32(nil), base...)
-	swaps := RefineCongestion(g, topo, nodes, cancelled, VolumeCongestion,
+	swaps := RefineCongestion(g, tab, cancelled, VolumeCongestion,
 		RefineOptions{Exec: execWithWorkers(ctx, 2)})
 	if swaps != 0 {
 		t.Fatalf("pre-cancelled context still committed %d swaps", swaps)
@@ -143,7 +146,7 @@ func TestRefineCongestionCancelMidRefinement(t *testing.T) {
 	defer cancel2()
 	mid := append([]int32(nil), base...)
 	start := time.Now()
-	RefineCongestion(g, topo, nodes, mid, VolumeCongestion,
+	RefineCongestion(g, tab, mid, VolumeCongestion,
 		RefineOptions{Exec: execWithWorkers(ctx2, 2)})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancelled refinement ran %v", elapsed)

@@ -2,7 +2,7 @@ package core
 
 import (
 	"repro/internal/graph"
-	"repro/internal/torus"
+	"repro/internal/routecache"
 )
 
 // RefineOptions configures Algorithms 2 and 3.
@@ -36,21 +36,19 @@ func (o RefineOptions) withDefaults() RefineOptions {
 }
 
 // RefineWH runs Algorithm 2 on a complete task→node mapping nodeOf of
-// the symmetric coarse graph g, mutating it in place. It returns the
-// total WH (or TH) improvement achieved, in the doubled edge
-// accounting of the symmetric graph.
-func RefineWH(g *graph.Graph, topo torus.Topology, allocNodes []int32, nodeOf []int32, opt RefineOptions) int64 {
+// the symmetric coarse graph g onto tab's allocated nodes, mutating it
+// in place. It returns the total WH (or TH) improvement achieved, in
+// the doubled edge accounting of the symmetric graph.
+func RefineWH(g *graph.Graph, tab *routecache.Table, nodeOf []int32, opt RefineOptions) int64 {
 	opt = opt.withDefaults()
 	n := g.N()
 	ex := opt.Exec
-	st := newMapState(g, topo, allocNodes, ex)
+	st := newMapState(g, tab, ex)
 	defer st.release()
-	for t := 0; t < n; t++ {
-		st.place(int32(t), nodeOf[t])
-	}
-	// st.nodeOf aliases its own slice; copy back at the end (before
-	// release, which runs last-in).
-	defer copy(nodeOf, st.nodeOf)
+	st.placeNodes(nodeOf)
+	// st.nodeOf holds allocation indices; write the node ids back at
+	// the end (before release, which runs last-in).
+	defer st.nodesInto(nodeOf)
 
 	cost := func(i int) int64 {
 		if opt.Objective == TotalHops {
@@ -61,9 +59,9 @@ func RefineWH(g *graph.Graph, topo torus.Topology, allocNodes []int32, nodeOf []
 	// taskWHops: the WH a task is individually responsible for.
 	taskWH := func(t int32) int64 {
 		var wh int64
-		a := int(st.nodeOf[t])
+		row := tab.DistRow(st.nodeOf[t])
 		for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
-			wh += cost(int(i)) * int64(topo.HopDist(a, int(st.nodeOf[g.Adj[i]])))
+			wh += cost(int(i)) * int64(row[st.nodeOf[g.Adj[i]]])
 		}
 		return wh
 	}
@@ -71,23 +69,23 @@ func RefineWH(g *graph.Graph, topo torus.Topology, allocNodes []int32, nodeOf []
 	// (negative is an improvement). The a-b edge itself contributes no
 	// change because hop distance is symmetric.
 	deltaSwap := func(a, b int32) int64 {
-		ma, mb := st.nodeOf[a], st.nodeOf[b]
+		rowA, rowB := tab.DistRow(st.nodeOf[a]), tab.DistRow(st.nodeOf[b])
 		var d int64
 		for i := g.Xadj[a]; i < g.Xadj[a+1]; i++ {
 			u := g.Adj[i]
 			if u == b {
 				continue
 			}
-			mu := int(st.nodeOf[u])
-			d += cost(int(i)) * int64(topo.HopDist(int(mb), mu)-topo.HopDist(int(ma), mu))
+			mu := st.nodeOf[u]
+			d += cost(int(i)) * int64(rowB[mu]-rowA[mu])
 		}
 		for i := g.Xadj[b]; i < g.Xadj[b+1]; i++ {
 			u := g.Adj[i]
 			if u == a {
 				continue
 			}
-			mu := int(st.nodeOf[u])
-			d += cost(int(i)) * int64(topo.HopDist(int(ma), mu)-topo.HopDist(int(mb), mu))
+			mu := st.nodeOf[u]
+			d += cost(int(i)) * int64(rowA[mu]-rowB[mu])
 		}
 		return 2 * d // symmetric graph stores each edge twice
 	}
@@ -138,7 +136,7 @@ func RefineWH(g *graph.Graph, topo torus.Topology, allocNodes []int32, nodeOf []
 			// BFS from the nodes of twh's neighbours.
 			seeds = seeds[:0]
 			for _, u := range g.Neighbors(int(twh)) {
-				seeds = append(seeds, st.nodeOf[u])
+				seeds = append(seeds, tab.Node(st.nodeOf[u]))
 			}
 			if len(seeds) == 0 {
 				continue
@@ -151,10 +149,11 @@ func RefineWH(g *graph.Graph, topo torus.Topology, allocNodes []int32, nodeOf []
 			// parallelism lives in the per-pass loadWH above.
 			cands = cands[:0]
 			st.bfs(seeds, func(node, lv int32) bool {
-				if !st.allocated[node] || node == st.nodeOf[twh] {
+				l := tab.Local(node)
+				if l < 0 || l == st.nodeOf[twh] {
 					return true
 				}
-				t := st.taskAt[node]
+				t := st.taskAt[l]
 				if t < 0 {
 					return true // empty allocated nodes can't swap here
 				}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/routecache"
 )
 
 func mustNew(t testing.TB, h int) *Dragonfly {
@@ -259,16 +260,20 @@ func TestMappingPipelineOnDragonfly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab, err := routecache.New(d, a.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := graph.RandomConnected(24, 72, 60, 7)
 	block := append([]int32(nil), a.Nodes[:24]...)
 	refined := append([]int32(nil), block...)
-	core.RefineWH(g, d, a.Nodes, refined, core.RefineOptions{})
+	core.RefineWH(g, tab, refined, core.RefineOptions{})
 	whBlock := metrics.WeightedHops(g, d, block)
 	whRefined := metrics.WeightedHops(g, d, refined)
 	if whRefined > whBlock {
 		t.Fatalf("Algorithm 2 regressed WH on dragonfly: %d -> %d", whBlock, whRefined)
 	}
-	uwh := core.MapUWH(g, d, a.Nodes, nil)
+	uwh := core.MapUWH(g, tab, nil)
 	pl := &metrics.Placement{NodeOf: uwh}
 	m := metrics.Compute(g, d, pl)
 	if m.WH <= 0 || m.MC <= 0 || m.UsedLinks == 0 {
@@ -276,7 +281,7 @@ func TestMappingPipelineOnDragonfly(t *testing.T) {
 	}
 	// Congestion refinement under the (unique-route) static model.
 	mc := append([]int32(nil), uwh...)
-	core.RefineCongestion(g, d, a.Nodes, mc, core.VolumeCongestion, core.RefineOptions{})
+	core.RefineCongestion(g, tab, mc, core.VolumeCongestion, core.RefineOptions{})
 	after := metrics.Compute(g, d, &metrics.Placement{NodeOf: mc})
 	if after.MC > m.MC*(1+1e-9) {
 		t.Fatalf("congestion refinement raised MC: %g -> %g", m.MC, after.MC)

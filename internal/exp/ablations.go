@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/routecache"
 	"repro/internal/stats"
 	"repro/internal/torus"
 )
@@ -58,14 +59,18 @@ func Ablations(cfg Config) (string, error) {
 			fmt.Sprintf("%.2f", sim*1e6),
 			fmt.Sprintf("%.1f", dt.Seconds()*1e3))
 	}
-	row("UG (Alg 1)", func() []int32 { return core.MapUG(g, topo, a.Nodes, nil) })
-	row("UWH (Alg 1+2)", func() []int32 { return core.MapUWH(g, topo, a.Nodes, nil) })
+	tab, err := routecache.New(topo, a.Nodes)
+	if err != nil {
+		return "", err
+	}
+	row("UG (Alg 1)", func() []int32 { return core.MapUG(g, tab, nil) })
+	row("UWH (Alg 1+2)", func() []int32 { return core.MapUWH(g, tab, nil) })
 	row("UML (multilevel, §III-B)", func() []int32 {
-		return core.MapUML(g, topo, a.Nodes, nil)
+		return core.MapUML(g, tab, nil)
 	})
-	row("UMC (Alg 3, static model)", func() []int32 { return core.MapUMC(g, topo, a.Nodes, nil) })
+	row("UMC (Alg 3, static model)", func() []int32 { return core.MapUMC(g, tab, nil) })
 	row("UMCA (Alg 3, adaptive model, §III-C)", func() []int32 {
-		return core.MapUMCA(g, topo, a.Nodes, nil)
+		return core.MapUMCA(g, tab, nil)
 	})
 	return render(out), nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/routecache"
 )
 
 func mustNew(t testing.TB, k int) *FatTree {
@@ -352,10 +353,14 @@ func TestMappingPipelineOnFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab, err := routecache.New(ft, a.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := graph.RandomConnected(32, 96, 50, 11)
 	block := make([]int32, 32)
 	copy(block, a.Nodes[:32])
-	nodeOf := core.MapUWH(g, ft, a.Nodes, nil)
+	nodeOf := core.MapUWH(g, tab, nil)
 	whBlock := metrics.WeightedHops(g, ft, block)
 	whUWH := metrics.WeightedHops(g, ft, nodeOf)
 	if whUWH > whBlock {
@@ -363,14 +368,14 @@ func TestMappingPipelineOnFatTree(t *testing.T) {
 	}
 	// Congestion refinement (static ECMP routes) runs too.
 	mc := append([]int32(nil), nodeOf...)
-	core.RefineCongestion(g, ft, a.Nodes, mc, core.VolumeCongestion, core.RefineOptions{})
+	core.RefineCongestion(g, tab, mc, core.VolumeCongestion, core.RefineOptions{})
 	pl := &metrics.Placement{NodeOf: mc}
 	if m := metrics.Compute(g, ft, pl); m.MC <= 0 {
 		t.Fatalf("degenerate MC %g", m.MC)
 	}
 	// Adaptive (ECMP-spread) refinement as well.
 	ad := append([]int32(nil), nodeOf...)
-	core.RefineCongestionAdaptive(g, ft, a.Nodes, ad, core.VolumeCongestion, core.RefineOptions{})
+	core.RefineCongestionAdaptive(g, tab, ad, core.VolumeCongestion, core.RefineOptions{})
 	if m := metrics.ComputeAdaptive(g, ft, &metrics.Placement{NodeOf: ad}); m.EMC <= 0 {
 		t.Fatalf("degenerate EMC %g", m.EMC)
 	}

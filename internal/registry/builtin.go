@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/hetero"
+	"repro/internal/routecache"
 	"repro/internal/torus"
 )
 
@@ -22,9 +23,13 @@ import (
 // an order split when the topology has no coordinate grid, and UMCA
 // requires multipath route enumeration, declared via Caps.
 func init() {
-	simple := func(name string, fn func(g *graph.Graph, topo torus.Topology, allocNodes []int32, ex *core.Exec) []int32) MapperSpec {
+	simple := func(name string, fn func(g *graph.Graph, tab *routecache.Table, ex *core.Exec) []int32) MapperSpec {
 		return NewFunc(name, Caps{}, func(in Input) ([]int32, error) {
-			return fn(in.Coarse, in.Topo, in.Alloc.Nodes, in.Exec), nil
+			tab, err := tableOf(in)
+			if err != nil {
+				return nil, err
+			}
+			return fn(in.Coarse, tab, in.Exec), nil
 		})
 	}
 
@@ -41,7 +46,11 @@ func init() {
 	MustRegister(simple("UWH", core.MapUWH))
 	MustRegister(simple("UMC", core.MapUMC))
 	MustRegister(NewFunc("UMMC", Caps{NeedsMessageGraph: true}, func(in Input) ([]int32, error) {
-		return core.MapUMMC(in.Coarse, in.Msg, in.Topo, in.Alloc.Nodes, in.Exec), nil
+		tab, err := tableOf(in)
+		if err != nil {
+			return nil, err
+		}
+		return core.MapUMMC(in.Coarse, in.Msg, tab, in.Exec), nil
 	}))
 	MustRegister(simple("UTH", core.MapUTH))
 	MustRegister(NewFunc("TMAPG", Caps{}, func(in Input) ([]int32, error) {
@@ -49,11 +58,14 @@ func init() {
 	}))
 	MustRegister(simple("UML", core.MapUML))
 	MustRegister(NewFunc("UMCA", Caps{NeedsMultipath: true}, func(in Input) ([]int32, error) {
-		mp, ok := torus.MultipathOf(in.Topo)
-		if !ok {
+		tab, err := tableOf(in)
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := torus.MultipathOf(tab); !ok {
 			return nil, fmt.Errorf("registry: mapper UMCA needs a multipath topology")
 		}
-		return core.MapUMCA(in.Coarse, mp, in.Alloc.Nodes, in.Exec), nil
+		return core.MapUMCA(in.Coarse, tab, in.Exec), nil
 	}))
 	MustRegister(NewFunc("HET", Caps{}, func(in Input) ([]int32, error) {
 		return hetero.Map(in.Coarse, in.Topo, in.Alloc), nil
@@ -68,4 +80,14 @@ func init() {
 	MustRegister(NewFunc("SFCM", Caps{NeedsCoords: true}, func(in Input) ([]int32, error) {
 		return geom.MapSFCM(in.Coords, in.Dim, in.Topo, in.Alloc.Nodes)
 	}))
+}
+
+// tableOf returns the route table the engine hands every mapper in
+// in.Topo; the core mappers read their distances and routes from it.
+func tableOf(in Input) (*routecache.Table, error) {
+	tab, ok := in.Topo.(*routecache.Table)
+	if !ok {
+		return nil, fmt.Errorf("registry: Input.Topo is %T, not the engine's route table", in.Topo)
+	}
+	return tab, nil
 }

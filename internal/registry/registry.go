@@ -19,9 +19,9 @@ import (
 )
 
 // Input is everything a mapper may consume for one request. Topo is
-// the engine's (possibly cached) topology view; capability helpers in
-// package torus (CoordsOf, MultipathOf) discover geometry and
-// multipath support through it.
+// the engine's route table (a *routecache.Table of the allocation);
+// capability helpers in package torus (CoordsOf, MultipathOf) discover
+// geometry and multipath support through it.
 type Input struct {
 	// Coarse is the symmetric volume-weighted supertask graph, one
 	// vertex per allocated node.
@@ -29,7 +29,9 @@ type Input struct {
 	// Msg is the message-count-weighted view of the same supertasks;
 	// populated only when the spec declares NeedsMessageGraph.
 	Msg *graph.Graph
-	// Topo is the network the mapping targets.
+	// Topo is the network the mapping targets, as the engine's route
+	// table; the built-in UMPA mappers read distances and routes from
+	// it by allocation index.
 	Topo torus.Topology
 	// Alloc is the reserved node set, in scheduler order.
 	Alloc *alloc.Allocation

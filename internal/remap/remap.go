@@ -16,28 +16,26 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/torus"
+	"repro/internal/routecache"
 )
 
 // Instance is one warm-start computation: the symmetric fine task
-// graph, the previous placement, and the new allocation (nodes in
-// allocation order with per-node capacities) on the patched topology
-// view.
+// graph, the previous placement, and the new allocation as its
+// patched route table with per-node capacities.
 type Instance struct {
 	// Sym is the undirected task graph (c(t,u) = w(t→u)+w(u→t)), the
 	// cost model migration placement minimizes against.
 	Sym *graph.Graph
-	// Topo answers HopDist on the new allocation — the patched
-	// route-cache view, so lookups are O(1).
-	Topo torus.Topology
+	// Table is the new allocation's route table: its allocation order
+	// is the new group index space, and its distance rows price every
+	// migration.
+	Table *routecache.Table
 	// OldGroupOf maps each task to its previous group; OldNodeOf maps
 	// each previous group to its network node (a bijection onto the
 	// previous allocation).
 	OldGroupOf, OldNodeOf []int32
-	// NewNodes and NewCaps describe the new allocation in allocation
-	// order.
-	NewNodes []int32
-	NewCaps  []int64
+	// NewCaps holds each new node's capacity, in allocation order.
+	NewCaps []int64
 }
 
 // Plan is the warm-start placement: a complete task → group mapping
@@ -51,7 +49,7 @@ type Plan struct {
 }
 
 // PatchPlacement computes the warm-start plan. Group j of the new
-// index space is pinned to NewNodes[j]; a task keeps its group when
+// index space is pinned to Table.Node(j); a task keeps its group when
 // its old node survived the delta, every other task is stranded and
 // re-placed greedily: highest-traffic tasks first, each onto the
 // feasible node with the cheapest weighted-hop attachment to the
@@ -70,11 +68,9 @@ func PatchPlacement(inst Instance) (*Plan, error) {
 	}
 
 	// Old group → new group: survive iff the group's node is still
-	// allocated. newIdx indexes the new allocation by node id.
-	newIdx := map[int32]int32{}
-	for j, m := range inst.NewNodes {
-		newIdx[m] = int32(j)
-	}
+	// allocated, which the table's local index answers (-1 for any
+	// other id, one outside the topology included).
+	tab := inst.Table
 	seen := map[int32]bool{}
 	groupMap := make([]int32, len(inst.OldNodeOf))
 	for g, m := range inst.OldNodeOf {
@@ -82,20 +78,16 @@ func PatchPlacement(inst Instance) (*Plan, error) {
 			return nil, fmt.Errorf("remap: previous placement maps two groups to node %d", m)
 		}
 		seen[m] = true
-		if j, ok := newIdx[m]; ok {
-			groupMap[g] = j
-		} else {
-			groupMap[g] = -1
-		}
+		groupMap[g] = tab.Local(m)
 	}
 
-	n := len(inst.NewNodes)
+	n := tab.Len()
 	plan := &Plan{
 		GroupOf: make([]int32, k),
 		NodeOf:  make([]int32, n),
 	}
-	for j, m := range inst.NewNodes {
-		plan.NodeOf[j] = m
+	for j := range plan.NodeOf {
+		plan.NodeOf[j] = tab.Node(int32(j))
 	}
 	load := make([]int64, n)
 	for t := 0; t < k; t++ {
@@ -170,15 +162,16 @@ func PatchPlacement(inst Instance) (*Plan, error) {
 	// neighbours (stranded tasks placed earlier in this loop count).
 	for _, t := range stranded {
 		bestJ, bestCost := -1, int64(-1)
+		adj, w := inst.Sym.Neighbors(int(t)), inst.Sym.Weights(int(t))
 		for j := 0; j < n; j++ {
 			if load[j] >= inst.NewCaps[j] {
 				continue
 			}
 			var cost int64
-			adj, w := inst.Sym.Neighbors(int(t)), inst.Sym.Weights(int(t))
+			row := tab.DistRow(int32(j))
 			for i, u := range adj {
 				if gj := plan.GroupOf[u]; gj >= 0 {
-					cost += w[i] * int64(inst.Topo.HopDist(int(inst.NewNodes[j]), int(inst.NewNodes[gj])))
+					cost += w[i] * int64(row[gj])
 				}
 			}
 			if bestJ < 0 || cost < bestCost {

@@ -5,8 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routecache"
 	"repro/internal/torus"
 )
+
+// table builds the route table of nodes on a 4x4x4 torus.
+func table(t *testing.T, nodes ...int32) *routecache.Table {
+	t.Helper()
+	tab, err := routecache.New(torus.NewHopper3D(4, 4, 4), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
 
 // line4 builds a 4-task path graph 0-1-2-3 with the given edge
 // weights (w01, w12, w23), symmetric.
@@ -18,16 +29,14 @@ func line4(w01, w12, w23 int64) *graph.Graph {
 }
 
 func TestPatchPlacementKeepsSurvivors(t *testing.T) {
-	topo := torus.NewHopper3D(4, 4, 4)
 	sym := line4(10, 1, 10)
 	// Old: tasks 0,1 on node 5 (group 0); tasks 2,3 on node 9 (group 1).
 	// Node 9 dies; node 7 arrives. Tasks 2,3 must migrate, 0,1 stay.
 	plan, err := PatchPlacement(Instance{
 		Sym:        sym,
-		Topo:       topo,
+		Table:      table(t, 5, 7),
 		OldGroupOf: []int32{0, 0, 1, 1},
 		OldNodeOf:  []int32{5, 9},
-		NewNodes:   []int32{5, 7},
 		NewCaps:    []int64{2, 2},
 	})
 	if err != nil {
@@ -48,7 +57,6 @@ func TestPatchPlacementKeepsSurvivors(t *testing.T) {
 }
 
 func TestPatchPlacementEvictsLoosestAttached(t *testing.T) {
-	topo := torus.NewHopper3D(4, 4, 4)
 	// All four tasks on node 5; capacity drops to 3. Task 2's internal
 	// attachment (1+10) beats task 0's (10) and task 3's (10), and
 	// task 1's is highest (10+1) — the evictee is the loosest-attached
@@ -56,10 +64,9 @@ func TestPatchPlacementEvictsLoosestAttached(t *testing.T) {
 	// so task 0 leaves.
 	plan, err := PatchPlacement(Instance{
 		Sym:        line4(10, 1, 10),
-		Topo:       topo,
+		Table:      table(t, 5, 7),
 		OldGroupOf: []int32{0, 0, 0, 0},
 		OldNodeOf:  []int32{5},
-		NewNodes:   []int32{5, 7},
 		NewCaps:    []int64{3, 2},
 	})
 	if err != nil {
@@ -74,14 +81,12 @@ func TestPatchPlacementEvictsLoosestAttached(t *testing.T) {
 }
 
 func TestPatchPlacementRejectsBadPrev(t *testing.T) {
-	topo := torus.NewHopper3D(4, 4, 4)
 	// Two old groups on the same node: not a bijection.
 	_, err := PatchPlacement(Instance{
 		Sym:        line4(1, 1, 1),
-		Topo:       topo,
+		Table:      table(t, 5, 7),
 		OldGroupOf: []int32{0, 0, 1, 1},
 		OldNodeOf:  []int32{5, 5},
-		NewNodes:   []int32{5, 7},
 		NewCaps:    []int64{2, 2},
 	})
 	if err == nil {
@@ -90,10 +95,9 @@ func TestPatchPlacementRejectsBadPrev(t *testing.T) {
 	// More tasks than post-delta capacity.
 	_, err = PatchPlacement(Instance{
 		Sym:        line4(1, 1, 1),
-		Topo:       topo,
+		Table:      table(t, 5),
 		OldGroupOf: []int32{0, 0, 1, 1},
 		OldNodeOf:  []int32{5, 9},
-		NewNodes:   []int32{5},
 		NewCaps:    []int64{2},
 	})
 	if err == nil {

@@ -1,92 +1,91 @@
 package routecache
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/dragonfly"
+	"repro/internal/fattree"
 	"repro/internal/torus"
 )
 
-// checkEquivalent verifies the patched view answers HopDist/Route
-// exactly like a cold New build over the same allocation.
-func checkEquivalent(t *testing.T, base torus.Topology, patched torus.Topology, nodes []int32) {
+// family is one topology family with a sparse 16-node allocation.
+type family struct {
+	name  string
+	base  torus.Topology
+	nodes []int32
+}
+
+// families returns a torus, a fat tree and a dragonfly, each with a
+// sparse allocation of 16 nodes.
+func families(t *testing.T) []family {
 	t.Helper()
-	cold, err := New(base, nodes)
+	topo := torus.NewHopper3D(6, 6, 6)
+	ta, err := alloc.Generate(topo, 16, alloc.Config{Mode: alloc.Sparse, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, got []int32
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if patched.HopDist(int(a), int(b)) != cold.HopDist(int(a), int(b)) {
-				t.Fatalf("HopDist(%d,%d) diverged from cold build", a, b)
-			}
-			want = cold.Route(int(a), int(b), want[:0])
-			got = patched.Route(int(a), int(b), got[:0])
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("Route(%d,%d) diverged: cold %v patched %v", a, b, want, got)
-			}
-		}
+	ft, err := fattree.New(8, 10e9, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, coldMP := cold.(torus.MultipathTopology)
-	_, patchMP := patched.(torus.MultipathTopology)
-	if coldMP != patchMP {
-		t.Fatalf("multipath capability diverged: cold %v patched %v", coldMP, patchMP)
+	fa, err := fattree.SparseHosts(ft, 16, 16, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	d, err := dragonfly.New(2, 10e9, 5e9, 4e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, err := dragonfly.SparseHosts(d, 16, 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []family{{"torus", topo, ta.Nodes}, {"fattree", ft, fa.Nodes}, {"dragonfly", d, da.Nodes}}
 }
 
 func TestPatchRemoveNode(t *testing.T) {
-	topo := torus.NewHopper3D(6, 6, 6)
-	a, err := alloc.Generate(topo, 16, alloc.Config{Mode: alloc.Sparse, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range families(t) {
+		prev, err := New(f.base, f.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Drop one node: every surviving pair must be reused.
+		next := append([]int32(nil), f.nodes[1:]...)
+		tab, stats, err := Patch(prev, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(next)
+		if stats.Total != n*n-n {
+			t.Fatalf("%s: Total = %d, want %d", f.name, stats.Total, n*n-n)
+		}
+		if stats.Reused != stats.Total {
+			t.Fatalf("%s: node removal must reuse every surviving pair: reused %d of %d", f.name, stats.Reused, stats.Total)
+		}
+		checkTable(t, f.base, tab, next)
 	}
-	prev, err := New(topo, a.Nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop one node: every surviving pair must be reused.
-	next := append([]int32(nil), a.Nodes[1:]...)
-	view, stats, err := Patch(prev, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(next)
-	if stats.Total != n*n-n {
-		t.Fatalf("Total = %d, want %d", stats.Total, n*n-n)
-	}
-	if stats.Reused != stats.Total {
-		t.Fatalf("node removal must reuse every surviving pair: reused %d of %d", stats.Reused, stats.Total)
-	}
-	checkEquivalent(t, topo, view, next)
 }
 
 func TestPatchAddNode(t *testing.T) {
-	topo := torus.NewHopper3D(6, 6, 6)
-	a, err := alloc.Generate(topo, 16, alloc.Config{Mode: alloc.Sparse, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range families(t) {
+		prev, err := New(f.base, f.nodes[:15])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Add one node: only pairs touching it recompute.
+		tab, stats, err := Patch(prev, f.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oldPairs := 15*15 - 15; stats.Reused != oldPairs {
+			t.Fatalf("%s: adding a node must reuse all %d old pairs, reused %d", f.name, oldPairs, stats.Reused)
+		}
+		if stats.Total != 16*16-16 {
+			t.Fatalf("%s: Total = %d, want %d", f.name, stats.Total, 16*16-16)
+		}
+		checkTable(t, f.base, tab, f.nodes)
 	}
-	prev, err := New(topo, a.Nodes[:15])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Add one node: only pairs touching it recompute.
-	next := a.Nodes
-	view, stats, err := Patch(prev, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldPairs := 15*15 - 15
-	if stats.Reused != oldPairs {
-		t.Fatalf("adding a node must reuse all %d old pairs, reused %d", oldPairs, stats.Reused)
-	}
-	if stats.Total != 16*16-16 {
-		t.Fatalf("Total = %d, want %d", stats.Total, 16*16-16)
-	}
-	checkEquivalent(t, topo, view, next)
 }
 
 func TestPatchMultipath(t *testing.T) {
@@ -103,28 +102,15 @@ func TestPatchMultipath(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := append([]int32(nil), a.Nodes[:len(a.Nodes)-2]...)
-	view, stats, err := Patch(prev, next)
+	tab, stats, err := Patch(prev, next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Reused != stats.Total {
 		t.Fatalf("shrink must reuse every pair: %d of %d", stats.Reused, stats.Total)
 	}
-	checkEquivalent(t, d, view, next)
-}
-
-func TestPatchRawFallback(t *testing.T) {
-	// A raw (uncached) topology as prev falls back to a cold build.
-	topo := torus.NewHopper3D(4, 4, 4)
-	nodes := []int32{0, 5, 9}
-	view, stats, err := Patch(topo, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Reused != 0 {
-		t.Fatalf("raw fallback must report zero reuse, got %d", stats.Reused)
-	}
-	checkEquivalent(t, topo, view, nodes)
+	// checkTable also pins route enumeration, found through Unwrap.
+	checkTable(t, d, tab, next)
 }
 
 func TestPatchRejectsBadNodes(t *testing.T) {

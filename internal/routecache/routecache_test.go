@@ -2,6 +2,7 @@ package routecache
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -10,41 +11,74 @@ import (
 	"repro/internal/torus"
 )
 
-// checkView verifies a cached view answers exactly like its base
-// topology for every allocated pair (and a sample of unallocated
-// pairs, which must fall through to the base).
-func checkView(t *testing.T, base torus.Topology, nodes []int32) {
+// checkTable verifies a table answers exactly like its base topology
+// for every allocated pair in both index spaces: HopDist and Route by
+// node id, DistRow and RouteLinks by allocation index, with Node and
+// Local converting between the two.
+func checkTable(t *testing.T, base torus.Topology, tab *Table, nodes []int32) {
 	t.Helper()
-	view, err := New(base, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view.Nodes() != base.Nodes() || view.Links() != base.Links() || view.Diameter() != base.Diameter() {
+	if tab.Nodes() != base.Nodes() || tab.Links() != base.Links() || tab.Diameter() != base.Diameter() {
 		t.Fatal("delegated scalars diverge")
 	}
+	if tab.Len() != len(nodes) {
+		t.Fatalf("Len = %d, want %d", tab.Len(), len(nodes))
+	}
 	var want, got []int32
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if view.HopDist(int(a), int(b)) != base.HopDist(int(a), int(b)) {
-				t.Fatalf("HopDist(%d,%d) diverged", a, b)
+	for i, a := range nodes {
+		li := int32(i)
+		if tab.Node(li) != a || tab.Local(a) != li {
+			t.Fatalf("index %d: Node = %d, Local(%d) = %d", i, tab.Node(li), a, tab.Local(a))
+		}
+		row := tab.DistRow(li)
+		if len(row) != len(nodes) {
+			t.Fatalf("DistRow(%d) has %d entries, want %d", i, len(row), len(nodes))
+		}
+		for j, b := range nodes {
+			d := base.HopDist(int(a), int(b))
+			if tab.HopDist(int(a), int(b)) != d || int(row[j]) != d {
+				t.Fatalf("HopDist(%d,%d) = %d, table %d, row %d", a, b, d, tab.HopDist(int(a), int(b)), row[j])
 			}
 			want = base.Route(int(a), int(b), want[:0])
-			got = view.Route(int(a), int(b), got[:0])
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("Route(%d,%d) diverged: base %v view %v", a, b, want, got)
+			got = tab.Route(int(a), int(b), got[:0])
+			if !slices.Equal(want, got) {
+				t.Fatalf("Route(%d,%d) diverged: base %v table %v", a, b, want, got)
+			}
+			if links := tab.RouteLinks(li, int32(j)); !slices.Equal(want, links) {
+				t.Fatalf("RouteLinks(%d,%d) diverged: base %v table %v", i, j, want, links)
 			}
 		}
 	}
-	// Unwrap must reach the base topology.
-	if u, ok := view.(torus.Unwrapper); !ok || u.Unwrap() != base {
+	// Every other id, inside the topology or not, has no index.
+	for _, m := range []int32{-5, -1, int32(base.Nodes()), 1 << 30} {
+		if l := tab.Local(m); l != -1 {
+			t.Fatalf("Local(%d) = %d outside the topology, want -1", m, l)
+		}
+	}
+	for m := int32(0); m < int32(base.Nodes()); m++ {
+		if !slices.Contains(nodes, m) && tab.Local(m) != -1 {
+			t.Fatalf("unallocated node %d has index %d", m, tab.Local(m))
+		}
+	}
+	// Unwrap must reach the base topology, so the capability helpers
+	// see what the base offers.
+	if tab.Unwrap() != base {
 		t.Fatal("Unwrap did not reach the base topology")
 	}
-	// Multipath capability must be preserved exactly.
-	_, baseMP := base.(torus.MultipathTopology)
-	_, viewMP := view.(torus.MultipathTopology)
-	if baseMP != viewMP {
-		t.Fatalf("multipath capability changed: base %v view %v", baseMP, viewMP)
+	_, baseMP := torus.MultipathOf(base)
+	_, tabMP := torus.MultipathOf(tab)
+	if baseMP != tabMP {
+		t.Fatalf("multipath capability changed: base %v table %v", baseMP, tabMP)
 	}
+}
+
+// checkView builds the table of nodes over base cold and checks it.
+func checkView(t *testing.T, base torus.Topology, nodes []int32) {
+	t.Helper()
+	tab, err := New(base, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTable(t, base, tab, nodes)
 }
 
 func TestCachedTorus(t *testing.T) {

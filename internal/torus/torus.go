@@ -13,7 +13,11 @@ package torus
 type Topology interface {
 	// Nodes returns the number of network nodes.
 	Nodes() int
-	// HopDist returns the shortest-path length between two nodes.
+	// HopDist returns the hop count of the static route from a to b,
+	// len(Route(a, b)) — the dilation the paper's metrics charge. On
+	// tori, meshes and fat trees that is the shortest-path length; a
+	// dragonfly's minimal route is longer than the graph distance on
+	// some pairs, and HopDist counts the route.
 	HopDist(a, b int) int
 	// Diameter returns the maximum HopDist over all node pairs.
 	Diameter() int

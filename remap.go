@@ -338,10 +338,9 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 	sym := tg.G.Symmetrize(e.arena)
 	plan, err := remap.PatchPlacement(remap.Instance{
 		Sym:        sym,
-		Topo:       e.view,
+		Table:      e.view,
 		OldGroupOf: prev.GroupOf,
 		OldNodeOf:  prev.NodeOf,
-		NewNodes:   e.alloc.Nodes,
 		NewCaps:    e.caps,
 	})
 	if err != nil {
@@ -361,7 +360,7 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 	nodeOf := plan.NodeOf
 	sp = ex.StartSpan("refine_wh")
 	sp.SetWorkers(poolWorkers)
-	core.RefineWH(coarse, e.view, e.alloc.Nodes, nodeOf, core.RefineOptions{Exec: ex})
+	core.RefineWH(coarse, e.view, nodeOf, core.RefineOptions{Exec: ex})
 	sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -373,7 +372,7 @@ func (e *Engine) warmRemap(ctx context.Context, tg *TaskGraph, prev *MapResult, 
 		if kind == core.MessageCongestion {
 			g = taskgraph.CoarseMessageGraph(e.arena, tg, plan.GroupOf, e.alloc.NumNodes())
 		}
-		core.RefineCongestion(g, e.view, e.alloc.Nodes, nodeOf, kind, core.RefineOptions{Exec: ex})
+		core.RefineCongestion(g, e.view, nodeOf, kind, core.RefineOptions{Exec: ex})
 		sp.End()
 	}
 	// The patched grouping is not block-grouped, so the tail repairs

@@ -184,6 +184,34 @@ func TestRemapSingleNodeDeath(t *testing.T) {
 	}
 }
 
+// TestRemapPrevNodeOutsideTopology: a caller-supplied previous result
+// may name node ids the topology does not have. Such a group cannot
+// survive the delta, so its tasks strand and migrate like a dead
+// node's; the remap neither fails nor panics.
+func TestRemapPrevNodeOutsideTopology(t *testing.T) {
+	eng, tg, prev := remapFixture(t)
+	dead := eng.Allocation().Nodes[5]
+	for _, bad := range []int32{1 << 30, -5} {
+		p := *prev
+		p.NodeOf = append([]int32(nil), prev.NodeOf...)
+		p.NodeOf[2] = bad
+		want := 0
+		for _, g := range p.GroupOf {
+			if m := p.NodeOf[g]; m == bad || m == dead {
+				want++
+			}
+		}
+		res, err := eng.RunRemap(context.Background(), tg, &p, AllocationDelta{Remove: []int32{dead}}, RemapSpec{FenceThreshold: -1})
+		if err != nil {
+			t.Fatalf("previous node %d: %v", bad, err)
+		}
+		checkRemapPlacement(t, res, tg)
+		if res.MigratedTasks != want {
+			t.Fatalf("previous node %d: migrated %d tasks, want %d", bad, res.MigratedTasks, want)
+		}
+	}
+}
+
 func TestRemapRackGrowth(t *testing.T) {
 	eng, tg, prev := remapFixture(t)
 	in := map[int32]bool{}

@@ -874,9 +874,17 @@ func BenchmarkHeteroSolve(b *testing.B) {
 			a.Speeds[i] = 4
 		}
 	}
-	dense := make([]float64, topo.Nodes())
+	// The true speed of each group's node, for the makespan.
+	speedOf := make(map[int32]float64, len(a.Nodes))
 	for i, n := range a.Nodes {
-		dense[n] = a.Speeds[i]
+		speedOf[n] = a.Speeds[i]
+	}
+	groupSpeeds := func(nodeOf []int32) []float64 {
+		speed := make([]float64, len(nodeOf))
+		for g, n := range nodeOf {
+			speed[g] = speedOf[n]
+		}
+		return speed
 	}
 
 	b.Run("heteroAware", func(b *testing.B) {
@@ -912,7 +920,7 @@ func BenchmarkHeteroSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			makespan, _ = hetero.Summary(tg.G, res.GroupOf, res.NodeOf, dense)
+			makespan, _ = hetero.Summary(tg.G, res.GroupOf, groupSpeeds(res.NodeOf))
 		}
 		b.ReportMetric(makespan, "makespan")
 	})

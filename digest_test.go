@@ -13,12 +13,13 @@ import (
 )
 
 // TestSolveDigests pins the bytes every built-in mapper produces on
-// the torus (with coordinates), fat-tree and dragonfly engine fixtures
-// and on a 64-group torus, plus one warm remap and one portfolio
-// winner. The
-// cached-vs-uncached golden only proves two paths agree; a change to
-// code both paths share would pass it unnoticed. These digests fence
-// such a change: a refactor must reproduce them unedited.
+// the torus (with coordinates), fat-tree and dragonfly engine fixtures,
+// on 64-group torus, fat-tree and dragonfly fixtures, and on a
+// mixed-capacity, mixed-speed torus allocation, plus one warm remap and
+// one portfolio winner. An equivalence test only proves two paths
+// agree; a change to code both paths share would pass it unnoticed.
+// These digests fence such a change: a refactor must reproduce them
+// unedited.
 //
 // Floating-point metrics are hashed by their bits, so the digests hold
 // only where the compiler emits no fused multiply-add: on amd64.
@@ -87,11 +88,55 @@ func TestSolveDigests(t *testing.T) {
 		"torus64/UMMC":    "db35f9aa7c3228f2022df935",
 		"torus64/UTH":     "5f353f884176b3faa4b7bd4f",
 		"torus64/UWH":     "5b5b47b09be5fc8f7a9d01b8",
+
+		// The 64-group fat-tree and dragonfly fixtures and the mixed one.
+		"dragonfly64/DEF":   "70c777a5d56d4d1a854142b9",
+		"dragonfly64/GEOM":  "1eefb03721db03e8bc474e2d",
+		"dragonfly64/HET":   "faf43c633f33a9d5ebce626c",
+		"dragonfly64/SFCM":  "e32bdea5c39daddfd57e8a40",
+		"dragonfly64/SMAP":  "c2eef01bff51d96322be4550",
+		"dragonfly64/TMAP":  "70c777a5d56d4d1a854142b9",
+		"dragonfly64/TMAPG": "7cf6fdceb4ec28004f7bbf5b",
+		"dragonfly64/UG":    "c7aa1c2466a391974aa1923c",
+		"dragonfly64/UMC":   "10d9dcf50489219d2e89f346",
+		"dragonfly64/UMCA":  "10d9dcf50489219d2e89f346",
+		"dragonfly64/UML":   "fda2da28f63d69f5da0ec0d2",
+		"dragonfly64/UMMC":  "1271c953155278276e811a89",
+		"dragonfly64/UTH":   "7b36d2c43d6579c8ad1f2c0c",
+		"dragonfly64/UWH":   "c8abd9637340e563dba2d50c",
+		"fattree64/DEF":     "629b50fda39a133f4e6da1e8",
+		"fattree64/GEOM":    "160cda2cca0e18fbe0c4fe7a",
+		"fattree64/HET":     "629b50fda39a133f4e6da1e8",
+		"fattree64/SFCM":    "0732ac6935653eb9cfe327e3",
+		"fattree64/SMAP":    "2bff212ea79a124eb394ab69",
+		"fattree64/TMAP":    "2bff212ea79a124eb394ab69",
+		"fattree64/TMAPG":   "ecaab3f4436276d89406a243",
+		"fattree64/UG":      "ecaab3f4436276d89406a243",
+		"fattree64/UMC":     "8f5de6552abbe639765d1f11",
+		"fattree64/UMCA":    "7833496c73b3e8119e7633ae",
+		"fattree64/UML":     "0f842d3ed0c318493223d63a",
+		"fattree64/UMMC":    "9c3168bd62d05250c6933be0",
+		"fattree64/UTH":     "d7dd3060dc99635c6f19f757",
+		"fattree64/UWH":     "994f9fad653e6f7e4557f802",
+		"mixed/DEF":         "4d2258ff5396336d0357c232",
+		"mixed/GEOM":        "28ff5c88b515b1b8850d4f2c",
+		"mixed/HET":         "d052177fdb58755f449a57d8",
+		"mixed/SFCM":        "a0e3a2fe3715c73445695ecf",
+		"mixed/SMAP":        "345a09567ec9bd736640d2b7",
+		"mixed/TMAP":        "f223dd6ebc3ef82313fe8131",
+		"mixed/TMAPG":       "c381b5e12b430f5bcba08c5f",
+		"mixed/UG":          "4b4cb3efbd2d539412017212",
+		"mixed/UMC":         "c98d1326e64fcf36cf63b3e5",
+		"mixed/UMCA":        "8588aa0e0dff43c857e63f15",
+		"mixed/UML":         "c3e0fbaee8e0d3e7975baa91",
+		"mixed/UMMC":        "46de6e82d6b7ce88867e6de6",
+		"mixed/UTH":         "fe3cd57de212f566a1c7876b",
+		"mixed/UWH":         "9fb77640dfccfc18533193b5",
 	}
 
 	got := map[string]string{}
 	ctx := context.Background()
-	solveAll := func(fixture string, topo Topology, a *Allocation, tasks *TaskGraph) {
+	solveAll := func(fixture string, topo Topology, a *Allocation, tasks *TaskGraph, workers int) {
 		eng, err := NewEngine(topo, a)
 		if err != nil {
 			t.Fatalf("%s: %v", fixture, err)
@@ -100,7 +145,7 @@ func TestSolveDigests(t *testing.T) {
 			if strings.HasPrefix(string(mp), "TEST-") {
 				continue // registered by other tests in this binary
 			}
-			res, err := eng.RunSolve(ctx, tasks, Solve{Mapper: mp, Seed: 1})
+			res, err := eng.RunSolve(ctx, tasks, Solve{Mapper: mp, Seed: 1, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", fixture, mp, err)
 			}
@@ -109,7 +154,7 @@ func TestSolveDigests(t *testing.T) {
 	}
 
 	tg, topo, a := engineFixture(t, 128)
-	solveAll("torus", topo, a, withTestCoords(t, tg))
+	solveAll("torus", topo, a, withTestCoords(t, tg), 0)
 
 	// 64 groups: enough for UML's hierarchy to coarsen past its
 	// 16-vertex floor, which the 8-group fixtures never reach.
@@ -117,7 +162,7 @@ func TestSolveDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solveAll("torus64", topo, a64, withTestCoords(t, ringTaskGraph(1024, 3)))
+	solveAll("torus64", topo, a64, withTestCoords(t, ringTaskGraph(1024, 3)), 0)
 
 	small, _, _ := engineFixture(t, 64)
 	ft, err := NewFatTree(8, 10e9, 2)
@@ -128,10 +173,39 @@ func TestSolveDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solveAll("fattree", ft, fa, withTestCoords(t, small))
+	solveAll("fattree", ft, fa, withTestCoords(t, small), 0)
 
 	dtg, df, da := dragonflyFixture(t)
-	solveAll("dragonfly", df, da, withTestCoords(t, dtg))
+	solveAll("dragonfly", df, da, withTestCoords(t, dtg), 0)
+
+	// 64 groups on the fat tree and the dragonfly, two workers, on a
+	// task graph dense enough that Algorithm 3's candidate scoring
+	// passes congScoreWork's gate and fans out, and UML coarsens.
+	dense := withTestCoords(t, ringTaskGraph(1024, 8))
+	fa64, err := FatTreeSparseHosts(ft, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveAll("fattree64", ft, fa64, dense, 2)
+	da64, err := DragonflySparseHosts(df, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveAll("dragonfly64", df, da64, dense, 2)
+
+	// Mixed capacities and speeds with spare processors: capacity
+	// repair and the makespan balance stage move groups and tasks for
+	// every mapper that groups by partitioning.
+	am, err := SparseAllocation(topo, 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am.Speeds = make([]float64, len(am.Nodes))
+	for i := range am.Nodes {
+		am.ProcsPerNode[i] = []int{8, 16, 24}[i%3]
+		am.Speeds[i] = []float64{1, 2, 1, 4}[i%4]
+	}
+	solveAll("mixed", topo, am, withTestCoords(t, ringTaskGraph(960, 3)), 2)
 
 	eng, rtg, prev := remapFixture(t)
 	rem, err := eng.RunRemap(ctx, rtg, prev, AllocationDelta{Remove: []int32{eng.Allocation().Nodes[2]}}, RemapSpec{FenceThreshold: -1})

@@ -35,19 +35,16 @@ import (
 // Mappers are dispatched through the pluggable registry: the fourteen
 // built-ins plus anything added with RegisterMapper.
 type Engine struct {
-	topo      Topology
-	view      *routecache.Table // route table of topo over alloc (identical answers)
-	alloc     *Allocation
-	caps      []int64 // per-allocated-node capacities, allocation order
-	capOfNode []int64 // node id -> capacity (repair accounting)
-	uniform   bool
+	topo    Topology
+	view    *routecache.Table // route table of topo over alloc (identical answers)
+	alloc   *Allocation
+	caps    []int64 // per-allocated-node capacities, allocation order
+	uniform bool
 
-	// speedOfNode is the dense node id -> speed factor vector of a
-	// heterogeneous allocation (nil on unit speeds), and unitSpeeds its
-	// gate: when set, every node computes at the same rate and the
-	// makespan-aware balance stage only runs on request (Solve.Balance).
-	speedOfNode []float64
-	unitSpeeds  bool
+	// unitSpeeds is set when every node computes at the same rate: the
+	// makespan-aware balance stage then only runs on request
+	// (Solve.Balance).
+	unitSpeeds bool
 
 	// arena recycles per-solve scratch (BFS marks, gain buffers,
 	// heaps, queues) across requests, so the steady state of a
@@ -79,24 +76,16 @@ func NewEngine(topo Topology, a *Allocation) (*Engine, error) {
 // no validation.
 func newEngineView(topo Topology, view *routecache.Table, a *Allocation) *Engine {
 	e := &Engine{
-		topo:      topo,
-		view:      view,
-		alloc:     a,
-		caps:      make([]int64, a.NumNodes()),
-		capOfNode: make([]int64, topo.Nodes()),
-		uniform:   uniformCaps(a.ProcsPerNode),
-		arena:     arena.New(),
+		topo:       topo,
+		view:       view,
+		alloc:      a,
+		caps:       make([]int64, a.NumNodes()),
+		uniform:    uniformCaps(a.ProcsPerNode),
+		unitSpeeds: a.UnitSpeeds(),
+		arena:      arena.New(),
 	}
 	for i, p := range a.ProcsPerNode {
 		e.caps[i] = int64(p)
-		e.capOfNode[a.Nodes[i]] = int64(p)
-	}
-	e.unitSpeeds = a.UnitSpeeds()
-	if !e.unitSpeeds {
-		e.speedOfNode = make([]float64, topo.Nodes())
-		for i, m := range a.Nodes {
-			e.speedOfNode[m] = a.Speeds[i]
-		}
 	}
 	return e
 }
@@ -404,17 +393,29 @@ func (e *Engine) finishPlacement(j *solveJob, tg *TaskGraph, p prefix, nodeOf []
 		for _, g := range group {
 			weight[g]++
 		}
-		moves := core.RepairCapacities(coarse, e.view, nodeOf, weight, e.capOfNode)
+		moves := core.RepairCapacities(coarse, e.view, nodeOf, weight, e.caps)
 		e.arena.PutInt64s(weight)
 		sp.Add("repair_moves", int64(moves))
 		sp.End()
 	}
+	// The balance stage and the makespan read the speed and capacity
+	// of each group's node; no later stage moves a group between nodes.
+	balance := e.balances(caps, s)
+	var speed []float64
+	var capacity []int64
+	if balance || !e.unitSpeeds {
+		speed, capacity = make([]float64, len(nodeOf)), make([]int64, len(nodeOf))
+		for g, m := range nodeOf {
+			i := e.view.Local(m)
+			speed[g], capacity[g] = e.alloc.Speed(int(i)), e.caps[i]
+		}
+	}
 	// Makespan-aware load repair (heterogeneous processors): migrate
 	// the costliest tasks off the bottleneck node — per-task loads over
 	// per-node speeds — onto the cheapest feasible node.
-	if e.balances(caps, s) {
+	if balance {
 		sp := ex.StartSpan("balance")
-		moves := hetero.RepairLoad(tg.G, coarse, group, nodeOf, e.speedOfNode, e.capOfNode)
+		moves := hetero.RepairLoad(tg.G, coarse, group, speed, capacity)
 		sp.Add("balance_moves", int64(moves))
 		sp.End()
 	}
@@ -436,7 +437,7 @@ func (e *Engine) finishPlacement(j *solveJob, tg *TaskGraph, p prefix, nodeOf []
 	// ComputePar fills the unit-speed makespan; a heterogeneous
 	// allocation overwrites it with the speed-aware finish times.
 	if !e.unitSpeeds {
-		res.Metrics.Makespan, res.Metrics.LoadImbalance = hetero.Summary(tg.G, group, nodeOf, e.speedOfNode)
+		res.Metrics.Makespan, res.Metrics.LoadImbalance = hetero.Summary(tg.G, group, speed)
 	}
 	sp.End()
 	if s.Sim != nil {

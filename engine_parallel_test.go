@@ -135,6 +135,43 @@ func TestRefineMCParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestSolveUMLWorkerDeterminism pins UML's cluster-level refinement
+// across worker counts at 128 groups: there the hierarchy holds
+// clusters of 16 or more groups, whose candidate swaps are scored on
+// the worker pool, which never happens at 64 groups.
+func TestSolveUMLWorkerDeterminism(t *testing.T) {
+	tg := ringTaskGraph(2048, 6)
+	topo := NewHopperTorus(8, 8, 8)
+	a, err := SparseAllocation(topo, 128, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UML, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRF := rankfileBytes(t, base, a)
+	for _, workers := range []int{2, 8} {
+		got, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: UML, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got.NodeOf, base.NodeOf) || !reflect.DeepEqual(got.GroupOf, base.GroupOf) {
+			t.Fatalf("workers=%d: placement diverged from workers=1", workers)
+		}
+		if got.Metrics != base.Metrics {
+			t.Fatalf("workers=%d: metrics diverged:\n w1 %+v\n w%d %+v", workers, base.Metrics, workers, got.Metrics)
+		}
+		if rf := rankfileBytes(t, got, a); rf != baseRF {
+			t.Fatalf("workers=%d: rankfile bytes diverged", workers)
+		}
+	}
+}
+
 // ringTaskGraph builds a ring of n tasks with deg extra deterministic
 // chords per vertex — a connected, moderately dense task graph with
 // no RNG dependency.

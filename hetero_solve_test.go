@@ -159,9 +159,17 @@ func TestSolveHeteroBeatsBlindMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := make([]float64, topo.Nodes())
+	// The true speed of each group's node, for the makespan.
+	speedOf := make(map[int32]float64, len(a.Nodes))
 	for i, n := range a.Nodes {
-		dense[n] = a.Speeds[i]
+		speedOf[n] = a.Speeds[i]
+	}
+	groupSpeeds := func(nodeOf []int32) []float64 {
+		speed := make([]float64, len(nodeOf))
+		for g, n := range nodeOf {
+			speed[g] = speedOf[n]
+		}
+		return speed
 	}
 	blind := 0.0
 	for _, mp := range RegisteredMappers() {
@@ -175,7 +183,7 @@ func TestSolveHeteroBeatsBlindMakespan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: blind: %v", mp, err)
 		}
-		ms, _ := hetero.Summary(tg.G, res.GroupOf, res.NodeOf, dense)
+		ms, _ := hetero.Summary(tg.G, res.GroupOf, groupSpeeds(res.NodeOf))
 		if blind == 0 || ms < blind {
 			blind = ms
 		}

@@ -14,42 +14,23 @@ import (
 // the least.
 //
 // nodeOf maps each group to an allocated node of tab. weight[v] is
-// the task count of group v and capacity[m] the processor count of
-// node m (indexed by node id; unallocated nodes hold 0). When the
-// multiset of group weights is dominated by the multiset of
-// capacities — which the grouping step guarantees — a feasible
-// assignment exists and the pass always terminates: each
-// swap moves the most-oversubscribed group onto a node that fits it
-// and strictly decreases the total oversubscription. Returns the
-// number of swaps performed.
+// the task count of group v and capacity[i] the processor count of
+// tab's allocated node i (allocation order). When the multiset of
+// group weights is dominated by the multiset of capacities — which the
+// grouping step guarantees — a feasible assignment exists and the
+// pass always terminates: each swap moves the most-oversubscribed
+// group onto a node that fits it and strictly decreases the total
+// oversubscription. Swaps are priced by Algorithm 2's pairDelta.
+// Returns the number of swaps performed.
 func RepairCapacities(g *graph.Graph, tab *routecache.Table, nodeOf []int32, weight []int64, capacity []int64) int {
 	n := g.N()
-	// loc mirrors nodeOf in allocation indices, for the distance rows.
+	// loc mirrors nodeOf in allocation indices.
 	loc := make([]int32, n)
 	for v := 0; v < n; v++ {
 		loc[v] = tab.Local(nodeOf[v])
 	}
 	excess := func(v int32) int64 {
-		return weight[v] - capacity[nodeOf[v]]
-	}
-	// deltaWH of swapping groups a and b (doubled-edge accounting of
-	// the symmetric graph; only relative order matters here).
-	deltaWH := func(a, b int32) int64 {
-		var d int64
-		scan := func(t int32, from, to []int32) {
-			for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
-				u := g.Adj[i]
-				if u == a || u == b {
-					continue // pair-internal: unchanged under swap
-				}
-				mu := loc[u]
-				d += g.EdgeWeight(int(i)) * int64(to[mu]-from[mu])
-			}
-		}
-		rowA, rowB := tab.DistRow(loc[a]), tab.DistRow(loc[b])
-		scan(a, rowA, rowB)
-		scan(b, rowB, rowA)
-		return d
+		return weight[v] - capacity[loc[v]]
 	}
 
 	swaps := 0
@@ -74,10 +55,10 @@ func RepairCapacities(g *graph.Graph, tab *routecache.Table, nodeOf []int32, wei
 			if v == worst || weight[v] >= weight[worst] {
 				continue
 			}
-			if capacity[nodeOf[v]] < weight[worst] {
+			if capacity[loc[v]] < weight[worst] {
 				continue
 			}
-			d := deltaWH(worst, v)
+			d := pairDelta(g, tab, loc, worst, v, WeightedHops)
 			if best < 0 || d < bestDelta || (d == bestDelta && v < best) {
 				best, bestDelta = v, d
 			}

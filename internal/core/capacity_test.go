@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routecache"
 	"repro/internal/torus"
 )
 
 // capacityFixture builds a graph of n groups with the given weights,
-// an allocation whose capacities are a permutation of those weights,
-// and an initial mapping that scrambles the groups across the nodes.
+// an allocation whose capacities (allocation order) are a permutation
+// of those weights, and an initial mapping that scrambles the groups
+// across the nodes.
 func capacityFixture(t *testing.T, weights []int64, seed int64) (*graph.Graph, *torus.Torus, []int32, []int32, []int64, []int64) {
 	t.Helper()
 	n := len(weights)
@@ -29,22 +31,21 @@ func capacityFixture(t *testing.T, weights []int64, seed int64) (*graph.Graph, *
 			}
 		}
 	}
-	capOfNode := make([]int64, topo.Nodes())
-	capsPerm := rng.Perm(n)
-	for i, m := range nodes {
-		capOfNode[m] = weights[capsPerm[i]]
+	caps := make([]int64, n)
+	for i, p := range rng.Perm(n) {
+		caps[i] = weights[p]
 	}
 	nodeOf := make([]int32, n)
 	for i, p := range rng.Perm(n) {
 		nodeOf[i] = nodes[p]
 	}
-	return g, topo, nodes, nodeOf, weights, capOfNode
+	return g, topo, nodes, nodeOf, weights, caps
 }
 
-func totalExcess(nodeOf []int32, weights, capOfNode []int64) int64 {
+func totalExcess(tab *routecache.Table, nodeOf []int32, weights, caps []int64) int64 {
 	var e int64
 	for v, m := range nodeOf {
-		if x := weights[v] - capOfNode[m]; x > 0 {
+		if x := weights[v] - caps[tab.Local(m)]; x > 0 {
 			e += x
 		}
 	}
@@ -55,8 +56,9 @@ func TestRepairCapacitiesFixesAllViolations(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		weights := []int64{24, 24, 16, 16, 16, 8, 8, 8, 8, 4}
 		g, topo, nodes, nodeOf, w, caps := capacityFixture(t, weights, seed)
-		RepairCapacities(g, table(t, topo, nodes), nodeOf, w, caps)
-		if e := totalExcess(nodeOf, w, caps); e != 0 {
+		tab := table(t, topo, nodes)
+		RepairCapacities(g, tab, nodeOf, w, caps)
+		if e := totalExcess(tab, nodeOf, w, caps); e != 0 {
 			t.Fatalf("seed %d: %d oversubscription remains", seed, e)
 		}
 		// Still a bijection onto the same node set.
@@ -92,9 +94,7 @@ func TestRepairCapacitiesMinimizesWHDamage(t *testing.T) {
 	g := graph.FromEdges(2, []int32{0}, []int32{1}, []int64{10}, nil).Symmetrize(nil)
 	nodeOf := []int32{0, 5}
 	w := []int64{16, 8}
-	caps := make([]int64, topo.Nodes())
-	caps[0] = 8
-	caps[5] = 16
+	caps := []int64{8, 16} // node 0 holds 8, node 5 holds 16
 	if swaps := RepairCapacities(g, table(t, topo, []int32{0, 5}), nodeOf, w, caps); swaps != 1 {
 		t.Fatalf("%d swaps, want 1", swaps)
 	}
@@ -110,9 +110,7 @@ func TestRepairCapacitiesGivesUpOnInfeasible(t *testing.T) {
 	g := graph.FromEdges(2, []int32{0}, []int32{1}, []int64{5}, nil).Symmetrize(nil)
 	nodeOf := []int32{0, 5}
 	w := []int64{16, 16}
-	caps := make([]int64, topo.Nodes())
-	caps[0] = 8
-	caps[5] = 8
+	caps := []int64{8, 8}
 	RepairCapacities(g, table(t, topo, []int32{0, 5}), nodeOf, w, caps) // must return
 	if nodeOf[0] == nodeOf[1] {
 		t.Fatal("repair corrupted the bijection")

@@ -63,121 +63,101 @@ type GreedyOptions struct {
 // graph g onto a distinct allocated node of tab and returns the
 // task→node mapping. tab must hold at least g.N() nodes.
 func Greedy(g *graph.Graph, tab *routecache.Table, opt GreedyOptions) []int32 {
-	n := g.N()
-	if tab.Len() < n {
+	if tab.Len() < g.N() {
 		panic("core: fewer allocated nodes than tasks")
 	}
-	ex := opt.Exec
-	ar := ex.arenaOf()
-	st := newMapState(g, tab, ex)
+	st := newMapState(g, tab, opt.Exec)
 	defer st.release()
+	greedyOrder(st, opt, st.place)
+	out := make([]int32, g.N())
+	st.nodesInto(out)
+	return out
+}
 
+// greedyOrder is Algorithm 1's loop over st's graph: it picks the
+// tasks in the paper's order — the maximum send+receive volume task
+// first, then NBFS BFS-seeded far tasks, then the task most connected
+// to the mapped set, a new component's maximum-volume task when none
+// is connected — and hands each to place with the allocation index
+// GETBESTNODE chose (the first task gets index 0). place must record
+// the task in st: Greedy places it on that node, UML grows its
+// cluster's region from there.
+func greedyOrder(st *mapState, opt GreedyOptions, place func(t, loc int32)) {
+	g, ex := st.g, opt.Exec
+	n := g.N()
+	ar := ex.arenaOf()
 	conn := ar.MaxHeap(n)
-	mapped := ar.Bools(n)
-	defer func() {
-		ar.PutMaxHeap(conn)
-		ar.PutBools(mapped)
-	}()
-	nMapped := 0
-	bfsSeeded := 0
-
 	// Total send+receive volume per task: the MSRV start and the BFS
 	// tie-break both use it.
 	volume := ar.Int64s(n)
-	defer ar.PutInt64s(volume)
+	defer func() {
+		ar.PutMaxHeap(conn)
+		ar.PutInt64s(volume)
+	}()
 	for v := 0; v < n; v++ {
 		for _, w := range g.Weights(v) {
 			volume[v] += w
 		}
 	}
-
+	unmapped := func(v int32) bool { return st.nodeOf[v] < 0 }
 	mapTask := func(t int32, loc int32) {
-		st.place(t, loc)
-		mapped[t] = true
-		nMapped++
+		place(t, loc)
 		conn.Remove(int(t))
-		nb := g.Neighbors(int(t))
 		wt := g.Weights(int(t))
-		for i, u := range nb {
-			if !mapped[u] {
+		for i, u := range g.Neighbors(int(t)) {
+			if unmapped(u) {
 				conn.Add(int(u), wt[i]) // conn.update(tn, c(t, tn))
 			}
 		}
 	}
 
 	// Map t_MSRV to an arbitrary (first allocated) node.
-	t0 := int32(0)
-	var best int64 = -1
-	for v := 0; v < n; v++ {
-		if volume[v] > best {
-			best, t0 = volume[v], int32(v)
-		}
-	}
-	mapTask(t0, 0)
-
-	mappedSeeds := make([]int32, 0, n)
-	for nMapped < n {
+	mapTask(maxVolumeUnmapped(volume, unmapped), 0)
+	var mappedSeeds []int32
+	for nMapped := 1; nMapped < n; nMapped++ {
 		if ex.cancelled() {
 			// Bail early but keep the mapping complete: the remaining
-			// tasks take the free allocated nodes in order (the engine
-			// discards the result, downstream refinement must not see
-			// a half-filled nodeOf).
-			fillRemaining(st, mapped)
-			break
+			// tasks take the lowest free allocated nodes in task order
+			// (the engine discards the result, downstream refinement
+			// must not see a half-filled nodeOf).
+			next := int32(0)
+			for t := int32(0); t < int32(n); t++ {
+				if unmapped(t) {
+					for st.taskAt[next] >= 0 {
+						next++
+					}
+					place(t, next)
+				}
+			}
+			return
 		}
-		var tbest int32 = -1
-		if bfsSeeded < opt.NBFS {
+		var tbest int32
+		if nMapped <= opt.NBFS {
 			// Farthest unmapped task from the mapped set, ties in
 			// favour of higher communication volume.
 			mappedSeeds = mappedSeeds[:0]
-			for v := 0; v < n; v++ {
-				if mapped[v] {
-					mappedSeeds = append(mappedSeeds, int32(v))
+			for v := int32(0); v < int32(n); v++ {
+				if !unmapped(v) {
+					mappedSeeds = append(mappedSeeds, v)
 				}
 			}
-			far, _, ok := graph.FarthestVertex(g, mappedSeeds,
-				func(v int32) bool { return !mapped[v] }, volume)
+			far, _, ok := graph.FarthestVertex(g, mappedSeeds, unmapped, volume)
 			if ok {
 				tbest = far
 			} else {
-				tbest = maxVolumeUnmapped(mapped, volume)
+				tbest = maxVolumeUnmapped(volume, unmapped)
 			}
-			bfsSeeded++
 		} else if conn.Len() > 0 {
 			t, _ := conn.Pop()
 			tbest = int32(t)
 		} else {
 			// Disconnected component: take its max-volume task.
-			tbest = maxVolumeUnmapped(mapped, volume)
+			tbest = maxVolumeUnmapped(volume, unmapped)
 		}
-		var loc int32
 		if opt.NoEarlyExit {
-			loc = st.bestNodeExhaustive(tbest, opt.Objective)
+			mapTask(tbest, st.bestNodeExhaustive(tbest, opt.Objective))
 		} else {
-			loc = st.bestNode(tbest, opt.Objective)
-		}
-		mapTask(tbest, loc)
-	}
-	out := make([]int32, n)
-	st.nodesInto(out)
-	return out
-}
-
-// fillRemaining assigns every unmapped task a free allocated node in
-// increasing task/allocation order — the cheap deterministic
-// completion of a cancelled greedy run.
-func fillRemaining(st *mapState, mapped []bool) {
-	next := 0
-	for t := range mapped {
-		if mapped[t] {
-			continue
-		}
-		for ; next < len(st.taskAt); next++ {
-			if st.taskAt[next] < 0 {
-				st.place(int32(t), int32(next))
-				mapped[t] = true
-				break
-			}
+			mapTask(tbest, st.bestNode(tbest, opt.Objective))
 		}
 	}
 }
@@ -203,11 +183,13 @@ func GreedyBest(g *graph.Graph, tab *routecache.Table, objective Objective, ex *
 	return m0
 }
 
-func maxVolumeUnmapped(mapped []bool, volume []int64) int32 {
+// maxVolumeUnmapped returns the unmapped task of maximum volume, ties
+// to the lowest id.
+func maxVolumeUnmapped(volume []int64, unmapped func(int32) bool) int32 {
 	var t int32 = -1
 	var best int64 = -1
-	for v := range mapped {
-		if !mapped[v] && volume[v] > best {
+	for v := range volume {
+		if unmapped(int32(v)) && volume[v] > best {
 			best, t = volume[v], int32(v)
 		}
 	}
@@ -226,12 +208,7 @@ func objectiveValue(g *graph.Graph, tab *routecache.Table, nodeOf []int32, obj O
 	for v := 0; v < g.N(); v++ {
 		row := tab.DistRow(loc[v])
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			h := int64(row[loc[g.Adj[i]]])
-			if obj == WeightedHops {
-				total += h * g.EdgeWeight(int(i))
-			} else {
-				total += h
-			}
+			total += hopCost(g, i, obj) * int64(row[loc[g.Adj[i]]])
 		}
 	}
 	return total
@@ -258,6 +235,7 @@ type mapState struct {
 	level     []int32
 	queue     *ds.Queue
 	nbBuf     []int32
+	seedBuf   []int32
 }
 
 func newMapState(g *graph.Graph, tab *routecache.Table, ex *Exec) *mapState {
@@ -453,6 +431,27 @@ func (st *mapState) firstEmpty() int32 {
 		}
 	}
 	panic("core: no empty allocated node")
+}
+
+// swapPartners collects into cands[:0] up to delta swap partners of
+// task t, the candidates Algorithms 2 and 3 examine: the tasks on the
+// allocated nodes other than t's, in the order a BFS over the topology
+// from the nodes of t's neighbours reaches them.
+func (st *mapState) swapPartners(t int32, delta int, cands []int32) []int32 {
+	st.seedBuf = st.seedBuf[:0]
+	for _, u := range st.g.Neighbors(int(t)) {
+		st.seedBuf = append(st.seedBuf, st.tab.Node(st.nodeOf[u]))
+	}
+	cands = cands[:0]
+	st.bfs(st.seedBuf, func(node, lv int32) bool {
+		l := st.tab.Local(node)
+		if l < 0 || l == st.nodeOf[t] || st.taskAt[l] < 0 {
+			return true
+		}
+		cands = append(cands, st.taskAt[l])
+		return len(cands) < delta
+	})
+	return cands
 }
 
 // bfs runs a breadth-first traversal of the topology graph from the

@@ -135,175 +135,39 @@ func clusterSets(levels []mlLevel, l int) (cl0 []int32, members [][]int32) {
 
 // placeCoarsest assigns every coarsest-level cluster a region of
 // |members| empty allocated nodes grown by BFS over the topology, in
-// the greedy order of Algorithm 1 (max-volume cluster first, then by
-// connectivity to the already placed clusters). It fills loc with the
-// allocation index of every fine vertex.
+// Algorithm 1's order and from the node GETBESTNODE picks for the
+// cluster: a mapState over gl marks every node of a placed cluster's
+// region with the cluster and holds the region's first node as the
+// cluster's own. It fills loc with the allocation index of every fine
+// vertex.
 func placeCoarsest(gl *graph.Graph, members [][]int32, tab *routecache.Table, loc []int32, ex *Exec) {
-	nc := gl.N()
-	st := newMapState(gl, tab, ex) // reused for its BFS scratch
+	st := newMapState(gl, tab, ex)
 	defer st.release()
-	ar := ex.arenaOf()
-	occupied := ar.Bools(tab.Len()) // by allocation index
-	rep := ar.Int32s(nc)            // first allocation index of each placed cluster's region
-	volume := ar.Int64s(nc)
-	conn := ar.MaxHeap(nc)
-	placed := ar.Bools(nc)
-	defer func() {
-		ar.PutBools(occupied)
-		ar.PutInt32s(rep)
-		ar.PutInt64s(volume)
-		ar.PutMaxHeap(conn)
-		ar.PutBools(placed)
-	}()
-	for i := range rep {
-		rep[i] = -1
-	}
-	for v := 0; v < nc; v++ {
-		for _, w := range gl.Weights(v) {
-			volume[v] += w
-		}
-	}
-	nPlaced := 0
-
-	// anyEmpty returns the first allocation index still free.
-	anyEmpty := func() int32 {
-		for l, occ := range occupied {
-			if !occ {
-				return int32(l)
-			}
-		}
-		panic("core: multilevel placement ran out of allocated nodes")
-	}
-
-	// growRegion collects want empty allocated nodes nearest to the
-	// seed's node (BFS order, seed first) and assigns the cluster's
-	// members to them in that order.
-	growRegion := func(c int32, seed int32) {
-		want := len(members[c])
+	greedyOrder(st, GreedyOptions{Exec: ex}, func(c, seed int32) {
+		// Take the len(members[c]) empty allocated nodes nearest the
+		// seed's node (BFS order, the empty seed first) and assign the
+		// cluster's members to them in that order.
+		mem := members[c]
 		got := 0
 		take := func(l int32) {
-			occupied[l] = true
-			loc[members[c][got]] = l
 			if got == 0 {
-				rep[c] = l
+				st.nodeOf[c] = l
 			}
+			st.taskAt[l] = c
+			loc[mem[got]] = l
 			got++
 		}
 		st.bfs([]int32{tab.Node(seed)}, func(node, lv int32) bool {
-			if l := tab.Local(node); l >= 0 && !occupied[l] {
+			if l := tab.Local(node); l >= 0 && st.taskAt[l] < 0 {
 				take(l)
 			}
-			return got < want
+			return got < len(mem)
 		})
-		for got < want {
+		for got < len(mem) {
 			// Disconnected allocation remnants: take any free node.
-			take(anyEmpty())
+			take(st.firstEmpty())
 		}
-	}
-
-	// bestSeed finds the empty allocated node minimizing the weighted
-	// hop cost to the representatives of c's placed neighbours, with
-	// the early-exit BFS of GETBESTNODE, ties to the lowest node id. It
-	// returns an allocation index.
-	bestSeed := func(c int32) int32 {
-		var seeds []int32
-		var nbs []placedCost
-		nb := gl.Neighbors(int(c))
-		wt := gl.Weights(int(c))
-		for i, u := range nb {
-			if placed[u] {
-				nbs = append(nbs, placedCost{rep[u], wt[i]})
-				seeds = append(seeds, tab.Node(rep[u]))
-			}
-		}
-		var best, bestLoc int32 = -1, -1
-		if len(seeds) == 0 {
-			// Farthest empty allocated node from the occupied ones.
-			var occ []int32
-			for l, o := range occupied {
-				if o {
-					occ = append(occ, tab.Node(int32(l)))
-				}
-			}
-			if len(occ) == 0 {
-				return 0
-			}
-			bestLv := int32(-1)
-			st.bfs(occ, func(node, lv int32) bool {
-				if l := tab.Local(node); l >= 0 && !occupied[l] && lv >= bestLv {
-					if lv > bestLv || node < best {
-						best, bestLoc = node, l
-					}
-					bestLv = lv
-				}
-				return true
-			})
-			if best < 0 {
-				return anyEmpty()
-			}
-			return bestLoc
-		}
-		var bestCost int64
-		stopLevel := int32(-1)
-		st.bfs(seeds, func(node, lv int32) bool {
-			if stopLevel >= 0 && lv > stopLevel {
-				return false
-			}
-			if l := tab.Local(node); l >= 0 && !occupied[l] {
-				stopLevel = lv
-				cost := st.costAt(l, nbs)
-				if best < 0 || cost < bestCost || (cost == bestCost && node < best) {
-					best, bestLoc, bestCost = node, l, cost
-				}
-			}
-			return true
-		})
-		if best < 0 {
-			return anyEmpty()
-		}
-		return bestLoc
-	}
-
-	place := func(c int32, seed int32) {
-		growRegion(c, seed)
-		placed[c] = true
-		nPlaced++
-		conn.Remove(int(c))
-		nb := gl.Neighbors(int(c))
-		wt := gl.Weights(int(c))
-		for i, u := range nb {
-			if !placed[u] {
-				conn.Add(int(u), wt[i])
-			}
-		}
-	}
-
-	// Start from the max-volume cluster on the first allocated node.
-	c0 := int32(0)
-	var bestVol int64 = -1
-	for c := 0; c < nc; c++ {
-		if volume[c] > bestVol {
-			bestVol, c0 = volume[c], int32(c)
-		}
-	}
-	place(c0, 0)
-	for nPlaced < nc {
-		var c int32
-		if conn.Len() > 0 {
-			ci, _ := conn.Pop()
-			c = int32(ci)
-		} else {
-			// Disconnected component: max-volume unplaced cluster.
-			c = -1
-			var bv int64 = -1
-			for v := 0; v < nc; v++ {
-				if !placed[v] && volume[v] > bv {
-					bv, c = volume[v], int32(v)
-				}
-			}
-		}
-		place(c, bestSeed(c))
-	}
+	})
 }
 
 // clusterRefineState carries the per-level swap refinement context.
@@ -337,11 +201,7 @@ func (cr *clusterRefineState) clusterWH(c int32, obj Objective) int64 {
 	for _, t := range cr.members[c] {
 		row := cr.tab.DistRow(cr.nodeOf[t])
 		for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
-			w := int64(1)
-			if obj == WeightedHops {
-				w = g.EdgeWeight(int(i))
-			}
-			wh += w * int64(row[cr.nodeOf[g.Adj[i]]])
+			wh += hopCost(g, i, obj) * int64(row[cr.nodeOf[g.Adj[i]]])
 		}
 	}
 	return wh
@@ -383,10 +243,7 @@ func (cr *clusterRefineState) swapDelta(ps *pairScratch, a, b int32, obj Objecti
 			nt, ot := cr.tab.DistRow(newNode(t)), cr.tab.DistRow(cr.nodeOf[t])
 			for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
 				u := g.Adj[i]
-				w := int64(1)
-				if obj == WeightedHops {
-					w = g.EdgeWeight(int(i))
-				}
+				w := hopCost(g, i, obj)
 				if ps.inPair[u] == gen {
 					// Internal edge: the loop visits both directions.
 					d += w * int64(nt[newNode(u)]-ot[cr.nodeOf[u]])
@@ -466,32 +323,24 @@ func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, tab
 	defer ar.PutMaxHeap(heap)
 	var seeds []int32
 
-	// Swap-candidate scoring scratch: the serial path owns one
-	// pairScratch; parallel scoring slot i owns scorers[i] for the
-	// whole refine call (generation marks make reuse across pops
-	// correct without re-zeroing — borrowing fresh buffers per
-	// candidate would cost O(n) zeroing against O(deg) useful work).
-	newPS := func() *pairScratch {
-		return &pairScratch{inPair: ar.Int32s(g0.N()), pairPos: ar.Int32s(g0.N())}
+	// Swap-candidate scoring scratch: parallel scoring slot i owns
+	// scratch[i] for the whole refine call, the serial path scratch[0]
+	// (generation marks make reuse across pops correct without
+	// re-zeroing — borrowing fresh buffers per candidate would cost
+	// O(n) zeroing against O(deg) useful work).
+	scratch := make([]*pairScratch, 1)
+	if par.NumWorkers() > 1 {
+		scratch = make([]*pairScratch, opt.Delta)
 	}
-	putPS := func(ps *pairScratch) {
-		ar.PutInt32s(ps.inPair)
-		ar.PutInt32s(ps.pairPos)
+	for i := range scratch {
+		scratch[i] = &pairScratch{inPair: ar.Int32s(g0.N()), pairPos: ar.Int32s(g0.N())}
 	}
-	serialPS := newPS()
-	defer putPS(serialPS)
-	var scorers []*pairScratch
-	if ex.par().NumWorkers() > 1 {
-		scorers = make([]*pairScratch, opt.Delta)
-		for i := range scorers {
-			scorers[i] = newPS()
+	defer func() {
+		for _, ps := range scratch {
+			ar.PutInt32s(ps.inPair)
+			ar.PutInt32s(ps.pairPos)
 		}
-		defer func() {
-			for _, ps := range scorers {
-				putPS(ps)
-			}
-		}()
-	}
+	}()
 	cands := make([]int32, 0, opt.Delta)
 	deltas := make([]int64, opt.Delta)
 
@@ -551,9 +400,9 @@ func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, tab
 			// enough to amortize the hand-off: swapDelta walks every
 			// member's adjacency, so small clusters (the fine
 			// levels) score faster serially.
-			if scorers != nil && len(cands) > 1 && len(members[cwh]) >= 16 {
+			if len(scratch) > 1 && len(cands) > 1 && len(members[cwh]) >= 16 {
 				par.ForEachIdx(len(cands), func(i int) {
-					deltas[i] = cr.swapDelta(scorers[i], cwh, cands[i], opt.Objective)
+					deltas[i] = cr.swapDelta(scratch[i], cwh, cands[i], opt.Objective)
 				})
 				for i := range cands {
 					if deltas[i] < 0 {
@@ -563,7 +412,7 @@ func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, tab
 				}
 			} else {
 				for i, b := range cands {
-					if d := cr.swapDelta(serialPS, cwh, b, opt.Objective); d < 0 {
+					if d := cr.swapDelta(scratch[0], cwh, b, opt.Objective); d < 0 {
 						chosen, chosenDelta = i, d
 						break
 					}

@@ -49,24 +49,13 @@ type congState struct {
 	edgeOwner []int32     // directed edge id -> source task
 	sumKeys   int64       // sum of keys over used links
 	usedLinks int
+	revEdge   []int32 // directed edge id -> id of the reverse edge
 
-	deltaL   []int64 // scratch: per-link load delta
-	touched  []int32 // links touched by the current delta collection
-	linkSeen []int32 // per-link generation stamp (dedupes touched)
-	linkGen  int32
-	edgeSeen []int32 // per-edge generation stamp
-	edgeGen  int32
-	revEdge  []int32 // directed edge id -> id of the reverse edge
-
-	// Pre-bound route-link visitors. forEachRouteLink runs per edge in
-	// the innermost loops of every swap evaluation; handing it a fresh
-	// closure there allocates once per edge and dominated the solve's
-	// garbage. These two are built once per congState and parameterized
-	// through curW / curEdge.
-	deltaFn func(l int32, mult int64) // addDelta(l, curW*mult)
+	// Pre-bound route-link visitors of commit's edge-set moves (a
+	// closure handed to forEachRouteLink per edge would allocate once
+	// per edge), parameterized through curEdge.
 	addFn   func(l int32, mult int64) // linkEdges[l].Add(curEdge)
 	delFn   func(l int32, mult int64) // linkEdges[l].Delete(curEdge)
-	curW    int64
 	curEdge int
 }
 
@@ -84,12 +73,8 @@ func newCongState(g *graph.Graph, tab *routecache.Table, st *mapState, kind Cong
 		congHeap:  ar.MaxHeap(links),
 		linkEdges: make([]ds.IntSet, links),
 		edgeOwner: ar.Int32s(g.M()),
-		deltaL:    ar.Int64s(links),
-		linkSeen:  ar.Int32s(links),
-		edgeSeen:  ar.Int32s(g.M()),
 		revEdge:   ar.Int32s(g.M()),
 	}
-	cs.deltaFn = func(l int32, mult int64) { cs.addDelta(l, cs.curW*mult) }
 	cs.addFn = func(l int32, _ int64) { cs.linkEdges[l].Add(cs.curEdge) }
 	cs.delFn = func(l int32, _ int64) { cs.linkEdges[l].Delete(cs.curEdge) }
 	// Fixed-point congestion scale: proportional to 1/bw, normalized
@@ -167,21 +152,8 @@ func (cs *congState) release() {
 	ar.PutInt64s(cs.load)
 	ar.PutMaxHeap(cs.congHeap)
 	ar.PutInt32s(cs.edgeOwner)
-	ar.PutInt64s(cs.deltaL)
-	ar.PutInt32s(cs.linkSeen)
-	ar.PutInt32s(cs.edgeSeen)
 	ar.PutInt32s(cs.revEdge)
-	cs.scale, cs.load, cs.congHeap, cs.edgeOwner = nil, nil, nil, nil
-	cs.deltaL, cs.linkSeen, cs.edgeSeen, cs.revEdge = nil, nil, nil, nil
-}
-
-// addDelta accumulates a per-link load delta, tracking touched links.
-func (cs *congState) addDelta(l int32, d int64) {
-	if cs.linkSeen[l] != cs.linkGen {
-		cs.linkSeen[l] = cs.linkGen
-		cs.touched = append(cs.touched, l)
-	}
-	cs.deltaL[l] += d
+	cs.scale, cs.load, cs.congHeap, cs.edgeOwner, cs.revEdge = nil, nil, nil, nil, nil
 }
 
 // edgeLoad is the routed load of directed edge i: its weight, read as
@@ -191,22 +163,17 @@ func (cs *congState) edgeLoad(i int) int64 {
 }
 
 // forEachRouteLink invokes fn(link, mult) for every (route, link)
-// pair of a message between allocation indices a→b.
-func (cs *congState) forEachRouteLink(a, b int32, fn func(l int32, mult int64)) {
-	routeLinks(cs.tab, cs.multipath, a, b, fn)
-}
-
-// routeLinks invokes fn(link, mult) for every (route, link) pair of a
-// message between allocation indices a→b. Static routing yields the
-// table's static route with mult 1; the dynamic-routing approximation
-// yields every minimal dimension-ordered route with mult
+// pair of a message between allocation indices a→b. Static routing
+// yields the table's static route with mult 1; the dynamic-routing
+// approximation yields every minimal dimension-ordered route with mult
 // RouteScale/P, so a link's accumulated load is RouteScale times its
 // expected load. The two modes differ by a constant factor per mode,
-// which comparisons never see. a != b must hold. The commit path and
-// the concurrent swap scorers share it: the table is read-only and
+// which comparisons never see. a != b must hold. The commit and the
+// concurrent swap scorers share it: the table is read-only and
 // ForEachMinimalRoute implementations use call-local state only, so
 // concurrent callers are safe.
-func routeLinks(tab *routecache.Table, multipath torus.MultipathTopology, a, b int32, fn func(l int32, mult int64)) {
+func (cs *congState) forEachRouteLink(a, b int32, fn func(l int32, mult int64)) {
+	tab, multipath := cs.tab, cs.multipath
 	if multipath == nil {
 		for _, l := range tab.RouteLinks(a, b) {
 			fn(l, 1)
@@ -227,6 +194,20 @@ func routeLinks(tab *routecache.Table, multipath torus.MultipathTopology, a, b i
 	})
 }
 
+// usedShift is the change in the used-link count when a link's load
+// moves from oldLoad to newLoad. Loads are sums of positive volumes,
+// never negative, so a link's key changes by exactly its load delta
+// times its scale, used or not.
+func usedShift(oldLoad, newLoad int64) int {
+	switch {
+	case oldLoad == 0 && newLoad > 0:
+		return 1
+	case oldLoad > 0 && newLoad == 0:
+		return -1
+	}
+	return 0
+}
+
 // acNum and acDen expose AC = sumKeys/usedLinks as an exact fraction.
 func (cs *congState) ac() (num, den int64) {
 	if cs.usedLinks == 0 {
@@ -239,11 +220,11 @@ func (cs *congState) ac() (num, den int64) {
 // swap pair (a, b), deduplicated through the caller's generation
 // marks, handing each to visit with its old and new endpoint
 // placements under the hypothetical a↔b exchange. It is THE single
-// copy of the swap-edge traversal: the commit path (collectSwapDeltas,
-// updateEdgeSets) and the read-only scorers all route through it, so
-// the scorer can never drift from what a commit would do. It reads
-// only shared immutable state plus st.nodeOf; edgeSeen is the
-// caller's scratch, which is what keeps concurrent scorers race-free.
+// copy of the swap-edge traversal: the scorers' delta collection and
+// the commit's edge-set moves both route through it, so a score can
+// never drift from what its commit does. It reads only shared
+// immutable state plus st.nodeOf; edgeSeen is the caller's scratch,
+// which is what keeps concurrent scorers race-free.
 func (cs *congState) forEachSwapEdge(a, b int32, edgeSeen []int32, edgeGen int32, visit func(i int32, oldA, oldB, newA, newB int32)) {
 	ma, mb := cs.st.nodeOf[a], cs.st.nodeOf[b]
 	newNode := func(t int32) int32 {
@@ -274,71 +255,26 @@ func (cs *congState) forEachSwapEdge(a, b int32, edgeSeen []int32, edgeGen int32
 	}
 }
 
-// collectSwapDeltas fills cs.deltaL (per-link load deltas) for
-// swapping tasks a and b, without applying anything. The deltas flow
-// through the pre-bound deltaFn visitor (a closure allocated here
-// would be one per edge per evaluated swap).
-func (cs *congState) collectSwapDeltas(a, b int32) {
-	for _, l := range cs.touched {
-		cs.deltaL[l] = 0
-	}
-	cs.touched = cs.touched[:0]
-	cs.linkGen++
-	cs.edgeGen++
-	cs.forEachSwapEdge(a, b, cs.edgeSeen, cs.edgeGen, func(i, oldA, oldB, newA, newB int32) {
-		w := cs.edgeLoad(int(i))
-		if oldA != oldB {
-			cs.curW = -w
-			cs.forEachRouteLink(oldA, oldB, cs.deltaFn)
-		}
-		if newA != newB {
-			cs.curW = w
-			cs.forEachRouteLink(newA, newB, cs.deltaFn)
-		}
-	})
-}
-
-// applyDeltas pushes the collected deltas into the heap and load
-// table; revert by calling again after negating (the caller uses
-// apply/inspect/revert, the paper's "temporarily updating congHeap").
-func (cs *congState) applyDeltas(sign int64) {
-	for _, l := range cs.touched {
-		dl := cs.deltaL[l]
+// commit applies the swap a↔b whose deltas sc collected last: the
+// loads, heap keys and AC aggregates take the deltas, every swap edge
+// moves from its old route's link sets to its new route's, and the
+// two tasks trade nodes.
+func (cs *congState) commit(sc *congScorer, a, b int32) {
+	for _, l := range sc.touched {
+		dl := sc.deltaL[l]
 		if dl == 0 {
 			continue
 		}
 		oldLoad := cs.load[l]
-		cs.load[l] = oldLoad + sign*dl
-		key := cs.load[l] * cs.scale[l]
-		cs.congHeap.Update(int(l), key)
-		if oldLoad > 0 && cs.load[l] == 0 {
-			cs.usedLinks--
-			cs.sumKeys -= oldLoad * cs.scale[l]
-		} else if oldLoad == 0 && cs.load[l] > 0 {
-			cs.usedLinks++
-			cs.sumKeys += key
-		} else if oldLoad > 0 {
-			cs.sumKeys += key - oldLoad*cs.scale[l]
-		}
+		cs.load[l] = oldLoad + dl
+		cs.congHeap.Update(int(l), cs.load[l]*cs.scale[l])
+		cs.sumKeys += dl * cs.scale[l]
+		cs.usedLinks += usedShift(oldLoad, cs.load[l])
 	}
-}
-
-// commitSwap finalizes an accepted swap: updates the commTasks edge
-// sets for all edges of a and b (the loads and heap already hold the
-// new state from applyDeltas).
-func (cs *congState) commitSwap(a, b int32) {
-	ma, mb := cs.st.nodeOf[a], cs.st.nodeOf[b]
-	// Remove memberships for old routes of all incident edges (both
-	// directions), then re-add for new routes — before place() flips
-	// the shared nodeOf the traversal reads.
-	cs.updateEdgeSets(a, b)
-	cs.st.place(a, mb)
-	cs.st.place(b, ma)
-}
-
-func (cs *congState) updateEdgeSets(a, b int32) {
-	cs.edgeGen++
-	cs.forEachSwapEdge(a, b, cs.edgeSeen, cs.edgeGen, func(i, oldA, oldB, newA, newB int32) {
+	// The edge sets move before place() flips the nodeOf the traversal
+	// reads.
+	sc.edgeGen++
+	cs.forEachSwapEdge(a, b, sc.edgeSeen, sc.edgeGen, func(i, oldA, oldB, newA, newB int32) {
 		cs.curEdge = int(i)
 		if oldA != oldB {
 			cs.forEachRouteLink(oldA, oldB, cs.delFn)
@@ -347,6 +283,9 @@ func (cs *congState) updateEdgeSets(a, b int32) {
 			cs.forEachRouteLink(newA, newB, cs.addFn)
 		}
 	})
+	ma, mb := cs.st.nodeOf[a], cs.st.nodeOf[b]
+	cs.st.place(a, mb)
+	cs.st.place(b, ma)
 }
 
 // congScore is the outcome a hypothetical swap would commit to: the
@@ -378,10 +317,10 @@ func (s congScore) beats(o congScore) bool {
 // touching the state's loads, heap or link-membership sets. Between
 // two commits the shared state is frozen, so one scorer per candidate
 // slot lets candidate evaluation fan out over the solve's worker pool
-// race-free; the chosen swap is then committed serially through the
-// congState. A scorer run serially produces exactly the values the
-// serial apply/peek/revert chain observed, which is what keeps the
-// mapping byte-identical at every worker count.
+// race-free; the chosen swap's deltas are then collected again on one
+// scorer and committed serially from it, so a score and its commit
+// read the same deltas and the mapping is byte-identical at every
+// worker count.
 type congScorer struct {
 	cs       *congState
 	deltaL   []int64 // scratch: per-link load delta
@@ -391,9 +330,8 @@ type congScorer struct {
 	edgeSeen []int32 // per-edge generation stamp
 	edgeGen  int32
 
-	// Pre-bound visitor and skip predicate (see congState.deltaFn):
-	// built once per scorer so the per-edge inner loops and the heap
-	// query allocate nothing.
+	// Pre-bound visitor and skip predicate: built once per scorer so
+	// the per-edge inner loops and the heap query allocate nothing.
 	curW    int64
 	deltaFn func(l int32, mult int64)
 	skipFn  func(item int) bool
@@ -429,11 +367,9 @@ func (sc *congScorer) addDelta(l int32, d int64) {
 	sc.deltaL[l] += d
 }
 
-// score evaluates swapping tasks a and b. It mirrors the commit
-// path's collectSwapDeltas + applyDeltas(1) + Peek + ac() + revert,
-// but entirely on the scorer's own scratch: shared state (placements,
-// loads, heap keys, AC sums) is only read.
-func (sc *congScorer) score(a, b int32) congScore {
+// collect gathers the per-link load deltas of swapping tasks a and b
+// into the scorer's scratch, reading the shared state only.
+func (sc *congScorer) collect(a, b int32) {
 	cs := sc.cs
 	for _, l := range sc.touched {
 		sc.deltaL[l] = 0
@@ -442,24 +378,32 @@ func (sc *congScorer) score(a, b int32) congScore {
 	sc.linkGen++
 	sc.edgeGen++
 	// The traversal is the shared forEachSwapEdge — identical to what
-	// a commit of this swap would walk — with the scorer's own
-	// edgeSeen marks, so concurrent scorers only read the shared
-	// state.
+	// a commit of this swap walks — with the scorer's own edgeSeen
+	// marks, so concurrent scorers only read the shared state.
 	cs.forEachSwapEdge(a, b, sc.edgeSeen, sc.edgeGen, func(i, oldA, oldB, newA, newB int32) {
 		w := cs.edgeLoad(int(i))
 		if oldA != oldB {
 			sc.curW = -w
-			routeLinks(cs.tab, cs.multipath, oldA, oldB, sc.deltaFn)
+			cs.forEachRouteLink(oldA, oldB, sc.deltaFn)
 		}
 		if newA != newB {
 			sc.curW = w
-			routeLinks(cs.tab, cs.multipath, newA, newB, sc.deltaFn)
+			cs.forEachRouteLink(newA, newB, sc.deltaFn)
 		}
 	})
+}
+
+// score evaluates swapping tasks a and b: the (max congestion, AC) a
+// commit of the swap would leave, computed on the scorer's own
+// scratch while shared state (placements, loads, heap keys, AC sums)
+// is only read.
+func (sc *congScorer) score(a, b int32) congScore {
+	cs := sc.cs
+	sc.collect(a, b)
 	// Post-swap aggregates: untouched links keep their heap keys —
 	// MaxKeyExcept reads them without mutating the shared heap — and
-	// touched links re-key as (load+delta)*scale with the used-link
-	// accounting of applyDeltas.
+	// touched links re-key as (load+delta)*scale with commit's
+	// used-link accounting.
 	newMax := cs.congHeap.MaxKeyExcept(sc.skipFn)
 	sum := cs.sumKeys
 	used := cs.usedLinks
@@ -471,19 +415,8 @@ func (sc *congScorer) score(a, b int32) congScore {
 		if key > newMax {
 			newMax = key
 		}
-		if dl == 0 {
-			continue
-		}
-		switch {
-		case oldLoad > 0 && newLoad == 0:
-			used--
-			sum -= oldLoad * cs.scale[l]
-		case oldLoad == 0 && newLoad > 0:
-			used++
-			sum += key
-		case oldLoad > 0:
-			sum += key - oldLoad*cs.scale[l]
-		}
+		sum += dl * cs.scale[l]
+		used += usedShift(oldLoad, newLoad)
 	}
 	if newMax < 0 {
 		newMax = 0 // empty heap corner: nothing routed anywhere
@@ -554,34 +487,31 @@ func refineCongestion(g *graph.Graph, tab *routecache.Table, multipath torus.Mul
 	defer cs.release()
 
 	// Candidate scoring is read-only between commits, so it fans out
-	// over the request's worker pool: slot i scores candidate i on its
-	// own scratch, and the commit rule — best score, ties broken by
+	// over the request's worker pool: slot i scores candidate i on
+	// scorer i, and the commit rule — best score, ties broken by
 	// candidate index — is applied to the same candidate prefix the
 	// serial chain would have examined, so the mapping is
 	// byte-identical at every worker count. The serial path (gated-off
-	// fan-out, or one free worker) scores the same batch inline with
-	// one scorer and commits by the same rule.
-	serialScorer := newCongScorer(cs)
-	defer serialScorer.release()
-	var scorers []*congScorer
+	// fan-out, or one free worker) holds one scorer, scores the same
+	// batch inline and commits by the same rule.
+	scorers := make([]*congScorer, 1)
 	if ex.par().NumWorkers() > 1 && congScoreWork(g, tab) >= congScoreParMinWork {
 		scorers = make([]*congScorer, opt.Delta)
-		for i := range scorers {
-			scorers[i] = newCongScorer(cs)
-		}
-		defer func() {
-			for _, sc := range scorers {
-				sc.release()
-			}
-		}()
 	}
+	for i := range scorers {
+		scorers[i] = newCongScorer(cs)
+	}
+	defer func() {
+		for _, sc := range scorers {
+			sc.release()
+		}
+	}()
 	cands := make([]int32, 0, opt.Delta)
 	scores := make([]congScore, opt.Delta)
 
 	swaps := 0
 	rounds, scored := int64(0), int64(0)
 	maxIters := 4 * tab.Links()
-	seeds := make([]int32, 0, 16)
 	var tasksBuf []int32
 	for iter := 0; iter < maxIters; iter++ {
 		if ex.cancelled() {
@@ -604,39 +534,20 @@ func refineCongestion(g *graph.Graph, tab *routecache.Table, multipath torus.Mul
 		}
 	taskLoop:
 		for _, tmc := range tasksBuf {
-			seeds = seeds[:0]
-			for _, u := range cs.g.Neighbors(int(tmc)) {
-				seeds = append(seeds, tab.Node(cs.st.nodeOf[u]))
-			}
-			if len(seeds) == 0 {
-				continue
-			}
-			// Collect up to Delta swap partners in BFS order — the
-			// exact prefix the serial chain of Algorithm 3 examines.
-			cands = cands[:0]
-			cs.st.bfs(seeds, func(node, lv int32) bool {
-				l := tab.Local(node)
-				if l < 0 || l == cs.st.nodeOf[tmc] {
-					return true
-				}
-				t := cs.st.taskAt[l]
-				if t < 0 || t == tmc {
-					return true
-				}
-				cands = append(cands, t)
-				return len(cands) < opt.Delta
-			})
+			// Up to Delta swap partners in BFS order — the exact
+			// prefix the serial chain of Algorithm 3 examines.
+			cands = st.swapPartners(tmc, opt.Delta, cands)
 			if len(cands) == 0 {
 				continue
 			}
 			scored += int64(len(cands))
-			if scorers != nil && len(cands) > 1 {
+			if len(scorers) > 1 && len(cands) > 1 {
 				ex.par().ForEachIdx(len(cands), func(i int) {
 					scores[i] = scorers[i].score(tmc, cands[i])
 				})
 			} else {
 				for i, t := range cands {
-					scores[i] = serialScorer.score(tmc, t)
+					scores[i] = scorers[0].score(tmc, t)
 				}
 			}
 			chosen := -1
@@ -651,13 +562,11 @@ func refineCongestion(g *graph.Graph, tab *routecache.Table, multipath torus.Mul
 			if chosen < 0 {
 				continue
 			}
-			// Commit serially on the shared state: re-collect the
-			// winner's deltas, push them into the loads and heap, and
-			// update the link-membership sets.
+			// Commit serially on the shared state from the winner's
+			// deltas, collected again on the first scorer.
 			t := cands[chosen]
-			cs.collectSwapDeltas(tmc, t)
-			cs.applyDeltas(1)
-			cs.commitSwap(tmc, t)
+			scorers[0].collect(tmc, t)
+			cs.commit(scorers[0], tmc, t)
 			swaps++
 			improvedLink = true
 			break taskLoop

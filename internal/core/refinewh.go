@@ -50,46 +50,15 @@ func RefineWH(g *graph.Graph, tab *routecache.Table, nodeOf []int32, opt RefineO
 	// the end (before release, which runs last-in).
 	defer st.nodesInto(nodeOf)
 
-	cost := func(i int) int64 {
-		if opt.Objective == TotalHops {
-			return 1
-		}
-		return g.EdgeWeight(i)
-	}
 	// taskWHops: the WH a task is individually responsible for.
 	taskWH := func(t int32) int64 {
 		var wh int64
 		row := tab.DistRow(st.nodeOf[t])
 		for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
-			wh += cost(int(i)) * int64(row[st.nodeOf[g.Adj[i]]])
+			wh += hopCost(g, i, opt.Objective) * int64(row[st.nodeOf[g.Adj[i]]])
 		}
 		return wh
 	}
-	// deltaSwap computes the total WH change of swapping tasks a and b
-	// (negative is an improvement). The a-b edge itself contributes no
-	// change because hop distance is symmetric.
-	deltaSwap := func(a, b int32) int64 {
-		rowA, rowB := tab.DistRow(st.nodeOf[a]), tab.DistRow(st.nodeOf[b])
-		var d int64
-		for i := g.Xadj[a]; i < g.Xadj[a+1]; i++ {
-			u := g.Adj[i]
-			if u == b {
-				continue
-			}
-			mu := st.nodeOf[u]
-			d += cost(int(i)) * int64(rowB[mu]-rowA[mu])
-		}
-		for i := g.Xadj[b]; i < g.Xadj[b+1]; i++ {
-			u := g.Adj[i]
-			if u == a {
-				continue
-			}
-			mu := st.nodeOf[u]
-			d += cost(int(i)) * int64(rowA[mu]-rowB[mu])
-		}
-		return 2 * d // symmetric graph stores each edge twice
-	}
-
 	ar := ex.arenaOf()
 	// Per-task WH values, recomputed in parallel at each pass start:
 	// taskWH(t) reads only the shared placement, so scoring fans out
@@ -110,7 +79,6 @@ func RefineWH(g *graph.Graph, tab *routecache.Table, nodeOf []int32, opt RefineO
 		totalWH += whVals[t]
 	}
 	var totalGain int64
-	seeds := make([]int32, 0, 16)
 	cands := make([]int32, 0, opt.Delta)
 
 	for pass := 0; pass < opt.MaxPasses; pass++ {
@@ -133,37 +101,17 @@ func RefineWH(g *graph.Graph, tab *routecache.Table, nodeOf []int32, opt RefineO
 			}
 			twhInt, _ := whHeap.Pop()
 			twh := int32(twhInt)
-			// BFS from the nodes of twh's neighbours.
-			seeds = seeds[:0]
-			for _, u := range g.Neighbors(int(twh)) {
-				seeds = append(seeds, tab.Node(st.nodeOf[u]))
-			}
-			if len(seeds) == 0 {
-				continue
-			}
 			// Collect up to Delta swap partners in BFS order — the
 			// exact prefix the serial loop would have tried — then
 			// apply the first improving swap in that order. Scoring
-			// stays serial here: a supertask deltaSwap is O(deg),
+			// stays serial here: a supertask pairDelta is O(deg),
 			// far below the cost of a fan-out; the stage's
 			// parallelism lives in the per-pass loadWH above.
-			cands = cands[:0]
-			st.bfs(seeds, func(node, lv int32) bool {
-				l := tab.Local(node)
-				if l < 0 || l == st.nodeOf[twh] {
-					return true
-				}
-				t := st.taskAt[l]
-				if t < 0 {
-					return true // empty allocated nodes can't swap here
-				}
-				cands = append(cands, t)
-				return len(cands) < opt.Delta
-			})
+			cands = st.swapPartners(twh, opt.Delta, cands)
 			chosen := -1
 			var chosenDelta int64
 			for i, t := range cands {
-				if d := deltaSwap(twh, t); d < 0 {
+				if d := pairDelta(g, tab, st.nodeOf, twh, t, opt.Objective); d < 0 {
 					chosen, chosenDelta = i, d
 					break
 				}
@@ -201,4 +149,36 @@ func RefineWH(g *graph.Graph, tab *routecache.Table, nodeOf []int32, opt RefineO
 		}
 	}
 	return totalGain
+}
+
+// pairDelta is the total WH (or TH) change of swapping the nodes of
+// tasks a and b, whose allocation indices loc holds (negative is an
+// improvement), in the doubled-edge accounting of the symmetric graph.
+// The a-b edge itself contributes no change because hop distance is
+// symmetric.
+func pairDelta(g *graph.Graph, tab *routecache.Table, loc []int32, a, b int32, obj Objective) int64 {
+	rowA, rowB := tab.DistRow(loc[a]), tab.DistRow(loc[b])
+	var d int64
+	for i := g.Xadj[a]; i < g.Xadj[a+1]; i++ {
+		if u := g.Adj[i]; u != b {
+			mu := loc[u]
+			d += hopCost(g, i, obj) * int64(rowB[mu]-rowA[mu])
+		}
+	}
+	for i := g.Xadj[b]; i < g.Xadj[b+1]; i++ {
+		if u := g.Adj[i]; u != a {
+			mu := loc[u]
+			d += hopCost(g, i, obj) * int64(rowA[mu]-rowB[mu])
+		}
+	}
+	return 2 * d // symmetric graph stores each edge twice
+}
+
+// hopCost is what one hop of directed edge i costs under obj: its
+// weight for WH, 1 for TH.
+func hopCost(g *graph.Graph, i int32, obj Objective) int64 {
+	if obj == TotalHops {
+		return 1
+	}
+	return g.EdgeWeight(int(i))
 }

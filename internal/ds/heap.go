@@ -40,9 +40,6 @@ func (h *IndexedMaxHeap) Len() int { return len(h.heap) }
 // Contains reports whether item is currently in the heap.
 func (h *IndexedMaxHeap) Contains(item int) bool { return h.pos[item] >= 0 }
 
-// Key returns the key of item; valid only if Contains(item).
-func (h *IndexedMaxHeap) Key(item int) int64 { return h.keys[item] }
-
 // Push inserts item with the given key.
 func (h *IndexedMaxHeap) Push(item int, key int64) {
 	if h.pos[item] >= 0 {

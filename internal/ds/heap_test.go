@@ -54,16 +54,16 @@ func TestIndexedMaxHeapUpdate(t *testing.T) {
 func TestIndexedMaxHeapAdd(t *testing.T) {
 	h := NewIndexedMaxHeap(4)
 	h.Add(2, 5) // absent: behaves like Push
-	if !h.Contains(2) || h.Key(2) != 5 {
-		t.Fatalf("Add on absent item: Contains=%v Key=%d", h.Contains(2), h.Key(2))
+	if item, key := h.Peek(); !h.Contains(2) || item != 2 || key != 5 {
+		t.Fatalf("Add on absent item: Contains=%v Peek=(%d,%d)", h.Contains(2), item, key)
 	}
 	h.Add(2, 7)
-	if h.Key(2) != 12 {
-		t.Fatalf("Add accumulate: Key = %d, want 12", h.Key(2))
+	if _, key := h.Peek(); key != 12 {
+		t.Fatalf("Add accumulate: key = %d, want 12", key)
 	}
 	h.Add(2, -20)
-	if h.Key(2) != -8 {
-		t.Fatalf("Add negative: Key = %d, want -8", h.Key(2))
+	if _, key := h.Peek(); key != -8 {
+		t.Fatalf("Add negative: key = %d, want -8", key)
 	}
 }
 

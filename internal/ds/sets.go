@@ -10,15 +10,6 @@ type IntSet struct {
 	items []int32
 }
 
-// Len reports the cardinality.
-func (s *IntSet) Len() int { return len(s.items) }
-
-// Contains reports membership of x.
-func (s *IntSet) Contains(x int) bool {
-	i := sort.Search(len(s.items), func(i int) bool { return s.items[i] >= int32(x) })
-	return i < len(s.items) && s.items[i] == int32(x)
-}
-
 // Add inserts x, reporting whether it was absent.
 func (s *IntSet) Add(x int) bool {
 	i := sort.Search(len(s.items), func(i int) bool { return s.items[i] >= int32(x) })
@@ -44,9 +35,6 @@ func (s *IntSet) Delete(x int) bool {
 
 // Items returns the sorted members; the slice must not be mutated.
 func (s *IntSet) Items() []int32 { return s.items }
-
-// Clear empties the set without releasing storage.
-func (s *IntSet) Clear() { s.items = s.items[:0] }
 
 // Queue is a simple FIFO of ints backed by a ring buffer, used by the
 // many BFS traversals in the mapping algorithms.

@@ -24,33 +24,20 @@ import (
 	"repro/internal/torus"
 )
 
-// speedOf reads a dense per-node speed vector, defaulting to unit
-// speed for a nil vector or an unset (zero) entry — unallocated nodes
-// hold 0 and are never hosts, but a defensive 1 keeps the math sane.
-func speedOf(speeds []float64, node int32) float64 {
-	if speeds == nil {
-		return 1
-	}
-	if s := speeds[node]; s > 0 {
-		return s
-	}
-	return 1
-}
-
 // FinishTimes returns the per-group compute finish times of a
 // placement: group g's summed task load divided by the speed of the
 // node hosting it. g is the FINE task graph (VW = per-task loads, nil
-// meaning unit), group maps task→group, nodeOf group→node, and speeds
-// is a dense per-node speed vector (nil = homogeneous). The returned
-// slice is freshly allocated, one entry per group.
-func FinishTimes(g *graph.Graph, group, nodeOf []int32, speeds []float64) []float64 {
-	load := make([]int64, len(nodeOf))
+// meaning unit), group maps task→group, and speed[gi] is the (positive)
+// speed of group gi's node. The returned slice is freshly allocated,
+// one entry per group.
+func FinishTimes(g *graph.Graph, group []int32, speed []float64) []float64 {
+	load := make([]int64, len(speed))
 	for t := 0; t < g.N(); t++ {
 		load[group[t]] += g.VertexWeight(t)
 	}
-	finish := make([]float64, len(nodeOf))
+	finish := make([]float64, len(speed))
 	for gi := range finish {
-		finish[gi] = float64(load[gi]) / speedOf(speeds, nodeOf[gi])
+		finish[gi] = float64(load[gi]) / speed[gi]
 	}
 	return finish
 }
@@ -60,8 +47,8 @@ func FinishTimes(g *graph.Graph, group, nodeOf []int32, speeds []float64) []floa
 // balanced, 0 when nothing computes) of a placement. It reads the
 // fine task graph, so it is exact after task-level migration and
 // fine-level refinement, not just after grouping.
-func Summary(g *graph.Graph, group, nodeOf []int32, speeds []float64) (makespan, imbalance float64) {
-	finish := FinishTimes(g, group, nodeOf, speeds)
+func Summary(g *graph.Graph, group []int32, speed []float64) (makespan, imbalance float64) {
+	finish := FinishTimes(g, group, speed)
 	var sum float64
 	for _, f := range finish {
 		sum += f
@@ -87,10 +74,11 @@ func Summary(g *graph.Graph, group, nodeOf []int32, speeds []float64) (makespan,
 //
 // group is mutated in place; coarse.VW (per-group summed loads), when
 // non-nil, is kept in sync so later stages see the migrated loads.
-// capacity is the dense per-node processor-count vector (unallocated
-// nodes hold 0). Returns the number of tasks migrated.
-func RepairLoad(g *graph.Graph, coarse *graph.Graph, group, nodeOf []int32, speeds []float64, capacity []int64) int {
-	r := newLoadRepair(g, coarse, group, nodeOf, speeds, capacity)
+// speed[gi] and capacity[gi] are the speed and the processor count of
+// group gi's node; no group changes node. Returns the number of tasks
+// migrated.
+func RepairLoad(g *graph.Graph, coarse *graph.Graph, group []int32, speed []float64, capacity []int64) int {
+	r := newLoadRepair(g, coarse, group, speed, capacity)
 	moves := 0
 	for r.move() {
 		moves++
@@ -102,16 +90,16 @@ func RepairLoad(g *graph.Graph, coarse *graph.Graph, group, nodeOf []int32, spee
 // mutates plus the per-group summed loads and task counts it keeps in
 // step with every migration.
 type loadRepair struct {
-	g, coarse     *graph.Graph
-	group, nodeOf []int32
-	speeds        []float64
-	capacity      []int64
-	load, count   []int64
+	g, coarse   *graph.Graph
+	group       []int32
+	speed       []float64
+	capacity    []int64
+	load, count []int64
 }
 
-func newLoadRepair(g *graph.Graph, coarse *graph.Graph, group, nodeOf []int32, speeds []float64, capacity []int64) *loadRepair {
-	r := &loadRepair{g: g, coarse: coarse, group: group, nodeOf: nodeOf, speeds: speeds, capacity: capacity,
-		load: make([]int64, len(nodeOf)), count: make([]int64, len(nodeOf))}
+func newLoadRepair(g *graph.Graph, coarse *graph.Graph, group []int32, speed []float64, capacity []int64) *loadRepair {
+	r := &loadRepair{g: g, coarse: coarse, group: group, speed: speed, capacity: capacity,
+		load: make([]int64, len(speed)), count: make([]int64, len(speed))}
 	for t := 0; t < g.N(); t++ {
 		r.load[group[t]] += g.VertexWeight(t)
 		r.count[group[t]]++
@@ -120,7 +108,7 @@ func newLoadRepair(g *graph.Graph, coarse *graph.Graph, group, nodeOf []int32, s
 }
 
 func (r *loadRepair) finish(gi int32) float64 {
-	return float64(r.load[gi]) / speedOf(r.speeds, r.nodeOf[gi])
+	return float64(r.load[gi]) / r.speed[gi]
 }
 
 // tasksByLoad enumerates a group's tasks heaviest first (ties to the
@@ -146,7 +134,7 @@ func (r *loadRepair) tasksByLoad(gi int32) []int32 {
 // move makes the next accepted migration off the bottleneck group and
 // reports whether there was one; false means the pass is done.
 func (r *loadRepair) move() bool {
-	nGroups := int32(len(r.nodeOf))
+	nGroups := int32(len(r.speed))
 	// Bottleneck: the latest-finishing group, ties to the lower index.
 	var worst int32
 	worstFinish := r.finish(0)
@@ -163,7 +151,7 @@ func (r *loadRepair) move() bool {
 		if w <= 0 {
 			break // zero-load tasks cannot lower any finish time
 		}
-		newSrc := float64(r.load[worst]-w) / speedOf(r.speeds, r.nodeOf[worst])
+		newSrc := float64(r.load[worst]-w) / r.speed[worst]
 		if newSrc >= worstFinish {
 			continue
 		}
@@ -172,10 +160,10 @@ func (r *loadRepair) move() bool {
 		var best int32 = -1
 		var bestFinish, bestSpeed float64
 		for gi := int32(0); gi < nGroups; gi++ {
-			if gi == worst || r.count[gi] >= r.capacity[r.nodeOf[gi]] {
+			if gi == worst || r.count[gi] >= r.capacity[gi] {
 				continue
 			}
-			sp := speedOf(r.speeds, r.nodeOf[gi])
+			sp := r.speed[gi]
 			nf := float64(r.load[gi]+w) / sp
 			if best < 0 || nf < bestFinish || (nf == bestFinish && sp > bestSpeed) {
 				best, bestFinish, bestSpeed = gi, nf, sp

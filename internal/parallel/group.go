@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -19,6 +21,11 @@ import (
 // pre-assigned result slots) and draw randomness from their own
 // seeded sources, the result is byte-identical for every worker count
 // including 1. All the solve-pipeline callers are built that way.
+//
+// A panic on a pooled worker goroutine does not kill the process: the
+// Group captures it and re-raises it on the goroutine that called Fork
+// or ForEachIdx once every worker of that call is done, so whoever
+// holds that goroutine can recover it with no worker left running.
 //
 // The Group also carries the request context for cooperative,
 // in-solve cancellation: hot loops poll Cancelled at safe points
@@ -96,15 +103,10 @@ func (g *Group) Fork(a, b func()) {
 	}
 	select {
 	case <-g.tokens:
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { g.tokens <- struct{}{} }()
-			b()
-		}()
-		a()
-		wg.Wait()
+		var j join
+		j.spawn(g, b)
+		j.run(a)
+		j.wait()
 	default:
 		a()
 		b()
@@ -138,21 +140,87 @@ func (g *Group) ForEachIdx(n int, fn func(i int)) {
 			fn(i)
 		}
 	}
-	var wg sync.WaitGroup
+	var j join
 	for spawned := 0; spawned < n-1; spawned++ {
 		select {
 		case <-g.tokens:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { g.tokens <- struct{}{} }()
-				work()
-			}()
+			j.spawn(g, work)
 			continue
 		default:
 		}
 		break
 	}
-	work()
-	wg.Wait()
+	j.run(work)
+	j.wait()
+}
+
+// join is one Fork or ForEachIdx call's wait for the workers it
+// spawned, with the first panic raised on any goroutine of the call,
+// the caller's own included, so the call re-raises it only once every
+// worker is done.
+type join struct {
+	wg sync.WaitGroup
+	mu sync.Mutex
+	p  *workerPanic
+}
+
+// spawn runs fn on a new goroutine holding one of g's worker tokens,
+// which it returns when done.
+func (j *join) spawn(g *Group, fn func()) {
+	j.wg.Add(1)
+	go func() {
+		defer j.wg.Done()
+		defer func() { g.tokens <- struct{}{} }()
+		defer j.capture()
+		fn()
+	}()
+}
+
+// run calls fn on the calling goroutine, capturing its panic.
+func (j *join) run(fn func()) {
+	defer j.capture()
+	fn()
+}
+
+// capture, deferred on a goroutine of the call, records its panic
+// instead of letting it unwind (or, on a pooled worker, end the
+// process).
+func (j *join) capture() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	p, ok := r.(*workerPanic)
+	if !ok {
+		p = &workerPanic{val: r, stack: debug.Stack()}
+	}
+	j.mu.Lock()
+	if j.p == nil {
+		j.p = p
+	}
+	j.mu.Unlock()
+}
+
+// wait waits for the spawned workers, then re-raises the captured
+// panic, if any, on the calling goroutine.
+func (j *join) wait() {
+	j.wg.Wait()
+	if j.p != nil {
+		panic(j.p)
+	}
+}
+
+// workerPanic is a panic of a Fork or ForEachIdx goroutine, re-raised
+// on the calling goroutine after the wait. It prints as the original
+// value; %+v adds the stack it was raised on.
+type workerPanic struct {
+	val   any
+	stack []byte
+}
+
+func (p *workerPanic) Format(f fmt.State, verb rune) {
+	fmt.Fprint(f, p.val)
+	if f.Flag('+') {
+		fmt.Fprintf(f, "\n\npanicked on:\n%s", p.stack)
+	}
 }

@@ -2,8 +2,11 @@ package parallel
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestGroupForkRunsBoth: both closures run exactly once at every
@@ -113,5 +116,43 @@ func TestGroupForkReusesTokens(t *testing.T) {
 	}
 	if len(g.tokens) != cap(g.tokens) {
 		t.Fatalf("leaked tokens: %d of %d free", len(g.tokens), cap(g.tokens))
+	}
+}
+
+// TestGroupWorkerPanicReraised: a panic on a pooled worker goroutine,
+// under Fork or ForEachIdx, reaches the calling goroutine as a panic
+// it can recover, carrying the original value and, under %+v, the
+// stack it was raised on; the group's tokens come back for the next
+// call.
+func TestGroupWorkerPanicReraised(t *testing.T) {
+	recovered := func(run func()) (r any) {
+		defer func() { r = recover() }()
+		run()
+		return nil
+	}
+	g := NewGroup(context.Background(), 2)
+	// With a free token, Fork runs its second closure on a worker.
+	r := recovered(func() { g.Fork(func() {}, func() { panic("fork boom") }) })
+	if r == nil || fmt.Sprint(r) != "fork boom" {
+		t.Fatalf("Fork re-raised %v, want fork boom", r)
+	}
+	if s := fmt.Sprintf("%+v", r); !strings.Contains(s, "panicked on:") || !strings.Contains(s, "TestGroupWorkerPanicReraised") {
+		t.Fatalf("%%+v of the re-raised panic carries no stack:\n%s", s)
+	}
+	// Every index panics, so the spawned helper panics on whichever
+	// index it takes.
+	r = recovered(func() {
+		g.ForEachIdx(2, func(int) {
+			time.Sleep(time.Millisecond)
+			panic("foreach boom")
+		})
+	})
+	if r == nil || fmt.Sprint(r) != "foreach boom" {
+		t.Fatalf("ForEachIdx re-raised %v, want foreach boom", r)
+	}
+	var ran atomic.Int64
+	g.ForEachIdx(8, func(int) { ran.Add(1) })
+	if ran.Load() != 8 {
+		t.Fatalf("after a panic the group ran %d of 8 calls", ran.Load())
 	}
 }

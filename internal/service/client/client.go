@@ -13,7 +13,6 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/registry"
 	"repro/internal/service"
 )
 
@@ -177,16 +176,6 @@ func (c *Client) Remap(ctx context.Context, req service.RemapRequest) (*service.
 	return &out, nil
 }
 
-// Mappers lists the registered mappers with their capability flags
-// (GET /v1/mappers).
-func (c *Client) Mappers(ctx context.Context) ([]registry.Info, error) {
-	var out service.MappersResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/mappers", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Mappers, nil
-}
-
 // Status snapshots the server's live counters (GET /statusz).
 func (c *Client) Status(ctx context.Context) (*service.Status, error) {
 	var out service.Status
@@ -194,9 +183,4 @@ func (c *Client) Status(ctx context.Context) (*service.Status, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Health checks GET /healthz.
-func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
 }

@@ -251,7 +251,7 @@ func (s *Server) handleMap(c codec, w http.ResponseWriter, r *http.Request) {
 	var eng *topomap.Engine
 	var hit bool
 	var res *topomap.MapResult
-	err := s.solve(ctx, workers, func(ctx context.Context) error {
+	err := s.solve(ctx, lg.id, workers, func(ctx context.Context) error {
 		var err error
 		eng, hit, err = s.engineFor(j)
 		if err != nil {
@@ -299,7 +299,7 @@ func (s *Server) handleBatch(c codec, w http.ResponseWriter, r *http.Request) {
 	var eng *topomap.Engine
 	var hit bool
 	var results []*topomap.MapResult
-	err := s.solve(ctx, workers, func(ctx context.Context) error {
+	err := s.solve(ctx, lg.id, workers, func(ctx context.Context) error {
 		var err error
 		eng, hit, err = s.engineFor(j)
 		if err != nil {
@@ -366,7 +366,7 @@ func (s *Server) handleRemap(c codec, w http.ResponseWriter, r *http.Request) {
 	spec := req.Spec(workers)
 	spec.Solve.Trace = true
 	var rres *topomap.RemapResult
-	err := s.solve(ctx, workers, func(ctx context.Context) error {
+	err := s.solve(ctx, lg.id, workers, func(ctx context.Context) error {
 		var err error
 		rres, err = entry.eng.RunRemap(ctx, entry.tasks, entry.res, req.Delta, spec)
 		return err
@@ -427,7 +427,7 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	var eng *topomap.Engine
 	var hit bool
 	var pres *topomap.PortfolioResult
-	err := s.solveUntil(r.Context(), ctx, workers, func(ctx context.Context) error {
+	err := s.solveUntil(r.Context(), ctx, lg.id, workers, func(ctx context.Context) error {
 		var err error
 		eng, hit, err = s.engineFor(j)
 		if err != nil {

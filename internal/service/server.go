@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -237,8 +238,8 @@ func (s *Server) acquire(ctx context.Context, n int) (release func(), err error)
 // even if a solve stage is still winding down to its next
 // cancellation point; the abandoned solve keeps its slots until it
 // finishes (bounding CPU oversubscription) and is then discarded.
-func (s *Server) solve(ctx context.Context, slots int, fn func(context.Context) error) error {
-	return s.solveUntil(ctx, ctx, slots, fn)
+func (s *Server) solve(ctx context.Context, id uint64, slots int, fn func(context.Context) error) error {
+	return s.solveUntil(ctx, ctx, id, slots, fn)
 }
 
 // solveUntil separates the two contexts a solve answers to: fn runs
@@ -250,7 +251,11 @@ func (s *Server) solve(ctx context.Context, slots int, fn func(context.Context) 
 // expired deadline cancels the race but the handler still collects
 // the best-so-far result RunPortfolio assembles after it — only a
 // client disconnect abandons the solve outright.
-func (s *Server) solveUntil(waitCtx, solveCtx context.Context, slots int, fn func(context.Context) error) error {
+//
+// A panic in fn, or in a solve worker (parallel.Group re-raises those
+// on fn's goroutine), fails only this request: it is recovered into a
+// 500 and logged with the request id id and the stack.
+func (s *Server) solveUntil(waitCtx, solveCtx context.Context, id uint64, slots int, fn func(context.Context) error) error {
 	release, err := s.acquire(solveCtx, slots)
 	if err != nil {
 		return err
@@ -258,6 +263,16 @@ func (s *Server) solveUntil(waitCtx, solveCtx context.Context, slots int, fn fun
 	done := make(chan error, 1)
 	go func() {
 		defer release()
+		defer func() {
+			if r := recover(); r != nil {
+				if s.log != nil {
+					s.log.LogAttrs(context.Background(), slog.LevelError, "solve panic",
+						slog.Uint64("req_id", id), slog.String("panic", fmt.Sprintf("%+v", r)),
+						slog.String("stack", string(debug.Stack())))
+				}
+				done <- &jobError{status: http.StatusInternalServerError, err: fmt.Errorf("internal error: solve panicked: %v", r)}
+			}
+		}()
 		done <- fn(solveCtx)
 	}()
 	select {

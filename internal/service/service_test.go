@@ -8,8 +8,10 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -431,13 +433,14 @@ func TestCancellationMidSolve(t *testing.T) {
 // TestMappersEndpoint checks the capability listing: all built-ins
 // present with the flags the engine dispatches on.
 func TestMappersEndpoint(t *testing.T) {
-	c := newClient(t, service.Config{})
-	infos, err := c.Mappers(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	service.New(service.Config{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/mappers", nil))
+	var out service.MappersResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("GET /v1/mappers: status %d, %v", rec.Code, err)
 	}
 	caps := map[string]struct{ msg, multi, block bool }{}
-	for _, in := range infos {
+	for _, in := range out.Mappers {
 		caps[in.Name] = struct{ msg, multi, block bool }{
 			in.Caps.NeedsMessageGraph, in.Caps.NeedsMultipath, in.Caps.BlockGrouping,
 		}
@@ -559,7 +562,7 @@ func TestWireErrors(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := c.Mappers(context.Background()); err != nil {
+	if _, err := c.Status(context.Background()); err != nil {
 		t.Fatalf("server unserviceable after error storm: %v", err)
 	}
 }
@@ -591,8 +594,13 @@ func TestOverTheWire(t *testing.T) {
 	if !reflect.DeepEqual(wire.NodeOf, inproc.NodeOf) || !reflect.DeepEqual(wire.GroupOf, inproc.GroupOf) {
 		t.Fatal("wire and in-process transports diverged")
 	}
-	if err := client.New(ts.URL, nil).Health(context.Background()); err != nil {
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz: %s", hz.Status)
 	}
 	st, err := client.New(ts.URL, nil).Status(context.Background())
 	if err != nil {

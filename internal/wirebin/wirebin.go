@@ -231,14 +231,8 @@ type Reader struct {
 // NewReader wraps a payload.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
-// Err returns the first decode failure.
-func (r *Reader) Err() error { return r.err }
-
 // Remaining returns the unread byte count.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
-
-// Done reports whether the payload was fully consumed without error.
-func (r *Reader) Done() bool { return r.err == nil && r.off == len(r.b) }
 
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {

@@ -6,8 +6,9 @@ GO ?= go
 .PHONY: check fmt vet build test bench bench-json race docs traceguard harnessguard fuzz-smoke mapbench-smoke cover
 
 # check includes docs, whose recipe runs `go vet ./...` — listing vet
-# here too would vet the module twice per gate.
-check: fmt build test traceguard harnessguard fuzz-smoke docs
+# here too would vet the module twice per gate — and mapbench-smoke,
+# so a change that breaks the benchmark's build fails locally too.
+check: fmt build test traceguard harnessguard fuzz-smoke docs mapbench-smoke
 
 # Fuzz smoke: a few hundred executions of each fuzz target — the
 # binary-frame decoders of internal/wirebin, the /v1 JSON codec of
@@ -33,7 +34,8 @@ fuzz-smoke:
 
 # mapbench smoke: cmd/mapbench is a module of its own, so the root
 # `go test ./...` never compiles it, yet it builds against the service
-# and client API. Vet it and run its tests.
+# and client API (service.Metrics, service.MapRequest, wirebin.Metrics).
+# Vet it and run its tests; part of `make check` (about 10 s).
 mapbench-smoke:
 	cd cmd/mapbench && $(GO) vet ./... && $(GO) test ./...
 

@@ -23,7 +23,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/parallel"
@@ -351,7 +350,7 @@ func BenchmarkFatTreeMapping(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := fattree.SparseHosts(ft, 512, 16, 1)
+	a, err := alloc.SparseHosts(ft.Hosts(), 512, 16, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -381,7 +380,7 @@ func BenchmarkSolveMachineSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a, err := fattree.SparseHosts(ft, 32, 16, 1)
+		a, err := alloc.SparseHosts(ft.Hosts(), 32, 16, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,7 +414,7 @@ func BenchmarkDragonflyMapping(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := dragonfly.SparseHosts(d, 128, 16, 1)
+	a, err := alloc.SparseHosts(d.Hosts(), 128, 16, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -513,7 +512,7 @@ func engineBenchFixture(b *testing.B) (*topomap.TaskGraph, *torus.Torus, *alloc.
 	if err != nil {
 		b.Fatal(err)
 	}
-	da, err := dragonfly.SparseHosts(d, 16, 16, 1)
+	da, err := alloc.SparseHosts(d.Hosts(), 16, 16, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -802,7 +801,7 @@ func BenchmarkRemapVsCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	da, err := dragonfly.SparseHosts(df, 257, 16, 1)
+	da, err := alloc.SparseHosts(df.Hosts(), 257, 16, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -920,7 +919,7 @@ func BenchmarkHeteroSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			makespan, _ = hetero.Summary(tg.G, res.GroupOf, groupSpeeds(res.NodeOf))
+			makespan, _ = metrics.LoadSummary(tg.G, res.Placement(), groupSpeeds(res.NodeOf))
 		}
 		b.ReportMetric(makespan, "makespan")
 	})
@@ -1056,7 +1055,7 @@ func BenchmarkEngineParallelSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fa, err := fattree.SparseHosts(ft, 256, 16, 1)
+	fa, err := alloc.SparseHosts(ft.Hosts(), 256, 16, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1066,7 +1065,7 @@ func BenchmarkEngineParallelSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	da, err := dragonfly.SparseHosts(df, 256, 16, 1)
+	da, err := alloc.SparseHosts(df.Hosts(), 256, 16, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

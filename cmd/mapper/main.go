@@ -89,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// expensive work, so a typo fails in microseconds, not after a
 	// matrix generation or a partitioner run.
 	mapper := topomap.Mapper(strings.ToUpper(*algo))
-	if *portfolio == "" && !knownMapper(mapper) {
+	if *portfolio == "" && (topomap.Solve{Mapper: mapper}).Validate() != nil {
 		return fail(fmt.Errorf("unknown mapper %q (want one of: %s)", *algo, mapperList()))
 	}
 	dataTier, err := gen.ParseTier(*tier)
@@ -126,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seen := map[topomap.Mapper]bool{}
 		for _, name := range strings.Split(*portfolio, ",") {
 			mp := topomap.Mapper(strings.ToUpper(strings.TrimSpace(name)))
-			if !knownMapper(mp) {
+			if (topomap.Solve{Mapper: mp}).Validate() != nil {
 				return fail(fmt.Errorf("unknown portfolio mapper %q (want one of: %s)", name, mapperList()))
 			}
 			// All CLI candidates share -seed, so a repeated mapper is a
@@ -174,25 +174,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("need -graph or -matrix"))
 	}
 	if *loadsSpec != "" {
-		loads, err := parseLoads(*loadsSpec)
-		if err != nil {
+		// SetLoads canonicalizes unit loads to the absent vector, as
+		// every wire boundary does, so -loads 1xN is exactly a
+		// homogeneous run.
+		if err := setLoads(tg, *loadsSpec); err != nil {
 			return fail(err)
-		}
-		if len(loads) != tg.G.N() {
-			return fail(fmt.Errorf("-loads lists %d tasks, the graph has %d", len(loads), tg.G.N()))
-		}
-		// Unit loads canonicalize to the absent vector, same as every
-		// wire boundary, so -loads 1xN is exactly a homogeneous run.
-		tg.G.VW = loads
-		unit := true
-		for _, l := range loads {
-			if l != 1 {
-				unit = false
-				break
-			}
-		}
-		if unit {
-			tg.G.VW = nil
 		}
 	}
 	if *coordsFile != "" {
@@ -408,16 +394,6 @@ func buildTopology(kind, torusSpec string, mesh bool, ftK int, ftTaper float64, 
 	return spec.Build()
 }
 
-// knownMapper reports whether the registry dispatches name.
-func knownMapper(name topomap.Mapper) bool {
-	for _, mp := range topomap.RegisteredMappers() {
-		if mp == name {
-			return true
-		}
-	}
-	return false
-}
-
 // mapperList renders the registered mapper names for the -algo usage
 // string — derived from the registry, never hand-maintained.
 func mapperList() string {
@@ -453,21 +429,23 @@ func expandRunList(s, flagName string) ([]string, error) {
 	return out, nil
 }
 
-// parseLoads expands a -loads run list into the per-task load vector.
-func parseLoads(s string) ([]int64, error) {
+// setLoads expands a -loads run list into the per-task load vector
+// and sets it on tg.
+func setLoads(tg *topomap.TaskGraph, s string) error {
 	vals, err := expandRunList(s, "-loads")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]int64, len(vals))
+	loads := make([]int64, len(vals))
 	for i, v := range vals {
-		l, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || l < 0 {
-			return nil, fmt.Errorf("-loads: bad load %q (want a non-negative integer)", v)
+		if loads[i], err = strconv.ParseInt(v, 10, 64); err != nil {
+			return fmt.Errorf("-loads: bad load %q (want an integer)", v)
 		}
-		out[i] = l
 	}
-	return out, nil
+	if err := tg.SetLoads(loads); err != nil {
+		return fmt.Errorf("-loads: %w", err)
+	}
+	return nil
 }
 
 // parseCoords reads a -coords file: one "task x y [z]" line per task,

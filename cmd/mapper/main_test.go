@@ -382,3 +382,31 @@ func TestRunPortfolioFlag(t *testing.T) {
 		t.Fatalf("portfolio output diverged between -workers settings:\n%s\nvs\n%s", outputs[0], outputs[1])
 	}
 }
+
+// TestLoadsFlagUnitRule: -loads sets its vector through
+// TaskGraph.SetLoads, as every wire entry does (internal/service's
+// TestUnitLoadsRule): all-ones loads leave G.VW nil, any other vector
+// is kept whole, and a negative load is refused.
+func TestLoadsFlagUnitRule(t *testing.T) {
+	ring := func() *topomap.TaskGraph {
+		tg, err := topomap.ReadTaskGraph(strings.NewReader("0 1 5\n1 2 5\n2 3 5\n3 0 5\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tg
+	}
+	unit := ring()
+	if err := setLoads(unit, "1x4"); err != nil || unit.G.VW != nil {
+		t.Fatalf("-loads 1x4: err = %v, VW = %v; want no loads", err, unit.G.VW)
+	}
+	mixed := ring()
+	if err := setLoads(mixed, "1,4,0,2"); err != nil || fmt.Sprint(mixed.G.VW) != "[1 4 0 2]" {
+		t.Fatalf("-loads 1,4,0,2: err = %v, VW = %v", err, mixed.G.VW)
+	}
+	if err := setLoads(ring(), "1,-3,1,1"); err == nil || !strings.Contains(err.Error(), "negative load") {
+		t.Fatalf("-loads with a negative load: err = %v, want a refusal", err)
+	}
+	if err := setLoads(ring(), "1x3"); err == nil {
+		t.Fatal("-loads for 3 of 4 tasks accepted")
+	}
+}

@@ -189,8 +189,8 @@ func (e *Engine) newJob(ctx context.Context, tg *TaskGraph, s Solve, defaultWork
 	if err := checkTasks("request", tg); err != nil {
 		return nil, nil, err
 	}
-	if s.TimeoutMS < 0 {
-		return nil, nil, fmt.Errorf("topomap: negative timeout_ms %d", s.TimeoutMS)
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
 	}
 	spec, err := e.mapperFor(tg, s.Mapper)
 	if err != nil {
@@ -226,20 +226,19 @@ func checkTasks(job string, tg *TaskGraph) error {
 	return nil
 }
 
-// mapperFor resolves mapper m through the registry and checks that
-// the engine's topology and the task graph tg supply what it needs:
-// minimal-route enumeration for NeedsMultipath, per-task coordinates
-// for NeedsCoords. Every entry point that names a mapper applies it
-// before any work starts; the errors carry no package prefix, so each
-// caller says which mapper of its job failed.
+// mapperFor resolves mapper m, which Solve.Validate accepted, through
+// the registry and checks that the engine's topology and the task
+// graph tg supply what it needs: minimal-route enumeration for
+// NeedsMultipath, per-task coordinates for NeedsCoords. Every entry
+// point that names a mapper applies it before any work starts; the
+// errors carry no package prefix, so each caller says which mapper of
+// its job failed.
 func (e *Engine) mapperFor(tg *TaskGraph, m Mapper) (registry.MapperSpec, error) {
-	spec, ok := registry.Lookup(string(m))
-	if !ok {
-		return nil, fmt.Errorf("unknown mapper %q", m)
-	}
+	// Registrations are never removed, so a validated name resolves.
+	spec, _ := registry.Lookup(string(m))
 	caps := spec.Caps()
 	if caps.NeedsMultipath {
-		if _, ok := torus.MultipathOf(e.view); !ok {
+		if _, ok := torus.As[torus.MultipathTopology](e.view); !ok {
 			return nil, fmt.Errorf("mapper %s needs a topology with minimal-route enumeration", m)
 		}
 	}
@@ -437,7 +436,7 @@ func (e *Engine) finishPlacement(j *solveJob, tg *TaskGraph, p prefix, nodeOf []
 	// ComputePar fills the unit-speed makespan; a heterogeneous
 	// allocation overwrites it with the speed-aware finish times.
 	if !e.unitSpeeds {
-		res.Metrics.Makespan, res.Metrics.LoadImbalance = hetero.Summary(tg.G, group, speed)
+		res.Metrics.Makespan, res.Metrics.LoadImbalance = metrics.LoadSummary(tg.G, pl, speed)
 	}
 	sp.End()
 	if s.Sim != nil {

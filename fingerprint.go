@@ -17,8 +17,8 @@ import (
 // seen through view layers); other topologies fall back to an FNV-1a
 // structural hash over the adjacency and link bandwidths.
 func TopologyFingerprint(topo Topology) string {
-	if fp, ok := torus.FingerprintOf(topo); ok {
-		return fp
+	if f, ok := torus.As[torus.Fingerprinter](topo); ok {
+		return f.TopologyFingerprint()
 	}
 	return structuralFingerprint(topo)
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hetero"
+	"repro/internal/metrics"
 	"repro/internal/taskgraph"
 )
 
@@ -183,7 +183,7 @@ func TestSolveHeteroBeatsBlindMakespan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: blind: %v", mp, err)
 		}
-		ms, _ := hetero.Summary(tg.G, res.GroupOf, groupSpeeds(res.NodeOf))
+		ms, _ := metrics.LoadSummary(tg.G, res.Placement(), groupSpeeds(res.NodeOf))
 		if blind == 0 || ms < blind {
 			blind = ms
 		}

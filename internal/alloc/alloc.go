@@ -245,6 +245,23 @@ func SparseIDs(total, want int, seed int64, busyFraction float64) ([]int32, erro
 	return ids, nil
 }
 
+// SparseHosts reserves want of the hosts 0..hosts-1 of a network whose
+// host ids follow its racks (fat tree, dragonfly) on a busy machine:
+// SparseIDs with half the hosts occupied — non-contiguous but locality
+// biased, like the paper's Hopper allocations — each host with
+// procsPerHost processors.
+func SparseHosts(hosts, want, procsPerHost int, seed int64) (*Allocation, error) {
+	nodes, err := SparseIDs(hosts, want, seed, 0.5)
+	if err != nil {
+		return nil, err
+	}
+	procs := make([]int, want)
+	for i := range procs {
+		procs[i] = procsPerHost
+	}
+	return &Allocation{Nodes: nodes, ProcsPerNode: procs}, nil
+}
+
 // MachineOrder returns the nodes of the torus in the scheduler's
 // linear (space-filling curve) order.
 func MachineOrder(t *torus.Torus) []int32 {

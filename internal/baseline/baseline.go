@@ -89,7 +89,7 @@ func rbMap(g *graph.Graph, tasks, nodes []int32, topo torus.Topology, seed int64
 	}
 	nl := len(nodes) / 2
 	var nodesL, nodesR []int32
-	if ct, ok := torus.CoordsOf(topo); geometric && ok {
+	if ct, ok := torus.As[torus.CoordTopology](topo); geometric && ok {
 		nodesL, nodesR = splitGeometric(nodes, nl, ct)
 	} else {
 		nodesL = append([]int32(nil), nodes[:nl]...)

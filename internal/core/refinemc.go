@@ -466,10 +466,10 @@ func RefineCongestion(g *graph.Graph, tab *routecache.Table, nodeOf []int32, kin
 // approximate refinement the paper sketches for networks without
 // static routing). The acceptance rule and search structure are those
 // of Algorithm 3, applied to the expected congestion. tab's topology
-// must enumerate minimal routes (torus.MultipathOf). Returns the
-// number of swaps applied.
+// must enumerate minimal routes (torus.As[torus.MultipathTopology]).
+// Returns the number of swaps applied.
 func RefineCongestionAdaptive(g *graph.Graph, tab *routecache.Table, nodeOf []int32, kind CongestionKind, opt RefineOptions) int {
-	mp, ok := torus.MultipathOf(tab)
+	mp, ok := torus.As[torus.MultipathTopology](tab)
 	if !ok {
 		panic("core: adaptive congestion refinement needs minimal-route enumeration")
 	}

@@ -49,7 +49,7 @@ func MapUMMC(g, msgG *graph.Graph, tab *routecache.Table, ex *Exec) []int32 {
 // refinement in which per-link loads are expectations over all
 // minimal dimension-ordered routes (Blue Gene style adaptive
 // routing). tab's topology must enumerate minimal routes
-// (torus.MultipathOf).
+// (torus.As[torus.MultipathTopology]).
 func MapUMCA(g *graph.Graph, tab *routecache.Table, ex *Exec) []int32 {
 	nodeOf := MapUG(g, tab, ex)
 	RefineCongestionAdaptive(g, tab, nodeOf, VolumeCongestion, RefineOptions{Exec: ex})

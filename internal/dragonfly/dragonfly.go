@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/alloc"
 	"repro/internal/torus"
 )
 
@@ -286,24 +285,6 @@ func (d *Dragonfly) ForEachMinimalRoute(a, b int, fn func(route []int32)) int {
 
 // RouteScale returns 1: all route counts are 1.
 func (d *Dragonfly) RouteScale() int64 { return 1 }
-
-// SparseHosts reserves want hosts on a busy machine in host-id
-// (rack-locality) order, non-contiguous but locality biased, with
-// procsPerHost processors each.
-func SparseHosts(d *Dragonfly, want, procsPerHost int, seed int64) (*alloc.Allocation, error) {
-	if procsPerHost <= 0 {
-		procsPerHost = alloc.DefaultProcsPerNode
-	}
-	nodes, err := alloc.SparseIDs(d.Hosts(), want, seed, 0.5)
-	if err != nil {
-		return nil, fmt.Errorf("dragonfly: %w", err)
-	}
-	procs := make([]int, want)
-	for i := range procs {
-		procs[i] = procsPerHost
-	}
-	return &alloc.Allocation{Nodes: nodes, ProcsPerNode: procs}, nil
-}
 
 var (
 	_ torus.Topology          = (*Dragonfly)(nil)

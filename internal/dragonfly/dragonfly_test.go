@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -256,7 +257,7 @@ func TestLinkBandwidthLevels(t *testing.T) {
 
 func TestMappingPipelineOnDragonfly(t *testing.T) {
 	d := mustNew(t, 2) // 72 hosts
-	a, err := SparseHosts(d, 24, 16, 5)
+	a, err := alloc.SparseHosts(d.Hosts(), 24, 16, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestMappingPipelineOnDragonfly(t *testing.T) {
 
 func TestSparseHostsValid(t *testing.T) {
 	d := mustNew(t, 2)
-	a, err := SparseHosts(d, 30, 8, 11)
+	a, err := alloc.SparseHosts(d.Hosts(), 30, 8, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestSparseHostsValid(t *testing.T) {
 		}
 		seen[hst] = true
 	}
-	if _, err := SparseHosts(d, d.Hosts()+1, 8, 1); err == nil {
+	if _, err := alloc.SparseHosts(d.Hosts(), d.Hosts()+1, 8, 1); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
 }

@@ -303,25 +303,6 @@ func (c *cache) mapCase(mapper topomap.Mapper, tg *topomap.TaskGraph, topo *toru
 	return res, time.Since(start), err
 }
 
-// metricValue extracts a named metric for normalized reporting.
-func metricValue(m metrics.MapMetrics, name string) float64 {
-	switch name {
-	case "TH":
-		return float64(m.TH)
-	case "WH":
-		return float64(m.WH)
-	case "MMC":
-		return float64(m.MMC)
-	case "MC":
-		return m.MC
-	case "AMC":
-		return m.AMC
-	case "AC":
-		return m.AC
-	}
-	panic("exp: unknown metric " + name)
-}
-
 // simulate runs the requested simulator with c.Reps noisy repetitions
 // and returns the mean and standard deviation.
 func (c *cache) simulate(kind string, tg *topomap.TaskGraph, topo *torus.Torus, pl *metrics.Placement, bytesPerUnit float64, iters int) (mean, std float64) {

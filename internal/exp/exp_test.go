@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/partitioners"
 
 	topomap "repro"
@@ -162,13 +161,4 @@ func TestConfigs(t *testing.T) {
 	if len(PaperConfig().matrices()) != 25 {
 		t.Fatal("paper config should use the whole dataset")
 	}
-}
-
-func TestMetricValuePanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown metric")
-		}
-	}()
-	metricValue(metrics.MapMetrics{}, "NOPE")
 }

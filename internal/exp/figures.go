@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/gen"
 	"repro/internal/metrics"
@@ -95,14 +96,8 @@ func (s *Suite) Figure2() (string, error) {
 		Title:   "Figure 2: mapping metrics on PATOH graphs, geomean normalized to DEF",
 		Headers: []string{"procs", "mapper", "TH", "WH", "MMC", "MC"},
 	}
-	metricNames := []string{"TH", "WH", "MMC", "MC"}
-	var warm []tgCase
-	for _, k := range cfg.PartCounts {
-		for _, name := range cfg.matrices() {
-			warm = append(warm, tgCase{name, partitioners.PATOHP, k})
-		}
-	}
-	if err := s.warmTaskGraphs(warm); err != nil {
+	metricNames := []string{"th", "wh", "mmc", "mc"}
+	if err := s.warmPATOH(); err != nil {
 		return "", err
 	}
 	for _, k := range cfg.PartCounts {
@@ -160,8 +155,8 @@ func (s *Suite) Figure2() (string, error) {
 			def := got[topomap.DEF]
 			for _, mp := range topomap.Mappers() {
 				for _, mn := range metricNames {
-					b := metricValue(def, mn)
-					v := metricValue(got[mp], mn)
+					b, _ := metrics.MetricValue(def, mn)
+					v, _ := metrics.MetricValue(got[mp], mn)
 					if b > 0 {
 						ratios[mp][mn] = append(ratios[mp][mn], v/b)
 					}
@@ -169,14 +164,26 @@ func (s *Suite) Figure2() (string, error) {
 			}
 		}
 		for _, mp := range topomap.Mappers() {
-			out.AddRow(fmt.Sprint(k), string(mp),
-				stats.F(stats.GeoMean(ratios[mp]["TH"])),
-				stats.F(stats.GeoMean(ratios[mp]["WH"])),
-				stats.F(stats.GeoMean(ratios[mp]["MMC"])),
-				stats.F(stats.GeoMean(ratios[mp]["MC"])))
+			row := []string{fmt.Sprint(k), string(mp)}
+			for _, mn := range metricNames {
+				row = append(row, stats.F(stats.GeoMean(ratios[mp][mn])))
+			}
+			out.AddRow(row...)
 		}
 	}
 	return render(out), nil
+}
+
+// warmPATOH partitions every (matrix, k) case with PATOH in parallel,
+// the task graphs Figures 2 and 3 map.
+func (s *Suite) warmPATOH() error {
+	var warm []tgCase
+	for _, k := range s.cfg.PartCounts {
+		for _, name := range s.cfg.matrices() {
+			warm = append(warm, tgCase{name, partitioners.PATOHP, k})
+		}
+	}
+	return s.warmTaskGraphs(warm)
 }
 
 // Figure3 regenerates Figure 3: geometric mean mapping times (in
@@ -196,13 +203,7 @@ func (s *Suite) Figure3() (string, error) {
 	// Partition in parallel, but run and time the mappers serially:
 	// Figure 3 reports wall-clock mapping times, which concurrent
 	// execution would contaminate.
-	var warm []tgCase
-	for _, k := range cfg.PartCounts {
-		for _, name := range cfg.matrices() {
-			warm = append(warm, tgCase{name, partitioners.PATOHP, k})
-		}
-	}
-	if err := s.warmTaskGraphs(warm); err != nil {
+	if err := s.warmPATOH(); err != nil {
 		return "", err
 	}
 	for _, k := range cfg.PartCounts {
@@ -245,102 +246,76 @@ func (s *Suite) Figure3() (string, error) {
 // for every partitioner × mapper, normalized to DEF on the PATOH
 // graph.
 func (s *Suite) Figure4(variant string) (string, error) {
+	var matName string
+	var bytesPerUnit float64
 	switch variant {
 	case "a":
-		return s.commFigure(gen.Cagelike, 4096)
+		matName, bytesPerUnit = gen.Cagelike, 4096
 	case "b":
-		return s.commFigure(gen.RGGName, 262144)
+		matName, bytesPerUnit = gen.RGGName, 262144
+	default:
+		return "", fmt.Errorf("exp: Figure4 variant must be \"a\" or \"b\"")
 	}
-	return "", fmt.Errorf("exp: Figure4 variant must be \"a\" or \"b\"")
-}
-
-func (s *Suite) commFigure(matName string, bytesPerUnit float64) (string, error) {
-	c := s.c
-	cfg := s.cfg
-	topo := cfg.torus()
-	k := cfg.PartCounts[len(cfg.PartCounts)-1]
-	nNodes := k / cfg.ProcsPerNode
-	out := &stats.Table{
-		Title: fmt.Sprintf("Figure 4 (%s, %d procs, scale %g): comm-only, normalized to DEF on PATOH",
-			matName, k, bytesPerUnit),
-		Headers: []string{"partitioner", "mapper", "WH", "MMC", "MC", "CommTime", "±std"},
-	}
-	a, err := c.allocOf(topo, nNodes, cfg.Seed)
-	if err != nil {
-		return "", err
-	}
-	// Baseline: DEF mapping of the PATOH graph.
-	baseTG, err := c.taskGraphOf(matName, partitioners.PATOHP, k)
-	if err != nil {
-		return "", err
-	}
-	baseRes, _, err := c.mapCase(topomap.DEF, baseTG, topo, a, cfg.Seed)
-	if err != nil {
-		return "", err
-	}
-	baseTime, _ := c.simulate("comm", baseTG, topo, baseRes.Placement(), bytesPerUnit, 0)
-	baseM := baseRes.Metrics
-
-	// Each partitioner's rows are independent: compute them in
-	// parallel and emit in figure order.
-	parts := partitioners.All()
-	rows, err := parallel.Map(len(parts), 0, func(pi int) ([][]string, error) {
-		p := parts[pi]
-		tg, err := c.taskGraphOf(matName, p, k)
-		if err == errSkip {
-			return nil, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		var group [][]string
-		for _, mp := range commMappers() {
-			res, _, err := c.mapCase(mp, tg, topo, a, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			mean, std := c.simulate("comm", tg, topo, res.Placement(), bytesPerUnit, 0)
-			group = append(group, []string{string(p), string(mp),
-				stats.F(float64(res.Metrics.WH) / float64(baseM.WH)),
-				stats.F(float64(res.Metrics.MMC) / float64(baseM.MMC)),
-				stats.F(res.Metrics.MC / baseM.MC),
-				stats.F(mean / baseTime),
-				stats.F(std / baseTime)})
-		}
-		c.progressf("  fig4 %s: partitioner %s done\n", matName, p)
-		return group, nil
+	k := s.cfg.PartCounts[len(s.cfg.PartCounts)-1]
+	return s.simFigure(simSweep{
+		title:        fmt.Sprintf("Figure 4 (%s, %d procs, scale %g): comm-only, normalized to DEF on PATOH", matName, k, bytesPerUnit),
+		matName:      matName,
+		metrics:      [3]string{"wh", "mmc", "mc"},
+		timeCol:      "CommTime",
+		label:        "fig4 " + matName,
+		sim:          "comm",
+		bytesPerUnit: bytesPerUnit,
 	})
-	if err != nil {
-		return "", err
-	}
-	for _, group := range rows {
-		for _, row := range group {
-			out.AddRow(row...)
-		}
-	}
-	return render(out), nil
 }
 
 // Figure5 regenerates Figure 5: SpMV (Tpetra-like) execution for the
 // cagelike matrix: TH, MMC, MC and time per partitioner × mapper,
 // normalized to DEF on the PATOH graph.
 func (s *Suite) Figure5() (string, error) {
+	const iters = 500
+	k := s.cfg.PartCounts[len(s.cfg.PartCounts)-1]
+	return s.simFigure(simSweep{
+		title:   fmt.Sprintf("Figure 5 (SpMV %s, %d procs, %d iters): normalized to DEF on PATOH", gen.Cagelike, k, iters),
+		matName: gen.Cagelike,
+		metrics: [3]string{"th", "mmc", "mc"},
+		timeCol: "TpetraTime",
+		label:   "fig5",
+		sim:     "spmv",
+		iters:   iters,
+	})
+}
+
+// simSweep is one simulated figure (4a, 4b, 5): the matrix, the three
+// metric columns by canonical name, the time column's header and the
+// simulator run (see cache.simulate).
+type simSweep struct {
+	title, matName, timeCol, label string
+	metrics                        [3]string
+	sim                            string
+	bytesPerUnit                   float64
+	iters                          int
+}
+
+// simFigure runs the sweep of Figures 4 and 5: every partitioner ×
+// mapper at the largest processor count, its metric columns and
+// simulated time normalized to DEF on the PATOH graph.
+func (s *Suite) simFigure(f simSweep) (string, error) {
 	c := s.c
 	cfg := s.cfg
 	topo := cfg.torus()
 	k := cfg.PartCounts[len(cfg.PartCounts)-1]
 	nNodes := k / cfg.ProcsPerNode
-	const iters = 500
-	out := &stats.Table{
-		Title: fmt.Sprintf("Figure 5 (SpMV %s, %d procs, %d iters): normalized to DEF on PATOH",
-			gen.Cagelike, k, iters),
-		Headers: []string{"partitioner", "mapper", "TH", "MMC", "MC", "TpetraTime", "±std"},
+	headers := []string{"partitioner", "mapper"}
+	for _, name := range f.metrics {
+		headers = append(headers, strings.ToUpper(name))
 	}
+	out := &stats.Table{Title: f.title, Headers: append(headers, f.timeCol, "±std")}
 	a, err := c.allocOf(topo, nNodes, cfg.Seed)
 	if err != nil {
 		return "", err
 	}
-	baseTG, err := c.taskGraphOf(gen.Cagelike, partitioners.PATOHP, k)
+	// Baseline: DEF mapping of the PATOH graph.
+	baseTG, err := c.taskGraphOf(f.matName, partitioners.PATOHP, k)
 	if err != nil {
 		return "", err
 	}
@@ -348,13 +323,14 @@ func (s *Suite) Figure5() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	baseTime, _ := c.simulate("spmv", baseTG, topo, baseRes.Placement(), 0, iters)
-	baseM := baseRes.Metrics
+	baseTime, _ := c.simulate(f.sim, baseTG, topo, baseRes.Placement(), f.bytesPerUnit, f.iters)
 
+	// Each partitioner's rows are independent: compute them in
+	// parallel and emit in figure order.
 	parts := partitioners.All()
 	rows, err := parallel.Map(len(parts), 0, func(pi int) ([][]string, error) {
 		p := parts[pi]
-		tg, err := c.taskGraphOf(gen.Cagelike, p, k)
+		tg, err := c.taskGraphOf(f.matName, p, k)
 		if err == errSkip {
 			return nil, nil
 		}
@@ -367,15 +343,16 @@ func (s *Suite) Figure5() (string, error) {
 			if err != nil {
 				return nil, err
 			}
-			mean, std := c.simulate("spmv", tg, topo, res.Placement(), 0, iters)
-			group = append(group, []string{string(p), string(mp),
-				stats.F(float64(res.Metrics.TH) / float64(baseM.TH)),
-				stats.F(float64(res.Metrics.MMC) / float64(baseM.MMC)),
-				stats.F(res.Metrics.MC / baseM.MC),
-				stats.F(mean / baseTime),
-				stats.F(std / baseTime)})
+			mean, std := c.simulate(f.sim, tg, topo, res.Placement(), f.bytesPerUnit, f.iters)
+			row := []string{string(p), string(mp)}
+			for _, name := range f.metrics {
+				v, _ := metrics.MetricValue(res.Metrics, name)
+				b, _ := metrics.MetricValue(baseRes.Metrics, name)
+				row = append(row, stats.F(v/b))
+			}
+			group = append(group, append(row, stats.F(mean/baseTime), stats.F(std/baseTime)))
 		}
-		c.progressf("  fig5: partitioner %s done\n", p)
+		c.progressf("  %s: partitioner %s done\n", f.label, p)
 		return group, nil
 	})
 	if err != nil {
@@ -390,14 +367,7 @@ func (s *Suite) Figure5() (string, error) {
 }
 
 func render(t *stats.Table) string {
-	var sb renderBuffer
+	var sb strings.Builder
 	t.Fprint(&sb)
-	return string(sb)
-}
-
-type renderBuffer []byte
-
-func (b *renderBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
+	return sb.String()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -316,7 +317,7 @@ func TestLinkInfoInvertsLinkID(t *testing.T) {
 
 func TestSparseHostsProperties(t *testing.T) {
 	ft := mustNew(t, 8)
-	a, err := SparseHosts(ft, 40, 16, 3)
+	a, err := alloc.SparseHosts(ft.Hosts(), 40, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +338,10 @@ func TestSparseHostsProperties(t *testing.T) {
 
 func TestSparseHostsErrors(t *testing.T) {
 	ft := mustNew(t, 4)
-	if _, err := SparseHosts(ft, 0, 16, 1); err == nil {
+	if _, err := alloc.SparseHosts(ft.Hosts(), 0, 16, 1); err == nil {
 		t.Error("want=0 accepted")
 	}
-	if _, err := SparseHosts(ft, ft.Hosts()+1, 16, 1); err == nil {
+	if _, err := alloc.SparseHosts(ft.Hosts(), ft.Hosts()+1, 16, 1); err == nil {
 		t.Error("oversubscription accepted")
 	}
 }
@@ -349,7 +350,7 @@ func TestMappingPipelineOnFatTree(t *testing.T) {
 	// End-to-end: the paper's WH algorithms run unchanged on a fat
 	// tree and improve over a block mapping.
 	ft := mustNew(t, 8)
-	a, err := SparseHosts(ft, 32, 16, 9)
+	a, err := alloc.SparseHosts(ft.Hosts(), 32, 16, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

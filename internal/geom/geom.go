@@ -275,7 +275,7 @@ func HilbertOrder(coords []float64, dim int) []int32 {
 // the scheduler's allocation order unchanged.
 func NodeOrder(topo torus.Topology, nodes []int32) []int32 {
 	out := append([]int32(nil), nodes...)
-	ct, ok := torus.CoordsOf(topo)
+	ct, ok := torus.As[torus.CoordTopology](topo)
 	if !ok {
 		return out
 	}

@@ -1,7 +1,6 @@
 // Package hetero is the heterogeneous-processor subsystem: per-task
 // execution costs (task-graph vertex weights) crossed with per-node
-// speed factors. It computes per-node finish times and the compute
-// makespan they imply, provides a makespan-aware load-repair stage
+// speed factors. It provides a makespan-aware load-repair stage
 // (greedy migration of the costliest tasks off the bottleneck node
 // onto the cheapest feasible node, deterministic tie-breaks — the
 // CPU/GPU greedy-migration scheme the heterogeneous-mapping
@@ -23,44 +22,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/torus"
 )
-
-// FinishTimes returns the per-group compute finish times of a
-// placement: group g's summed task load divided by the speed of the
-// node hosting it. g is the FINE task graph (VW = per-task loads, nil
-// meaning unit), group maps task→group, and speed[gi] is the (positive)
-// speed of group gi's node. The returned slice is freshly allocated,
-// one entry per group.
-func FinishTimes(g *graph.Graph, group []int32, speed []float64) []float64 {
-	load := make([]int64, len(speed))
-	for t := 0; t < g.N(); t++ {
-		load[group[t]] += g.VertexWeight(t)
-	}
-	finish := make([]float64, len(speed))
-	for gi := range finish {
-		finish[gi] = float64(load[gi]) / speed[gi]
-	}
-	return finish
-}
-
-// Summary computes the makespan (max per-node finish time) and the
-// load imbalance (max/mean of the finish times; 1 is perfectly
-// balanced, 0 when nothing computes) of a placement. It reads the
-// fine task graph, so it is exact after task-level migration and
-// fine-level refinement, not just after grouping.
-func Summary(g *graph.Graph, group []int32, speed []float64) (makespan, imbalance float64) {
-	finish := FinishTimes(g, group, speed)
-	var sum float64
-	for _, f := range finish {
-		sum += f
-		if f > makespan {
-			makespan = f
-		}
-	}
-	if len(finish) > 0 && sum > 0 {
-		imbalance = makespan * float64(len(finish)) / sum
-	}
-	return makespan, imbalance
-}
 
 // RepairLoad is the makespan-aware load-repair stage: while some node
 // finishes strictly later than the rest, migrate that node's

@@ -9,15 +9,14 @@ import (
 	"repro/internal/graph"
 )
 
-// Package-local tests: finish times and the makespan summary on
-// hand-computed instances, and the load-repair contract the engine's
+// Package-local tests: the load-repair contract the engine's
 // ownership rules rest on — group and coarse.VW rewritten in place and
 // kept in sync, every move strictly lowering (makespan, groups at the
 // makespan), the returned count equal to the moves made, and the whole
 // pass deterministic.
 
 // loadGraph is an edgeless task graph carrying per-task loads (nil:
-// unit loads). The repair and summary read vertex weights only.
+// unit loads). The repair reads vertex weights only.
 func loadGraph(loads []int64, n int) *graph.Graph {
 	return graph.FromEdges(n, nil, nil, nil, loads)
 }
@@ -29,36 +28,6 @@ func groupLoads(g *graph.Graph, group []int32, nGroups int) []int64 {
 		out[group[t]] += g.VertexWeight(t)
 	}
 	return out
-}
-
-func TestFinishTimesAndSummary(t *testing.T) {
-	g := loadGraph([]int64{4, 2, 3, 1}, 4)
-	group := []int32{0, 0, 1, 1}
-	cases := []struct {
-		name          string
-		g             *graph.Graph
-		speed         []float64 // per group
-		finish        []float64
-		makespan, imb float64
-	}{
-		// Group 0: load 6 at speed 2; group 1: load 4 at speed 1.
-		{"speeds", g, []float64{2, 1}, []float64{3, 4}, 4, 4 * 2 / 7.0},
-		// Unit speeds.
-		{"unit speeds", g, []float64{1, 1}, []float64{6, 4}, 6, 6 * 2 / 10.0},
-		// Nil loads are unit loads: two tasks per group.
-		{"unit loads", loadGraph(nil, 4), []float64{2, 1}, []float64{1, 2}, 2, 2 * 2 / 3.0},
-		// Nothing computes: zero makespan, zero imbalance.
-		{"zero loads", loadGraph([]int64{0, 0, 0, 0}, 4), []float64{1, 1}, []float64{0, 0}, 0, 0},
-	}
-	for _, tc := range cases {
-		if got := FinishTimes(tc.g, group, tc.speed); !reflect.DeepEqual(got, tc.finish) {
-			t.Fatalf("%s: FinishTimes = %v, want %v", tc.name, got, tc.finish)
-		}
-		mk, imb := Summary(tc.g, group, tc.speed)
-		if mk != tc.makespan || imb != tc.imb {
-			t.Fatalf("%s: Summary = (%v, %v), want (%v, %v)", tc.name, mk, imb, tc.makespan, tc.imb)
-		}
-	}
 }
 
 func TestRepairLoadHandInstances(t *testing.T) {
@@ -142,7 +111,10 @@ func newRepairInstance(seed int64) repairInstance {
 // objective is the pair every accepted move must strictly lower: the
 // makespan, then the number of groups finishing at it.
 func objective(in repairInstance, group []int32) (float64, int) {
-	finish := FinishTimes(in.g, group, in.speed)
+	finish := make([]float64, len(in.speed))
+	for gi, l := range groupLoads(in.g, group, len(in.speed)) {
+		finish[gi] = float64(l) / in.speed[gi]
+	}
 	mk := slices.Max(finish)
 	at := 0
 	for _, f := range finish {

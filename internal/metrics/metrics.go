@@ -13,29 +13,32 @@ import (
 	"repro/internal/torus"
 )
 
-// MapMetrics holds every mapping metric for one mapping.
+// MapMetrics holds every mapping metric for one mapping. It is also
+// the metrics object of the mapd wire: the JSON names are the
+// canonical metric names MetricNames lists, in the same order.
 type MapMetrics struct {
-	TH  int64   // total hop count: sum of dilations over task edges
-	WH  int64   // weighted hops: dilation * volume
-	MMC int64   // max messages crossing any link
-	MC  float64 // max volume congestion: max over links of volume/bw
-	AMC float64 // average message congestion over used links
-	AC  float64 // average volume congestion over used links
+	TH  int64   `json:"th"`  // total hop count: sum of dilations over task edges
+	WH  int64   `json:"wh"`  // weighted hops: dilation * volume
+	MMC int64   `json:"mmc"` // max messages crossing any link
+	MC  float64 `json:"mc"`  // max volume congestion: max over links of volume/bw
+	AMC float64 `json:"amc"` // average message congestion over used links
+	AC  float64 `json:"ac"`  // average volume congestion over used links
 
-	ICV  int64 // inter-node communication volume
-	ICM  int64 // inter-node message count
-	MNRV int64 // max volume received by a node
-	MNRM int64 // max messages received by a node
+	ICV  int64 `json:"icv"`  // inter-node communication volume
+	ICM  int64 `json:"icm"`  // inter-node message count
+	MNRV int64 `json:"mnrv"` // max volume received by a node
+	MNRM int64 `json:"mnrm"` // max messages received by a node
 
-	UsedLinks int // |E_tm|: links carrying at least one message
+	UsedLinks int `json:"used_links"` // |E_tm|: links carrying at least one message
 
 	// Heterogeneous-processor metrics (per-task loads × per-node
 	// speeds): the compute makespan max over nodes of load/speed, and
-	// the load imbalance max/mean of the same per-node finish times.
-	// On homogeneous inputs (unit loads, unit speeds) makespan is the
-	// largest group size — still well defined, just capacity-shaped.
-	Makespan      float64
-	LoadImbalance float64
+	// the load imbalance max/mean of the same per-node finish times
+	// (see LoadSummary). On homogeneous inputs (unit loads, unit
+	// speeds) makespan is the largest group size — still well defined,
+	// just capacity-shaped.
+	Makespan      float64 `json:"makespan"`
+	LoadImbalance float64 `json:"load_imbalance"`
 }
 
 // Placement maps fine tasks to nodes: node(t) = NodeOf[GroupOf[t]]
@@ -227,17 +230,15 @@ func newComputeState(topo torus.Topology, groups int) computeState {
 	}
 }
 
-// loadSummary computes the unit-speed heterogeneous metrics of a
-// placement: per-group summed task loads (vertex weights), their
-// maximum (the makespan at unit speed) and max/mean (the load
-// imbalance). Placement-only evaluation has no speed vector, so unit
-// speeds are the contract here; the engine overwrites both fields
-// with speed-aware values when its allocation is heterogeneous.
-func loadSummary(tg *graph.Graph, pl *Placement) (makespan, imbalance float64) {
+// LoadSummary computes the compute makespan of a placement and its
+// load imbalance: each group's summed task loads (the vertex weights
+// of the fine task graph tg) over the speed of its node, the maximum
+// of these finish times, and that maximum over their mean (1 is
+// perfectly balanced, 0 when nothing computes). speed holds one
+// factor per group; nil means unit speed. It reads the fine graph, so
+// it is exact after task-level migration and fine-level refinement.
+func LoadSummary(tg *graph.Graph, pl *Placement, speed []float64) (makespan, imbalance float64) {
 	n := len(pl.NodeOf)
-	if n == 0 {
-		return 0, 0
-	}
 	load := make([]int64, n)
 	for t := 0; t < tg.N(); t++ {
 		g := int32(t)
@@ -246,17 +247,19 @@ func loadSummary(tg *graph.Graph, pl *Placement) (makespan, imbalance float64) {
 		}
 		load[g] += tg.VertexWeight(t)
 	}
-	var max, sum int64
-	for _, l := range load {
-		sum += l
-		if l > max {
-			max = l
+	var sum float64
+	for g, l := range load {
+		finish := float64(l)
+		if speed != nil {
+			finish /= speed[g]
 		}
+		sum += finish
+		makespan = max(makespan, finish)
 	}
 	if sum > 0 {
-		imbalance = float64(max) * float64(n) / float64(sum)
+		imbalance = makespan * float64(n) / sum
 	}
-	return float64(max), imbalance
+	return makespan, imbalance
 }
 
 // Compute evaluates all metrics for the directed task graph tg under
@@ -297,7 +300,7 @@ func ComputePar(tg *graph.Graph, topo torus.Topology, pl *Placement, par *parall
 		st.merge(&parts[s])
 	}
 	m := st.finalize(topo, pl.NodeOf)
-	m.Makespan, m.LoadImbalance = loadSummary(tg, pl)
+	m.Makespan, m.LoadImbalance = LoadSummary(tg, pl, nil)
 	return m
 }
 

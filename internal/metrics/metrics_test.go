@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -127,5 +130,55 @@ func TestHeterogeneousBandwidthAffectsMC(t *testing.T) {
 	mX := Compute(tg, topo, &Placement{NodeOf: []int32{int32(a), int32(bX)}})
 	if mY.MC <= mX.MC {
 		t.Fatalf("Y-link MC %f should exceed X-link MC %f", mY.MC, mX.MC)
+	}
+}
+
+// TestLoadSummary: the makespan and load imbalance on hand-computed
+// instances — per-group speeds, unit speeds spelled out and as nil,
+// unit loads, an identity placement, and nothing computing.
+func TestLoadSummary(t *testing.T) {
+	loads := graph.FromEdges(4, nil, nil, nil, []int64{4, 2, 3, 1})
+	grouped := &Placement{GroupOf: []int32{0, 0, 1, 1}, NodeOf: []int32{5, 9}}
+	cases := []struct {
+		name          string
+		g             *graph.Graph
+		pl            *Placement
+		speed         []float64 // per group
+		makespan, imb float64
+	}{
+		// Group 0: load 6 at speed 2; group 1: load 4 at speed 1.
+		{"speeds", loads, grouped, []float64{2, 1}, 4, 4 * 2 / 7.0},
+		{"unit speeds", loads, grouped, []float64{1, 1}, 6, 6 * 2 / 10.0},
+		{"nil speeds", loads, grouped, nil, 6, 6 * 2 / 10.0},
+		// Nil loads are unit loads: two tasks per group.
+		{"unit loads", graph.FromEdges(4, nil, nil, nil, nil), grouped, []float64{2, 1}, 2, 2 * 2 / 3.0},
+		// No GroupOf: one task per group.
+		{"identity", loads, &Placement{NodeOf: []int32{0, 1, 2, 3}}, nil, 4, 4 * 4 / 10.0},
+		// Nothing computes: zero makespan, zero imbalance.
+		{"zero loads", graph.FromEdges(4, nil, nil, nil, []int64{0, 0, 0, 0}), grouped, nil, 0, 0},
+	}
+	for _, tc := range cases {
+		mk, imb := LoadSummary(tc.g, tc.pl, tc.speed)
+		if mk != tc.makespan || imb != tc.imb {
+			t.Fatalf("%s: LoadSummary = (%v, %v), want (%v, %v)", tc.name, mk, imb, tc.makespan, tc.imb)
+		}
+	}
+}
+
+// TestMetricNamesAreJSONKeys: the JSON object of a MapMetrics — the
+// metrics payload of every mapd response — has exactly the names an
+// Objective scores, in MetricNames order, so the wire and the
+// objective vocabulary cannot drift apart.
+func TestMetricNamesAreJSONKeys(t *testing.T) {
+	raw, err := json.Marshal(MapMetrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, 0, len(metricNames))
+	for _, name := range MetricNames() {
+		want = append(want, fmt.Sprintf("%q:0", name))
+	}
+	if got := "{" + strings.Join(want, ",") + "}"; string(raw) != got {
+		t.Fatalf("MapMetrics encodes as %s, want the MetricNames keys %s", raw, got)
 	}
 }

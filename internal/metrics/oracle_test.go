@@ -95,7 +95,7 @@ func computeOracle(tg *graph.Graph, topo torus.Topology, pl *Placement) MapMetri
 	}
 	st.accumulate(tg, topo, pl)
 	m := st.finalize(topo)
-	m.Makespan, m.LoadImbalance = loadSummary(tg, pl)
+	m.Makespan, m.LoadImbalance = LoadSummary(tg, pl, nil)
 	return m
 }
 

@@ -62,7 +62,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		if _, ok := torus.MultipathOf(tab); !ok {
+		if _, ok := torus.As[torus.MultipathTopology](tab); !ok {
 			return nil, fmt.Errorf("registry: mapper UMCA needs a multipath topology")
 		}
 		return core.MapUMCA(in.Coarse, tab, in.Exec), nil

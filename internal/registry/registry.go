@@ -20,8 +20,7 @@ import (
 
 // Input is everything a mapper may consume for one request. Topo is
 // the engine's route table (a *routecache.Table of the allocation);
-// capability helpers in package torus (CoordsOf, MultipathOf) discover
-// geometry and multipath support through it.
+// torus.As discovers geometry and multipath support through it.
 type Input struct {
 	// Coarse is the symmetric volume-weighted supertask graph, one
 	// vertex per allocated node.

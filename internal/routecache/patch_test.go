@@ -29,7 +29,7 @@ func families(t *testing.T) []family {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, err := fattree.SparseHosts(ft, 16, 16, 3)
+	fa, err := alloc.SparseHosts(ft.Hosts(), 16, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func families(t *testing.T) []family {
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, err := dragonfly.SparseHosts(d, 16, 16, 3)
+	da, err := alloc.SparseHosts(d.Hosts(), 16, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPatchMultipath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := dragonfly.SparseHosts(d, 12, 16, 3)
+	a, err := alloc.SparseHosts(d.Hosts(), 12, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,8 @@ type Table struct {
 
 // New returns the table of base with the pairwise routing state of
 // allocNodes precomputed. The table preserves every capability of the
-// base topology the mapping stack uses: torus.CoordsOf and
-// torus.MultipathOf see through it via Unwrap. allocNodes must be
-// distinct valid node ids of base.
+// base topology the mapping stack uses: torus.As sees through it via
+// Unwrap. allocNodes must be distinct valid node ids of base.
 func New(base torus.Topology, allocNodes []int32) (*Table, error) {
 	t, _, err := build(base, nil, allocNodes)
 	return t, err

@@ -64,8 +64,8 @@ func checkTable(t *testing.T, base torus.Topology, tab *Table, nodes []int32) {
 	if tab.Unwrap() != base {
 		t.Fatal("Unwrap did not reach the base topology")
 	}
-	_, baseMP := torus.MultipathOf(base)
-	_, tabMP := torus.MultipathOf(tab)
+	_, baseMP := torus.As[torus.MultipathTopology](base)
+	_, tabMP := torus.As[torus.MultipathTopology](tab)
 	if baseMP != tabMP {
 		t.Fatalf("multipath capability changed: base %v table %v", baseMP, tabMP)
 	}
@@ -95,7 +95,7 @@ func TestCachedFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := fattree.SparseHosts(ft, 16, 16, 3)
+	a, err := alloc.SparseHosts(ft.Hosts(), 16, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCachedDragonfly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := dragonfly.SparseHosts(d, 12, 16, 3)
+	a, err := alloc.SparseHosts(d.Hosts(), 12, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestCachedUnallocatedFallthrough(t *testing.T) {
 		t.Fatal("unallocated Route diverged")
 	}
 	// Coordinate capability remains discoverable through the view.
-	if _, ok := torus.CoordsOf(view); !ok {
-		t.Fatal("CoordsOf must see through the cached view")
+	if _, ok := torus.As[torus.CoordTopology](view); !ok {
+		t.Fatal("torus.As must see through the cached view")
 	}
 }
 

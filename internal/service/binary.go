@@ -215,15 +215,8 @@ func (c binaryCodec) decodeRemap(w http.ResponseWriter, r *http.Request) (*job, 
 		return nil, err
 	}
 	req := &RemapRequest{
-		Fingerprint: breq.Fingerprint,
-		Solve: topomap.Solve{
-			Mapper:     topomap.Mapper(breq.Mapper),
-			Seed:       breq.Seed,
-			Refine:     breq.Flags&wirebin.FlagRefine != 0,
-			FineRefine: breq.Flags&wirebin.FlagFineRefine != 0,
-			Trace:      breq.Flags&wirebin.FlagTrace != 0,
-			Balance:    breq.Flags&wirebin.FlagBalance != 0,
-		},
+		Fingerprint:    breq.Fingerprint,
+		Solve:          flagSolve(breq.Mapper, breq.Seed, breq.Flags),
 		FenceThreshold: breq.FenceThreshold,
 		TimeoutMS:      breq.TimeoutMS,
 		Rankfile:       breq.Flags&wirebin.FlagRankfile != 0,

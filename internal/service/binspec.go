@@ -184,7 +184,7 @@ var binArena = arena.New()
 // edge-list or spec struct — and canonicalized by the same
 // FromTriples path the JSON spec builder bottoms out in. Validation
 // matches TaskGraphSpec.Build: endpoints in range, volumes positive,
-// self loops dropped, n capped.
+// self loops dropped, n capped, loads set through SetLoads.
 func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 	if t.N <= 0 {
 		return nil, fmt.Errorf("tasks: need n > 0, got %d", t.N)
@@ -212,27 +212,16 @@ func taskGraphFromCSR(t wirebin.TasksCSR) (*topomap.TaskGraph, error) {
 			cnt++
 		}
 	}
-	var loads []int64
+	tg := &topomap.TaskGraph{G: graph.FromTriples(t.N, tri[:cnt], nil), K: t.N}
 	if t.HasLoads() {
-		unit := true
-		loads = make([]int64, t.N)
+		loads := make([]int64, t.N)
 		for i := range loads {
-			l := t.Load(i)
-			if l < 0 {
-				return nil, fmt.Errorf("tasks: task %d has negative load %d", i, l)
-			}
-			if l != 1 {
-				unit = false
-			}
-			loads[i] = l
+			loads[i] = t.Load(i)
 		}
-		// Match TaskGraphSpec.Build: a unit loads vector canonicalizes
-		// to absent, so both protocols hash and memo identically.
-		if unit {
-			loads = nil
+		if err := tg.SetLoads(loads); err != nil {
+			return nil, fmt.Errorf("tasks: %w", err)
 		}
 	}
-	tg := &topomap.TaskGraph{G: graph.FromTriples(t.N, tri[:cnt], loads), K: t.N}
 	if t.HasCoords() {
 		dim := t.CoordDim()
 		coords := make([]float64, t.N*dim)

@@ -32,10 +32,10 @@ type job struct {
 	alloc     AllocationSpec
 	tasks     *topomap.TaskGraph
 
-	solve     topomap.Solve     // map: the lowered solve
-	items     []topomap.Solve   // batch: one lowered solve per item
-	remap     *RemapRequest     // remap: the validated request
-	portfolio *PortfolioRequest // portfolio: the validated request
+	solve     topomap.Solve             // map: the lowered solve
+	items     []topomap.Solve           // batch: one lowered solve per item
+	remap     *RemapRequest             // remap: the request
+	portfolio *topomap.PortfolioRequest // portfolio: the lowered request
 
 	parallelism int   // wire-level; the handler clamps it
 	timeoutMS   int64 // 0 = the server default
@@ -75,9 +75,8 @@ type codec interface {
 
 var errEmptyBatch = errors.New("batch: empty requests")
 
-// remapJob validates a decoded remap request — from either codec — and
-// wraps it as a job. Validation fail-fasts before any worker slot is
-// held.
+// remapJob checks the server's rules on a decoded remap request — from
+// either codec — and wraps it as a job.
 func remapJob(req *RemapRequest) (*job, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -101,6 +100,26 @@ func lowerSolve(mapper string, seed int64, refine, fineRefine, traced, balance b
 		Trace:      traced,
 		Balance:    balance,
 	}
+}
+
+// validate runs the library's engine-free checks on a decoded job —
+// the Validate its Engine entry point opens with — so a bad request is
+// a 400 before it takes a worker slot or builds an engine.
+func (j *job) validate() error {
+	switch {
+	case j.remap != nil:
+		return j.remap.Spec(0).Validate()
+	case j.portfolio != nil:
+		return j.portfolio.Validate()
+	case j.items != nil:
+		for i, s := range j.items {
+			if err := s.Validate(); err != nil {
+				return fmt.Errorf("batch: request %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	return j.solve.Validate()
 }
 
 // engineKey derives the engine cache key of a spec pair, returning the
@@ -137,8 +156,9 @@ func (s *Server) engineFor(j *job) (*topomap.Engine, bool, error) {
 // admit opens one solving request. A non-POST is refused with 405
 // before anything is counted. Otherwise the request counts against its
 // endpoint and protocol, joins the in-flight gauge, opens its log
-// record and decodes into a job. The caller defers lg.end; a nil job
-// means admit already wrote the error and closed the request.
+// record, decodes into a job and validates it. The caller defers
+// lg.end; a nil job means admit already wrote the error and closed the
+// request.
 func (s *Server) admit(c codec, w http.ResponseWriter, r *http.Request, endpoint string, requests *atomic.Int64,
 	decode func(http.ResponseWriter, *http.Request) (*job, error)) (lg requestLog, j *job) {
 	if r.Method != http.MethodPost {
@@ -154,6 +174,9 @@ func (s *Server) admit(c codec, w http.ResponseWriter, r *http.Request, endpoint
 		status: http.StatusOK, began: time.Now(),
 	}
 	j, err := decode(w, r)
+	if err == nil {
+		err = j.validate()
+	}
 	if err != nil {
 		lg.error(w, err)
 		lg.end()
@@ -190,7 +213,7 @@ func mapResponse(res *topomap.MapResult, eng *topomap.Engine, hit, rankfile, tra
 		GroupOf:     res.GroupOf,
 		NodeOf:      res.NodeOf,
 		AllocNodes:  eng.Allocation().Nodes,
-		Metrics:     metricsPayload(res.Metrics),
+		Metrics:     res.Metrics,
 		FineWHGain:  res.FineWHGain,
 		FineVolGain: res.FineVolGain,
 		CacheHit:    hit,
@@ -412,8 +435,9 @@ func (s *Server) handleRemap(c codec, w http.ResponseWriter, r *http.Request) {
 // against one shared engine toward a declared objective. The request
 // is validated fail-fast — duplicate candidates, unknown mapper or
 // objective names and the candidate cap all cost a 400 before any
-// slot is held — and then occupies `parallelism` worker slots for the
-// whole race, exactly like a batch. The portfolio speaks JSON only.
+// slot is held (see admit) — and then occupies `parallelism` worker
+// slots for the whole race, exactly like a batch. The portfolio speaks
+// JSON only.
 func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	c := jsonCodec{s}
 	lg, j := s.admit(c, w, r, endpointPortfolio, &s.st.portfolioRequests, c.decodePortfolio)
@@ -422,6 +446,7 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	}
 	defer lg.end()
 	workers := s.parallelism(j.parallelism)
+	j.portfolio.Workers = workers
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(j.timeoutMS))
 	defer cancel()
 	var eng *topomap.Engine
@@ -433,7 +458,7 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		pres, err = eng.RunPortfolio(ctx, j.portfolio.engineRequest(j.tasks, workers))
+		pres, err = eng.RunPortfolio(ctx, *j.portfolio)
 		return err
 	})
 	if err != nil {
@@ -462,8 +487,7 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	for i, entry := range pres.Leaderboard {
 		le := LeaderboardEntry{Index: entry.Index, Solve: entry.Solve, Score: entry.Score, Skipped: entry.Skipped}
 		if entry.Result != nil {
-			m := metricsPayload(entry.Result.Metrics)
-			le.Metrics = &m
+			le.Metrics = &entry.Result.Metrics
 			le.SimSeconds = entry.Result.SimSeconds
 		}
 		out.Leaderboard[i] = le

@@ -567,6 +567,68 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownMapperBuildsNoEngine: a map or batch request naming an
+// unknown mapper is a 400 on both protocols before any engine is built
+// — the engine cache's misses and entries stay put, so a typo cannot
+// evict a warm engine — and a valid request is still served after it.
+func TestUnknownMapperBuildsNoEngine(t *testing.T) {
+	spec, _ := testTasks(32)
+	for _, proto := range []struct {
+		name string
+		p    client.Protocol
+	}{{"json", client.ProtoJSON}, {"binary", client.ProtoBinary}} {
+		t.Run(proto.name, func(t *testing.T) {
+			_, c := protoClient(service.Config{}, proto.p)
+			ctx := context.Background()
+			alloc := service.AllocationSpec{SparseNodes: 4, Seed: 1}
+			bad := func() []error {
+				_, mapErr := c.Map(ctx, service.MapRequest{
+					Topology: torusSpec(), Allocation: alloc, Tasks: spec, Mapper: "NOPE"})
+				_, batchErr := c.MapBatch(ctx, service.BatchRequest{
+					Topology: torusSpec(), Allocation: alloc, Tasks: spec,
+					Requests: []service.BatchItem{{Mapper: "UWH"}, {Mapper: "NOPE"}}})
+				return []error{mapErr, batchErr}
+			}
+			for i, err := range bad() {
+				if err == nil || !strings.Contains(err.Error(), "unknown mapper") || !strings.Contains(err.Error(), "HTTP 400") {
+					t.Fatalf("request %d: err = %v, want a 400 naming the unknown mapper", i, err)
+				}
+				if strings.Count(err.Error(), "NOPE") != 1 {
+					t.Fatalf("request %d: error %q names the mapper more than once", i, err)
+				}
+			}
+			st, err := c.Status(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.CacheMisses != 0 || st.CacheEntries != 0 {
+				t.Fatalf("unknown mappers built engines: %d cache misses, %d entries", st.CacheMisses, st.CacheEntries)
+			}
+			// With an engine warm, the bad requests leave the cache as it
+			// is, and the good one is served from it.
+			if _, err := c.Map(ctx, service.MapRequest{
+				Topology: torusSpec(), Allocation: alloc, Tasks: spec, Mapper: "UWH"}); err != nil {
+				t.Fatal(err)
+			}
+			bad()
+			res, err := c.Map(ctx, service.MapRequest{
+				Topology: torusSpec(), Allocation: alloc, Tasks: spec, Mapper: "UG"})
+			if err != nil {
+				t.Fatalf("valid request after the bad ones: %v", err)
+			}
+			if !res.CacheHit {
+				t.Fatal("valid request missed the warm engine")
+			}
+			if st, err = c.Status(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if st.CacheMisses != 1 || st.CacheEntries != 1 {
+				t.Fatalf("after one valid solve: %d cache misses, %d entries, want 1 and 1", st.CacheMisses, st.CacheEntries)
+			}
+		})
+	}
+}
+
 // TestOverTheWire runs the same request through a real TCP listener
 // and through the in-process transport: byte-identical protocol, so
 // identical results.

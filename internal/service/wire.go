@@ -244,27 +244,14 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 		tri[cnt] = ds.EdgeTriple{U: int32(src), V: int32(dst), W: vol}
 		cnt++
 	}
-	g := graph.FromTriples(t.N, tri[:cnt], nil)
+	tg := &topomap.TaskGraph{G: graph.FromTriples(t.N, tri[:cnt], nil), K: t.N}
+	// Unit loads canonicalize to the absent form, so the graph hash, the
+	// solve memo and the binary sections all see one encoding.
 	if t.Loads != nil {
-		if len(t.Loads) != t.N {
-			return nil, fmt.Errorf("tasks: %d loads for %d tasks", len(t.Loads), t.N)
-		}
-		unit := true
-		for i, l := range t.Loads {
-			if l < 0 {
-				return nil, fmt.Errorf("tasks: task %d has negative load %d", i, l)
-			}
-			if l != 1 {
-				unit = false
-			}
-		}
-		// Unit loads canonicalize to the absent form so the graph hash,
-		// the solve memo and the binary sections all see one encoding.
-		if !unit {
-			g.VW = append([]int64(nil), t.Loads...)
+		if err := tg.SetLoads(t.Loads); err != nil {
+			return nil, fmt.Errorf("tasks: %w", err)
 		}
 	}
-	tg := &topomap.TaskGraph{G: g, K: t.N}
 	if t.Coords != nil {
 		if len(t.Coords) != t.N {
 			return nil, fmt.Errorf("tasks: %d coordinate rows for %d tasks", len(t.Coords), t.N)
@@ -318,33 +305,10 @@ type MapRequest struct {
 	Balance bool `json:"balance,omitempty"`
 }
 
-// Metrics is the wire form of the mapping metrics (§II-C).
-type Metrics struct {
-	TH        int64   `json:"th"`
-	WH        int64   `json:"wh"`
-	MMC       int64   `json:"mmc"`
-	MC        float64 `json:"mc"`
-	AMC       float64 `json:"amc"`
-	AC        float64 `json:"ac"`
-	ICV       int64   `json:"icv"`
-	ICM       int64   `json:"icm"`
-	MNRV      int64   `json:"mnrv"`
-	MNRM      int64   `json:"mnrm"`
-	UsedLinks int     `json:"used_links"`
-	// Heterogeneous-processor metrics: the compute makespan (max over
-	// nodes of load/speed) and the load imbalance (max/mean of the
-	// per-node finish times).
-	Makespan      float64 `json:"makespan"`
-	LoadImbalance float64 `json:"load_imbalance"`
-}
-
-func metricsPayload(m topomap.MapMetrics) Metrics {
-	return Metrics{
-		TH: m.TH, WH: m.WH, MMC: m.MMC, MC: m.MC, AMC: m.AMC, AC: m.AC,
-		ICV: m.ICV, ICM: m.ICM, MNRV: m.MNRV, MNRM: m.MNRM, UsedLinks: m.UsedLinks,
-		Makespan: m.Makespan, LoadImbalance: m.LoadImbalance,
-	}
-}
+// Metrics is the wire form of the mapping metrics (§II-C): the
+// library's MapMetrics itself, whose JSON names are the objective
+// metric names.
+type Metrics = topomap.MapMetrics
 
 // MapResponse is the outcome of one mapping job. NodeOf values are
 // network node ids; AllocNodes reports the allocated node set in
@@ -428,68 +392,36 @@ type PortfolioRequest struct {
 	Rankfile    bool              `json:"rankfile,omitempty"`
 }
 
-// Validate fail-fasts the solve-independent invariants of a portfolio
-// request — duplicate (mapper, seed) candidates, unknown mapper and
-// objective names, wire-set candidate workers, and the server's
-// candidate cap — so a bad request costs a 400, never a solve.
+// Validate checks the server's own rules for a portfolio request: its
+// candidate cap, and candidate workers left to the server. The
+// library's PortfolioRequest.Validate checks the rest before the race
+// takes a worker slot.
 func (p *PortfolioRequest) Validate(maxCandidates int) error {
 	if len(p.Candidates) > maxCandidates {
 		return fmt.Errorf("portfolio: %d candidates exceed the server's cap of %d", len(p.Candidates), maxCandidates)
 	}
-	type identity struct {
-		mapper string
-		seed   int64
-	}
-	seen := map[identity]int{}
 	for i, c := range p.Candidates {
-		name := strings.ToUpper(string(c.Mapper))
-		if _, ok := registry.Lookup(name); !ok {
-			return fmt.Errorf("portfolio: candidate %d: unknown mapper %q", i, c.Mapper)
-		}
 		if c.Workers != 0 {
 			return fmt.Errorf("portfolio: candidate %d sets workers; per-candidate parallelism is server-controlled, use the portfolio-level parallelism field", i)
-		}
-		if c.TimeoutMS < 0 {
-			return fmt.Errorf("portfolio: candidate %d: negative timeout_ms %d", i, c.TimeoutMS)
-		}
-		id := identity{name, c.Seed}
-		if prev, dup := seen[id]; dup {
-			return fmt.Errorf("portfolio: candidates %d and %d duplicate (mapper %s, seed %d); candidates must differ in mapper or seed", prev, i, name, c.Seed)
-		}
-		seen[id] = i
-	}
-	if err := p.Objective.Validate(); err != nil {
-		return fmt.Errorf("portfolio: %w", err)
-	}
-	// A sim-scoring objective needs a sim spec somewhere — reject here
-	// so the request never holds worker slots or a cold engine build.
-	if p.Objective.NeedsSim() && p.Sim == nil {
-		if len(p.Candidates) == 0 {
-			return fmt.Errorf("portfolio: objective sim_seconds needs a request-level sim spec when candidates auto-expand")
-		}
-		for i, c := range p.Candidates {
-			if c.Sim == nil {
-				return fmt.Errorf("portfolio: objective sim_seconds needs a sim spec, candidate %d (%s) has none", i, c.Mapper)
-			}
 		}
 	}
 	return nil
 }
 
-// engineRequest converts the validated wire request to the library
-// form, uppercasing mapper names the way every other endpoint does.
-func (p *PortfolioRequest) engineRequest(tg *topomap.TaskGraph, workers int) topomap.PortfolioRequest {
+// engineRequest lowers the wire request onto the library form,
+// uppercasing mapper names the way every other endpoint does. Workers
+// stay unset: the handler sets them to its grant.
+func (p *PortfolioRequest) engineRequest(tg *topomap.TaskGraph) *topomap.PortfolioRequest {
 	cands := make([]topomap.Solve, len(p.Candidates))
 	for i, c := range p.Candidates {
 		c.Mapper = topomap.Mapper(strings.ToUpper(string(c.Mapper)))
 		cands[i] = c
 	}
-	return topomap.PortfolioRequest{
+	return &topomap.PortfolioRequest{
 		Tasks:      tg,
 		Candidates: cands,
 		Seed:       p.Seed,
 		Objective:  p.Objective,
-		Workers:    workers,
 		Sim:        p.Sim,
 	}
 }
@@ -538,10 +470,10 @@ type RemapRequest struct {
 	Parallelism    int                     `json:"parallelism,omitempty"`
 }
 
-// Validate fail-fasts the invariants a remap request must satisfy
-// before it is allowed to hold worker slots: a fingerprint, a
-// non-empty delta, server-controlled workers/timeout left unset, a
-// known cold-fallback mapper, and a scoreable objective.
+// Validate checks the server's own rules for a remap request: a
+// fingerprint, a non-empty delta, and workers and timeout left to the
+// server. The library's RemapSpec.Validate checks the rest before the
+// remap takes a worker slot.
 func (r *RemapRequest) Validate() error {
 	if r.Fingerprint == "" {
 		return fmt.Errorf("remap: missing fingerprint; solve through /v1/map first and present its fingerprint")
@@ -554,17 +486,6 @@ func (r *RemapRequest) Validate() error {
 	}
 	if r.Solve.TimeoutMS != 0 {
 		return fmt.Errorf("remap: solve.timeout_ms is server-controlled, use the request-level timeout_ms field")
-	}
-	if m := strings.ToUpper(string(r.Solve.Mapper)); m != "" {
-		if _, ok := registry.Lookup(m); !ok {
-			return fmt.Errorf("remap: unknown mapper %q", r.Solve.Mapper)
-		}
-	}
-	if err := r.Objective.Validate(); err != nil {
-		return fmt.Errorf("remap: %w", err)
-	}
-	if r.Objective.NeedsSim() && r.Solve.Sim == nil {
-		return fmt.Errorf("remap: objective sim_seconds needs a sim spec in solve.sim")
 	}
 	return nil
 }
@@ -827,7 +748,7 @@ func (c jsonCodec) decodePortfolio(w http.ResponseWriter, r *http.Request) (*job
 	if err != nil {
 		return nil, err
 	}
-	j.portfolio = req
+	j.portfolio = req.engineRequest(j.tasks)
 	j.parallelism, j.timeoutMS, j.rankfile = req.Parallelism, req.TimeoutMS, req.Rankfile
 	return j, nil
 }

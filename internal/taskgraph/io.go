@@ -74,9 +74,9 @@ func checkTaskID(lineNo, id int) error {
 // tasks without one sit at the origin). Other comments, and load or
 // coord comments that do not parse, are ignored, but a task id outside
 // [0, math.MaxInt32-1] on an edge, load or coord line is an error, as
-// is a negative load. Tasks without a load line carry load 1, and
-// loads that are all 1 read as absent (nil G.VW), the one spelling of
-// unit loads. The number of tasks is one plus the largest id seen.
+// is a negative load. Tasks without a load line carry load 1, and the
+// loads are set through SetLoads. The number of tasks is one plus the
+// largest id seen.
 func Read(r io.Reader) (*TaskGraph, error) {
 	var us, vs []int32
 	var ws []int64
@@ -183,22 +183,19 @@ func Read(r io.Reader) (*TaskGraph, error) {
 		return nil, fmt.Errorf("taskgraph: empty input")
 	}
 	n := maxID + 1
-	unit := true
-	for _, load := range loads {
-		unit = unit && load == 1
-	}
-	var vw []int64
-	if !unit {
-		vw = make([]int64, n)
+	tg := &TaskGraph{G: graph.FromEdges(n, us, vs, ws, nil), K: n}
+	if len(loads) > 0 {
+		vw := make([]int64, n)
 		for i := range vw {
 			vw[i] = 1
 		}
 		for id, load := range loads {
 			vw[id] = load
 		}
+		if err := tg.SetLoads(vw); err != nil {
+			return nil, err
+		}
 	}
-	g := graph.FromEdges(n, us, vs, ws, vw)
-	tg := &TaskGraph{G: g, K: n}
 	if len(coords) > 0 {
 		flat := make([]float64, n*coordDim)
 		for id, vec := range coords {

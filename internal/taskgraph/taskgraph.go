@@ -61,6 +61,31 @@ func (t *TaskGraph) SetCoords(dim int, coords []float64) error {
 	return nil
 }
 
+// SetLoads installs per-task compute loads as the graph's vertex
+// weights (kept, not copied) after checking there is one non-negative
+// load per task. Loads that are all 1 leave the graph without loads
+// (nil G.VW), the one spelling of unit loads, so a graph that spells
+// them out hashes, caches and solves exactly like one that does not.
+// Every entry that reads loads — the mapd wire on both protocols, Read
+// and cmd/mapper -loads — sets them here.
+func (t *TaskGraph) SetLoads(loads []int64) error {
+	if len(loads) != t.K {
+		return fmt.Errorf("taskgraph: %d loads for %d tasks", len(loads), t.K)
+	}
+	unit := true
+	for i, l := range loads {
+		if l < 0 {
+			return fmt.Errorf("taskgraph: task %d has negative load %d", i, l)
+		}
+		unit = unit && l == 1
+	}
+	if unit {
+		loads = nil
+	}
+	t.G.VW = loads
+	return nil
+}
+
 // Coord returns task v's coordinate vector (a view into Coords).
 func (t *TaskGraph) Coord(v int) []float64 {
 	return t.Coords[v*t.Dim : (v+1)*t.Dim]

@@ -35,8 +35,8 @@ func TestHopDistIsRouteLength(t *testing.T) {
 		{"mesh", mesh, func() (*alloc.Allocation, error) {
 			return alloc.Generate(mesh, 48, alloc.Config{Mode: alloc.Sparse, Seed: 2})
 		}},
-		{"fattree", ft, func() (*alloc.Allocation, error) { return fattree.SparseHosts(ft, 48, 16, 3) }},
-		{"dragonfly", df, func() (*alloc.Allocation, error) { return dragonfly.SparseHosts(df, 64, 16, 4) }},
+		{"fattree", ft, func() (*alloc.Allocation, error) { return alloc.SparseHosts(ft.Hosts(), 48, 16, 3) }},
+		{"dragonfly", df, func() (*alloc.Allocation, error) { return alloc.SparseHosts(df.Hosts(), 64, 16, 4) }},
 	}
 	for _, c := range cases {
 		a, err := c.nodes()

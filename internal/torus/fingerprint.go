@@ -14,22 +14,6 @@ type Fingerprinter interface {
 	TopologyFingerprint() string
 }
 
-// FingerprintOf returns the canonical fingerprint of t, looking
-// through view layers (route caches delegate structure to their base);
-// ok is false when no layer implements Fingerprinter.
-func FingerprintOf(t Topology) (string, bool) {
-	for {
-		if f, ok := t.(Fingerprinter); ok {
-			return f.TopologyFingerprint(), true
-		}
-		u, ok := t.(Unwrapper)
-		if !ok {
-			return "", false
-		}
-		t = u.Unwrap()
-	}
-}
-
 // TopologyFingerprint canonically describes the torus or mesh:
 // dimension sizes, wraparound, and per-dimension bandwidths.
 func (t *Torus) TopologyFingerprint() string {

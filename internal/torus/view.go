@@ -3,9 +3,9 @@ package torus
 // Capability discovery for wrapped topologies. The engine layer wraps
 // a Topology in caching views; algorithms that need more than the
 // base interface (torus coordinates for geometric splitting, minimal-
-// route enumeration for adaptive congestion) discover those
-// capabilities through the helpers below, which see through any chain
-// of Unwrapper layers.
+// route enumeration for adaptive congestion, a construction
+// fingerprint for cache keys) discover those capabilities through As,
+// which sees through any chain of Unwrapper layers.
 
 // CoordTopology is a Topology whose nodes live on an integer
 // coordinate grid (tori and meshes). The recursive-bipartitioning
@@ -24,33 +24,18 @@ type Unwrapper interface {
 	Unwrap() Topology
 }
 
-// CoordsOf returns the coordinate-grid view of t, looking through
-// view layers; ok is false when the topology has no grid geometry
-// (fat trees, dragonflies, custom topologies).
-func CoordsOf(t Topology) (CoordTopology, bool) {
+// As returns the first layer of t, looking through view layers, that
+// implements T (CoordTopology, MultipathTopology, Fingerprinter, ...);
+// ok is false when no layer does.
+func As[T any](t Topology) (T, bool) {
 	for {
-		if ct, ok := t.(CoordTopology); ok {
-			return ct, true
+		if v, ok := t.(T); ok {
+			return v, true
 		}
 		u, ok := t.(Unwrapper)
 		if !ok {
-			return nil, false
-		}
-		t = u.Unwrap()
-	}
-}
-
-// MultipathOf returns the multipath view of t, looking through view
-// layers; ok is false when the topology cannot enumerate minimal
-// routes.
-func MultipathOf(t Topology) (MultipathTopology, bool) {
-	for {
-		if mp, ok := t.(MultipathTopology); ok {
-			return mp, true
-		}
-		u, ok := t.(Unwrapper)
-		if !ok {
-			return nil, false
+			var zero T
+			return zero, false
 		}
 		t = u.Unwrap()
 	}

@@ -46,6 +46,41 @@ type PortfolioRequest struct {
 	Sim *SimSpec
 }
 
+// Validate checks the request without an engine or its task graph:
+// a well-formed objective, and candidates that are valid Solves,
+// pairwise distinct in (mapper, seed), each with a sim spec — its own
+// or the request's — when the objective scores sim_seconds
+// (auto-expanded candidates take the request's). RunPortfolio runs it
+// first, and mapd before the race takes a worker slot.
+func (req PortfolioRequest) Validate() error {
+	if err := req.Objective.Validate(); err != nil {
+		return err
+	}
+	needsSim := req.Objective.NeedsSim() && req.Sim == nil
+	if needsSim && len(req.Candidates) == 0 {
+		return fmt.Errorf("topomap: objective %s needs a request-level sim spec when candidates auto-expand", SimSecondsMetric)
+	}
+	type identity struct {
+		mapper Mapper
+		seed   int64
+	}
+	seen := map[identity]int{}
+	for i, c := range req.Candidates {
+		if err := c.check(); err != nil {
+			return fmt.Errorf("topomap: portfolio candidate %d: %w", i, err)
+		}
+		id := identity{c.Mapper, c.Seed}
+		if prev, dup := seen[id]; dup {
+			return fmt.Errorf("topomap: portfolio candidates %d and %d duplicate (mapper %s, seed %d); candidates must differ in mapper or seed", prev, i, c.Mapper, c.Seed)
+		}
+		seen[id] = i
+		if needsSim && c.Sim == nil {
+			return fmt.Errorf("topomap: objective %s needs a sim spec, candidate %d (%s) has none", SimSecondsMetric, i, c.Mapper)
+		}
+	}
+	return nil
+}
+
 // PortfolioEntry is one candidate's line on the leaderboard.
 type PortfolioEntry struct {
 	// Index is the candidate's position in the (expanded) candidate
@@ -100,7 +135,7 @@ func (e *Engine) CompatibleMappersFor(tasks *TaskGraph) []Mapper {
 }
 
 func (e *Engine) compatibleMappers(hasCoords bool) []Mapper {
-	_, multipath := torus.MultipathOf(e.view)
+	_, multipath := torus.As[torus.MultipathTopology](e.view)
 	var out []Mapper
 	for _, info := range registry.List() {
 		if info.Caps.NeedsMultipath && !multipath {
@@ -114,12 +149,10 @@ func (e *Engine) compatibleMappers(hasCoords bool) []Mapper {
 	return out
 }
 
-// portfolioCandidates expands, defaults and validates the candidate
-// set of req: explicit candidates checked against the registry and
-// the topology, or all compatible mappers at req.Seed; duplicate
-// (mapper, seed) pairs rejected; req.Sim applied to candidates
-// without their own; a sim-scoring objective required to have one
-// everywhere.
+// portfolioCandidates expands and defaults the candidate set of a
+// validated req: explicit candidates checked against the topology and
+// the task graph, or all compatible mappers at req.Seed; req.Sim
+// applied to candidates without their own.
 func (e *Engine) portfolioCandidates(req PortfolioRequest) ([]Solve, error) {
 	cands := append([]Solve(nil), req.Candidates...)
 	if len(cands) == 0 {
@@ -130,29 +163,13 @@ func (e *Engine) portfolioCandidates(req PortfolioRequest) ([]Solve, error) {
 			return nil, fmt.Errorf("topomap: portfolio found no registered mapper compatible with the topology")
 		}
 	}
-	type identity struct {
-		mapper Mapper
-		seed   int64
-	}
-	seen := map[identity]int{}
 	for i := range cands {
 		c := &cands[i]
 		if _, err := e.mapperFor(req.Tasks, c.Mapper); err != nil {
 			return nil, fmt.Errorf("topomap: portfolio candidate %d: %w", i, err)
 		}
-		if c.TimeoutMS < 0 {
-			return nil, fmt.Errorf("topomap: portfolio candidate %d (%s): negative timeout_ms %d", i, c.Mapper, c.TimeoutMS)
-		}
-		id := identity{c.Mapper, c.Seed}
-		if prev, dup := seen[id]; dup {
-			return nil, fmt.Errorf("topomap: portfolio candidates %d and %d duplicate (mapper %s, seed %d); candidates must differ in mapper or seed", prev, i, c.Mapper, c.Seed)
-		}
-		seen[id] = i
 		if c.Sim == nil {
 			c.Sim = req.Sim
-		}
-		if req.Objective.NeedsSim() && c.Sim == nil {
-			return nil, fmt.Errorf("topomap: objective %s needs a sim spec, candidate %d (%s) has none", SimSecondsMetric, i, c.Mapper)
 		}
 	}
 	return cands, nil
@@ -182,7 +199,7 @@ func (e *Engine) RunPortfolio(ctx context.Context, req PortfolioRequest) (*Portf
 	if err := checkTasks("portfolio", req.Tasks); err != nil {
 		return nil, err
 	}
-	if err := req.Objective.Validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	cands, err := e.portfolioCandidates(req)

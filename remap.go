@@ -158,6 +158,31 @@ type RemapSpec struct {
 	FenceThreshold float64 `json:"fence_threshold,omitempty"`
 }
 
+// Validate checks the spec without an engine: a well-formed objective,
+// a sim spec in Solve when the objective scores sim_seconds, and a
+// Solve that would be valid as the cold fallback's spec — its mapper
+// checked now, not when the fence trips, so a bad spec fails the same
+// way whatever the warm path scores. RunRemap runs it first, and mapd
+// before the remap takes a worker slot.
+func (r RemapSpec) Validate() error {
+	if err := r.Objective.Validate(); err != nil {
+		return err
+	}
+	if r.Objective.NeedsSim() && r.Solve.Sim == nil {
+		return fmt.Errorf("topomap: objective %s needs a sim spec in solve.sim", SimSecondsMetric)
+	}
+	fallback := r.Solve
+	if fallback.Mapper == "" {
+		// The fallback then reruns the previous result's mapper, which
+		// its own solve validated.
+		fallback.Mapper = DEF
+	}
+	if err := fallback.check(); err != nil {
+		return fmt.Errorf("topomap: remap cold fallback: %w", err)
+	}
+	return nil
+}
+
 // RemapResult is the outcome of an incremental remap: the winning
 // mapping on the post-delta allocation, the engine serving that
 // allocation (route state patched, not rebuilt — reuse it for
@@ -213,14 +238,11 @@ func (e *Engine) RunRemap(ctx context.Context, tasks *TaskGraph, prev *MapResult
 	if len(prev.NodeOf) != e.alloc.NumNodes() {
 		return nil, fmt.Errorf("topomap: previous result uses %d nodes, engine's allocation has %d", len(prev.NodeOf), e.alloc.NumNodes())
 	}
-	if err := spec.Objective.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Solve.TimeoutMS < 0 {
-		return nil, fmt.Errorf("topomap: negative timeout_ms %d", spec.Solve.TimeoutMS)
-	}
-	// The cold fallback's mapper is checked now, not when the fence
-	// trips: a bad spec fails the same way whatever the warm path scores.
+	// The cold fallback's mapper must also suit the engine and the task
+	// graph.
 	if spec.Solve.Mapper != "" {
 		if _, err := e.mapperFor(tasks, spec.Solve.Mapper); err != nil {
 			return nil, fmt.Errorf("topomap: remap cold fallback: %w", err)

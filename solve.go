@@ -1,5 +1,11 @@
 package topomap
 
+import (
+	"fmt"
+
+	"repro/internal/registry"
+)
+
 // Solve is the declarative, serializable core of one mapping job: the
 // mapper to dispatch, the seed driving its randomized choices, and
 // every per-request behaviour knob as a plain JSON-tagged field. A
@@ -62,4 +68,28 @@ type Solve struct {
 type SimSpec struct {
 	BytesPerUnit float64   `json:"bytes_per_unit"`
 	Params       SimParams `json:"params"`
+}
+
+// Validate checks what a Solve must satisfy on any engine and task
+// graph: a registered mapper and a non-negative timeout. Every Engine
+// entry point runs it before any work starts, and mapd runs it before
+// a request takes a worker slot or builds an engine; the engine then
+// checks the mapper against its topology and the task graph.
+func (s Solve) Validate() error {
+	if err := s.check(); err != nil {
+		return fmt.Errorf("topomap: %w", err)
+	}
+	return nil
+}
+
+// check is Validate without the package prefix, for requests that say
+// which of their solves failed.
+func (s Solve) check() error {
+	if s.TimeoutMS < 0 {
+		return fmt.Errorf("negative timeout_ms %d", s.TimeoutMS)
+	}
+	if _, ok := registry.Lookup(string(s.Mapper)); !ok {
+		return fmt.Errorf("unknown mapper %q", s.Mapper)
+	}
+	return nil
 }

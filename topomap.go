@@ -136,7 +136,7 @@ func NewFatTree(k int, bwHost, taper float64) (*FatTree, error) {
 // SparseAllocation does on a torus: non-contiguous but locality
 // biased, with 16 processors per host.
 func FatTreeSparseHosts(ft *FatTree, n int, seed int64) (*Allocation, error) {
-	return fattree.SparseHosts(ft, n, alloc.DefaultProcsPerNode, seed)
+	return alloc.SparseHosts(ft.Hosts(), n, alloc.DefaultProcsPerNode, seed)
 }
 
 // NewDragonfly returns a canonical dragonfly with h global links per
@@ -151,7 +151,7 @@ func NewDragonfly(h int, bwHost, bwLocal, bwGlobal float64) (*Dragonfly, error) 
 // DragonflySparseHosts reserves n hosts on a busy dragonfly,
 // non-contiguous but locality biased, with 16 processors per host.
 func DragonflySparseHosts(d *Dragonfly, n int, seed int64) (*Allocation, error) {
-	return dragonfly.SparseHosts(d, n, alloc.DefaultProcsPerNode, seed)
+	return alloc.SparseHosts(d.Hosts(), n, alloc.DefaultProcsPerNode, seed)
 }
 
 // SparseAllocation reserves n nodes the way Cray's scheduler does:

@@ -12,7 +12,8 @@ check: fmt build test traceguard harnessguard fuzz-smoke docs mapbench-smoke
 
 # Fuzz smoke: a few hundred executions of each fuzz target — the
 # binary-frame decoders of internal/wirebin, the /v1 JSON codec of
-# internal/service, the CSR builder of internal/graph against its
+# internal/service, the /v1 and /v2 task-graph builds against one
+# digest, the CSR builder of internal/graph against its
 # sort-and-merge oracle, the /v1 edge-list decoder against
 # encoding/json, the coarse supertask graphs of internal/taskgraph
 # against their triple-staging oracle, and the root package's
@@ -25,12 +26,12 @@ check: fmt build test traceguard harnessguard fuzz-smoke docs mapbench-smoke
 fuzz-smoke:
 	@set -e; for f in FuzzFrameDecoders FuzzParseTasks FuzzDecodeTopology FuzzDecodeAllocation; do \
 		$(GO) test ./internal/wirebin -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
-	done; for f in FuzzDecodeJSONMap FuzzDecodeJSONRemap FuzzDecodeJSONPortfolio FuzzEdgeList; do \
+	done; for f in FuzzDecodeJSONMap FuzzDecodeJSONRemap FuzzDecodeJSONPortfolio FuzzTaskGraphDigest FuzzEdgeList; do \
 		$(GO) test ./internal/service -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
 	done; $(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzFromTriples$$' -fuzztime=300x >/dev/null || exit 1; \
 	$(GO) test ./internal/taskgraph -run='^$$' -fuzz='^FuzzCoarseGraph$$' -fuzztime=300x >/dev/null || exit 1; \
 	$(GO) test . -run='^$$' -fuzz='^FuzzAllocationDelta$$' -fuzztime=300x >/dev/null || exit 1; \
-	echo "fuzz-smoke: 11 targets clean"
+	echo "fuzz-smoke: 12 targets clean"
 
 # mapbench smoke: cmd/mapbench is a module of its own, so the root
 # `go test ./...` never compiles it, yet it builds against the service
@@ -89,10 +90,13 @@ docs:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck README.md ROADMAP.md docs/ARCHITECTURE.md
 
-# Bench smoke: one iteration of the engine benchmarks proves the
-# service API's hot path still runs; full numbers via `go test -bench=.`.
+# Bench smoke: one iteration of the engine benchmarks, and of the warm
+# mapd request path on both protocols at one client, proves the
+# service API's hot paths still run; full numbers via
+# `go test -bench=.`.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkServeParallel/(binary|json)/c1$$' -benchtime=1x ./internal/service
 
 # Bench tracking: run the engine benchmarks at a stable iteration
 # count — with allocation stats, so the scratch-arena trajectory is

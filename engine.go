@@ -485,11 +485,18 @@ func groupCentroids(tg *TaskGraph, group []int32, numGroups int) ([]float64, int
 // worker: the pool already fans out across solves, so per-solve
 // parallelism on top would oversubscribe the host; Solve.Workers
 // overrides. Results are deterministic: the same solves produce the
-// same placements regardless of worker count or scheduling. On error
+// same placements regardless of worker count or scheduling. Every
+// solve is validated (see Solve.Validate) before any starts, and an
+// invalid one fails the batch with nil results. On a solve's error
 // the first failure (lowest solve index, as a serial loop would hit
 // it) is returned; entries for solves that completed are still
 // filled.
 func (e *Engine) RunBatch(ctx context.Context, tasks *TaskGraph, solves []Solve, workers int) ([]*MapResult, error) {
+	for i, s := range solves {
+		if err := s.check(); err != nil {
+			return nil, fmt.Errorf("topomap: request %d: %w", i, err)
+		}
+	}
 	results := make([]*MapResult, len(solves))
 	err := parallel.ForEach(len(solves), workers, func(i int) error {
 		res, err := e.runSolve(ctx, tasks, solves[i], 1)

@@ -311,6 +311,31 @@ func TestEngineRunContext(t *testing.T) {
 	}
 }
 
+// TestRunBatchValidatesFirst: RunBatch checks every solve before any
+// starts. An unknown mapper fails the batch with nil results and an
+// error naming it once; under a dead context the invalid item still
+// wins over item 0's cancellation, so item 0 never started.
+func TestRunBatchValidatesFirst(t *testing.T) {
+	tg, topo, a := engineFixture(t, 64)
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := []Solve{{Mapper: UWH, Seed: 1}, {Mapper: "NOPE"}}
+	results, err := eng.RunBatch(context.Background(), tg, solves, 1)
+	if err == nil || results != nil {
+		t.Fatalf("RunBatch = %v, %v; want nil results and an error", results, err)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "topomap: request 1: ") || strings.Count(msg, "NOPE") != 1 {
+		t.Fatalf("error %q: want it to name request 1 and the mapper NOPE once", msg)
+	}
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	if _, err := eng.RunBatch(dead, tg, solves, 1); err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "NOPE") {
+		t.Fatalf("RunBatch under a dead context = %v, want the unknown mapper before any solve", err)
+	}
+}
+
 // TestEngineRequestOptions exercises the Solve knobs: the extra
 // refinement pass (Refine) must never regress WH, the fine-level
 // refinement (FineRefine) must report non-negative gains, and Sim must

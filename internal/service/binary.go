@@ -133,7 +133,10 @@ func (c binaryCodec) resolveSections(topoSec, allocSec, tasksSec wirebin.Section
 			return internVal{}, err
 		}
 		tg, err := taskGraphFromCSR(view)
-		return internVal{tasks: tg}, err
+		if err != nil {
+			return internVal{}, err
+		}
+		return internVal{tasks: tg, digest: taskGraphDigest(tg)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -145,7 +148,7 @@ func (c binaryCodec) resolveSections(topoSec, allocSec, tasksSec wirebin.Section
 		return nil, &jobError{status: http.StatusNotFound, missing: missing,
 			err: fmt.Errorf("intern: unresolved section reference(s); resend the flagged sections in full")}
 	}
-	j.topo, j.alloc, j.tasks = topo.topo, alloc.alloc, tasks.tasks
+	j.topo, j.alloc, j.tasks, j.digest = topo.topo, alloc.alloc, tasks.tasks, tasks.digest
 	j.engineKey = topo.topoKey + "|" + alloc.allocKey
 	return j, nil
 }

@@ -85,13 +85,14 @@ func (m *sectionMemo) put(key string, e *memoEntry) {
 	m.entries[key] = e
 }
 
-// tasksMemoKey is the cheap identity of a task-graph spec: an FNV-1a
-// hash over the raw edge list. It only keys the client's own memo
-// (the wire fingerprint is over the canonical encoded body), so a
-// hash collision costs a wrong ref at worst — which the server's
-// content-addressed table turns into a different spec's solve only if
-// the full bodies collided too, i.e. never in practice for 64+128
-// bits.
+// tasksMemoKey is the cheap identity of a task-graph spec: a
+// wirebin.Hash64 over the raw edge list, taken on every request
+// because a caller may change a spec in place between calls. It only
+// keys the client's own memo (the wire fingerprint is over the
+// canonical encoded body), so a hash collision costs a wrong ref at
+// worst — which the server's content-addressed table turns into a
+// different spec's solve only if the full bodies collided too, i.e.
+// never in practice for 64+128 bits.
 func tasksMemoKey(ts service.TaskGraphSpec) string {
 	h := wirebin.Hash64Init
 	h = h.U64(uint64(ts.N))
@@ -494,8 +495,8 @@ func objectiveIsZero(o topomap.Objective) bool {
 	return o.Minimize == "" && len(o.Terms) == 0
 }
 
-// mustTopoKey / mustAllocKey derive the memo identity of a spec: an
-// FNV-1a hash over every field, same collision argument as
+// mustTopoKey / mustAllocKey derive the memo identity of a spec: a
+// wirebin.Hash64 over every field, same collision argument as
 // tasksMemoKey (the memo maps identity → wire fingerprint; a 64-bit
 // collision would have to be matched by a 128-bit body collision to
 // misroute a request). Hashing raw fields — not the canonical

@@ -4,8 +4,9 @@ package service
 // the decoders every /v1 job passes — envelope, spec validation,
 // task-graph build and engine keying. The decoders must never panic,
 // and every rejection must classify as the client's error (4xx).
-// `make fuzz-smoke` runs a few hundred executions of each; longer
-// runs: `go test ./internal/service -fuzz=FuzzDecodeJSONMap
+// FuzzTaskGraphDigest holds the /v1 and /v2 task-graph builds to one
+// digest. `make fuzz-smoke` runs a few hundred executions of each;
+// longer runs: `go test ./internal/service -fuzz=FuzzDecodeJSONMap
 // -fuzztime=60s`.
 
 import (
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	topomap "repro"
+	"repro/internal/wirebin"
 )
 
 // fuzzTasks is the ring-with-chords graph the service tests map.
@@ -130,4 +132,64 @@ func FuzzDecodeJSONPortfolio(f *testing.F) {
 			Allocation: AllocationSpec{SparseNodes: 4, Seed: 3},
 			Tasks:      fuzzTasks(16), Seed: 5, Parallelism: 2, Rankfile: true,
 		})
+}
+
+// FuzzTaskGraphDigest: for any task-graph spec that builds, the /v1
+// build and the /v2 path — AppendTasksSection, wirebin.ParseTasks,
+// taskGraphFromCSR — give equal digests. That equality is what lets a
+// JSON solve warm the solve memo for its binary repeats. The inputs
+// spell the spec: n tasks; one (src, dst, volume) triple per three
+// edge bytes, endpoints taken mod n and volumes signed; when given,
+// one signed load per task and dim (2 or 3) signed coordinates per
+// task, both read cyclically from their bytes.
+func FuzzTaskGraphDigest(f *testing.F) {
+	ring := make([]byte, 0, 48)
+	for i := byte(0); i < 16; i++ {
+		ring = append(ring, i, i+1, 10, i, i+8, 3)
+	}
+	f.Add(uint8(16), ring, []byte(nil), []byte(nil), uint8(0))
+	f.Add(uint8(16), ring, []byte{1}, []byte(nil), uint8(0))                     // unit loads
+	f.Add(uint8(16), ring, []byte{1, 4, 0, 2}, []byte{1, 255, 3, 128}, uint8(1)) // loads and 3D coordinates
+	f.Add(uint8(5), []byte{0, 0, 7, 1, 2, 5, 1, 2, 5, 2, 1, 9}, []byte(nil), []byte{2, 3}, uint8(0))
+	f.Fuzz(func(t *testing.T, n uint8, edges, loads, coords []byte, dim uint8) {
+		ts := TaskGraphSpec{N: int(n)}
+		for i := 0; n > 0 && i+2 < len(edges); i += 3 {
+			ts.Edges = append(ts.Edges, [3]int64{int64(edges[i] % n), int64(edges[i+1] % n), int64(int8(edges[i+2]))})
+		}
+		if len(loads) > 0 {
+			ts.Loads = make([]int64, n)
+			for i := range ts.Loads {
+				ts.Loads[i] = int64(int8(loads[i%len(loads)]))
+			}
+		}
+		if len(coords) > 0 {
+			d := 2 + int(dim%2)
+			ts.Coords = make([][]float64, n)
+			for i := range ts.Coords {
+				for k := 0; k < d; k++ {
+					ts.Coords[i] = append(ts.Coords[i], float64(int8(coords[(i*d+k)%len(coords)]))/4)
+				}
+			}
+		}
+		v1, err := ts.Build()
+		if err != nil {
+			return
+		}
+		w := wirebin.GetWriter()
+		defer wirebin.PutWriter(w)
+		if err := AppendTasksSection(w, ts); err != nil {
+			t.Fatalf("spec builds but its section does not encode: %v", err)
+		}
+		view, err := wirebin.ParseTasks(w.Bytes())
+		if err != nil {
+			t.Fatalf("section of a built spec does not parse: %v", err)
+		}
+		v2, err := taskGraphFromCSR(view)
+		if err != nil {
+			t.Fatalf("section of a built spec does not build: %v", err)
+		}
+		if a, b := taskGraphDigest(v1), taskGraphDigest(v2); a != b {
+			t.Fatalf("/v1 digest %x, /v2 digest %x for one spec", a, b)
+		}
+	})
 }

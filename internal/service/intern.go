@@ -25,7 +25,8 @@ import (
 //   - allocation: the resolved spec and its cache key
 //   - tasks: the built task graph itself (immutable once built, so
 //     sharing it across concurrent solves is safe — the JSON batch
-//     path already relies on that)
+//     path already relies on that) and its taskGraphDigest, so a
+//     reference hit reaches the solve memo without walking the graph
 type internVal struct {
 	kind     byte // wirebin.SecTopology | SecAllocation | SecTasks
 	topo     TopologySpec
@@ -33,6 +34,7 @@ type internVal struct {
 	alloc    AllocationSpec
 	allocKey string
 	tasks    *topomap.TaskGraph
+	digest   uint64
 }
 
 type internTable struct {

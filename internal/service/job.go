@@ -31,6 +31,10 @@ type job struct {
 	topo      TopologySpec
 	alloc     AllocationSpec
 	tasks     *topomap.TaskGraph
+	// digest is taskGraphDigest(tasks), taken when a /v1 map decodes
+	// or carried from the /v2 intern entry; only the map handler reads
+	// it, for the solve memo key and the result fingerprint.
+	digest uint64
 
 	solve     topomap.Solve             // map: the lowered solve
 	items     []topomap.Solve           // batch: one lowered solve per item
@@ -254,7 +258,7 @@ func (s *Server) handleMap(c codec, w http.ResponseWriter, r *http.Request) {
 	// deterministic — is answered from the result cache without
 	// touching a worker slot; only response framing (rankfile, trace
 	// echo) re-renders. Stage histograms count real solves only.
-	memoKey := solveMemoKey(j.engineKey, j.solve, j.tasks)
+	memoKey := solveMemoKey(j.engineKey, j.solve, j.digest)
 	if ent, ok := s.results.getReq(memoKey); ok {
 		lg.cacheHit = true
 		reply(ent.res, ent.eng, true, ent.fp)
@@ -292,8 +296,8 @@ func (s *Server) handleMap(c codec, w http.ResponseWriter, r *http.Request) {
 	// Feed the result cache so a remap can pick this mapping up by
 	// fingerprint when the allocation changes, and the solve memo so
 	// a repeat of this job skips the solve.
-	fp := resultFingerprint(eng, j.tasks, res)
-	s.results.putReq(memoKey, resultEntry{fp: fp, eng: eng, tasks: j.tasks, res: res})
+	fp := resultFingerprint(eng, j.digest, res)
+	s.results.putReq(memoKey, resultEntry{fp: fp, eng: eng, tasks: j.tasks, digest: j.digest, res: res})
 	reply(res, eng, hit, fp)
 }
 
@@ -410,8 +414,8 @@ func (s *Server) handleRemap(c codec, w http.ResponseWriter, r *http.Request) {
 	// The post-delta engine rides in the new result's cache entry, so
 	// chained deltas keep patching instead of rebuilding. CacheHit is
 	// true by construction: the route state came from a cached result.
-	fp := resultFingerprint(rres.Engine, entry.tasks, rres.Result)
-	s.results.put(resultEntry{fp: fp, eng: rres.Engine, tasks: entry.tasks, res: rres.Result})
+	fp := resultFingerprint(rres.Engine, entry.digest, rres.Result)
+	s.results.put(resultEntry{fp: fp, eng: rres.Engine, tasks: entry.tasks, digest: entry.digest, res: rres.Result})
 	out, err := mapResponse(rres.Result, rres.Engine, true, j.rankfile, j.trace, time.Since(j.began), fp)
 	if err != nil {
 		lg.error(w, err)

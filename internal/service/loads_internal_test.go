@@ -52,7 +52,7 @@ func TestUnitLoadsRule(t *testing.T) {
 			return topomap.ReadTaskGraph(strings.NewReader(sb.String()))
 		}},
 	}
-	hash := func(tg *topomap.TaskGraph) wirebin.Hash64 { return hashTaskGraph(wirebin.Hash64Init, tg) }
+	hash := taskGraphDigest
 	for _, e := range entries {
 		plain, err := e.build(nil)
 		if err != nil {

@@ -15,14 +15,16 @@ import (
 
 // resultEntry is one finished solve the service keeps around for
 // incremental remapping: the engine that produced it (route state
-// intact), the task graph it placed, and the result itself. The
-// fingerprint is the wire handle POST /v1/remap presents instead of
-// re-sending any of the three.
+// intact), the task graph it placed with its digest (see
+// taskGraphDigest), and the result itself. The fingerprint is the
+// wire handle POST /v1/remap presents instead of re-sending any of
+// them.
 type resultEntry struct {
-	fp    string
-	eng   *topomap.Engine
-	tasks *topomap.TaskGraph
-	res   *topomap.MapResult
+	fp     string
+	eng    *topomap.Engine
+	tasks  *topomap.TaskGraph
+	digest uint64
+	res    *topomap.MapResult
 }
 
 // resultNode wraps an entry with its retention accounting: when it
@@ -250,15 +252,16 @@ func (c *resultCache) len() int {
 }
 
 // resultFingerprint derives the content handle of a finished solve:
-// an FNV-1a hash over the engine's canonical (topology, allocation)
-// fingerprint, the task graph's structure, and the placement itself.
-// Identical solves produce identical fingerprints across requests and
-// restarts, so clients may cache them; distinct placements collide
-// only with hash probability.
-func resultFingerprint(eng *topomap.Engine, tg *topomap.TaskGraph, res *topomap.MapResult) string {
+// a Hash64 over the engine's canonical (topology, allocation)
+// fingerprint, the task graph's digest, and the placement itself. The
+// digest stands for the graph, so a launch solve and every remap of
+// its chain fold one word, not the graph. Identical solves produce
+// identical fingerprints across requests and restarts, so clients may
+// cache them; distinct placements collide only with hash probability.
+func resultFingerprint(eng *topomap.Engine, digest uint64, res *topomap.MapResult) string {
 	h := wirebin.Hash64Init
 	h = h.Str(topomap.EngineFingerprint(eng.Topology(), eng.Allocation()))
-	h = hashTaskGraph(h, tg)
+	h = h.U64(digest)
 	h = h.Str(string(res.Mapper))
 	h = h.U64(uint64(len(res.GroupOf)))
 	for _, g := range res.GroupOf {
@@ -270,13 +273,18 @@ func resultFingerprint(eng *topomap.Engine, tg *topomap.TaskGraph, res *topomap.
 	return "map:" + strconv.FormatUint(uint64(h), 16)
 }
 
-// hashTaskGraph folds the task graph's structure — coarsening factor,
-// adjacency, edge volumes, (when heterogeneous) per-task loads and
-// (when geometric) per-task coordinates — into h, alloc-free. Unit
-// loads are canonically nil (TaskGraphSpec and the binary decoder
-// both canonicalize) and absent coordinates are nil, so
-// pre-heterogeneity, coordinate-free hashes are unchanged.
-func hashTaskGraph(h wirebin.Hash64, tg *topomap.TaskGraph) wirebin.Hash64 {
+// taskGraphDigest folds the task graph's structure — coarsening
+// factor, adjacency, edge volumes, (when heterogeneous) per-task loads
+// and (when geometric) per-task coordinates — into one word,
+// alloc-free. It is computed once per graph, where a graph enters the
+// service for a memoizable solve: when a /v2 tasks section is interned
+// and when a /v1 map request's graph is built. The solve memo key and
+// the result fingerprint fold the digest, so a warm request never
+// walks the graph. Unit loads are canonically nil (TaskGraphSpec and
+// the binary decoder both canonicalize) and absent coordinates are
+// nil, so both protocols digest one graph alike.
+func taskGraphDigest(tg *topomap.TaskGraph) uint64 {
+	h := wirebin.Hash64Init
 	h = h.U64(uint64(tg.K))
 	h = h.U64(uint64(tg.G.N()))
 	for v := 0; v < tg.G.N(); v++ {
@@ -300,18 +308,19 @@ func hashTaskGraph(h wirebin.Hash64, tg *topomap.TaskGraph) wirebin.Hash64 {
 			h = h.U64(math.Float64bits(c))
 		}
 	}
-	return h
+	return uint64(h)
 }
 
 // solveMemoKey identifies a map job up to response framing: the
 // engine cache key (canonical topology + allocation), every knob of
 // the lowered solve that can change the placement — the mapper as
 // lowered, so spellings that run the same mapper share a key — and
-// the task graph structure. Both protocols derive it from the same
-// job, so a JSON solve warms the memo for binary repeats and vice
-// versa. Response-only options (rankfile, trace echo) stay out — they
-// re-render per response.
-func solveMemoKey(engineKey string, sol topomap.Solve, tg *topomap.TaskGraph) string {
+// the task graph's digest (see taskGraphDigest), one word in place of
+// the graph. Both protocols derive it from the same job and digest
+// equal graphs alike, so a JSON solve warms the memo for binary
+// repeats and vice versa. Response-only options (rankfile, trace
+// echo) stay out — they re-render per response.
+func solveMemoKey(engineKey string, sol topomap.Solve, digest uint64) string {
 	h := wirebin.Hash64Init
 	h = h.Str(engineKey)
 	h = h.U64(0) // domain separator between the key and the knobs
@@ -328,6 +337,6 @@ func solveMemoKey(engineKey string, sol topomap.Solve, tg *topomap.TaskGraph) st
 		flags |= 4
 	}
 	h = h.U64(flags)
-	h = hashTaskGraph(h, tg)
+	h = h.U64(digest)
 	return "req:" + strconv.FormatUint(uint64(h), 16)
 }

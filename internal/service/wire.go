@@ -225,8 +225,8 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 		return nil, fmt.Errorf("tasks: n=%d exceeds the %d-task service limit", t.N, maxTasks)
 	}
 	// Every /v1 request builds its graph, memo hits included (the memo
-	// key hashes it), so the edges stage straight into pooled triples,
-	// as taskGraphFromCSR does for /v2 frames.
+	// key folds its digest), so the edges stage straight into pooled
+	// triples, as taskGraphFromCSR does for /v2 frames.
 	tri := binArena.Edges(len(t.Edges))
 	defer binArena.PutEdges(tri)
 	cnt := 0
@@ -245,8 +245,8 @@ func (t TaskGraphSpec) Build() (*topomap.TaskGraph, error) {
 		cnt++
 	}
 	tg := &topomap.TaskGraph{G: graph.FromTriples(t.N, tri[:cnt], nil), K: t.N}
-	// Unit loads canonicalize to the absent form, so the graph hash, the
-	// solve memo and the binary sections all see one encoding.
+	// Unit loads canonicalize to the absent form, so the graph digest,
+	// the solve memo and the binary sections all see one encoding.
 	if t.Loads != nil {
 		if err := tg.SetLoads(t.Loads); err != nil {
 			return nil, fmt.Errorf("tasks: %w", err)
@@ -702,6 +702,7 @@ func (c jsonCodec) decodeMap(w http.ResponseWriter, r *http.Request) (*job, erro
 	if err != nil {
 		return nil, err
 	}
+	j.digest = taskGraphDigest(j.tasks)
 	j.solve = lowerSolve(req.Mapper, req.Seed, req.Refine, req.FineRefine, req.Trace, req.Balance)
 	j.parallelism, j.timeoutMS = req.Parallelism, req.TimeoutMS
 	j.rankfile, j.trace = req.Rankfile, req.Trace

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -102,11 +103,16 @@ func Fingerprint(body []byte) [FingerprintLen]byte {
 	return out
 }
 
-// Hash64 is an inline FNV-1a 64 accumulator for hot-path identity
-// keys (solve memo, client section memo): value-receiver chaining
+// Hash64 is an inline 64-bit accumulator for hot-path identity keys
+// (the service's task-graph digest, solve memo and result
+// fingerprints, the client's section memo): value-receiver chaining
 // keeps it in registers, where hash/fnv's interface writes force
-// every input buffer to escape. Start from Hash64Init and fold with
-// Str/U64; read the result by converting to uint64.
+// every input buffer to escape. Str folds bytes by FNV-1a; U64 folds
+// a whole word in one XXH64 tail step, which mixes every bit of the
+// word (a plain xor-multiply fold lets two top-bit flips cancel) at
+// an eighth of FNV's steps. Start from Hash64Init and fold with
+// Str/U64; read the result by converting to uint64. Values are
+// deterministic across processes; a change of the fold changes them.
 type Hash64 uint64
 
 // Hash64Init is the FNV-1a 64 offset basis.
@@ -114,7 +120,14 @@ const Hash64Init Hash64 = 14695981039346656037
 
 const hash64Prime = 1099511628211
 
-// Str folds a string into the accumulator.
+// XXH64's primes 1, 2 and 4.
+const (
+	xxPrime1 = 0x9E3779B185EBCA87
+	xxPrime2 = 0xC2B2AE3D27D4EB4F
+	xxPrime4 = 0x85EBCA77C2B2AE63
+)
+
+// Str folds a string into the accumulator, a byte at a time.
 func (h Hash64) Str(s string) Hash64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ Hash64(s[i])) * hash64Prime
@@ -122,12 +135,11 @@ func (h Hash64) Str(s string) Hash64 {
 	return h
 }
 
-// U64 folds a 64-bit value, little-endian.
+// U64 folds a 64-bit value as XXH64 folds an 8-byte tail:
+// h = rotl(h ^ rotl(v·P2, 31)·P1, 27)·P1 + P4.
 func (h Hash64) U64(v uint64) Hash64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ Hash64(byte(v>>(8*i)))) * hash64Prime
-	}
-	return h
+	k := bits.RotateLeft64(v*xxPrime2, 31) * xxPrime1
+	return Hash64(bits.RotateLeft64(uint64(h)^k, 27)*xxPrime1 + xxPrime4)
 }
 
 // bufPool recycles frame scratch: encoders borrow a Writer, decoders

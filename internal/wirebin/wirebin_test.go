@@ -303,3 +303,40 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatal("distinct bodies collided")
 	}
 }
+
+// TestHash64Words: U64 mixes every bit of each word it folds. Two
+// sequences that differ only in the top bit of two words collide
+// under a plain xor-multiply word fold — the first flip survives the
+// multiply as a top-bit flip and the second cancels it — and must not
+// under Hash64. Word order matters too.
+func TestHash64Words(t *testing.T) {
+	fold := func(words ...uint64) Hash64 {
+		h := Hash64Init
+		for _, w := range words {
+			h = h.U64(w)
+		}
+		return h
+	}
+	plain := func(words ...uint64) uint64 {
+		h := uint64(Hash64Init)
+		for _, w := range words {
+			h = (h ^ w) * hash64Prime
+		}
+		return h
+	}
+	const top = 1 << 63
+	a := []uint64{7, 3, 9, 1024}
+	b := []uint64{7, 3 ^ top, 9 ^ top, 1024}
+	if plain(a...) != plain(b...) {
+		t.Fatal("the plain xor-multiply fold separates the top-bit pair; the input no longer tests the mix")
+	}
+	if fold(a...) == fold(b...) {
+		t.Fatal("Hash64 collides on two words differing only in their top bits")
+	}
+	if fold(a...) != fold(7, 3, 9, 1024) {
+		t.Fatal("Hash64 not deterministic")
+	}
+	if fold(a...) == fold(7, 9, 3, 1024) {
+		t.Fatal("Hash64 ignores the order of two words")
+	}
+}

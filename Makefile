@@ -16,11 +16,12 @@ check: fmt build test traceguard harnessguard fuzz-smoke docs mapbench-smoke
 # digest, the CSR builder of internal/graph against its
 # sort-and-merge oracle, the /v1 edge-list decoder against
 # encoding/json, the coarse supertask graphs of internal/taskgraph
-# against their triple-staging oracle, and the root package's
-# allocation deltas applied to torus, fat-tree and dragonfly engines —
-# enough for the seed corpus plus mutations to walk every decoder,
-# cheap enough for every `make check`. Go allows
-# one -fuzz pattern per invocation, hence the loops. Longer runs: raise
+# against their triple-staging oracle, the partitioner's one-pass
+# split of internal/partition against InducedSubgraph, and the root
+# package's allocation deltas applied to torus, fat-tree and dragonfly
+# engines — enough for the seed corpus plus mutations to walk every
+# decoder, cheap enough for every `make check`. Go allows one -fuzz
+# pattern per invocation, hence the loops. Longer runs: raise
 # -fuzztime (e.g. `go test ./internal/wirebin -fuzz=FuzzFrameDecoders
 # -fuzztime=60s`).
 fuzz-smoke:
@@ -30,8 +31,9 @@ fuzz-smoke:
 		$(GO) test ./internal/service -run='^$$' -fuzz="^$$f$$" -fuzztime=300x >/dev/null || exit 1; \
 	done; $(GO) test ./internal/graph -run='^$$' -fuzz='^FuzzFromTriples$$' -fuzztime=300x >/dev/null || exit 1; \
 	$(GO) test ./internal/taskgraph -run='^$$' -fuzz='^FuzzCoarseGraph$$' -fuzztime=300x >/dev/null || exit 1; \
+	$(GO) test ./internal/partition -run='^$$' -fuzz='^FuzzSplitSides$$' -fuzztime=300x >/dev/null || exit 1; \
 	$(GO) test . -run='^$$' -fuzz='^FuzzAllocationDelta$$' -fuzztime=300x >/dev/null || exit 1; \
-	echo "fuzz-smoke: 12 targets clean"
+	echo "fuzz-smoke: 13 targets clean"
 
 # mapbench smoke: cmd/mapbench is a module of its own, so the root
 # `go test ./...` never compiles it, yet it builds against the service
@@ -90,13 +92,15 @@ docs:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck README.md ROADMAP.md docs/ARCHITECTURE.md
 
-# Bench smoke: one iteration of the engine benchmarks, and of the warm
-# mapd request path on both protocols at one client, proves the
-# service API's hot paths still run; full numbers via
-# `go test -bench=.`.
+# Bench smoke: one iteration of the engine benchmarks, of the warm
+# mapd request path on both protocols at one client, and of the
+# grouping partitioner (the launch path's dominant stage) at one and
+# two workers proves the service API's hot paths still run; full
+# numbers via `go test -bench=.`.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel/(binary|json)/c1$$' -benchtime=1x ./internal/service
+	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchtime=1x ./internal/taskgraph
 
 # Bench tracking: run the engine benchmarks at a stable iteration
 # count — with allocation stats, so the scratch-arena trajectory is

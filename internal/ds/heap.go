@@ -1,31 +1,50 @@
 // Package ds provides the low-level data structures shared by the
-// partitioning and mapping algorithms: an indexed binary max-heap with
-// update-key, compact integer sets and queues. All structures are
+// partitioning and mapping algorithms: an indexed 4-ary max-heap with
+// update-key, whose total order makes its answers independent of its
+// layout, compact integer sets and queues. All structures are
 // deterministic and allocation-conscious; none of them is safe for
 // concurrent mutation.
 package ds
 
 import "math"
 
-// IndexedMaxHeap is a binary max-heap over the items 0..n-1 keyed by
+// IndexedMaxHeap is a 4-ary max-heap over the items 0..n-1 keyed by
 // int64 priorities. It supports O(log n) push, pop, removal and
 // arbitrary key updates, which the mapping algorithms need for their
 // connectivity and congestion heaps (Algorithms 1-3 of the paper).
+//
+// Items are ordered by key descending, then by id ascending. That order
+// is total, so Pop, Peek and MaxKeyExcept answer from the heap's
+// contents alone, never from its layout: any sequence of operations
+// leaving the same (item, key) pairs gives the same answers, whatever
+// the arity or sift strategy. Each slot holds its key beside its item,
+// so a comparison reads one slot, and a sift moves a hole instead of
+// swapping.
 //
 // An item is either in the heap or out of it; pushing an item that is
 // already present panics, as does updating an absent item. Use
 // Contains to query membership.
 type IndexedMaxHeap struct {
-	keys []int64 // keys[item] is valid only while pos[item] >= 0
-	heap []int32 // heap of item ids
+	heap []slot  // 4-ary heap: the children of i are 4i+1..4i+4
 	pos  []int32 // pos[item] = index in heap, or -1 if absent
+}
+
+// slot is one heap entry.
+type slot struct {
+	key  int64
+	item int32
+}
+
+// before reports whether a outranks b: the higher key, then the lower
+// id.
+func before(a, b slot) bool {
+	return a.key > b.key || a.key == b.key && a.item < b.item
 }
 
 // NewIndexedMaxHeap returns an empty heap able to hold items 0..n-1.
 func NewIndexedMaxHeap(n int) *IndexedMaxHeap {
 	h := &IndexedMaxHeap{
-		keys: make([]int64, n),
-		heap: make([]int32, 0, n),
+		heap: make([]slot, 0, n),
 		pos:  make([]int32, n),
 	}
 	for i := range h.pos {
@@ -45,9 +64,7 @@ func (h *IndexedMaxHeap) Push(item int, key int64) {
 	if h.pos[item] >= 0 {
 		panic("ds: Push of item already in heap")
 	}
-	h.keys[item] = key
-	h.pos[item] = int32(len(h.heap))
-	h.heap = append(h.heap, int32(item))
+	h.heap = append(h.heap, slot{key, int32(item)})
 	h.up(len(h.heap) - 1)
 }
 
@@ -58,13 +75,14 @@ func (h *IndexedMaxHeap) Pop() (item int, key int64) {
 		panic("ds: Pop of empty heap")
 	}
 	top := h.heap[0]
-	h.swap(0, len(h.heap)-1)
-	h.heap = h.heap[:len(h.heap)-1]
-	h.pos[top] = -1
-	if len(h.heap) > 0 {
+	last := len(h.heap) - 1
+	h.pos[top.item] = -1
+	h.heap[0] = h.heap[last]
+	h.heap = h.heap[:last]
+	if last > 0 {
 		h.down(0)
 	}
-	return int(top), h.keys[top]
+	return int(top.item), top.key
 }
 
 // Peek returns the maximum item without removing it.
@@ -73,7 +91,7 @@ func (h *IndexedMaxHeap) Peek() (item int, key int64) {
 	if len(h.heap) == 0 {
 		panic("ds: Peek of empty heap")
 	}
-	return int(h.heap[0]), h.keys[h.heap[0]]
+	return int(h.heap[0].item), h.heap[0].key
 }
 
 // MaxKeyExcept returns the maximum key over the items for which skip
@@ -92,13 +110,14 @@ func (h *IndexedMaxHeap) maxKeyExcept(i int, skip func(item int) bool) int64 {
 	if i >= len(h.heap) {
 		return math.MinInt64
 	}
-	it := h.heap[i]
-	if !skip(int(it)) {
-		return h.keys[it]
+	if s := h.heap[i]; !skip(int(s.item)) {
+		return s.key
 	}
-	best := h.maxKeyExcept(2*i+1, skip)
-	if r := h.maxKeyExcept(2*i+2, skip); r > best {
-		best = r
+	best := int64(math.MinInt64)
+	for c := 4*i + 1; c <= 4*i+4 && c < len(h.heap); c++ {
+		if k := h.maxKeyExcept(c, skip); k > best {
+			best = k
+		}
 	}
 	return best
 }
@@ -109,8 +128,8 @@ func (h *IndexedMaxHeap) Update(item int, key int64) {
 	if p < 0 {
 		panic("ds: Update of item not in heap")
 	}
-	old := h.keys[item]
-	h.keys[item] = key
+	old := h.heap[p].key
+	h.heap[p].key = key
 	switch {
 	case key > old:
 		h.up(int(p))
@@ -123,33 +142,39 @@ func (h *IndexedMaxHeap) Update(item int, key int64) {
 // delta. If the item is absent it is pushed with key delta. This is
 // the conn.update operation of Algorithm 1.
 func (h *IndexedMaxHeap) Add(item int, delta int64) {
-	if h.pos[item] < 0 {
+	p := h.pos[item]
+	if p < 0 {
 		h.Push(item, delta)
 		return
 	}
-	h.Update(item, h.keys[item]+delta)
+	h.Update(item, h.heap[p].key+delta)
 }
 
 // Remove deletes item from the heap if present.
 func (h *IndexedMaxHeap) Remove(item int) {
-	p := h.pos[item]
+	p := int(h.pos[item])
 	if p < 0 {
 		return
 	}
 	last := len(h.heap) - 1
-	h.swap(int(p), last)
-	h.heap = h.heap[:last]
 	h.pos[item] = -1
-	if int(p) < last {
-		h.down(int(p))
-		h.up(int(p))
+	moved := h.heap[last]
+	h.heap = h.heap[:last]
+	if p == last {
+		return
+	}
+	h.heap[p] = moved
+	if p > 0 && before(moved, h.heap[(p-1)/4]) {
+		h.up(p)
+	} else {
+		h.down(p)
 	}
 }
 
 // Clear empties the heap in O(len) time without releasing storage.
 func (h *IndexedMaxHeap) Clear() {
-	for _, it := range h.heap {
-		h.pos[it] = -1
+	for _, s := range h.heap {
+		h.pos[s.item] = -1
 	}
 	h.heap = h.heap[:0]
 }
@@ -159,11 +184,9 @@ func (h *IndexedMaxHeap) Clear() {
 // heap exactly as NewIndexedMaxHeap(n) would.
 func (h *IndexedMaxHeap) Reset(n int) {
 	if cap(h.pos) < n {
-		h.keys = make([]int64, n)
-		h.heap = make([]int32, 0, n)
+		h.heap = make([]slot, 0, n)
 		h.pos = make([]int32, n)
 	} else {
-		h.keys = h.keys[:n]
 		h.heap = h.heap[:0]
 		h.pos = h.pos[:n]
 	}
@@ -172,46 +195,49 @@ func (h *IndexedMaxHeap) Reset(n int) {
 	}
 }
 
-func (h *IndexedMaxHeap) less(i, j int) bool {
-	ki, kj := h.keys[h.heap[i]], h.keys[h.heap[j]]
-	if ki != kj {
-		return ki > kj // max-heap: "less" means higher priority
-	}
-	return h.heap[i] < h.heap[j] // deterministic tie-break by id
-}
-
-func (h *IndexedMaxHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = int32(i)
-	h.pos[h.heap[j]] = int32(j)
-}
-
+// up sifts the slot at i toward the root: the slots it outranks move
+// down one level into the hole, and it lands where the hole stops.
 func (h *IndexedMaxHeap) up(i int) {
+	s := h.heap[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		ps := h.heap[parent]
+		if !before(s, ps) {
 			break
 		}
-		h.swap(i, parent)
+		h.heap[i] = ps
+		h.pos[ps.item] = int32(i)
 		i = parent
 	}
+	h.heap[i] = s
+	h.pos[s.item] = int32(i)
 }
 
+// down sifts the slot at i toward the leaves: the best of each hole's
+// up to four children moves up into it while it outranks the slot.
 func (h *IndexedMaxHeap) down(i int) {
+	s := h.heap[i]
 	n := len(h.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(l, best) {
-			best = l
+		first := 4*i + 1
+		if first >= n {
+			break
 		}
-		if r < n && h.less(r, best) {
-			best = r
+		best := first
+		end := min(first+4, n)
+		for c := first + 1; c < end; c++ {
+			if before(h.heap[c], h.heap[best]) {
+				best = c
+			}
 		}
-		if best == i {
-			return
+		bs := h.heap[best]
+		if !before(bs, s) {
+			break
 		}
-		h.swap(i, best)
+		h.heap[i] = bs
+		h.pos[bs.item] = int32(i)
 		i = best
 	}
+	h.heap[i] = s
+	h.pos[s.item] = int32(i)
 }

@@ -149,48 +149,108 @@ func TestIndexedMaxHeapSortProperty(t *testing.T) {
 	}
 }
 
-// Property: a long random sequence of push/update/remove operations
-// keeps the heap consistent with a reference map implementation.
+// Property: a long random sequence of push, update, add, remove, pop
+// and peek operations keeps the heap consistent with a reference map.
+// Keys come from a narrow range, so ties are common and the id
+// tie-break decides most pops; n = 1000 items fill at least five 4-ary
+// levels. Every few steps MaxKeyExcept is checked against a brute
+// force over a random skip set.
 func TestIndexedMaxHeapRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const n = 64
+	const n = 1000
 	h := NewIndexedMaxHeap(n)
 	ref := map[int]int64{}
-	for step := 0; step < 5000; step++ {
+	key := func() int64 { return int64(rng.Intn(9) - 4) }
+	// best is the reference answer to Pop and Peek: the highest key,
+	// then the lowest id.
+	best := func() (int, int64) {
+		bi, bk := -1, int64(0)
+		for ri, rk := range ref {
+			if bi < 0 || rk > bk || (rk == bk && ri < bi) {
+				bi, bk = ri, rk
+			}
+		}
+		return bi, bk
+	}
+	// Fill most of the heap first, so the mixed phase runs deep.
+	for item := 0; item < n; item++ {
+		if rng.Intn(10) < 8 {
+			k := key()
+			h.Push(item, k)
+			ref[item] = k
+		}
+	}
+	for step := 0; step < 20000; step++ {
 		item := rng.Intn(n)
-		switch rng.Intn(4) {
+		switch rng.Intn(7) {
 		case 0:
 			if _, ok := ref[item]; !ok {
-				k := int64(rng.Intn(1000) - 500)
+				k := key()
 				h.Push(item, k)
 				ref[item] = k
 			}
 		case 1:
 			if _, ok := ref[item]; ok {
-				k := int64(rng.Intn(1000) - 500)
+				k := key()
 				h.Update(item, k)
 				ref[item] = k
 			}
 		case 2:
+			d := int64(rng.Intn(5) - 2)
+			h.Add(item, d)
+			ref[item] += d
+		case 3:
 			h.Remove(item)
 			delete(ref, item)
-		case 3:
+		case 4:
+			if len(ref) > 0 {
+				it, k := h.Pop()
+				wi, wk := best()
+				if it != wi || k != wk {
+					t.Fatalf("step %d: Pop = (%d,%d), want (%d,%d)", step, it, k, wi, wk)
+				}
+				delete(ref, it)
+			}
+		case 5:
 			if len(ref) > 0 {
 				it, k := h.Peek()
-				want, ok := ref[it]
-				if !ok || want != k {
-					t.Fatalf("step %d: Peek item %d key %d not in ref (%v)", step, it, k, ref[it])
+				wi, wk := best()
+				if it != wi || k != wk {
+					t.Fatalf("step %d: Peek = (%d,%d), want (%d,%d)", step, it, k, wi, wk)
 				}
-				for ri, rk := range ref {
-					if rk > k || (rk == k && ri < it) {
-						t.Fatalf("step %d: Peek returned (%d,%d) but ref has better (%d,%d)", step, it, k, ri, rk)
-					}
+			}
+		case 6:
+			skip := make(map[int]bool)
+			frac := 1 + rng.Intn(8) // skip between 1/8 and all of the items
+			for ri := range ref {
+				if rng.Intn(8) < frac {
+					skip[ri] = true
 				}
+			}
+			want := int64(math.MinInt64)
+			for ri, rk := range ref {
+				if !skip[ri] && rk > want {
+					want = rk
+				}
+			}
+			if got := h.MaxKeyExcept(func(it int) bool { return skip[it] }); got != want {
+				t.Fatalf("step %d: MaxKeyExcept = %d, want %d (%d items, %d skipped)", step, got, want, len(ref), len(skip))
 			}
 		}
 		if h.Len() != len(ref) {
 			t.Fatalf("step %d: Len %d != ref %d", step, h.Len(), len(ref))
 		}
+		if _, in := ref[item]; h.Contains(item) != in {
+			t.Fatalf("step %d: Contains(%d) disagrees with ref", step, item)
+		}
+	}
+	// Drain: every pop follows the total order.
+	for len(ref) > 0 {
+		it, k := h.Pop()
+		if wi, wk := best(); it != wi || k != wk {
+			t.Fatalf("drain: Pop = (%d,%d), want (%d,%d)", it, k, wi, wk)
+		}
+		delete(ref, it)
 	}
 }
 

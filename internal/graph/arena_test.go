@@ -8,9 +8,9 @@ import (
 	"repro/internal/arena"
 )
 
-// TestArenaVariantsEquivalent proves the builders produce identical
-// graphs with and without an arena — including on a warm arena, where
-// the staging buffer is a recycled slice.
+// TestArenaVariantsEquivalent proves Symmetrize builds identical graphs
+// with and without an arena — including on a warm arena, where the
+// staging buffer is a recycled slice.
 func TestArenaVariantsEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 60
@@ -26,12 +26,6 @@ func TestArenaVariantsEquivalent(t *testing.T) {
 		g := FromEdges(n, us, vs, ws, nil)
 		if !reflect.DeepEqual(g.Symmetrize(nil), g.Symmetrize(ar)) {
 			t.Fatalf("round %d: Symmetrize diverged on the arena", round)
-		}
-		verts := []int32{0, 3, 7, 11, 20, 33, 59}
-		g1, r1 := g.InducedSubgraph(nil, verts)
-		g2, r2 := g.InducedSubgraph(ar, verts)
-		if !reflect.DeepEqual(g1, g2) || !reflect.DeepEqual(r1, r2) {
-			t.Fatalf("round %d: InducedSubgraph diverged on the arena", round)
 		}
 	}
 }

@@ -279,10 +279,10 @@ func (g *Graph) Symmetrize(a *arena.Arena) *Graph {
 
 // InducedSubgraph returns the subgraph on the given vertices (in the
 // given order) plus the mapping from old ids to new ids (-1 when
-// excluded). Edges with an excluded endpoint are dropped. The staging
-// triples come from the arena as in Symmetrize; the returned graph and
-// remap stay fresh.
-func (g *Graph) InducedSubgraph(a *arena.Arena, vertices []int32) (*Graph, []int32) {
+// excluded). Edges with an excluded endpoint are dropped. TMAP, its one
+// caller, bisects task lists in any order; the partitioner, whose
+// lists ascend, splits without staging (partition.splitSides).
+func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32) {
 	remap := make([]int32, g.N())
 	for i := range remap {
 		remap[i] = -1
@@ -294,7 +294,7 @@ func (g *Graph) InducedSubgraph(a *arena.Arena, vertices []int32) (*Graph, []int
 	for _, v := range vertices {
 		bound += g.Degree(int(v))
 	}
-	triples := a.Edges(bound)
+	triples := make([]ds.EdgeTriple, bound)
 	cnt := 0
 	for _, v := range vertices {
 		nv := remap[v]
@@ -313,9 +313,7 @@ func (g *Graph) InducedSubgraph(a *arena.Arena, vertices []int32) (*Graph, []int
 			vw[i] = g.VW[v]
 		}
 	}
-	res := FromTriples(len(vertices), triples[:cnt], vw)
-	a.PutEdges(triples)
-	return res, remap
+	return FromTriples(len(vertices), triples[:cnt], vw), remap
 }
 
 // Clone returns a deep copy of g.

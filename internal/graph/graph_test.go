@@ -180,7 +180,7 @@ func TestFarthestVertexNoEligible(t *testing.T) {
 func TestInducedSubgraph(t *testing.T) {
 	g := Grid2D(3, 3)
 	// Take the first row: vertices 0,1,2 form a path.
-	sub, remap := g.InducedSubgraph(nil, []int32{0, 1, 2})
+	sub, remap := g.InducedSubgraph([]int32{0, 1, 2})
 	if sub.N() != 3 || sub.M() != 4 {
 		t.Fatalf("sub N=%d M=%d, want 3,4", sub.N(), sub.M())
 	}

@@ -39,17 +39,18 @@ func bisect(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []int8 {
 }
 
 // initialBisection runs several greedy-graph-growing attempts and
-// keeps the best (feasible first, then lowest cut).
+// keeps the best (feasible first, then lowest cut). Each run reports
+// its own part-0 weight and cut, so no run is rescanned.
 func initialBisection(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []int8 {
 	var best []int8
 	bestCut := int64(-1)
 	bestFeasible := false
+	total := g.TotalVertexWeight()
 	maxW0 := maxAllowed(tw[0], opt.Imbalance)
+	maxW1 := maxAllowed(tw[1], opt.Imbalance)
 	for run := 0; run < opt.InitRuns; run++ {
-		side := growBisection(g, tw, opt, rng)
-		w := sideWeights(g, side)
-		feasible := w[0] <= maxW0 && w[1] <= maxAllowed(tw[1], opt.Imbalance)
-		cut := cutOf(g, side)
+		side, w0, cut := growBisection(g, tw, total, opt, rng)
+		feasible := w0 <= maxW0 && total-w0 <= maxW1
 		better := false
 		switch {
 		case best == nil:
@@ -72,19 +73,21 @@ func initialBisection(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) 
 // growBisection grows part 0 from a random seed via max-gain frontier
 // expansion until it reaches its target weight share; everything else
 // is part 1. Disconnected graphs restart from fresh random seeds.
-func growBisection(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []int8 {
+// total is g's total vertex weight. It returns the side vector, part
+// 0's weight and the edge cut, both tracked in the row walk each added
+// vertex already makes: an edge to part 0 stops crossing, any other
+// starts to, and a self loop never crosses. g must be symmetric.
+func growBisection(g *graph.Graph, tw [2]int64, total int64, opt Options, rng *rand.Rand) (side []int8, w0, cut int64) {
 	n := g.N()
-	side := opt.Arena.Int8s(n)
+	side = opt.Arena.Int8s(n)
 	for i := range side {
 		side[i] = 1
 	}
-	total := g.TotalVertexWeight()
 	// Scale the target in case vertex weights don't sum to tw0+tw1.
 	want := int64(float64(total) * float64(tw[0]) / float64(tw[0]+tw[1]))
 	if want <= 0 {
-		return side
+		return side, 0, 0
 	}
-	var w0 int64
 	heap := opt.Arena.MaxHeap(n)
 	inPart := opt.Arena.Bools(n)
 	defer func() {
@@ -99,9 +102,14 @@ func growBisection(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []i
 		nb := g.Neighbors(int(v))
 		wt := g.Weights(int(v))
 		for i, u := range nb {
-			if inPart[u] {
+			if u == v {
 				continue
 			}
+			if inPart[u] {
+				cut -= wt[i]
+				continue
+			}
+			cut += wt[i]
 			// Gain of pulling u in: edges to part 0 minus edges away.
 			heap.Add(int(u), 2*wt[i])
 		}
@@ -131,7 +139,7 @@ func growBisection(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []i
 		}
 		addVertex(int32(v))
 	}
-	return side
+	return side, w0, cut
 }
 
 // refineBisection runs FM passes until no pass improves the cut.
@@ -147,7 +155,9 @@ func refineBisection(g *graph.Graph, side []int8, tw [2]int64, opt Options, rng 
 }
 
 // fmPass performs one Fiduccia–Mattheyses pass with rollback to the
-// best prefix. It reports whether the cut or feasibility improved.
+// best prefix. It reports whether the cut or feasibility improved. It
+// reads g.EW directly: PartitionTargets spells out nil edge weights
+// once, and every graph built from there on carries them.
 func fmPass(g *graph.Graph, side []int8, tw [2]int64, opt Options) bool {
 	n := g.N()
 	maxW := [2]int64{maxAllowed(tw[0], opt.Imbalance), maxAllowed(tw[1], opt.Imbalance)}
@@ -158,30 +168,29 @@ func fmPass(g *graph.Graph, side []int8, tw [2]int64, opt Options) bool {
 	gains := ar.Int64s(n)
 	heaps := [2]*ds.IndexedMaxHeap{ar.MaxHeap(n), ar.MaxHeap(n)}
 	locked := ar.Bools(n)
+	// The moved vertices in order. A vertex moves at most once a pass,
+	// so n slots hold every move, and rolling one back flips its side.
+	history := ar.Int32s(n)[:0]
 	defer func() {
 		ar.PutInt64s(gains)
 		ar.PutMaxHeap(heaps[0])
 		ar.PutMaxHeap(heaps[1])
 		ar.PutBools(locked)
+		ar.PutInt32s(history)
 	}()
+	// An edge to the other side adds its weight to the gain, and any
+	// other edge, a self loop included, subtracts it: the factor
+	// 2·(side[u]^side[v]) − 1 is +1 or −1, without a branch.
 	for v := 0; v < n; v++ {
-		var ext, internal int64
+		sv := side[v]
+		var gain int64
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			if side[g.Adj[i]] != side[v] {
-				ext += g.EdgeWeight(int(i))
-			} else {
-				internal += g.EdgeWeight(int(i))
-			}
+			gain += int64(2*(side[g.Adj[i]]^sv)-1) * g.EW[i]
 		}
-		gains[v] = ext - internal
-		heaps[side[v]].Push(v, gains[v])
+		gains[v] = gain
+		heaps[sv].Push(v, gain)
 	}
 
-	type move struct {
-		v    int32
-		from int8
-	}
-	var history []move
 	var gainSum, bestSum int64
 	bestPrefix := 0
 	negStreak := 0
@@ -232,14 +241,14 @@ moves:
 		w[to] += g.VertexWeight(v)
 		locked[v] = true
 		gainSum += gkey
-		history = append(history, move{int32(v), int8(from)})
+		history = append(history, int32(v))
 		// Update neighbour gains.
 		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
 			u := g.Adj[i]
 			if locked[u] {
 				continue
 			}
-			ew := g.EdgeWeight(int(i))
+			ew := g.EW[i]
 			if int(side[u]) == from {
 				gains[u] += 2 * ew
 			} else {
@@ -264,12 +273,8 @@ moves:
 		}
 	}
 	// Roll back past the best prefix.
-	for i := len(history) - 1; i >= bestPrefix; i-- {
-		m := history[i]
-		to := 1 - m.from
-		side[m.v] = m.from
-		w[to] -= g.VertexWeight(int(m.v))
-		w[m.from] += g.VertexWeight(int(m.v))
+	for _, v := range history[bestPrefix:] {
+		side[v] ^= 1
 	}
 	return bestSum > 0 || bestPrefix > 0 && bestSum >= 0
 }
@@ -284,16 +289,4 @@ func sideWeights(g *graph.Graph, side []int8) [2]int64 {
 		w[side[v]] += g.VertexWeight(v)
 	}
 	return w
-}
-
-func cutOf(g *graph.Graph, side []int8) int64 {
-	var cut int64
-	for u := 0; u < g.N(); u++ {
-		for i := g.Xadj[u]; i < g.Xadj[u+1]; i++ {
-			if side[g.Adj[i]] != side[u] {
-				cut += g.EdgeWeight(int(i))
-			}
-		}
-	}
-	return cut / 2
 }

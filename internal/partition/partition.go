@@ -121,6 +121,15 @@ func PartitionTargets(g *graph.Graph, targets []int64, opt Options) ([]int32, er
 	if totalTarget <= 0 {
 		return nil, fmt.Errorf("partition: zero total target")
 	}
+	if g.EW == nil {
+		// Unit edges, spelled out once so the bisection kernels read
+		// EW without a nil check per edge.
+		ew := make([]int64, g.M())
+		for i := range ew {
+			ew[i] = 1
+		}
+		g = &graph.Graph{Xadj: g.Xadj, Adj: g.Adj, EW: ew, VW: g.VW}
+	}
 	part := make([]int32, g.N())
 	vertices := make([]int32, g.N())
 	for i := range vertices {
@@ -180,8 +189,6 @@ func recursiveBisect(g *graph.Graph, vertices []int32, targets []int64, offset i
 			nl++
 		}
 	}
-	leftLocal := ar.Int32s(nl)
-	rightLocal := ar.Int32s(len(side) - nl)
 	// Reorder vertices in place into [left block | right block]: the
 	// subtrees then own disjoint subslices instead of freshly
 	// allocated id lists.
@@ -189,27 +196,81 @@ func recursiveBisect(g *graph.Graph, vertices []int32, targets []int64, offset i
 	li, ri := 0, nl
 	for i, v := range vertices {
 		if side[i] == 0 {
-			leftLocal[li] = int32(i)
 			buf[li] = v
 			li++
 		} else {
-			rightLocal[ri-nl] = int32(i)
 			buf[ri] = v
 			ri++
 		}
 	}
 	copy(vertices, buf)
 	ar.PutInt32s(buf)
-	ar.PutInt8s(side)
 	leftIDs, rightIDs := vertices[:nl], vertices[nl:]
-	gl, _ := g.InducedSubgraph(ar, leftLocal)
-	gr, _ := g.InducedSubgraph(ar, rightLocal)
-	ar.PutInt32s(leftLocal)
-	ar.PutInt32s(rightLocal)
+	gl, gr := splitSides(g, side, nl, ar)
+	ar.PutInt8s(side)
 	opt.Par.Fork(
 		func() { recursiveBisect(gl, leftIDs, targets[:kl], offset, opt, 2*path, out) },
 		func() { recursiveBisect(gr, rightIDs, targets[kl:], offset+kl, opt, 2*path+1, out) },
 	)
+}
+
+// splitSides returns the two halves of g that side selects, the
+// subgraphs induced by its side-0 and its side-1 vertices, each vertex
+// renumbered by its rank within its side; nl is the number of side-0
+// vertices. They are exactly the graphs InducedSubgraph builds from
+// each side's ascending id list, built without staging: the
+// renumbering is monotone, so a row of g that lists its neighbours
+// ascending stays ascending once filtered, and is copied as it
+// stands. One counting pass ranks the vertices and sizes every row,
+// and one copying pass fills exact-size arrays. g's rows must ascend,
+// as every graph of the CSR contract's does, and g.EW must not be nil.
+// The rank scratch comes from ar; the halves are fresh.
+func splitSides(g *graph.Graph, side []int8, nl int, ar *arena.Arena) (left, right *graph.Graph) {
+	n := g.N()
+	halves := [2]*graph.Graph{
+		{Xadj: make([]int32, nl+1)},
+		{Xadj: make([]int32, n-nl+1)},
+	}
+	rank := ar.Int32s(n)
+	defer ar.PutInt32s(rank)
+	var next [2]int32
+	for v := 0; v < n; v++ {
+		s := side[v]
+		r := next[s]
+		next[s]++
+		rank[v] = r
+		var kept int32
+		for _, u := range g.Adj[g.Xadj[v]:g.Xadj[v+1]] {
+			kept += int32(1 ^ side[u] ^ s)
+		}
+		xadj := halves[s].Xadj
+		xadj[r+1] = xadj[r] + kept
+	}
+	for s, h := range halves {
+		m := h.Xadj[next[s]]
+		h.Adj = make([]int32, m)
+		h.EW = make([]int64, m)
+		if g.VW != nil {
+			h.VW = make([]int64, next[s])
+		}
+	}
+	for v := 0; v < n; v++ {
+		s := side[v]
+		h := halves[s]
+		r := rank[v]
+		p := h.Xadj[r]
+		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+			if u := g.Adj[i]; side[u] == s {
+				h.Adj[p] = rank[u]
+				h.EW[p] = g.EW[i]
+				p++
+			}
+		}
+		if h.VW != nil {
+			h.VW[r] = g.VW[v]
+		}
+	}
+	return halves[0], halves[1]
 }
 
 // EdgeCut returns the weight of edges crossing parts (each undirected

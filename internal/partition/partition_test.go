@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/arena"
@@ -87,6 +88,29 @@ func TestPartitionWeightedVertices(t *testing.T) {
 	total := g.TotalVertexWeight()
 	targets := []int64{total / 4, total / 4, total / 4, total / 4}
 	checkPartition(t, g, part, 4, targets, 0.10)
+}
+
+// TestPartitionNilEdgeWeights: a graph storing unit edges as a nil EW
+// partitions exactly as the same graph with EW spelled out, including
+// one small enough that its first bisection grows on the input graph
+// itself, uncoarsened.
+func TestPartitionNilEdgeWeights(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Grid2D(6, 6), graph.Grid2D(20, 15)} {
+		nilEW := &graph.Graph{Xadj: g.Xadj, Adj: g.Adj}
+		for _, k := range []int{2, 5} {
+			want, err := Partition(g, k, Options{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Partition(nilEW, k, Options{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: nil EW partitioned %v, unit EW %v", g.N(), k, got, want)
+			}
+		}
+	}
 }
 
 func TestPartitionDisconnected(t *testing.T) {

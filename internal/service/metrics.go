@@ -62,6 +62,7 @@ func (s *Server) writeMetrics(b *strings.Builder) {
 	fmt.Fprintf(b, "mapd_protocol_requests_total{protocol=%q} %d\n", protoBinaryLabel, s.st.protoBinary.Load())
 	counter("mapd_errors_total", "Requests that failed (bad input, solve error, timeout).", s.st.errors.Load())
 	counter("mapd_timeouts_total", "Requests that exceeded their solve deadline.", s.st.timeouts.Load())
+	counter("mapd_solve_panics_total", "Requests whose solve panicked and was recovered into a 500.", s.st.solvePanics.Load())
 	gauge("mapd_inflight_requests", "Requests currently being served.", strconv.FormatInt(s.st.inflight.Load(), 10))
 	gauge("mapd_uptime_seconds", "Seconds since the server started.", fmtFloat(time.Since(s.start).Seconds()))
 

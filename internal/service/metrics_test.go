@@ -82,6 +82,7 @@ func TestMetricsExposition(t *testing.T) {
 		"mapd_protocol_requests_total",
 		"mapd_errors_total",
 		"mapd_timeouts_total",
+		"mapd_solve_panics_total",
 		"mapd_inflight_requests",
 		"mapd_uptime_seconds",
 		"mapd_portfolio_candidates_total",
@@ -145,6 +146,7 @@ func TestMetricsExposition(t *testing.T) {
 		`mapd_requests_total{endpoint="portfolio"} 0`,
 		`mapd_requests_total{endpoint="remap"} 0`,
 		"mapd_errors_total 0",
+		"mapd_solve_panics_total 0",
 		"mapd_engine_cache_misses_total 1",
 		"mapd_result_cache_entries 1",
 		`mapd_request_duration_seconds_count{endpoint="map"} 1`,

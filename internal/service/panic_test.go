@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -143,5 +145,15 @@ func TestSolvePanicFailsOnlyItsRequest(t *testing.T) {
 	}
 	if panics != 6 {
 		t.Fatalf("logged %d solve panics, want 6:\n%s", panics, logs.String())
+	}
+	// The panic counter counts exactly the six panicking requests, on
+	// /statusz and on /metrics.
+	if got := srv.Status().SolvePanics; got != 6 {
+		t.Fatalf("statusz solve_panics = %d, want 6", got)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(rec.Body.String(), "\nmapd_solve_panics_total 6\n") {
+		t.Fatalf("metrics lack mapd_solve_panics_total 6:\n%s", rec.Body.String())
 	}
 }

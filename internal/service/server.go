@@ -254,7 +254,8 @@ func (s *Server) solve(ctx context.Context, id uint64, slots int, fn func(contex
 //
 // A panic in fn, or in a solve worker (parallel.Group re-raises those
 // on fn's goroutine), fails only this request: it is recovered into a
-// 500 and logged with the request id id and the stack.
+// 500, counted in solve_panics, and logged with the request id id and
+// the stack.
 func (s *Server) solveUntil(waitCtx, solveCtx context.Context, id uint64, slots int, fn func(context.Context) error) error {
 	release, err := s.acquire(solveCtx, slots)
 	if err != nil {
@@ -265,6 +266,7 @@ func (s *Server) solveUntil(waitCtx, solveCtx context.Context, id uint64, slots 
 		defer release()
 		defer func() {
 			if r := recover(); r != nil {
+				s.st.solvePanics.Add(1)
 				if s.log != nil {
 					s.log.LogAttrs(context.Background(), slog.LevelError, "solve panic",
 						slog.Uint64("req_id", id), slog.String("panic", fmt.Sprintf("%+v", r)),
@@ -324,6 +326,7 @@ func (s *Server) Status() Status {
 		BatchRequests:  s.st.batchRequests.Load(),
 		Errors:         s.st.errors.Load(),
 		Timeouts:       s.st.timeouts.Load(),
+		SolvePanics:    s.st.solvePanics.Load(),
 		InFlight:       s.st.inflight.Load(),
 		Workers:        s.cfg.Workers,
 		MaxParallelism: s.cfg.MaxParallelism,

@@ -46,6 +46,7 @@ type stats struct {
 	remapPairsTotal     atomic.Int64
 	errors              atomic.Int64
 	timeouts            atomic.Int64
+	solvePanics         atomic.Int64 // solves whose panic was recovered into a 500
 	inflight            atomic.Int64
 
 	// Per-protocol request counters: how much of the solving traffic

@@ -540,6 +540,7 @@ type Status struct {
 	BatchRequests  int64   `json:"batch_requests"`
 	Errors         int64   `json:"errors"`
 	Timeouts       int64   `json:"timeouts"`
+	SolvePanics    int64   `json:"solve_panics"` // recovered into a 500; each also counts in Errors
 	InFlight       int64   `json:"in_flight"`
 	Workers        int     `json:"workers"`
 	MaxParallelism int     `json:"max_parallelism"`

@@ -93,14 +93,16 @@ docs:
 	$(GO) run ./cmd/docscheck README.md ROADMAP.md docs/ARCHITECTURE.md
 
 # Bench smoke: one iteration of the engine benchmarks, of the warm
-# mapd request path on both protocols at one client, and of the
-# grouping partitioner (the launch path's dominant stage) at one and
-# two workers proves the service API's hot paths still run; full
+# mapd request path on both protocols at one client, of the grouping
+# partitioner (the launch path's dominant stage) and of Algorithm 2
+# alone (the launch and remap paths' WH refinement), each at one and
+# two workers, proves the service API's hot paths still run; full
 # numbers via `go test -bench=.`.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel/(binary|json)/c1$$' -benchtime=1x ./internal/service
 	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchtime=1x ./internal/taskgraph
+	$(GO) test -run='^$$' -bench='BenchmarkRefineWH' -benchtime=1x ./internal/core
 
 # Bench tracking: run the engine benchmarks at a stable iteration
 # count — with allocation stats, so the scratch-arena trajectory is
@@ -109,9 +111,9 @@ bench:
 # instances run at a lower iteration count: one solve is ~10^8 ns, and
 # the machine-size sweep holds one job fixed on growing fat trees. The
 # grouping and CSR-builder micro-benchmarks isolate the launch path's
-# dominant stage and the graph construction inside it; the coarse-graph
-# and metrics micro-benchmarks isolate the coarsen and metrics stages at
-# the launch and remap shapes.
+# dominant stage and the graph construction inside it; the coarse-graph,
+# metrics and Algorithm 2 micro-benchmarks isolate the coarsen, metrics
+# and WH refinement stages at the launch and remap shapes.
 # BENCH_OUT has no default, so a recording never overwrites an earlier
 # PR's point: `make bench-json BENCH_OUT=BENCH_PR<n>.json`.
 BENCH_NOTES ?=
@@ -124,6 +126,7 @@ bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchmem -benchtime=20x -count=1 ./internal/taskgraph >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkCoarseGraph' -benchmem -benchtime=200x -count=1 ./internal/taskgraph >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkComputeMetrics' -benchmem -benchtime=200x -count=1 ./internal/metrics >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkRefineWH' -benchmem -benchtime=200x -count=1 ./internal/core >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkFromTriples' -benchmem -benchtime=200x -count=1 ./internal/graph >> $$tmp; \
 	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) $(BENCH_NOTES) < $$tmp
 	@echo "wrote $(BENCH_OUT)"

@@ -121,21 +121,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if obj.NeedsSim() {
 		return fail(fmt.Errorf("objective %s needs a simulation spec, which the CLI does not provide; use the library or mapd portfolio API", topomap.SimSecondsMetric))
 	}
-	var candidates []topomap.Mapper
-	if *portfolio != "" && !strings.EqualFold(*portfolio, "all") {
-		seen := map[topomap.Mapper]bool{}
-		for _, name := range strings.Split(*portfolio, ",") {
-			mp := topomap.Mapper(strings.ToUpper(strings.TrimSpace(name)))
-			if (topomap.Solve{Mapper: mp}).Validate() != nil {
-				return fail(fmt.Errorf("unknown portfolio mapper %q (want one of: %s)", name, mapperList()))
+	candidate := func(mp topomap.Mapper) topomap.Solve {
+		return topomap.Solve{Mapper: mp, Seed: *seed, Trace: *traced, Balance: *balance}
+	}
+	var candidates []topomap.Solve // nil = all compatible registered mappers
+	if *portfolio != "" {
+		if !strings.EqualFold(*portfolio, "all") {
+			for _, name := range strings.Split(*portfolio, ",") {
+				candidates = append(candidates, candidate(topomap.Mapper(strings.ToUpper(strings.TrimSpace(name)))))
 			}
-			// All CLI candidates share -seed, so a repeated mapper is a
-			// duplicate (mapper, seed) — reject before the pipeline runs.
-			if seen[mp] {
-				return fail(fmt.Errorf("duplicate portfolio mapper %s", mp))
-			}
-			seen[mp] = true
-			candidates = append(candidates, mp)
+		}
+		// All CLI candidates share -seed, so a repeated mapper is a
+		// duplicate (mapper, seed) the library rejects.
+		if err := (topomap.PortfolioRequest{Candidates: candidates, Objective: obj}).Validate(); err != nil {
+			return fail(fmt.Errorf("-portfolio %s: %w (mappers: %s)", *portfolio, err, mapperList()))
 		}
 	}
 
@@ -248,15 +247,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// "all" normally expands inside RunPortfolio; expand here so
 			// the trace request reaches every candidate (the winner's
 			// timeline is the one printed).
-			candidates = eng.CompatibleMappersFor(tg)
-		}
-		var solves []topomap.Solve
-		for _, mp := range candidates {
-			solves = append(solves, topomap.Solve{Mapper: mp, Seed: *seed, Trace: *traced, Balance: *balance})
+			for _, mp := range eng.CompatibleMappersFor(tg) {
+				candidates = append(candidates, candidate(mp))
+			}
 		}
 		pres, err := eng.RunPortfolio(context.Background(), topomap.PortfolioRequest{
 			Tasks:      tg,
-			Candidates: solves, // nil = all compatible registered mappers
+			Candidates: candidates,
 			Seed:       *seed,
 			Objective:  obj,
 			Workers:    *workers,

@@ -350,7 +350,7 @@ func TestRunPortfolioFlag(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-portfolio", "UWH,NOPE"}, "unknown portfolio mapper"},
+		{[]string{"-portfolio", "UWH,NOPE"}, `unknown mapper "NOPE"`},
 		{[]string{"-portfolio", "all", "-objective", "latency"}, "unknown objective metric"},
 		{[]string{"-portfolio", "all", "-objective", "mc:bad"}, "objective weight"},
 		{[]string{"-portfolio", "UWH,UWH"}, "duplicate"},

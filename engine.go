@@ -360,16 +360,25 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 }
 
 // checkPlacement rejects a mapper's placement the later stages cannot
-// hold: they keep a placement as allocation indices, so every one of
-// the groups needs an allocated node.
+// hold: they keep a placement as allocation indices and assume one
+// group per node, so every group needs an allocated node of its own.
 func (e *Engine) checkPlacement(nodeOf []int32, groups int) error {
 	if len(nodeOf) != groups {
 		return fmt.Errorf("placed %d groups, want %d", len(nodeOf), groups)
 	}
+	// owner[l] is one more than the group on allocation index l, 0
+	// while l is free.
+	owner := e.arena.Int32s(e.view.Len())
+	defer e.arena.PutInt32s(owner)
 	for g, m := range nodeOf {
-		if e.view.Local(m) < 0 {
+		l := e.view.Local(m)
+		if l < 0 {
 			return fmt.Errorf("placed group %d on node %d, which is not allocated", g, m)
 		}
+		if owner[l] > 0 {
+			return fmt.Errorf("placed groups %d and %d on node %d", owner[l]-1, g, m)
+		}
+		owner[l] = int32(g) + 1
 	}
 	return nil
 }

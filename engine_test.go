@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -495,6 +498,86 @@ func TestEngineRejectsPlacementOutsideAllocation(t *testing.T) {
 		}
 		cancel()
 	}
+}
+
+// TestMapperPlacementChecked: a registered mapper whose placement the
+// later stages cannot index — too few groups, a group on a node
+// outside the allocation, or several groups on one node (the stages
+// after the mapper assume one group per node) — fails its own solve
+// with an error naming it. An 8×8 stencil of 64 tasks fills four
+// 16-processor nodes, so each node hosts exactly one group.
+func TestMapperPlacementChecked(t *testing.T) {
+	tg, err := StencilTaskGraph(8, 8, 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := NewHopperTorus(4, 4, 4)
+	a, err := SparseAllocation(topo, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(topo, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerBrokenMappers(t)
+	placementsBroken.Store(true)
+	defer placementsBroken.Store(false)
+	for _, name := range []Mapper{"TEST-SHORT", "TEST-UNALLOCATED", "TEST-STACKED"} {
+		res, err := eng.RunSolve(context.Background(), tg, Solve{Mapper: name, Seed: 1, Refine: true})
+		if err == nil {
+			t.Fatalf("%s: placement accepted (node of each group %v)", name, res.NodeOf)
+		}
+		if !strings.Contains(err.Error(), string(name)) {
+			t.Fatalf("%s: error %q does not name the mapper", name, err)
+		}
+	}
+}
+
+var brokenMappersOnce sync.Once
+
+// placementsBroken is set only while TestMapperPlacementChecked runs.
+// Until then its mappers place the allocation order, so a portfolio
+// that expands to every registered mapper elsewhere in this binary
+// meets valid placements.
+var placementsBroken atomic.Bool
+
+// registerBrokenMappers registers, once per process, the three
+// mappers of TestMapperPlacementChecked: each starts from the
+// allocation order and, while placementsBroken is set, breaks it.
+func registerBrokenMappers(t *testing.T) {
+	t.Helper()
+	broken := map[string]func(nodeOf, alloc []int32) []int32{
+		"TEST-SHORT": func(nodeOf, _ []int32) []int32 { return nodeOf[1:] },
+		"TEST-UNALLOCATED": func(nodeOf, alloc []int32) []int32 {
+			for free := int32(0); ; free++ {
+				if !slices.Contains(alloc, free) {
+					nodeOf[0] = free
+					return nodeOf
+				}
+			}
+		},
+		"TEST-STACKED": func(nodeOf, _ []int32) []int32 {
+			for g := range nodeOf {
+				nodeOf[g] = nodeOf[0]
+			}
+			return nodeOf
+		},
+	}
+	brokenMappersOnce.Do(func() {
+		for name, breakIt := range broken {
+			err := RegisterMapper(NewMapper(name, MapperCaps{}, func(in MapperInput) ([]int32, error) {
+				nodeOf := append([]int32(nil), in.Alloc.Nodes[:in.Coarse.N()]...)
+				if !placementsBroken.Load() {
+					return nodeOf, nil
+				}
+				return breakIt(nodeOf, in.Alloc.Nodes), nil
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // flatTopo hides every optional capability of a torus, leaving a bare

@@ -434,9 +434,11 @@ func (st *mapState) firstEmpty() int32 {
 }
 
 // swapPartners collects into cands[:0] up to delta swap partners of
-// task t, the candidates Algorithms 2 and 3 examine: the tasks on the
+// task t, the candidates Algorithm 3 examines: the tasks on the
 // allocated nodes other than t's, in the order a BFS over the topology
-// from the nodes of t's neighbours reaches them.
+// from the nodes of t's neighbours reaches them. Algorithm 2's walk in
+// refineLevel reaches the same tasks in the same order on single-task
+// clusters, and also filters clusters by size.
 func (st *mapState) swapPartners(t int32, delta int, cands []int32) []int32 {
 	st.seedBuf = st.seedBuf[:0]
 	for _, u := range st.g.Neighbors(int(t)) {

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/arena"
 	"repro/internal/graph"
 	"repro/internal/routecache"
 )
@@ -12,12 +13,14 @@ import (
 // perform the refinement on the finer level task vertices or in a
 // multilevel fashion from coarser to finer levels."
 //
-// MapUML coarsens the (supertask) graph with heavy-edge matching,
-// places the coarsest clusters onto node regions grown by BFS over
-// the topology, and then refines from the coarsest level to the
-// finest: at every level a Kernighan–Lin pass swaps the node sets of
-// two equal-cardinality clusters when that lowers WH, and the finest
-// level runs Algorithm 2 verbatim.
+// MapUML is the hierarchy plus Algorithm 1 placement plus Algorithm 2
+// at every level: it coarsens the (supertask) graph with heavy-edge
+// matching, places the coarsest clusters onto node regions grown by
+// BFS over the topology in Algorithm 1's order, and then runs
+// refineLevel from the coarsest level to the finest. At a coarse level
+// a swap exchanges the node sets of two equal-cardinality clusters; at
+// the finest level every vertex is its own cluster and the pass loop
+// is Algorithm 2 itself.
 
 // umlCoarsenTo is the cluster count at which MapUML's hierarchy stops
 // coarsening.
@@ -110,51 +113,71 @@ func mlHierarchy(g *graph.Graph, coarsenTo int) []mlLevel {
 	return levels
 }
 
-// clusterSets returns, for hierarchy level l, the level-0 membership:
-// cl0 maps each fine vertex to its level-l cluster and members lists
-// the fine vertices of each cluster in increasing id order.
-func clusterSets(levels []mlLevel, l int) (cl0 []int32, members [][]int32) {
-	n0 := levels[0].g.N()
-	cl0 = make([]int32, n0)
-	for v := range cl0 {
-		cl0[v] = int32(v)
+// clusterSets borrows from ar the clusters of hierarchy level l over
+// the fine (level-0) vertices. Return cl.buf to ar when done.
+func clusterSets(levels []mlLevel, l int, ar *arena.Arena) clusters {
+	n0, nc := levels[0].g.N(), levels[l].g.N()
+	if l == 0 {
+		// Every vertex its own cluster: of, off, mem and pos are all
+		// the identity, so they share one buffer.
+		ids := ar.Int32s(n0 + 1)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		return clusters{buf: ids, of: ids[:n0], off: ids, mem: ids[:n0], pos: ids[:n0]}
+	}
+	buf := ar.Int32s(3*n0 + nc + 1)
+	cl := clusters{buf: buf, of: buf[:n0], mem: buf[n0 : 2*n0], pos: buf[2*n0 : 3*n0], off: buf[3*n0:]}
+	for v := range cl.of {
+		cl.of[v] = int32(v)
 	}
 	for i := 0; i < l; i++ {
 		cmap := levels[i].cmap
-		for v := range cl0 {
-			cl0[v] = cmap[cl0[v]]
+		for v, c := range cl.of {
+			cl.of[v] = cmap[c]
 		}
 	}
-	members = make([][]int32, levels[l].g.N())
-	for v := 0; v < n0; v++ {
-		c := cl0[v]
-		members[c] = append(members[c], int32(v))
+	// Counting sort by cluster: off[c] first holds the end of c's
+	// members, and filling from the highest vertex down leaves it at
+	// their start with the members ascending.
+	for _, c := range cl.of {
+		cl.off[c]++
 	}
-	return cl0, members
+	for c := 1; c <= nc; c++ {
+		cl.off[c] += cl.off[c-1]
+	}
+	for v := n0 - 1; v >= 0; v-- {
+		c := cl.of[v]
+		cl.off[c]--
+		cl.mem[cl.off[c]] = int32(v)
+		cl.pos[v] = cl.off[c]
+	}
+	return cl
 }
 
-// placeCoarsest assigns every coarsest-level cluster a region of
-// |members| empty allocated nodes grown by BFS over the topology, in
-// Algorithm 1's order and from the node GETBESTNODE picks for the
-// cluster: a mapState over gl marks every node of a placed cluster's
-// region with the cluster and holds the region's first node as the
-// cluster's own. It fills loc with the allocation index of every fine
-// vertex.
-func placeCoarsest(gl *graph.Graph, members [][]int32, tab *routecache.Table, loc []int32, ex *Exec) {
+// placeCoarsest assigns every coarsest-level cluster of cl a region of
+// as many empty allocated nodes as it has members, grown by BFS over
+// the topology, in Algorithm 1's order and from the node GETBESTNODE
+// picks for the cluster: a mapState over gl marks every node of a
+// placed cluster's region with the cluster and holds the region's
+// first node as the cluster's own. It places every fine vertex in
+// fine.
+func placeCoarsest(gl *graph.Graph, cl clusters, fine *mapState) {
+	tab, ex := fine.tab, fine.ex
 	st := newMapState(gl, tab, ex)
 	defer st.release()
 	greedyOrder(st, GreedyOptions{Exec: ex}, func(c, seed int32) {
-		// Take the len(members[c]) empty allocated nodes nearest the
-		// seed's node (BFS order, the empty seed first) and assign the
+		// Take the len(mem) empty allocated nodes nearest the seed's
+		// node (BFS order, the empty seed first) and assign the
 		// cluster's members to them in that order.
-		mem := members[c]
+		mem := cl.members(c)
 		got := 0
 		take := func(l int32) {
 			if got == 0 {
 				st.nodeOf[c] = l
 			}
 			st.taskAt[l] = c
-			loc[mem[got]] = l
+			fine.place(mem[got], l)
 			got++
 		}
 		st.bfs([]int32{tab.Node(seed)}, func(node, lv int32) bool {
@@ -170,324 +193,35 @@ func placeCoarsest(gl *graph.Graph, members [][]int32, tab *routecache.Table, lo
 	})
 }
 
-// clusterRefineState carries the per-level swap refinement context.
-type clusterRefineState struct {
-	g0      *graph.Graph // fine (level-0) graph
-	tab     *routecache.Table
-	nodeOf  []int32   // fine vertex -> allocation index (mutated)
-	taskAt  []int32   // allocation index -> fine vertex
-	cl0     []int32   // fine vertex -> cluster at the current level
-	members [][]int32 // cluster -> fine vertices (sorted by id)
-
-	triedMark []int32 // generation marks: cluster already tried?
-	triedGen  int32
-}
-
-// pairScratch is the generation-marked swap-pair bookkeeping of one
-// swapDelta evaluation. Candidate scoring fans swaps out over the
-// worker pool, and the marks are mutated per evaluation, so every
-// concurrent scorer owns its own pairScratch.
-type pairScratch struct {
-	inPair  []int32 // generation marks: fine vertex in the swap pair?
-	pairPos []int32 // index of the vertex within its cluster's members
-	gen     int32
-}
-
-// clusterWH returns the WH incurred by a cluster: the weighted hops
-// of every directed fine edge whose tail lies in the cluster.
-func (cr *clusterRefineState) clusterWH(c int32, obj Objective) int64 {
-	var wh int64
-	g := cr.g0
-	for _, t := range cr.members[c] {
-		row := cr.tab.DistRow(cr.nodeOf[t])
-		for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
-			wh += hopCost(g, i, obj) * int64(row[cr.nodeOf[g.Adj[i]]])
-		}
-	}
-	return wh
-}
-
-// swapDelta computes the exact total WH change (doubled-edge
-// accounting) of exchanging the node sets of clusters a and b:
-// member i of a moves to the node of member i of b and vice versa.
-// Internal a∪b edges are counted once per direction; edges leaving
-// the pair are counted twice (their reverse direction changes by the
-// same amount on the symmetric graph). It reads only shared state and
-// mutates only ps, so concurrent scorers with distinct ps are safe.
-func (cr *clusterRefineState) swapDelta(ps *pairScratch, a, b int32, obj Objective) int64 {
-	g := cr.g0
-	ma, mb := cr.members[a], cr.members[b]
-	ps.gen++
-	gen := ps.gen
-	for i, t := range ma {
-		ps.inPair[t] = gen
-		ps.pairPos[t] = int32(i)
-	}
-	for i, t := range mb {
-		ps.inPair[t] = gen
-		ps.pairPos[t] = int32(i)
-	}
-	// newNode(t): position after the hypothetical swap.
-	newNode := func(t int32) int32 {
-		if ps.inPair[t] != gen {
-			return cr.nodeOf[t]
-		}
-		if cr.cl0[t] == a {
-			return cr.nodeOf[mb[ps.pairPos[t]]]
-		}
-		return cr.nodeOf[ma[ps.pairPos[t]]]
-	}
-	var d int64
-	scan := func(mem []int32) {
-		for _, t := range mem {
-			nt, ot := cr.tab.DistRow(newNode(t)), cr.tab.DistRow(cr.nodeOf[t])
-			for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
-				u := g.Adj[i]
-				w := hopCost(g, i, obj)
-				if ps.inPair[u] == gen {
-					// Internal edge: the loop visits both directions.
-					d += w * int64(nt[newNode(u)]-ot[cr.nodeOf[u]])
-				} else {
-					// External edge: reverse direction changes equally.
-					d += 2 * w * int64(nt[cr.nodeOf[u]]-ot[cr.nodeOf[u]])
-				}
-			}
-		}
-	}
-	scan(ma)
-	scan(mb)
-	return d
-}
-
-// applySwap exchanges the node sets of equal-cardinality clusters a
-// and b member-wise.
-func (cr *clusterRefineState) applySwap(a, b int32) {
-	ma, mb := cr.members[a], cr.members[b]
-	for i := range ma {
-		na, nb := cr.nodeOf[ma[i]], cr.nodeOf[mb[i]]
-		cr.nodeOf[ma[i]], cr.nodeOf[mb[i]] = nb, na
-		cr.taskAt[na], cr.taskAt[nb] = mb[i], ma[i]
-	}
-}
-
-// refineClusterLevel runs one multilevel refinement stage: KL-style
-// swaps of equal-cardinality level-l clusters, candidate clusters
-// discovered by BFS over the topology from the nodes of the popped
-// cluster's neighbours (the level-l analogue of Algorithm 2). It
-// mutates loc, each fine vertex's allocation index, and returns the
-// total WH gain achieved (positive = improvement, doubled-edge
-// accounting).
-func refineClusterLevel(g0, gl *graph.Graph, cl0 []int32, members [][]int32, tab *routecache.Table, loc []int32, opt RefineOptions) int64 {
-	opt = opt.withDefaults()
-	ex := opt.Exec
-	ar := ex.arenaOf()
-	par := ex.par()
-	nc := gl.N()
-	st := newMapState(gl, tab, ex) // BFS scratch
-	defer st.release()
-	cr := &clusterRefineState{
-		g0:        g0,
-		tab:       tab,
-		nodeOf:    loc,
-		taskAt:    ar.Int32s(tab.Len()),
-		cl0:       cl0,
-		members:   members,
-		triedMark: ar.Int32s(nc),
-	}
-	defer func() {
-		ar.PutInt32s(cr.taskAt)
-		ar.PutInt32s(cr.triedMark)
-	}()
-	for i := range cr.taskAt {
-		cr.taskAt[i] = -1
-	}
-	for t := 0; t < g0.N(); t++ {
-		cr.taskAt[loc[t]] = int32(t)
-	}
-
-	// Per-cluster WH values: clusterWH reads only the shared placement,
-	// so the per-pass reloads fan out over the worker pool; the serial
-	// fill below keeps heap order identical at every worker count.
-	whVals := ar.Int64s(nc)
-	defer ar.PutInt64s(whVals)
-	loadWH := func() {
-		par.ForEachIdx(nc, func(c int) { whVals[c] = cr.clusterWH(int32(c), opt.Objective) })
-	}
-	loadWH()
-	var totalWH int64
-	for c := 0; c < nc; c++ {
-		totalWH += whVals[c]
-	}
-	var totalGain int64
-	heap := ar.MaxHeap(nc)
-	defer ar.PutMaxHeap(heap)
-	var seeds []int32
-
-	// Swap-candidate scoring scratch: parallel scoring slot i owns
-	// scratch[i] for the whole refine call, the serial path scratch[0]
-	// (generation marks make reuse across pops correct without
-	// re-zeroing — borrowing fresh buffers per candidate would cost
-	// O(n) zeroing against O(deg) useful work).
-	scratch := make([]*pairScratch, 1)
-	if par.NumWorkers() > 1 {
-		scratch = make([]*pairScratch, opt.Delta)
-	}
-	for i := range scratch {
-		scratch[i] = &pairScratch{inPair: ar.Int32s(g0.N()), pairPos: ar.Int32s(g0.N())}
-	}
-	defer func() {
-		for _, ps := range scratch {
-			ar.PutInt32s(ps.inPair)
-			ar.PutInt32s(ps.pairPos)
-		}
-	}()
-	cands := make([]int32, 0, opt.Delta)
-	deltas := make([]int64, opt.Delta)
-
-	for pass := 0; pass < opt.MaxPasses; pass++ {
-		if ex.cancelled() {
-			break
-		}
-		passStart := totalWH
-		heap.Clear()
-		if pass > 0 {
-			loadWH()
-		}
-		for c := 0; c < nc; c++ {
-			heap.Push(c, whVals[c])
-		}
-		for heap.Len() > 0 {
-			if ex.cancelled() {
-				break
-			}
-			ci, _ := heap.Pop()
-			cwh := int32(ci)
-			seeds = seeds[:0]
-			for _, u := range gl.Neighbors(int(cwh)) {
-				for _, t := range members[u] {
-					seeds = append(seeds, tab.Node(loc[t]))
-				}
-			}
-			if len(seeds) == 0 {
-				continue
-			}
-			// Collect up to Delta equal-cardinality candidates in BFS
-			// order — the exact prefix the serial algorithm would have
-			// tried — then score them (in parallel when workers are
-			// free) and apply the first improving swap in that order.
-			cands = cands[:0]
-			cr.triedGen++
-			st.bfs(seeds, func(node, lv int32) bool {
-				l := tab.Local(node)
-				if l < 0 || cr.taskAt[l] < 0 {
-					return true
-				}
-				t := cr.taskAt[l]
-				b := cl0[t]
-				if b == cwh || cr.triedMark[b] == cr.triedGen {
-					return true
-				}
-				cr.triedMark[b] = cr.triedGen
-				if len(members[b]) != len(members[cwh]) {
-					return true // only equal-cardinality clusters swap 1:1
-				}
-				cands = append(cands, b)
-				return len(cands) < opt.Delta
-			})
-			chosen := -1
-			var chosenDelta int64
-			// Fan scoring out only when one evaluation is chunky
-			// enough to amortize the hand-off: swapDelta walks every
-			// member's adjacency, so small clusters (the fine
-			// levels) score faster serially.
-			if len(scratch) > 1 && len(cands) > 1 && len(members[cwh]) >= 16 {
-				par.ForEachIdx(len(cands), func(i int) {
-					deltas[i] = cr.swapDelta(scratch[i], cwh, cands[i], opt.Objective)
-				})
-				for i := range cands {
-					if deltas[i] < 0 {
-						chosen, chosenDelta = i, deltas[i]
-						break
-					}
-				}
-			} else {
-				for i, b := range cands {
-					if d := cr.swapDelta(scratch[0], cwh, b, opt.Objective); d < 0 {
-						chosen, chosenDelta = i, d
-						break
-					}
-				}
-			}
-			if chosen >= 0 {
-				b := cands[chosen]
-				cr.applySwap(cwh, b)
-				totalWH += chosenDelta
-				totalGain -= chosenDelta
-				for _, u := range gl.Neighbors(int(cwh)) {
-					if heap.Contains(int(u)) {
-						heap.Update(int(u), cr.clusterWH(u, opt.Objective))
-					}
-				}
-				for _, u := range gl.Neighbors(int(b)) {
-					if heap.Contains(int(u)) {
-						heap.Update(int(u), cr.clusterWH(u, opt.Objective))
-					}
-				}
-				if heap.Contains(int(b)) {
-					heap.Update(int(b), cr.clusterWH(b, opt.Objective))
-				}
-			}
-		}
-		passGain := passStart - totalWH
-		if passStart == 0 || float64(passGain) < opt.MinPassGain*float64(passStart) {
-			break
-		}
-	}
-	return totalGain
-}
-
 // MapUML maps the symmetric task graph g one-to-one onto tab's
 // allocated nodes with the multilevel scheme: heavy-edge-matching
-// hierarchy, BFS region placement of the coarsest clusters,
-// cluster-swap WH refinement from the coarsest level to the finest,
-// and Algorithm 2 on the finest level. It returns the task→node
-// mapping. ex supplies the solve's scratch arena, worker pool and
-// cancellation; nil runs serial with fresh allocations.
+// hierarchy, BFS region placement of the coarsest clusters, and
+// Algorithm 2 from the coarsest level to the finest. A graph too small
+// to coarsen gets UWH. It returns the task→node mapping. ex supplies
+// the solve's scratch arena, worker pool and cancellation; nil runs
+// serial with fresh allocations.
 func MapUML(g *graph.Graph, tab *routecache.Table, ex *Exec) []int32 {
-	opt := RefineOptions{Exec: ex}
-	n := g.N()
-	if tab.Len() < n {
+	if tab.Len() < g.N() {
 		panic("core: fewer allocated nodes than tasks")
 	}
 	levels := mlHierarchy(g, umlCoarsenTo)
 	L := len(levels) - 1
 	ex.Count("coarse_levels", int64(L))
 	if L == 0 {
-		// Graph already at/below the coarsest size: plain UG + WH.
-		nodeOf := GreedyBest(g, tab, WeightedHops, ex)
-		RefineWH(g, tab, nodeOf, opt)
-		return nodeOf
+		return MapUWH(g, tab, ex)
 	}
-	loc := make([]int32, n)
-	cl0, members := clusterSets(levels, L)
-	placeCoarsest(levels[L].g, members, tab, loc, ex)
-	for l := L; l >= 1; l-- {
-		if ex.cancelled() {
-			break
+	st := newMapState(g, tab, ex)
+	defer st.release()
+	ar := ex.arenaOf()
+	for l := L; l >= 0; l-- {
+		cl := clusterSets(levels, l, ar)
+		if l == L {
+			placeCoarsest(levels[L].g, cl, st)
 		}
-		cl0, members = clusterSets(levels, l)
-		refineClusterLevel(g, levels[l].g, cl0, members, tab, loc, opt)
+		refineLevel(st, levels[l].g, cl, RefineOptions{Exec: ex})
+		ar.PutInt32s(cl.buf)
 	}
-	nodeOf := toNodes(tab, loc)
-	RefineWH(g, tab, nodeOf, opt)
-	return nodeOf
-}
-
-// toNodes returns the node ids of the allocation indices loc.
-func toNodes(tab *routecache.Table, loc []int32) []int32 {
-	nodeOf := make([]int32, len(loc))
-	for i, l := range loc {
-		nodeOf[i] = tab.Node(l)
-	}
+	nodeOf := make([]int32, g.N())
+	st.nodesInto(nodeOf)
 	return nodeOf
 }

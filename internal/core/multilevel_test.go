@@ -81,17 +81,18 @@ func TestClusterSetsPartition(t *testing.T) {
 	g := graph.RandomConnected(100, 150, 30, 3)
 	levels := mlHierarchy(g, 8)
 	for l := range levels {
-		cl0, members := clusterSets(levels, l)
+		cl := clusterSets(levels, l, nil)
 		seen := make([]bool, g.N())
-		for c, mem := range members {
+		for c := range int32(levels[l].g.N()) {
+			mem := cl.members(c)
 			prev := int32(-1)
 			for _, v := range mem {
 				if seen[v] {
 					t.Fatalf("level %d: vertex %d in two clusters", l, v)
 				}
 				seen[v] = true
-				if cl0[v] != int32(c) {
-					t.Fatalf("level %d: cl0[%d]=%d but member of %d", l, v, cl0[v], c)
+				if cl.of[v] != c {
+					t.Fatalf("level %d: cl.of[%d]=%d but member of %d", l, v, cl.of[v], c)
 				}
 				if v <= prev {
 					t.Fatalf("level %d cluster %d members not increasing: %v", l, c, mem)
@@ -115,14 +116,10 @@ func TestPlaceCoarsestValidAssignment(t *testing.T) {
 	g := graph.RandomConnected(48, 90, 40, 5)
 	levels := mlHierarchy(g, 8)
 	L := len(levels) - 1
-	_, members := clusterSets(levels, L)
 	tab := table(t, topo, a.Nodes)
-	loc := make([]int32, g.N())
-	for i := range loc {
-		loc[i] = -1
-	}
-	placeCoarsest(levels[L].g, members, tab, loc, nil)
-	checkValidMapping(t, g, a, toNodes(tab, loc))
+	st := newMapState(g, tab, nil)
+	placeCoarsest(levels[L].g, clusterSets(levels, L, nil), st)
+	checkValidMapping(t, g, a, nodesOf(st))
 }
 
 func TestPlaceCoarsestRegionsContiguousOnRing(t *testing.T) {
@@ -153,11 +150,10 @@ func TestPlaceCoarsestRegionsContiguousOnRing(t *testing.T) {
 	}
 	levels := mlHierarchy(g, 2)
 	L := len(levels) - 1
-	_, members := clusterSets(levels, L)
 	tab := table(t, topo, nodes)
-	loc := make([]int32, 8)
-	placeCoarsest(levels[L].g, members, tab, loc, nil)
-	nodeOf := toNodes(tab, loc)
+	st := newMapState(g, tab, nil)
+	placeCoarsest(levels[L].g, clusterSets(levels, L, nil), st)
+	nodeOf := nodesOf(st)
 	// Every vertex placed on a distinct ring node.
 	used := map[int32]bool{}
 	for _, m := range nodeOf {
@@ -179,6 +175,10 @@ func TestPlaceCoarsestRegionsContiguousOnRing(t *testing.T) {
 	}
 }
 
+// TestRefineClusterLevelExactGain: at every level of the hierarchy,
+// down to level 0 where every vertex is its own cluster, the pass
+// loop's reported gain is the measured WH change and the placement
+// stays one-to-one.
 func TestRefineClusterLevelExactGain(t *testing.T) {
 	topo, a := fixture(t, 40, 3)
 	g := graph.RandomConnected(40, 80, 25, 9)
@@ -193,25 +193,25 @@ func TestRefineClusterLevelExactGain(t *testing.T) {
 		nodeOf[i] = a.Nodes[perm[i]]
 	}
 	tab := table(t, topo, a.Nodes)
-	loc := make([]int32, len(nodeOf))
-	for i, m := range nodeOf {
-		loc[i] = tab.Local(m)
-	}
-	for l := len(levels) - 1; l >= 1; l-- {
-		cl0, members := clusterSets(levels, l)
-		before := wh(g, tab, toNodes(tab, loc))
-		gain := refineClusterLevel(g, levels[l].g, cl0, members, tab, loc, RefineOptions{})
-		after := wh(g, tab, toNodes(tab, loc))
+	st := newMapState(g, tab, nil)
+	st.placeNodes(nodeOf)
+	for l := len(levels) - 1; l >= 0; l-- {
+		before := wh(g, tab, nodesOf(st))
+		gain := refineLevel(st, levels[l].g, clusterSets(levels, l, nil), RefineOptions{})
+		after := wh(g, tab, nodesOf(st))
 		if gain < 0 {
 			t.Fatalf("level %d: negative gain %d", l, gain)
 		}
 		if before-after != gain {
 			t.Fatalf("level %d: reported gain %d, measured %d", l, gain, before-after)
 		}
-		checkValidMapping(t, g, a, toNodes(tab, loc))
+		checkValidMapping(t, g, a, nodesOf(st))
 	}
 }
 
+// TestSwapDeltaMatchesRecompute: at a coarse level and at level 0,
+// under WH and TH, swapDelta equals the recomputed change of a swap,
+// and on single-member clusters it equals pairDelta too.
 func TestSwapDeltaMatchesRecompute(t *testing.T) {
 	topo, a := fixture(t, 32, 6)
 	g := graph.RandomConnected(32, 64, 15, 2)
@@ -219,53 +219,55 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 	if len(levels) < 2 {
 		t.Skip("graph did not coarsen")
 	}
-	l := 1
-	cl0, members := clusterSets(levels, l)
 	tab := table(t, topo, a.Nodes)
-	loc := make([]int32, g.N()) // task i on a.Nodes[i]
-	for i := range loc {
-		loc[i] = int32(i)
-	}
-	cr := &clusterRefineState{
-		g0: g, tab: tab, nodeOf: loc,
-		taskAt:  make([]int32, tab.Len()),
-		cl0:     cl0,
-		members: members,
-	}
-	ps := &pairScratch{
-		inPair:  make([]int32, g.N()),
-		pairPos: make([]int32, g.N()),
-	}
-	for i := range cr.taskAt {
-		cr.taskAt[i] = -1
-	}
-	for v, l := range loc {
-		cr.taskAt[l] = int32(v)
-	}
-	nc := levels[l].g.N()
-	checked := 0
-	for x := 0; x < nc && checked < 20; x++ {
-		for y := x + 1; y < nc && checked < 20; y++ {
-			if len(members[x]) != len(members[y]) {
-				continue
+	st := newMapState(g, tab, nil)
+	st.placeNodes(a.Nodes[:g.N()])
+	singles := 0
+	for _, l := range []int{1, 0} {
+		cl := clusterSets(levels, l, nil)
+		nc := int32(levels[l].g.N())
+		for _, obj := range []Objective{WeightedHops, TotalHops} {
+			checked := 0
+			for x := int32(0); x < nc && checked < 20; x++ {
+				for y := x + 1; y < nc && checked < 20; y++ {
+					mx, my := cl.members(x), cl.members(y)
+					if len(mx) != len(my) {
+						continue
+					}
+					before := objectiveValue(g, tab, nodesOf(st), obj)
+					d := cl.swapDelta(st, x, y, obj)
+					if len(mx) == 1 {
+						if pd := pairDelta(g, tab, st.nodeOf, mx[0], my[0], obj); pd != d {
+							t.Fatalf("level %d obj %d swap (%d,%d): swapDelta %d, pairDelta %d", l, obj, x, y, d, pd)
+						}
+						singles++
+					}
+					cl.applySwap(st, x, y)
+					if after := objectiveValue(g, tab, nodesOf(st), obj); after-before != d {
+						t.Fatalf("level %d obj %d swap (%d,%d): delta %d, recompute %d", l, obj, x, y, d, after-before)
+					}
+					cl.applySwap(st, x, y) // revert
+					if got := objectiveValue(g, tab, nodesOf(st), obj); got != before {
+						t.Fatalf("level %d obj %d swap (%d,%d) revert mismatch: %d != %d", l, obj, x, y, got, before)
+					}
+					checked++
+				}
 			}
-			before := wh(g, tab, toNodes(tab, loc))
-			d := cr.swapDelta(ps, int32(x), int32(y), WeightedHops)
-			cr.applySwap(int32(x), int32(y))
-			after := wh(g, tab, toNodes(tab, loc))
-			if after-before != d {
-				t.Fatalf("swap (%d,%d): delta %d, recompute %d", x, y, d, after-before)
+			if checked == 0 {
+				t.Fatalf("level %d: no equal-cardinality cluster pair found", l)
 			}
-			cr.applySwap(int32(x), int32(y)) // revert
-			if got := wh(g, tab, toNodes(tab, loc)); got != before {
-				t.Fatalf("swap (%d,%d) revert mismatch: %d != %d", x, y, got, before)
-			}
-			checked++
 		}
 	}
-	if checked == 0 {
-		t.Skip("no equal-cardinality cluster pair found")
+	if singles == 0 {
+		t.Fatal("no single-member pair checked against pairDelta")
 	}
+}
+
+// nodesOf returns the node id of every task placed in st.
+func nodesOf(st *mapState) []int32 {
+	nodeOf := make([]int32, len(st.nodeOf))
+	st.nodesInto(nodeOf)
+	return nodeOf
 }
 
 func TestMapUMLValidMapping(t *testing.T) {

@@ -38,48 +38,82 @@ func (o RefineOptions) withDefaults() RefineOptions {
 // RefineWH runs Algorithm 2 on a complete task→node mapping nodeOf of
 // the symmetric coarse graph g onto tab's allocated nodes, mutating it
 // in place. It returns the total WH (or TH) improvement achieved, in
-// the doubled edge accounting of the symmetric graph.
+// the doubled edge accounting of the symmetric graph. It is
+// refineLevel on the one-rung hierarchy of g: every task its own
+// cluster.
 func RefineWH(g *graph.Graph, tab *routecache.Table, nodeOf []int32, opt RefineOptions) int64 {
-	opt = opt.withDefaults()
-	n := g.N()
-	ex := opt.Exec
-	st := newMapState(g, tab, ex)
+	st := newMapState(g, tab, opt.Exec)
 	defer st.release()
 	st.placeNodes(nodeOf)
 	// st.nodeOf holds allocation indices; write the node ids back at
 	// the end (before release, which runs last-in).
 	defer st.nodesInto(nodeOf)
+	ar := opt.Exec.arenaOf()
+	cl := clusterSets([]mlLevel{{g: g}}, 0, ar)
+	defer ar.PutInt32s(cl.buf)
+	return refineLevel(st, g, cl, opt)
+}
 
-	// taskWHops: the WH a task is individually responsible for.
-	taskWH := func(t int32) int64 {
-		var wh int64
-		row := tab.DistRow(st.nodeOf[t])
-		for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
-			wh += hopCost(g, i, opt.Objective) * int64(row[st.nodeOf[g.Adj[i]]])
-		}
-		return wh
-	}
-	ar := ex.arenaOf()
-	// Per-task WH values, recomputed in parallel at each pass start:
-	// taskWH(t) reads only the shared placement, so scoring fans out
-	// over the worker pool and the serial heap load below keeps the
-	// iteration order identical at every worker count.
-	whVals := ar.Int64s(n)
-	whHeap := ar.MaxHeap(n)
+// swapFanOutMembers is the cluster size from which refineLevel scores
+// a cluster's swap candidates on the worker pool: swapDelta walks
+// every member's adjacency, so smaller clusters score faster serially.
+const swapFanOutMembers = 16
+
+// refineLevel is Algorithm 2's pass loop at one level of a cluster
+// hierarchy. st holds the placement of the fine graph st.g; gl is the
+// level's graph, whose vertices are cl's clusters of fine vertices.
+// Each pass pops the clusters in decreasing order of the WH (or TH)
+// they incur, collects up to ∆ equal-cardinality swap candidates in
+// the order a BFS over the topology from the nodes of the popped
+// cluster's neighbours reaches them, and swaps the node sets of the
+// popped cluster and the first candidate whose swap lowers WH, member
+// by member. Passes run until one gains less than MinPassGain. At
+// level 0 — gl is st.g, every vertex its own cluster — this is the
+// paper's Algorithm 2, which counts its passes and swaps on the open
+// trace span. It returns the total gain achieved (positive = better,
+// doubled-edge accounting).
+func refineLevel(st *mapState, gl *graph.Graph, cl clusters, opt RefineOptions) int64 {
+	opt = opt.withDefaults()
+	g, tab, ex, obj := st.g, st.tab, opt.Exec, opt.Objective
+	ar, par := ex.arenaOf(), ex.par()
+	nc := gl.N()
+	// Per-cluster WH values, recomputed in parallel at each pass start:
+	// cl.wh reads only the shared placement, so the reloads fan out over
+	// the worker pool, and the serial heap fill keeps the pop order
+	// identical at every worker count.
+	whVals := ar.Int64s(nc)
+	heap := ar.MaxHeap(nc)
+	tried := ar.Int32s(nc) // generation marks: cluster already met by this BFS?
+	// A popped cluster's seeds: each fine vertex of its neighbour
+	// clusters at most once.
+	seeds := ar.Int32s(g.N())
 	defer func() {
 		ar.PutInt64s(whVals)
-		ar.PutMaxHeap(whHeap)
+		ar.PutMaxHeap(heap)
+		ar.PutInt32s(tried)
+		ar.PutInt32s(seeds)
 	}()
 	loadWH := func() {
-		ex.par().ForEachIdx(n, func(t int) { whVals[t] = taskWH(int32(t)) })
+		par.ForEachIdx(nc, func(c int) { whVals[c] = cl.wh(st, int32(c), obj) })
 	}
 	loadWH()
-	var totalWH int64
-	for t := 0; t < n; t++ {
-		totalWH += whVals[t]
+	var totalWH, totalGain int64
+	for _, wh := range whVals {
+		totalWH += wh
 	}
-	var totalGain int64
+	rekey := func(c int32) {
+		if heap.Contains(int(c)) {
+			heap.Update(int(c), cl.wh(st, c, obj))
+		}
+	}
 	cands := make([]int32, 0, opt.Delta)
+	gen := int32(0)
+	// Candidate scores on the worker pool. Only coarse levels have
+	// clusters that reach swapFanOutMembers.
+	var deltas []int64
+	if par.NumWorkers() > 1 && gl != g {
+		deltas = make([]int64, opt.Delta)
+	}
 
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		if ex.cancelled() {
@@ -87,68 +121,182 @@ func RefineWH(g *graph.Graph, tab *routecache.Table, nodeOf []int32, opt RefineO
 		}
 		passSwaps := int64(0)
 		passStartWH := totalWH
-		// Load the heap with each task's incurred WH.
-		whHeap.Clear()
+		heap.Clear()
 		if pass > 0 {
 			loadWH()
 		}
-		for t := 0; t < n; t++ {
-			whHeap.Push(t, whVals[t])
+		for c := 0; c < nc; c++ {
+			heap.Push(c, whVals[c])
 		}
-		for whHeap.Len() > 0 {
+		for heap.Len() > 0 {
 			if ex.cancelled() {
 				break
 			}
-			twhInt, _ := whHeap.Pop()
-			twh := int32(twhInt)
-			// Collect up to Delta swap partners in BFS order — the
-			// exact prefix the serial loop would have tried — then
-			// apply the first improving swap in that order. Scoring
-			// stays serial here: a supertask pairDelta is O(deg),
-			// far below the cost of a fan-out; the stage's
-			// parallelism lives in the per-pass loadWH above.
-			cands = st.swapPartners(twh, opt.Delta, cands)
-			chosen := -1
-			var chosenDelta int64
-			for i, t := range cands {
-				if d := pairDelta(g, tab, st.nodeOf, twh, t, opt.Objective); d < 0 {
-					chosen, chosenDelta = i, d
-					break
+			ci, _ := heap.Pop()
+			a := int32(ci)
+			size := len(cl.members(a))
+			seeds = seeds[:0]
+			for _, u := range gl.Neighbors(int(a)) {
+				for _, t := range cl.members(u) {
+					seeds = append(seeds, tab.Node(st.nodeOf[t]))
+				}
+			}
+			cands = cands[:0]
+			gen++
+			st.bfs(seeds, func(node, lv int32) bool {
+				l := tab.Local(node)
+				if l < 0 || st.taskAt[l] < 0 {
+					return true
+				}
+				b := cl.of[st.taskAt[l]]
+				if b == a || tried[b] == gen {
+					return true
+				}
+				tried[b] = gen
+				if len(cl.members(b)) != size {
+					return true // only equal-cardinality clusters swap 1:1
+				}
+				cands = append(cands, b)
+				return len(cands) < opt.Delta
+			})
+			// Apply the first improving swap in BFS order. A cluster of
+			// at least swapFanOutMembers members scores its candidates
+			// on the worker pool, where one evaluation is chunky enough
+			// to amortize the hand-off; smaller ones score serially and
+			// stop at the first improving swap.
+			chosen, chosenDelta := -1, int64(0)
+			if deltas != nil && len(cands) > 1 && size >= swapFanOutMembers {
+				// The pool's goroutines capture copies: capturing deltas
+				// or cands, which this function reassigns, would move
+				// them to the heap.
+				scores, cs := deltas, cands
+				par.ForEachIdx(len(cs), func(i int) { scores[i] = cl.delta(st, a, cs[i], obj) })
+				for i, d := range scores[:len(cs)] {
+					if d < 0 {
+						chosen, chosenDelta = i, d
+						break
+					}
+				}
+			} else {
+				for i, b := range cands {
+					if d := cl.delta(st, a, b, obj); d < 0 {
+						chosen, chosenDelta = i, d
+						break
+					}
 				}
 			}
 			if chosen >= 0 {
-				// Perform the swap.
+				b := cands[chosen]
+				cl.applySwap(st, a, b)
 				passSwaps++
-				t := cands[chosen]
-				ma, mb := st.nodeOf[twh], st.nodeOf[t]
-				st.place(twh, mb)
-				st.place(t, ma)
 				totalWH += chosenDelta
 				totalGain -= chosenDelta
-				// Update whHeap for the neighbours of both tasks.
-				for _, u := range g.Neighbors(int(twh)) {
-					if whHeap.Contains(int(u)) {
-						whHeap.Update(int(u), taskWH(u))
-					}
+				for _, u := range gl.Neighbors(int(a)) {
+					rekey(u)
 				}
-				for _, u := range g.Neighbors(int(t)) {
-					if whHeap.Contains(int(u)) {
-						whHeap.Update(int(u), taskWH(u))
-					}
+				for _, u := range gl.Neighbors(int(b)) {
+					rekey(u)
 				}
-				if whHeap.Contains(int(t)) {
-					whHeap.Update(int(t), taskWH(t))
-				}
+				rekey(b)
 			}
 		}
-		ex.Count("wh_passes", 1)
-		ex.Count("wh_swaps", passSwaps)
+		if gl == g {
+			ex.Count("wh_passes", 1)
+			ex.Count("wh_swaps", passSwaps)
+		}
 		passGain := passStartWH - totalWH
 		if passStartWH == 0 || float64(passGain) < opt.MinPassGain*float64(passStartWH) {
 			break
 		}
 	}
 	return totalGain
+}
+
+// clusters partitions the fine vertices into the clusters of one
+// hierarchy level: of maps each fine vertex to its cluster, the
+// members of cluster c, in increasing id order, are
+// mem[off[c]:off[c+1]], and pos[t] is the index of t in mem. All four
+// slice buf, one arena buffer.
+type clusters struct {
+	buf, of, off, mem, pos []int32
+}
+
+// members returns the fine vertices of cluster c.
+func (cl clusters) members(c int32) []int32 { return cl.mem[cl.off[c]:cl.off[c+1]] }
+
+// wh returns the WH (or TH) cluster c incurs: the cost of every
+// directed fine edge whose tail lies in c.
+func (cl clusters) wh(st *mapState, c int32, obj Objective) int64 {
+	var wh int64
+	g := st.g
+	for _, t := range cl.members(c) {
+		row := st.tab.DistRow(st.nodeOf[t])
+		for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
+			wh += hopCost(g, i, obj) * int64(row[st.nodeOf[g.Adj[i]]])
+		}
+	}
+	return wh
+}
+
+// delta is the total WH change (doubled-edge accounting) of swapping
+// the node sets of equal-cardinality clusters a and b: pairDelta on
+// single-member clusters, swapDelta on larger ones.
+func (cl clusters) delta(st *mapState, a, b int32, obj Objective) int64 {
+	if ma := cl.members(a); len(ma) == 1 {
+		return pairDelta(st.g, st.tab, st.nodeOf, ma[0], cl.members(b)[0], obj)
+	}
+	return cl.swapDelta(st, a, b, obj)
+}
+
+// swapDelta computes the exact total WH change (doubled-edge
+// accounting) of exchanging the node sets of equal-cardinality
+// clusters a and b: member i of a moves to the node of member i of b
+// and vice versa. Internal a∪b edges are counted once per direction;
+// edges leaving the pair are counted twice (their reverse direction
+// changes by the same amount on the symmetric graph). On
+// single-member clusters it equals pairDelta. It only reads, so
+// concurrent scorers are safe.
+func (cl clusters) swapDelta(st *mapState, a, b int32, obj Objective) int64 {
+	g, tab, loc := st.g, st.tab, st.nodeOf
+	ma, mb := cl.members(a), cl.members(b)
+	// newLoc(t): t's allocation index after the swap.
+	newLoc := func(t int32) int32 {
+		switch c := cl.of[t]; c {
+		case a:
+			return loc[mb[cl.pos[t]-cl.off[c]]]
+		case b:
+			return loc[ma[cl.pos[t]-cl.off[c]]]
+		}
+		return loc[t]
+	}
+	var d int64
+	for _, mem := range [2][]int32{ma, mb} {
+		for _, t := range mem {
+			nt, ot := tab.DistRow(newLoc(t)), tab.DistRow(loc[t])
+			for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
+				u, w := g.Adj[i], hopCost(g, i, obj)
+				if c := cl.of[u]; c == a || c == b {
+					// Internal edge: the loop visits both directions.
+					d += w * int64(nt[newLoc(u)]-ot[loc[u]])
+				} else {
+					// External edge: reverse direction changes equally.
+					d += 2 * w * int64(nt[loc[u]]-ot[loc[u]])
+				}
+			}
+		}
+	}
+	return d
+}
+
+// applySwap exchanges the node sets of equal-cardinality clusters a
+// and b member-wise.
+func (cl clusters) applySwap(st *mapState, a, b int32) {
+	ma, mb := cl.members(a), cl.members(b)
+	for i := range ma {
+		la, lb := st.nodeOf[ma[i]], st.nodeOf[mb[i]]
+		st.place(ma[i], lb)
+		st.place(mb[i], la)
+	}
 }
 
 // pairDelta is the total WH (or TH) change of swapping the nodes of

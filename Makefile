@@ -16,8 +16,8 @@ check: fmt build test traceguard harnessguard fuzz-smoke docs mapbench-smoke
 # digest, the CSR builder of internal/graph against its
 # sort-and-merge oracle, the /v1 edge-list decoder against
 # encoding/json, the coarse supertask graphs of internal/taskgraph
-# against their triple-staging oracle, the partitioner's one-pass
-# split of internal/partition against InducedSubgraph, and the root
+# against their triple-staging oracle, the one-pass split of
+# internal/partition against its triple-staging oracle, and the root
 # package's allocation deltas applied to torus, fat-tree and dragonfly
 # engines — enough for the seed corpus plus mutations to walk every
 # decoder, cheap enough for every `make check`. Go allows one -fuzz
@@ -96,10 +96,13 @@ docs:
 # mapd request path on both protocols at one client, of the grouping
 # partitioner (the launch path's dominant stage) and of Algorithm 2
 # alone (the launch and remap paths' WH refinement), each at one and
-# two workers, proves the service API's hot paths still run; full
-# numbers via `go test -bench=.`.
+# two workers, and of the multilevel mapper (UML) and the fine-level
+# refinement, which no engine benchmark reaches, proves the service
+# API's hot paths still run; full numbers via `go test -bench=.`.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkAblationMultilevel/UML$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkAblationFineRefinement$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel/(binary|json)/c1$$' -benchtime=1x ./internal/service
 	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchtime=1x ./internal/taskgraph
 	$(GO) test -run='^$$' -bench='BenchmarkRefineWH' -benchtime=1x ./internal/core
@@ -113,7 +116,9 @@ bench:
 # grouping and CSR-builder micro-benchmarks isolate the launch path's
 # dominant stage and the graph construction inside it; the coarse-graph,
 # metrics and Algorithm 2 micro-benchmarks isolate the coarsen, metrics
-# and WH refinement stages at the launch and remap shapes.
+# and WH refinement stages at the launch and remap shapes; UML and the
+# fine-level refinement run outside every engine benchmark, so they
+# are recorded on their own.
 # BENCH_OUT has no default, so a recording never overwrites an earlier
 # PR's point: `make bench-json BENCH_OUT=BENCH_PR<n>.json`.
 BENCH_NOTES ?=
@@ -122,6 +127,8 @@ bench-json:
 	@set -e; tmp=$$(mktemp); trap 'rm -f '$$tmp EXIT; \
 	$(GO) test -run='^$$' -bench='BenchmarkEngine(Reuse|ColdStart|CacheHit|RunBatch|Portfolio)|BenchmarkSolveTraced' -benchmem -benchtime=50x -count=1 . > $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkEngineParallelSolve|BenchmarkRefineMC|BenchmarkRemapVsCold|BenchmarkHeteroSolve|BenchmarkGeomSolve|BenchmarkSolveMachineSize' -benchmem -benchtime=5x -count=1 . >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkAblationMultilevel/UML$$' -benchmem -benchtime=20x -count=1 . >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkAblationFineRefinement$$' -benchmem -benchtime=20x -count=1 . >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel' -benchmem -benchtime=200x -count=1 ./internal/service >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchmem -benchtime=20x -count=1 ./internal/taskgraph >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkCoarseGraph' -benchmem -benchtime=200x -count=1 ./internal/taskgraph >> $$tmp; \

@@ -21,7 +21,6 @@ var testOnlyFixtures = map[string]bool{
 	"repro/internal/graph.Grid2D":            true,
 	"repro/internal/graph.Ring":              true,
 	"repro/internal/graph.Star":              true,
-	"repro/internal/partition.EdgeCut":       true,
 	"repro/internal/partition.Imbalance":     true,
 	"repro/internal/matrix.ReadMatrixMarket": true,
 	"repro/internal/hpart.PartWeights":       true,

@@ -40,14 +40,7 @@ func DEF(nTasks int, a *alloc.Allocation) []int32 {
 // On topologies without a coordinate grid (fat trees, dragonflies)
 // the geometric node split degrades to an allocation-order split.
 func TMAP(g *graph.Graph, topo torus.Topology, a *alloc.Allocation, seed int64) []int32 {
-	nodeOf := make([]int32, g.N())
-	tasks := make([]int32, g.N())
-	for i := range tasks {
-		tasks[i] = int32(i)
-	}
-	nodes := append([]int32(nil), a.Nodes[:g.N()]...)
-	rbMap(g, tasks, nodes, topo, seed, true, nodeOf)
-
+	nodeOf := recursiveBipartition(g, topo, a, seed, true)
 	def := DEF(g.N(), a)
 	mTMAP := metrics.Compute(g, topo, &metrics.Placement{NodeOf: nodeOf})
 	mDEF := metrics.Compute(g, topo, &metrics.Placement{NodeOf: def})
@@ -64,22 +57,42 @@ func TMAP(g *graph.Graph, topo torus.Topology, a *alloc.Allocation, seed int64) 
 // geometry, which is why the paper finds SMAP below DEF on most
 // cases).
 func SMAP(g *graph.Graph, topo torus.Topology, a *alloc.Allocation, seed int64) []int32 {
-	nodeOf := make([]int32, g.N())
-	tasks := make([]int32, g.N())
+	return recursiveBipartition(g, topo, a, seed, false)
+}
+
+// recursiveBipartition maps g's tasks one-to-one onto the first g.N()
+// allocated nodes with rbMap. The partitioner sees g through one view
+// with unit task weights, one task per node, and with its edge weights
+// spelled out, which partition.SplitSides needs.
+func recursiveBipartition(g *graph.Graph, topo torus.Topology, a *alloc.Allocation, seed int64, geometric bool) []int32 {
+	n := g.N()
+	view := &graph.Graph{Xadj: g.Xadj, Adj: g.Adj, EW: g.EW, VW: make([]int64, n)}
+	if view.EW == nil {
+		view.EW = make([]int64, g.M())
+		for i := range view.EW {
+			view.EW[i] = 1
+		}
+	}
+	tasks := make([]int32, n)
 	for i := range tasks {
+		view.VW[i] = 1
 		tasks[i] = int32(i)
 	}
-	nodes := append([]int32(nil), a.Nodes[:g.N()]...)
-	rbMap(g, tasks, nodes, topo, seed, false, nodeOf)
+	nodeOf := make([]int32, n)
+	rbMap(view, tasks, append([]int32(nil), a.Nodes[:n]...), topo, seed, geometric, nodeOf)
 	return nodeOf
 }
 
 // rbMap recursively assigns the given tasks to the given nodes
-// (|tasks| == |nodes|). When geometric is true and the topology has a
-// coordinate grid, the node set is split along the dimension with the
-// widest spread (LibTopoMap style); otherwise it is split in
-// allocation order (Scotch style).
-func rbMap(g *graph.Graph, tasks, nodes []int32, topo torus.Topology, seed int64, geometric bool, out []int32) {
+// (|tasks| == |nodes|). sub is the subgraph the tasks induce in the
+// view, vertex i being tasks[i]. When geometric is true and the
+// topology has a coordinate grid, the node set is split along the
+// dimension with the widest spread (LibTopoMap style); otherwise it is
+// split in allocation order (Scotch style). The task lists ascend from
+// the start, 0..n−1, and each split keeps their order, so the halves
+// partition.SplitSides builds are the subgraphs the halves' tasks
+// induce.
+func rbMap(sub *graph.Graph, tasks, nodes []int32, topo torus.Topology, seed int64, geometric bool, out []int32) {
 	if len(tasks) == 0 {
 		return
 	}
@@ -95,14 +108,7 @@ func rbMap(g *graph.Graph, tasks, nodes []int32, topo torus.Topology, seed int64
 		nodesL = append([]int32(nil), nodes[:nl]...)
 		nodesR = append([]int32(nil), nodes[nl:]...)
 	}
-	// Bisect the task subgraph with target sizes |nodesL| and |nodesR|
-	// (unit task weights: one task per node).
-	sub, _ := g.InducedSubgraph(tasks)
-	unit := make([]int64, sub.N())
-	for i := range unit {
-		unit[i] = 1
-	}
-	sub.VW = unit
+	// Bisect the task subgraph with target sizes |nodesL| and |nodesR|.
 	part, err := partition.PartitionTargets(sub, []int64{int64(len(nodesL)), int64(len(nodesR))},
 		partition.Options{Seed: seed, Imbalance: 0.001})
 	if err != nil {
@@ -115,17 +121,20 @@ func rbMap(g *graph.Graph, tasks, nodes []int32, topo torus.Topology, seed int64
 		}
 	}
 	// Hard-fit the side sizes to the node counts.
-	fitSides(sub, part, len(nodesL), len(nodesR))
+	fitSides(sub, part, len(nodesL))
+	side := make([]int8, len(tasks))
 	var tasksL, tasksR []int32
 	for i, t := range tasks {
 		if part[i] == 0 {
 			tasksL = append(tasksL, t)
 		} else {
+			side[i] = 1
 			tasksR = append(tasksR, t)
 		}
 	}
-	rbMap(g, tasksL, nodesL, topo, seed+1, geometric, out)
-	rbMap(g, tasksR, nodesR, topo, seed+2, geometric, out)
+	subL, subR := partition.SplitSides(sub, side, len(tasksL), nil)
+	rbMap(subL, tasksL, nodesL, topo, seed+1, geometric, out)
+	rbMap(subR, tasksR, nodesR, topo, seed+2, geometric, out)
 }
 
 // splitGeometric splits nodes into two sets of sizes nl and
@@ -178,7 +187,7 @@ func splitGeometric(nodes []int32, nl int, topo torus.CoordTopology) (left, righ
 
 // fitSides forces exactly wantL vertices on side 0 by moving the
 // least-connected boundary vertices.
-func fitSides(g *graph.Graph, part []int32, wantL, wantR int) {
+func fitSides(g *graph.Graph, part []int32, wantL int) {
 	count := [2]int{}
 	for _, p := range part {
 		count[p]++
@@ -213,5 +222,4 @@ func fitSides(g *graph.Graph, part []int32, wantL, wantR int) {
 		count[from]--
 		count[to]++
 	}
-	_ = wantR
 }

@@ -128,7 +128,7 @@ func TestTMAPKeepsCommunicatingTasksClose(t *testing.T) {
 func TestFitSidesExact(t *testing.T) {
 	g := graph.Ring(6)
 	part := []int32{0, 0, 0, 0, 0, 1}
-	fitSides(g, part, 3, 3)
+	fitSides(g, part, 3)
 	c := [2]int{}
 	for _, p := range part {
 		c[p]++

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fattree"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/partition"
 	"repro/internal/routecache"
 	"repro/internal/torus"
 )
@@ -24,13 +25,26 @@ import (
 // placement and the returned gain of RefineWH under both objectives,
 // several ∆ values and both pass rules, serially and on a resident
 // arena with two workers, on torus, fat-tree and dragonfly tables and
-// on a disconnected graph with isolated tasks; and the placement of
-// MapUML on hierarchies of 0, 1, 2 and 6 levels. The root
+// on a disconnected graph with isolated tasks; the placement of MapUML
+// on hierarchies of 0, 1, 2 and 6 levels and on one whose matching
+// stalls; UML's hierarchy itself; and the grouping and gains of
+// RefineWHFine on the three tables, serially and with two workers. The
+// root
 // TestSolveDigests reaches these loops only through whole solves on
 // small fixtures; a change to the refinement must reproduce these
 // digests unedited.
 func TestRefineDigests(t *testing.T) {
 	want := map[string]string{
+		"fine/dragonfly":               "622a583913344c1f",
+		"fine/dragonfly/w2":            "622a583913344c1f",
+		"fine/fattree":                 "bb49612380ac0295",
+		"fine/fattree/w2":              "bb49612380ac0295",
+		"fine/torus":                   "d83617b0aff83124",
+		"fine/torus/w2":                "d83617b0aff83124",
+		"hierarchy/L1":                 "ec2dd7b79c23f04f",
+		"hierarchy/L2":                 "05db9d1d41be05d7",
+		"hierarchy/L6":                 "5f8945b4cbb973e8",
+		"hierarchy/spider":             "0a29778cf464639c",
 		"refine/dragonfly/TH":          "ee2a1528b26fae79",
 		"refine/dragonfly/WH":          "922598b52697b1ed",
 		"refine/dragonfly/WH/w2":       "922598b52697b1ed",
@@ -51,6 +65,7 @@ func TestRefineDigests(t *testing.T) {
 		"uml/torus/L0":                 "d78dc0920a500e49",
 		"uml/torus/L1":                 "fc257229c466ed70",
 		"uml/torus/L6":                 "893519a63912ff47",
+		"uml/torus/spider":             "2504531375390a69",
 	}
 
 	torusTab := func(nodes int, seed int64) *routecache.Table {
@@ -132,7 +147,7 @@ func TestRefineDigests(t *testing.T) {
 	// the deepest one clusters of at least 16 members, which score
 	// their swap candidates on the worker pool.
 	uml := func(name string, tab *routecache.Table, g *graph.Graph, wantLevels, wantMax int) {
-		levels := mlHierarchy(g, umlCoarsenTo)
+		levels := partition.Coarsen(g, umlCoarsenTo, nil)
 		if L := len(levels) - 1; L != wantLevels {
 			t.Fatalf("%s: %d coarse levels, want %d", name, L, wantLevels)
 		}
@@ -149,6 +164,66 @@ func TestRefineDigests(t *testing.T) {
 	uml("uml/torus/L1", torusTab(32, 7), graph.RandomConnected(26, 40, 30, 17), 1, 2)
 	uml("uml/torus/L6", torusTab(220, 8), graph.RandomConnected(200, 400, 20, 7), 6, 16)
 	uml("uml/fattree/L2", tabs["fattree"], graphs["fattree"], 2, 2)
+	uml("uml/torus/spider", torusTab(100, 9), spider(40), 1, 2)
+
+	// UML's hierarchy itself: the size and cluster map of every level.
+	// On the spider every edge weighs the same, so the matching's visit
+	// order and its choice of neighbour both fall to their tie rules,
+	// and its one coarse level is a star the matching cannot shrink.
+	hierarchy := func(name string, g *graph.Graph, wantLevels int) {
+		levels := partition.Coarsen(g, umlCoarsenTo, nil)
+		if L := len(levels) - 1; L != wantLevels {
+			t.Fatalf("%s: %d coarse levels, want %d", name, L, wantLevels)
+		}
+		h := fnv.New64a()
+		for _, lv := range levels {
+			binary.Write(h, binary.LittleEndian, int32(lv.G.N()))
+			if lv.CMap != nil {
+				binary.Write(h, binary.LittleEndian, lv.CMap)
+			}
+		}
+		got[name] = fmt.Sprintf("%016x", h.Sum64())
+	}
+	hierarchy("hierarchy/L1", graph.RandomConnected(26, 40, 30, 17), 1)
+	hierarchy("hierarchy/L2", graphs["fattree"], 2)
+	hierarchy("hierarchy/L6", graph.RandomConnected(200, 400, 20, 7), 6)
+	hierarchy("hierarchy/spider", spider(40), 1)
+
+	// RefineWHFine from a scrambled grouping: four tasks a group, the
+	// groups on distinct allocated nodes, fewer groups than nodes. The
+	// digest covers the grouping and both gains.
+	fine := func(name, tabName string, groups int, ex *Exec) {
+		tab := tabs[tabName]
+		g := graph.RandomConnected(4*groups, 10*groups, 30, int64(groups))
+		rng := rand.New(rand.NewSource(int64(groups)))
+		group := make([]int32, g.N())
+		for i, p := range rng.Perm(g.N()) {
+			group[i] = int32(p % groups)
+		}
+		nodeOf := make([]int32, groups)
+		for i, p := range rng.Perm(tab.Len())[:groups] {
+			nodeOf[i] = tab.Node(int32(p))
+		}
+		taskNodes := func() []int32 {
+			nodes := make([]int32, g.N())
+			for t, gr := range group {
+				nodes[t] = nodeOf[gr]
+			}
+			return nodes
+		}
+		before := objectiveValue(g, tab, taskNodes(), WeightedHops)
+		whGain, volGain := RefineWHFine(g, tab, group, nodeOf, RefineOptions{Exec: ex})
+		if d := before - objectiveValue(g, tab, taskNodes(), WeightedHops); d != whGain || whGain <= 0 {
+			t.Errorf("%s: reported WH gain %d, measured %d", name, whGain, d)
+		}
+		got[name] = placementDigest(group, whGain, volGain)
+	}
+	fine("fine/torus", "torus", 40, nil)
+	fine("fine/torus/w2", "torus", 40, w2())
+	fine("fine/fattree", "fattree", 36, nil)
+	fine("fine/fattree/w2", "fattree", 36, w2())
+	fine("fine/dragonfly", "dragonfly", 48, nil)
+	fine("fine/dragonfly/w2", "dragonfly", 48, w2())
 
 	var names []string
 	for name := range got {
@@ -167,12 +242,26 @@ func TestRefineDigests(t *testing.T) {
 	}
 }
 
-// placementDigest is the FNV-64a digest of a placement and a gain.
-func placementDigest(nodeOf []int32, gain int64) string {
+// placementDigest is the FNV-64a digest of a placement (or grouping)
+// and the gains a stage reported.
+func placementDigest(nodeOf []int32, gains ...int64) string {
 	h := fnv.New64a()
 	binary.Write(h, binary.LittleEndian, nodeOf)
-	binary.Write(h, binary.LittleEndian, gain)
+	for _, gain := range gains {
+		binary.Write(h, binary.LittleEndian, gain)
+	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// spider returns a hub with the given number of two-vertex legs, every
+// edge of weight 1: hub 0, leg i is 2i-1 (next to the hub) and 2i.
+func spider(legs int) *graph.Graph {
+	var us, vs []int32
+	for i := int32(1); i <= int32(legs); i++ {
+		us = append(us, 0, 2*i-1, 2*i-1, 2*i)
+		vs = append(vs, 2*i-1, 0, 2*i, 2*i-1)
+	}
+	return graph.FromEdges(2*legs+1, us, vs, nil, nil)
 }
 
 // disjointUnion returns a and b side by side, followed by isolated
@@ -196,15 +285,15 @@ func disjointUnion(a, b *graph.Graph, isolated int) *graph.Graph {
 // coarseClusterSizes returns the fewest and the most fine vertices a
 // cluster holds at any coarse level of the hierarchy (0, 0 when there
 // is none).
-func coarseClusterSizes(levels []mlLevel) (smallest, largest int) {
-	cl := make([]int32, levels[0].g.N())
+func coarseClusterSizes(levels []partition.Level) (smallest, largest int) {
+	cl := make([]int32, levels[0].G.N())
 	for v := range cl {
 		cl[v] = int32(v)
 	}
 	for l := 1; l < len(levels); l++ {
-		size := make([]int, levels[l].g.N())
+		size := make([]int, levels[l].G.N())
 		for v := range cl {
-			cl[v] = levels[l-1].cmap[cl[v]]
+			cl[v] = levels[l-1].CMap[cl[v]]
 			size[cl[v]]++
 		}
 		for _, s := range size {

@@ -205,13 +205,21 @@ func objectiveValue(g *graph.Graph, tab *routecache.Table, nodeOf []int32, obj O
 		loc[v] = tab.Local(m)
 	}
 	var total int64
-	for v := 0; v < g.N(); v++ {
-		row := tab.DistRow(loc[v])
-		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			total += hopCost(g, i, obj) * int64(row[loc[g.Adj[i]]])
-		}
+	for v := range int32(g.N()) {
+		total += vertexWH(g, tab, loc, v, obj)
 	}
 	return total
+}
+
+// vertexWH is the WH (or TH) of v's directed edges under the placement
+// loc, held in allocation indices of tab.
+func vertexWH(g *graph.Graph, tab *routecache.Table, loc []int32, v int32, obj Objective) int64 {
+	row := tab.DistRow(loc[v])
+	var wh int64
+	for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+		wh += hopCost(g, i, obj) * int64(row[loc[g.Adj[i]]])
+	}
+	return wh
 }
 
 // mapState holds the placement bookkeeping shared by Algorithm 1's

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/arena"
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/routecache"
 )
 
@@ -14,109 +13,24 @@ import (
 // multilevel fashion from coarser to finer levels."
 //
 // MapUML is the hierarchy plus Algorithm 1 placement plus Algorithm 2
-// at every level: it coarsens the (supertask) graph with heavy-edge
-// matching, places the coarsest clusters onto node regions grown by
-// BFS over the topology in Algorithm 1's order, and then runs
-// refineLevel from the coarsest level to the finest. At a coarse level
-// a swap exchanges the node sets of two equal-cardinality clusters; at
-// the finest level every vertex is its own cluster and the pass loop
-// is Algorithm 2 itself.
+// at every level: it coarsens the (supertask) graph with the grouping
+// partitioner's heavy-edge coarsening (partition.Coarsen, which visits
+// the vertices heaviest first instead of in a random order), places
+// the coarsest clusters onto node regions grown by BFS over the
+// topology in Algorithm 1's order, and then runs refineLevel from the
+// coarsest level to the finest. At a coarse level a swap exchanges the
+// node sets of two equal-cardinality clusters; at the finest level
+// every vertex is its own cluster and the pass loop is Algorithm 2
+// itself.
 
 // umlCoarsenTo is the cluster count at which MapUML's hierarchy stops
 // coarsening.
 const umlCoarsenTo = 16
 
-// mlLevel is one rung of the multilevel hierarchy. cmap maps this
-// level's vertices to the clusters of the next (coarser) level and is
-// nil on the coarsest rung.
-type mlLevel struct {
-	g    *graph.Graph
-	cmap []int32
-}
-
-// heavyEdgeMatch computes a deterministic heavy-edge matching: the
-// vertices are visited in decreasing order of total incident weight
-// (ties by id) and matched with their heaviest unmatched neighbour.
-// It returns the fine→coarse map and the coarse vertex count.
-func heavyEdgeMatch(g *graph.Graph) ([]int32, int) {
-	n := g.N()
-	order := make([]int32, n)
-	incident := make([]int64, n)
-	for v := 0; v < n; v++ {
-		order[v] = int32(v)
-		for _, w := range g.Weights(v) {
-			incident[v] += w
-		}
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return incident[order[i]] > incident[order[j]]
-	})
-	match := make([]int32, n)
-	for i := range match {
-		match[i] = -1
-	}
-	for _, v := range order {
-		if match[v] >= 0 {
-			continue
-		}
-		var best int32 = -1
-		var bestW int64 = -1
-		nb := g.Neighbors(int(v))
-		wt := g.Weights(int(v))
-		for i, u := range nb {
-			if u == v || match[u] >= 0 {
-				continue
-			}
-			if wt[i] > bestW || (wt[i] == bestW && u < best) {
-				bestW, best = wt[i], u
-			}
-		}
-		if best >= 0 {
-			match[v], match[best] = best, v
-		} else {
-			match[v] = v
-		}
-	}
-	cmap := make([]int32, n)
-	for i := range cmap {
-		cmap[i] = -1
-	}
-	nc := int32(0)
-	for v := 0; v < n; v++ {
-		if cmap[v] >= 0 {
-			continue
-		}
-		cmap[v] = nc
-		if m := match[v]; int(m) != v {
-			cmap[m] = nc
-		}
-		nc++
-	}
-	return cmap, int(nc)
-}
-
-// mlHierarchy builds the matching hierarchy from the fine graph down
-// to at most coarsenTo clusters, stopping early when matching stalls.
-func mlHierarchy(g *graph.Graph, coarsenTo int) []mlLevel {
-	levels := []mlLevel{{g: g}}
-	cur := g
-	for cur.N() > coarsenTo {
-		cmap, nc := heavyEdgeMatch(cur)
-		if float64(nc) > 0.95*float64(cur.N()) {
-			break // star-like graph: matching no longer shrinks it
-		}
-		next := graph.Contract(cur, cmap, nc, nil)
-		levels[len(levels)-1].cmap = cmap
-		levels = append(levels, mlLevel{g: next})
-		cur = next
-	}
-	return levels
-}
-
 // clusterSets borrows from ar the clusters of hierarchy level l over
 // the fine (level-0) vertices. Return cl.buf to ar when done.
-func clusterSets(levels []mlLevel, l int, ar *arena.Arena) clusters {
-	n0, nc := levels[0].g.N(), levels[l].g.N()
+func clusterSets(levels []partition.Level, l int, ar *arena.Arena) clusters {
+	n0, nc := levels[0].G.N(), levels[l].G.N()
 	if l == 0 {
 		// Every vertex its own cluster: of, off, mem and pos are all
 		// the identity, so they share one buffer.
@@ -132,7 +46,7 @@ func clusterSets(levels []mlLevel, l int, ar *arena.Arena) clusters {
 		cl.of[v] = int32(v)
 	}
 	for i := 0; i < l; i++ {
-		cmap := levels[i].cmap
+		cmap := levels[i].CMap
 		for v, c := range cl.of {
 			cl.of[v] = cmap[c]
 		}
@@ -194,17 +108,19 @@ func placeCoarsest(gl *graph.Graph, cl clusters, fine *mapState) {
 }
 
 // MapUML maps the symmetric task graph g one-to-one onto tab's
-// allocated nodes with the multilevel scheme: heavy-edge-matching
+// allocated nodes with the multilevel scheme: partition.Coarsen's
 // hierarchy, BFS region placement of the coarsest clusters, and
 // Algorithm 2 from the coarsest level to the finest. A graph too small
 // to coarsen gets UWH. It returns the task→node mapping. ex supplies
-// the solve's scratch arena, worker pool and cancellation; nil runs
-// serial with fresh allocations.
+// the solve's scratch arena (the hierarchy's contraction scratch
+// included), worker pool and cancellation; nil runs serial with fresh
+// allocations.
 func MapUML(g *graph.Graph, tab *routecache.Table, ex *Exec) []int32 {
 	if tab.Len() < g.N() {
 		panic("core: fewer allocated nodes than tasks")
 	}
-	levels := mlHierarchy(g, umlCoarsenTo)
+	ar := ex.arenaOf()
+	levels := partition.Coarsen(g, umlCoarsenTo, ar)
 	L := len(levels) - 1
 	ex.Count("coarse_levels", int64(L))
 	if L == 0 {
@@ -212,13 +128,12 @@ func MapUML(g *graph.Graph, tab *routecache.Table, ex *Exec) []int32 {
 	}
 	st := newMapState(g, tab, ex)
 	defer st.release()
-	ar := ex.arenaOf()
 	for l := L; l >= 0; l-- {
 		cl := clusterSets(levels, l, ar)
 		if l == L {
-			placeCoarsest(levels[L].g, cl, st)
+			placeCoarsest(levels[L].G, cl, st)
 		}
-		refineLevel(st, levels[l].g, cl, RefineOptions{Exec: ex})
+		refineLevel(st, levels[l].G, cl, RefineOptions{Exec: ex})
 		ar.PutInt32s(cl.buf)
 	}
 	nodeOf := make([]int32, g.N())

@@ -6,84 +6,37 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/torus"
 )
 
-func TestHeavyEdgeMatchValid(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		g := graph.RandomConnected(64, 96, 50, seed)
-		cmap, nc := heavyEdgeMatch(g)
-		if nc <= 0 || nc > g.N() {
-			t.Fatalf("seed %d: bad coarse count %d", seed, nc)
-		}
-		sizes := make([]int, nc)
-		for v, c := range cmap {
-			if c < 0 || int(c) >= nc {
-				t.Fatalf("seed %d: vertex %d has out-of-range cluster %d", seed, v, c)
-			}
-			sizes[c]++
-		}
-		for c, s := range sizes {
-			if s < 1 || s > 2 {
-				t.Fatalf("seed %d: cluster %d has %d members, want 1 or 2", seed, c, s)
-			}
-		}
-		// Matched pairs must share an edge.
-		first := make([]int32, nc)
-		for i := range first {
-			first[i] = -1
-		}
-		for v := 0; v < g.N(); v++ {
-			c := cmap[v]
-			if first[c] < 0 {
-				first[c] = int32(v)
-			} else if !g.HasEdge(int(first[c]), v) {
-				t.Fatalf("seed %d: cluster %d pairs non-adjacent %d,%d", seed, c, first[c], v)
-			}
-		}
-	}
-}
-
-func TestHeavyEdgeMatchPrefersHeavyEdges(t *testing.T) {
-	// Path 0-1-2-3 with a heavy middle edge: 1 must match 2.
-	g := graph.FromEdges(4,
-		[]int32{0, 1, 2}, []int32{1, 2, 3}, []int64{1, 100, 1}, nil).Symmetrize(nil)
-	cmap, _ := heavyEdgeMatch(g)
-	if cmap[1] != cmap[2] {
-		t.Fatalf("heavy edge 1-2 not contracted: cmap=%v", cmap)
-	}
-	if cmap[0] == cmap[1] || cmap[3] == cmap[2] {
-		t.Fatalf("light edges contracted over heavy one: cmap=%v", cmap)
-	}
-}
-
 func TestMLHierarchyShrinks(t *testing.T) {
 	g := graph.RandomConnected(200, 400, 20, 7)
-	levels := mlHierarchy(g, 16)
+	levels := partition.Coarsen(g, 16, nil)
 	if len(levels) < 2 {
 		t.Fatalf("no coarsening happened on a 200-vertex graph")
 	}
 	for i := 1; i < len(levels); i++ {
-		if levels[i].g.N() >= levels[i-1].g.N() {
-			t.Fatalf("level %d did not shrink: %d -> %d", i, levels[i-1].g.N(), levels[i].g.N())
+		if levels[i].G.N() >= levels[i-1].G.N() {
+			t.Fatalf("level %d did not shrink: %d -> %d", i, levels[i-1].G.N(), levels[i].G.N())
 		}
-		if len(levels[i-1].cmap) != levels[i-1].g.N() {
-			t.Fatalf("level %d cmap has %d entries, want %d", i-1, len(levels[i-1].cmap), levels[i-1].g.N())
+		if len(levels[i-1].CMap) != levels[i-1].G.N() {
+			t.Fatalf("level %d cmap has %d entries, want %d", i-1, len(levels[i-1].CMap), levels[i-1].G.N())
 		}
 	}
-	coarsest := levels[len(levels)-1].g
-	if coarsest.N() > 16 && levels[len(levels)-1].cmap != nil {
+	coarsest := levels[len(levels)-1].G
+	if coarsest.N() > 16 && levels[len(levels)-1].CMap != nil {
 		t.Fatalf("coarsest level %d vertices but hierarchy continued", coarsest.N())
 	}
 }
 
 func TestClusterSetsPartition(t *testing.T) {
 	g := graph.RandomConnected(100, 150, 30, 3)
-	levels := mlHierarchy(g, 8)
+	levels := partition.Coarsen(g, 8, nil)
 	for l := range levels {
 		cl := clusterSets(levels, l, nil)
 		seen := make([]bool, g.N())
-		for c := range int32(levels[l].g.N()) {
+		for c := range int32(levels[l].G.N()) {
 			mem := cl.members(c)
 			prev := int32(-1)
 			for _, v := range mem {
@@ -114,11 +67,11 @@ func TestClusterSetsPartition(t *testing.T) {
 func TestPlaceCoarsestValidAssignment(t *testing.T) {
 	topo, a := fixture(t, 48, 11)
 	g := graph.RandomConnected(48, 90, 40, 5)
-	levels := mlHierarchy(g, 8)
+	levels := partition.Coarsen(g, 8, nil)
 	L := len(levels) - 1
 	tab := table(t, topo, a.Nodes)
 	st := newMapState(g, tab, nil)
-	placeCoarsest(levels[L].g, clusterSets(levels, L, nil), st)
+	placeCoarsest(levels[L].G, clusterSets(levels, L, nil), st)
 	checkValidMapping(t, g, a, nodesOf(st))
 }
 
@@ -148,11 +101,11 @@ func TestPlaceCoarsestRegionsContiguousOnRing(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = int32(i)
 	}
-	levels := mlHierarchy(g, 2)
+	levels := partition.Coarsen(g, 2, nil)
 	L := len(levels) - 1
 	tab := table(t, topo, nodes)
 	st := newMapState(g, tab, nil)
-	placeCoarsest(levels[L].g, clusterSets(levels, L, nil), st)
+	placeCoarsest(levels[L].G, clusterSets(levels, L, nil), st)
 	nodeOf := nodesOf(st)
 	// Every vertex placed on a distinct ring node.
 	used := map[int32]bool{}
@@ -182,7 +135,7 @@ func TestPlaceCoarsestRegionsContiguousOnRing(t *testing.T) {
 func TestRefineClusterLevelExactGain(t *testing.T) {
 	topo, a := fixture(t, 40, 3)
 	g := graph.RandomConnected(40, 80, 25, 9)
-	levels := mlHierarchy(g, 8)
+	levels := partition.Coarsen(g, 8, nil)
 	if len(levels) < 2 {
 		t.Skip("graph did not coarsen")
 	}
@@ -197,7 +150,7 @@ func TestRefineClusterLevelExactGain(t *testing.T) {
 	st.placeNodes(nodeOf)
 	for l := len(levels) - 1; l >= 0; l-- {
 		before := wh(g, tab, nodesOf(st))
-		gain := refineLevel(st, levels[l].g, clusterSets(levels, l, nil), RefineOptions{})
+		gain := refineLevel(st, levels[l].G, clusterSets(levels, l, nil), RefineOptions{})
 		after := wh(g, tab, nodesOf(st))
 		if gain < 0 {
 			t.Fatalf("level %d: negative gain %d", l, gain)
@@ -215,7 +168,7 @@ func TestRefineClusterLevelExactGain(t *testing.T) {
 func TestSwapDeltaMatchesRecompute(t *testing.T) {
 	topo, a := fixture(t, 32, 6)
 	g := graph.RandomConnected(32, 64, 15, 2)
-	levels := mlHierarchy(g, 8)
+	levels := partition.Coarsen(g, 8, nil)
 	if len(levels) < 2 {
 		t.Skip("graph did not coarsen")
 	}
@@ -225,7 +178,7 @@ func TestSwapDeltaMatchesRecompute(t *testing.T) {
 	singles := 0
 	for _, l := range []int{1, 0} {
 		cl := clusterSets(levels, l, nil)
-		nc := int32(levels[l].g.N())
+		nc := int32(levels[l].G.N())
 		for _, obj := range []Objective{WeightedHops, TotalHops} {
 			checked := 0
 			for x := int32(0); x < nc && checked < 20; x++ {
@@ -377,14 +330,13 @@ func TestMapUMLPropertyValid(t *testing.T) {
 func TestMapUMLHonorsCoarsenTo(t *testing.T) {
 	g := graph.RandomConnected(120, 240, 40, 15)
 	for _, to := range []int{4, 8, 32} {
-		levels := mlHierarchy(g, to)
-		coarsest := levels[len(levels)-1].g.N()
-		// Either we reached the target or matching stalled above it.
-		if coarsest > to {
-			cmap, nc := heavyEdgeMatch(levels[len(levels)-1].g)
-			_ = cmap
-			if float64(nc) <= 0.95*float64(coarsest) {
-				t.Fatalf("coarsenTo=%d: stopped at %d although matching still shrinks (nc=%d)", to, coarsest, nc)
+		levels := partition.Coarsen(g, to, nil)
+		coarsest := levels[len(levels)-1].G
+		// Either we reached the target or matching stalled above it:
+		// coarsening the coarsest level again adds no level.
+		if coarsest.N() > to {
+			if again := partition.Coarsen(coarsest, to, nil); len(again) > 1 {
+				t.Fatalf("coarsenTo=%d: stopped at %d although matching still shrinks (nc=%d)", to, coarsest.N(), again[1].G.N())
 			}
 		}
 	}

@@ -26,59 +26,35 @@ import (
 // doubled-edge accounting).
 func RefineWHFine(fine *graph.Graph, tab *routecache.Table, group []int32, nodeOf []int32, opt RefineOptions) (whGain, volGain int64) {
 	opt = opt.withDefaults()
+	ex := opt.Exec
 	n := fine.N()
-	// A task's node is held as its group's allocation index.
-	locOf := make([]int32, len(nodeOf))
-	for g, m := range nodeOf {
-		locOf[g] = tab.Local(m)
+	// Each task's allocation index, its group's node, swapped with the
+	// tasks.
+	loc := make([]int32, n)
+	for t, g := range group {
+		loc[t] = tab.Local(nodeOf[g])
 	}
-	nodeOfTask := func(t int32) int32 { return locOf[group[t]] }
-
-	taskWH := func(t int32) int64 {
-		var wh int64
-		row := tab.DistRow(nodeOfTask(t))
-		for i := fine.Xadj[t]; i < fine.Xadj[t+1]; i++ {
-			wh += fine.EdgeWeight(int(i)) * int64(row[nodeOfTask(fine.Adj[i])])
-		}
-		return wh
-	}
-	// deltas returns the WH and inter-node-volume change of swapping
-	// tasks a and b (groups exchanged).
-	deltas := func(a, b int32) (dWH, dVol int64) {
-		na, nb := nodeOfTask(a), nodeOfTask(b)
-		if na == nb {
-			return 0, 0
-		}
-		acc := func(t int32, from, to int32, skip int32) {
-			rowFrom, rowTo := tab.DistRow(from), tab.DistRow(to)
+	taskWH := func(t int32) int64 { return vertexWH(fine, tab, loc, t, WeightedHops) }
+	// volDelta returns the inter-node volume change of swapping tasks
+	// a and b, which sit on different nodes: an edge to a task on the
+	// node one of them leaves starts to cross, one to a task on the
+	// node it joins stops. The a-b edge keeps crossing.
+	volDelta := func(a, b int32) int64 {
+		var d int64
+		for _, p := range [2][2]int32{{a, b}, {b, a}} {
+			t, other := p[0], p[1]
+			from, to := loc[t], loc[other]
 			for i := fine.Xadj[t]; i < fine.Xadj[t+1]; i++ {
-				u := fine.Adj[i]
-				if u == skip {
-					continue
-				}
-				nu := nodeOfTask(u)
-				// The neighbour may be the other swapped task; its
-				// node flips too.
-				if u == a {
-					nu = nb
-				} else if u == b {
-					nu = na
-				}
-				c := fine.EdgeWeight(int(i))
-				dWH += c * int64(rowTo[nu]-rowFrom[nu])
-				wasCross := from != nu
-				nowCross := to != nu
-				switch {
-				case nowCross && !wasCross:
-					dVol += c
-				case wasCross && !nowCross:
-					dVol -= c
+				switch u := fine.Adj[i]; {
+				case u == other:
+				case loc[u] == from:
+					d += fine.EdgeWeight(int(i))
+				case loc[u] == to:
+					d -= fine.EdgeWeight(int(i))
 				}
 			}
 		}
-		acc(a, na, nb, b)
-		acc(b, nb, na, a)
-		return 2 * dWH, 2 * dVol
+		return 2 * d
 	}
 
 	// BFS over the topology from the nodes of a task's neighbours,
@@ -86,9 +62,8 @@ func RefineWHFine(fine *graph.Graph, tab *routecache.Table, group []int32, nodeO
 	// from the groups mapped to visited nodes, indexed by allocation
 	// index.
 	tasksOnNode := make([][]int32, tab.Len())
-	for t := 0; t < n; t++ {
-		nd := nodeOfTask(int32(t))
-		tasksOnNode[nd] = append(tasksOnNode[nd], int32(t))
+	for t, l := range loc {
+		tasksOnNode[l] = append(tasksOnNode[l], int32(t))
 	}
 	moveTask := func(t int32, from, to int32) {
 		list := tasksOnNode[from]
@@ -102,7 +77,7 @@ func RefineWHFine(fine *graph.Graph, tab *routecache.Table, group []int32, nodeO
 		tasksOnNode[to] = append(tasksOnNode[to], t)
 	}
 
-	st := newMapState(fine, tab, opt.Exec) // only for its BFS scratch
+	st := newMapState(fine, tab, ex) // only for its BFS scratch
 	defer st.release()
 	var totalWH int64
 	for t := 0; t < n; t++ {
@@ -110,25 +85,36 @@ func RefineWHFine(fine *graph.Graph, tab *routecache.Table, group []int32, nodeO
 	}
 	whHeap := ds.NewIndexedMaxHeap(n)
 	seeds := make([]int32, 0, 32)
+	rekey := func(t int32) {
+		if whHeap.Contains(int(t)) {
+			whHeap.Update(int(t), taskWH(t))
+		}
+	}
 
 	for pass := 0; pass < opt.MaxPasses; pass++ {
-		opt.Exec.Count("fine_passes", 1)
+		if ex.cancelled() {
+			break
+		}
+		ex.Count("fine_passes", 1)
 		passStart := totalWH
 		whHeap.Clear()
 		for t := 0; t < n; t++ {
 			whHeap.Push(t, taskWH(int32(t)))
 		}
 		for whHeap.Len() > 0 {
+			if ex.cancelled() {
+				break
+			}
 			tw, _ := whHeap.Pop()
 			twh := int32(tw)
 			seeds = seeds[:0]
 			for _, u := range fine.Neighbors(int(twh)) {
-				seeds = append(seeds, tab.Node(nodeOfTask(u)))
+				seeds = append(seeds, tab.Node(loc[u]))
 			}
 			if len(seeds) == 0 {
 				continue
 			}
-			myLoc := nodeOfTask(twh)
+			myLoc := loc[twh]
 			tried := 0
 			st.bfs(seeds, func(node, lv int32) bool {
 				l := tab.Local(node)
@@ -140,37 +126,36 @@ func RefineWHFine(fine *graph.Graph, tab *routecache.Table, group []int32, nodeO
 					return true
 				}
 				tried++
-				// Pick the best swap partner on this node.
+				// Pick the best swap partner on this node: the largest
+				// WH drop among the swaps that raise no inter-node
+				// volume.
 				var best int32 = -1
 				var bestWH, bestVol int64
 				for _, cand := range cands {
-					dWH, dVol := deltas(twh, cand)
-					if dWH < 0 && dVol <= 0 && (best < 0 || dWH < bestWH) {
+					dWH := pairDelta(fine, tab, loc, twh, cand, WeightedHops)
+					if dWH >= 0 || best >= 0 && dWH >= bestWH {
+						continue
+					}
+					if dVol := volDelta(twh, cand); dVol <= 0 {
 						best, bestWH, bestVol = cand, dWH, dVol
 					}
 				}
 				if best >= 0 {
-					opt.Exec.Count("fine_swaps", 1)
-					ga, gb := group[twh], group[best]
-					group[twh], group[best] = gb, ga
+					ex.Count("fine_swaps", 1)
+					group[twh], group[best] = group[best], group[twh]
+					loc[twh], loc[best] = l, myLoc
 					moveTask(twh, myLoc, l)
 					moveTask(best, l, myLoc)
 					totalWH += bestWH
 					whGain -= bestWH
 					volGain -= bestVol
 					for _, u := range fine.Neighbors(int(twh)) {
-						if whHeap.Contains(int(u)) {
-							whHeap.Update(int(u), taskWH(u))
-						}
+						rekey(u)
 					}
 					for _, u := range fine.Neighbors(int(best)) {
-						if whHeap.Contains(int(u)) {
-							whHeap.Update(int(u), taskWH(u))
-						}
+						rekey(u)
 					}
-					if whHeap.Contains(int(best)) {
-						whHeap.Update(int(best), taskWH(best))
-					}
+					rekey(best)
 					return false
 				}
 				return tried < opt.Delta

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -88,5 +90,27 @@ func TestRefineWHFineGainAccounting(t *testing.T) {
 	}
 	if int64(before.ICV-after.ICV) != volGain {
 		t.Fatalf("vol gain %d != metric delta %d", volGain, before.ICV-after.ICV)
+	}
+}
+
+// TestRefineWHFineCancelled: under an already-cancelled context the
+// fine refinement stops at its first poll, with no gain reported and
+// the grouping untouched, although the same run uncancelled gains.
+func TestRefineWHFineCancelled(t *testing.T) {
+	g, group, nodeOf, _ := fineFixture(t)
+	tp, _ := fixture(t, 8, 51)
+	tab := table(t, tp, nodeOf)
+	if whGain, _ := RefineWHFine(g, tab, append([]int32(nil), group...), nodeOf, RefineOptions{}); whGain == 0 {
+		t.Fatal("fixture gains nothing uncancelled; nothing to cancel")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := append([]int32(nil), group...)
+	whGain, volGain := RefineWHFine(g, tab, group, nodeOf, RefineOptions{Exec: execWithWorkers(ctx, 1)})
+	if whGain != 0 || volGain != 0 {
+		t.Fatalf("pre-cancelled refinement gained WH %d, volume %d", whGain, volGain)
+	}
+	if !reflect.DeepEqual(group, before) {
+		t.Fatal("pre-cancelled refinement changed the grouping")
 	}
 }

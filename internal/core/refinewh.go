@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/routecache"
 )
 
@@ -49,7 +50,7 @@ func RefineWH(g *graph.Graph, tab *routecache.Table, nodeOf []int32, opt RefineO
 	// the end (before release, which runs last-in).
 	defer st.nodesInto(nodeOf)
 	ar := opt.Exec.arenaOf()
-	cl := clusterSets([]mlLevel{{g: g}}, 0, ar)
+	cl := clusterSets([]partition.Level{{G: g}}, 0, ar)
 	defer ar.PutInt32s(cl.buf)
 	return refineLevel(st, g, cl, opt)
 }
@@ -228,12 +229,8 @@ func (cl clusters) members(c int32) []int32 { return cl.mem[cl.off[c]:cl.off[c+1
 // directed fine edge whose tail lies in c.
 func (cl clusters) wh(st *mapState, c int32, obj Objective) int64 {
 	var wh int64
-	g := st.g
 	for _, t := range cl.members(c) {
-		row := st.tab.DistRow(st.nodeOf[t])
-		for i := g.Xadj[t]; i < g.Xadj[t+1]; i++ {
-			wh += hopCost(g, i, obj) * int64(row[st.nodeOf[g.Adj[i]]])
-		}
+		wh += vertexWH(st.g, st.tab, st.nodeOf, t, obj)
 	}
 	return wh
 }

@@ -277,45 +277,6 @@ func (g *Graph) Symmetrize(a *arena.Arena) *Graph {
 	return res
 }
 
-// InducedSubgraph returns the subgraph on the given vertices (in the
-// given order) plus the mapping from old ids to new ids (-1 when
-// excluded). Edges with an excluded endpoint are dropped. TMAP, its one
-// caller, bisects task lists in any order; the partitioner, whose
-// lists ascend, splits without staging (partition.splitSides).
-func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32) {
-	remap := make([]int32, g.N())
-	for i := range remap {
-		remap[i] = -1
-	}
-	for i, v := range vertices {
-		remap[v] = int32(i)
-	}
-	bound := 0
-	for _, v := range vertices {
-		bound += g.Degree(int(v))
-	}
-	triples := make([]ds.EdgeTriple, bound)
-	cnt := 0
-	for _, v := range vertices {
-		nv := remap[v]
-		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-			u := remap[g.Adj[i]]
-			if u >= 0 {
-				triples[cnt] = ds.EdgeTriple{U: nv, V: u, W: g.EdgeWeight(int(i))}
-				cnt++
-			}
-		}
-	}
-	var vw []int64
-	if g.VW != nil {
-		vw = make([]int64, len(vertices))
-		for i, v := range vertices {
-			vw[i] = g.VW[v]
-		}
-	}
-	return FromTriples(len(vertices), triples[:cnt], vw), remap
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{

@@ -177,21 +177,6 @@ func TestFarthestVertexNoEligible(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := Grid2D(3, 3)
-	// Take the first row: vertices 0,1,2 form a path.
-	sub, remap := g.InducedSubgraph([]int32{0, 1, 2})
-	if sub.N() != 3 || sub.M() != 4 {
-		t.Fatalf("sub N=%d M=%d, want 3,4", sub.N(), sub.M())
-	}
-	if remap[0] != 0 || remap[1] != 1 || remap[2] != 2 || remap[3] != -1 {
-		t.Fatalf("remap wrong: %v", remap[:4])
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.HasEdge(0, 2) {
-		t.Fatal("subgraph edges wrong")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := RandomConnected(10, 10, 5, 1)
 	g.VW = make([]int64, g.N())

@@ -16,7 +16,7 @@ func bisect(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []int8 {
 		return nil
 	}
 	levels := coarsen(g, opt, rng)
-	coarsest := levels[len(levels)-1].g
+	coarsest := levels[len(levels)-1].G
 	side := initialBisection(coarsest, tw, opt, rng)
 	refineBisection(coarsest, side, tw, opt, rng)
 	// Project back up the hierarchy, refining at each level. On
@@ -24,16 +24,16 @@ func bisect(g *graph.Graph, tw [2]int64, opt Options, rng *rand.Rand) []int8 {
 	// full-length side vector — but the refinement work is skipped.
 	for li := len(levels) - 2; li >= 0; li-- {
 		fine := levels[li]
-		fineSide := opt.Arena.Int8s(fine.g.N())
-		for v := 0; v < fine.g.N(); v++ {
-			fineSide[v] = side[fine.cmap[v]]
+		fineSide := opt.Arena.Int8s(fine.G.N())
+		for v := 0; v < fine.G.N(); v++ {
+			fineSide[v] = side[fine.CMap[v]]
 		}
 		opt.Arena.PutInt8s(side)
 		side = fineSide
 		if opt.Par.Cancelled() {
 			continue
 		}
-		refineBisection(fine.g, side, tw, opt, rng)
+		refineBisection(fine.G, side, tw, opt, rng)
 	}
 	return side
 }

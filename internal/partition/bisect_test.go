@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/ds"
 	"repro/internal/graph"
 )
 
@@ -76,10 +77,56 @@ func TestGrowBisectionTracksWeightAndCut(t *testing.T) {
 	}
 }
 
-// FuzzSplitSides checks the one-pass split against the builder it
-// replaced: for any canonical CSR (directed or not, with or without
-// vertex weights) and any side vector, both halves equal
-// InducedSubgraph of that side's ascending id list in Xadj, Adj, EW
+// inducedSubgraph is the oracle for SplitSides: the subgraph of g on
+// the given vertices, in the given order, built by staging its edges
+// and handing them to graph.FromTriples, plus the map from g's ids to
+// the subgraph's (-1 when excluded). Edges with an excluded endpoint
+// are dropped.
+func inducedSubgraph(g *graph.Graph, vertices []int32) (*graph.Graph, []int32) {
+	remap := make([]int32, g.N())
+	for i := range remap {
+		remap[i] = -1
+	}
+	for i, v := range vertices {
+		remap[v] = int32(i)
+	}
+	var triples []ds.EdgeTriple
+	for _, v := range vertices {
+		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+			if u := remap[g.Adj[i]]; u >= 0 {
+				triples = append(triples, ds.EdgeTriple{U: remap[v], V: u, W: g.EdgeWeight(int(i))})
+			}
+		}
+	}
+	var vw []int64
+	if g.VW != nil {
+		vw = make([]int64, len(vertices))
+		for i, v := range vertices {
+			vw[i] = g.VW[v]
+		}
+	}
+	return graph.FromTriples(len(vertices), triples, vw), remap
+}
+
+func TestInducedSubgraph(t *testing.T) {
+	g := graph.Grid2D(3, 3)
+	// Take the first row: vertices 0,1,2 form a path.
+	sub, remap := inducedSubgraph(g, []int32{0, 1, 2})
+	if sub.N() != 3 || sub.M() != 4 {
+		t.Fatalf("sub N=%d M=%d, want 3,4", sub.N(), sub.M())
+	}
+	if remap[0] != 0 || remap[1] != 1 || remap[2] != 2 || remap[3] != -1 {
+		t.Fatalf("remap wrong: %v", remap[:4])
+	}
+	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.HasEdge(0, 2) {
+		t.Fatal("subgraph edges wrong")
+	}
+}
+
+// FuzzSplitSides checks the one-pass split against the staging
+// builder it replaced: for any canonical CSR (directed or not, with or
+// without vertex weights) and any side vector, both halves equal
+// inducedSubgraph of that side's ascending id list in Xadj, Adj, EW
 // and VW, down to whether VW is nil. `make fuzz-smoke` runs it.
 func FuzzSplitSides(f *testing.F) {
 	f.Add(uint8(0), []byte{}, []byte{}, false)
@@ -113,9 +160,9 @@ func FuzzSplitSides(f *testing.F) {
 			}
 			ids[side[v]] = append(ids[side[v]], int32(v))
 		}
-		left, right := splitSides(g, side, len(ids[0]), arena.New())
+		left, right := SplitSides(g, side, len(ids[0]), arena.New())
 		for s, got := range []*graph.Graph{left, right} {
-			want, _ := g.InducedSubgraph(ids[s])
+			want, _ := inducedSubgraph(g, ids[s])
 			if !slices.Equal(got.Xadj, want.Xadj) || !slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.EW, want.EW) {
 				t.Fatalf("side %d: split {%v %v %v}, induced {%v %v %v}",
 					s, got.Xadj, got.Adj, got.EW, want.Xadj, want.Adj, want.EW)

@@ -1,22 +1,97 @@
 package partition
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
+	"repro/internal/arena"
 	"repro/internal/graph"
 )
 
-// matchVertices computes a matching of g according to the policy and
-// returns the coarse vertex id of every fine vertex plus the number
-// of coarse vertices. Unmatched vertices map to singleton coarse
-// vertices.
-func matchVertices(g *graph.Graph, policy Matching, rng *rand.Rand) ([]int32, int) {
+// This file is the one graph reduction of every multilevel mapper. A
+// hierarchy is built by one loop, hierarchy; the partitioner's coarsen
+// and the multilevel mapper's Coarsen differ only in the order in
+// which a level's matching visits its vertices.
+
+// Level is one rung of a coarsening hierarchy: the level's graph, and
+// CMap, the map of its vertices to the vertices of the next, coarser
+// level (nil on the coarsest rung).
+type Level struct {
+	G    *graph.Graph
+	CMap []int32
+}
+
+// Coarsen builds the heavy-edge hierarchy of the symmetric graph g
+// down to at most to vertices, with no randomness: each level's
+// matching visits the vertices in decreasing order of total incident
+// weight, ties by id, and matches each with its heaviest unmatched
+// neighbour, ties to the lowest id on rows that ascend, as every
+// graph of the CSR contract's does. It is the hierarchy of the §III-B
+// multilevel mapper (UML). Contraction scratch comes from ar (nil
+// allocates fresh).
+func Coarsen(g *graph.Graph, to int, ar *arena.Arena) []Level {
+	return hierarchy(g, to, ar, func(cur *graph.Graph) ([]int32, int) {
+		return matchVertices(cur, HeavyEdge, byIncidentWeight(cur), nil)
+	})
+}
+
+// coarsen builds the partitioner's hierarchy: each level's matching
+// visits the vertices in an order rng draws.
+func coarsen(g *graph.Graph, opt Options, rng *rand.Rand) []Level {
+	return hierarchy(g, opt.CoarsenTo, opt.Arena, func(cur *graph.Graph) ([]int32, int) {
+		return matchVertices(cur, opt.Matching, rng.Perm(cur.N()), rng)
+	})
+}
+
+// hierarchy builds the levels from g down, matching each level with
+// match and contracting it with graph.Contract, until a level has at
+// most to vertices or its matching would keep more than 95% of them.
+func hierarchy(g *graph.Graph, to int, ar *arena.Arena, match func(*graph.Graph) ([]int32, int)) []Level {
+	levels := []Level{{G: g}}
+	cur := g
+	for cur.N() > to {
+		cmap, nc := match(cur)
+		if float64(nc) > 0.95*float64(cur.N()) {
+			break // diminishing returns (star-like graphs)
+		}
+		next := graph.Contract(cur, cmap, nc, ar)
+		levels[len(levels)-1].CMap = cmap
+		levels = append(levels, Level{G: next})
+		cur = next
+	}
+	return levels
+}
+
+// byIncidentWeight returns g's vertices in decreasing order of total
+// incident edge weight, ties by id.
+func byIncidentWeight(g *graph.Graph) []int {
+	n := g.N()
+	order := make([]int, n)
+	incident := make([]int64, n)
+	for v := range order {
+		order[v] = v
+		for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
+			incident[v] += g.EdgeWeight(int(i))
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(incident[b], incident[a]), cmp.Compare(a, b))
+	})
+	return order
+}
+
+// matchVertices computes a matching of g according to the policy,
+// visiting the vertices in the given order, and returns the coarse
+// vertex id of every fine vertex plus the number of coarse vertices.
+// Unmatched vertices map to singleton coarse vertices. rng is drawn
+// from only by RandomEdge.
+func matchVertices(g *graph.Graph, policy Matching, order []int, rng *rand.Rand) ([]int32, int) {
 	n := g.N()
 	match := make([]int32, n)
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
 	for _, vi := range order {
 		v := int32(vi)
 		if match[v] >= 0 {
@@ -72,28 +147,4 @@ func matchVertices(g *graph.Graph, policy Matching, rng *rand.Rand) ([]int32, in
 		nc++
 	}
 	return cmap, int(nc)
-}
-
-// level is one rung of the multilevel hierarchy.
-type level struct {
-	g    *graph.Graph
-	cmap []int32 // fine vertex -> coarse vertex of the next level
-}
-
-// coarsen builds the hierarchy from fine to coarse, stopping when the
-// graph is small enough or stops shrinking.
-func coarsen(g *graph.Graph, opt Options, rng *rand.Rand) []level {
-	levels := []level{{g: g}}
-	cur := g
-	for cur.N() > opt.CoarsenTo {
-		cmap, nc := matchVertices(cur, opt.Matching, rng)
-		if float64(nc) > 0.95*float64(cur.N()) {
-			break // diminishing returns (star-like graphs)
-		}
-		next := graph.Contract(cur, cmap, nc, opt.Arena)
-		levels[len(levels)-1].cmap = cmap
-		levels = append(levels, level{g: next})
-		cur = next
-	}
-	return levels
 }

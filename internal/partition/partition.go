@@ -5,6 +5,11 @@
 // weights. The paper uses graph partitioners both to produce the MPI
 // task graphs (§IV-A) and to group tasks onto allocated nodes before
 // mapping (§III-A); this package plays both roles.
+//
+// It also owns graph reduction for every multilevel mapper: Coarsen
+// builds the §III-B multilevel mapper's hierarchy with the
+// partitioner's own coarsening loop, and SplitSides builds the halves
+// the recursive bipartitioning baselines (§IV-B) recurse on.
 package partition
 
 import (
@@ -206,7 +211,7 @@ func recursiveBisect(g *graph.Graph, vertices []int32, targets []int64, offset i
 	copy(vertices, buf)
 	ar.PutInt32s(buf)
 	leftIDs, rightIDs := vertices[:nl], vertices[nl:]
-	gl, gr := splitSides(g, side, nl, ar)
+	gl, gr := SplitSides(g, side, nl, ar)
 	ar.PutInt8s(side)
 	opt.Par.Fork(
 		func() { recursiveBisect(gl, leftIDs, targets[:kl], offset, opt, 2*path, out) },
@@ -214,18 +219,19 @@ func recursiveBisect(g *graph.Graph, vertices []int32, targets []int64, offset i
 	)
 }
 
-// splitSides returns the two halves of g that side selects, the
+// SplitSides returns the two halves of g that side selects, the
 // subgraphs induced by its side-0 and its side-1 vertices, each vertex
 // renumbered by its rank within its side; nl is the number of side-0
-// vertices. They are exactly the graphs InducedSubgraph builds from
-// each side's ascending id list, built without staging: the
-// renumbering is monotone, so a row of g that lists its neighbours
-// ascending stays ascending once filtered, and is copied as it
-// stands. One counting pass ranks the vertices and sizes every row,
-// and one copying pass fills exact-size arrays. g's rows must ascend,
-// as every graph of the CSR contract's does, and g.EW must not be nil.
-// The rank scratch comes from ar; the halves are fresh.
-func splitSides(g *graph.Graph, side []int8, nl int, ar *arena.Arena) (left, right *graph.Graph) {
+// vertices. The partitioner's bisections and the recursive
+// bipartitioning mappers (TMAP, SMAP) recurse on them. They are built
+// without staging: the renumbering is monotone, so a row of g that
+// lists its neighbours ascending stays ascending once filtered, and is
+// copied as it stands. One counting pass ranks the vertices and sizes
+// every row, and one copying pass fills exact-size arrays. g's rows
+// must ascend, as every graph of the CSR contract's does, and g.EW
+// must not be nil. The rank scratch comes from ar; the halves are
+// fresh.
+func SplitSides(g *graph.Graph, side []int8, nl int, ar *arena.Arena) (left, right *graph.Graph) {
 	n := g.N()
 	halves := [2]*graph.Graph{
 		{Xadj: make([]int32, nl+1)},

@@ -194,7 +194,7 @@ func GroupBlocks(nTasks int, capacities []int64) ([]int32, error) {
 // graph, and the consecutive-rank block grouping refined with k-way
 // passes (recursive-bisection part ids are already locality-ordered,
 // §IV-B, so blocks are a strong start) — and the one with the lower
-// inter-group volume wins.
+// edge cut, the inter-group volume, wins.
 //
 // The candidates run as forked subtasks on par (the multilevel
 // partition additionally parallelizes its own bisection subtrees on
@@ -212,17 +212,6 @@ func GroupTasks(sym *graph.Graph, capacities []int64, seed int64, par *parallel.
 		unit[i] = 1
 	}
 	sym = &graph.Graph{Xadj: sym.Xadj, Adj: sym.Adj, EW: sym.EW, VW: unit}
-	interVolume := func(group []int32) int64 {
-		var vol int64
-		for u := 0; u < sym.N(); u++ {
-			for i := sym.Xadj[u]; i < sym.Xadj[u+1]; i++ {
-				if group[u] != group[sym.Adj[i]] {
-					vol += sym.EW[i]
-				}
-			}
-		}
-		return vol
-	}
 
 	// The two candidates are independent: they read the shared
 	// symmetric graph and build their own part vectors.
@@ -268,7 +257,7 @@ func GroupTasks(sym *graph.Graph, capacities []int64, seed int64, par *parallel.
 		return nil, err
 	}
 
-	if interVolume(blocks) < interVolume(partitioned) {
+	if partition.EdgeCut(sym, blocks) < partition.EdgeCut(sym, partitioned) {
 		tr.Add("group_blocks_won", 1)
 		return blocks, nil
 	}

@@ -96,13 +96,17 @@ docs:
 # mapd request path on both protocols at one client, of the grouping
 # partitioner (the launch path's dominant stage) and of Algorithm 2
 # alone (the launch and remap paths' WH refinement), each at one and
-# two workers, and of the multilevel mapper (UML) and the fine-level
-# refinement, which no engine benchmark reaches, proves the service
-# API's hot paths still run; full numbers via `go test -bench=.`.
+# two workers, of the multilevel mapper (UML) and the fine-level
+# refinement, which no engine benchmark reaches, and of the static and
+# adaptive simulators and the WH pipeline on the fat tree and the
+# dragonfly, proves the service API's hot paths and the network model
+# still run; full numbers via `go test -bench=.`.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkAblationMultilevel/UML$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkAblationFineRefinement$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='Benchmark(SimulatorCommOnly|FatTreeMapping|DragonflyMapping)$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkAblationAdaptiveSim/UMC_static_model$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel/(binary|json)/c1$$' -benchtime=1x ./internal/service
 	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchtime=1x ./internal/taskgraph
 	$(GO) test -run='^$$' -bench='BenchmarkRefineWH' -benchtime=1x ./internal/core
@@ -116,9 +120,10 @@ bench:
 # grouping and CSR-builder micro-benchmarks isolate the launch path's
 # dominant stage and the graph construction inside it; the coarse-graph,
 # metrics and Algorithm 2 micro-benchmarks isolate the coarsen, metrics
-# and WH refinement stages at the launch and remap shapes; UML and the
-# fine-level refinement run outside every engine benchmark, so they
-# are recorded on their own.
+# and WH refinement stages at the launch and remap shapes; UML, the
+# fine-level refinement, the static and adaptive simulators and the WH
+# pipeline on the fat tree and the dragonfly run outside every engine
+# benchmark, so they are recorded on their own.
 # BENCH_OUT has no default, so a recording never overwrites an earlier
 # PR's point: `make bench-json BENCH_OUT=BENCH_PR<n>.json`.
 BENCH_NOTES ?=
@@ -129,6 +134,8 @@ bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkEngineParallelSolve|BenchmarkRefineMC|BenchmarkRemapVsCold|BenchmarkHeteroSolve|BenchmarkGeomSolve|BenchmarkSolveMachineSize' -benchmem -benchtime=5x -count=1 . >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkAblationMultilevel/UML$$' -benchmem -benchtime=20x -count=1 . >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkAblationFineRefinement$$' -benchmem -benchtime=20x -count=1 . >> $$tmp; \
+	$(GO) test -run='^$$' -bench='Benchmark(SimulatorCommOnly|FatTreeMapping|DragonflyMapping)$$' -benchmem -benchtime=20x -count=1 . >> $$tmp; \
+	$(GO) test -run='^$$' -bench='BenchmarkAblationAdaptiveSim/UMC_static_model$$' -benchmem -benchtime=20x -count=1 . >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkServeParallel' -benchmem -benchtime=200x -count=1 ./internal/service >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkGroupTasks' -benchmem -benchtime=20x -count=1 ./internal/taskgraph >> $$tmp; \
 	$(GO) test -run='^$$' -bench='BenchmarkCoarseGraph' -benchmem -benchtime=200x -count=1 ./internal/taskgraph >> $$tmp; \

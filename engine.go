@@ -2,6 +2,7 @@ package topomap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -359,12 +360,20 @@ func (e *Engine) finishSolve(j *solveJob, tg *TaskGraph, p prefix) (*MapResult, 
 	return e.finishPlacement(j, tg, p, nodeOf)
 }
 
+// ErrMapperPlacement marks a solve whose mapper returned a placement
+// the later stages cannot hold: too few or too many groups, a group on
+// a node outside the allocation, or two groups on one node. The fault
+// is the mapper's, not the request's; the error wrapping it names the
+// mapper and what is wrong.
+var ErrMapperPlacement = errors.New("invalid placement")
+
 // checkPlacement rejects a mapper's placement the later stages cannot
 // hold: they keep a placement as allocation indices and assume one
 // group per node, so every group needs an allocated node of its own.
+// Every rejection wraps ErrMapperPlacement.
 func (e *Engine) checkPlacement(nodeOf []int32, groups int) error {
 	if len(nodeOf) != groups {
-		return fmt.Errorf("placed %d groups, want %d", len(nodeOf), groups)
+		return fmt.Errorf("%w: placed %d groups, want %d", ErrMapperPlacement, len(nodeOf), groups)
 	}
 	// owner[l] is one more than the group on allocation index l, 0
 	// while l is free.
@@ -373,10 +382,10 @@ func (e *Engine) checkPlacement(nodeOf []int32, groups int) error {
 	for g, m := range nodeOf {
 		l := e.view.Local(m)
 		if l < 0 {
-			return fmt.Errorf("placed group %d on node %d, which is not allocated", g, m)
+			return fmt.Errorf("%w: placed group %d on node %d, which is not allocated", ErrMapperPlacement, g, m)
 		}
 		if owner[l] > 0 {
-			return fmt.Errorf("placed groups %d and %d on node %d", owner[l]-1, g, m)
+			return fmt.Errorf("%w: placed groups %d and %d on node %d", ErrMapperPlacement, owner[l]-1, g, m)
 		}
 		owner[l] = int32(g) + 1
 	}

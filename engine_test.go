@@ -504,8 +504,9 @@ func TestEngineRejectsPlacementOutsideAllocation(t *testing.T) {
 // later stages cannot index — too few groups, a group on a node
 // outside the allocation, or several groups on one node (the stages
 // after the mapper assume one group per node) — fails its own solve
-// with an error naming it. An 8×8 stencil of 64 tasks fills four
-// 16-processor nodes, so each node hosts exactly one group.
+// with an error naming it and wrapping ErrMapperPlacement. An 8×8
+// stencil of 64 tasks fills four 16-processor nodes, so each node
+// hosts exactly one group.
 func TestMapperPlacementChecked(t *testing.T) {
 	tg, err := StencilTaskGraph(8, 8, 1, 10)
 	if err != nil {
@@ -530,6 +531,9 @@ func TestMapperPlacementChecked(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), string(name)) {
 			t.Fatalf("%s: error %q does not name the mapper", name, err)
+		}
+		if !errors.Is(err, ErrMapperPlacement) {
+			t.Fatalf("%s: error %q does not wrap ErrMapperPlacement", name, err)
 		}
 	}
 }

@@ -30,15 +30,11 @@ import (
 // torus.Topology and torus.MultipathTopology (with unique minimal
 // routes).
 type Dragonfly struct {
+	torus.LinkTable // over hosts + routers
+
 	p, a, h int // hosts/router, routers/group, global links/router
 	g       int // groups = a*h + 1
 	hosts   int // g * a * p
-
-	// CSR adjacency over hosts + routers; the index of a neighbour
-	// within its row is the directed link id offset.
-	xadj []int32
-	adj  []int32
-	bw   []float64
 
 	bwHost, bwLocal, bwGlobal float64 // construction parameters
 }
@@ -57,7 +53,7 @@ func New(h int, bwHost, bwLocal, bwGlobal float64) (*Dragonfly, error) {
 	d := &Dragonfly{p: h, a: 2 * h, h: h, bwHost: bwHost, bwLocal: bwLocal, bwGlobal: bwGlobal}
 	d.g = d.a*d.h + 1
 	d.hosts = d.g * d.a * d.p
-	d.build(bwHost, bwLocal, bwGlobal)
+	d.LinkTable = torus.NewLinkTable(d.Nodes(), d.eachLink)
 	return d, nil
 }
 
@@ -104,93 +100,30 @@ func (d *Dragonfly) globalEndpoints(gi, gj int) (ri, rj int) {
 	return ri, rj
 }
 
-func (d *Dragonfly) build(bwHost, bwLocal, bwGlobal float64) {
-	n := d.Nodes()
-	type link struct {
-		u, v int
-		bw   float64
-	}
-	var links []link
-	// Host links.
+// eachLink enumerates the physical links: every host's link to its
+// router, then each group's local full mesh, then the one global link
+// of every group pair.
+func (d *Dragonfly) eachLink(link func(u, v int, bw float64)) {
 	for v := 0; v < d.hosts; v++ {
-		links = append(links, link{v, d.hostRouter(v), bwHost})
+		link(v, d.hostRouter(v), d.bwHost)
 	}
-	// Local full mesh within each group.
 	for gi := 0; gi < d.g; gi++ {
 		for k := 0; k < d.a; k++ {
 			for l := k + 1; l < d.a; l++ {
-				links = append(links, link{d.routerID(gi, k), d.routerID(gi, l), bwLocal})
+				link(d.routerID(gi, k), d.routerID(gi, l), d.bwLocal)
 			}
 		}
 	}
-	// One global link per group pair.
 	for gi := 0; gi < d.g; gi++ {
 		for gj := gi + 1; gj < d.g; gj++ {
 			ri, rj := d.globalEndpoints(gi, gj)
-			links = append(links, link{ri, rj, bwGlobal})
+			link(ri, rj, d.bwGlobal)
 		}
-	}
-	deg := make([]int32, n)
-	for _, l := range links {
-		deg[l.u]++
-		deg[l.v]++
-	}
-	d.xadj = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		d.xadj[v+1] = d.xadj[v] + deg[v]
-	}
-	d.adj = make([]int32, d.xadj[n])
-	d.bw = make([]float64, d.xadj[n])
-	fill := make([]int32, n)
-	put := func(u, v int, bw float64) {
-		i := d.xadj[u] + fill[u]
-		d.adj[i] = int32(v)
-		d.bw[i] = bw
-		fill[u]++
-	}
-	for _, l := range links {
-		put(l.u, l.v, l.bw)
-		put(l.v, l.u, l.bw)
 	}
 }
 
 // Diameter is 5: host, local hop, global hop, local hop, host.
 func (d *Dragonfly) Diameter() int { return 5 }
-
-// Links returns the number of directed links.
-func (d *Dragonfly) Links() int { return len(d.adj) }
-
-// LinkBW returns a directed link's bandwidth.
-func (d *Dragonfly) LinkBW(link int) float64 { return d.bw[link] }
-
-// LinkInfo decodes a directed link id into its endpoints.
-func (d *Dragonfly) LinkInfo(link int) (from, to int) {
-	lo, hi := 0, len(d.xadj)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int(d.xadj[mid]) <= link {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, int(d.adj[link])
-}
-
-// NeighborNodes appends the vertices adjacent to v.
-func (d *Dragonfly) NeighborNodes(v int, dst []int32) []int32 {
-	return append(dst, d.adj[d.xadj[v]:d.xadj[v+1]]...)
-}
-
-// linkID returns the directed link id u→v; u and v must be adjacent.
-func (d *Dragonfly) linkID(u, v int) int32 {
-	for i := d.xadj[u]; i < d.xadj[u+1]; i++ {
-		if d.adj[i] == int32(v) {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("dragonfly: vertices %d and %d are not adjacent", u, v))
-}
 
 // routerPath returns the router-level vertices of the unique minimal
 // route between two distinct routers (inclusive of both endpoints).
@@ -254,14 +187,14 @@ func (d *Dragonfly) Route(a, b int, dst []int32) []int32 {
 		panic("dragonfly: Route endpoints must be hosts")
 	}
 	ra, rb := d.hostRouter(a), d.hostRouter(b)
-	dst = append(dst, d.linkID(a, ra))
+	dst = append(dst, d.LinkID(a, ra))
 	if ra != rb {
 		path := d.routerPath(ra, rb)
 		for i := 1; i < len(path); i++ {
-			dst = append(dst, d.linkID(path[i-1], path[i]))
+			dst = append(dst, d.LinkID(path[i-1], path[i]))
 		}
 	}
-	return append(dst, d.linkID(rb, b))
+	return append(dst, d.LinkID(rb, b))
 }
 
 // NumMinimalRoutes returns 1 for distinct hosts: canonical dragonfly

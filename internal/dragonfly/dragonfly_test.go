@@ -1,6 +1,10 @@
 package dragonfly
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -319,5 +323,64 @@ func TestHopDistSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// linkTableDigest hashes a switched network's whole link table: the
+// link count, every directed link's endpoints and bandwidth bits, and
+// every vertex's neighbour list in order.
+func linkTableDigest(d *Dragonfly) string {
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(d.Links()))
+	for l := 0; l < d.Links(); l++ {
+		from, to := d.LinkInfo(l)
+		put(uint64(from))
+		put(uint64(to))
+		put(math.Float64bits(d.LinkBW(l)))
+	}
+	var nb []int32
+	for v := 0; v < d.Nodes(); v++ {
+		nb = d.NeighborNodes(v, nb[:0])
+		put(uint64(len(nb)))
+		for _, u := range nb {
+			put(uint64(u))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// TestLinkTableDigest pins the directed link ids, endpoints,
+// bandwidths and neighbour order of dragonflies with one to four
+// global links per router. Every route, metric and simulated time
+// reads links by these ids, so a change to how the table is built
+// must reproduce them unedited.
+func TestLinkTableDigest(t *testing.T) {
+	want := map[int]string{
+		1: "1765fa4f3529338e7aaa2ed2",
+		2: "5aed0cd06affcec21b800d28",
+		3: "1bc084e4b3f333593775b142",
+		4: "452565c3f072c95f0ac2498c",
+	}
+	for h := 1; h <= 4; h++ {
+		if got := linkTableDigest(mustNew(t, h)); got != want[h] {
+			t.Errorf("h=%d: link table digest %s, want %s", h, got, want[h])
+		}
+	}
+}
+
+func TestLinkInfoInvertsLinkID(t *testing.T) {
+	for h := 1; h <= 3; h++ {
+		d := mustNew(t, h)
+		for l := 0; l < d.Links(); l++ {
+			from, to := d.LinkInfo(l)
+			if got := d.LinkID(from, to); got != int32(l) {
+				t.Fatalf("h=%d: LinkInfo(%d) = (%d,%d), LinkID back = %d", h, l, from, to, got)
+			}
+		}
 	}
 }

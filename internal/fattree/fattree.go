@@ -43,15 +43,11 @@ const (
 // FatTree is a k-ary fat-tree topology. It implements
 // torus.Topology and torus.MultipathTopology.
 type FatTree struct {
+	torus.LinkTable // over all vertices (hosts + switches)
+
 	k     int // arity (even, >= 2)
 	half  int // k/2
 	hosts int // k^3/4
-
-	// CSR adjacency over all vertices (hosts + switches); the index
-	// of a neighbour within its row is the directed link id offset.
-	xadj []int32
-	adj  []int32
-	bw   []float64 // per directed link
 
 	bwHost float64 // host-edge link bandwidth
 	taper  float64 // bandwidth divisor per level upward
@@ -69,7 +65,7 @@ func New(k int, bwHost, taper float64) (*FatTree, error) {
 		return nil, fmt.Errorf("fattree: need bwHost > 0 and taper >= 1")
 	}
 	ft := &FatTree{k: k, half: k / 2, hosts: k * k * k / 4, bwHost: bwHost, taper: taper}
-	ft.build()
+	ft.LinkTable = torus.NewLinkTable(ft.Nodes(), ft.eachLink)
 	return ft, nil
 }
 
@@ -111,51 +107,24 @@ func (ft *FatTree) Classify(v int) (lv Level, a, b int) {
 	return Core, v / ft.half, v % ft.half
 }
 
-// build constructs the CSR adjacency and per-link bandwidths.
-func (ft *FatTree) build() {
-	n := ft.Nodes()
-	deg := make([]int32, n)
-	addDeg := func(u, v int) { deg[u]++; deg[v]++ }
-	ft.forEachUndirectedLink(func(u, v, level int) { addDeg(u, v) })
-	ft.xadj = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		ft.xadj[v+1] = ft.xadj[v] + deg[v]
-	}
-	ft.adj = make([]int32, ft.xadj[n])
-	ft.bw = make([]float64, ft.xadj[n])
-	fill := make([]int32, n)
-	put := func(u, v, level int) {
-		bw := ft.bwHost
-		for l := 0; l < level; l++ {
-			bw /= ft.taper
-		}
-		i := ft.xadj[u] + fill[u]
-		ft.adj[i] = int32(v)
-		ft.bw[i] = bw
-		fill[u]++
-		i = ft.xadj[v] + fill[v]
-		ft.adj[i] = int32(u)
-		ft.bw[i] = bw
-		fill[v]++
-	}
-	ft.forEachUndirectedLink(put)
-}
-
-// forEachUndirectedLink enumerates the physical links with their
-// level (0 host-edge, 1 edge-agg, 2 agg-core).
-func (ft *FatTree) forEachUndirectedLink(fn func(u, v, level int)) {
+// eachLink enumerates the physical links pod by pod with their
+// bandwidths: bwHost on host–edge links, divided by the taper once
+// per level upward (edge–agg, agg–core).
+func (ft *FatTree) eachLink(link func(u, v int, bw float64)) {
+	bwAgg := ft.bwHost / ft.taper
+	bwCore := bwAgg / ft.taper
 	for p := 0; p < ft.k; p++ {
 		for e := 0; e < ft.half; e++ {
 			for port := 0; port < ft.half; port++ {
-				fn(ft.hostID(p, e, port), ft.edgeID(p, e), 0)
+				link(ft.hostID(p, e, port), ft.edgeID(p, e), ft.bwHost)
 			}
 			for j := 0; j < ft.half; j++ {
-				fn(ft.edgeID(p, e), ft.aggID(p, j), 1)
+				link(ft.edgeID(p, e), ft.aggID(p, j), bwAgg)
 			}
 		}
 		for j := 0; j < ft.half; j++ {
 			for c := 0; c < ft.half; c++ {
-				fn(ft.aggID(p, j), ft.coreID(j, c), 2)
+				link(ft.aggID(p, j), ft.coreID(j, c), bwCore)
 			}
 		}
 	}
@@ -167,42 +136,6 @@ func (ft *FatTree) Nodes() int { return ft.hosts + 2*ft.k*ft.half + ft.half*ft.h
 
 // Diameter of a fat tree is 6 (host-edge-agg-core-agg-edge-host).
 func (ft *FatTree) Diameter() int { return 6 }
-
-// Links returns the number of directed links.
-func (ft *FatTree) Links() int { return len(ft.adj) }
-
-// LinkBW returns a directed link's bandwidth.
-func (ft *FatTree) LinkBW(link int) float64 { return ft.bw[link] }
-
-// LinkInfo decodes a directed link id into its endpoints.
-func (ft *FatTree) LinkInfo(link int) (from, to int) {
-	// Binary search the CSR row containing the link.
-	lo, hi := 0, len(ft.xadj)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int(ft.xadj[mid]) <= link {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, int(ft.adj[link])
-}
-
-// NeighborNodes appends the vertices adjacent to v.
-func (ft *FatTree) NeighborNodes(v int, dst []int32) []int32 {
-	return append(dst, ft.adj[ft.xadj[v]:ft.xadj[v+1]]...)
-}
-
-// linkID returns the directed link id u→v; u and v must be adjacent.
-func (ft *FatTree) linkID(u, v int) int32 {
-	for i := ft.xadj[u]; i < ft.xadj[u+1]; i++ {
-		if ft.adj[i] == int32(v) {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("fattree: vertices %d and %d are not adjacent", u, v))
-}
 
 // HopDist returns the shortest-path length between any two vertices
 // in O(1) by case analysis on their levels.
@@ -289,23 +222,23 @@ func (ft *FatTree) routeVia(a, b, j, c int, dst []int32) []int32 {
 	_, pb, ib := ft.Classify(b)
 	ea, eb := ia/ft.half, ib/ft.half
 	edgeA, edgeB := ft.edgeID(pa, ea), ft.edgeID(pb, eb)
-	dst = append(dst, ft.linkID(a, edgeA))
+	dst = append(dst, ft.LinkID(a, edgeA))
 	if pa == pb && ea == eb {
-		return append(dst, ft.linkID(edgeA, b))
+		return append(dst, ft.LinkID(edgeA, b))
 	}
 	aggA := ft.aggID(pa, j)
-	dst = append(dst, ft.linkID(edgeA, aggA))
+	dst = append(dst, ft.LinkID(edgeA, aggA))
 	if pa == pb {
-		dst = append(dst, ft.linkID(aggA, edgeB))
-		return append(dst, ft.linkID(edgeB, b))
+		dst = append(dst, ft.LinkID(aggA, edgeB))
+		return append(dst, ft.LinkID(edgeB, b))
 	}
 	core := ft.coreID(j, c)
 	aggB := ft.aggID(pb, j)
 	dst = append(dst,
-		ft.linkID(aggA, core),
-		ft.linkID(core, aggB),
-		ft.linkID(aggB, edgeB),
-		ft.linkID(edgeB, b))
+		ft.LinkID(aggA, core),
+		ft.LinkID(core, aggB),
+		ft.LinkID(aggB, edgeB),
+		ft.LinkID(edgeB, b))
 	return dst
 }
 

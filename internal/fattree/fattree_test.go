@@ -1,7 +1,11 @@
 package fattree
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -309,7 +313,7 @@ func TestLinkInfoInvertsLinkID(t *testing.T) {
 	ft := mustNew(t, 4)
 	for l := 0; l < ft.Links(); l++ {
 		from, to := ft.LinkInfo(l)
-		if got := ft.linkID(from, to); got != int32(l) {
+		if got := ft.LinkID(from, to); got != int32(l) {
 			t.Fatalf("LinkInfo(%d) = (%d,%d), linkID back = %d", l, from, to, got)
 		}
 	}
@@ -397,5 +401,63 @@ func TestHopDistProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// linkTableDigest hashes a switched network's whole link table: the
+// link count, every directed link's endpoints and bandwidth bits, and
+// every vertex's neighbour list in order.
+func linkTableDigest(ft *FatTree) string {
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(ft.Links()))
+	for l := 0; l < ft.Links(); l++ {
+		from, to := ft.LinkInfo(l)
+		put(uint64(from))
+		put(uint64(to))
+		put(math.Float64bits(ft.LinkBW(l)))
+	}
+	var nb []int32
+	for v := 0; v < ft.Nodes(); v++ {
+		nb = ft.NeighborNodes(v, nb[:0])
+		put(uint64(len(nb)))
+		for _, u := range nb {
+			put(uint64(u))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// TestLinkTableDigest pins the directed link ids, endpoints,
+// bandwidths and neighbour order of fat trees of every arity the
+// tests and examples use, at full bisection and 2:1 taper. Every
+// route, metric and simulated time reads links by these ids, so a
+// change to how the table is built must reproduce them unedited.
+func TestLinkTableDigest(t *testing.T) {
+	want := map[string]string{
+		"k=2/taper=1":  "dd3bbd67e3c71cf721c0d2da",
+		"k=2/taper=2":  "987be43941a2241aa1015976",
+		"k=4/taper=1":  "e3ecdb6ac251cf89bf822907",
+		"k=4/taper=2":  "f83783f2a7bc6dc571b508f6",
+		"k=8/taper=1":  "5456fe19b59ec54a6aac769a",
+		"k=8/taper=2":  "91529e2d688f93abf6ab18fc",
+		"k=16/taper=1": "7769655112f12af6aaf8f9e2",
+		"k=16/taper=2": "7d7da989500a93f12cd9782c",
+	}
+	for _, k := range []int{2, 4, 8, 16} {
+		for _, taper := range []float64{1, 2} {
+			ft, err := New(k, 10e9, taper)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("k=%d/taper=%g", k, taper)
+			if got := linkTableDigest(ft); got != want[key] {
+				t.Errorf("%s: link table digest %s, want %s", key, got, want[key])
+			}
+		}
 	}
 }

@@ -23,12 +23,22 @@ type AdaptiveMetrics struct {
 	UsedLinks int
 }
 
-// ComputeAdaptive evaluates the expected congestion of the directed
-// task graph tg under the placement, with every message routed
-// uniformly at random over its minimal dimension-ordered routes.
-func ComputeAdaptive(tg *graph.Graph, topo torus.MultipathTopology, pl *Placement) AdaptiveMetrics {
-	volLoad := make([]float64, topo.Links())
-	msgLoad := make([]float64, topo.Links())
+// ExpectedLinkLoads returns every directed link's expected volume and
+// message load when each message of the directed task graph tg is
+// spread uniformly over its P minimal routes: each route carries 1/P of
+// the message and w/P of its volume w. ComputeAdaptive scores these
+// loads, and the adaptive simulator of internal/netsim times messages
+// by the message loads.
+func ExpectedLinkLoads(tg *graph.Graph, topo torus.MultipathTopology, pl *Placement) (vol, msg []float64) {
+	vol = make([]float64, topo.Links())
+	msg = make([]float64, topo.Links())
+	var w, p float64
+	spread := func(route []int32) {
+		for _, l := range route {
+			vol[l] += w / p
+			msg[l] += 1 / p
+		}
+	}
 	for t := 0; t < tg.N(); t++ {
 		a := pl.Node(int32(t))
 		for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
@@ -36,16 +46,19 @@ func ComputeAdaptive(tg *graph.Graph, topo torus.MultipathTopology, pl *Placemen
 			if a == b {
 				continue
 			}
-			w := float64(tg.EdgeWeight(int(i)))
-			p := float64(topo.NumMinimalRoutes(int(a), int(b)))
-			topo.ForEachMinimalRoute(int(a), int(b), func(route []int32) {
-				for _, l := range route {
-					volLoad[l] += w / p
-					msgLoad[l] += 1 / p
-				}
-			})
+			w = float64(tg.EdgeWeight(int(i)))
+			p = float64(topo.NumMinimalRoutes(int(a), int(b)))
+			topo.ForEachMinimalRoute(int(a), int(b), spread)
 		}
 	}
+	return vol, msg
+}
+
+// ComputeAdaptive evaluates the expected congestion of the directed
+// task graph tg under the placement, with every message routed
+// uniformly at random over its minimal dimension-ordered routes.
+func ComputeAdaptive(tg *graph.Graph, topo torus.MultipathTopology, pl *Placement) AdaptiveMetrics {
+	volLoad, msgLoad := ExpectedLinkLoads(tg, topo, pl)
 	var m AdaptiveMetrics
 	var sumVC, sumMsg float64
 	for l := range volLoad {

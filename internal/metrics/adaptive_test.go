@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/dragonfly"
 	"repro/internal/graph"
 	"repro/internal/torus"
 )
@@ -124,5 +126,33 @@ func TestAdaptiveConservesExpectedHops(t *testing.T) {
 	sumMsg := am.EAMC * float64(am.UsedLinks)
 	if math.Abs(sumMsg-float64(sm.TH)) > 1e-6*float64(sm.TH) {
 		t.Fatalf("sum of expected per-link messages %g != TH %d", sumMsg, sm.TH)
+	}
+}
+
+// TestAdaptiveEqualsStaticOnDragonfly: a canonical dragonfly's minimal
+// route is unique, so the expected congestion of every message is its
+// static congestion, bit for bit, under a grouped placement with
+// several tasks per host.
+func TestAdaptiveEqualsStaticOnDragonfly(t *testing.T) {
+	g := graph.RandomConnected(96, 300, 50, 4)
+	for h := 1; h <= 3; h++ {
+		df, err := dragonfly.New(h, 10e9, 5e9, 4e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(h)))
+		groups := min(16, df.Hosts())
+		pl := &Placement{GroupOf: make([]int32, g.N()), NodeOf: make([]int32, groups)}
+		for i := range pl.GroupOf {
+			pl.GroupOf[i] = int32(rng.Intn(groups))
+		}
+		for gi, host := range rng.Perm(df.Hosts())[:groups] {
+			pl.NodeOf[gi] = int32(host)
+		}
+		am, sm := ComputeAdaptive(g, df, pl), Compute(g, df, pl)
+		if am.EMC != sm.MC || am.EMMC != float64(sm.MMC) || am.EAC != sm.AC || am.EAMC != sm.AMC ||
+			am.UsedLinks != sm.UsedLinks || sm.UsedLinks == 0 {
+			t.Fatalf("dragonfly h=%d: adaptive %+v differs from static %+v", h, am, sm)
+		}
 	}
 }

@@ -100,25 +100,25 @@ func (gi *groupIndex) groups() int { return len(gi.start) - 1 }
 // any-worker-count determinism rests on.
 type computeState struct {
 	th, wh, icv, icm int64
-	links            []traffic // per link
-	recv             []traffic // per receiving group
+	links            []Traffic // per link
+	recv             []Traffic // per receiving group
 }
 
-// traffic counts the messages and volume crossing one link or
+// Traffic counts the messages and volume crossing one link or
 // received by one group. The two counts sit side by side so that adding
 // a route's traffic touches one cache line per link.
-type traffic struct {
-	count, vol int64
+type Traffic struct {
+	Count, Vol int64
 }
 
-func (t *traffic) add(u traffic) {
-	t.count += u.count
-	t.vol += u.vol
+func (t *Traffic) add(u Traffic) {
+	t.Count += u.Count
+	t.Vol += u.Vol
 }
 
 // pairSum is the traffic of one group's tasks to one other group.
 type pairSum struct {
-	traffic
+	Traffic
 	seen int32 // source group + 1 that last reset the sum
 }
 
@@ -145,7 +145,7 @@ func (st *computeState) accumulate(tg *graph.Graph, topo torus.Topology, nodeOf 
 					*ps = pairSum{seen: stamp}
 					dests = append(dests, gb)
 				}
-				ps.add(traffic{count: 1, vol: tg.EdgeWeight(int(i))})
+				ps.add(Traffic{Count: 1, Vol: tg.EdgeWeight(int(i))})
 			}
 		}
 		a := int(nodeOf[ga])
@@ -156,14 +156,14 @@ func (st *computeState) accumulate(tg *graph.Graph, topo torus.Topology, nodeOf 
 			}
 			ps := sums[gb]
 			hops := int64(topo.HopDist(a, b))
-			st.th += hops * ps.count
-			st.wh += hops * ps.vol
-			st.icv += ps.vol
-			st.icm += ps.count
-			st.recv[gb].add(ps.traffic)
+			st.th += hops * ps.Count
+			st.wh += hops * ps.Vol
+			st.icv += ps.Vol
+			st.icm += ps.Count
+			st.recv[gb].add(ps.Traffic)
 			route = topo.Route(a, b, route[:0])
 			for _, l := range route {
-				st.links[l].add(ps.traffic)
+				st.links[l].add(ps.Traffic)
 			}
 		}
 	}
@@ -190,15 +190,15 @@ func (st *computeState) finalize(topo torus.Topology, nodeOf []int32) MapMetrics
 	var sumMsg int64
 	var sumVC float64
 	for l, t := range st.links {
-		if t.count == 0 {
+		if t.Count == 0 {
 			continue
 		}
 		m.UsedLinks++
-		sumMsg += t.count
-		if t.count > m.MMC {
-			m.MMC = t.count
+		sumMsg += t.Count
+		if t.Count > m.MMC {
+			m.MMC = t.Count
 		}
-		vc := float64(t.vol) / topo.LinkBW(l)
+		vc := float64(t.Vol) / topo.LinkBW(l)
 		sumVC += vc
 		if vc > m.MC {
 			m.MC = vc
@@ -208,25 +208,25 @@ func (st *computeState) finalize(topo torus.Topology, nodeOf []int32) MapMetrics
 		m.AMC = float64(sumMsg) / float64(m.UsedLinks)
 		m.AC = sumVC / float64(m.UsedLinks)
 	}
-	byNode := make(map[int32]traffic, len(st.recv))
+	byNode := make(map[int32]Traffic, len(st.recv))
 	for g, t := range st.recv {
-		if t.count > 0 {
+		if t.Count > 0 {
 			r := byNode[nodeOf[g]]
 			r.add(t)
 			byNode[nodeOf[g]] = r
 		}
 	}
 	for _, t := range byNode {
-		m.MNRV = max(m.MNRV, t.vol)
-		m.MNRM = max(m.MNRM, t.count)
+		m.MNRV = max(m.MNRV, t.Vol)
+		m.MNRM = max(m.MNRM, t.Count)
 	}
 	return m
 }
 
 func newComputeState(topo torus.Topology, groups int) computeState {
 	return computeState{
-		links: make([]traffic, topo.Links()),
-		recv:  make([]traffic, groups),
+		links: make([]Traffic, topo.Links()),
+		recv:  make([]Traffic, groups),
 	}
 }
 
@@ -266,6 +266,17 @@ func LoadSummary(tg *graph.Graph, pl *Placement, speed []float64) (makespan, imb
 // the placement on topo, serially.
 func Compute(tg *graph.Graph, topo torus.Topology, pl *Placement) MapMetrics {
 	return ComputePar(tg, topo, pl, nil)
+}
+
+// LinkTraffic returns the messages and volume the placement puts on
+// every directed link of topo: the exact per-link pass Compute derives
+// MC, MMC, AC and AMC from, routing every ordered pair of groups on
+// distinct nodes once along its static route.
+func LinkTraffic(tg *graph.Graph, topo torus.Topology, pl *Placement) []Traffic {
+	gi := newGroupIndex(tg, pl)
+	st := newComputeState(topo, gi.groups())
+	st.accumulate(tg, topo, pl.NodeOf, &gi, 0, gi.groups())
+	return st.links
 }
 
 // parallelComputeMinTasks gates the parallel evaluation: below this

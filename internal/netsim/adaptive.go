@@ -1,9 +1,6 @@
 package netsim
 
 import (
-	"math"
-	"math/rand"
-
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/torus"
@@ -12,64 +9,14 @@ import (
 // Adaptive-routing execution model (§III-C's closing remark). The
 // static simulator commits every message to its dimension-ordered
 // route; a Blue Gene style adaptively routed torus instead sprays a
-// message's packets over its minimal routes. This simulator models
-// that as even splitting: a message's bytes divide across its P
-// minimal routes, every link carries the *expected* message load, and
-// the message completes when its slowest chunk does. Mappings that
-// lower the expected congestion (UMCA) show up faster here, the same
-// way MC-refined mappings show up faster under the static model.
-
-// messageTimesAdaptive mirrors messageTimes under multipath spraying.
-func messageTimesAdaptive(tg *graph.Graph, topo torus.MultipathTopology, pl *metrics.Placement, bytesPerUnit float64, p Params) []float64 {
-	// Expected per-link message load: each of a message's P routes
-	// carries weight 1/P.
-	load := make([]float64, topo.Links())
-	for t := 0; t < tg.N(); t++ {
-		a := pl.Node(int32(t))
-		for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
-			b := pl.Node(tg.Adj[i])
-			if a == b {
-				continue
-			}
-			share := 1 / float64(topo.NumMinimalRoutes(int(a), int(b)))
-			topo.ForEachMinimalRoute(int(a), int(b), func(route []int32) {
-				for _, l := range route {
-					load[l] += share
-				}
-			})
-		}
-	}
-	diam := topo.Diameter()
-	times := make([]float64, tg.M())
-	for t := 0; t < tg.N(); t++ {
-		a := pl.Node(int32(t))
-		for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
-			b := pl.Node(tg.Adj[i])
-			if a == b {
-				continue
-			}
-			nRoutes := float64(topo.NumMinimalRoutes(int(a), int(b)))
-			chunk := float64(tg.EdgeWeight(int(i))) * bytesPerUnit / nRoutes
-			worst := 0.0 // slowest chunk decides
-			hops := 0
-			topo.ForEachMinimalRoute(int(a), int(b), func(route []int32) {
-				rate := math.Inf(1)
-				for _, l := range route {
-					share := topo.LinkBW(int(l)) / load[l]
-					if share < rate {
-						rate = share
-					}
-				}
-				if tm := chunk / rate; tm > worst {
-					worst = tm
-				}
-				hops = len(route)
-			})
-			times[i] = p.latency(hops, diam) + worst
-		}
-	}
-	return times
-}
+// message's packets over its minimal routes. This simulator is the
+// same message-time model with every minimal route in play: a
+// message's bytes divide evenly across its P minimal routes, every
+// link carries the *expected* message load (metrics.ExpectedLinkLoads,
+// the loads the EMC/EMMC metrics score), and the message completes
+// when its slowest chunk does. Mappings that lower the expected
+// congestion (UMCA) show up faster here, the same way MC-refined
+// mappings show up faster under the static model.
 
 // CommOnlyAdaptive simulates the communication-only application of
 // §IV-C on an adaptively routed network: all transfers start at time
@@ -77,12 +24,6 @@ func messageTimesAdaptive(tg *graph.Graph, topo torus.MultipathTopology, pl *met
 // application finishes with its slowest message.
 func CommOnlyAdaptive(tg *graph.Graph, topo torus.MultipathTopology, pl *metrics.Placement, bytesPerUnit float64, p Params) Result {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
-	worst := 0.0
-	for _, tm := range messageTimesAdaptive(tg, topo, pl, bytesPerUnit, p) {
-		if tm > worst {
-			worst = tm
-		}
-	}
-	return Result{Seconds: worst * noise(rng, p.NoiseSigma)}
+	_, load := metrics.ExpectedLinkLoads(tg, topo, pl)
+	return slowest(messageTimes(tg, topo, pl, load, topo.ForEachMinimalRoute, bytesPerUnit, p), p)
 }

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/dragonfly"
 	"repro/internal/fattree"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -24,6 +26,31 @@ func TestCommOnlyAdaptiveSingleRouteMatchesStatic(t *testing.T) {
 	b := CommOnlyAdaptive(g, topo, pl, 1024, p).Seconds
 	if a != b {
 		t.Fatalf("static %g != adaptive %g on single-route network", a, b)
+	}
+
+	// A canonical dragonfly's minimal route is unique too, so static
+	// routing is adaptive routing there as well, under a grouped
+	// placement with several tasks per host.
+	g = graph.RandomConnected(96, 300, 50, 4)
+	for h := 1; h <= 3; h++ {
+		df, err := dragonfly.New(h, 10e9, 5e9, 4e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(h)))
+		groups := min(16, df.Hosts())
+		pl := &metrics.Placement{GroupOf: make([]int32, g.N()), NodeOf: make([]int32, groups)}
+		for i := range pl.GroupOf {
+			pl.GroupOf[i] = int32(rng.Intn(groups))
+		}
+		for gi, host := range rng.Perm(df.Hosts())[:groups] {
+			pl.NodeOf[gi] = int32(host)
+		}
+		a := CommOnly(g, df, pl, 4096, p).Seconds
+		b := CommOnlyAdaptive(g, df, pl, 4096, p).Seconds
+		if a != b || a <= 0 {
+			t.Fatalf("dragonfly h=%d: static %g != adaptive %g", h, a, b)
+		}
 	}
 }
 

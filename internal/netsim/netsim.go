@@ -79,14 +79,51 @@ type Result struct {
 }
 
 // messageTimes computes, for every directed task edge, the transfer
-// time of its message under the bandwidth-sharing max-rate model: a
-// message's rate on each link of its static route is the link
-// bandwidth divided by the number of messages crossing that link; its
-// transfer rate is the minimum share along the route; its time adds
-// the hop-dependent latency. Intra-node edges get time 0. The result
-// is indexed by the edge's position in tg's CSR.
-func messageTimes(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, bytesPerUnit float64, p Params) []float64 {
-	msgPerLink := make([]int64, topo.Links())
+// time of its message under the bandwidth-sharing max-rate model.
+// routes(a, b, fn) calls fn once per route a message from a to b takes
+// and returns how many there are; the message's bytes split evenly
+// over them. load holds each link's message load, and a message's rate
+// on a link is the link bandwidth over that load. Its slowest chunk
+// decides, so its rate is the lowest share over the links of all its
+// routes (division rounds monotonically, so the chunk over that share
+// is exactly the largest per-route time), and its time adds the
+// hop-dependent latency. Intra-node edges get time 0. The result is
+// indexed by the edge's position in tg's CSR.
+func messageTimes(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, load []float64,
+	routes func(a, b int, fn func(route []int32)) int, bytesPerUnit float64, p Params) []float64 {
+	diam := topo.Diameter()
+	times := make([]float64, tg.M())
+	var minRate float64
+	var hops int
+	visit := func(route []int32) {
+		for _, l := range route {
+			if share := topo.LinkBW(int(l)) / load[l]; share < minRate {
+				minRate = share
+			}
+		}
+		hops = len(route)
+	}
+	for t := 0; t < tg.N(); t++ {
+		a := pl.Node(int32(t))
+		for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
+			b := pl.Node(tg.Adj[i])
+			if a == b {
+				continue
+			}
+			minRate = math.Inf(1)
+			n := routes(int(a), int(b), visit)
+			bytes := float64(tg.EdgeWeight(int(i))) * bytesPerUnit / float64(n)
+			times[i] = p.latency(hops, diam) + bytes/minRate
+		}
+	}
+	return times
+}
+
+// staticTimes is messageTimes on static routing: each message takes
+// its one route from topo.Route, and a link's load is the number of
+// messages crossing it (exact as a float below 2^53 messages).
+func staticTimes(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, bytesPerUnit float64, p Params) []float64 {
+	load := make([]float64, topo.Links())
 	var route []int32
 	for t := 0; t < tg.N(); t++ {
 		a := pl.Node(int32(t))
@@ -97,32 +134,16 @@ func messageTimes(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, b
 			}
 			route = topo.Route(int(a), int(b), route[:0])
 			for _, l := range route {
-				msgPerLink[l]++
+				load[l]++
 			}
 		}
 	}
-	diam := topo.Diameter()
-	times := make([]float64, tg.M())
-	for t := 0; t < tg.N(); t++ {
-		a := pl.Node(int32(t))
-		for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
-			b := pl.Node(tg.Adj[i])
-			if a == b {
-				continue
-			}
-			bytes := float64(tg.EdgeWeight(int(i))) * bytesPerUnit
-			route = topo.Route(int(a), int(b), route[:0])
-			rate := math.Inf(1)
-			for _, l := range route {
-				share := topo.LinkBW(int(l)) / float64(msgPerLink[l])
-				if share < rate {
-					rate = share
-				}
-			}
-			times[i] = p.latency(len(route), diam) + bytes/rate
-		}
+	static := func(a, b int, fn func(route []int32)) int {
+		route = topo.Route(a, b, route[:0])
+		fn(route)
+		return 1
 	}
-	return times
+	return messageTimes(tg, topo, pl, load, static, bytesPerUnit, p)
 }
 
 // CommOnly simulates the communication-only application: every
@@ -134,9 +155,15 @@ func messageTimes(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, b
 // cage15 by 4K and rgg by 256K).
 func CommOnly(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, bytesPerUnit float64, p Params) Result {
 	p = p.withDefaults()
+	return slowest(staticTimes(tg, topo, pl, bytesPerUnit, p), p)
+}
+
+// slowest is the communication-only application's finish: its slowest
+// message times one noise draw.
+func slowest(times []float64, p Params) Result {
 	rng := rand.New(rand.NewSource(p.Seed))
 	worst := 0.0
-	for _, tm := range messageTimes(tg, topo, pl, bytesPerUnit, p) {
+	for _, tm := range times {
 		if tm > worst {
 			worst = tm
 		}
@@ -156,7 +183,7 @@ func CommOnly(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, bytes
 func SpMV(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, iters int, p Params) Result {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	times := messageTimes(tg, topo, pl, 8, p)
+	times := staticTimes(tg, topo, pl, 8, p)
 	diam := topo.Diameter()
 
 	// Per-rank: message counts (posts + receives), summed incoming

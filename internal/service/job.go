@@ -192,12 +192,16 @@ func (s *Server) admit(c codec, w http.ResponseWriter, r *http.Request, endpoint
 // classify maps a failure to its HTTP status and intern-miss bitmask.
 // Deadline expiry is a server-side timeout; a canceled context means
 // the client went away (nobody reads the response) and must not
-// inflate the timeout counter operators tune deadlines from.
+// inflate the timeout counter operators tune deadlines from. A mapper
+// that returned a broken placement is the server's fault, not the
+// client's.
 func (s *Server) classify(err error) (status int, missing byte) {
 	var je *jobError
 	switch {
 	case errors.As(err, &je):
 		return je.status, je.missing
+	case errors.Is(err, topomap.ErrMapperPlacement):
+		return http.StatusInternalServerError, 0
 	case errors.Is(err, context.DeadlineExceeded):
 		s.st.timeouts.Add(1)
 		return http.StatusGatewayTimeout, 0

@@ -17,13 +17,13 @@ import (
 )
 
 // Fault containment: a mapper that panics, inline on the solve
-// goroutine or on a pooled worker, fails only its own request with a
-// 500 on every solving endpoint, and the same server answers the next
-// request.
+// goroutine or on a pooled worker, or that returns a placement the
+// engine rejects, fails only its own request with a 500 on every
+// solving endpoint, and the same server answers the next request.
 
-// panicSeed is the one seed on which the panicking test mappers
-// panic. On any other seed they place identity, so a portfolio that
-// auto-expands to every registered mapper (run at other seeds by
+// panicSeed is the one seed on which the faulty test mappers panic or
+// misplace. On any other seed they place identity, so a portfolio
+// that auto-expands to every registered mapper (run at other seeds by
 // other tests in this binary) is not failed by them.
 const panicSeed = 666
 
@@ -59,6 +59,19 @@ func init() {
 		if err != nil {
 			panic(err)
 		}
+	}
+	// Places one group too few, which the engine rejects as the
+	// mapper's fault.
+	err := topomap.RegisterMapper(topomap.NewMapper("TEST-SHORT-PLACEMENT", topomap.MapperCaps{},
+		func(in topomap.MapperInput) ([]int32, error) {
+			nodeOf := identity(in)
+			if in.Seed == panicSeed {
+				nodeOf = nodeOf[1:]
+			}
+			return nodeOf, nil
+		}))
+	if err != nil {
+		panic(err)
 	}
 }
 
@@ -156,4 +169,56 @@ func TestSolvePanicFailsOnlyItsRequest(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "\nmapd_solve_panics_total 6\n") {
 		t.Fatalf("metrics lack mapd_solve_panics_total 6:\n%s", rec.Body.String())
 	}
+}
+
+// TestMapperPlacementFaultIs500: a mapper that returns a broken
+// placement fails its request with a 500, not a 400, since the client
+// sent a valid request, on every solving endpoint and both protocols,
+// and the same server answers the next request.
+func TestMapperPlacementFaultIs500(t *testing.T) {
+	spec, _ := testTasks(32)
+	srv := service.New(service.Config{Workers: 2, MaxParallelism: 2})
+	jsonC := client.InProcess(srv.Handler(), client.WithProtocol(client.ProtoJSON))
+	binC := client.InProcess(srv.Handler())
+	ctx := context.Background()
+	alloc := service.AllocationSpec{SparseNodes: 4, Seed: 1}
+	mapReq := func(mapper string, seed int64) service.MapRequest {
+		return service.MapRequest{Topology: torusSpec(), Allocation: alloc, Tasks: spec,
+			Mapper: mapper, Seed: seed, Parallelism: 2}
+	}
+	want500 := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: want a 500, got success", what)
+		}
+		if !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), topomap.ErrMapperPlacement.Error()) {
+			t.Fatalf("%s: want a 500 naming the invalid placement, got %v", what, err)
+		}
+	}
+	answers := func(what string) {
+		t.Helper()
+		for _, c := range []*client.Client{jsonC, binC} {
+			resp, err := c.Map(ctx, mapReq("UWH", 1))
+			if err != nil {
+				t.Fatalf("after %s: server unserviceable: %v", what, err)
+			}
+			if resp.Metrics.WH <= 0 {
+				t.Fatalf("after %s: degenerate WH", what)
+			}
+		}
+	}
+	const mapper = "TEST-SHORT-PLACEMENT"
+	_, err := jsonC.Map(ctx, mapReq(mapper, panicSeed))
+	want500("/v1/map", err)
+	answers("/v1/map")
+
+	_, err = binC.Map(ctx, mapReq(mapper, panicSeed))
+	want500("/v2/map", err)
+	answers("/v2/map")
+
+	_, err = jsonC.Portfolio(ctx, service.PortfolioRequest{Topology: torusSpec(), Allocation: alloc, Tasks: spec,
+		Candidates:  []topomap.Solve{{Mapper: "UWH", Seed: 1}, {Mapper: mapper, Seed: panicSeed}},
+		Parallelism: 2})
+	want500("/v1/portfolio", err)
+	answers("/v1/portfolio")
 }

@@ -2,7 +2,10 @@
 // congestion histograms, the hottest links with their endpoints, and
 // allocation/placement maps of torus slices. These are the operator
 // tools of the library — the quickest way to see *where* a mapping
-// concentrates traffic, not just its aggregate metrics.
+// concentrates traffic, not just its aggregate metrics. The per-link
+// panels route nothing themselves: they read the volume and message
+// count of every link from metrics.LinkTraffic, the pass the MC and
+// MMC metrics are computed from.
 package viz
 
 import (
@@ -17,26 +20,6 @@ import (
 	"repro/internal/torus"
 )
 
-// linkLoads computes the volume routed over every directed link.
-func linkLoads(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement) []int64 {
-	load := make([]int64, topo.Links())
-	var route []int32
-	for t := 0; t < tg.N(); t++ {
-		a := pl.Node(int32(t))
-		for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
-			b := pl.Node(tg.Adj[i])
-			if a == b {
-				continue
-			}
-			route = topo.Route(int(a), int(b), route[:0])
-			for _, l := range route {
-				load[l] += tg.EdgeWeight(int(i))
-			}
-		}
-	}
-	return load
-}
-
 // histogramBars is the rendered width of the largest bucket.
 const histogramBars = 50
 
@@ -48,14 +31,13 @@ func CongestionHistogram(w io.Writer, tg *graph.Graph, topo torus.Topology, pl *
 	if buckets < 1 {
 		return fmt.Errorf("viz: need at least one bucket")
 	}
-	load := linkLoads(tg, topo, pl)
 	var vcs []float64
 	maxVC := 0.0
-	for l, v := range load {
-		if v == 0 {
+	for l, tr := range metrics.LinkTraffic(tg, topo, pl) {
+		if tr.Vol == 0 {
 			continue
 		}
-		vc := float64(v) / topo.LinkBW(l)
+		vc := float64(tr.Vol) / topo.LinkBW(l)
 		vcs = append(vcs, vc)
 		if vc > maxVC {
 			maxVC = vc
@@ -103,31 +85,15 @@ type HotLink struct {
 // TopLinks returns the n most volume-congested links, hottest first
 // (ties broken by link id for determinism).
 func TopLinks(tg *graph.Graph, topo torus.Topology, pl *metrics.Placement, n int) []HotLink {
-	load := linkLoads(tg, topo, pl)
-	msgs := make([]int64, topo.Links())
-	var route []int32
-	for t := 0; t < tg.N(); t++ {
-		a := pl.Node(int32(t))
-		for i := tg.Xadj[t]; i < tg.Xadj[t+1]; i++ {
-			b := pl.Node(tg.Adj[i])
-			if a == b {
-				continue
-			}
-			route = topo.Route(int(a), int(b), route[:0])
-			for _, l := range route {
-				msgs[l]++
-			}
-		}
-	}
 	// Endpoint decoding: the torus exposes (from, dim, dir, to); the
 	// indirect topologies (fat tree, dragonfly) expose (from, to).
 	type linkInfo2 interface{ LinkInfo(int) (int, int) }
 	var hot []HotLink
-	for l, v := range load {
-		if v == 0 {
+	for l, tr := range metrics.LinkTraffic(tg, topo, pl) {
+		if tr.Vol == 0 {
 			continue
 		}
-		hl := HotLink{Link: l, Volume: v, Messages: msgs[l], VC: float64(v) / topo.LinkBW(l)}
+		hl := HotLink{Link: l, Volume: tr.Vol, Messages: tr.Count, VC: float64(tr.Vol) / topo.LinkBW(l)}
 		switch tp := topo.(type) {
 		case *torus.Torus:
 			hl.From, _, _, hl.To = tp.LinkInfo(l)
